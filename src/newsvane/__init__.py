@@ -24,6 +24,7 @@ from .corpus import (
     HeadlineRecord,
     LabeledSample,
     PriceBar,
+    PriceIndex,
     generate_synthetic,
     label_sample,
     load_headlines,

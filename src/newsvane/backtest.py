@@ -15,18 +15,15 @@ return of the winning trades.
 
 from __future__ import annotations
 
-import bisect
-import csv
 import datetime as dt
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import PriceBar
-from .fileio import write_json_atomic, write_text_atomic
+from .corpus import PriceBar, PriceIndex
+from .fileio import csv_text, write_json_atomic, write_text_atomic
 
 BUY = "buy"
 NO_ACTION = "no_action"
@@ -168,7 +165,7 @@ def decide_multiclass(dp: DayPrediction, t: float) -> str:
 
 
 def simulate(
-    decisions: Sequence[tuple[str, dt.date, str]], prices: Sequence[PriceBar]
+    decisions: Sequence[tuple[str, dt.date, str]], prices: Sequence[PriceBar] | PriceIndex
 ) -> BacktestReport:
     """Execute buy decisions and compound the daily returns.
 
@@ -176,26 +173,19 @@ def simulate(
     trading day after the decision date. Same-day buys split capital
     equally, so the day's return is the mean of its trade returns; days
     compound in date order. An empty decision list yields a zero report.
+    ``prices`` may be a prebuilt ``PriceIndex``, as ``threshold_sweep`` passes.
     """
-    by_asset: dict[str, list[PriceBar]] = {}
-    for bar in prices:
-        by_asset.setdefault(bar.asset, []).append(bar)
-    for asset_bars in by_asset.values():
-        asset_bars.sort(key=lambda b: b.date)
-    dates_by_asset = {a: [b.date for b in bars] for a, bars in by_asset.items()}
-
+    index = PriceIndex.of(prices)
     trades: list[Trade] = []
     missing: list[tuple[str, dt.date]] = []
     for asset, date, action in decisions:
         if action != BUY:
             continue
-        dates = dates_by_asset.get(asset, [])
-        pos = bisect.bisect_right(dates, date)
-        if pos == len(dates):
+        try:
+            bar = index.next_bar(asset, date)
+            trades.append(Trade(asset=asset, trade_date=bar.date, entry=bar.open, exit=bar.close))
+        except ValueError:
             missing.append((asset, date))
-            continue
-        bar = by_asset[asset][pos]
-        trades.append(Trade(asset=asset, trade_date=bar.date, entry=bar.open, exit=bar.close))
     if missing:
         listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in sorted(missing))
         raise ValueError(f"no next-day price bar for: {listed}")
@@ -239,7 +229,7 @@ class SweepRow:
 
 def threshold_sweep(
     day_predictions: Sequence[DayPrediction],
-    prices: Sequence[PriceBar],
+    prices: Sequence[PriceBar] | PriceIndex,
     t_grid: Sequence[float],
 ) -> list[SweepRow]:
     """Simulate the appropriate strategy once per threshold in ``t_grid``."""
@@ -251,10 +241,11 @@ def threshold_sweep(
         raise ValueError("no day predictions to sweep")
     binary = day_predictions[0].sigma_mean is not None
     decide = decide_binary if binary else decide_multiclass
+    index = PriceIndex.of(prices)
     rows: list[SweepRow] = []
     for t in t_grid:
         decisions = [(dp.asset, dp.date, decide(dp, t)) for dp in day_predictions]
-        report = simulate(decisions, prices)
+        report = simulate(decisions, index)
         rows.append(
             SweepRow(
                 t=float(t), pp_pct=report.pp_pct, atp_pct=report.atp_pct,
@@ -272,13 +263,10 @@ def default_threshold_grid(head_binary: bool, step: float = 0.01) -> list[float]
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "pp", "atp", "total_return", "n_trades"])
-    for r in rows:
-        writer.writerow([repr(r.t), repr(r.pp_pct), repr(r.atp_pct),
-                         repr(r.total_return_pct), r.n_trades])
-    return buf.getvalue()
+    return csv_text(["t", "pp", "atp", "total_return", "n_trades"], (
+        [repr(r.t), repr(r.pp_pct), repr(r.atp_pct), repr(r.total_return_pct), r.n_trades]
+        for r in rows
+    ))
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:

@@ -1,14 +1,17 @@
 """Versioned JSON checkpoints for trained models.
 
 A checkpoint is self-contained: model configuration, the vocabulary (with
-its content hash), the embedding table and all network parameters. Arrays
-are stored as base64 of their raw little-endian float64/int64 bytes, so
-saving the same state twice produces byte-identical files.
+its content hash), the embedding table and the network parameters as one
+flat vector, whose layout is derived from the configuration rather than
+stored. Arrays are stored as base64 of their raw little-endian float64
+bytes, so saving the same state twice produces byte-identical files. Every
+array is checked against the configuration and vocabulary on load.
 """
 
 from __future__ import annotations
 
 import base64
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,10 +19,10 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .fileio import read_json, write_json_atomic
-from .network import ModelConfig, ModelParameters
+from .network import ModelConfig, ModelParameters, param_layout
 from .text import Vocabulary, vocabulary_hash
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -28,7 +31,7 @@ class CheckpointError(ValueError):
 
 def _encode_array(arr: np.ndarray) -> dict:
     arr = np.ascontiguousarray(arr)
-    if arr.dtype not in (np.float64, np.int64):
+    if arr.dtype != np.float64:
         raise CheckpointError(f"unsupported dtype {arr.dtype}")
     return {
         "dtype": str(arr.dtype),
@@ -37,10 +40,14 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(d: dict) -> np.ndarray:
+def _decode_array(d: dict, path: str | Path, field: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Decode a stored float64 array, rejecting any other dtype or shape."""
+    if d.get("dtype") != "float64" or tuple(d.get("shape", ())) != shape:
+        raise CheckpointError(f"{path}: {field}: {d.get('dtype')} {d.get('shape')}, expected float64 {list(shape)}")
     raw = base64.b64decode(d["data"])
-    arr = np.frombuffer(raw, dtype=np.dtype(d["dtype"])).copy()
-    return arr.reshape(d["shape"])
+    if len(raw) != 8 * math.prod(shape):
+        raise CheckpointError(f"{path}: {field}: {len(raw)} data bytes, expected {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
 
 
 @dataclass
@@ -73,18 +80,7 @@ def save_checkpoint(
             "pretrained_hit_count": table.pretrained_hit_count,
             "matrix": _encode_array(table.matrix),
         },
-        "params": {
-            "filters": {str(h): _encode_array(a) for h, a in sorted(params.filters.items())},
-            "filter_biases": {
-                str(h): _encode_array(a) for h, a in sorted(params.filter_biases.items())
-            },
-            "w1": _encode_array(params.w1),
-            "b1": _encode_array(params.b1),
-            "w2": _encode_array(params.w2),
-            "b2": _encode_array(params.b2),
-            "w_out": _encode_array(params.w_out),
-            "b_out": _encode_array(params.b_out),
-        },
+        "params": _encode_array(params.flat),
         "training_meta": training_meta or {},
     }
     write_json_atomic(path, payload)
@@ -93,14 +89,16 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None) -> Checkpoint:
     """Load and validate a checkpoint.
 
-    Rejects unknown format versions, internal vocabulary-hash mismatches
-    (corruption), and, when ``expected_config`` is given, any configuration
-    disagreement.
+    Rejects other format versions, internal vocabulary-hash mismatches
+    (corruption), arrays whose dtype or shape disagrees with the
+    configuration and vocabulary, and, when ``expected_config`` is given,
+    any configuration disagreement.
     """
     payload = read_json(path)
     if payload.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported checkpoint format {payload.get('format_version')!r}"
+            f"{path}: unsupported checkpoint format {payload.get('format_version')!r} "
+            f"(this version reads format {FORMAT_VERSION})"
         )
     config = ModelConfig.from_dict(payload["config"])
     if expected_config is not None and config != expected_config:
@@ -114,24 +112,21 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     stored_hash = payload["vocab_hash"]
     if vocabulary_hash(vocab) != stored_hash:
         raise CheckpointError(f"{path}: vocabulary hash mismatch (corrupt checkpoint)")
+    if vocab.max_len != config.m:
+        raise CheckpointError(f"{path}: vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
 
     emb = payload["embedding"]
+    if int(emb["p"]) != config.p:
+        raise CheckpointError(f"{path}: embedding.p is {emb['p']}, but the config has p={config.p}")
     table = EmbeddingTable(
-        matrix=_decode_array(emb["matrix"]),
+        matrix=_decode_array(emb["matrix"], path, "embedding.matrix", (len(tokens) + 1, config.p)),
         mode=emb["mode"],
-        p=int(emb["p"]),
+        p=config.p,
         pretrained_hit_count=int(emb["pretrained_hit_count"]),
     )
-    pp = payload["params"]
-    params = ModelParameters(
-        filters={int(h): _decode_array(a) for h, a in pp["filters"].items()},
-        filter_biases={int(h): _decode_array(a) for h, a in pp["filter_biases"].items()},
-        w1=_decode_array(pp["w1"]),
-        b1=_decode_array(pp["b1"]),
-        w2=_decode_array(pp["w2"]),
-        b2=_decode_array(pp["b2"]),
-        w_out=_decode_array(pp["w_out"]),
-        b_out=_decode_array(pp["b_out"]),
+    layout = param_layout(config)
+    params = ModelParameters.from_flat(
+        _decode_array(payload["params"], path, "params", (layout.size,)), layout
     )
     return Checkpoint(
         config=config, vocab=vocab, table=table, params=params,

@@ -14,17 +14,17 @@ import argparse
 import csv
 import datetime as dt
 import functools
-import io
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import backtest as bt
 from . import corpus, embeddings, gradcheck, pipeline, training
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .fileio import read_json, write_json_atomic, write_text_atomic
+from .fileio import csv_text, read_json, write_json_atomic, write_text_atomic
 from .network import HEAD_BINARY, HEAD_MULTICLASS3, ModelConfig, forward, init_parameters
 from .seeding import derive_seed
 from .text import PAD_TOKEN, save_vocabulary, vocabulary_hash
@@ -38,9 +38,9 @@ class ConfigError(ValueError):
 class RunConfig:
     headlines_path: Path
     prices_path: Path
-    out_dir: Path
     portfolio: tuple[str, ...]
     seed: int
+    out_dir: Path = Path("out")
     pretrained_path: Path | None = None
     min_relevance: float = 1.0
     # model
@@ -68,63 +68,80 @@ class RunConfig:
     sweep_step: float = 0.01
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _optional(convert: Callable) -> Callable:
+    return lambda value: convert(value) if value else None
+
+
+# Config-file section ("" is the top level) -> key -> RunConfig field. An
+# absent key takes the field's default; a present value is converted by the
+# field's annotation (a string, under postponed evaluation). The grid's axes
+# default to the single-run values, so they are resolved after the rest.
+_SECTIONS: dict[str, dict[str, str]] = {
+    "": {"portfolio": "portfolio", "min_relevance": "min_relevance"},
+    "paths": {"headlines": "headlines_path", "prices": "prices_path",
+              "out_dir": "out_dir", "pretrained": "pretrained_path"},
+    "model": {k: k for k in ("p", "filter_widths", "filters_per_width", "pool_w",
+                             "hidden_sizes", "dropout_rate", "head", "max_len",
+                             "embedding_mode", "embedding_init_mean", "embedding_init_std")},
+    "training": {k: k for k in ("seed", "epochs", "batch_size", "learning_rate",
+                                "validation_fraction", "select_on_test", "grid")},
+    "strategy": {"threshold": "threshold", "head": "strategy_head", "sweep_step": "sweep_step"},
+}
+_CONVERTERS: dict[str, Callable] = {
+    "int": int, "float": float, "str": str, "bool": bool, "Path": Path,
+    "tuple[int, ...]": _ints, "tuple[int, int]": _ints,
+    "tuple[str, ...]": lambda v: tuple(str(x) for x in v),
+    "Path | None": _optional(Path), "int | None": _optional(int), "str | None": _optional(str),
+    "training.GridAxes | None": dict,
+}
+_GRID_AXES = ("epochs", "dropout", "width_sets", "modes")
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
+def _reject_unknown(section: dict, known, name: str) -> None:
+    for key in section:
+        _require(key in known, f"unknown key {key!r} in config section {name!r}")
+
+
 def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
     raw = read_json(path)
-    paths = raw.get("paths", {})
-    model = raw.get("model", {})
-    tr = raw.get("training", {})
-    strat = raw.get("strategy", {})
-
-    seed = args.seed if args.seed is not None else tr.get("seed")
-    _require(seed is not None, "a seed is mandatory (training.seed or --seed)")
-    out_dir = Path(args.out_dir) if args.out_dir else Path(paths.get("out_dir", "out"))
-
-    grid = None
-    if "grid" in tr:
-        g = tr["grid"]
-        grid = training.GridAxes(
-            epochs=tuple(int(e) for e in g.get("epochs", [tr.get("epochs", 10)])),
-            dropout=tuple(float(d) for d in g.get("dropout", [model.get("dropout_rate", 0.25)])),
-            width_sets=tuple(
-                tuple(int(h) for h in ws) for ws in g.get("width_sets", [model.get("filter_widths", [3, 4])])
-            ),
-            modes=tuple(g.get("modes", [model.get("embedding_mode", "self_learnt")])),
+    run_fields = {f.name: f for f in fields(RunConfig)}
+    values: dict = {}
+    for name, keys in _SECTIONS.items():
+        section = raw.get(name, {}) if name else raw
+        _reject_unknown(section, set(keys) if name else set(keys) | set(_SECTIONS) - {""},
+                        name or "top level")
+        for key, field in keys.items():
+            if key in section:
+                values[field] = _CONVERTERS[run_fields[field].type](section[key])
+    if args.seed is not None:
+        values["seed"] = args.seed
+    if args.out_dir:
+        values["out_dir"] = Path(args.out_dir)
+    missing = [f"{name}.{key}".lstrip(".") for name, keys in _SECTIONS.items()
+               for key, field in keys.items()
+               if field not in values and run_fields[field].default is MISSING]
+    _require(not missing, f"missing required config keys: {', '.join(missing)} "
+                          "(--seed stands in for training.seed)")
+    grid = values.pop("grid", None)
+    cfg = RunConfig(**values)
+    if grid is not None:
+        _reject_unknown(grid, _GRID_AXES, "training.grid")
+        cfg.grid = training.GridAxes(
+            epochs=_ints(grid.get("epochs", [cfg.epochs])),
+            dropout=tuple(float(d) for d in grid.get("dropout", [cfg.dropout_rate])),
+            width_sets=tuple(_ints(ws) for ws in grid.get("width_sets", [cfg.filter_widths])),
+            modes=tuple(str(m) for m in grid.get("modes", [cfg.embedding_mode])),
         )
 
-    cfg = RunConfig(
-        headlines_path=Path(paths.get("headlines", "")),
-        prices_path=Path(paths.get("prices", "")),
-        pretrained_path=Path(paths["pretrained"]) if paths.get("pretrained") else None,
-        out_dir=out_dir,
-        portfolio=tuple(raw.get("portfolio", [])),
-        min_relevance=float(raw.get("min_relevance", 1.0)),
-        seed=int(seed),
-        p=int(model.get("p", 16)),
-        filter_widths=tuple(int(h) for h in model.get("filter_widths", [3, 4])),
-        filters_per_width=int(model.get("filters_per_width", 6)),
-        pool_w=int(model.get("pool_w", 2)),
-        hidden_sizes=tuple(int(x) for x in model.get("hidden_sizes", [32, 16])),
-        dropout_rate=float(model.get("dropout_rate", 0.25)),
-        head=str(model.get("head", HEAD_BINARY)),
-        max_len=int(model["max_len"]) if model.get("max_len") else None,
-        embedding_mode=str(model.get("embedding_mode", embeddings.MODE_SELF_LEARNT)),
-        embedding_init_mean=float(model.get("embedding_init_mean", 0.0)),
-        embedding_init_std=float(model.get("embedding_init_std", 0.1)),
-        epochs=int(tr.get("epochs", 10)),
-        batch_size=int(tr.get("batch_size", 32)),
-        learning_rate=float(tr.get("learning_rate", 1e-3)),
-        validation_fraction=float(tr.get("validation_fraction", 0.2)),
-        select_on_test=bool(tr.get("select_on_test", False)),
-        grid=grid,
-        threshold=float(strat.get("threshold", 0.5)),
-        strategy_head=strat.get("head"),
-        sweep_step=float(strat.get("sweep_step", 0.01)),
-    )
     _require(cfg.portfolio != (), "portfolio must list at least one ticker")
     _require(cfg.headlines_path.is_file(), f"headlines file not found: {cfg.headlines_path}")
     _require(cfg.prices_path.is_file(), f"prices file not found: {cfg.prices_path}")
@@ -197,19 +214,13 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             "n_unlabeled": prepared.n_unlabeled,
         },
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    write_text_atomic(out / "samples.csv", csv_text(
         ["headline_id", "asset", "date", "trade_date", "next_day_return",
-         "binary_label", "tri_label", "role", "true_len"]
-    )
-    for role, samples in (("train", prepared.train), ("test", prepared.test)):
-        for s in samples:
-            writer.writerow(
-                [s.headline_id, s.asset, s.date.isoformat(), s.trade_date.isoformat(),
-                 repr(s.next_day_return), s.binary_label, s.tri_label, role, s.enc.true_len]
-            )
-    write_text_atomic(out / "samples.csv", buf.getvalue())
+         "binary_label", "tri_label", "role", "true_len"],
+        ([s.headline_id, s.asset, s.date.isoformat(), s.trade_date.isoformat(),
+          repr(s.next_day_return), s.binary_label, s.tri_label, role, s.enc.true_len]
+         for role, samples in (("train", prepared.train), ("test", prepared.test)) for s in samples),
+    ))
     print(
         f"vocab size {prepared.vocab.size}, max_len {prepared.vocab.max_len}; "
         f"{len(prepared.train)} train / {len(prepared.test)} test samples "
@@ -282,12 +293,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
     )
     write_json_atomic(out / "metrics.json", metrics.to_dict())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "mean_loss", "accuracy"])
-    for row in result.trace:
-        writer.writerow([row.epoch, repr(row.mean_loss), repr(row.accuracy)])
-    write_text_atomic(out / "trace.csv", buf.getvalue())
+    write_text_atomic(out / "trace.csv", csv_text(
+        ["epoch", "mean_loss", "accuracy"],
+        ([row.epoch, repr(row.mean_loss), repr(row.accuracy)] for row in result.trace),
+    ))
     print(
         f"trained {cfg.epochs} epochs on {len(prepared.train)} samples; "
         f"test accuracy {metrics.accuracy:.4f}, f1 {metrics.f1:.4f}; wrote {out}/"
@@ -363,33 +372,36 @@ def _read_predictions_csv(path: Path) -> list[tuple[int, str, dt.date, float | n
 def _day_predictions(
     cfg: RunConfig, args: argparse.Namespace
 ) -> tuple[list[bt.DayPrediction], list[corpus.PriceBar], str]:
-    """Day predictions from either a predictions CSV or a checkpoint run."""
+    """Day predictions from either a predictions CSV or a checkpoint run,
+    with the head they were made by, checked against the strategy head."""
     prices = corpus.load_prices(cfg.prices_path)
     if getattr(args, "predictions", None):
         rows = _read_predictions_csv(Path(args.predictions))
         head = HEAD_BINARY if np.isscalar(rows[0][3]) else HEAD_MULTICLASS3
-        return bt.aggregate_daily(rows), prices, head
-    ckpt = _load_checkpoint_for(cfg, args)
-    prepared = _prepare(cfg)
-    _check_vocab_hash(cfg, prepared, ckpt)
-    outputs = []
-    for s in prepared.test:
-        output, _ = forward(s.enc, ckpt.table, ckpt.params, ckpt.config, mode="test")
-        outputs.append((s.headline_id, s.asset, s.date, output))
-    return bt.aggregate_daily(outputs), prices, ckpt.config.head
+    else:
+        ckpt = _load_checkpoint_for(cfg, args)
+        prepared = _prepare(cfg)
+        _check_vocab_hash(cfg, prepared, ckpt)
+        rows = [(s.headline_id, s.asset, s.date,
+                 forward(s.enc, ckpt.table, ckpt.params, ckpt.config, mode="test")[0])
+                for s in prepared.test]
+        head = ckpt.config.head
+    _require(cfg.strategy_head in (None, head),
+             f"strategy head {cfg.strategy_head!r} does not match the model head {head!r}")
+    return bt.aggregate_daily(rows), prices, head
 
 
-def _check_strategy_head(cfg: RunConfig, model_head: str) -> None:
-    if cfg.strategy_head is not None and cfg.strategy_head != model_head:
-        raise ConfigError(
-            f"strategy head {cfg.strategy_head!r} does not match the model head {model_head!r}"
-        )
+def _write_sweep(cfg: RunConfig, day_preds: list[bt.DayPrediction],
+                 prices: list[corpus.PriceBar], head: str) -> list[bt.SweepRow]:
+    grid = bt.default_threshold_grid(head == HEAD_BINARY, step=cfg.sweep_step)
+    rows = bt.threshold_sweep(day_preds, prices, grid)
+    bt.write_sweep_csv(rows, cfg.out_dir / "sweep.csv")
+    return rows
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     day_preds, prices, head = _day_predictions(cfg, args)
-    _check_strategy_head(cfg, head)
     decide = bt.decide_binary if head == HEAD_BINARY else bt.decide_multiclass
     decisions = [(dp.asset, dp.date, decide(dp, cfg.threshold)) for dp in day_preds]
     report = bt.simulate(decisions, prices)
@@ -399,9 +411,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         f"PP {report.pp_pct:.2f}%, ATP {report.atp_pct:.4f}%"
     )
     if args.sweep:
-        grid = bt.default_threshold_grid(head == HEAD_BINARY, step=cfg.sweep_step)
-        rows = bt.threshold_sweep(day_preds, prices, grid)
-        bt.write_sweep_csv(rows, cfg.out_dir / "sweep.csv")
+        rows = _write_sweep(cfg, day_preds, prices, head)
         print(f"threshold sweep: {len(rows)} rows written to {cfg.out_dir / 'sweep.csv'}")
     return 0
 
@@ -409,10 +419,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     day_preds, prices, head = _day_predictions(cfg, args)
-    _check_strategy_head(cfg, head)
-    grid = bt.default_threshold_grid(head == HEAD_BINARY, step=cfg.sweep_step)
-    rows = bt.threshold_sweep(day_preds, prices, grid)
-    bt.write_sweep_csv(rows, cfg.out_dir / "sweep.csv")
+    rows = _write_sweep(cfg, day_preds, prices, head)
     best = max(rows, key=lambda r: r.atp_pct)
     print(
         f"{len(rows)} thresholds; best ATP {best.atp_pct:.4f}% at t={best.t:.2f} "
@@ -458,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to the JSON run configuration")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out-dir", default=None, help="override the output directory")
-    common.add_argument("--parallel", action="store_true",
-                        help="run independent grid-search cells in parallel")
 
     parser = argparse.ArgumentParser(
         prog="newsvane",
@@ -479,6 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare, needs_config=True)
 
     p = sub.add_parser("train", parents=[common], help="train a model and write a checkpoint")
+    p.add_argument("--parallel", action="store_true",
+                   help="run independent grid-search cells in parallel")
     p.set_defaults(func=cmd_train, needs_config=True)
 
     p = sub.add_parser("evaluate", parents=[common], help="evaluate a checkpoint on the test split")

@@ -15,14 +15,16 @@ controllable amount of real signal, used by the self-tests and demos.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .fileio import write_text_atomic
+from .fileio import csv_text, write_text_atomic
 from .seeding import derive_seed
 
 TRI_AVOID = "avoid"
@@ -172,44 +174,52 @@ def load_prices(path: str | Path) -> list[PriceBar]:
 
 
 def write_headlines_csv(records: list[HeadlineRecord], path: str | Path) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HEADLINE_CSV_HEADER)
-    for r in records:
-        writer.writerow(
-            [r.id, r.asset, r.date.isoformat(), r.time.strftime("%H:%M"), f"{r.relevance:.1f}", r.text]
-        )
-    write_text_atomic(path, buf.getvalue())
+    write_text_atomic(path, csv_text(HEADLINE_CSV_HEADER, (
+        [r.id, r.asset, r.date.isoformat(), r.time.strftime("%H:%M"), f"{r.relevance:.1f}", r.text]
+        for r in records
+    )))
 
 
 def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PRICE_CSV_HEADER)
-    for b in bars:
-        writer.writerow([b.asset, b.date.isoformat(), f"{b.open:.6f}", f"{b.close:.6f}"])
-    write_text_atomic(path, buf.getvalue())
+    write_text_atomic(path, csv_text(PRICE_CSV_HEADER, (
+        [b.asset, b.date.isoformat(), f"{b.open:.6f}", f"{b.close:.6f}"] for b in bars
+    )))
 
 
-def _price_index(prices: list[PriceBar]) -> dict[str, list[PriceBar]]:
-    by_asset: dict[str, list[PriceBar]] = {}
-    for bar in prices:
-        by_asset.setdefault(bar.asset, []).append(bar)
-    for bars in by_asset.values():
-        bars.sort(key=lambda b: b.date)
-    return by_asset
+class PriceIndex:
+    """Price bars grouped per asset in date order, for next-trading-day lookups.
+
+    Build it once per price list; every ``next_bar`` is a binary search.
+    """
+
+    def __init__(self, prices: Iterable[PriceBar]) -> None:
+        self._bars: dict[str, list[PriceBar]] = {}
+        for bar in prices:
+            self._bars.setdefault(bar.asset, []).append(bar)
+        for bars in self._bars.values():
+            bars.sort(key=lambda b: b.date)
+        self._dates = {a: [b.date for b in bars] for a, bars in self._bars.items()}
+
+    @classmethod
+    def of(cls, prices: Iterable[PriceBar] | PriceIndex) -> PriceIndex:
+        """``prices`` itself if it is already an index, else a new index of it."""
+        return prices if isinstance(prices, cls) else cls(prices)
+
+    def __len__(self) -> int:
+        return sum(len(bars) for bars in self._bars.values())
+
+    def next_bar(self, asset: str, after: dt.date) -> PriceBar:
+        """The asset's first bar strictly after ``after``; ValueError past its history."""
+        dates = self._dates.get(asset, [])
+        pos = bisect.bisect_right(dates, after)
+        if pos == len(dates):
+            raise ValueError(f"end of price history: no bar for {asset} after {after}")
+        return self._bars[asset][pos]
 
 
-def next_trading_day(asset: str, after: dt.date, prices: list[PriceBar]) -> dt.date:
+def next_trading_day(asset: str, after: dt.date, prices: Iterable[PriceBar] | PriceIndex) -> dt.date:
     """Smallest price-bar date for ``asset`` strictly after ``after``."""
-    later = [b.date for b in prices if b.asset == asset and b.date > after]
-    if not later:
-        raise ValueError(f"end of price history: no bar for {asset} after {after}")
-    return min(later)
+    return PriceIndex.of(prices).next_bar(asset, after).date
 
 
 def _label_from_bar(headline: HeadlineRecord, bar: PriceBar) -> LabeledSample:
@@ -230,35 +240,28 @@ def _label_from_bar(headline: HeadlineRecord, bar: PriceBar) -> LabeledSample:
     )
 
 
-def label_sample(headline: HeadlineRecord, prices: list[PriceBar]) -> LabeledSample:
+def label_sample(headline: HeadlineRecord, prices: Iterable[PriceBar] | PriceIndex) -> LabeledSample:
     """Label one headline with the next trading day's open-to-close return.
 
     Binary label 1 means the close exceeded the open (a positive one-day
     return); unchanged or falling prices are class 0. The three-class label
     is 'buy' above +0.5%, 'avoid' below -0.5%, else 'inconsequential'.
     """
-    trade_date = next_trading_day(headline.asset, headline.date, prices)
-    bar = next(b for b in prices if b.asset == headline.asset and b.date == trade_date)
-    return _label_from_bar(headline, bar)
+    return _label_from_bar(headline, PriceIndex.of(prices).next_bar(headline.asset, headline.date))
 
 
 def label_all(
-    headlines: list[HeadlineRecord], prices: list[PriceBar]
+    headlines: list[HeadlineRecord], prices: Iterable[PriceBar] | PriceIndex
 ) -> tuple[dict[int, LabeledSample], list[int]]:
     """Label every headline; returns (labels by id, ids skipped at end of history)."""
-    index = _price_index(prices)
-    dates_by_asset = {a: [b.date for b in bars] for a, bars in index.items()}
+    index = PriceIndex.of(prices)
     labels: dict[int, LabeledSample] = {}
     skipped: list[int] = []
-    import bisect
-
     for h in headlines:
-        dates = dates_by_asset.get(h.asset, [])
-        pos = bisect.bisect_right(dates, h.date)
-        if pos == len(dates):
+        try:
+            labels[h.id] = _label_from_bar(h, index.next_bar(h.asset, h.date))
+        except ValueError:  # end of the asset's price history
             skipped.append(h.id)
-            continue
-        labels[h.id] = _label_from_bar(h, index[h.asset][pos])
     return labels, skipped
 
 

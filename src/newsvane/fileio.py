@@ -7,11 +7,13 @@ into place, so a crashed run never leaves a truncated report behind.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 
 def write_text_atomic(path: str | Path, content: str) -> None:
@@ -26,6 +28,15 @@ def write_text_atomic(path: str | Path, content: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text with LF line endings: the header row, then ``rows``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_json_atomic(path: str | Path, payload: Any) -> None:

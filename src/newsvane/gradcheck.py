@@ -162,9 +162,9 @@ def _numeric_tensor_grad(arr: np.ndarray, loss_fn, step: float) -> np.ndarray:
     return out
 
 
-def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+def _rel_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _DENOM_FLOOR)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return np.abs(analytic - numeric) / denom
 
 
 def check_instance(
@@ -192,21 +192,15 @@ def check_instance(
     def loss_fn() -> float:
         return _loss_of(enc, table, params, config, y)
 
-    worst = 0.0
-    worst_name = ""
-    n_checked = 0
-    analytic_named = dict(analytic.params.tensors())
-    for name, arr in params.tensors():
-        numeric = _numeric_tensor_grad(arr, loss_fn, step)
-        n_checked += arr.size
-        err = _rel_error(analytic_named[name], numeric)
-        if err > worst:
-            worst, worst_name = err, name
+    errors = _rel_errors(analytic.params.flat, _numeric_tensor_grad(params.flat, loss_fn, step))
+    worst_index = int(np.argmax(errors))
+    worst, worst_name = float(errors[worst_index]), params.layout.name_at(worst_index)
+    n_checked = params.flat.size
     if table.trainable:
         rows = table.matrix[1:]
         numeric_rows = _numeric_tensor_grad(rows, loss_fn, step)
         n_checked += rows.size
-        err = _rel_error(analytic.embeddings[1:], numeric_rows)
+        err = float(np.max(_rel_errors(analytic.embeddings[1:], numeric_rows)))
         if err > worst:
             worst, worst_name = err, "embeddings"
     desc = (

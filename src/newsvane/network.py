@@ -16,9 +16,11 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Literal
+from dataclasses import asdict, dataclass
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -93,16 +95,7 @@ class ModelConfig:
         return 1 if self.head == HEAD_BINARY else 3
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "filter_widths": list(self.filter_widths),
-            "filters_per_width": self.filters_per_width,
-            "hidden_sizes": list(self.hidden_sizes),
-            "dropout_rate": self.dropout_rate,
-            "pool_w": self.pool_w,
-            "head": self.head,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -118,80 +111,102 @@ class ModelConfig:
         )
 
 
-@dataclass(eq=False)
+def _layout_order(filters: dict, filter_biases: dict, dense: dict) -> list[tuple[str, int | None, object]]:
+    """(attribute, width or None, item) in the one storage order of the
+    parameters: ``filters[h]`` by ascending width, ``filter_biases[h]``
+    likewise, then the dense layers from the first hidden layer to the head."""
+    return ([("filters", h, filters[h]) for h in sorted(filters)]
+            + [("filter_biases", h, filter_biases[h]) for h in sorted(filter_biases)]
+            + [(name, None, dense[name]) for name in ("w1", "b1", "w2", "b2", "w_out", "b_out")])
+
+
+class ParamLayout:
+    """Name, shape and flat-vector offsets of every tensor, computed once."""
+
+    def __init__(self, entries: Sequence[tuple[str, int | None, tuple[int, ...]]]) -> None:
+        sizes = [math.prod(shape) for _, _, shape in entries]
+        self.starts = tuple(itertools.accumulate(sizes, initial=0))  # one past the last, too
+        self.size = self.starts[-1]
+        self.names = tuple(attr if h is None else f"{attr}[{h}]" for attr, h, _ in entries)
+        # (attribute, width or None, start, stop, shape) per tensor
+        self.slots = tuple((attr, h, start, start + n, tuple(shape))
+                           for (attr, h, shape), start, n in zip(entries, self.starts, sizes))
+
+    def name_at(self, index: int) -> str:
+        """Name of the tensor that holds element ``index`` of the flat vector."""
+        return self.names[bisect.bisect_right(self.starts, index) - 1]
+
+
+def param_layout(config: ModelConfig) -> ParamLayout:
+    """The parameter layout a configuration implies; the only list of shapes."""
+    n_f, (l1, l2), k = config.filters_per_width, config.hidden_sizes, config.out_dim
+    return ParamLayout(_layout_order(
+        {h: (n_f, h * config.p) for h in config.filter_widths},
+        {h: (n_f,) for h in config.filter_widths},
+        {"w1": (l1, config.z_len), "b1": (l1,), "w2": (l2, l1), "b2": (l2,),
+         "w_out": (k, l2), "b_out": (k,)},
+    ))
+
+
 class ModelParameters:
     """All trainable weights except the embedding table.
 
-    ``filters[h]`` has one row per filter of width h, each of length h*p;
-    ``filter_biases[h]`` holds the per-filter scalar biases (shared across
-    sliding positions). Dense weights are row-per-neuron.
+    ``flat`` is the only storage: one contiguous float64 vector laid out by
+    ``layout``. ``filters[h]`` (one row per filter of width h, each of length
+    h*p), ``filter_biases[h]`` (per-filter scalar biases, shared across
+    sliding positions) and the row-per-neuron dense weights are views into
+    it. Keyword construction packs the given arrays once.
     """
 
-    filters: dict[int, np.ndarray]
-    filter_biases: dict[int, np.ndarray]
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
+    def __init__(self, filters: dict[int, np.ndarray], filter_biases: dict[int, np.ndarray],
+                 w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+                 w_out: np.ndarray, b_out: np.ndarray) -> None:
+        dense = {"w1": w1, "b1": b1, "w2": w2, "b2": b2, "w_out": w_out, "b_out": b_out}
+        named = [(attr, h, np.asarray(a, dtype=np.float64))
+                 for attr, h, a in _layout_order(filters, filter_biases, dense)]
+        self._bind(np.concatenate([a.ravel() for *_, a in named]),
+                   ParamLayout([(attr, h, a.shape) for attr, h, a in named]))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ModelParameters":
+        """Wrap ``flat`` (not copied), a float64 vector of ``layout.size``."""
+        params = cls.__new__(cls)
+        params._bind(flat, layout)
+        return params
+
+    def _bind(self, flat: np.ndarray, layout: ParamLayout) -> None:
+        self.flat, self.layout = flat, layout
+        self.filters: dict[int, np.ndarray] = {}
+        self.filter_biases: dict[int, np.ndarray] = {}
+        self._views = [flat[start:stop].reshape(shape) for _, _, start, stop, shape in layout.slots]
+        for (attr, h, *_), view in zip(layout.slots, self._views):
+            if h is None:
+                setattr(self, attr, view)
+            else:
+                getattr(self, attr)[h] = view
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Named tensors in a fixed, deterministic order."""
-        for h in sorted(self.filters):
-            yield f"filters[{h}]", self.filters[h]
-        for h in sorted(self.filter_biases):
-            yield f"filter_biases[{h}]", self.filter_biases[h]
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
-        yield "w_out", self.w_out
-        yield "b_out", self.b_out
-
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            filters={h: a.copy() for h, a in self.filters.items()},
-            filter_biases={h: a.copy() for h, a in self.filter_biases.items()},
-            w1=self.w1.copy(), b1=self.b1.copy(),
-            w2=self.w2.copy(), b2=self.b2.copy(),
-            w_out=self.w_out.copy(), b_out=self.b_out.copy(),
-        )
+        """Named tensor views in layout order."""
+        return zip(self.layout.names, self._views)
 
     @classmethod
     def zeros_like(cls, other: "ModelParameters") -> "ModelParameters":
-        return cls(
-            filters={h: np.zeros_like(a) for h, a in other.filters.items()},
-            filter_biases={h: np.zeros_like(a) for h, a in other.filter_biases.items()},
-            w1=np.zeros_like(other.w1), b1=np.zeros_like(other.b1),
-            w2=np.zeros_like(other.w2), b2=np.zeros_like(other.b2),
-            w_out=np.zeros_like(other.w_out), b_out=np.zeros_like(other.b_out),
-        )
-
-    def add_scaled(self, other: "ModelParameters", scale: float = 1.0) -> None:
-        for (_, mine), (_, theirs) in zip(self.tensors(), other.tensors()):
-            mine += scale * theirs
+        return cls.from_flat(np.zeros_like(other.flat), other.layout)
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ModelParameters:
-    """Scaled-normal initialization (std 1/sqrt(fan_in)), zero biases."""
+    """Scaled-normal initialization (std 1/sqrt(fan_in)), zero biases; the
+    generator draws filters in ``config.filter_widths`` order, then w1, w2, w_out."""
+    layout = param_layout(config)
+    params = ModelParameters.from_flat(np.zeros(layout.size), layout)
     l1, l2 = config.hidden_sizes
-    filters = {}
-    biases = {}
     for h in config.filter_widths:
         fan_in = h * config.p
-        filters[h] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(config.filters_per_width, fan_in))
-        biases[h] = np.zeros(config.filters_per_width)
-    return ModelParameters(
-        filters=filters,
-        filter_biases=biases,
-        w1=rng.normal(0.0, 1.0 / math.sqrt(config.z_len), size=(l1, config.z_len)),
-        b1=np.zeros(l1),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(l1), size=(l2, l1)),
-        b2=np.zeros(l2),
-        w_out=rng.normal(0.0, 1.0 / math.sqrt(l2), size=(config.out_dim, l2)),
-        b_out=np.zeros(config.out_dim),
-    )
+        params.filters[h][:] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(config.filters_per_width, fan_in))
+    params.w1[:] = rng.normal(0.0, 1.0 / math.sqrt(config.z_len), size=(l1, config.z_len))
+    params.w2[:] = rng.normal(0.0, 1.0 / math.sqrt(l1), size=(l2, l1))
+    params.w_out[:] = rng.normal(0.0, 1.0 / math.sqrt(l2), size=(config.out_dim, l2))
+    return params
 
 
 @dataclass(eq=False)

@@ -8,8 +8,6 @@ updates are applied in a fixed tensor order.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, replace
 from itertools import product
@@ -19,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .embeddings import MODE_STATIC, EmbeddingTable
-from .fileio import write_json_atomic, write_text_atomic
+from .fileio import csv_text, write_json_atomic, write_text_atomic
 from .network import (
     HEAD_BINARY,
     ModelConfig,
@@ -106,12 +104,6 @@ class TrainResult:
     trace: list[EpochStats]
 
 
-def _named_tensors(params: ModelParameters, table: EmbeddingTable) -> dict[str, np.ndarray]:
-    tensors = dict(params.tensors())
-    tensors["embeddings"] = table.matrix
-    return tensors
-
-
 def train(
     dataset: Dataset,
     table: EmbeddingTable,
@@ -145,9 +137,8 @@ def train(
     shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
     frozen = {"embeddings"} if table.mode == MODE_STATIC else set()
-    state = AdamState.initialize(
-        _named_tensors(params, table), lr=lr, beta1=beta1, beta2=beta2, eps=eps, frozen=frozen
-    )
+    tensors = {"params": params.flat, "embeddings": table.matrix}
+    state = AdamState.initialize(tensors, lr=lr, beta1=beta1, beta2=beta2, eps=eps, frozen=frozen)
 
     n = len(dataset)
     trace: list[EpochStats] = []
@@ -157,7 +148,7 @@ def train(
         correct = 0
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            acc_params = ModelParameters.zeros_like(params)
+            acc = np.zeros_like(params.flat)
             acc_emb = np.zeros_like(table.matrix)
             for idx in batch:
                 enc, y = dataset[idx]
@@ -165,12 +156,18 @@ def train(
                 loss_sum += sample_loss(output, y, config.head)
                 correct += int(_predicted_class(output, config.head, 0.5) == y)
                 g = backward(cache, y, params, config, table)
-                acc_params.add_scaled(g.params)
+                acc += g.params.flat
                 acc_emb += g.embeddings
             scale = 1.0 / len(batch)
-            grads = {name: g * scale for name, g in acc_params.tensors()}
-            grads["embeddings"] = acc_emb * scale
-            adam_step(_named_tensors(params, table), grads, state)
+            grads = {"params": acc * scale, "embeddings": acc_emb * scale}
+            try:
+                adam_step(tensors, grads, state)
+            except ValueError:  # name the tensor within the flat vector
+                bad = ~np.isfinite(grads["params"])
+                if not bad.any():
+                    raise
+                name = params.layout.name_at(int(bad.argmax()))
+                raise ValueError(f"non-finite gradient for tensor {name!r}") from None
             table.matrix[0] = 0.0  # padding row stays frozen in every mode
         trace.append(EpochStats(epoch=epoch, mean_loss=loss_sum / n, accuracy=correct / n))
     return TrainResult(params=params, trace=trace)
@@ -268,24 +265,14 @@ def evaluate(
     multiclass predicts the argmax class."""
     if not dataset:
         raise ValueError("evaluation dataset is empty")
-    if config.head == HEAD_BINARY:
-        tp = fp = fn = tn = 0
-        for enc, y in dataset:
-            output, _ = forward(enc, table, params, config, mode="test")
-            pred = _predicted_class(output, config.head, class_threshold)
-            if pred == 1 and y == 1:
-                tp += 1
-            elif pred == 1 and y == 0:
-                fp += 1
-            elif pred == 0 and y == 1:
-                fn += 1
-            else:
-                tn += 1
-        return binary_metrics(tp, fp, fn, tn)
-    confusion = np.zeros((3, 3), dtype=np.int64)
+    n_classes = 2 if config.head == HEAD_BINARY else 3
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for enc, y in dataset:
         output, _ = forward(enc, table, params, config, mode="test")
         confusion[y, _predicted_class(output, config.head, class_threshold)] += 1
+    if config.head == HEAD_BINARY:
+        (tn, fp), (fn, tp) = confusion.tolist()
+        return binary_metrics(tp, fp, fn, tn)
     return multiclass_metrics(confusion)
 
 
@@ -409,15 +396,11 @@ def grid_search(
 
 
 def grid_csv(results: list[GridResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["config_id", "widths", "mode", "dropout", "epochs", "accuracy", "f1"])
-    for r in results:
-        writer.writerow(
-            [r.config_id, "|".join(str(h) for h in r.widths), r.mode, repr(r.dropout),
-             r.epochs, repr(r.accuracy), repr(r.f1)]
-        )
-    return buf.getvalue()
+    return csv_text(["config_id", "widths", "mode", "dropout", "epochs", "accuracy", "f1"], (
+        [r.config_id, "|".join(str(h) for h in r.widths), r.mode, repr(r.dropout),
+         r.epochs, repr(r.accuracy), repr(r.f1)]
+        for r in results
+    ))
 
 
 def write_grid_results(results: list[GridResult], csv_path: str | Path, summary_path: str | Path) -> None:

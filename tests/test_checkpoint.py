@@ -1,10 +1,15 @@
 """Checkpoint serialization tests."""
 
+import base64
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from newsvane.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from newsvane.embeddings import init_self_learnt
@@ -58,10 +63,11 @@ class TestRoundtrip:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
         payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="format"):
-            load_checkpoint(path)
+        for version in (1, 99):  # 1 is the retired per-tensor format
+            payload["format_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CheckpointError, match=f"format {version}"):
+                load_checkpoint(path)
 
     def test_tampered_vocab_detected(self, tmp_path, model_bits):
         vocab, config, table, params = model_bits
@@ -72,3 +78,68 @@ class TestRoundtrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="hash"):
             load_checkpoint(path)
+
+
+def _array(arr: np.ndarray) -> dict:
+    return {"dtype": "float64", "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+class TestValidation:
+    """A checkpoint whose arrays contradict its config or vocabulary is
+    rejected on load, naming the field, instead of failing later."""
+
+    @pytest.mark.parametrize("field, tamper", [
+        ("params", lambda pl: pl.update(params=_array(np.zeros(18)))),
+        ("params", lambda pl: pl["params"].update(dtype="int64")),
+        ("embedding.matrix", lambda pl: pl["embedding"].update(matrix=_array(np.zeros((2, 4))))),
+        ("embedding.matrix", lambda pl: pl["embedding"]["matrix"].update(data="AAAA")),
+        ("embedding.p", lambda pl: pl["embedding"].update(p=7)),
+        ("vocab.max_len", lambda pl: pl["config"].update(m=4)),
+    ], ids=["params-length", "params-dtype", "table-rows", "table-bytes", "embedding-p", "max-len"])
+    def test_contradicting_array_rejected(self, tmp_path, model_bits, field, tamper):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        payload = json.loads(path.read_text())
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
+
+@st.composite
+def _model_configs(draw):
+    m = draw(st.integers(2, 7))
+    p = draw(st.integers(1, 4))
+    widths = tuple(draw(st.lists(st.integers(2, m), min_size=1, max_size=3, unique=True)))
+    filters_per_width = draw(st.integers(1, 3))
+    pool_w = draw(st.integers(1, 3))
+    z_len = sum(filters_per_width * -(-(m - h + 1) // pool_w) for h in widths)
+    assume(z_len >= 3)
+    l1 = draw(st.integers(2, z_len - 1))
+    l2 = draw(st.integers(1, l1 - 1))
+    return ModelConfig(
+        p=p, m=m, filter_widths=widths, filters_per_width=filters_per_width, pool_w=pool_w,
+        hidden_sizes=(l1, l2), dropout_rate=draw(st.sampled_from([0.0, 0.25])),
+        head=draw(st.sampled_from(["binary", "multiclass3"])),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=_model_configs(), seed=st.integers(0, 2**16))
+def test_roundtrip_bit_exact_for_random_layouts(config, seed):
+    vocab = Vocabulary(word_to_index={"alpha": 1, "beta": 2}, max_len=config.m)
+    table = init_self_learnt(vocab, config.p, seed=seed)
+    params = init_parameters(config, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        ckpt = load_checkpoint(path, expected_config=config)
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert ckpt.table.matrix.tobytes() == table.matrix.tobytes()
+    assert [n for n, _ in ckpt.params.tensors()] == [n for n, _ in params.tensors()]
+    # every tensor is a view of the one flat vector
+    for k, (_, view) in enumerate(ckpt.params.tensors()):
+        view.reshape(-1)[-1] = 1000.0 + k
+        assert ckpt.params.flat[ckpt.params.layout.starts[k] + view.size - 1] == 1000.0 + k

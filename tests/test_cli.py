@@ -294,3 +294,56 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_every_documented_key_loads(self, workspace, tmp_path):
+        _, _, data, _, config = workspace
+        full = {
+            "paths": dict(config["paths"], pretrained=config["paths"]["headlines"]),
+            "portfolio": ["SYN0"], "min_relevance": 0.5,
+            "model": {"p": 4, "filter_widths": [2], "filters_per_width": 3, "pool_w": 1,
+                      "hidden_sizes": [5, 2], "dropout_rate": 0.5, "head": "multiclass3",
+                      "max_len": 7, "embedding_mode": "non_static",
+                      "embedding_init_mean": 0.1, "embedding_init_std": 0.2},
+            "training": {"epochs": 3, "batch_size": 4, "learning_rate": 0.01, "seed": 5,
+                         "validation_fraction": 0.3, "select_on_test": True,
+                         "grid": {"epochs": [1, 2], "modes": ["static"]}},
+            "strategy": {"threshold": 0.6, "head": "multiclass3", "sweep_step": 0.05},
+        }
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(full))
+        cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
+        assert (cfg.portfolio, cfg.min_relevance, cfg.pool_w, cfg.hidden_sizes) == (("SYN0",), 0.5, 1, (5, 2))
+        assert (cfg.max_len, cfg.embedding_init_std, cfg.select_on_test) == (7, 0.2, True)
+        assert (cfg.strategy_head, cfg.sweep_step, cfg.seed) == ("multiclass3", 0.05, 5)
+        assert cfg.pretrained_path == data / "headlines.csv"
+        # grid axes absent from the file default to the single-run values
+        assert cfg.grid.epochs == (1, 2) and cfg.grid.modes == ("static",)
+        assert cfg.grid.dropout == (0.5,) and cfg.grid.width_sets == ((2,),)
+
+    @pytest.mark.parametrize("section, key", [
+        ("training", "learnig_rate"),
+        ("model", "filter_width"),
+        ("top level", "protfolio"),
+        ("training.grid", "dropouts"),
+    ])
+    def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys, section, key):
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        if section == "top level":
+            bad[key] = 1
+        elif section == "training.grid":
+            bad["training"]["grid"] = {key: [0.1]}
+        else:
+            bad[section][key] = 1
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        with pytest.raises(cli.ConfigError, match=f"unknown key '{key}' in config section '{section}'"):
+            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+        assert cli.main(["train", "--config", str(bad_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_parallel_is_a_train_flag(self, workspace):
+        _, config_path, _, _, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prepare", "--config", str(config_path), "--parallel"])
+        assert exc.value.code == 2

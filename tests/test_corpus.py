@@ -9,6 +9,7 @@ from newsvane import corpus
 from newsvane.corpus import (
     HeadlineRecord,
     PriceBar,
+    PriceIndex,
     generate_synthetic,
     label_all,
     label_sample,
@@ -120,6 +121,17 @@ class TestNextTradingDay:
     def test_end_of_history(self):
         with pytest.raises(ValueError, match="end of price history"):
             next_trading_day("AAA", dt.date(2016, 1, 12), self.BARS)
+
+    def test_price_index_next_bar(self):
+        index = PriceIndex(reversed(self.BARS))  # input order does not matter
+        assert len(index) == 4
+        assert index.next_bar("AAA", dt.date(2016, 1, 1)) == self.BARS[0]
+        assert index.next_bar("AAA", dt.date(2016, 1, 8)) == self.BARS[1]
+        for asset, after in (("AAA", dt.date(2016, 1, 12)), ("ZZZ", dt.date(2016, 1, 1))):
+            with pytest.raises(ValueError, match=f"no bar for {asset} after"):
+                index.next_bar(asset, after)
+        assert PriceIndex.of(index) is index
+        assert next_trading_day("BBB", dt.date(2016, 1, 1), index) == dt.date(2016, 1, 9)
 
     def test_strictly_later_and_no_gap(self):
         # property: result > query date and no bar strictly between them

@@ -18,6 +18,7 @@ from newsvane.network import (
     forward,
     init_parameters,
     loss_binary,
+    param_layout,
     loss_categorical,
     maxpool,
     relu,
@@ -236,6 +237,47 @@ def _toy_setup():
         b_out=np.array([-0.6]),
     )
     return config, table, enc, params
+
+
+class TestParamLayout:
+    CONFIG = ModelConfig(
+        p=2, m=6, filter_widths=(4, 3), filters_per_width=2,
+        hidden_sizes=(5, 3), dropout_rate=0.0, head="multiclass3",
+    )
+
+    def test_storage_order_and_offsets(self):
+        layout = param_layout(self.CONFIG)
+        assert layout.names == (
+            "filters[3]", "filters[4]", "filter_biases[3]", "filter_biases[4]",
+            "w1", "b1", "w2", "b2", "w_out", "b_out",
+        )
+        params = init_parameters(self.CONFIG, np.random.default_rng(0))
+        assert params.flat.shape == (layout.size,)
+        assert [a.shape for _, a in params.tensors()] == [
+            (2, 6), (2, 8), (2,), (2,), (5, self.CONFIG.z_len), (5,), (3, 5), (3,), (3, 3), (3,),
+        ]
+        start = layout.starts[layout.names.index("w1")]
+        assert layout.name_at(start - 1) == "filter_biases[4]"
+        assert layout.name_at(start) == "w1"
+        assert layout.name_at(layout.size - 1) == "b_out"
+
+    def test_init_draws_in_config_width_order(self):
+        params = init_parameters(self.CONFIG, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        expected = {h: rng.normal(0.0, 1.0 / math.sqrt(2 * h), size=(2, 2 * h)) for h in (4, 3)}
+        for h in (4, 3):
+            assert params.filters[h].tobytes() == expected[h].tobytes()
+        z = self.CONFIG.z_len
+        assert params.w1.tobytes() == rng.normal(0.0, 1.0 / math.sqrt(z), size=(5, z)).tobytes()
+        assert not params.b1.any()
+
+    def test_keyword_construction_packs_one_vector(self):
+        _, _, _, params = _toy_setup()
+        assert params.flat.size == sum(a.size for _, a in params.tensors())
+        params.w1[0, 0] = 9.0
+        assert params.flat[params.layout.starts[params.layout.names.index("w1")]] == 9.0
+        grads = ModelParameters.zeros_like(params)
+        assert grads.layout is params.layout and not grads.flat.any()
 
 
 class TestForward:

@@ -126,6 +126,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], table, params, config, epochs=1, batch_size=8, seed=3)
 
+    def test_nonfinite_gradient_names_layout_tensor(self, tiny_corpus):
+        # an infinite second-layer bias makes only the head weights' gradient
+        # non-finite; the error names that tensor, not the flat vector
+        config = _tiny_config(tiny_corpus)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        params = init_parameters(config, np.random.default_rng(2))
+        params.b2[0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite gradient for tensor 'w_out'"
+        ):
+            train(to_pairs(tiny_corpus.train, "binary")[:8], table, params, config,
+                  epochs=1, batch_size=8, seed=3)
+
     def test_loss_decreases_on_learnable_data(self, tiny_corpus):
         config = _tiny_config(tiny_corpus)
         table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
