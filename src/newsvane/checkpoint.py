@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import MODES, EmbeddingTable
 from .fileio import read_json, write_json_atomic
 from .network import ModelConfig, ModelParameters, param_layout
 from .text import Vocabulary, vocabulary_hash
@@ -40,11 +40,36 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(d: dict, path: str | Path, field: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Decode a stored float64 array, rejecting any other dtype or shape."""
-    if d.get("dtype") != "float64" or tuple(d.get("shape", ())) != shape:
-        raise CheckpointError(f"{path}: {field}: {d.get('dtype')} {d.get('shape')}, expected float64 {list(shape)}")
-    raw = base64.b64decode(d["data"])
+def _value(section: dict, key: str, convert, path: str | Path, field: str):
+    """``convert(section[key])``, or a CheckpointError naming ``field``."""
+    if key not in section:
+        raise CheckpointError(f"{path}: {field}: missing")
+    try:
+        return convert(section[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {field}: invalid ({exc})") from None
+
+
+def _as_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _as_tokens(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise TypeError("expected a list of strings")
+    return value
+
+
+def _decode_array(section: dict, key: str, path: str | Path, field: str,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """Decode a stored float64 array, rejecting any other structure, dtype or shape."""
+    d = _value(section, key, _as_object, path, field)
+    stored = (d.get("dtype"), d.get("shape"))
+    if stored != ("float64", list(shape)):
+        raise CheckpointError(f"{path}: {field}: {stored[0]} {stored[1]}, expected float64 {list(shape)}")
+    raw = _value(d, "data", base64.b64decode, path, f"{field}.data")
     if len(raw) != 8 * math.prod(shape):
         raise CheckpointError(f"{path}: {field}: {len(raw)} data bytes, expected {8 * math.prod(shape)}")
     return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
@@ -89,46 +114,52 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None) -> Checkpoint:
     """Load and validate a checkpoint.
 
-    Rejects other format versions, internal vocabulary-hash mismatches
-    (corruption), arrays whose dtype or shape disagrees with the
-    configuration and vocabulary, and, when ``expected_config`` is given,
-    any configuration disagreement.
+    Rejects other format versions, a section, array or value that is
+    missing or of the wrong JSON type (naming the field), internal
+    vocabulary-hash mismatches (corruption), arrays whose dtype or shape
+    disagrees with the configuration and vocabulary, and, when
+    ``expected_config`` is given, any configuration disagreement.
     """
     payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format {payload.get('format_version')!r} "
             f"(this version reads format {FORMAT_VERSION})"
         )
-    config = ModelConfig.from_dict(payload["config"])
+    config = _value(payload, "config", lambda d: ModelConfig.from_dict(_as_object(d)), path, "config")
     if expected_config is not None and config != expected_config:
         raise CheckpointError(f"{path}: checkpoint config does not match the expected config")
 
-    tokens = payload["vocab"]["tokens"]
+    vocab_section = _value(payload, "vocab", _as_object, path, "vocab")
+    tokens = _value(vocab_section, "tokens", _as_tokens, path, "vocab.tokens")
     vocab = Vocabulary(
         word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
-        max_len=int(payload["vocab"]["max_len"]),
+        max_len=_value(vocab_section, "max_len", int, path, "vocab.max_len"),
     )
-    stored_hash = payload["vocab_hash"]
+    stored_hash = _value(payload, "vocab_hash", str, path, "vocab_hash")
     if vocabulary_hash(vocab) != stored_hash:
         raise CheckpointError(f"{path}: vocabulary hash mismatch (corrupt checkpoint)")
     if vocab.max_len != config.m:
         raise CheckpointError(f"{path}: vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
 
-    emb = payload["embedding"]
-    if int(emb["p"]) != config.p:
-        raise CheckpointError(f"{path}: embedding.p is {emb['p']}, but the config has p={config.p}")
-    table = EmbeddingTable(
-        matrix=_decode_array(emb["matrix"], path, "embedding.matrix", (len(tokens) + 1, config.p)),
-        mode=emb["mode"],
-        p=config.p,
-        pretrained_hit_count=int(emb["pretrained_hit_count"]),
-    )
+    emb = _value(payload, "embedding", _as_object, path, "embedding")
+    p = _value(emb, "p", int, path, "embedding.p")
+    if p != config.p:
+        raise CheckpointError(f"{path}: embedding.p is {p}, but the config has p={config.p}")
+    matrix = _decode_array(emb, "matrix", path, "embedding.matrix", (len(tokens) + 1, p))
+    hits = _value(emb, "pretrained_hit_count", int, path, "embedding.pretrained_hit_count")
+    mode = _value(emb, "mode", str, path, "embedding.mode")
+    if mode not in MODES:
+        raise CheckpointError(f"{path}: embedding.mode: unknown mode {mode!r}")
+    table = EmbeddingTable(matrix=matrix, mode=mode, p=p, pretrained_hit_count=hits)
     layout = param_layout(config)
     params = ModelParameters.from_flat(
-        _decode_array(payload["params"], path, "params", (layout.size,)), layout
+        _decode_array(payload, "params", path, "params", (layout.size,)), layout
     )
     return Checkpoint(
         config=config, vocab=vocab, table=table, params=params,
-        vocab_hash=stored_hash, training_meta=payload.get("training_meta", {}),
+        vocab_hash=stored_hash,
+        training_meta=_value(payload, "training_meta", _as_object, path, "training_meta"),
     )

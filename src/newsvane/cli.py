@@ -76,6 +76,13 @@ def _optional(convert: Callable) -> Callable:
     return lambda value: convert(value) if value else None
 
 
+def _strict_bool(value) -> bool:
+    """JSON true/false only: ``bool("false")`` would be True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # Config-file section ("" is the top level) -> key -> RunConfig field. An
 # absent key takes the field's default; a present value is converted by the
 # field's annotation (a string, under postponed evaluation). The grid's axes
@@ -92,7 +99,7 @@ _SECTIONS: dict[str, dict[str, str]] = {
     "strategy": {"threshold": "threshold", "head": "strategy_head", "sweep_step": "sweep_step"},
 }
 _CONVERTERS: dict[str, Callable] = {
-    "int": int, "float": float, "str": str, "bool": bool, "Path": Path,
+    "int": int, "float": float, "str": str, "bool": _strict_bool, "Path": Path,
     "tuple[int, ...]": _ints, "tuple[int, int]": _ints,
     "tuple[str, ...]": lambda v: tuple(str(x) for x in v),
     "Path | None": _optional(Path), "int | None": _optional(int), "str | None": _optional(str),
@@ -121,7 +128,11 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
                         name or "top level")
         for key, field in keys.items():
             if key in section:
-                values[field] = _CONVERTERS[run_fields[field].type](section[key])
+                try:
+                    values[field] = _CONVERTERS[run_fields[field].type](section[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"config key {key!r} in section {name or 'top level'!r}: "
+                                      f"{exc}") from None
     if args.seed is not None:
         values["seed"] = args.seed
     if args.out_dir:

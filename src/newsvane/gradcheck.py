@@ -200,7 +200,9 @@ def check_instance(
         rows = table.matrix[1:]
         numeric_rows = _numeric_tensor_grad(rows, loss_fn, step)
         n_checked += rows.size
-        err = float(np.max(_rel_errors(analytic.embeddings[1:], numeric_rows)))
+        dense = np.zeros_like(table.matrix)
+        dense[analytic.emb_rows] = analytic.emb_grads
+        err = float(np.max(_rel_errors(dense[1:], numeric_rows)))
         if err > worst:
             worst, worst_name = err, "embeddings"
     desc = (

@@ -11,7 +11,10 @@ dropout follow; the output head is a single sigmoid unit (binary) or a
 
 Everything is float64 and single-sample; the training loop batches by
 accumulating per-sample gradients in a fixed order, which keeps runs
-bit-reproducible.
+bit-reproducible. The embedding gradient of a sample is row-sparse: only the
+distinct non-padding rows its headline looks up, each summed over its
+positions in position order, so a backward pass never touches the rest of
+the table.
 """
 
 from __future__ import annotations
@@ -211,10 +214,19 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ModelParam
 
 @dataclass(eq=False)
 class Gradients:
-    """Per-sample (or batch-accumulated) gradients."""
+    """Gradients of one sample's loss.
+
+    The embedding gradient is row-sparse: ``emb_grads[i]`` is the gradient
+    of table row ``emb_rows[i]``. ``emb_rows`` holds the sorted distinct
+    non-padding rows the headline looks up, and each of their gradients sums
+    the row's positions in position order. Every other row, the padding row
+    and every row of a static table have zero gradient; a static table
+    yields no rows at all.
+    """
 
     params: ModelParameters
-    embeddings: np.ndarray  # same shape as the table matrix; zeros when frozen
+    emb_rows: np.ndarray   # (k,) int64, sorted, distinct, never 0
+    emb_grads: np.ndarray  # (k, p)
 
 
 # --- primitive operations -------------------------------------------------
@@ -226,13 +238,21 @@ def relu(x):
 
 
 def _word_windows(x: np.ndarray, h: int, p: int) -> np.ndarray:
-    """All word-aligned windows of h consecutive words: shape (m-h+1, h*p)."""
+    """All word-aligned windows of h consecutive words: shape (m-h+1, h*p).
+
+    A read-only strided view of the contiguous vector x, row k starting at
+    word k (built directly: ``sliding_window_view`` costs several times more
+    and this runs for every width of every sample).
+    """
     if x.size % p != 0:
         raise ValueError("input length is not a multiple of the embedding dimension")
     m = x.size // p
     if h > m:
         raise ValueError(f"filter width {h} exceeds sentence length {m}")
-    return np.lib.stride_tricks.sliding_window_view(x, h * p)[::p]
+    windows = np.ndarray((m - h + 1, h * p), dtype=x.dtype, buffer=x,
+                         strides=(p * x.itemsize, x.itemsize))
+    windows.flags.writeable = False
+    return windows
 
 
 def conv_forward(x: np.ndarray, filt: np.ndarray, bias: float, h: int) -> np.ndarray:
@@ -246,7 +266,7 @@ def conv_forward(x: np.ndarray, filt: np.ndarray, bias: float, h: int) -> np.nda
     if filt.size % h != 0:
         raise ValueError("filter length must be h * p")
     p = filt.size // h
-    windows = _word_windows(np.asarray(x, dtype=np.float64), h, p)
+    windows = _word_windows(np.ascontiguousarray(x, dtype=np.float64), h, p)
     return relu(windows @ filt + bias)
 
 
@@ -361,6 +381,7 @@ class ForwardCache:
 
     indices: np.ndarray
     x: np.ndarray
+    windows: dict[int, np.ndarray]     # width -> (map_len, h*p) view of x
     conv_pre: dict[int, np.ndarray]    # width -> (map_len, n_filters)
     conv_post: dict[int, np.ndarray]
     pool_argmax: dict[int, np.ndarray]  # width -> (pooled_len, n_filters)
@@ -394,13 +415,14 @@ def forward(
         raise ValueError(f"unknown mode {mode!r}")
     x = lookup_concat(enc, table)
 
+    windows: dict[int, np.ndarray] = {}
     conv_pre: dict[int, np.ndarray] = {}
     conv_post: dict[int, np.ndarray] = {}
     pool_argmax: dict[int, np.ndarray] = {}
     pooled_parts: list[np.ndarray] = []
     for h in config.filter_widths:
-        windows = _word_windows(x, h, config.p)
-        pre = windows @ params.filters[h].T + params.filter_biases[h]
+        windows[h] = _word_windows(x, h, config.p)
+        pre = windows[h] @ params.filters[h].T + params.filter_biases[h]
         post = relu(pre)
         pooled, positions = _pool_columns(post, config.pool_w)
         conv_pre[h] = pre
@@ -425,7 +447,7 @@ def forward(
     if mode == "test":
         return output, None
     cache = ForwardCache(
-        indices=enc.indices, x=x, conv_pre=conv_pre, conv_post=conv_post,
+        indices=enc.indices, x=x, windows=windows, conv_pre=conv_pre, conv_post=conv_post,
         pool_argmax=pool_argmax, z=z, act1=act1, mask1=mask1, drop1=drop1,
         act2=act2, mask2=mask2, drop2=drop2, logits=logits, output=probs,
     )
@@ -452,8 +474,8 @@ def backward(
 
     Gradients flow only through the max-pool argmax positions, relu passes
     gradient only where its input was strictly positive, and the embedding
-    gradient block is identically zero in static mode and for the padding
-    row in every mode.
+    gradient (row-sparse, see :class:`Gradients`) leaves out the padding row
+    in every mode and is empty, without being computed, in static mode.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward pass")
@@ -483,30 +505,52 @@ def backward(
     grads.b1[:] = dpre1
     dz = params.w1.T @ dpre1
 
-    dx = np.zeros_like(cache.x)
+    n_f, p = config.filters_per_width, config.p
+    dx = np.zeros((config.m, p)) if table.trainable else None
     offset = 0
     for h in config.filter_widths:
-        n_f = config.filters_per_width
         pooled_len = config.pooled_len(h)
         seg = dz[offset : offset + n_f * pooled_len].reshape(n_f, pooled_len).T
         offset += n_f * pooled_len
 
+        # pool windows do not overlap, so every argmax cell is hit once
         dpost = np.zeros_like(cache.conv_post[h])
-        cols = np.broadcast_to(np.arange(n_f), (pooled_len, n_f))
-        np.add.at(dpost, (cache.pool_argmax[h].ravel(), cols.ravel()), seg.ravel())
+        dpost[cache.pool_argmax[h], np.arange(n_f)] = seg
         dpre = dpost * (cache.conv_pre[h] > 0)
 
-        windows = _word_windows(cache.x, h, config.p)
-        grads.filters[h][:] = dpre.T @ windows
+        grads.filters[h][:] = dpre.T @ cache.windows[h]
         grads.filter_biases[h][:] = dpre.sum(axis=0)
 
-        dwindows = dpre @ params.filters[h]
-        hp = h * config.p
-        for k in range(dwindows.shape[0]):
-            dx[k * config.p : k * config.p + hp] += dwindows[k]
+        if dx is not None:
+            # window k covers words k..k+h-1; taking the word offset o from
+            # h-1 down to 0 adds into each word in ascending k
+            dwindows = (dpre @ params.filters[h]).reshape(-1, h, p)
+            for o in range(h - 1, -1, -1):
+                dx[o : o + dwindows.shape[0]] += dwindows[:, o]
 
-    demb = np.zeros_like(table.matrix)
-    if table.trainable:
-        np.add.at(demb, cache.indices, dx.reshape(config.m, config.p))
-        demb[0] = 0.0
-    return Gradients(params=grads, embeddings=demb)
+    if dx is None:
+        return Gradients(params=grads, emb_rows=np.empty(0, dtype=np.int64),
+                         emb_grads=np.empty((0, p)))
+    emb_rows, emb_grads = _sum_rows(cache.indices, dx)
+    return Gradients(params=grads, emb_rows=emb_rows, emb_grads=emb_grads)
+
+
+def _sum_rows(indices: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the per-position gradients ``dx`` (m, p) by table row.
+
+    Returns the sorted distinct non-padding rows of ``indices`` and their
+    sums, added in position order exactly as ``np.add.at`` into a zeroed
+    table would (``dx`` is accumulated from +0.0, so it holds no -0.0 and a
+    row's first position needs no zero to be added to). Headlines are a few
+    words long, so plain Python groups the positions faster than a sort.
+    """
+    positions: dict[int, list[int]] = {}
+    for k, row in enumerate(indices.tolist()):
+        if row:
+            positions.setdefault(row, []).append(k)
+    rows = sorted(positions)
+    sums = dx[[positions[row][0] for row in rows]]
+    for i, row in enumerate(rows):
+        for k in positions[row][1:]:
+            sums[i] += dx[k]
+    return np.array(rows, dtype=np.int64), sums

@@ -9,7 +9,7 @@ updates are applied in a fixed tensor order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 from typing import Callable, Sequence
@@ -35,7 +35,11 @@ Dataset = Sequence[tuple[EncodedHeadline, int]]
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and hyperparameters for Adam."""
+    """First/second moment accumulators and hyperparameters for Adam.
+
+    ``scratch`` holds per-tensor work buffers, so a step allocates nothing
+    the size of a tensor; they are created on a tensor's first step.
+    """
 
     lr: float
     beta1: float
@@ -45,6 +49,8 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     frozen: frozenset[str]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False)
 
     @classmethod
     def initialize(
@@ -69,8 +75,11 @@ def adam_step(
 ) -> None:
     """One Adam update, in place, with bias correction.
 
-    theta -= lr * m_hat / (sqrt(v_hat) + eps). Tensors listed in
-    ``state.frozen`` are skipped entirely.
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), evaluated as
+    ``theta -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)``
+    would be, one operation at a time into ``state.scratch``, so the result
+    is bit-identical to that expression. Tensors listed in ``state.frozen``
+    are skipped entirely; their gradients are not read.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -80,15 +89,26 @@ def adam_step(
         if name in state.frozen:
             continue
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        work = state.scratch.get(name)
+        if work is None:
+            work = state.scratch[name] = (
+                np.empty_like(theta), np.empty_like(theta), np.empty(theta.shape, dtype=bool))
+        step, denom, finite = work
+        if not np.isfinite(g, out=finite).all():
             raise ValueError(f"non-finite gradient for tensor {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=step)
         v *= b2
-        v += (1.0 - b2) * g * g
-        theta -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        np.multiply(1.0 - b2, g, out=denom)
+        v += np.multiply(denom, g, out=denom)
+        np.divide(m, bias1, out=step)
+        np.multiply(state.lr, step, out=step)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        theta -= np.divide(step, denom, out=step)
 
 
 @dataclass(frozen=True)
@@ -139,6 +159,9 @@ def train(
     frozen = {"embeddings"} if table.mode == MODE_STATIC else set()
     tensors = {"params": params.flat, "embeddings": table.matrix}
     state = AdamState.initialize(tensors, lr=lr, beta1=beta1, beta2=beta2, eps=eps, frozen=frozen)
+    # Batch sum of the row-sparse embedding gradients. Only the rows a batch
+    # touches are ever non-zero, so only those are scaled and re-zeroed.
+    acc_emb = np.zeros_like(table.matrix) if table.trainable else None
 
     n = len(dataset)
     trace: list[EpochStats] = []
@@ -149,7 +172,7 @@ def train(
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             acc = np.zeros_like(params.flat)
-            acc_emb = np.zeros_like(table.matrix)
+            touched: list[np.ndarray] = []
             for idx in batch:
                 enc, y = dataset[idx]
                 output, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
@@ -157,9 +180,15 @@ def train(
                 correct += int(_predicted_class(output, config.head, 0.5) == y)
                 g = backward(cache, y, params, config, table)
                 acc += g.params.flat
-                acc_emb += g.embeddings
+                if acc_emb is not None:
+                    acc_emb[g.emb_rows] += g.emb_grads
+                    touched.append(g.emb_rows)
             scale = 1.0 / len(batch)
-            grads = {"params": acc * scale, "embeddings": acc_emb * scale}
+            grads = {"params": acc * scale}
+            if acc_emb is not None:
+                rows = np.unique(np.concatenate(touched))
+                acc_emb[rows] *= scale
+                grads["embeddings"] = acc_emb
             try:
                 adam_step(tensors, grads, state)
             except ValueError:  # name the tensor within the flat vector
@@ -169,6 +198,8 @@ def train(
                 name = params.layout.name_at(int(bad.argmax()))
                 raise ValueError(f"non-finite gradient for tensor {name!r}") from None
             table.matrix[0] = 0.0  # padding row stays frozen in every mode
+            if acc_emb is not None:
+                acc_emb[rows] = 0.0
         trace.append(EpochStats(epoch=epoch, mean_loss=loss_sum / n, accuracy=correct / n))
     return TrainResult(params=params, trace=trace)
 

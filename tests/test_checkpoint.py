@@ -108,6 +108,37 @@ class TestValidation:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("field, tamper", [
+        ("params", lambda pl: pl.update(params="AAAA")),
+        ("params.data", lambda pl: pl["params"].pop("data")),
+        ("params.data", lambda pl: pl["params"].update(data=7)),
+        ("config", lambda pl: pl.update(config=[4, 5])),
+        ("config", lambda pl: pl["config"].pop("p")),
+        ("vocab", lambda pl: pl.pop("vocab")),
+        ("vocab.tokens", lambda pl: pl["vocab"].update(tokens="alpha")),
+        ("embedding", lambda pl: pl.update(embedding="matrix")),
+        ("embedding.matrix", lambda pl: pl["embedding"].pop("matrix")),
+        ("embedding.mode", lambda pl: pl["embedding"].update(mode="frozen")),
+        ("training_meta", lambda pl: pl.update(training_meta=3)),
+    ], ids=["params-str", "params-no-data", "params-data-int", "config-list", "config-no-p",
+            "no-vocab", "tokens-str", "embedding-str", "no-matrix", "mode", "meta-int"])
+    def test_malformed_structure_rejected(self, tmp_path, model_bits, field, tamper):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        payload = json.loads(path.read_text())
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f": {field}: "):
+            load_checkpoint(path)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[]")
+        with pytest.raises(CheckpointError, match="expected a JSON object"):
+            load_checkpoint(path)
+
+
 @st.composite
 def _model_configs(draw):
     m = draw(st.integers(2, 7))

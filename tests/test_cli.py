@@ -277,6 +277,15 @@ class TestNeighborsCommand:
             "neighbors", "--checkpoint", str(out / "checkpoint.json"), "<pad>",
         ]) == 2
 
+    def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        _, _, _, out, _ = workspace
+        payload = json.loads((out / "checkpoint.json").read_text())
+        payload["params"] = "not an array"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["neighbors", "--checkpoint", str(bad), "surge"]) == 2
+        assert "params" in capsys.readouterr().err
+
     def test_unknown_token_rejected(self, workspace):
         _, _, _, out, _ = workspace
         assert cli.main([
@@ -341,6 +350,20 @@ class TestUsageErrors:
             cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
         assert cli.main(["train", "--config", str(bad_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_bool_key_takes_only_json_booleans(self, workspace, tmp_path, value):
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["training"]["select_on_test"] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        args = cli.build_parser().parse_args(["prepare"])
+        with pytest.raises(cli.ConfigError, match="'select_on_test' in section 'training'"):
+            cli.load_run_config(bad_path, args)
+        bad["training"]["select_on_test"] = False
+        bad_path.write_text(json.dumps(bad))
+        assert cli.load_run_config(bad_path, args).select_on_test is False
 
     def test_parallel_is_a_train_flag(self, workspace):
         _, config_path, _, _, _ = workspace

@@ -377,14 +377,44 @@ class TestBackwardContracts:
         static_table = EmbeddingTable(matrix=table.matrix.copy(), mode="static", p=1)
         _, cache = forward(enc, static_table, params, config, mode="train")
         grads = backward(cache, 1, params, config, static_table)
-        assert not grads.embeddings.any()
+        assert grads.emb_rows.shape == (0,) and grads.emb_grads.shape == (0, 1)
 
     def test_padding_row_gradient_always_zero(self):
-        config, table, enc, params = _toy_setup()
+        config, table, _, params = _toy_setup()
+        enc = EncodedHeadline(indices=np.array([2, 1, 0]), true_len=2)
         _, cache = forward(enc, table, params, config, mode="train")
         grads = backward(cache, 0, params, config, table)
-        assert not grads.embeddings[0].any()
-        assert grads.embeddings[1:].any()  # trainable rows do receive gradient
+        assert grads.emb_rows.tolist() == [1, 2]  # sorted, padding row 0 left out
+        assert grads.emb_grads.shape == (2, 1)
+        assert np.all(grads.emb_grads != 0.0)  # trainable rows do receive gradient
+
+    def test_repeated_rows_sum_like_dense_add_at(self):
+        # Two headlines with bit-identical embedding vectors X: one repeats
+        # rows, the other looks every position up in its own row, so its row
+        # gradients are the per-position gradients. Summing those with
+        # np.add.at into a zeroed table must give the first one's rows.
+        rng = np.random.default_rng(5)
+        config = ModelConfig(p=6, m=9, filter_widths=(2, 3), filters_per_width=2,
+                             hidden_sizes=(5, 3), head="multiclass3")
+        indices = np.array([3, 1, 3, 3, 2, 1, 3, 0, 0])
+        matrix = rng.normal(size=(4, 6))
+        matrix[0] = 0.0
+        distinct = np.zeros((10, 6))
+        distinct[1:8] = matrix[indices[:7]]
+        params = init_parameters(config, rng)
+        grads = {}
+        for name, idx, mat in (("repeated", indices, matrix),
+                               ("distinct", np.array([1, 2, 3, 4, 5, 6, 7, 0, 0]), distinct)):
+            table = EmbeddingTable(matrix=mat, mode="self_learnt", p=6)
+            _, cache = forward(EncodedHeadline(indices=idx, true_len=7), table, params, config,
+                               mode="train")
+            grads[name] = backward(cache, 2, params, config, table)
+        assert grads["distinct"].emb_rows.tolist() == [1, 2, 3, 4, 5, 6, 7]
+        dense = np.zeros_like(matrix)
+        np.add.at(dense, indices[:7], grads["distinct"].emb_grads)
+        assert grads["repeated"].emb_rows.tolist() == [1, 2, 3]
+        assert grads["repeated"].emb_grads.tobytes() == dense[1:].tobytes()
+        assert grads["repeated"].params.flat.tobytes() == grads["distinct"].params.flat.tobytes()
 
     def test_zero_loss_sample_has_vanishing_gradients(self):
         config, table, enc, params = _toy_setup()

@@ -8,7 +8,7 @@ import pytest
 
 from newsvane.embeddings import EmbeddingTable, init_self_learnt, load_pretrained
 from newsvane.corpus import generate_synthetic
-from newsvane.network import ModelConfig, ModelParameters, init_parameters
+from newsvane.network import ModelConfig, ModelParameters, backward, forward, init_parameters
 from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
 from newsvane.text import EncodedHeadline, Vocabulary
@@ -44,7 +44,33 @@ def _scalar_adam(grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8, theta0=0.0):
     return theta
 
 
+def _textbook_adam(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Whole-array Adam written as the textbook expressions."""
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        theta = theta - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return theta
+
+
 class TestAdam:
+    def test_vector_step_bit_identical_to_textbook(self):
+        rng = np.random.default_rng(4)
+        theta0 = rng.normal(size=(50, 3))
+        grads = []
+        for _ in range(6):  # mostly-zero gradients, as for untouched table rows
+            g = np.zeros((50, 3))
+            rows = rng.choice(50, size=4, replace=False)
+            g[rows] = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-6, 3, size=(4, 1))
+            grads.append(g)
+        tensors = {"w": theta0.copy()}
+        state = AdamState.initialize(tensors, lr=0.01)
+        for g in grads:
+            adam_step(tensors, {"w": g}, state)
+        assert tensors["w"].tobytes() == _textbook_adam(theta0, grads, lr=0.01).tobytes()
+
     def test_zero_gradient_keeps_parameters(self):
         tensors = {"w": np.array([1.0, -2.0])}
         state = AdamState.initialize(tensors)
@@ -208,6 +234,71 @@ class TestEmbeddingModeContracts:
         changed = np.any(table.matrix != initial, axis=1)
         assert changed[1:].any()
         assert not table.matrix[0].any()
+
+
+def _dense_reference_train(dataset, table, params, config, epochs, batch_size, seed, lr=1e-3):
+    """Per-sample dense accumulation: each sample's embedding gradient fills a
+    table-sized matrix, the batch sum is scaled whole, and Adam is the
+    textbook whole-array update of every tensor."""
+    shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
+    dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
+    tensors = {"params": params.flat, "embeddings": table.matrix}
+    if not table.trainable:
+        del tensors["embeddings"]
+    moments = {k: (np.zeros_like(a), np.zeros_like(a)) for k, a in tensors.items()}
+    t = 0
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(len(dataset))
+        for start in range(0, len(dataset), batch_size):
+            batch = order[start : start + batch_size]
+            acc = {"params": np.zeros_like(params.flat), "embeddings": np.zeros_like(table.matrix)}
+            for i in batch:
+                enc, y = dataset[i]
+                _, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
+                g = backward(cache, y, params, config, table)
+                demb = np.zeros_like(table.matrix)
+                np.add.at(demb, g.emb_rows, g.emb_grads)
+                acc["params"] += g.params.flat
+                acc["embeddings"] += demb
+            t += 1
+            for name, theta in tensors.items():
+                g = acc[name] * (1.0 / len(batch))
+                m, v = moments[name]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                theta -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            table.matrix[0] = 0.0
+
+
+class TestSparseEmbeddingEquivalence:
+    @pytest.mark.parametrize("mode", ["self_learnt", "non_static", "static"])
+    def test_train_matches_dense_reference(self, mode):
+        # five tokens in six slots: most headlines repeat a token; 21 samples
+        # in batches of 8 leave a final partial batch of 5
+        rng = np.random.default_rng(9)
+        config = ModelConfig(p=4, m=6, filter_widths=(2, 3), filters_per_width=2,
+                             hidden_sizes=(5, 3), dropout_rate=0.25, head="multiclass3")
+        dataset = []
+        for _ in range(21):
+            true_len = int(rng.integers(2, 7))
+            indices = np.zeros(6, dtype=np.int64)
+            indices[:true_len] = rng.integers(1, 6, size=true_len)
+            dataset.append((EncodedHeadline(indices=indices, true_len=true_len), int(rng.integers(3))))
+        assert any(len(set(e.indices[:e.true_len].tolist())) < e.true_len for e, _ in dataset)
+        matrix = rng.normal(size=(6, 4))
+        matrix[0] = 0.0
+        params = init_parameters(config, rng)
+        runs = []
+        for trainer in (train, _dense_reference_train):
+            table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=4)
+            run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
+            trainer(dataset, table, run_params, config, epochs=2, batch_size=8, seed=3, lr=0.01)
+            runs.append(run_params.flat.tobytes() + table.matrix.tobytes())
+        assert runs[0] == runs[1]
+        if mode != "static":
+            assert not np.array_equal(table.matrix, matrix)
 
 
 def _fixture_model():
