@@ -71,6 +71,7 @@ from .training import (
     GridAxes,
     GridResult,
     MetricsReport,
+    NumericError,
     adam_step,
     evaluate,
     grid_search,

@@ -5,7 +5,8 @@ neighbors. Runs are driven by a JSON config file plus overriding flags; all
 randomness flows from the mandatory seed through named streams, so rerunning
 a command with the same inputs reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
+3 numeric failure during a run (a non-finite gradient).
 """
 
 from __future__ import annotations
@@ -68,19 +69,47 @@ class RunConfig:
     sweep_step: float = 0.01
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
-
-
-def _optional(convert: Callable) -> Callable:
-    return lambda value: convert(value) if value else None
+# Converters from parsed JSON to RunConfig values. Each accepts only the
+# JSON type its key documents and raises ValueError otherwise: Python's own
+# conversions would turn "SYN0" into a tuple of letters, "false" into True
+# and 2.5 into 2.
 
 
 def _strict_bool(value) -> bool:
-    """JSON true/false only: ``bool("false")`` would be True."""
+    """JSON true/false only."""
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
+
+
+def _strict_int(value) -> int:
+    """A JSON integer, or a number with an integral value; never a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _strict_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _list_of(convert: Callable, length: int | None = None) -> Callable:
+    """A JSON list (of ``length`` elements, if given), converted element-wise."""
+    def parse(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a JSON list, got {value!r}")
+        if length is not None and len(value) != length:
+            raise ValueError(f"expected a list of {length} elements, got {value!r}")
+        return tuple(convert(v) for v in value)
+    return parse
+
+
+def _optional(convert: Callable) -> Callable:
+    """JSON null is None (the default); any other value must convert."""
+    return lambda value: None if value is None else convert(value)
 
 
 # Config-file section ("" is the top level) -> key -> RunConfig field. An
@@ -99,13 +128,17 @@ _SECTIONS: dict[str, dict[str, str]] = {
     "strategy": {"threshold": "threshold", "head": "strategy_head", "sweep_step": "sweep_step"},
 }
 _CONVERTERS: dict[str, Callable] = {
-    "int": int, "float": float, "str": str, "bool": _strict_bool, "Path": Path,
-    "tuple[int, ...]": _ints, "tuple[int, int]": _ints,
-    "tuple[str, ...]": lambda v: tuple(str(x) for x in v),
-    "Path | None": _optional(Path), "int | None": _optional(int), "str | None": _optional(str),
-    "training.GridAxes | None": dict,
+    "int": _strict_int, "float": float, "str": _strict_str, "bool": _strict_bool, "Path": Path,
+    "tuple[int, ...]": _list_of(_strict_int), "tuple[int, int]": _list_of(_strict_int, 2),
+    "tuple[str, ...]": _list_of(_strict_str),
+    "Path | None": _optional(Path), "int | None": _optional(_strict_int),
+    "str | None": _optional(_strict_str),
+    "training.GridAxes | None": lambda grid: grid,  # checked below, as a section
 }
-_GRID_AXES = ("epochs", "dropout", "width_sets", "modes")
+_GRID_AXES: dict[str, Callable] = {
+    "epochs": _list_of(_strict_int), "dropout": _list_of(float),
+    "width_sets": _list_of(_list_of(_strict_int)), "modes": _list_of(_strict_str),
+}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -113,9 +146,17 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _reject_unknown(section: dict, known, name: str) -> None:
+def _reject_unknown(section, known, name: str) -> None:
+    _require(isinstance(section, dict), f"config section {name!r} must be a JSON object")
     for key in section:
         _require(key in known, f"unknown key {key!r} in config section {name!r}")
+
+
+def _convert(convert: Callable, value, key: str, section: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} in section {section!r}: {exc}") from None
 
 
 def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
@@ -123,16 +164,13 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
     run_fields = {f.name: f for f in fields(RunConfig)}
     values: dict = {}
     for name, keys in _SECTIONS.items():
-        section = raw.get(name, {}) if name else raw
+        section = raw.get(name, {}) if name else raw  # the top level is checked first
         _reject_unknown(section, set(keys) if name else set(keys) | set(_SECTIONS) - {""},
                         name or "top level")
         for key, field in keys.items():
             if key in section:
-                try:
-                    values[field] = _CONVERTERS[run_fields[field].type](section[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"config key {key!r} in section {name or 'top level'!r}: "
-                                      f"{exc}") from None
+                values[field] = _convert(_CONVERTERS[run_fields[field].type], section[key],
+                                         key, name or "top level")
     if args.seed is not None:
         values["seed"] = args.seed
     if args.out_dir:
@@ -146,13 +184,15 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**values)
     if grid is not None:
         _reject_unknown(grid, _GRID_AXES, "training.grid")
-        cfg.grid = training.GridAxes(
-            epochs=_ints(grid.get("epochs", [cfg.epochs])),
-            dropout=tuple(float(d) for d in grid.get("dropout", [cfg.dropout_rate])),
-            width_sets=tuple(_ints(ws) for ws in grid.get("width_sets", [cfg.filter_widths])),
-            modes=tuple(str(m) for m in grid.get("modes", [cfg.embedding_mode])),
-        )
+        defaults = {"epochs": [cfg.epochs], "dropout": [cfg.dropout_rate],
+                    "width_sets": [list(cfg.filter_widths)], "modes": [cfg.embedding_mode]}
+        cfg.grid = training.GridAxes(**{
+            axis: _convert(convert, grid.get(axis, defaults[axis]), axis, "training.grid")
+            for axis, convert in _GRID_AXES.items()})
 
+    _require(cfg.max_len is None or cfg.max_len >= 1,
+             f"config key 'max_len' in section 'model': expected an integer >= 1 or null, "
+             f"got {cfg.max_len!r}")
     _require(cfg.portfolio != (), "portfolio must list at least one ticker")
     _require(cfg.headlines_path.is_file(), f"headlines file not found: {cfg.headlines_path}")
     _require(cfg.prices_path.is_file(), f"prices file not found: {cfg.prices_path}")
@@ -539,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} requires --config")
     try:
         return args.func(args)
+    except training.NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, CheckpointError, ValueError, KeyError, FileNotFoundError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -469,6 +469,7 @@ def backward(
     params: ModelParameters,
     config: ModelConfig,
     table: EmbeddingTable,
+    out: ModelParameters | None = None,
 ) -> Gradients:
     """Exact analytic gradients of the per-sample loss.
 
@@ -476,10 +477,15 @@ def backward(
     gradient only where its input was strictly positive, and the embedding
     gradient (row-sparse, see :class:`Gradients`) leaves out the padding row
     in every mode and is empty, without being computed, in static mode.
+
+    The parameter gradients are written into ``out`` when given (a
+    ModelParameters with the layout of ``params``; every tensor is
+    overwritten whole, so a training loop can reuse one across samples and
+    skip building its views per sample), else into a new one.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward pass")
-    grads = ModelParameters.zeros_like(params)
+    grads = ModelParameters.zeros_like(params) if out is None else out
 
     # head: d(loss)/d(logits) for both cross-entropies
     if config.head == HEAD_BINARY:

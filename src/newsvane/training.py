@@ -8,6 +8,7 @@ updates are applied in a fixed tensor order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -33,12 +34,19 @@ from .text import EncodedHeadline
 Dataset = Sequence[tuple[EncodedHeadline, int]]
 
 
+class NumericError(ValueError):
+    """A run produced a non-finite number (for example a diverging step)."""
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators and hyperparameters for Adam.
 
-    ``scratch`` holds per-tensor work buffers, so a step allocates nothing
-    the size of a tensor; they are created on a tensor's first step.
+    ``active`` maps a tensor name to a bool mask over the tensor's rows (its
+    first axis) marking the rows whose moments may be non-zero; a tensor
+    without a mask is stepped whole. ``scratch`` holds per-tensor work
+    buffers, so a step allocates nothing the size of a tensor; they are
+    created on a tensor's first step.
     """
 
     lr: float
@@ -49,8 +57,8 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     frozen: frozenset[str]
-    scratch: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False)
+    active: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    scratch: dict[str, list[np.ndarray]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def initialize(
@@ -62,24 +70,47 @@ class AdamState:
         eps: float = 1e-8,
         frozen: Sequence[str] = (),
     ) -> "AdamState":
+        # These ranges make a zero-moment, zero-gradient row's step exactly
+        # +0.0, which is what lets adam_step skip such rows.
+        if not (math.isfinite(lr) and lr >= 0.0 and 0.0 <= beta1 < 1.0
+                and 0.0 <= beta2 < 1.0 and math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"Adam needs finite lr >= 0, betas in [0, 1) and finite eps > 0; "
+                             f"got lr={lr}, beta1={beta1}, beta2={beta2}, eps={eps}")
+        # np.zeros, not zeros_like: pages of rows that are never stepped are
+        # never written, so they are never faulted in
         return cls(
             lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-            m={k: np.zeros_like(a) for k, a in tensors.items()},
-            v={k: np.zeros_like(a) for k, a in tensors.items()},
+            m={k: np.zeros(a.shape) for k, a in tensors.items()},
+            v={k: np.zeros(a.shape) for k, a in tensors.items()},
             frozen=frozenset(frozen),
+            active={k: np.zeros(a.shape[:1], dtype=bool) for k, a in tensors.items()},
         )
 
 
 def adam_step(
-    tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState
+    tensors: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    rows: dict[str, np.ndarray] | None = None,
 ) -> None:
     """One Adam update, in place, with bias correction.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps), evaluated as
     ``theta -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)``
-    would be, one operation at a time into ``state.scratch``, so the result
-    is bit-identical to that expression. Tensors listed in ``state.frozen``
-    are skipped entirely; their gradients are not read.
+    would be over the whole tensor, one operation at a time into
+    ``state.scratch``, so the result is bit-identical to that expression.
+    Tensors listed in ``state.frozen`` are skipped entirely; their gradients
+    are not read.
+
+    ``rows`` may name, per tensor, the rows (first axis) outside which its
+    gradient is exactly zero in this step. A row that no step has named yet
+    has zero moments, and with a zero gradient its update is the identity:
+    m, v and the step stay +0.0, and theta - 0.0 leaves every float as it is,
+    -0.0 and NaN included. So such a tensor is updated only on the sorted
+    union of the rows named since ``state`` was created, gathered into
+    scratch and scattered back. Once that union reaches half of the tensor's
+    rows, where gathering stops paying, and for a tensor given no rows, the
+    step runs over the whole tensor.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -88,27 +119,47 @@ def adam_step(
     for name, theta in tensors.items():
         if name in state.frozen:
             continue
-        g = grads[name]
+        m, v, g = state.m[name], state.v[name], grads[name]
         work = state.scratch.get(name)
-        if work is None:
-            work = state.scratch[name] = (
-                np.empty_like(theta), np.empty_like(theta), np.empty(theta.shape, dtype=bool))
-        step, denom, finite = work
-        if not np.isfinite(g, out=finite).all():
-            raise ValueError(f"non-finite gradient for tensor {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=step)
-        v *= b2
-        np.multiply(1.0 - b2, g, out=denom)
-        v += np.multiply(denom, g, out=denom)
-        np.divide(m, bias1, out=step)
+        if work is None:  # step, denom, finite, then the gathered theta, m, v, g
+            work = state.scratch[name] = [np.empty(theta.shape, dtype=dtype) for dtype in
+                                          (np.float64, np.float64, bool) + (np.float64,) * 4]
+        index = _active_rows(state, name, None if rows is None else rows.get(name))
+        if index is None:
+            th, mk, vk, gk = theta, m, v, g
+            step, denom, finite = work[:3]
+        else:
+            step, denom, finite, *gathered = (buf[: index.size] for buf in work)
+            th, mk, vk, gk = (np.take(a, index, axis=0, out=buf, mode="clip")
+                              for a, buf in zip((theta, m, v, g), gathered))
+        if not np.isfinite(gk, out=finite).all():
+            raise NumericError(f"non-finite gradient for tensor {name!r}")
+        mk *= b1
+        mk += np.multiply(1.0 - b1, gk, out=step)
+        vk *= b2
+        np.multiply(1.0 - b2, gk, out=denom)
+        vk += np.multiply(denom, gk, out=denom)
+        np.divide(mk, bias1, out=step)
         np.multiply(state.lr, step, out=step)
-        np.divide(v, bias2, out=denom)
+        np.divide(vk, bias2, out=denom)
         np.sqrt(denom, out=denom)
         denom += state.eps
-        theta -= np.divide(step, denom, out=step)
+        th -= np.divide(step, denom, out=step)
+        if index is not None:
+            theta[index], m[index], v[index] = th, mk, vk
+
+
+def _active_rows(state: AdamState, name: str, rows: np.ndarray | None) -> np.ndarray | None:
+    """Add ``rows`` to the tensor's active set and return the set's sorted
+    rows, or None (dropping the set for good) when the whole tensor steps."""
+    mask = state.active.get(name)
+    if mask is not None and rows is not None:
+        mask[rows] = True
+        index = np.flatnonzero(mask)
+        if 2 * index.size < mask.size:
+            return index
+    state.active.pop(name, None)
+    return None
 
 
 @dataclass(frozen=True)
@@ -160,8 +211,11 @@ def train(
     tensors = {"params": params.flat, "embeddings": table.matrix}
     state = AdamState.initialize(tensors, lr=lr, beta1=beta1, beta2=beta2, eps=eps, frozen=frozen)
     # Batch sum of the row-sparse embedding gradients. Only the rows a batch
-    # touches are ever non-zero, so only those are scaled and re-zeroed.
-    acc_emb = np.zeros_like(table.matrix) if table.trainable else None
+    # touches are ever non-zero, so only those are scaled and re-zeroed, and
+    # only those are named to adam_step.
+    acc_emb = np.zeros(table.matrix.shape) if table.trainable else None
+    # backward overwrites every tensor of this for each sample
+    grad_buf = ModelParameters.from_flat(np.empty(params.layout.size), params.layout)
 
     n = len(dataset)
     trace: list[EpochStats] = []
@@ -178,25 +232,27 @@ def train(
                 output, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
                 loss_sum += sample_loss(output, y, config.head)
                 correct += int(_predicted_class(output, config.head, 0.5) == y)
-                g = backward(cache, y, params, config, table)
+                g = backward(cache, y, params, config, table, out=grad_buf)
                 acc += g.params.flat
                 if acc_emb is not None:
                     acc_emb[g.emb_rows] += g.emb_grads
                     touched.append(g.emb_rows)
             scale = 1.0 / len(batch)
             grads = {"params": acc * scale}
+            batch_rows = None
             if acc_emb is not None:
                 rows = np.unique(np.concatenate(touched))
                 acc_emb[rows] *= scale
                 grads["embeddings"] = acc_emb
+                batch_rows = {"embeddings": rows}
             try:
-                adam_step(tensors, grads, state)
-            except ValueError:  # name the tensor within the flat vector
+                adam_step(tensors, grads, state, rows=batch_rows)
+            except NumericError:  # name the tensor within the flat vector
                 bad = ~np.isfinite(grads["params"])
                 if not bad.any():
                     raise
                 name = params.layout.name_at(int(bad.argmax()))
-                raise ValueError(f"non-finite gradient for tensor {name!r}") from None
+                raise NumericError(f"non-finite gradient for tensor {name!r}") from None
             table.matrix[0] = 0.0  # padding row stays frozen in every mode
             if acc_emb is not None:
                 acc_emb[rows] = 0.0

@@ -1,6 +1,10 @@
 """CLI subcommand tests, run in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,19 @@ class TestTrain:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
         assert cli.main(["train", "--config", str(bad_path)]) == 2
+
+    def test_diverging_run_exits_3(self, workspace, tmp_path, capsys):
+        # a numeric failure mid-run is told apart from a usage error (exit 2)
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["training"].update(learning_rate=1e300, epochs=2)
+        bad["paths"]["out_dir"] = str(tmp_path / "out")
+        bad_path = tmp_path / "diverge.json"
+        bad_path.write_text(json.dumps(bad))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["train", "--config", str(bad_path)]) == 3
+        assert "non-finite gradient" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
 
     def test_static_checkpoint_keeps_initial_embeddings(self, workspace, tmp_path):
         root, _, data, _, config = workspace
@@ -239,6 +256,15 @@ class TestGradcheckCommand:
                          "--perturb", "0.01"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-m", "newsvane", "gradcheck", "--configs", "1"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "gradcheck PASS" in done.stdout
+
     def test_fixed_seed_identical_report(self, capsys):
         cli.main(["gradcheck", "--seed", "4", "--configs", "3"])
         first = capsys.readouterr().out
@@ -364,6 +390,49 @@ class TestUsageErrors:
         bad["training"]["select_on_test"] = False
         bad_path.write_text(json.dumps(bad))
         assert cli.load_run_config(bad_path, args).select_on_test is False
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("top level", "portfolio", "SYN0"),     # would be a tuple of letters
+        ("model", "filter_widths", "34"),       # would be (3, 4)
+        ("model", "hidden_sizes", [8]),         # a pair is two numbers
+        ("model", "max_len", 0),                # would be the default, None
+        ("model", "head", 1),
+        ("training", "epochs", True),
+        ("training", "epochs", 2.5),
+        ("training.grid", "width_sets", [2, 3]),
+    ])
+    def test_value_of_wrong_json_type_rejected(self, workspace, tmp_path, section, key, value):
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        if section == "top level":
+            bad[key] = value
+        elif section == "training.grid":
+            bad["training"]["grid"] = {key: value}
+        else:
+            bad[section][key] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        with pytest.raises(cli.ConfigError, match=f"'{key}' in section '{section}'"):
+            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+
+    def test_null_and_integral_values_load(self, workspace, tmp_path):
+        _, _, _, _, config = workspace
+        good = json.loads(json.dumps(config))
+        good["model"]["max_len"] = None
+        good["training"]["epochs"] = 3.0
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(good))
+        cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
+        assert cfg.max_len is None
+        assert cfg.epochs == 3 and isinstance(cfg.epochs, int)
+
+    def test_non_object_section_rejected(self, workspace, tmp_path):
+        _, _, _, _, config = workspace
+        bad = dict(config, model=[1, 2])
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        with pytest.raises(cli.ConfigError, match="config section 'model' must be a JSON object"):
+            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
 
     def test_parallel_is_a_train_flag(self, workspace):
         _, config_path, _, _, _ = workspace

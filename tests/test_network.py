@@ -425,6 +425,27 @@ class TestBackwardContracts:
         worst = max(np.abs(arr).max() for _, arr in grads.params.tensors())
         assert worst < 1e-12
 
+    def test_reused_gradient_buffer_matches_fresh(self):
+        # backward overwrites every tensor of ``out`` whole, so a buffer that
+        # holds garbage or the previous sample's gradient gives the same bytes
+        rng = np.random.default_rng(6)
+        config = ModelConfig(p=3, m=7, filter_widths=(2, 4), filters_per_width=2,
+                             hidden_sizes=(4, 2), dropout_rate=0.3)
+        matrix = rng.normal(size=(6, 3))
+        matrix[0] = 0.0
+        table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=3)
+        params = init_parameters(config, rng)
+        out = ModelParameters.from_flat(np.full(params.layout.size, np.nan), params.layout)
+        for y, indices in ((1, [1, 2, 3, 4, 5, 0, 0]), (0, [5, 5, 4, 0, 0, 0, 0])):
+            enc = EncodedHeadline(indices=np.array(indices), true_len=int(np.count_nonzero(indices)))
+            _, cache = forward(enc, table, params, config, mode="train",
+                               rng=np.random.default_rng(y))
+            fresh = backward(cache, y, params, config, table)
+            reused = backward(cache, y, params, config, table, out=out)
+            assert reused.params is out
+            assert out.flat.tobytes() == fresh.params.flat.tobytes()
+            assert reused.emb_grads.tobytes() == fresh.emb_grads.tobytes()
+
     def test_backward_requires_cache(self):
         config, table, enc, params = _toy_setup()
         with pytest.raises(ValueError):

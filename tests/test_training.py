@@ -15,6 +15,7 @@ from newsvane.text import EncodedHeadline, Vocabulary
 from newsvane.training import (
     AdamState,
     GridAxes,
+    NumericError,
     adam_step,
     binary_metrics,
     evaluate,
@@ -70,6 +71,46 @@ class TestAdam:
         for g in grads:
             adam_step(tensors, {"w": g}, state)
         assert tensors["w"].tobytes() == _textbook_adam(theta0, grads, lr=0.01).tobytes()
+
+    @pytest.mark.parametrize("n_hot, gathered", [(20, True), (45, False)])
+    def test_row_steps_match_textbook(self, n_hot, gathered):
+        # Each step names the rows it gives a gradient, drawn from the first
+        # n_hot of 50. Their union stays below half the rows (the step gathers
+        # them) or passes it (the step goes whole). Either way the result is
+        # the textbook whole-array step, and rows never named, -0.0 and NaN
+        # included, keep their bytes.
+        rng = np.random.default_rng(8)
+        theta0 = rng.normal(size=(50, 3))
+        theta0[47:] = [[-0.0, np.nan, np.inf], [-np.inf, -0.0, 0.0], [np.nan, 1e300, -1e-300]]
+        tensors = {"w": theta0.copy()}
+        state = AdamState.initialize(tensors, lr=0.01)
+        grads, named = [], np.zeros(50, dtype=bool)
+        for _ in range(10):
+            rows = np.sort(rng.choice(n_hot, size=6, replace=False))
+            g = np.zeros((50, 3))
+            g[rows] = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-6, 3, size=(6, 1))
+            grads.append(g)
+            named[rows] = True
+            adam_step(tensors, {"w": g}, state, rows={"w": rows})
+        assert ("w" in state.active) == gathered
+        assert tensors["w"].tobytes() == _textbook_adam(theta0, grads, lr=0.01).tobytes()
+        assert tensors["w"][~named].tobytes() == theta0[~named].tobytes()
+
+    @pytest.mark.parametrize("rows", [None, {"embeddings": np.array([3])}])
+    def test_nonfinite_embedding_gradient_names_tensor(self, rows):
+        tensors = {"embeddings": np.ones((10, 2))}
+        state = AdamState.initialize(tensors)
+        g = np.zeros((10, 2))
+        g[3, 1] = np.inf
+        with pytest.raises(NumericError, match="non-finite gradient for tensor 'embeddings'"):
+            adam_step(tensors, {"embeddings": g}, state, rows=rows)
+
+    @pytest.mark.parametrize("hyper", [{"lr": -1e-3}, {"lr": math.inf}, {"beta1": 1.0},
+                                       {"beta2": -0.5}, {"eps": 0.0}, {"eps": math.nan}])
+    def test_hyperparameters_outside_exact_range_rejected(self, hyper):
+        # outside these ranges an untouched row's step need not be +0.0
+        with pytest.raises(ValueError, match="Adam needs"):
+            AdamState.initialize({"w": np.zeros(2)}, **hyper)
 
     def test_zero_gradient_keeps_parameters(self):
         tensors = {"w": np.array([1.0, -2.0])}
@@ -275,30 +316,43 @@ def _dense_reference_train(dataset, table, params, config, epochs, batch_size, s
 class TestSparseEmbeddingEquivalence:
     @pytest.mark.parametrize("mode", ["self_learnt", "non_static", "static"])
     def test_train_matches_dense_reference(self, mode):
-        # five tokens in six slots: most headlines repeat a token; 21 samples
-        # in batches of 8 leave a final partial batch of 5
+        # Two corpora of 21 samples in batches of 8, leaving a final partial
+        # batch of 5. "shared": five tokens in six slots of a 6-row table, so
+        # most headlines repeat a token and every batch touches nearly every
+        # row (Adam soon steps the whole table). "disjoint": each headline
+        # owns two tokens of a 100-row table, so consecutive batches touch
+        # disjoint rows, rows an earlier batch touched must keep moving on
+        # their moments, the 42 touched rows stay below half the table (Adam
+        # gathers them) and the other rows must keep their bytes.
         rng = np.random.default_rng(9)
         config = ModelConfig(p=4, m=6, filter_widths=(2, 3), filters_per_width=2,
                              hidden_sizes=(5, 3), dropout_rate=0.25, head="multiclass3")
-        dataset = []
-        for _ in range(21):
-            true_len = int(rng.integers(2, 7))
-            indices = np.zeros(6, dtype=np.int64)
-            indices[:true_len] = rng.integers(1, 6, size=true_len)
-            dataset.append((EncodedHeadline(indices=indices, true_len=true_len), int(rng.integers(3))))
-        assert any(len(set(e.indices[:e.true_len].tolist())) < e.true_len for e, _ in dataset)
-        matrix = rng.normal(size=(6, 4))
-        matrix[0] = 0.0
-        params = init_parameters(config, rng)
-        runs = []
-        for trainer in (train, _dense_reference_train):
-            table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=4)
-            run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
-            trainer(dataset, table, run_params, config, epochs=2, batch_size=8, seed=3, lr=0.01)
-            runs.append(run_params.flat.tobytes() + table.matrix.tobytes())
-        assert runs[0] == runs[1]
-        if mode != "static":
-            assert not np.array_equal(table.matrix, matrix)
+        for n_rows, tokens_per_sample, first_token in ((6, 5, lambda i: 1),
+                                                       (100, 2, lambda i: 1 + 2 * i)):
+            dataset = []
+            for i in range(21):
+                true_len = int(rng.integers(2, 7))
+                indices = np.zeros(6, dtype=np.int64)
+                indices[:true_len] = first_token(i) + rng.integers(tokens_per_sample, size=true_len)
+                dataset.append((EncodedHeadline(indices=indices, true_len=true_len),
+                                int(rng.integers(3))))
+            assert any(len(set(e.indices[:e.true_len].tolist())) < e.true_len for e, _ in dataset)
+            matrix = rng.normal(size=(n_rows, 4))
+            matrix[0] = 0.0
+            params = init_parameters(config, rng)
+            runs = []
+            for trainer in (train, _dense_reference_train):
+                table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=4)
+                run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
+                trainer(dataset, table, run_params, config, epochs=2, batch_size=8, seed=3, lr=0.01)
+                runs.append(run_params.flat.tobytes() + table.matrix.tobytes())
+            assert runs[0] == runs[1]
+            touched = np.zeros(n_rows, dtype=bool)
+            touched[np.concatenate([e.indices for e, _ in dataset])] = True
+            touched[0] = False
+            assert table.matrix[~touched].tobytes() == matrix[~touched].tobytes()
+            if mode != "static":
+                assert not np.array_equal(table.matrix[touched], matrix[touched])
 
 
 def _fixture_model():
