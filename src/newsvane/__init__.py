@@ -26,15 +26,12 @@ from .corpus import (
     PriceBar,
     PriceIndex,
     generate_synthetic,
-    label_sample,
     load_headlines,
     load_prices,
-    next_trading_day,
     split_half_hourly_unique,
 )
 from .embeddings import (
     EmbeddingTable,
-    cosine_similarity,
     init_self_learnt,
     load_pretrained,
     lookup_concat,
@@ -47,13 +44,11 @@ from .network import (
     ModelParameters,
     apply_dropout,
     backward,
-    conv_forward,
     dense_forward,
     forward,
     init_parameters,
     loss_binary,
     loss_categorical,
-    maxpool,
     relu,
     sigmoid,
     softmax3,

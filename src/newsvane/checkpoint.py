@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import MODES, EmbeddingTable
-from .fileio import read_json, write_json_atomic
+from .fileio import CONVERTERS, list_of, read_json, strict_int, strict_str, write_json_atomic
 from .network import ModelConfig, ModelParameters, param_layout
 from .text import Vocabulary, vocabulary_hash
 
@@ -56,12 +56,6 @@ def _as_object(value) -> dict:
     return value
 
 
-def _as_tokens(value) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        raise TypeError("expected a list of strings")
-    return value
-
-
 def _decode_array(section: dict, key: str, path: str | Path, field: str,
                   shape: tuple[int, ...]) -> np.ndarray:
     """Decode a stored float64 array, rejecting any other structure, dtype or shape."""
@@ -73,6 +67,21 @@ def _decode_array(section: dict, key: str, path: str | Path, field: str,
     if len(raw) != 8 * math.prod(shape):
         raise CheckpointError(f"{path}: {field}: {len(raw)} data bytes, expected {8 * math.prod(shape)}")
     return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+
+
+def _read_config(payload: dict, path: str | Path) -> ModelConfig:
+    """The ``config`` section: exactly the ModelConfig fields, each of its JSON type."""
+    section = _value(payload, "config", _as_object, path, "config")
+    converters = {f.name: CONVERTERS[f.type] for f in fields(ModelConfig)}
+    for key in section:
+        if key not in converters:
+            raise CheckpointError(f"{path}: config.{key}: unknown key")
+    values = {name: _value(section, name, convert, path, f"config.{name}")
+              for name, convert in converters.items()}
+    try:
+        return ModelConfig(**values)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: config: invalid ({exc})") from None
 
 
 @dataclass
@@ -128,29 +137,29 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
             f"{path}: unsupported checkpoint format {payload.get('format_version')!r} "
             f"(this version reads format {FORMAT_VERSION})"
         )
-    config = _value(payload, "config", lambda d: ModelConfig.from_dict(_as_object(d)), path, "config")
+    config = _read_config(payload, path)
     if expected_config is not None and config != expected_config:
         raise CheckpointError(f"{path}: checkpoint config does not match the expected config")
 
     vocab_section = _value(payload, "vocab", _as_object, path, "vocab")
-    tokens = _value(vocab_section, "tokens", _as_tokens, path, "vocab.tokens")
+    tokens = _value(vocab_section, "tokens", list_of(strict_str), path, "vocab.tokens")
     vocab = Vocabulary(
         word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
-        max_len=_value(vocab_section, "max_len", int, path, "vocab.max_len"),
+        max_len=_value(vocab_section, "max_len", strict_int, path, "vocab.max_len"),
     )
-    stored_hash = _value(payload, "vocab_hash", str, path, "vocab_hash")
+    stored_hash = _value(payload, "vocab_hash", strict_str, path, "vocab_hash")
     if vocabulary_hash(vocab) != stored_hash:
         raise CheckpointError(f"{path}: vocabulary hash mismatch (corrupt checkpoint)")
     if vocab.max_len != config.m:
         raise CheckpointError(f"{path}: vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
 
     emb = _value(payload, "embedding", _as_object, path, "embedding")
-    p = _value(emb, "p", int, path, "embedding.p")
+    p = _value(emb, "p", strict_int, path, "embedding.p")
     if p != config.p:
         raise CheckpointError(f"{path}: embedding.p is {p}, but the config has p={config.p}")
     matrix = _decode_array(emb, "matrix", path, "embedding.matrix", (len(tokens) + 1, p))
-    hits = _value(emb, "pretrained_hit_count", int, path, "embedding.pretrained_hit_count")
-    mode = _value(emb, "mode", str, path, "embedding.mode")
+    hits = _value(emb, "pretrained_hit_count", strict_int, path, "embedding.pretrained_hit_count")
+    mode = _value(emb, "mode", strict_str, path, "embedding.mode")
     if mode not in MODES:
         raise CheckpointError(f"{path}: embedding.mode: unknown mode {mode!r}")
     table = EmbeddingTable(matrix=matrix, mode=mode, p=p, pretrained_hit_count=hits)

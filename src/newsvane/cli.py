@@ -25,7 +25,18 @@ import numpy as np
 from . import backtest as bt
 from . import corpus, embeddings, gradcheck, pipeline, training
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .fileio import csv_text, read_json, write_json_atomic, write_text_atomic
+from .fileio import (
+    CONVERTERS,
+    csv_text,
+    list_of,
+    optional,
+    read_json,
+    strict_int,
+    strict_number,
+    strict_str,
+    write_json_atomic,
+    write_text_atomic,
+)
 from .network import HEAD_BINARY, HEAD_MULTICLASS3, ModelConfig, forward, init_parameters
 from .seeding import derive_seed
 from .text import PAD_TOKEN, save_vocabulary, vocabulary_hash
@@ -69,49 +80,6 @@ class RunConfig:
     sweep_step: float = 0.01
 
 
-# Converters from parsed JSON to RunConfig values. Each accepts only the
-# JSON type its key documents and raises ValueError otherwise: Python's own
-# conversions would turn "SYN0" into a tuple of letters, "false" into True
-# and 2.5 into 2.
-
-
-def _strict_bool(value) -> bool:
-    """JSON true/false only."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _strict_int(value) -> int:
-    """A JSON integer, or a number with an integral value; never a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _strict_str(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _list_of(convert: Callable, length: int | None = None) -> Callable:
-    """A JSON list (of ``length`` elements, if given), converted element-wise."""
-    def parse(value) -> tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"expected a JSON list, got {value!r}")
-        if length is not None and len(value) != length:
-            raise ValueError(f"expected a list of {length} elements, got {value!r}")
-        return tuple(convert(v) for v in value)
-    return parse
-
-
-def _optional(convert: Callable) -> Callable:
-    """JSON null is None (the default); any other value must convert."""
-    return lambda value: None if value is None else convert(value)
-
-
 # Config-file section ("" is the top level) -> key -> RunConfig field. An
 # absent key takes the field's default; a present value is converted by the
 # field's annotation (a string, under postponed evaluation). The grid's axes
@@ -128,16 +96,12 @@ _SECTIONS: dict[str, dict[str, str]] = {
     "strategy": {"threshold": "threshold", "head": "strategy_head", "sweep_step": "sweep_step"},
 }
 _CONVERTERS: dict[str, Callable] = {
-    "int": _strict_int, "float": float, "str": _strict_str, "bool": _strict_bool, "Path": Path,
-    "tuple[int, ...]": _list_of(_strict_int), "tuple[int, int]": _list_of(_strict_int, 2),
-    "tuple[str, ...]": _list_of(_strict_str),
-    "Path | None": _optional(Path), "int | None": _optional(_strict_int),
-    "str | None": _optional(_strict_str),
+    **CONVERTERS, "Path": Path, "Path | None": optional(Path),
     "training.GridAxes | None": lambda grid: grid,  # checked below, as a section
 }
 _GRID_AXES: dict[str, Callable] = {
-    "epochs": _list_of(_strict_int), "dropout": _list_of(float),
-    "width_sets": _list_of(_list_of(_strict_int)), "modes": _list_of(_strict_str),
+    "epochs": list_of(strict_int), "dropout": list_of(strict_number),
+    "width_sets": list_of(list_of(strict_int)), "modes": list_of(strict_str),
 }
 
 
@@ -442,14 +406,6 @@ def _day_predictions(
     return bt.aggregate_daily(rows), prices, head
 
 
-def _write_sweep(cfg: RunConfig, day_preds: list[bt.DayPrediction],
-                 prices: list[corpus.PriceBar], head: str) -> list[bt.SweepRow]:
-    grid = bt.default_threshold_grid(head == HEAD_BINARY, step=cfg.sweep_step)
-    rows = bt.threshold_sweep(day_preds, prices, grid)
-    bt.write_sweep_csv(rows, cfg.out_dir / "sweep.csv")
-    return rows
-
-
 def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     day_preds, prices, head = _day_predictions(cfg, args)
@@ -461,16 +417,15 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         f"{report.n_trades} trades; total return {report.total_return_pct:.2f}%, "
         f"PP {report.pp_pct:.2f}%, ATP {report.atp_pct:.4f}%"
     )
-    if args.sweep:
-        rows = _write_sweep(cfg, day_preds, prices, head)
-        print(f"threshold sweep: {len(rows)} rows written to {cfg.out_dir / 'sweep.csv'}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     day_preds, prices, head = _day_predictions(cfg, args)
-    rows = _write_sweep(cfg, day_preds, prices, head)
+    grid = bt.default_threshold_grid(head == HEAD_BINARY, step=cfg.sweep_step)
+    rows = bt.threshold_sweep(day_preds, prices, grid)
+    bt.write_sweep_csv(rows, cfg.out_dir / "sweep.csv")
     best = max(rows, key=lambda r: r.atp_pct)
     print(
         f"{len(rows)} thresholds; best ATP {best.atp_pct:.4f}% at t={best.t:.2f} "
@@ -483,7 +438,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     suite = gradcheck.run_suite(
         seed=args.seed if args.seed is not None else 0,
         n_configs=args.configs,
-        perturb=args.perturb,
     )
     for i, r in enumerate(suite.results):
         print(f"config {i:2d}: max rel error {r.max_rel_error:.3e} ({r.description})")
@@ -548,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--predictions", default=None,
                    help="standalone predictions CSV (asset,date,p0[,p1,p2]) instead of a checkpoint")
-    p.add_argument("--sweep", action="store_true", help="also write the threshold sweep CSV")
     p.set_defaults(func=cmd_backtest, needs_config=True)
 
     p = sub.add_parser("sweep", parents=[common], help="threshold sweep over the strategy grid")
@@ -559,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="verify analytic gradients against finite differences")
     p.add_argument("--configs", type=int, default=20)
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="testing hook: inject this error into one analytic gradient")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("neighbors", parents=[common],

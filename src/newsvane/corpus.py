@@ -217,11 +217,6 @@ class PriceIndex:
         return self._bars[asset][pos]
 
 
-def next_trading_day(asset: str, after: dt.date, prices: Iterable[PriceBar] | PriceIndex) -> dt.date:
-    """Smallest price-bar date for ``asset`` strictly after ``after``."""
-    return PriceIndex.of(prices).next_bar(asset, after).date
-
-
 def _label_from_bar(headline: HeadlineRecord, bar: PriceBar) -> LabeledSample:
     ret = (bar.close - bar.open) / bar.open
     if ret > SIGNIFICANT_RETURN:
@@ -240,20 +235,16 @@ def _label_from_bar(headline: HeadlineRecord, bar: PriceBar) -> LabeledSample:
     )
 
 
-def label_sample(headline: HeadlineRecord, prices: Iterable[PriceBar] | PriceIndex) -> LabeledSample:
-    """Label one headline with the next trading day's open-to-close return.
+def label_all(
+    headlines: list[HeadlineRecord], prices: Iterable[PriceBar] | PriceIndex
+) -> tuple[dict[int, LabeledSample], list[int]]:
+    """Label every headline with the next trading day's open-to-close return.
 
     Binary label 1 means the close exceeded the open (a positive one-day
     return); unchanged or falling prices are class 0. The three-class label
     is 'buy' above +0.5%, 'avoid' below -0.5%, else 'inconsequential'.
+    Returns (labels by id, ids skipped at the end of their asset's history).
     """
-    return _label_from_bar(headline, PriceIndex.of(prices).next_bar(headline.asset, headline.date))
-
-
-def label_all(
-    headlines: list[HeadlineRecord], prices: Iterable[PriceBar] | PriceIndex
-) -> tuple[dict[int, LabeledSample], list[int]]:
-    """Label every headline; returns (labels by id, ids skipped at end of history)."""
     index = PriceIndex.of(prices)
     labels: dict[int, LabeledSample] = {}
     skipped: list[int] = []

@@ -9,7 +9,7 @@ and are fine-tuned during training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +45,6 @@ class EmbeddingTable:
     @property
     def trainable(self) -> bool:
         return self.mode != MODE_STATIC
-
-    def copy(self) -> "EmbeddingTable":
-        return replace(self, matrix=self.matrix.copy())
 
 
 def init_self_learnt(
@@ -149,18 +146,6 @@ def lookup_concat(enc: EncodedHeadline, table: EmbeddingTable) -> np.ndarray:
     if idx.min() < 0 or idx.max() >= table.matrix.shape[0]:
         raise ValueError("encoded index out of range for embedding table (corrupt input)")
     return table.matrix[idx].reshape(-1)
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError("vectors must have equal length")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def nearest_neighbors(

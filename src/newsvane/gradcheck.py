@@ -174,20 +174,14 @@ def check_instance(
     params: ModelParameters,
     y: int,
     step: float = DEFAULT_STEP,
-    perturb: float = 0.0,
 ) -> CheckResult:
     """Compare analytic and central-difference gradients for one instance.
 
-    ``perturb`` adds a deliberate error to one analytic gradient entry; the
-    test suite uses it as a negative control to prove the check can fail.
     Frozen tensors (static embedding tables, the padding row) are excluded:
     they are pinned by contract, not by a zero derivative of the loss.
     """
     _, cache = forward(enc, table, params, config, mode="train", rng=None)
     analytic = backward(cache, y, params, config, table)
-    if perturb != 0.0:
-        first_width = config.filter_widths[0]
-        analytic.params.filters[first_width][0, 0] += perturb
 
     def loss_fn() -> float:
         return _loss_of(enc, table, params, config, y)
@@ -220,7 +214,6 @@ def run_suite(
     n_configs: int = 20,
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOLERANCE,
-    perturb: float = 0.0,
 ) -> SuiteResult:
     """Run the full randomized gradient check; deterministic per seed."""
     rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
@@ -228,7 +221,7 @@ def run_suite(
     results = []
     for index in range(n_configs):
         config, enc, table, params, y, _ = _random_instance(rng, index)
-        results.append(check_instance(config, enc, table, params, y, step=step, perturb=perturb))
+        results.append(check_instance(config, enc, table, params, y, step=step))
     elapsed = time.perf_counter() - start
     return SuiteResult(
         results=tuple(results),

@@ -100,28 +100,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            p=int(d["p"]),
-            m=int(d["m"]),
-            filter_widths=tuple(int(h) for h in d["filter_widths"]),
-            filters_per_width=int(d["filters_per_width"]),
-            hidden_sizes=(int(d["hidden_sizes"][0]), int(d["hidden_sizes"][1])),
-            dropout_rate=float(d.get("dropout_rate", 0.0)),
-            pool_w=int(d.get("pool_w", 2)),
-            head=str(d.get("head", HEAD_BINARY)),
-        )
-
-
-def _layout_order(filters: dict, filter_biases: dict, dense: dict) -> list[tuple[str, int | None, object]]:
-    """(attribute, width or None, item) in the one storage order of the
-    parameters: ``filters[h]`` by ascending width, ``filter_biases[h]``
-    likewise, then the dense layers from the first hidden layer to the head."""
-    return ([("filters", h, filters[h]) for h in sorted(filters)]
-            + [("filter_biases", h, filter_biases[h]) for h in sorted(filter_biases)]
-            + [(name, None, dense[name]) for name in ("w1", "b1", "w2", "b2", "w_out", "b_out")])
-
 
 class ParamLayout:
     """Name, shape and flat-vector offsets of every tensor, computed once."""
@@ -141,14 +119,18 @@ class ParamLayout:
 
 
 def param_layout(config: ModelConfig) -> ParamLayout:
-    """The parameter layout a configuration implies; the only list of shapes."""
+    """The parameter layout a configuration implies; the only list of shapes
+    and the one storage order: ``filters[h]`` by ascending width,
+    ``filter_biases[h]`` likewise, then the dense layers from the first
+    hidden layer to the head."""
     n_f, (l1, l2), k = config.filters_per_width, config.hidden_sizes, config.out_dim
-    return ParamLayout(_layout_order(
-        {h: (n_f, h * config.p) for h in config.filter_widths},
-        {h: (n_f,) for h in config.filter_widths},
-        {"w1": (l1, config.z_len), "b1": (l1,), "w2": (l2, l1), "b2": (l2,),
-         "w_out": (k, l2), "b_out": (k,)},
-    ))
+    widths = sorted(config.filter_widths)
+    return ParamLayout(
+        [("filters", h, (n_f, h * config.p)) for h in widths]
+        + [("filter_biases", h, (n_f,)) for h in widths]
+        + [("w1", None, (l1, config.z_len)), ("b1", None, (l1,)), ("w2", None, (l2, l1)),
+           ("b2", None, (l2,)), ("w_out", None, (k, l2)), ("b_out", None, (k,))]
+    )
 
 
 class ModelParameters:
@@ -158,35 +140,22 @@ class ModelParameters:
     ``layout``. ``filters[h]`` (one row per filter of width h, each of length
     h*p), ``filter_biases[h]`` (per-filter scalar biases, shared across
     sliding positions) and the row-per-neuron dense weights are views into
-    it. Keyword construction packs the given arrays once.
+    it.
     """
-
-    def __init__(self, filters: dict[int, np.ndarray], filter_biases: dict[int, np.ndarray],
-                 w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
-                 w_out: np.ndarray, b_out: np.ndarray) -> None:
-        dense = {"w1": w1, "b1": b1, "w2": w2, "b2": b2, "w_out": w_out, "b_out": b_out}
-        named = [(attr, h, np.asarray(a, dtype=np.float64))
-                 for attr, h, a in _layout_order(filters, filter_biases, dense)]
-        self._bind(np.concatenate([a.ravel() for *_, a in named]),
-                   ParamLayout([(attr, h, a.shape) for attr, h, a in named]))
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ModelParameters":
         """Wrap ``flat`` (not copied), a float64 vector of ``layout.size``."""
         params = cls.__new__(cls)
-        params._bind(flat, layout)
-        return params
-
-    def _bind(self, flat: np.ndarray, layout: ParamLayout) -> None:
-        self.flat, self.layout = flat, layout
-        self.filters: dict[int, np.ndarray] = {}
-        self.filter_biases: dict[int, np.ndarray] = {}
-        self._views = [flat[start:stop].reshape(shape) for _, _, start, stop, shape in layout.slots]
-        for (attr, h, *_), view in zip(layout.slots, self._views):
+        params.flat, params.layout = flat, layout
+        params.filters, params.filter_biases = {}, {}
+        params._views = [flat[start:stop].reshape(shape) for _, _, start, stop, shape in layout.slots]
+        for (attr, h, *_), view in zip(layout.slots, params._views):
             if h is None:
-                setattr(self, attr, view)
+                setattr(params, attr, view)
             else:
-                getattr(self, attr)[h] = view
+                getattr(params, attr)[h] = view
+        return params
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         """Named tensor views in layout order."""
@@ -255,22 +224,21 @@ def _word_windows(x: np.ndarray, h: int, p: int) -> np.ndarray:
     return windows
 
 
-def conv_forward(x: np.ndarray, filt: np.ndarray, bias: float, h: int) -> np.ndarray:
-    """Single-filter convolution over the concatenated embedding vector.
+def conv_forward(x: np.ndarray, filters: np.ndarray, biases: np.ndarray,
+                 p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Filter-bank convolution of one width over the concatenated embedding vector.
 
-    Element k (0-based) is relu(filt . x[k*p : k*p + h*p] + bias); the filter
-    advances one word per step, so the map has m - h + 1 elements and every
-    adjacent phrase of h words is scored once.
+    ``filters`` holds one filter of length h*p per row. Returns (windows,
+    pre): ``windows`` is the (m-h+1, h*p) view of x whose row k covers words
+    k..k+h-1, and ``pre[k, f]`` is filters[f] . windows[k] + biases[f], the
+    pre-activation of filter f at word k. The filter advances one word per
+    step, so every adjacent phrase of h words is scored once.
     """
-    filt = np.asarray(filt, dtype=np.float64)
-    if filt.size % h != 0:
-        raise ValueError("filter length must be h * p")
-    p = filt.size // h
-    windows = _word_windows(np.ascontiguousarray(x, dtype=np.float64), h, p)
-    return relu(windows @ filt + bias)
+    windows = _word_windows(x, filters.shape[1] // p, p)
+    return windows, windows @ filters.T + biases
 
 
-def _pool_columns(maps: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+def maxpool(maps: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool each column of ``maps`` (shape (n, d)) with window/stride w.
 
     Returns (pooled (ceil(n/w), d), argmax row indices into ``maps``). The
@@ -288,15 +256,6 @@ def _pool_columns(maps: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     pooled = blocks.max(axis=1)
     positions = within + (np.arange(n_out) * w)[:, None]
     return pooled, positions
-
-
-def maxpool(c: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Down-sample a feature map; returns (pooled map, argmax positions)."""
-    c = np.asarray(c, dtype=np.float64)
-    if w < 1:
-        raise ValueError("pool size must be >= 1")
-    pooled, positions = _pool_columns(c[:, None], w)
-    return pooled[:, 0], positions[:, 0]
 
 
 def dense_forward(
@@ -421,10 +380,9 @@ def forward(
     pool_argmax: dict[int, np.ndarray] = {}
     pooled_parts: list[np.ndarray] = []
     for h in config.filter_widths:
-        windows[h] = _word_windows(x, h, config.p)
-        pre = windows[h] @ params.filters[h].T + params.filter_biases[h]
+        windows[h], pre = conv_forward(x, params.filters[h], params.filter_biases[h], config.p)
         post = relu(pre)
-        pooled, positions = _pool_columns(post, config.pool_w)
+        pooled, positions = maxpool(post, config.pool_w)
         conv_pre[h] = pre
         conv_post[h] = post
         pool_argmax[h] = positions

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root: int, label: str) -> int:
     """Derive a child seed from a root seed and a stream label."""
     digest = hashlib.sha256(f"{root}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1  # keep it a positive int64
 
-
-def stream(root: int, label: str) -> np.random.Generator:
-    """A fresh generator for the named stream."""
-    return np.random.default_rng(derive_seed(root, label))

@@ -72,9 +72,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.word_to_index)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.word_to_index
-
     def index_to_word(self) -> dict[int, str]:
         return {i: w for w, i in self.word_to_index.items()}
 
@@ -124,12 +121,6 @@ def encode_and_pad(tokens: list[str], vocab: Vocabulary) -> EncodedHeadline:
     return EncodedHeadline(indices=indices, true_len=len(kept))
 
 
-def decode(enc: EncodedHeadline, vocab: Vocabulary) -> list[str]:
-    """Inverse of :func:`encode_and_pad` over the non-padding prefix."""
-    inverse = vocab.index_to_word()
-    return [inverse[int(i)] for i in enc.indices[: enc.true_len]]
-
-
 def vocabulary_to_text(vocab: Vocabulary) -> str:
     """Serialize as a header line ``max_len=<m>`` plus ``token<TAB>index`` rows."""
     lines = [f"max_len={vocab.max_len}"]
@@ -138,32 +129,8 @@ def vocabulary_to_text(vocab: Vocabulary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def vocabulary_from_text(content: str) -> Vocabulary:
-    lines = content.splitlines()
-    if not lines or not lines[0].startswith("max_len="):
-        raise ValueError("vocabulary file must start with a 'max_len=<m>' header")
-    max_len = int(lines[0].split("=", 1)[1])
-    word_to_index: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            token, index = line.split("\t")
-            word_to_index[token] = int(index)
-        except ValueError as exc:
-            raise ValueError(f"vocabulary file line {lineno}: expected 'token<TAB>index'") from exc
-    expected = set(range(1, len(word_to_index) + 1))
-    if set(word_to_index.values()) != expected:
-        raise ValueError("vocabulary indices must be contiguous from 1")
-    return Vocabulary(word_to_index=word_to_index, max_len=max_len)
-
-
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     write_text_atomic(path, vocabulary_to_text(vocab))
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    return vocabulary_from_text(Path(path).read_text(encoding="utf-8"))
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:

@@ -175,6 +175,9 @@ class TrainResult:
     trace: list[EpochStats]
 
 
+# A diverging run overflows before its gradient turns non-finite; the
+# non-finite check below reports it, so numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     dataset: Dataset,
     table: EmbeddingTable,

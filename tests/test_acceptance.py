@@ -33,6 +33,8 @@ from newsvane.network import (
     forward,
     init_parameters,
     maxpool,
+    param_layout,
+    relu,
 )
 from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
@@ -169,14 +171,13 @@ def test_criterion_4_oracle_equivalence():
         x = rng.normal(size=m * p)
         filt = rng.normal(size=h * p)
         bias = float(rng.normal())
-        np.testing.assert_allclose(
-            conv_forward(x, filt, bias, h), _naive_conv(x, filt, bias, h), atol=1e-12
-        )
+        _, pre = conv_forward(x, filt[None, :], np.array([bias]), p)  # a one-filter bank
+        np.testing.assert_allclose(relu(pre[:, 0]), _naive_conv(x, filt, bias, h), atol=1e-12)
     for _ in range(100):
         c = rng.normal(size=int(rng.integers(1, 25)))
         w = int(rng.integers(1, 5))
-        pooled, _ = maxpool(c, w)
-        assert pooled.tolist() == _naive_pool(list(c), w)
+        pooled, _ = maxpool(c[:, None], w)  # a one-column map
+        assert pooled[:, 0].tolist() == _naive_pool(list(c), w)
     for trial in range(100):
         size = int(rng.integers(2, 30))
         vocab = {f"t{i}": i + 1 for i in range(size)}
@@ -205,16 +206,13 @@ def test_criterion_5_metric_exactness():
         p=1, m=2, filter_widths=(2,), filters_per_width=4,
         hidden_sizes=(2, 1), dropout_rate=0.0, head="binary",
     )
-    params = ModelParameters(
-        filters={2: np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])},
-        filter_biases={2: np.zeros(4)},
-        w1=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
-        b1=np.zeros(2),
-        w2=np.array([[1.0, -1.0]]),
-        b2=np.zeros(1),
-        w_out=np.array([[4.0]]),
-        b_out=np.array([-2.0]),
-    )
+    layout = param_layout(config)
+    params = ModelParameters.from_flat(np.zeros(layout.size), layout)  # zero biases
+    params.filters[2][:] = [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    params.w1[:] = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    params.w2[:] = [[1.0, -1.0]]
+    params.w_out[:] = [[4.0]]
+    params.b_out[:] = [-2.0]
     pos = EncodedHeadline(indices=np.array([1, 0]), true_len=1)
     neg = EncodedHeadline(indices=np.array([2, 0]), true_len=1)
     dataset = [(pos, 1)] * 3 + [(pos, 0)] * 1 + [(neg, 1)] * 2 + [(neg, 0)] * 4
@@ -335,7 +333,8 @@ def test_criterion_8_determinism(tmp_path):
         cfg_path = tmp_path / f"{run}.json"
         cfg_path.write_text(json.dumps(config))
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
-        assert cli.main(["backtest", "--config", str(cfg_path), "--sweep"]) == 0
+        assert cli.main(["backtest", "--config", str(cfg_path)]) == 0
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
         outputs[run] = {
             name: (out / name).read_bytes()
             for name in ("checkpoint.json", "metrics.json", "trace.csv",

@@ -113,7 +113,15 @@ class TestValidation:
         ("params.data", lambda pl: pl["params"].pop("data")),
         ("params.data", lambda pl: pl["params"].update(data=7)),
         ("config", lambda pl: pl.update(config=[4, 5])),
-        ("config", lambda pl: pl["config"].pop("p")),
+        ("config.p", lambda pl: pl["config"].pop("p")),
+        ("config.pool_w", lambda pl: pl["config"].pop("pool_w")),  # no second defaults table
+        ("config.filters_per_width", lambda pl: pl["config"].update(filters_per_width=2.9)),
+        ("config.filter_widths", lambda pl: pl["config"].update(filter_widths="34")),
+        ("config.dropout_rate", lambda pl: pl["config"].update(dropout_rate="0.0")),
+        ("config.pool", lambda pl: pl["config"].update(pool=2)),
+        ("vocab.max_len", lambda pl: pl["vocab"].update(max_len=8.7)),
+        ("embedding.pretrained_hit_count",
+         lambda pl: pl["embedding"].update(pretrained_hit_count="7")),
         ("vocab", lambda pl: pl.pop("vocab")),
         ("vocab.tokens", lambda pl: pl["vocab"].update(tokens="alpha")),
         ("embedding", lambda pl: pl.update(embedding="matrix")),
@@ -121,6 +129,8 @@ class TestValidation:
         ("embedding.mode", lambda pl: pl["embedding"].update(mode="frozen")),
         ("training_meta", lambda pl: pl.update(training_meta=3)),
     ], ids=["params-str", "params-no-data", "params-data-int", "config-list", "config-no-p",
+            "config-no-pool-w", "config-fractional-int", "config-str-widths",
+            "config-str-dropout", "config-unknown-key", "max-len-fraction", "hits-str",
             "no-vocab", "tokens-str", "embedding-str", "no-matrix", "mode", "meta-int"])
     def test_malformed_structure_rejected(self, tmp_path, model_bits, field, tamper):
         vocab, config, table, params = model_bits

@@ -14,6 +14,16 @@ from newsvane.checkpoint import load_checkpoint
 from newsvane.corpus import load_headlines, load_prices
 from newsvane.embeddings import load_pretrained, nearest_neighbors
 from newsvane.pipeline import prepare_dataset
+from test_gradients import perturb_backward
+
+
+def _run_cli(*args):
+    """Run ``python -m newsvane`` on this checkout's sources in a subprocess."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "newsvane", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +125,14 @@ class TestTrain:
         bad["paths"]["out_dir"] = str(tmp_path / "out")
         bad_path = tmp_path / "diverge.json"
         bad_path.write_text(json.dumps(bad))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["train", "--config", str(bad_path)]) == 3
+        assert cli.main(["train", "--config", str(bad_path)]) == 3
         assert "non-finite gradient" in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.json").exists()
+        # numpy's overflow warnings stay out of the shipped command's stderr
+        done = _run_cli("train", "--config", str(bad_path))
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [done.stderr.strip()]
+        assert done.stderr.startswith("error: non-finite gradient")
 
     def test_static_checkpoint_keeps_initial_embeddings(self, workspace, tmp_path):
         root, _, data, _, config = workspace
@@ -163,7 +177,8 @@ class TestEvaluate:
 class TestBacktest:
     def test_report_written(self, workspace):
         root, config_path, _, out, _ = workspace
-        assert cli.main(["backtest", "--config", str(config_path), "--sweep"]) == 0
+        assert cli.main(["backtest", "--config", str(config_path)]) == 0
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["n_trades"] > 0
         assert report["final_over_initial_pct"] == pytest.approx(
@@ -251,17 +266,13 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--seed", "0", "--configs", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_perturbed_exit_one(self, capsys):
-        assert cli.main(["gradcheck", "--seed", "0", "--configs", "3",
-                         "--perturb", "0.01"]) == 1
+    def test_perturbed_exit_one(self, capsys, monkeypatch):
+        perturb_backward(monkeypatch, 0.01)
+        assert cli.main(["gradcheck", "--seed", "0", "--configs", "3"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        done = subprocess.run([sys.executable, "-m", "newsvane", "gradcheck", "--configs", "1"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        done = _run_cli("gradcheck", "--configs", "1")
         assert done.returncode == 0, done.stderr
         assert "gradcheck PASS" in done.stdout
 
@@ -400,6 +411,10 @@ class TestUsageErrors:
         ("training", "epochs", True),
         ("training", "epochs", 2.5),
         ("training.grid", "width_sets", [2, 3]),
+        ("training", "learning_rate", "0.001"),  # a number is a JSON number
+        ("top level", "min_relevance", True),    # would be 1.0
+        ("training.grid", "dropout", ["0.1"]),
+        ("strategy", "threshold", float("nan")),  # json reads NaN, which trades nothing
     ])
     def test_value_of_wrong_json_type_rejected(self, workspace, tmp_path, section, key, value):
         _, _, _, _, config = workspace

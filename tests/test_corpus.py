@@ -12,10 +12,8 @@ from newsvane.corpus import (
     PriceIndex,
     generate_synthetic,
     label_all,
-    label_sample,
     load_headlines,
     load_prices,
-    next_trading_day,
     split_half_hourly_unique,
     write_headlines_csv,
     write_prices_csv,
@@ -113,14 +111,14 @@ class TestNextTradingDay:
     ]
 
     def test_weekend_skipped_via_bar_presence(self):
-        assert next_trading_day("AAA", dt.date(2016, 1, 8), self.BARS) == dt.date(2016, 1, 11)
+        assert PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 8)).date == dt.date(2016, 1, 11)
 
     def test_plain_next_day(self):
-        assert next_trading_day("AAA", dt.date(2016, 1, 11), self.BARS) == dt.date(2016, 1, 12)
+        assert PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 11)).date == dt.date(2016, 1, 12)
 
     def test_end_of_history(self):
         with pytest.raises(ValueError, match="end of price history"):
-            next_trading_day("AAA", dt.date(2016, 1, 12), self.BARS)
+            PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 12))
 
     def test_price_index_next_bar(self):
         index = PriceIndex(reversed(self.BARS))  # input order does not matter
@@ -131,15 +129,16 @@ class TestNextTradingDay:
             with pytest.raises(ValueError, match=f"no bar for {asset} after"):
                 index.next_bar(asset, after)
         assert PriceIndex.of(index) is index
-        assert next_trading_day("BBB", dt.date(2016, 1, 1), index) == dt.date(2016, 1, 9)
+        assert index.next_bar("BBB", dt.date(2016, 1, 1)).date == dt.date(2016, 1, 9)
 
     def test_strictly_later_and_no_gap(self):
         # property: result > query date and no bar strictly between them
         rng = np.random.default_rng(0)
         dates = sorted({dt.date(2016, 1, 1) + dt.timedelta(days=int(d)) for d in rng.integers(0, 60, 30)})
         bars = [PriceBar("AAA", d, 100.0, 101.0) for d in dates]
+        index = PriceIndex(bars)
         for d in dates[:-1]:
-            nxt = next_trading_day("AAA", d, bars)
+            nxt = index.next_bar("AAA", d).date
             assert nxt > d
             assert not any(d < b.date < nxt for b in bars)
 
@@ -154,52 +153,58 @@ class TestLabeling:
     def _headline(self):
         return _headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5))
 
+    def _label(self, open_, close):
+        labels, skipped = label_all([self._headline()], self._bars(open_, close))
+        assert skipped == []
+        return labels[0]
+
     def test_positive_return_buy(self):
-        lab = label_sample(self._headline(), self._bars(100.0, 101.0))
+        lab = self._label(100.0, 101.0)
         assert lab.next_day_return == pytest.approx(0.01)
         assert lab.binary_label == 1
         assert lab.tri_label == "buy"
         assert lab.trade_date == dt.date(2016, 1, 11)
 
     def test_unchanged_price_is_class_zero(self):
-        lab = label_sample(self._headline(), self._bars(100.0, 100.0))
+        lab = self._label(100.0, 100.0)
         assert lab.next_day_return == 0.0
         assert lab.binary_label == 0
         assert lab.tri_label == "inconsequential"
 
     def test_small_loss_inside_band_is_inconsequential(self):
-        lab = label_sample(self._headline(), self._bars(100.0, 99.6))
+        lab = self._label(100.0, 99.6)
         assert lab.next_day_return == pytest.approx(-0.004)
         assert lab.binary_label == 0
         assert lab.tri_label == "inconsequential"
 
     def test_big_loss_is_avoid(self):
-        lab = label_sample(self._headline(), self._bars(100.0, 99.0))
+        lab = self._label(100.0, 99.0)
         assert lab.tri_label == "avoid"
 
     def test_exact_band_boundaries_are_inconsequential(self):
-        assert label_sample(self._headline(), self._bars(1000.0, 1005.0)).tri_label == "inconsequential"
-        assert label_sample(self._headline(), self._bars(1000.0, 995.0)).tri_label == "inconsequential"
+        assert self._label(1000.0, 1005.0).tri_label == "inconsequential"
+        assert self._label(1000.0, 995.0).tri_label == "inconsequential"
 
     def test_binary_label_iff_positive_return(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             close = float(rng.uniform(90, 110))
-            lab = label_sample(self._headline(), self._bars(100.0, close))
+            lab = self._label(100.0, close)
             assert (lab.binary_label == 1) == (lab.next_day_return > 0)
             bands = [lab.next_day_return > 0.005, abs(lab.next_day_return) <= 0.005,
                      lab.next_day_return < -0.005]
             assert sum(bands) == 1  # tri partition exhaustive and exclusive
 
-    def test_label_all_matches_label_sample_and_skips_tail(self):
-        bars = self._bars(100.0, 101.0)
+    def test_label_all_skips_tail(self):
         heads = [
             _headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5)),
             _headline(1, "AAA", dt.date(2016, 1, 11), dt.time(9, 5)),  # beyond history
         ]
-        labels, skipped = label_all(heads, bars)
+        labels, skipped = label_all(heads, PriceIndex(self._bars(100.0, 101.0)))
         assert skipped == [1]
-        assert labels[0] == label_sample(heads[0], bars)
+        assert list(labels) == [0]
+        assert (labels[0].asset, labels[0].trade_date, labels[0].binary_label) == (
+            "AAA", dt.date(2016, 1, 11), 1)
 
 
 class TestSplit:

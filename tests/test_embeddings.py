@@ -5,7 +5,6 @@ import pytest
 
 from newsvane.embeddings import (
     EmbeddingTable,
-    cosine_similarity,
     init_self_learnt,
     load_pretrained,
     lookup_concat,
@@ -145,25 +144,36 @@ class TestLookupConcat:
             lookup_concat(enc, table)
 
 
+def _similarity(u, v):
+    """The cosine similarity nearest_neighbors reports between two tokens."""
+    table = EmbeddingTable(matrix=np.vstack([np.zeros(len(u)), u, v]), mode="self_learnt", p=len(u))
+    [(token, sim)] = nearest_neighbors("u", 1, table, _vocab("u", "v"))
+    assert token == "v"
+    return sim
+
+
 class TestCosineSimilarity:
     def test_identical(self):
-        assert cosine_similarity(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == pytest.approx(1.0)
+        assert _similarity(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert _similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_colinear(self):
-        assert cosine_similarity(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == pytest.approx(1.0)
+        assert _similarity(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == pytest.approx(1.0)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.zeros(2), np.ones(2))
+        table = EmbeddingTable(matrix=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+                               mode="self_learnt", p=2)
+        with pytest.raises(ValueError, match="zero embedding vector"):
+            nearest_neighbors("u", 1, table, _vocab("u", "v"))
+        assert nearest_neighbors("v", 1, table, _vocab("u", "v")) == []  # zero row skipped
 
     def test_range(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             u, v = rng.normal(size=(2, 6))
-            assert -1.0 - 1e-12 <= cosine_similarity(u, v) <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= _similarity(u, v) <= 1.0 + 1e-12
 
 
 def _brute_force_neighbors(token, k, table, vocab):

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
+from newsvane import gradcheck
 from newsvane.gradcheck import DEFAULT_TOLERANCE, _random_instance, check_instance, run_suite
 from newsvane.seeding import derive_seed
+
+
+def perturb_backward(monkeypatch, error):
+    """Make the backward pass gradcheck calls add ``error`` to one filter entry."""
+    real = gradcheck.backward
+
+    def backward(cache, y, params, config, table):
+        grads = real(cache, y, params, config, table)
+        grads.params.filters[config.filter_widths[0]][0, 0] += error
+        return grads
+
+    monkeypatch.setattr(gradcheck, "backward", backward)
 
 
 class TestSuite:
@@ -26,9 +39,10 @@ class TestSuite:
         b = run_suite(seed=3, n_configs=4)
         assert [r.max_rel_error for r in a.results] == [r.max_rel_error for r in b.results]
 
-    def test_perturbed_gradient_is_caught(self):
+    def test_perturbed_gradient_is_caught(self, monkeypatch):
         # negative control: a deliberate analytic error must fail the check
-        suite = run_suite(seed=0, n_configs=3, perturb=1e-2)
+        perturb_backward(monkeypatch, 1e-2)
+        suite = run_suite(seed=0, n_configs=3)
         assert not suite.passed
         assert suite.max_rel_error > DEFAULT_TOLERANCE
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsvane.embeddings import EmbeddingTable
+from newsvane.embeddings import EmbeddingTable, lookup_concat
 from newsvane.network import (
     ModelConfig,
     ModelParameters,
@@ -27,6 +27,7 @@ from newsvane.network import (
     softmax3,
 )
 from newsvane.text import EncodedHeadline
+from test_checkpoint import _model_configs
 
 
 class TestRelu:
@@ -39,36 +40,43 @@ class TestRelu:
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
+def _conv1(x, filt, bias, h):
+    """One filter's relu feature map, through forward's filter-bank conv."""
+    windows, pre = conv_forward(x, filt[None, :], np.array([bias]), p=filt.size // h)
+    assert windows.shape == (pre.shape[0], filt.size)
+    return relu(pre[:, 0])
+
+
 class TestConvForward:
     def test_hand_oracle(self):
         # p=1, m=3, X=[1,2,3], filter [1,1], bias 0, h=2 -> [1+2, 2+3]
-        out = conv_forward(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0]), 0.0, h=2)
+        out = _conv1(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0]), 0.0, h=2)
         assert out.tolist() == [3.0, 5.0]
 
     def test_relu_clamps(self):
-        out = conv_forward(np.array([1.0, 2.0, 3.0]), np.zeros(2), -1.0, h=2)
+        out = _conv1(np.array([1.0, 2.0, 3.0]), np.zeros(2), -1.0, h=2)
         assert out.tolist() == [0.0, 0.0]
 
     def test_filter_as_wide_as_sentence(self):
-        out = conv_forward(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]), 0.5, h=3)
+        out = _conv1(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]), 0.5, h=3)
         assert out.tolist() == [6.5]
 
     def test_word_alignment_with_p2(self):
         # m=3, p=2: windows are word-aligned, not element-aligned
         x = np.array([1.0, 10.0, 2.0, 20.0, 3.0, 30.0])
         filt = np.array([1.0, 0.0, 1.0, 0.0])
-        out = conv_forward(x, filt, 0.0, h=2)
+        out = _conv1(x, filt, 0.0, h=2)
         assert out.tolist() == [3.0, 5.0]
 
     def test_length_property(self):
         rng = np.random.default_rng(0)
         for m, p, h in [(4, 1, 2), (7, 3, 2), (9, 2, 5), (6, 4, 6)]:
-            out = conv_forward(rng.normal(size=m * p), rng.normal(size=h * p), 0.1, h=h)
+            out = _conv1(rng.normal(size=m * p), rng.normal(size=h * p), 0.1, h=h)
             assert out.shape == (m - h + 1,)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            conv_forward(np.ones(5), np.ones(4), 0.0, h=2)  # 5 not divisible by p=2
+            conv_forward(np.ones(5), np.ones((1, 4)), np.zeros(1), p=2)  # 5 not divisible by p=2
 
 
 def _naive_pool(c, w):
@@ -81,28 +89,34 @@ def _naive_pool(c, w):
     return out, pos
 
 
+def _pool1(c, w):
+    """Pool a one-column feature map with forward's column pool."""
+    pooled, pos = maxpool(np.array(c, dtype=np.float64)[:, None], w)
+    return pooled[:, 0], pos[:, 0]
+
+
 class TestMaxpool:
     def test_even_windows(self):
-        pooled, pos = maxpool(np.array([3.0, 5.0, 1.0, 4.0]), 2)
+        pooled, pos = _pool1([3.0, 5.0, 1.0, 4.0], 2)
         assert pooled.tolist() == [5.0, 4.0]
         assert pos.tolist() == [1, 3]
 
     def test_partial_final_window(self):
-        pooled, pos = maxpool(np.array([3.0, 5.0, 1.0]), 2)
+        pooled, pos = _pool1([3.0, 5.0, 1.0], 2)
         assert pooled.tolist() == [5.0, 1.0]
         assert pos.tolist() == [1, 2]
 
     def test_single_element(self):
-        pooled, _ = maxpool(np.array([7.0]), 2)
+        pooled, _ = _pool1([7.0], 2)
         assert pooled.tolist() == [7.0]
 
     def test_tie_takes_leftmost(self):
-        _, pos = maxpool(np.array([2.0, 2.0, 1.0, 5.0, 5.0]), 2)
+        _, pos = _pool1([2.0, 2.0, 1.0, 5.0, 5.0], 2)
         assert pos.tolist() == [0, 3, 4]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            maxpool(np.array([]), 2)
+            _pool1([], 2)
 
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40),
@@ -110,7 +124,7 @@ class TestMaxpool:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_naive(self, values, w):
-        pooled, pos = maxpool(np.array(values), w)
+        pooled, pos = _pool1(values, w)
         expected_vals, expected_pos = _naive_pool(values, w)
         assert pooled.tolist() == expected_vals
         assert pos.tolist() == expected_pos
@@ -226,16 +240,16 @@ def _toy_setup():
         matrix=np.array([[0.0], [2.0], [-1.0]]), mode="non_static", p=1
     )
     enc = EncodedHeadline(indices=np.array([1, 2, 1]), true_len=3)
-    params = ModelParameters(
-        filters={2: np.array([[1.0, 0.5], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])},
-        filter_biases={2: np.array([0.0, 0.5, -0.5, 0.0])},
-        w1=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, -1.0, 0.0], [0.0, 0.0, 1.0, -2.0]]),
-        b1=np.array([0.0, 0.25, 0.0]),
-        w2=np.array([[1.0, 1.0, 1.0], [0.5, -1.0, 0.0]]),
-        b2=np.array([0.0, -0.25]),
-        w_out=np.array([[0.5, 1.0]]),
-        b_out=np.array([-0.6]),
-    )
+    layout = param_layout(config)
+    params = ModelParameters.from_flat(np.zeros(layout.size), layout)
+    params.filters[2][:] = [[1.0, 0.5], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]]
+    params.filter_biases[2][:] = [0.0, 0.5, -0.5, 0.0]
+    params.w1[:] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, -1.0, 0.0], [0.0, 0.0, 1.0, -2.0]]
+    params.b1[:] = [0.0, 0.25, 0.0]
+    params.w2[:] = [[1.0, 1.0, 1.0], [0.5, -1.0, 0.0]]
+    params.b2[:] = [0.0, -0.25]
+    params.w_out[:] = [[0.5, 1.0]]
+    params.b_out[:] = [-0.6]
     return config, table, enc, params
 
 
@@ -330,15 +344,62 @@ class TestForward:
         import dataclasses
 
         config3 = dataclasses.replace(config, head="multiclass3")
-        params3 = ModelParameters(
-            filters=params.filters, filter_biases=params.filter_biases,
-            w1=params.w1, b1=params.b1, w2=params.w2, b2=params.b2,
-            w_out=np.array([[0.5, 1.0], [0.0, 0.0], [-0.5, 2.0]]),
-            b_out=np.array([-0.6, 0.0, 0.1]),
-        )
+        layout3 = param_layout(config3)
+        params3 = ModelParameters.from_flat(np.zeros(layout3.size), layout3)
+        for name in ("w1", "b1", "w2", "b2"):
+            getattr(params3, name)[:] = getattr(params, name)
+        params3.filters[2][:] = params.filters[2]
+        params3.filter_biases[2][:] = params.filter_biases[2]
+        params3.w_out[:] = [[0.5, 1.0], [0.0, 0.0], [-0.5, 2.0]]
+        params3.b_out[:] = [-0.6, 0.0, 0.1]
         output, _ = forward(enc, table, params3, config3, mode="test")
         np.testing.assert_allclose(output, softmax3(np.array([0.4, 0.0, -0.9])), atol=1e-15)
         assert output.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _naive_feature_maps(x, filt, bias, h, p, w):
+    """Per-window relu conv of one filter, then its pool: plain loops."""
+    post = []
+    for k in range(x.size // p - h + 1):
+        acc = bias
+        for j in range(h * p):
+            acc += filt[j] * x[k * p + j]
+        post.append(max(0.0, acc))
+    return post, _naive_pool(post, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_model_configs(), seed=st.integers(0, 2**16))
+def test_forward_feature_maps_match_naive_conv_and_pool(config, seed):
+    # the conv and pool forward runs, checked on its own cache for random shapes
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(6, config.p))
+    matrix[0] = 0.0
+    table = EmbeddingTable(matrix=matrix, mode="non_static", p=config.p)
+    true_len = int(rng.integers(0, config.m + 1))
+    indices = np.zeros(config.m, dtype=np.int64)
+    indices[:true_len] = rng.integers(1, 6, size=true_len)
+    enc = EncodedHeadline(indices=indices, true_len=true_len)
+    params = init_parameters(config, rng)
+    params.flat[:] += rng.normal(0.0, 0.3, size=params.flat.size)  # non-zero biases too
+
+    _, cache = forward(enc, table, params, config, mode="train", rng=rng)
+    x = lookup_concat(enc, table)
+    z = []
+    for h in config.filter_widths:
+        assert cache.conv_pre[h].shape == (config.map_len(h), config.filters_per_width)
+        for f in range(config.filters_per_width):
+            post, (pooled, positions) = _naive_feature_maps(
+                x, params.filters[h][f], params.filter_biases[h][f], h, config.p, config.pool_w)
+            np.testing.assert_allclose(cache.conv_post[h][:, f], post, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(np.maximum(cache.conv_pre[h][:, f], 0.0), post,
+                                       rtol=1e-12, atol=1e-12)
+            # pooling picks exactly, so it is checked on forward's own map
+            assert _naive_pool(cache.conv_post[h][:, f].tolist(), config.pool_w) == (
+                cache.z[len(z):len(z) + len(pooled)].tolist(),
+                cache.pool_argmax[h][:, f].tolist())
+            z.extend(pooled)
+    np.testing.assert_allclose(cache.z, z, rtol=1e-12, atol=1e-12)
 
 
 class TestShapes:

@@ -8,7 +8,14 @@ import pytest
 
 from newsvane.embeddings import EmbeddingTable, init_self_learnt, load_pretrained
 from newsvane.corpus import generate_synthetic
-from newsvane.network import ModelConfig, ModelParameters, backward, forward, init_parameters
+from newsvane.network import (
+    ModelConfig,
+    ModelParameters,
+    backward,
+    forward,
+    init_parameters,
+    param_layout,
+)
 from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
 from newsvane.text import EncodedHeadline, Vocabulary
@@ -363,16 +370,13 @@ def _fixture_model():
         p=1, m=2, filter_widths=(2,), filters_per_width=4,
         hidden_sizes=(2, 1), dropout_rate=0.0, head="binary",
     )
-    params = ModelParameters(
-        filters={2: np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])},
-        filter_biases={2: np.zeros(4)},
-        w1=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
-        b1=np.zeros(2),
-        w2=np.array([[1.0, -1.0]]),
-        b2=np.zeros(1),
-        w_out=np.array([[4.0]]),
-        b_out=np.array([-2.0]),
-    )
+    layout = param_layout(config)
+    params = ModelParameters.from_flat(np.zeros(layout.size), layout)  # zero biases
+    params.filters[2][:] = [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    params.w1[:] = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    params.w2[:] = [[1.0, -1.0]]
+    params.w_out[:] = [[4.0]]
+    params.b_out[:] = [-2.0]
     pos = EncodedHeadline(indices=np.array([1, 0]), true_len=1)
     neg = EncodedHeadline(indices=np.array([2, 0]), true_len=1)
     return vocab, table, config, params, pos, neg
