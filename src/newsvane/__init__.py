@@ -47,8 +47,6 @@ from .network import (
     dense_forward,
     forward,
     init_parameters,
-    loss_binary,
-    loss_categorical,
     relu,
     sigmoid,
     softmax3,

@@ -257,6 +257,8 @@ def threshold_sweep(
 
 def default_threshold_grid(head_binary: bool, step: float = 0.01) -> list[float]:
     """Threshold grids used by the sweeps: [0.5, 0.9] binary, [0.33, 0.9] 3-way."""
+    if not step > 0:
+        raise ValueError(f"threshold grid step must be > 0, got {step!r}")
     start = 0.5 if head_binary else 0.33
     count = int(round((0.9 - start) / step))
     return [round(start + i * step, 10) for i in range(count + 1)]

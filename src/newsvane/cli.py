@@ -168,6 +168,8 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
     if cfg.strategy_head is not None:
         _require(cfg.strategy_head in (HEAD_BINARY, HEAD_MULTICLASS3),
                  f"unknown strategy head {cfg.strategy_head!r}")
+    _require(cfg.sweep_step > 0, f"config key 'sweep_step' in section 'strategy': "
+                                 f"expected a number > 0, got {cfg.sweep_step!r}")
     return cfg
 
 
@@ -181,9 +183,8 @@ def _build_table(cfg: RunConfig, vocab, mode: str, seed: int) -> embeddings.Embe
     )
 
 
-def _prepare(cfg: RunConfig) -> pipeline.PreparedData:
+def _prepare(cfg: RunConfig, prices: list[corpus.PriceBar]) -> pipeline.PreparedData:
     headlines = corpus.load_headlines(cfg.headlines_path, cfg.min_relevance)
-    prices = corpus.load_prices(cfg.prices_path)
     return pipeline.prepare_dataset(headlines, prices, set(cfg.portfolio), max_len=cfg.max_len)
 
 
@@ -217,7 +218,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    prepared = _prepare(cfg)
+    prepared = _prepare(cfg, corpus.load_prices(cfg.prices_path))
     out = cfg.out_dir
     save_vocabulary(prepared.vocab, out / "vocab.tsv")
     write_json_atomic(
@@ -246,7 +247,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    prepared = _prepare(cfg)
+    prepared = _prepare(cfg, corpus.load_prices(cfg.prices_path))
     vocab = prepared.vocab
     model_config = _model_config(cfg, vocab.max_len)
 
@@ -319,7 +320,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_checkpoint_for(cfg: RunConfig, args: argparse.Namespace) -> Checkpoint:
+def _checkpoint_run(
+    cfg: RunConfig, args: argparse.Namespace
+) -> tuple[Checkpoint, pipeline.PreparedData, list[corpus.PriceBar]]:
+    """The checkpoint to run, the prepared data and the price bars it runs
+    on, each read once, checked against each other."""
     path = Path(args.checkpoint) if args.checkpoint else cfg.out_dir / "checkpoint.json"
     _require(path.is_file(), f"checkpoint not found: {path}")
     ckpt = load_checkpoint(path)
@@ -330,22 +335,19 @@ def _load_checkpoint_for(cfg: RunConfig, args: argparse.Namespace) -> Checkpoint
             f"checkpoint (p={ckpt.config.p}, head={ckpt.config.head!r}) is incompatible "
             f"with the config (p={cfg.p}, head={cfg.head!r})"
         )
-    return ckpt
-
-
-def _check_vocab_hash(cfg: RunConfig, prepared: pipeline.PreparedData, ckpt: Checkpoint) -> None:
+    prices = corpus.load_prices(cfg.prices_path)
+    prepared = _prepare(cfg, prices)
     if vocabulary_hash(prepared.vocab) != ckpt.vocab_hash:
         raise ConfigError(
             "vocabulary hash mismatch: the data/config no longer reproduce the "
             "vocabulary this checkpoint was trained with"
         )
+    return ckpt, prepared, prices
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    ckpt = _load_checkpoint_for(cfg, args)
-    prepared = _prepare(cfg)
-    _check_vocab_hash(cfg, prepared, ckpt)
+    ckpt, prepared, _ = _checkpoint_run(cfg, args)
     metrics = training.evaluate(
         pipeline.to_pairs(prepared.test, ckpt.config.head), ckpt.table, ckpt.params,
         ckpt.config, class_threshold=args.class_threshold,
@@ -370,12 +372,12 @@ def _read_predictions_csv(path: Path) -> list[tuple[int, str, dt.date, float | n
                 continue
             try:
                 date = dt.datetime.strptime(row[1], "%Y-%m-%d").date()
-                if len(row) == 3:
-                    output: float | np.ndarray = float(row[2])
-                elif len(row) == 5:
-                    output = np.array([float(x) for x in row[2:5]])
-                else:
+                if len(row) not in (3, 5):
                     raise ValueError(f"expected 3 or 5 fields, got {len(row)}")
+                values = [float(x) for x in row[2:]]
+                if not all(0.0 <= v <= 1.0 for v in values):
+                    raise ValueError(f"probabilities must lie in [0, 1], got {values}")
+                output: float | np.ndarray = values[0] if len(row) == 3 else np.array(values)
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
             rows.append((lineno, row[0], date, output))
@@ -389,14 +391,12 @@ def _day_predictions(
 ) -> tuple[list[bt.DayPrediction], list[corpus.PriceBar], str]:
     """Day predictions from either a predictions CSV or a checkpoint run,
     with the head they were made by, checked against the strategy head."""
-    prices = corpus.load_prices(cfg.prices_path)
-    if getattr(args, "predictions", None):
+    if args.predictions:
+        prices = corpus.load_prices(cfg.prices_path)
         rows = _read_predictions_csv(Path(args.predictions))
         head = HEAD_BINARY if np.isscalar(rows[0][3]) else HEAD_MULTICLASS3
     else:
-        ckpt = _load_checkpoint_for(cfg, args)
-        prepared = _prepare(cfg)
-        _check_vocab_hash(cfg, prepared, ckpt)
+        ckpt, prepared, prices = _checkpoint_run(cfg, args)
         rows = [(s.headline_id, s.asset, s.date,
                  forward(s.enc, ckpt.table, ckpt.params, ckpt.config, mode="test")[0])
                 for s in prepared.test]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -69,8 +70,8 @@ class PriceBar:
     close: float
 
     def __post_init__(self) -> None:
-        if self.open <= 0 or self.close <= 0:
-            raise ValueError("prices must be positive")
+        if not (0 < self.open < math.inf and 0 < self.close < math.inf):
+            raise ValueError("prices must be positive and finite")
 
 
 @dataclass(frozen=True)

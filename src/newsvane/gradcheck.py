@@ -148,7 +148,7 @@ def _random_instance(rng: np.random.Generator, index: int):
 
 
 def _numeric_tensor_grad(arr: np.ndarray, loss_fn, step: float) -> np.ndarray:
-    out = np.zeros_like(arr)
+    out = np.zeros(arr.shape)
     flat = arr.reshape(-1)
     grad = out.reshape(-1)
     for i in range(flat.size):
@@ -181,22 +181,22 @@ def check_instance(
     they are pinned by contract, not by a zero derivative of the loss.
     """
     _, cache = forward(enc, table, params, config, mode="train", rng=None)
-    analytic = backward(cache, y, params, config, table)
+    analytic = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
+    analytic_emb = np.zeros(table.matrix.shape) if table.trainable else None
+    backward(cache, y, params, config, table, analytic, analytic_emb)
 
     def loss_fn() -> float:
         return _loss_of(enc, table, params, config, y)
 
-    errors = _rel_errors(analytic.params.flat, _numeric_tensor_grad(params.flat, loss_fn, step))
+    errors = _rel_errors(analytic.flat, _numeric_tensor_grad(params.flat, loss_fn, step))
     worst_index = int(np.argmax(errors))
     worst, worst_name = float(errors[worst_index]), params.layout.name_at(worst_index)
     n_checked = params.flat.size
-    if table.trainable:
+    if analytic_emb is not None:
         rows = table.matrix[1:]
         numeric_rows = _numeric_tensor_grad(rows, loss_fn, step)
         n_checked += rows.size
-        dense = np.zeros_like(table.matrix)
-        dense[analytic.emb_rows] = analytic.emb_grads
-        err = float(np.max(_rel_errors(dense[1:], numeric_rows)))
+        err = float(np.max(_rel_errors(analytic_emb[1:], numeric_rows)))
         if err > worst:
             worst, worst_name = err, "embeddings"
     desc = (

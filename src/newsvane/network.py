@@ -9,12 +9,13 @@ the pooled maps are concatenated into z; two fully connected relu layers with
 dropout follow; the output head is a single sigmoid unit (binary) or a
 3-way softmax (multiclass), trained with the matching cross-entropy loss.
 
-Everything is float64 and single-sample; the training loop batches by
-accumulating per-sample gradients in a fixed order, which keeps runs
-bit-reproducible. The embedding gradient of a sample is row-sparse: only the
-distinct non-padding rows its headline looks up, each summed over its
-positions in position order, so a backward pass never touches the rest of
-the table.
+Everything is float64 and single-sample. ``backward`` adds a sample's
+gradient into accumulators its caller owns, so the training loop sums a
+batch by calling it once per sample in a fixed order, which keeps runs
+bit-reproducible. The embedding gradient of a sample is row-sparse: it is
+added only to the distinct non-padding rows its headline looks up, each
+summed over its positions in position order, so a backward pass never
+touches the rest of the table.
 """
 
 from __future__ import annotations
@@ -161,10 +162,6 @@ class ModelParameters:
         """Named tensor views in layout order."""
         return zip(self.layout.names, self._views)
 
-    @classmethod
-    def zeros_like(cls, other: "ModelParameters") -> "ModelParameters":
-        return cls.from_flat(np.zeros_like(other.flat), other.layout)
-
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ModelParameters:
     """Scaled-normal initialization (std 1/sqrt(fan_in)), zero biases; the
@@ -179,23 +176,6 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ModelParam
     params.w2[:] = rng.normal(0.0, 1.0 / math.sqrt(l1), size=(l2, l1))
     params.w_out[:] = rng.normal(0.0, 1.0 / math.sqrt(l2), size=(config.out_dim, l2))
     return params
-
-
-@dataclass(eq=False)
-class Gradients:
-    """Gradients of one sample's loss.
-
-    The embedding gradient is row-sparse: ``emb_grads[i]`` is the gradient
-    of table row ``emb_rows[i]``. ``emb_rows`` holds the sorted distinct
-    non-padding rows the headline looks up, and each of their gradients sums
-    the row's positions in position order. Every other row, the padding row
-    and every row of a static table have zero gradient; a static table
-    yields no rows at all.
-    """
-
-    params: ModelParameters
-    emb_rows: np.ndarray   # (k,) int64, sorted, distinct, never 0
-    emb_grads: np.ndarray  # (k, p)
 
 
 # --- primitive operations -------------------------------------------------
@@ -318,19 +298,6 @@ def softmax3(z: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def loss_binary(sigma: float, y: int) -> float:
-    """Binary cross-entropy with the probability clamped away from {0, 1}."""
-    s = min(max(sigma, LOG_EPS), 1.0 - LOG_EPS)
-    return -(y * math.log(s) + (1 - y) * math.log(1.0 - s))
-
-
-def loss_categorical(probs: np.ndarray, y_onehot: np.ndarray) -> float:
-    """Categorical cross-entropy: -log of the true class probability."""
-    true_class = int(np.argmax(y_onehot))
-    s = min(max(float(probs[true_class]), LOG_EPS), 1.0 - LOG_EPS)
-    return -math.log(s)
-
-
 # --- full network ---------------------------------------------------------
 
 
@@ -413,12 +380,12 @@ def forward(
 
 
 def sample_loss(output: float | np.ndarray, y: int, head: str) -> float:
-    """Cross-entropy of one sample given the head's output activation."""
+    """Cross-entropy of one sample: -log of the probability the head gives
+    class ``y``, clamped to [LOG_EPS, 1 - LOG_EPS]."""
     if head == HEAD_BINARY:
-        return loss_binary(float(output), y)
-    onehot = np.zeros(3)
-    onehot[y] = 1.0
-    return loss_categorical(np.asarray(output), onehot)
+        s = min(max(float(output), LOG_EPS), 1.0 - LOG_EPS)
+        return -math.log(s if y else 1.0 - s)
+    return -math.log(min(max(float(output[y]), LOG_EPS), 1.0 - LOG_EPS))
 
 
 def backward(
@@ -427,23 +394,27 @@ def backward(
     params: ModelParameters,
     config: ModelConfig,
     table: EmbeddingTable,
-    out: ModelParameters | None = None,
-) -> Gradients:
-    """Exact analytic gradients of the per-sample loss.
+    acc: ModelParameters,
+    acc_emb: np.ndarray | None,
+) -> np.ndarray:
+    """Add the exact analytic gradient of one sample's loss into ``acc`` and
+    ``acc_emb``.
 
-    Gradients flow only through the max-pool argmax positions, relu passes
-    gradient only where its input was strictly positive, and the embedding
-    gradient (row-sparse, see :class:`Gradients`) leaves out the padding row
-    in every mode and is empty, without being computed, in static mode.
+    ``acc`` has the layout of ``params``; ``acc_emb`` is the table-shaped
+    accumulator of the embedding gradient, or None for a static table, whose
+    gradient is then not computed. Every tensor of ``acc`` receives
+    ``acc + g`` element by element, so calling this once per sample, in a
+    fixed order, into zeroed accumulators sums a batch reproducibly.
 
-    The parameter gradients are written into ``out`` when given (a
-    ModelParameters with the layout of ``params``; every tensor is
-    overwritten whole, so a training loop can reuse one across samples and
-    skip building its views per sample), else into a new one.
+    The gradient flows only through the max-pool argmax positions, and relu
+    passes it only where its input was strictly positive. The embedding
+    gradient is row-sparse: it is added only to the sorted distinct
+    non-padding rows the headline looks up, each summed over its positions
+    in position order first. Those rows are returned (none when ``acc_emb``
+    is None); every other row, the padding row included, is left as it was.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward pass")
-    grads = ModelParameters.zeros_like(params) if out is None else out
 
     # head: d(loss)/d(logits) for both cross-entropies
     if config.head == HEAD_BINARY:
@@ -453,24 +424,24 @@ def backward(
         onehot[y] = 1.0
         dlogits = cache.output - onehot
 
-    grads.w_out[:] = np.outer(dlogits, cache.drop2)
-    grads.b_out[:] = dlogits
+    acc.w_out += np.outer(dlogits, cache.drop2)
+    acc.b_out += dlogits
     ddrop2 = params.w_out.T @ dlogits
 
     dact2 = ddrop2 * cache.mask2
     dpre2 = dact2 * (cache.act2 > 0)
-    grads.w2[:] = np.outer(dpre2, cache.drop1)
-    grads.b2[:] = dpre2
+    acc.w2 += np.outer(dpre2, cache.drop1)
+    acc.b2 += dpre2
     ddrop1 = params.w2.T @ dpre2
 
     dact1 = ddrop1 * cache.mask1
     dpre1 = dact1 * (cache.act1 > 0)
-    grads.w1[:] = np.outer(dpre1, cache.z)
-    grads.b1[:] = dpre1
+    acc.w1 += np.outer(dpre1, cache.z)
+    acc.b1 += dpre1
     dz = params.w1.T @ dpre1
 
     n_f, p = config.filters_per_width, config.p
-    dx = np.zeros((config.m, p)) if table.trainable else None
+    dx = None if acc_emb is None else np.zeros((config.m, p))
     offset = 0
     for h in config.filter_widths:
         pooled_len = config.pooled_len(h)
@@ -478,12 +449,12 @@ def backward(
         offset += n_f * pooled_len
 
         # pool windows do not overlap, so every argmax cell is hit once
-        dpost = np.zeros_like(cache.conv_post[h])
+        dpost = np.zeros(cache.conv_post[h].shape)
         dpost[cache.pool_argmax[h], np.arange(n_f)] = seg
         dpre = dpost * (cache.conv_pre[h] > 0)
 
-        grads.filters[h][:] = dpre.T @ cache.windows[h]
-        grads.filter_biases[h][:] = dpre.sum(axis=0)
+        acc.filters[h] += dpre.T @ cache.windows[h]
+        acc.filter_biases[h] += dpre.sum(axis=0)
 
         if dx is not None:
             # window k covers words k..k+h-1; taking the word offset o from
@@ -493,10 +464,10 @@ def backward(
                 dx[o : o + dwindows.shape[0]] += dwindows[:, o]
 
     if dx is None:
-        return Gradients(params=grads, emb_rows=np.empty(0, dtype=np.int64),
-                         emb_grads=np.empty((0, p)))
+        return np.empty(0, dtype=np.int64)
     emb_rows, emb_grads = _sum_rows(cache.indices, dx)
-    return Gradients(params=grads, emb_rows=emb_rows, emb_grads=emb_grads)
+    acc_emb[emb_rows] += emb_grads
+    return emb_rows
 
 
 def _sum_rows(indices: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -76,8 +76,8 @@ class AdamState:
                 and 0.0 <= beta2 < 1.0 and math.isfinite(eps) and eps > 0.0):
             raise ValueError(f"Adam needs finite lr >= 0, betas in [0, 1) and finite eps > 0; "
                              f"got lr={lr}, beta1={beta1}, beta2={beta2}, eps={eps}")
-        # np.zeros, not zeros_like: pages of rows that are never stepped are
-        # never written, so they are never faulted in
+        # np.zeros by shape, which fills nothing: pages of rows that are
+        # never stepped are never written, so they are never faulted in
         return cls(
             lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
             m={k: np.zeros(a.shape) for k, a in tensors.items()},
@@ -187,9 +187,6 @@ def train(
     batch_size: int,
     seed: int,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> TrainResult:
     """Train in place for ``epochs`` passes of shuffled mini-batches.
 
@@ -212,13 +209,12 @@ def train(
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
     frozen = {"embeddings"} if table.mode == MODE_STATIC else set()
     tensors = {"params": params.flat, "embeddings": table.matrix}
-    state = AdamState.initialize(tensors, lr=lr, beta1=beta1, beta2=beta2, eps=eps, frozen=frozen)
-    # Batch sum of the row-sparse embedding gradients. Only the rows a batch
-    # touches are ever non-zero, so only those are scaled and re-zeroed, and
-    # only those are named to adam_step.
+    state = AdamState.initialize(tensors, lr=lr, frozen=frozen)
+    # Batch sums that backward adds each sample's gradient into. Only the
+    # rows a batch touches are ever non-zero in acc_emb, so only those are
+    # scaled and re-zeroed, and only those are named to adam_step.
+    acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
     acc_emb = np.zeros(table.matrix.shape) if table.trainable else None
-    # backward overwrites every tensor of this for each sample
-    grad_buf = ModelParameters.from_flat(np.empty(params.layout.size), params.layout)
 
     n = len(dataset)
     trace: list[EpochStats] = []
@@ -228,20 +224,15 @@ def train(
         correct = 0
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            acc = np.zeros_like(params.flat)
             touched: list[np.ndarray] = []
             for idx in batch:
                 enc, y = dataset[idx]
                 output, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
                 loss_sum += sample_loss(output, y, config.head)
                 correct += int(_predicted_class(output, config.head, 0.5) == y)
-                g = backward(cache, y, params, config, table, out=grad_buf)
-                acc += g.params.flat
-                if acc_emb is not None:
-                    acc_emb[g.emb_rows] += g.emb_grads
-                    touched.append(g.emb_rows)
+                touched.append(backward(cache, y, params, config, table, acc, acc_emb))
             scale = 1.0 / len(batch)
-            grads = {"params": acc * scale}
+            grads = {"params": acc.flat * scale}
             batch_rows = None
             if acc_emb is not None:
                 rows = np.unique(np.concatenate(touched))
@@ -257,6 +248,7 @@ def train(
                 name = params.layout.name_at(int(bad.argmax()))
                 raise NumericError(f"non-finite gradient for tensor {name!r}") from None
             table.matrix[0] = 0.0  # padding row stays frozen in every mode
+            acc.flat[:] = 0.0
             if acc_emb is not None:
                 acc_emb[rows] = 0.0
         trace.append(EpochStats(epoch=epoch, mean_loss=loss_sum / n, accuracy=correct / n))

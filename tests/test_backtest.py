@@ -240,6 +240,12 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(day_preds, bars, [0.9, 0.5])
 
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    def test_grid_step_must_be_positive(self, step):
+        for head_binary in (True, False):
+            with pytest.raises(ValueError, match="step must be > 0"):
+                default_threshold_grid(head_binary, step=step)
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_monotonicity_property(self, sigmas):

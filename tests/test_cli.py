@@ -229,6 +229,35 @@ class TestBacktest:
         assert report["pp_pct"] == expected.pp_pct
         assert report["atp_pct"] == expected.atp_pct
 
+    @pytest.mark.parametrize("header, bad", [
+        ("p0", "nan"), ("p0", "7.5"), ("p0", "-0.1"), ("p0", "inf"),
+        ("p0,p1,p2", "0.2,nan,0.3"), ("p0,p1,p2", "0.2,1.5,0.3"),
+    ])
+    def test_predictions_must_be_probabilities(self, workspace, tmp_path, capsys, header, bad):
+        _, config_path, _, _, _ = workspace
+        good = "0.9" if header == "p0" else "0.1,0.2,0.7"
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"asset,date,{header}\nSYN0,2015-01-05,{good}\nSYN0,2015-01-06,{bad}\n")
+        assert cli.main([
+            "backtest", "--config", str(config_path), "--predictions", str(preds),
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        assert f"{preds}: line 3: probabilities must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_checkpoint_run_reads_prices_once(self, workspace, tmp_path, monkeypatch):
+        _, config_path, _, out, _ = workspace
+        calls = []
+        real = cli.corpus.load_prices
+        monkeypatch.setattr(cli.corpus, "load_prices", lambda path: calls.append(path) or real(path))
+        for command in ("evaluate", "backtest", "sweep"):
+            calls.clear()
+            assert cli.main([
+                command, "--config", str(config_path),
+                "--checkpoint", str(out / "checkpoint.json"), "--out-dir", str(tmp_path),
+            ]) == 0
+            assert len(calls) == 1, command
+
     def test_sweep_subcommand(self, workspace, tmp_path):
         root, config_path, _, out, _ = workspace
         assert cli.main([
@@ -440,6 +469,20 @@ class TestUsageErrors:
         cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
         assert cfg.max_len is None
         assert cfg.epochs == 3 and isinstance(cfg.epochs, int)
+
+    @pytest.mark.parametrize("step", [0, -0.01])
+    def test_sweep_step_must_be_positive(self, workspace, tmp_path, capsys, step):
+        _, _, _, out, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["strategy"]["sweep_step"] = step
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        message = "config key 'sweep_step' in section 'strategy': expected a number > 0"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+        assert cli.main(["sweep", "--config", str(bad_path),
+                         "--checkpoint", str(out / "checkpoint.json")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_non_object_section_rejected(self, workspace, tmp_path):
         _, _, _, _, config = workspace

@@ -101,6 +101,13 @@ class TestLoadPrices:
         with pytest.raises(ValueError, match="line 2"):
             load_prices(path)
 
+    @pytest.mark.parametrize("bar", ["nan,101", "100,nan", "inf,101", "100,inf", "100,-inf"])
+    def test_non_finite_price_rejected(self, tmp_path, bar):
+        path = tmp_path / "p.csv"
+        path.write_text(f"asset,date,open,close\nAAA,2016-01-07,100,101\nAAA,2016-01-08,{bar}\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: prices must be positive and finite"):
+            load_prices(path)
+
 
 class TestNextTradingDay:
     BARS = [

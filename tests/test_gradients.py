@@ -12,10 +12,10 @@ def perturb_backward(monkeypatch, error):
     """Make the backward pass gradcheck calls add ``error`` to one filter entry."""
     real = gradcheck.backward
 
-    def backward(cache, y, params, config, table):
-        grads = real(cache, y, params, config, table)
-        grads.params.filters[config.filter_widths[0]][0, 0] += error
-        return grads
+    def backward(cache, y, params, config, table, acc, acc_emb):
+        rows = real(cache, y, params, config, table, acc, acc_emb)
+        acc.filters[config.filter_widths[0]][0, 0] += error
+        return rows
 
     monkeypatch.setattr(gradcheck, "backward", backward)
 

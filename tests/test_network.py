@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from newsvane.embeddings import EmbeddingTable, lookup_concat
 from newsvane.network import (
+    LOG_EPS,
     ModelConfig,
     ModelParameters,
     apply_dropout,
@@ -17,9 +18,7 @@ from newsvane.network import (
     dense_forward,
     forward,
     init_parameters,
-    loss_binary,
     param_layout,
-    loss_categorical,
     maxpool,
     relu,
     sample_loss,
@@ -209,25 +208,52 @@ class TestSoftmax3:
             np.testing.assert_allclose(s, softmax3(z + 123.456), atol=1e-12)
 
 
+def _old_loss_binary(sigma, y):
+    """The former separate binary cross-entropy, kept as an exact oracle."""
+    s = min(max(sigma, LOG_EPS), 1.0 - LOG_EPS)
+    return -(y * math.log(s) + (1 - y) * math.log(1.0 - s))
+
+
+def _old_loss_categorical(probs, y_onehot):
+    """The former separate categorical cross-entropy, kept as an exact oracle."""
+    s = min(max(float(probs[int(np.argmax(y_onehot))]), LOG_EPS), 1.0 - LOG_EPS)
+    return -math.log(s)
+
+
 class TestLosses:
     def test_binary_values(self):
-        assert loss_binary(0.5, 1) == pytest.approx(math.log(2.0), abs=1e-12)
-        assert loss_binary(1.0 - 1e-12, 1) == pytest.approx(0.0, abs=1e-6)
-        assert loss_binary(0.9, 0) == pytest.approx(-math.log(0.1), abs=1e-12)
+        assert sample_loss(0.5, 1, "binary") == pytest.approx(math.log(2.0), abs=1e-12)
+        assert sample_loss(1.0 - 1e-12, 1, "binary") == pytest.approx(0.0, abs=1e-6)
+        assert sample_loss(0.9, 0, "binary") == pytest.approx(-math.log(0.1), abs=1e-12)
 
     def test_binary_clamped_no_infinity(self):
-        assert math.isfinite(loss_binary(0.0, 1))
-        assert math.isfinite(loss_binary(1.0, 0))
+        assert math.isfinite(sample_loss(0.0, 1, "binary"))
+        assert math.isfinite(sample_loss(1.0, 0, "binary"))
 
     def test_categorical_values(self):
         uniform = np.full(3, 1 / 3)
         for cls in range(3):
-            onehot = np.eye(3)[cls]
-            assert loss_categorical(uniform, onehot) == pytest.approx(math.log(3.0), abs=1e-12)
-        assert loss_categorical(np.array([0.0, 1.0, 0.0]), np.eye(3)[1]) == pytest.approx(0.0, abs=1e-6)
-        assert loss_categorical(np.array([0.7, 0.2, 0.1]), np.eye(3)[1]) == pytest.approx(
+            assert sample_loss(uniform, cls, "multiclass3") == pytest.approx(math.log(3.0), abs=1e-12)
+        assert sample_loss(np.array([0.0, 1.0, 0.0]), 1, "multiclass3") == pytest.approx(0.0, abs=1e-6)
+        assert sample_loss(np.array([0.7, 0.2, 0.1]), 1, "multiclass3") == pytest.approx(
             -math.log(0.2), abs=1e-12
         )
+
+    def test_matches_former_formulas_bit_for_bit(self):
+        # the clamp edges, values just inside and outside them, and random
+        # probabilities, for every class of both heads
+        edges = [0.0, LOG_EPS / 2, LOG_EPS, 2 * LOG_EPS, 0.5, 1.0 - 2 * LOG_EPS, 1.0 - LOG_EPS,
+                 1.0 - LOG_EPS / 2, 1.0, 1.0 + LOG_EPS, -LOG_EPS]
+        rng = np.random.default_rng(11)
+        for sigma in edges + rng.random(500).tolist():
+            for y in (0, 1):
+                assert sample_loss(sigma, y, "binary") == _old_loss_binary(sigma, y)
+        probs = [np.array(row) for row in
+                 [(0.0, 0.0, 1.0), (LOG_EPS, 1.0 - LOG_EPS, 0.0), (1.0, 0.0, 0.0)]]
+        probs += list(rng.dirichlet(np.full(3, 0.3), size=300))
+        for row in probs:
+            for y in range(3):
+                assert sample_loss(row, y, "multiclass3") == _old_loss_categorical(row, np.eye(3)[y])
 
 
 def _toy_setup():
@@ -290,8 +316,6 @@ class TestParamLayout:
         assert params.flat.size == sum(a.size for _, a in params.tensors())
         params.w1[0, 0] = 9.0
         assert params.flat[params.layout.starts[params.layout.names.index("w1")]] == 9.0
-        grads = ModelParameters.zeros_like(params)
-        assert grads.layout is params.layout and not grads.flat.any()
 
 
 class TestForward:
@@ -432,22 +456,31 @@ class TestShapes:
             ModelConfig(p=2, m=6, filter_widths=(2,), filters_per_width=2, hidden_sizes=(2, 2))
 
 
+def _backward(cache, y, params, config, table):
+    """One sample's gradient in zeroed accumulators: (params, embeddings or None, rows)."""
+    acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
+    acc_emb = np.zeros(table.matrix.shape) if table.trainable else None
+    rows = backward(cache, y, params, config, table, acc, acc_emb)
+    return acc, acc_emb, rows
+
+
 class TestBackwardContracts:
     def test_static_mode_embedding_block_zero(self):
         config, table, enc, params = _toy_setup()
         static_table = EmbeddingTable(matrix=table.matrix.copy(), mode="static", p=1)
         _, cache = forward(enc, static_table, params, config, mode="train")
-        grads = backward(cache, 1, params, config, static_table)
-        assert grads.emb_rows.shape == (0,) and grads.emb_grads.shape == (0, 1)
+        acc, acc_emb, rows = _backward(cache, 1, params, config, static_table)
+        assert acc_emb is None and rows.shape == (0,) and rows.dtype == np.int64
+        assert acc.flat.any()
 
     def test_padding_row_gradient_always_zero(self):
         config, table, _, params = _toy_setup()
         enc = EncodedHeadline(indices=np.array([2, 1, 0]), true_len=2)
         _, cache = forward(enc, table, params, config, mode="train")
-        grads = backward(cache, 0, params, config, table)
-        assert grads.emb_rows.tolist() == [1, 2]  # sorted, padding row 0 left out
-        assert grads.emb_grads.shape == (2, 1)
-        assert np.all(grads.emb_grads != 0.0)  # trainable rows do receive gradient
+        _, acc_emb, rows = _backward(cache, 0, params, config, table)
+        assert rows.tolist() == [1, 2]  # sorted, padding row 0 left out
+        assert not acc_emb[0].any()
+        assert np.all(acc_emb[1:] != 0.0)  # trainable rows do receive gradient
 
     def test_repeated_rows_sum_like_dense_add_at(self):
         # Two headlines with bit-identical embedding vectors X: one repeats
@@ -469,45 +502,53 @@ class TestBackwardContracts:
             table = EmbeddingTable(matrix=mat, mode="self_learnt", p=6)
             _, cache = forward(EncodedHeadline(indices=idx, true_len=7), table, params, config,
                                mode="train")
-            grads[name] = backward(cache, 2, params, config, table)
-        assert grads["distinct"].emb_rows.tolist() == [1, 2, 3, 4, 5, 6, 7]
+            grads[name] = _backward(cache, 2, params, config, table)
+        assert grads["distinct"][2].tolist() == [1, 2, 3, 4, 5, 6, 7]
         dense = np.zeros_like(matrix)
-        np.add.at(dense, indices[:7], grads["distinct"].emb_grads)
-        assert grads["repeated"].emb_rows.tolist() == [1, 2, 3]
-        assert grads["repeated"].emb_grads.tobytes() == dense[1:].tobytes()
-        assert grads["repeated"].params.flat.tobytes() == grads["distinct"].params.flat.tobytes()
+        np.add.at(dense, indices[:7], grads["distinct"][1][1:8])
+        assert grads["repeated"][2].tolist() == [1, 2, 3]
+        assert grads["repeated"][1].tobytes() == dense.tobytes()
+        assert grads["repeated"][0].flat.tobytes() == grads["distinct"][0].flat.tobytes()
 
     def test_zero_loss_sample_has_vanishing_gradients(self):
         config, table, enc, params = _toy_setup()
         params.b_out[:] = 40.0  # saturate sigmoid at ~1 for target y=1
         output, cache = forward(enc, table, params, config, mode="train")
         assert sample_loss(output, 1, config.head) < 1e-6
-        grads = backward(cache, 1, params, config, table)
-        worst = max(np.abs(arr).max() for _, arr in grads.params.tensors())
+        acc, _, _ = _backward(cache, 1, params, config, table)
+        worst = max(np.abs(arr).max() for _, arr in acc.tensors())
         assert worst < 1e-12
 
-    def test_reused_gradient_buffer_matches_fresh(self):
-        # backward overwrites every tensor of ``out`` whole, so a buffer that
-        # holds garbage or the previous sample's gradient gives the same bytes
+    def test_backward_adds_never_overwrites(self):
+        # From accumulators pre-filled with a known value, one call adds one
+        # sample's gradient and a second call on the same cache adds it again:
+        # the result is exactly the known value plus twice one call's gradient
+        # in every tensor, and untouched embedding rows keep the known value.
         rng = np.random.default_rng(6)
         config = ModelConfig(p=3, m=7, filter_widths=(2, 4), filters_per_width=2,
                              hidden_sizes=(4, 2), dropout_rate=0.3)
-        matrix = rng.normal(size=(6, 3))
+        matrix = rng.normal(size=(8, 3))
         matrix[0] = 0.0
         table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=3)
         params = init_parameters(config, rng)
-        out = ModelParameters.from_flat(np.full(params.layout.size, np.nan), params.layout)
         for y, indices in ((1, [1, 2, 3, 4, 5, 0, 0]), (0, [5, 5, 4, 0, 0, 0, 0])):
             enc = EncodedHeadline(indices=np.array(indices), true_len=int(np.count_nonzero(indices)))
             _, cache = forward(enc, table, params, config, mode="train",
                                rng=np.random.default_rng(y))
-            fresh = backward(cache, y, params, config, table)
-            reused = backward(cache, y, params, config, table, out=out)
-            assert reused.params is out
-            assert out.flat.tobytes() == fresh.params.flat.tobytes()
-            assert reused.emb_grads.tobytes() == fresh.emb_grads.tobytes()
+            once, once_emb, rows = _backward(cache, y, params, config, table)
+            acc = ModelParameters.from_flat(np.full(params.layout.size, 0.375), params.layout)
+            acc_emb = np.full(matrix.shape, 0.375)
+            for _ in range(2):
+                again = backward(cache, y, params, config, table, acc, acc_emb)
+                assert again.tolist() == rows.tolist()
+            assert acc.flat.tobytes() == ((0.375 + once.flat) + once.flat).tobytes()
+            assert acc_emb.tobytes() == ((0.375 + once_emb) + once_emb).tobytes()
+            untouched = np.ones(len(matrix), dtype=bool)
+            untouched[rows] = False
+            assert np.all(acc_emb[untouched] == 0.375) and untouched[0]
 
     def test_backward_requires_cache(self):
         config, table, enc, params = _toy_setup()
+        acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
         with pytest.raises(ValueError):
-            backward(None, 1, params, config, table)
+            backward(None, 1, params, config, table, acc, np.zeros(table.matrix.shape))

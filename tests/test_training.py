@@ -303,11 +303,12 @@ def _dense_reference_train(dataset, table, params, config, epochs, batch_size, s
             for i in batch:
                 enc, y = dataset[i]
                 _, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
-                g = backward(cache, y, params, config, table)
-                demb = np.zeros_like(table.matrix)
-                np.add.at(demb, g.emb_rows, g.emb_grads)
-                acc["params"] += g.params.flat
-                acc["embeddings"] += demb
+                g = ModelParameters.from_flat(np.zeros_like(params.flat), params.layout)
+                demb = np.zeros_like(table.matrix) if table.trainable else None
+                backward(cache, y, params, config, table, g, demb)
+                acc["params"] += g.flat
+                if demb is not None:
+                    acc["embeddings"] += demb
             t += 1
             for name, theta in tensors.items():
                 g = acc[name] * (1.0 / len(batch))
