@@ -1,43 +1,38 @@
-"""Versioned JSON checkpoints for trained models.
+"""Versioned checkpoints for trained models: a JSON file and a raw sidecar.
 
-A checkpoint is self-contained: model configuration, the vocabulary (with
-its content hash), the embedding table and the network parameters as one
-flat vector, whose layout is derived from the configuration rather than
-stored. Arrays are stored as base64 of their raw little-endian float64
-bytes, so saving the same state twice produces byte-identical files. Every
-array is checked against the configuration and vocabulary on load.
+``save_checkpoint(path, ...)`` writes two files. The sidecar
+``path.with_suffix(".npy")`` is one NumPy ``.npy`` file (format 1.0) holding
+a single little-endian float64 vector: the embedding table's rows, then the
+network parameters as one flat vector, whose layout is derived from the
+configuration rather than stored. The JSON file at ``path`` holds the model
+configuration, the vocabulary as one newline-joined string (with its
+content hash), the table's mode and the sidecar's file name and sha256. The
+sidecar is written first and the JSON last, each atomically, and saving the
+same state twice produces byte-identical files. Loading checks every field
+and the sidecar's hash, dtype and length against the configuration and
+vocabulary.
 """
 
 from __future__ import annotations
 
-import base64
-import math
+import hashlib
+import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .embeddings import MODES, EmbeddingTable
-from .fileio import CONVERTERS, list_of, read_json, strict_int, strict_str, write_json_atomic
+from .fileio import CONVERTERS, open_atomic, read_json, strict_int, strict_str, write_json_atomic
 from .network import ModelConfig, ModelParameters, param_layout
 from .text import Vocabulary, vocabulary_hash
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
     pass
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype != np.float64:
-        raise CheckpointError(f"unsupported dtype {arr.dtype}")
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
 
 
 def _value(section: dict, key: str, convert, path: str | Path, field: str):
@@ -56,17 +51,54 @@ def _as_object(value) -> dict:
     return value
 
 
-def _decode_array(section: dict, key: str, path: str | Path, field: str,
-                  shape: tuple[int, ...]) -> np.ndarray:
-    """Decode a stored float64 array, rejecting any other structure, dtype or shape."""
-    d = _value(section, key, _as_object, path, field)
-    stored = (d.get("dtype"), d.get("shape"))
-    if stored != ("float64", list(shape)):
-        raise CheckpointError(f"{path}: {field}: {stored[0]} {stored[1]}, expected float64 {list(shape)}")
-    raw = _value(d, "data", base64.b64decode, path, f"{field}.data")
-    if len(raw) != 8 * math.prod(shape):
-        raise CheckpointError(f"{path}: {field}: {len(raw)} data bytes, expected {8 * math.prod(shape)}")
-    return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+def _basename(value) -> str:
+    """A file name with no directory part, so a checkpoint only names files beside it."""
+    name = strict_str(value)
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"expected a plain file name, got {name!r}")
+    return name
+
+
+def _write_sidecar(path: Path, arrays: tuple[np.ndarray, ...]) -> str:
+    """Write ``arrays`` end to end as one float64 .npy vector, atomically;
+    returns the file's sha256."""
+    header = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (sum(a.size for a in arrays),)})
+    digest = hashlib.sha256()
+    with open_atomic(path) as fh:
+        for chunk in (header.getvalue(), *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)):
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
+
+
+def _read_sidecar(path: Path, name: str, sha256: str, size: int) -> np.ndarray:
+    """The float64 vector of ``size`` in the sidecar ``name`` beside ``path``,
+    checked against ``sha256`` and its own header before its data is read."""
+    try:
+        with open(path.parent / name, "rb") as fh:
+            digest = hashlib.sha256()
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+            if digest.hexdigest() != sha256:
+                raise CheckpointError(f"{path}: sidecar.sha256: does not match the file {name}")
+            fh.seek(0)
+            try:
+                if npy_format.read_magic(fh) != (1, 0):
+                    raise ValueError("not an .npy file of format 1.0")
+                shape, _, dtype = npy_format.read_array_header_1_0(fh)
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: sidecar: invalid ({exc})") from None
+            if dtype != np.dtype("<f8") or shape != (size,):
+                raise CheckpointError(
+                    f"{path}: sidecar: {dtype} {list(shape)}, expected float64 [{size}]")
+            vec = np.fromfile(fh, dtype="<f8", count=size)
+            if vec.size != size or fh.read(1):
+                raise CheckpointError(f"{path}: sidecar: data is not {size} float64 values")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: sidecar.name: cannot read {name}: {exc.strerror or exc}") from None
+    return vec
 
 
 def _read_config(payload: dict, path: str | Path) -> ModelConfig:
@@ -102,33 +134,52 @@ def save_checkpoint(
     params: ModelParameters,
     training_meta: dict | None = None,
 ) -> None:
+    """Write the sidecar ``path.with_suffix(".npy")``, then the JSON file ``path``.
+
+    Raises CheckpointError for a path that ends in ``.npy`` (the JSON would
+    replace its own sidecar), a token that is empty or contains a newline
+    (the vocabulary is stored newline-joined) and arrays that are not float64.
+    """
+    path = Path(path)
+    sidecar = path.with_suffix(".npy")
+    if sidecar == path:
+        raise CheckpointError(f"{path}: a checkpoint path must not end in .npy, its sidecar's suffix")
     tokens = [w for w, _ in sorted(vocab.word_to_index.items(), key=lambda kv: kv[1])]
+    for token in tokens:
+        if not token or "\n" in token:
+            raise CheckpointError(f"cannot save the token {token!r}: it is empty or holds a newline")
+    arrays = (table.matrix, params.flat)
+    for arr in arrays:
+        if arr.dtype != np.float64:
+            raise CheckpointError(f"unsupported dtype {arr.dtype}")
     payload = {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
-        "vocab": {"tokens": tokens, "max_len": vocab.max_len},
+        "vocab": {"tokens": "\n".join(tokens), "max_len": vocab.max_len},
         "vocab_hash": vocabulary_hash(vocab),
         "embedding": {
             "mode": table.mode,
             "p": table.p,
             "pretrained_hit_count": table.pretrained_hit_count,
-            "matrix": _encode_array(table.matrix),
         },
-        "params": _encode_array(params.flat),
+        "sidecar": {"name": sidecar.name, "sha256": _write_sidecar(sidecar, arrays)},
         "training_meta": training_meta or {},
     }
     write_json_atomic(path, payload)
 
 
 def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None) -> Checkpoint:
-    """Load and validate a checkpoint.
+    """Load and validate a checkpoint and its sidecar.
 
-    Rejects other format versions, a section, array or value that is
-    missing or of the wrong JSON type (naming the field), internal
-    vocabulary-hash mismatches (corruption), arrays whose dtype or shape
-    disagrees with the configuration and vocabulary, and, when
-    ``expected_config`` is given, any configuration disagreement.
+    Rejects other format versions (format 2 and older included), a section
+    or value that is missing or of the wrong JSON type (naming the field),
+    an empty token, internal vocabulary-hash mismatches (corruption), a
+    sidecar name with a directory part, a missing sidecar or one whose
+    sha256 differs, a sidecar whose dtype or length disagrees with the
+    configuration and vocabulary, and, when ``expected_config`` is given,
+    any configuration disagreement.
     """
+    path = Path(path)
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -142,7 +193,10 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
         raise CheckpointError(f"{path}: checkpoint config does not match the expected config")
 
     vocab_section = _value(payload, "vocab", _as_object, path, "vocab")
-    tokens = _value(vocab_section, "tokens", list_of(strict_str), path, "vocab.tokens")
+    joined = _value(vocab_section, "tokens", strict_str, path, "vocab.tokens")
+    tokens = joined.split("\n") if joined else []
+    if "" in tokens:
+        raise CheckpointError(f"{path}: vocab.tokens: empty token")
     vocab = Vocabulary(
         word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
         max_len=_value(vocab_section, "max_len", strict_int, path, "vocab.max_len"),
@@ -157,16 +211,19 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     p = _value(emb, "p", strict_int, path, "embedding.p")
     if p != config.p:
         raise CheckpointError(f"{path}: embedding.p is {p}, but the config has p={config.p}")
-    matrix = _decode_array(emb, "matrix", path, "embedding.matrix", (len(tokens) + 1, p))
     hits = _value(emb, "pretrained_hit_count", strict_int, path, "embedding.pretrained_hit_count")
     mode = _value(emb, "mode", strict_str, path, "embedding.mode")
     if mode not in MODES:
         raise CheckpointError(f"{path}: embedding.mode: unknown mode {mode!r}")
-    table = EmbeddingTable(matrix=matrix, mode=mode, p=p, pretrained_hit_count=hits)
+    sidecar = _value(payload, "sidecar", _as_object, path, "sidecar")
+    name = _value(sidecar, "name", _basename, path, "sidecar.name")
+    sha256 = _value(sidecar, "sha256", strict_str, path, "sidecar.sha256")
     layout = param_layout(config)
-    params = ModelParameters.from_flat(
-        _decode_array(payload, "params", path, "params", (layout.size,)), layout
-    )
+    n_table = (len(tokens) + 1) * p
+    vec = _read_sidecar(path, name, sha256, n_table + layout.size)
+    table = EmbeddingTable(matrix=vec[:n_table].reshape(len(tokens) + 1, p), mode=mode, p=p,
+                           pretrained_hit_count=hits)
+    params = ModelParameters.from_flat(vec[n_table:], layout)
     return Checkpoint(
         config=config, vocab=vocab, table=table, params=params,
         vocab_hash=stored_hash,

@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime as dt
 import functools
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -170,6 +171,8 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
                  f"unknown strategy head {cfg.strategy_head!r}")
     _require(cfg.sweep_step > 0, f"config key 'sweep_step' in section 'strategy': "
                                  f"expected a number > 0, got {cfg.sweep_step!r}")
+    _require(0.0 <= cfg.threshold <= 1.0, f"config key 'threshold' in section 'strategy': "
+                                          f"expected a number in [0, 1], got {cfg.threshold!r}")
     return cfg
 
 
@@ -465,6 +468,17 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+def _probability(text: str) -> float:
+    """An argparse type: a number in [0, 1] (so never NaN)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the JSON run configuration")
@@ -495,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", parents=[common], help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--class-threshold", type=float, default=0.5)
+    p.add_argument("--class-threshold", type=_probability, default=0.5)
     p.set_defaults(func=cmd_evaluate, needs_config=True)
 
     p = sub.add_parser("backtest", parents=[common], help="simulate the trading strategy")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,10 +96,15 @@ class DatasetSplit:
     test_dates: tuple[dt.date, ...]
 
 
+# Memoized per distinct string: a corpus repeats a few thousand dates and
+# times across its rows, and date and time objects are immutable, so the
+# rows can share them. The bound keeps a long-lived process from growing.
+@functools.lru_cache(maxsize=1 << 16)
 def _parse_date(text: str) -> dt.date:
     return dt.datetime.strptime(text, "%Y-%m-%d").date()
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _parse_time(text: str) -> dt.time:
     return dt.datetime.strptime(text, "%H:%M").time()
 

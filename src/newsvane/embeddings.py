@@ -9,8 +9,10 @@ and are fine-tuned during training.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,10 +68,53 @@ def init_self_learnt(
     return EmbeddingTable(matrix=matrix, mode=MODE_SELF_LEARNT, p=p)
 
 
+def _vector_fields(lines: Iterable[str], tokens: list[str]) -> Iterator[str]:
+    """The text after the token on each non-blank line; each token is
+    appended to ``tokens`` as its line is read."""
+    for line in lines:
+        parts = line.split(maxsplit=1)
+        if parts:
+            tokens.append(parts[0])
+            yield parts[1] if len(parts) == 2 else ""
+
+
+def _parse_vector_lines(lines: Iterable[str], path: Path, dim: int) -> tuple[list[str], np.ndarray]:
+    """Line-by-line parse with ``float()``: the reference that names the
+    first bad line, and the parse for the inputs ``np.loadtxt`` rejects."""
+    tokens: list[str] = []
+    rows: list[np.ndarray] = []
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != dim + 1:
+            raise ValueError(
+                f"{path}: line {lineno}: expected token plus {dim} floats, got {len(parts) - 1}"
+            )
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: malformed float") from exc
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        tokens.append(parts[0])
+        rows.append(vec)
+    return tokens, np.array(rows).reshape(len(rows), dim)
+
+
 def _parse_vector_file(path: Path) -> tuple[int, dict[str, np.ndarray], np.ndarray]:
     """Parse a word2vec-style text file: header '<count> <dim>', then one
-    '<token> <v1> ... <v_dim>' line per vector. Returns (dim, token->vector,
-    all file vectors stacked in file order)."""
+    '<token> <v1> ... <v_dim>' line per vector; blank lines are skipped.
+    Returns (dim, token->vector, all file vectors stacked in file order).
+
+    The body is streamed once: Python splits off each line's token and
+    ``np.loadtxt`` converts the floats, which it parses exactly as
+    ``float()`` does. When that fails, or yields the wrong shape or a
+    non-finite value, the body is read again line by line with ``float()``:
+    that parse raises the error naming the line, or reads what ``loadtxt``
+    rejects and ``float()`` accepts (``1_0``, non-ASCII digits). Non-finite
+    values are rejected, since they would make every fallback row NaN.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -81,25 +126,26 @@ def _parse_vector_file(path: Path) -> tuple[int, dict[str, np.ndarray], np.ndarr
             raise ValueError(f"{path}: line 1: expected integer count and dim") from exc
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
-        vectors: dict[str, np.ndarray] = {}
-        rows: list[np.ndarray] = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected token plus {dim} floats, got {len(parts) - 1}"
-                )
+        body = fh.tell()
+        tokens: list[str] = []
+        fields = _vector_fields(fh, tokens)
+        first = next(fields, None)  # loadtxt warns on an empty body
+        values = None
+        if first is not None:
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed float") from exc
-            rows.append(vec)
-            vectors.setdefault(parts[0], vec)
-    if not rows:
+                values = np.loadtxt(itertools.chain([first], fields), dtype=np.float64,
+                                    ndmin=2, comments=None)
+            except ValueError:
+                pass
+        if values is None or values.shape != (len(tokens), dim) or not np.isfinite(values).all():
+            fh.seek(body)
+            tokens, values = _parse_vector_lines(fh, path, dim)
+    if not tokens:
         raise ValueError(f"{path}: no vectors in file")
-    return dim, vectors, np.vstack(rows)
+    vectors: dict[str, np.ndarray] = {}
+    for token, row in zip(tokens, values):
+        vectors.setdefault(token, row)
+    return dim, vectors, values
 
 
 def load_pretrained(

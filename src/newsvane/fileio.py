@@ -1,10 +1,10 @@
 """Atomic file writers and the strict JSON reader.
 
-All machine outputs (CSV, JSON, checkpoints) go through these helpers: the
-content is written to a temporary file in the target directory and renamed
-into place, so a crashed run never leaves a truncated report behind. Run
-configs and checkpoints are read back with ``read_json`` and the strict
-converters below.
+All machine outputs (CSV, JSON, checkpoints and their sidecars) go through
+these helpers: the content is written to a temporary file in the target
+directory and renamed into place, so a crashed run never leaves a truncated
+report behind. Run configs and checkpoints are read back with ``read_json``
+and the strict converters below.
 """
 
 from __future__ import annotations
@@ -15,22 +15,31 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 
-def write_text_atomic(path: str | Path, content: str) -> None:
+@contextmanager
+def open_atomic(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file whose content replaces ``path`` only when the block
+    exits without an exception; until then it is a temporary file beside it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str | Path, content: str) -> None:
+    with open_atomic(path) as fh:
+        fh.write(content.encode("utf-8"))
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +39,20 @@ STOP_WORDS: frozenset[str] = frozenset(
 _EXTRA_PUNCTUATION = frozenset("$%&+<=>|~")
 
 
-@lru_cache(maxsize=4096)
 def _is_punctuation(ch: str) -> bool:
     return ch in _EXTRA_PUNCTUATION or unicodedata.category(ch).startswith("P")
+
+
+class _PunctuationTable(dict):
+    """A ``str.translate`` table that deletes punctuation: each code point's
+    entry (None to delete it, else itself) is filled in when first seen."""
+
+    def __missing__(self, code: int) -> int | None:
+        self[code] = entry = None if _is_punctuation(chr(code)) else code
+        return entry
+
+
+_DELETE_PUNCTUATION = _PunctuationTable()
 
 
 def tokenize(text: str) -> list[str]:
@@ -52,7 +62,7 @@ def tokenize(text: str) -> list[str]:
     is split on whitespace, and stop-words are removed. The output may be
     empty; downstream encoding handles that.
     """
-    cleaned = "".join(ch for ch in text.lower() if not _is_punctuation(ch))
+    cleaned = text.lower().translate(_DELETE_PUNCTUATION)
     return [tok for tok in cleaned.split() if tok not in STOP_WORDS]
 
 

@@ -337,7 +337,7 @@ def test_criterion_8_determinism(tmp_path):
         assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
         outputs[run] = {
             name: (out / name).read_bytes()
-            for name in ("checkpoint.json", "metrics.json", "trace.csv",
+            for name in ("checkpoint.json", "checkpoint.npy", "metrics.json", "trace.csv",
                          "report.json", "sweep.csv")
         }
     for name in outputs["one"]:

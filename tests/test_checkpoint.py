@@ -1,7 +1,8 @@
 """Checkpoint serialization tests."""
 
-import base64
 import dataclasses
+import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from newsvane.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from newsvane.embeddings import init_self_learnt
-from newsvane.network import ModelConfig, init_parameters
+from newsvane.network import ModelConfig, init_parameters, param_layout
 from newsvane.text import Vocabulary
 
 
@@ -46,9 +47,51 @@ class TestRoundtrip:
 
     def test_byte_identical_saves(self, tmp_path, model_bits):
         vocab, config, table, params = model_bits
-        save_checkpoint(tmp_path / "a.json", config, vocab, table, params)
-        save_checkpoint(tmp_path / "b.json", config, vocab, table, params)
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        for run in ("a", "b"):
+            save_checkpoint(tmp_path / run / "ckpt.json", config, vocab, table, params)
+        for name in ("ckpt.json", "ckpt.npy"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_sidecar_is_one_npy_vector(self, tmp_path, model_bits):
+        """The sidecar is what np.save writes for the table rows followed by
+        the parameter vector, and the JSON names it and its sha256."""
+        vocab, config, table, params = model_bits
+        save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        buf = io.BytesIO()
+        np.save(buf, np.concatenate([table.matrix.ravel(), params.flat]), allow_pickle=False)
+        raw = (tmp_path / "ckpt.npy").read_bytes()
+        assert raw == buf.getvalue()
+        payload = json.loads((tmp_path / "ckpt.json").read_text())
+        assert payload["sidecar"] == {"name": "ckpt.npy", "sha256": hashlib.sha256(raw).hexdigest()}
+        assert payload["vocab"]["tokens"] == "alpha\nbeta\ngamma"
+
+    @pytest.mark.parametrize("tokens", [(), ("solo",), ("a b", "tab\there", "ünï", "cr\r")],
+                             ids=["empty", "one-token", "odd-tokens"])
+    def test_vocabulary_edge_cases_roundtrip(self, tmp_path, tokens):
+        vocab = Vocabulary(word_to_index={t: i + 1 for i, t in enumerate(tokens)}, max_len=4)
+        config = ModelConfig(p=2, m=4, filter_widths=(2,), filters_per_width=2,
+                             hidden_sizes=(3, 1), dropout_rate=0.0, head="binary")
+        table = init_self_learnt(vocab, 2, seed=3)
+        params = init_parameters(config, np.random.default_rng(3))
+        save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        ckpt = load_checkpoint(tmp_path / "ckpt.json", expected_config=config)
+        assert ckpt.vocab == vocab
+        assert ckpt.table.matrix.tobytes() == table.matrix.tobytes()
+        assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+
+    @pytest.mark.parametrize("token", ["", "two\nlines"], ids=["empty", "newline"])
+    def test_unstorable_token_refused(self, tmp_path, model_bits, token):
+        vocab, config, table, params = model_bits
+        vocab = Vocabulary(word_to_index={"alpha": 1, token: 2, "gamma": 3}, max_len=5)
+        with pytest.raises(CheckpointError, match="token"):
+            save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        assert not list(tmp_path.iterdir())
+
+    def test_npy_path_refused(self, tmp_path, model_bits):
+        """The JSON file would replace its own sidecar."""
+        vocab, config, table, params = model_bits
+        with pytest.raises(CheckpointError, match=r"\.npy"):
+            save_checkpoint(tmp_path / "ckpt.npy", config, vocab, table, params)
 
     def test_expected_config_mismatch_rejected(self, tmp_path, model_bits):
         vocab, config, table, params = model_bits
@@ -63,7 +106,7 @@ class TestRoundtrip:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
         payload = json.loads(path.read_text())
-        for version in (1, 99):  # 1 is the retired per-tensor format
+        for version in (1, 2, 99):  # 1 and 2 are the retired all-JSON formats
             payload["format_version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(CheckpointError, match=f"format {version}"):
@@ -74,15 +117,34 @@ class TestRoundtrip:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
         payload = json.loads(path.read_text())
-        payload["vocab"]["tokens"][0] = "tampered"
+        payload["vocab"]["tokens"] = payload["vocab"]["tokens"].replace("alpha", "tampered")
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="hash"):
             load_checkpoint(path)
 
 
-def _array(arr: np.ndarray) -> dict:
-    return {"dtype": "float64", "shape": list(arr.shape),
-            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+def _rewrite(path: Path, tamper) -> None:
+    """Apply ``tamper(payload, sidecar_path)`` to a saved checkpoint."""
+    payload = json.loads(path.read_text())
+    tamper(payload, path.with_suffix(".npy"))
+    path.write_text(json.dumps(payload))
+
+
+def _npy(vec: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, vec, allow_pickle=vec.dtype == object)
+    return buf.getvalue()
+
+
+def _sidecar(edit):
+    """A tamper that replaces the sidecar with ``edit(vector, raw bytes)``
+    and records the new file's sha256, so the checks behind the hash run."""
+    def tamper(payload, sidecar):
+        raw = sidecar.read_bytes()
+        new = edit(np.load(io.BytesIO(raw), allow_pickle=False), raw)
+        sidecar.write_bytes(new)
+        payload["sidecar"]["sha256"] = hashlib.sha256(new).hexdigest()
+    return tamper
 
 
 class TestValidation:
@@ -90,28 +152,25 @@ class TestValidation:
     rejected on load, naming the field, instead of failing later."""
 
     @pytest.mark.parametrize("field, tamper", [
-        ("params", lambda pl: pl.update(params=_array(np.zeros(18)))),
-        ("params", lambda pl: pl["params"].update(dtype="int64")),
-        ("embedding.matrix", lambda pl: pl["embedding"].update(matrix=_array(np.zeros((2, 4))))),
-        ("embedding.matrix", lambda pl: pl["embedding"]["matrix"].update(data="AAAA")),
-        ("embedding.p", lambda pl: pl["embedding"].update(p=7)),
-        ("vocab.max_len", lambda pl: pl["config"].update(m=4)),
+        (": sidecar: ", _sidecar(lambda vec, _: _npy(vec[:-1]))),
+        (": sidecar: ", _sidecar(lambda vec, _: _npy(vec.astype(np.float32)))),
+        (": sidecar: ", _sidecar(lambda vec, _: _npy(vec[2 * 4:]))),  # two table rows short
+        (": sidecar: ", _sidecar(lambda _, raw: raw[:-8])),
+        ("embedding.p", lambda pl, _: pl["embedding"].update(p=7)),
+        ("vocab.max_len", lambda pl, _: pl["config"].update(m=4)),
     ], ids=["params-length", "params-dtype", "table-rows", "table-bytes", "embedding-p", "max-len"])
     def test_contradicting_array_rejected(self, tmp_path, model_bits, field, tamper):
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
-        payload = json.loads(path.read_text())
-        tamper(payload)
-        path.write_text(json.dumps(payload))
+        _rewrite(path, tamper)
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
-
     @pytest.mark.parametrize("field, tamper", [
-        ("params", lambda pl: pl.update(params="AAAA")),
-        ("params.data", lambda pl: pl["params"].pop("data")),
-        ("params.data", lambda pl: pl["params"].update(data=7)),
+        ("sidecar", lambda pl: pl.update(sidecar="AAAA")),
+        ("sidecar.sha256", lambda pl: pl["sidecar"].pop("sha256")),
+        ("sidecar.name", lambda pl: pl["sidecar"].update(name=7)),
         ("config", lambda pl: pl.update(config=[4, 5])),
         ("config.p", lambda pl: pl["config"].pop("p")),
         ("config.pool_w", lambda pl: pl["config"].pop("pool_w")),  # no second defaults table
@@ -123,15 +182,17 @@ class TestValidation:
         ("embedding.pretrained_hit_count",
          lambda pl: pl["embedding"].update(pretrained_hit_count="7")),
         ("vocab", lambda pl: pl.pop("vocab")),
-        ("vocab.tokens", lambda pl: pl["vocab"].update(tokens="alpha")),
+        ("vocab.tokens", lambda pl: pl["vocab"].update(tokens="alpha\n\ngamma")),
+        ("vocab.tokens", lambda pl: pl["vocab"].update(tokens=["alpha", "beta", "gamma"])),
         ("embedding", lambda pl: pl.update(embedding="matrix")),
-        ("embedding.matrix", lambda pl: pl["embedding"].pop("matrix")),
+        ("sidecar", lambda pl: pl.pop("sidecar")),
         ("embedding.mode", lambda pl: pl["embedding"].update(mode="frozen")),
         ("training_meta", lambda pl: pl.update(training_meta=3)),
-    ], ids=["params-str", "params-no-data", "params-data-int", "config-list", "config-no-p",
+    ], ids=["sidecar-str", "sidecar-no-sha256", "sidecar-name-int", "config-list", "config-no-p",
             "config-no-pool-w", "config-fractional-int", "config-str-widths",
             "config-str-dropout", "config-unknown-key", "max-len-fraction", "hits-str",
-            "no-vocab", "tokens-str", "embedding-str", "no-matrix", "mode", "meta-int"])
+            "no-vocab", "tokens-str", "tokens-list", "embedding-str", "no-sidecar", "mode",
+            "meta-int"])
     def test_malformed_structure_rejected(self, tmp_path, model_bits, field, tamper):
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
@@ -146,6 +207,51 @@ class TestValidation:
         path = tmp_path / "ckpt.json"
         path.write_text("[]")
         with pytest.raises(CheckpointError, match="expected a JSON object"):
+            load_checkpoint(path)
+
+
+class TestSidecar:
+    """Each way the sidecar can disagree with its JSON file is rejected on
+    load with a CheckpointError naming the field."""
+
+    @pytest.mark.parametrize("field, tamper", [
+        ("sidecar.name", lambda pl, sidecar: sidecar.unlink()),
+        ("sidecar.sha256", lambda pl, sidecar: sidecar.write_bytes(sidecar.read_bytes()[:-1] + b"?")),
+        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="sub/ckpt.npy")),
+        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="../ckpt.npy")),
+        ("sidecar.name", lambda pl, sidecar: pl["sidecar"].update(name=str(sidecar))),
+        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="sub\\ckpt.npy")),
+        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="..")),
+        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="")),
+        ("sidecar", _sidecar(lambda _, raw: raw + bytes(8))),
+        ("sidecar", _sidecar(lambda _, raw: b"not an npy file")),
+        ("sidecar", _sidecar(lambda vec, _: _npy(vec.astype(">f8")))),
+        ("sidecar", _sidecar(lambda vec, _: _npy(vec.reshape(-1, 1)))),
+        ("sidecar", _sidecar(lambda vec, _: _npy(vec.astype(object)))),
+    ], ids=["missing-file", "wrong-hash", "subdirectory", "parent-directory", "absolute",
+            "backslash", "dotdot", "empty-name", "trailing-bytes", "not-npy", "big-endian",
+            "two-dimensional", "object-dtype"])
+    def test_rejected(self, tmp_path, model_bits, field, tamper):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        (tmp_path / "sub").mkdir()
+        save_checkpoint(tmp_path / "sub" / "ckpt.json", config, vocab, table, params)
+        _rewrite(path, tamper)
+        with pytest.raises(CheckpointError, match=f": {field}: "):
+            load_checkpoint(path)
+
+    def test_npy_format_2_rejected(self, tmp_path, model_bits):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+
+        def version_2(vec, _):
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, vec, version=(2, 0))
+            return buf.getvalue()
+        _rewrite(path, _sidecar(version_2))
+        with pytest.raises(CheckpointError, match=": sidecar: invalid"):
             load_checkpoint(path)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -346,11 +347,11 @@ class TestNeighborsCommand:
     def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         _, _, _, out, _ = workspace
         payload = json.loads((out / "checkpoint.json").read_text())
-        payload["params"] = "not an array"
+        payload["sidecar"] = "not an object"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert cli.main(["neighbors", "--checkpoint", str(bad), "surge"]) == 2
-        assert "params" in capsys.readouterr().err
+        assert "sidecar" in capsys.readouterr().err
 
     def test_unknown_token_rejected(self, workspace):
         _, _, _, out, _ = workspace
@@ -483,6 +484,44 @@ class TestUsageErrors:
         assert cli.main(["sweep", "--config", str(bad_path),
                          "--checkpoint", str(out / "checkpoint.json")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", [7.5, -0.01, 1.0000001])
+    def test_threshold_must_be_a_probability(self, workspace, tmp_path, capsys, threshold):
+        _, _, _, out, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["strategy"]["threshold"] = threshold
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        message = "config key 'threshold' in section 'strategy': expected a number in [0, 1]"
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+        assert cli.main(["backtest", "--config", str(bad_path),
+                         "--checkpoint", str(out / "checkpoint.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_threshold_bounds_accepted(self, workspace, tmp_path, threshold):
+        _, _, _, _, config = workspace
+        good = json.loads(json.dumps(config))
+        good["strategy"]["threshold"] = int(threshold)
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(good))
+        cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
+        assert cfg.threshold == float(threshold)
+        args = cli.build_parser().parse_args(["evaluate", "--class-threshold", threshold])
+        assert args.class_threshold == float(threshold)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5", "half"])
+    def test_class_threshold_must_be_a_probability(self, workspace, tmp_path, capsys, value):
+        _, config_path, _, out, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--config", str(config_path), "--checkpoint",
+                      str(out / "checkpoint.json"), "--out-dir", str(tmp_path),
+                      "--class-threshold", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--class-threshold" in err and "expected a number in [0, 1]" in err
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_non_object_section_rejected(self, workspace, tmp_path):
         _, _, _, _, config = workspace

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from newsvane import embeddings
 from newsvane.embeddings import (
     EmbeddingTable,
+    _parse_vector_file,
     init_self_learnt,
     load_pretrained,
     lookup_concat,
@@ -112,6 +114,91 @@ class TestLoadPretrained:
         _write_w2v(path, {"a": [1.0]})
         with pytest.raises(ValueError):
             load_pretrained(_vocab("a"), path, mode="self_learnt", seed=0)
+
+
+def _float_per_token(text):
+    """The reference parse: ``float()`` of every field of every non-blank body line."""
+    rows = [line.split() for line in text.split("\n")[1:] if line.split()]
+    return [r[0] for r in rows], [[float(x) for x in r[1:]] for r in rows]
+
+
+class TestVectorParser:
+    """The streaming parser gives ``float()``'s values bit for bit, and the
+    errors of a line-by-line parse, with their line numbers."""
+
+    @pytest.mark.parametrize("fmt, wide", [("{:.6f}", False), ("{!r}", False), ("{!r}", True),
+                                           ("{:.17g}", True), ("{:.3e}", True)],
+                             ids=["bench", "repr", "repr-wide", "17g-wide", "3e-wide"])
+    def test_values_equal_float_per_token(self, tmp_path, monkeypatch, fmt, wide):
+        rng = np.random.default_rng(7)
+        # the benchmark writes normal(0, 0.3) values with %.6f
+        values = rng.normal(0.0, 0.3, 6000)
+        if wide:
+            values = np.concatenate([values * 10.0 ** rng.integers(-300, 300, values.size),
+                                     [0.0, -0.0, 5e-324, 1e308, 1e-320, -1e-310]])
+        rows = values.reshape(-1, 6)
+        text = f"{len(rows)} 6\n" + "".join(
+            f"w{i} " + " ".join(fmt.format(v) for v in row.tolist()) + "\n"
+            for i, row in enumerate(rows))
+        path = tmp_path / "vecs.txt"
+        path.write_text(text)
+
+        def line_by_line(*args):
+            raise AssertionError("a well-formed file must not need the line-by-line parse")
+        monkeypatch.setattr(embeddings, "_parse_vector_lines", line_by_line)
+        dim, vectors, parsed = _parse_vector_file(path)
+        tokens, expected = _float_per_token(text)
+        assert dim == 6
+        assert parsed.dtype == np.float64
+        assert parsed.tobytes() == np.array(expected).tobytes()
+        assert list(vectors) == tokens
+        assert all(vectors[t].tobytes() == parsed[i].tobytes() for i, t in enumerate(tokens))
+
+    @pytest.mark.parametrize("body", [
+        "a 1_0 2\nb 3 4\n",            # float() reads underscores, loadtxt does not
+        "a \u0661 2\nb 3 \u0968\n",   # non-ASCII digits
+        "a 1\x1c2\nb\u20283 4\n",      # separators str.split knows
+        "a 1 2\na 3 4\n",             # a repeated token keeps its first vector
+    ], ids=["underscore", "non-ascii-digits", "unicode-whitespace", "repeated-token"])
+    def test_float_only_inputs_load_as_float_reads_them(self, tmp_path, body):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 2\n" + body, encoding="utf-8")
+        _, vectors, parsed = _parse_vector_file(path)
+        tokens, expected = _float_per_token("2 2\n" + body)
+        assert parsed.tolist() == expected
+        assert vectors["a"].tolist() == expected[0]
+
+    @pytest.mark.parametrize("body, message", [
+        ("a 1 2\n\nb 1\n", "line 4: expected token plus 2 floats, got 1"),
+        ("a 1 2\n\nb 1 2 3\n", "line 4: expected token plus 2 floats, got 3"),
+        ("a 1 2\nb\n", "line 3: expected token plus 2 floats, got 0"),
+        ("a 1 2\n\n\nb 1 x\n", "line 5: malformed float"),
+        ("a 1 2\nb 1 0x10\n", "line 3: malformed float"),
+        ("a 1 nan\n", "line 2: non-finite value"),
+        ("a 1 2\nb inf 2\n", "line 3: non-finite value"),
+        ("a 1 2\n\nb -Infinity 2\n", "line 4: non-finite value"),
+        ("a 1 2\nb 1e999 2\n", "line 3: non-finite value"),
+        ("\n  \n", "no vectors in file"),
+    ], ids=["short", "long", "token-only", "malformed", "hex", "nan", "inf", "minus-infinity",
+            "overflow", "blank-body"])
+    def test_errors_name_the_line(self, tmp_path, body, message):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 2\n" + body)
+        with pytest.raises(ValueError, match=f"^{path}: {message}$"):
+            _parse_vector_file(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 2\n\n a 1 2 \n\t\n\nb 3 4\n\n")
+        dim, vectors, parsed = _parse_vector_file(path)
+        assert parsed.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert list(vectors) == ["a", "b"]
+
+    def test_non_finite_vector_never_reaches_the_table(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("3 2\na 1 2\nb nan 1\nc inf 2\n")
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            load_pretrained(_vocab("a", "zzz"), path, mode="static", seed=0)
 
 
 class TestLookupConcat:

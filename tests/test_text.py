@@ -1,6 +1,7 @@
 """Tokenizer, vocabulary and encoding tests."""
 
 import hashlib
+import unicodedata
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ class TestTokenize:
             assert tok not in STOP_WORDS
             assert not any(ch.isspace() for ch in tok)
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=60)
+           | st.text(alphabet=st.characters(categories=("P", "S", "Z", "Lu", "Ll", "Nd")),
+                     max_size=60)
+           | st.lists(st.sampled_from(sorted(STOP_WORDS) + ["$", "%", "U.S.", "Dow—Jones", "é"]))
+           .map(" ".join))
+    def test_matches_per_character_reference(self, text):
+        """The translate-table tokenizer equals the per-character generator it replaced."""
+        def is_punctuation(ch):
+            return ch in "$%&+<=>|~" or unicodedata.category(ch).startswith("P")
+        cleaned = "".join(ch for ch in text.lower() if not is_punctuation(ch))
+        assert tokenize(text) == [tok for tok in cleaned.split() if tok not in STOP_WORDS]
 
 class TestVocabulary:
     def test_first_occurrence_order(self):
