@@ -16,9 +16,11 @@ return of the winning trades.
 from __future__ import annotations
 
 import datetime as dt
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,8 +55,7 @@ class DayPrediction:
             raise ValueError("n_headlines must be >= 1")
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     asset: str
     trade_date: dt.date
     entry: float
@@ -63,6 +64,9 @@ class Trade:
     @property
     def return_frac(self) -> float:
         return (self.exit - self.entry) / self.entry
+
+
+_BY_DATE_THEN_ASSET = operator.attrgetter("trade_date", "asset")
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,29 @@ def aggregate_daily(
     return out
 
 
+def _buy_score(dp: DayPrediction, binary: bool) -> float:
+    """The value a buy threshold is compared with: a buy iff it exceeds t.
+
+    For the binary head it is the day-mean sigmoid output. For the 3-way head
+    it is the buy-class mean when 'buy' is the strict argmax of the class
+    means, else -inf, so no threshold buys it. ``binary`` names the head the
+    strategy expects; a prediction from the other head is a ValueError.
+    """
+    if binary:
+        if dp.sigma_mean is None:
+            raise ValueError("decide_binary needs a sigma_mean prediction")
+        return dp.sigma_mean
+    if dp.class_means is None:
+        raise ValueError("decide_multiclass needs class_means predictions")
+    means = dp.class_means
+    buy_mean = means[BUY_CLASS]
+    strictly_max = all(buy_mean > means[i] for i in range(3) if i != BUY_CLASS)
+    return buy_mean if strictly_max else -math.inf
+
+
 def decide_binary(dp: DayPrediction, t: float) -> str:
     """Buy iff the day-mean sigmoid output strictly exceeds the threshold."""
-    if dp.sigma_mean is None:
-        raise ValueError("decide_binary needs a sigma_mean prediction")
-    return BUY if dp.sigma_mean > t else NO_ACTION
+    return BUY if _buy_score(dp, binary=True) > t else NO_ACTION
 
 
 def decide_multiclass(dp: DayPrediction, t: float) -> str:
@@ -156,12 +178,24 @@ def decide_multiclass(dp: DayPrediction, t: float) -> str:
     An argmax tie is treated as no-action: without a strictly dominant buy
     probability the day's evidence is ambiguous.
     """
-    if dp.class_means is None:
-        raise ValueError("decide_multiclass needs class_means predictions")
-    means = dp.class_means
-    buy_mean = means[BUY_CLASS]
-    strictly_max = all(buy_mean > means[i] for i in range(3) if i != BUY_CLASS)
-    return BUY if strictly_max and buy_mean > t else NO_ACTION
+    return BUY if _buy_score(dp, binary=False) > t else NO_ACTION
+
+
+def _day_mean(returns: list[float]) -> float:
+    """``float(np.mean(returns))``, without building an array for small days.
+
+    NumPy's pairwise summation adds fewer than 8 float64 values one after
+    another, starting from 0.0, so this loop gives the same bits for them.
+    It is a loop, not the builtin ``sum``: from Python 3.12 ``sum`` compensates
+    float rounding and would differ.
+    """
+    k = len(returns)
+    if k > 7:
+        return float(np.mean(returns))
+    total = 0.0
+    for r in returns:
+        total += r
+    return total / k
 
 
 def simulate(
@@ -176,35 +210,38 @@ def simulate(
     ``prices`` may be a prebuilt ``PriceIndex``, as ``threshold_sweep`` passes.
     """
     index = PriceIndex.of(prices)
+    next_bar = index.next_bar
     trades: list[Trade] = []
     missing: list[tuple[str, dt.date]] = []
     for asset, date, action in decisions:
         if action != BUY:
             continue
         try:
-            bar = index.next_bar(asset, date)
-            trades.append(Trade(asset=asset, trade_date=bar.date, entry=bar.open, exit=bar.close))
+            bar = next_bar(asset, date)
         except ValueError:
             missing.append((asset, date))
+            continue
+        trades.append(Trade(asset, bar.date, bar.open, bar.close))
     if missing:
         listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in sorted(missing))
         raise ValueError(f"no next-day price bar for: {listed}")
 
-    trades.sort(key=lambda t: (t.trade_date, t.asset))
+    trades.sort(key=_BY_DATE_THEN_ASSET)
     if not trades:
         return BacktestReport(
             trades=(), n_trades=0, total_return_pct=0.0, pp_pct=0.0, atp_pct=0.0,
             max_single_day_loss_pct=0.0, avg_correct_buy_return_pct=0.0,
         )
 
-    by_day: dict[dt.date, list[float]] = {}
-    for t in trades:
-        by_day.setdefault(t.trade_date, []).append(t.return_frac)
-    capital = 1.0
-    for day in sorted(by_day):
-        capital *= 1.0 + float(np.mean(by_day[day]))
-
     returns = [t.return_frac for t in trades]
+    # after the sort, each trading day's trades are one run of the list
+    capital = 1.0
+    start = 0
+    for end in range(1, len(trades) + 1):
+        if end == len(trades) or trades[end].trade_date != trades[start].trade_date:
+            capital *= 1.0 + _day_mean(returns[start:end])
+            start = end
+
     wins = [r for r in returns if r > 0]
     worst = min(returns)
     return BacktestReport(
@@ -232,7 +269,12 @@ def threshold_sweep(
     prices: Sequence[PriceBar] | PriceIndex,
     t_grid: Sequence[float],
 ) -> list[SweepRow]:
-    """Simulate the appropriate strategy once per threshold in ``t_grid``."""
+    """One ``SweepRow`` per threshold in ``t_grid``, for the head of the predictions.
+
+    Each day prediction is scored once (see ``_buy_score``); each threshold
+    then calls ``simulate`` on the buys whose score exceeds it, in the order
+    of ``day_predictions``, which is what the ``decide_*`` rule would buy.
+    """
     if not t_grid:
         raise ValueError("t_grid must be non-empty")
     if sorted(t_grid) != list(t_grid):
@@ -240,11 +282,12 @@ def threshold_sweep(
     if not day_predictions:
         raise ValueError("no day predictions to sweep")
     binary = day_predictions[0].sigma_mean is not None
-    decide = decide_binary if binary else decide_multiclass
+    score = np.array([_buy_score(dp, binary) for dp in day_predictions], dtype=np.float64)
+    buys = [(dp.asset, dp.date, BUY) for dp in day_predictions]
     index = PriceIndex.of(prices)
     rows: list[SweepRow] = []
     for t in t_grid:
-        decisions = [(dp.asset, dp.date, decide(dp, t)) for dp in day_predictions]
+        decisions = [buys[i] for i in np.flatnonzero(score > t).tolist()]
         report = simulate(decisions, index)
         rows.append(
             SweepRow(

@@ -26,9 +26,20 @@ from numpy.lib import format as npy_format
 from .embeddings import MODES, EmbeddingTable
 from .fileio import CONVERTERS, open_atomic, read_json, strict_int, strict_str, write_json_atomic
 from .network import ModelConfig, ModelParameters, param_layout
-from .text import Vocabulary, vocabulary_hash
+from .text import Vocabulary, tokens_by_index, tokens_hash
 
 FORMAT_VERSION = 3
+
+# The keys of each section; any other key is rejected on load, so a stale or
+# misspelt field is an error and not silently ignored. ``config`` holds the
+# ModelConfig fields and ``training_meta`` is free-form.
+_KEYS: dict[str, tuple[str, ...]] = {
+    "": ("format_version", "config", "vocab", "vocab_hash", "embedding", "sidecar",
+         "training_meta"),
+    "vocab": ("tokens", "max_len"),
+    "embedding": ("mode", "p", "pretrained_hit_count"),
+    "sidecar": ("name", "sha256"),
+}
 
 
 class CheckpointError(ValueError):
@@ -43,6 +54,19 @@ def _value(section: dict, key: str, convert, path: str | Path, field: str):
         return convert(section[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {field}: invalid ({exc})") from None
+
+
+def _no_unknown_keys(section: dict, known, path: str | Path, prefix: str) -> None:
+    for key in section:
+        if key not in known:
+            raise CheckpointError(f"{path}: {prefix}{key}: unknown key")
+
+
+def _section(payload: dict, name: str, path: str | Path) -> dict:
+    """The object ``payload[name]``, holding no key outside ``_KEYS[name]``."""
+    section = _value(payload, name, _as_object, path, name)
+    _no_unknown_keys(section, _KEYS[name], path, f"{name}.")
+    return section
 
 
 def _as_object(value) -> dict:
@@ -105,9 +129,7 @@ def _read_config(payload: dict, path: str | Path) -> ModelConfig:
     """The ``config`` section: exactly the ModelConfig fields, each of its JSON type."""
     section = _value(payload, "config", _as_object, path, "config")
     converters = {f.name: CONVERTERS[f.type] for f in fields(ModelConfig)}
-    for key in section:
-        if key not in converters:
-            raise CheckpointError(f"{path}: config.{key}: unknown key")
+    _no_unknown_keys(section, converters, path, "config.")
     values = {name: _value(section, name, convert, path, f"config.{name}")
               for name, convert in converters.items()}
     try:
@@ -144,7 +166,7 @@ def save_checkpoint(
     sidecar = path.with_suffix(".npy")
     if sidecar == path:
         raise CheckpointError(f"{path}: a checkpoint path must not end in .npy, its sidecar's suffix")
-    tokens = [w for w, _ in sorted(vocab.word_to_index.items(), key=lambda kv: kv[1])]
+    tokens = tokens_by_index(vocab)
     for token in tokens:
         if not token or "\n" in token:
             raise CheckpointError(f"cannot save the token {token!r}: it is empty or holds a newline")
@@ -156,7 +178,7 @@ def save_checkpoint(
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
         "vocab": {"tokens": "\n".join(tokens), "max_len": vocab.max_len},
-        "vocab_hash": vocabulary_hash(vocab),
+        "vocab_hash": tokens_hash(tokens, vocab.max_len),
         "embedding": {
             "mode": table.mode,
             "p": table.p,
@@ -172,8 +194,9 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     """Load and validate a checkpoint and its sidecar.
 
     Rejects other format versions (format 2 and older included), a section
-    or value that is missing or of the wrong JSON type (naming the field),
-    an empty token, internal vocabulary-hash mismatches (corruption), a
+    or value that is missing or of the wrong JSON type (naming the field), a
+    key that no section of format 3 holds, an empty or repeated token,
+    internal vocabulary-hash mismatches (corruption), a
     sidecar name with a directory part, a missing sidecar or one whose
     sha256 differs, a sidecar whose dtype or length disagrees with the
     configuration and vocabulary, and, when ``expected_config`` is given,
@@ -188,11 +211,12 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
             f"{path}: unsupported checkpoint format {payload.get('format_version')!r} "
             f"(this version reads format {FORMAT_VERSION})"
         )
+    _no_unknown_keys(payload, _KEYS[""], path, "")
     config = _read_config(payload, path)
     if expected_config is not None and config != expected_config:
         raise CheckpointError(f"{path}: checkpoint config does not match the expected config")
 
-    vocab_section = _value(payload, "vocab", _as_object, path, "vocab")
+    vocab_section = _section(payload, "vocab", path)
     joined = _value(vocab_section, "tokens", strict_str, path, "vocab.tokens")
     tokens = joined.split("\n") if joined else []
     if "" in tokens:
@@ -201,13 +225,15 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
         word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
         max_len=_value(vocab_section, "max_len", strict_int, path, "vocab.max_len"),
     )
+    if vocab.size != len(tokens):
+        raise CheckpointError(f"{path}: vocab.tokens: repeated token")
     stored_hash = _value(payload, "vocab_hash", strict_str, path, "vocab_hash")
-    if vocabulary_hash(vocab) != stored_hash:
+    if tokens_hash(tokens, vocab.max_len) != stored_hash:
         raise CheckpointError(f"{path}: vocabulary hash mismatch (corrupt checkpoint)")
     if vocab.max_len != config.m:
         raise CheckpointError(f"{path}: vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
 
-    emb = _value(payload, "embedding", _as_object, path, "embedding")
+    emb = _section(payload, "embedding", path)
     p = _value(emb, "p", strict_int, path, "embedding.p")
     if p != config.p:
         raise CheckpointError(f"{path}: embedding.p is {p}, but the config has p={config.p}")
@@ -215,7 +241,7 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     mode = _value(emb, "mode", strict_str, path, "embedding.mode")
     if mode not in MODES:
         raise CheckpointError(f"{path}: embedding.mode: unknown mode {mode!r}")
-    sidecar = _value(payload, "sidecar", _as_object, path, "sidecar")
+    sidecar = _section(payload, "sidecar", path)
     name = _value(sidecar, "name", _basename, path, "sidecar.name")
     sha256 = _value(sidecar, "sha256", strict_str, path, "sidecar.sha256")
     layout = param_layout(config)

@@ -196,7 +196,11 @@ def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
 class PriceIndex:
     """Price bars grouped per asset in date order, for next-trading-day lookups.
 
-    Build it once per price list; every ``next_bar`` is a binary search.
+    Build it once per price list and share it: ``next_bar`` binary-searches
+    each distinct ``(asset, after)`` once and remembers the bar it found, so
+    a repeated query (the same decision date at every threshold of a sweep)
+    is a dict lookup. A query past the end of the history is not remembered
+    and raises every time.
     """
 
     def __init__(self, prices: Iterable[PriceBar]) -> None:
@@ -206,6 +210,7 @@ class PriceIndex:
         for bars in self._bars.values():
             bars.sort(key=lambda b: b.date)
         self._dates = {a: [b.date for b in bars] for a, bars in self._bars.items()}
+        self._resolved: dict[tuple[str, dt.date], PriceBar] = {}
 
     @classmethod
     def of(cls, prices: Iterable[PriceBar] | PriceIndex) -> PriceIndex:
@@ -217,11 +222,14 @@ class PriceIndex:
 
     def next_bar(self, asset: str, after: dt.date) -> PriceBar:
         """The asset's first bar strictly after ``after``; ValueError past its history."""
-        dates = self._dates.get(asset, [])
-        pos = bisect.bisect_right(dates, after)
-        if pos == len(dates):
-            raise ValueError(f"end of price history: no bar for {asset} after {after}")
-        return self._bars[asset][pos]
+        bar = self._resolved.get((asset, after))
+        if bar is None:
+            dates = self._dates.get(asset, [])
+            pos = bisect.bisect_right(dates, after)
+            if pos == len(dates):
+                raise ValueError(f"end of price history: no bar for {asset} after {after}")
+            bar = self._resolved[asset, after] = self._bars[asset][pos]
+        return bar
 
 
 def _label_from_bar(headline: HeadlineRecord, bar: PriceBar) -> LabeledSample:

@@ -9,9 +9,11 @@ dummy whose embedding stays a frozen zero vector.
 
 from __future__ import annotations
 
+import hashlib
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -131,20 +133,31 @@ def encode_and_pad(tokens: list[str], vocab: Vocabulary) -> EncodedHeadline:
     return EncodedHeadline(indices=indices, true_len=len(kept))
 
 
+def tokens_by_index(vocab: Vocabulary) -> list[str]:
+    """The vocabulary's tokens in index order: index i holds element i - 1."""
+    return sorted(vocab.word_to_index, key=vocab.word_to_index.__getitem__)
+
+
+def _vocabulary_text(tokens: Sequence[str], max_len: int) -> str:
+    return f"max_len={max_len}\n" + "".join([f"{tok}\t{i}\n" for i, tok in enumerate(tokens, 1)])
+
+
 def vocabulary_to_text(vocab: Vocabulary) -> str:
     """Serialize as a header line ``max_len=<m>`` plus ``token<TAB>index`` rows."""
-    lines = [f"max_len={vocab.max_len}"]
-    for token, index in sorted(vocab.word_to_index.items(), key=lambda kv: kv[1]):
-        lines.append(f"{token}\t{index}")
-    return "\n".join(lines) + "\n"
+    return _vocabulary_text(tokens_by_index(vocab), vocab.max_len)
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     write_text_atomic(path, vocabulary_to_text(vocab))
 
 
-def vocabulary_hash(vocab: Vocabulary) -> str:
-    """Stable content hash used to pair checkpoints with their vocabulary."""
-    import hashlib
+def tokens_hash(tokens: Sequence[str], max_len: int) -> str:
+    """The ``vocabulary_hash`` of the vocabulary whose ``tokens_by_index`` are
+    ``tokens``, for a caller that holds them already (checkpoint save and load)."""
+    return hashlib.sha256(_vocabulary_text(tokens, max_len).encode()).hexdigest()
 
-    return hashlib.sha256(vocabulary_to_text(vocab).encode()).hexdigest()
+
+def vocabulary_hash(vocab: Vocabulary) -> str:
+    """Stable content hash used to pair checkpoints with their vocabulary:
+    the sha256 of its ``vocabulary_to_text``."""
+    return tokens_hash(tokens_by_index(vocab), vocab.max_len)

@@ -1,5 +1,7 @@
 """Trading-simulation tests: aggregation, decisions, compounding, sweeps."""
 
+import bisect
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 
 from newsvane.backtest import (
     BUY,
+    BUY_CLASS,
     NO_ACTION,
     DayPrediction,
+    Trade,
+    _day_mean,
     aggregate_daily,
     decide_binary,
     decide_multiclass,
@@ -18,7 +23,7 @@ from newsvane.backtest import (
     simulate,
     threshold_sweep,
 )
-from newsvane.corpus import PriceBar
+from newsvane.corpus import PriceBar, PriceIndex
 
 D0 = dt.date(2016, 6, 1)
 
@@ -258,3 +263,240 @@ class TestThresholdSweep:
         rows = threshold_sweep(day_preds, bars, [0.2, 0.4, 0.6, 0.8])
         counts = [r.n_trades for r in rows]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+# --- exactness of the sweep against a straightforward reference -----------
+#
+# The sweep scores each day once and hands ``simulate`` only the buys, and
+# ``simulate`` groups trades by day in one pass and averages small days with
+# a loop. Both must give the bits of the plain reference below: a decision
+# per day at every threshold, a dict of per-day returns, ``np.mean`` for
+# every day and its own next-bar search.
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefTrade:
+    asset: str
+    trade_date: dt.date
+    entry: float
+    exit: float
+
+    @property
+    def return_frac(self) -> float:
+        return (self.exit - self.entry) / self.entry
+
+
+def _ref_decide_binary(dp, t):
+    if dp.sigma_mean is None:
+        raise ValueError("decide_binary needs a sigma_mean prediction")
+    return BUY if dp.sigma_mean > t else NO_ACTION
+
+
+def _ref_decide_multiclass(dp, t):
+    if dp.class_means is None:
+        raise ValueError("decide_multiclass needs class_means predictions")
+    means = dp.class_means
+    buy_mean = means[BUY_CLASS]
+    strictly_max = all(buy_mean > means[i] for i in range(3) if i != BUY_CLASS)
+    return BUY if strictly_max and buy_mean > t else NO_ACTION
+
+
+def _ref_simulate(decisions, bars):
+    by_asset = {}
+    for bar in sorted(bars, key=lambda b: b.date):
+        by_asset.setdefault(bar.asset, []).append(bar)
+    trades, missing = [], []
+    for asset, date, action in decisions:
+        if action != BUY:
+            continue
+        series = by_asset.get(asset, [])
+        pos = bisect.bisect_right([b.date for b in series], date)
+        if pos == len(series):
+            missing.append((asset, date))
+            continue
+        bar = series[pos]
+        trades.append(_RefTrade(asset=asset, trade_date=bar.date, entry=bar.open, exit=bar.close))
+    if missing:
+        listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in sorted(missing))
+        raise ValueError(f"no next-day price bar for: {listed}")
+    trades.sort(key=lambda t: (t.trade_date, t.asset))
+    if not trades:
+        return dict(trades=(), n_trades=0, total_return_pct=0.0, pp_pct=0.0, atp_pct=0.0,
+                    max_single_day_loss_pct=0.0, avg_correct_buy_return_pct=0.0)
+    by_day = {}
+    for t in trades:
+        by_day.setdefault(t.trade_date, []).append(t.return_frac)
+    capital = 1.0
+    for day in sorted(by_day):
+        capital *= 1.0 + float(np.mean(by_day[day]))
+    returns = [t.return_frac for t in trades]
+    wins = [r for r in returns if r > 0]
+    return dict(
+        trades=tuple(trades), n_trades=len(trades), total_return_pct=100.0 * (capital - 1.0),
+        pp_pct=100.0 * len(wins) / len(trades), atp_pct=100.0 * float(np.mean(returns)),
+        max_single_day_loss_pct=100.0 * max(0.0, -min(returns)),
+        avg_correct_buy_return_pct=100.0 * float(np.mean(wins)) if wins else 0.0,
+    )
+
+
+def _ref_decisions(day_preds, t):
+    decide = _ref_decide_binary if day_preds[0].sigma_mean is not None else _ref_decide_multiclass
+    return [(dp.asset, dp.date, decide(dp, t)) for dp in day_preds]
+
+
+def _bits(x):
+    """A float as its exact bits (-0.0 differs from 0.0); other values as they are."""
+    return x.hex() if isinstance(x, float) else x
+
+
+def _report_bits(report):
+    """Every number of a report, trades included, as bits."""
+    get = report.get if isinstance(report, dict) else lambda key: getattr(report, key)
+    head = tuple(_bits(get(k)) for k in ("n_trades", "total_return_pct", "pp_pct", "atp_pct",
+                                         "max_single_day_loss_pct", "avg_correct_buy_return_pct"))
+    return head, tuple((t.asset, t.trade_date, _bits(t.entry), _bits(t.exit), _bits(t.return_frac))
+                       for t in get("trades"))
+
+
+def _ref_row_bits(day_preds, bars, t):
+    report = _ref_simulate(_ref_decisions(day_preds, t), bars)
+    return tuple(_bits(v) for v in (float(t), report["pp_pct"], report["atp_pct"],
+                                    report["total_return_pct"], report["n_trades"]))
+
+
+def _row_bits(row):
+    return tuple(_bits(v) for v in (row.t, row.pp_pct, row.atp_pct, row.total_return_pct,
+                                    row.n_trades))
+
+
+DESK_ASSETS = tuple(f"S{i:02d}" for i in range(12))
+
+
+def _desk(seed, binary):
+    """Weekday bars for 12 assets over 8 weeks and day predictions on every
+    calendar day, weekends included, so Friday to Sunday trade on Monday.
+
+    About 1 in 8 scores equals a grid threshold exactly; the 3-way head also
+    gets argmax ties. Trading days hold from 1 to well over 8 trades.
+    """
+    rng = np.random.default_rng(seed)
+    grid = default_threshold_grid(binary)
+    calendar = [_day(i) for i in range(56)]
+    bars = []
+    for d in calendar:
+        if d.weekday() < 5:
+            for asset in DESK_ASSETS:
+                open_ = float(rng.uniform(20.0, 200.0))
+                # returns this wide keep a one-ulp change of a day mean in 1 + mean
+                bars.append(PriceBar(asset, d, open_, open_ * float(rng.uniform(0.3, 2.5))))
+    day_preds = []
+    for d in calendar[:-3]:  # the last decision day still has a next bar
+        for asset in DESK_ASSETS:
+            if rng.random() < 0.35:
+                continue
+            exact = float(grid[rng.integers(len(grid))])
+            if binary:
+                sigma = exact if rng.random() < 0.125 else float(rng.uniform(0.45, 0.95))
+                day_preds.append(DayPrediction(asset=asset, date=d, n_headlines=1, sigma_mean=sigma))
+                continue
+            kind = rng.integers(8)
+            if kind == 0:  # buy mean exactly on a threshold, strictly the largest
+                means = ((1.0 - exact) / 2, (1.0 - exact) / 2, exact)
+            elif kind == 1:  # buy ties with avoid for the argmax
+                x = float(rng.uniform(0.34, 0.5))
+                means = (x, 1.0 - 2 * x, x)
+            elif kind == 2:  # buy ties with inconsequential for the argmax
+                x = float(rng.uniform(0.34, 0.5))
+                means = (1.0 - 2 * x, x, x)
+            else:
+                means = tuple(float(v) for v in rng.dirichlet((1.0, 1.0, 3.0)))
+            day_preds.append(DayPrediction(asset=asset, date=d, n_headlines=1, class_means=means))
+    return day_preds, bars
+
+
+class TestSweepExactness:
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_every_threshold_matches_the_reference(self, binary):
+        day_preds, bars = _desk(11, binary)
+        grid = default_threshold_grid(binary)
+        rows = threshold_sweep(day_preds, bars, grid)
+        assert [_row_bits(r) for r in rows] == [_ref_row_bits(day_preds, bars, t) for t in grid]
+
+        decide = decide_binary if binary else decide_multiclass
+        index = PriceIndex(bars)
+        sizes, ties_on_t = set(), 0
+        for t in grid:
+            reference = _ref_simulate(_ref_decisions(day_preds, t), bars)
+            direct = simulate([(dp.asset, dp.date, decide(dp, t)) for dp in day_preds], bars)
+            shared = simulate([(dp.asset, dp.date, decide(dp, t)) for dp in day_preds], index)
+            assert _report_bits(direct) == _report_bits(reference)
+            assert _report_bits(shared) == _report_bits(reference)
+            assert [decide(dp, t) for dp in day_preds] == [a for _, _, a in _ref_decisions(day_preds, t)]
+            days = [tr.trade_date for tr in reference["trades"]]
+            sizes.update(days.count(d) for d in set(days))
+            ties_on_t += sum((dp.sigma_mean if binary else dp.class_means[BUY_CLASS]) == t
+                             for dp in day_preds)
+        # the inputs reach both day-mean paths and scores that equal t
+        assert sizes >= set(range(1, 9)) and max(sizes) >= 12
+        assert ties_on_t > 0
+        # Friday, Saturday and Sunday decisions of one asset trade on the same Monday
+        assert any(d.weekday() == 5 for d in (dp.date for dp in day_preds))
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_missing_next_bar_raises_the_same_error(self, binary):
+        day_preds, bars = _desk(12, binary)
+        last = max(b.date for b in bars)
+        strong = (dict(sigma_mean=0.97) if binary else dict(class_means=(0.01, 0.02, 0.97)))
+        weak = (dict(sigma_mean=0.2) if binary else dict(class_means=(0.5, 0.3, 0.2)))
+        late = [DayPrediction(asset="S03", date=last, n_headlines=2, **strong),
+                DayPrediction(asset="S01", date=last, n_headlines=1, **strong),
+                DayPrediction(asset="S05", date=last, n_headlines=1, **weak)]
+        day_preds = day_preds + late
+        grid = default_threshold_grid(binary)
+        with pytest.raises(ValueError) as ref_err:
+            _ref_simulate(_ref_decisions(day_preds, grid[0]), bars)
+        with pytest.raises(ValueError) as err:
+            threshold_sweep(day_preds, bars, grid)
+        assert str(err.value) == str(ref_err.value)
+        assert str(err.value) == (f"no next-day price bar for: (S01, {last.isoformat()}), "
+                                  f"(S03, {last.isoformat()})")
+        index = PriceIndex(bars)
+        for _ in range(2):  # the index does not remember a failed lookup
+            with pytest.raises(ValueError) as again:
+                threshold_sweep(day_preds, index, grid[-1:])
+            assert str(again.value) == str(ref_err.value)
+
+    def test_wrong_head_in_a_sweep_is_rejected(self):
+        day_preds, bars = _desk(13, True)
+        mixed = day_preds + [DayPrediction(asset="S00", date=D0, n_headlines=1,
+                                           class_means=(0.2, 0.3, 0.5))]
+        with pytest.raises(ValueError, match="decide_binary needs a sigma_mean prediction"):
+            threshold_sweep(mixed, bars, [0.5])
+
+    def test_trade_repr_equality_and_return(self):
+        trade = Trade("A", D0, 100.0, 103.0)
+        assert repr(trade) == (
+            "Trade(asset='A', trade_date=datetime.date(2016, 6, 1), entry=100.0, exit=103.0)")
+        assert trade.return_frac == (103.0 - 100.0) / 100.0
+        assert trade == Trade(asset="A", trade_date=D0, entry=100.0, exit=103.0)
+
+
+class TestDayMean:
+    def test_sequential_sum_is_numpys_mean_below_eight_values(self):
+        """NumPy adds fewer than 8 float64 values one after another from 0.0;
+        ``simulate`` relies on it. A NumPy that changes this fails here."""
+        rng = np.random.default_rng(8)
+        for k in range(1, 8):
+            for _ in range(2000):
+                values = rng.normal(0.0, 0.03, size=k).tolist()
+                total = 0.0
+                for v in values:
+                    total += v
+                assert (total / k).hex() == float(np.mean(values)).hex(), values
+
+    def test_day_mean_is_numpys_mean_at_every_size(self):
+        rng = np.random.default_rng(9)
+        for k in range(1, 20):
+            for _ in range(300):
+                values = rng.normal(0.0, 0.03, size=k).tolist()
+                assert _day_mean(values).hex() == float(np.mean(values)).hex(), values

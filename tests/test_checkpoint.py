@@ -203,6 +203,46 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=f": {field}: "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, tamper", [
+        ("params", lambda pl: pl.update(params={"W1": [[0.0]]})),  # a stale format-2 key
+        ("embedding.matrix", lambda pl: pl["embedding"].update(matrix=[[0.0] * 4] * 4)),
+        ("sidecar.sha265", lambda pl: pl["sidecar"].update(sha265=pl["sidecar"]["sha256"])),
+        ("vocab.size", lambda pl: pl["vocab"].update(size=3)),
+    ], ids=["format-2-params", "embedding-matrix", "misspelt-sidecar-key", "vocab-size"])
+    def test_unknown_key_rejected(self, tmp_path, model_bits, field, tamper):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        _rewrite(path, lambda pl, _: tamper(pl))
+        with pytest.raises(CheckpointError, match=f": {field}: unknown key$"):
+            load_checkpoint(path)
+
+    def test_training_meta_is_free_form(self, tmp_path, model_bits):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        meta = {"seed": 9, "anything": {"nested": [1, 2]}}
+        save_checkpoint(path, config, vocab, table, params, training_meta=meta)
+        assert load_checkpoint(path).training_meta == meta
+
+    def test_repeated_token_rejected(self, tmp_path, model_bits):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        _rewrite(path, lambda pl, _: pl["vocab"].update(tokens="alpha\nbeta\nalpha"))
+        with pytest.raises(CheckpointError, match=": vocab.tokens: repeated token"):
+            load_checkpoint(path)
+
+    def test_vocab_hash_is_pinned(self, tmp_path, model_bits):
+        """The stored hash is the sha256 of the vocabulary text; checkpoints
+        written before the hash was computed from the token list still load."""
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        pinned = "cb93c831ce286caed9e862c96cc7ad266c2cfb0fa5c8c016b5164dc054117c7a"
+        assert json.loads(path.read_text())["vocab_hash"] == pinned
+        assert pinned == hashlib.sha256(b"max_len=5\nalpha\t1\nbeta\t2\ngamma\t3\n").hexdigest()
+        assert load_checkpoint(path).vocab_hash == pinned
+
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text("[]")

@@ -138,6 +138,39 @@ class TestNextTradingDay:
         assert PriceIndex.of(index) is index
         assert index.next_bar("BBB", dt.date(2016, 1, 1)).date == dt.date(2016, 1, 9)
 
+    def test_repeated_query_returns_the_identical_bar(self):
+        index = PriceIndex(self.BARS)
+        first = index.next_bar("AAA", dt.date(2016, 1, 8))
+        assert index.next_bar("AAA", dt.date(2016, 1, 8)) is first
+        # Saturday and Sunday resolve to the same Monday bar object
+        assert index.next_bar("AAA", dt.date(2016, 1, 9)) is first
+        assert index.next_bar("AAA", dt.date(2016, 1, 10)) is first
+        assert first == PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 8)) == self.BARS[1]
+
+    def test_past_history_raises_on_every_call(self):
+        index = PriceIndex(self.BARS)
+        for asset, after in (("AAA", dt.date(2016, 1, 12)), ("ZZZ", dt.date(2016, 1, 1))):
+            for _ in range(2):
+                with pytest.raises(ValueError) as err:
+                    index.next_bar(asset, after)
+                assert str(err.value) == f"end of price history: no bar for {asset} after {after}"
+
+    def test_label_all_unchanged_with_a_shared_index(self):
+        headlines, prices = generate_synthetic(
+            seed=4, n_assets=3, n_days=20, headlines_per_day=3, signal_strength=0.5)
+        last = max(b.date for b in prices)
+        headlines = headlines + [_headline(10_000, "SYN0", last, dt.time(9, 5))]
+        index = PriceIndex(prices)
+        first = label_all(headlines, index)
+        assert label_all(headlines, index) == first  # answered from the memo
+        assert label_all(headlines, prices) == first  # a fresh index
+        assert first[1] == [10_000]
+        for h in headlines[:-1]:  # the next bar by a plain scan
+            bar = min((b for b in prices if b.asset == h.asset and b.date > h.date),
+                      key=lambda b: b.date)
+            assert first[0][h.id].trade_date == bar.date
+            assert first[0][h.id].next_day_return == (bar.close - bar.open) / bar.open
+
     def test_strictly_later_and_no_gap(self):
         # property: result > query date and no bar strictly between them
         rng = np.random.default_rng(0)

@@ -15,6 +15,8 @@ from newsvane.text import (
     encode_and_pad,
     save_vocabulary,
     tokenize,
+    tokens_by_index,
+    tokens_hash,
     vocabulary_hash,
 )
 
@@ -82,6 +84,15 @@ class TestVocabulary:
         assert path.read_text() == "max_len=3\nalpha\t1\nbeta\t2\ngamma\t3\n"
         assert vocabulary_hash(vocab) == hashlib.sha256(path.read_bytes()).hexdigest()
         assert vocabulary_hash(vocab.with_max_len(4)) != vocabulary_hash(vocab)
+
+    def test_hash_from_the_token_list_is_pinned(self):
+        """Checkpoints hash the index-ordered token list they already hold;
+        the bytes hashed, and so every stored vocab_hash, stay the same."""
+        vocab = Vocabulary(word_to_index={"surge": 1, "slump": 2, "café": 3, "q4": 4}, max_len=12)
+        assert tokens_by_index(vocab) == ["surge", "slump", "café", "q4"]
+        pinned = "076f807614aaed5ed4e4d61d2a1b8005a3c9942e380d4089521e083589102636"
+        assert tokens_hash(["surge", "slump", "café", "q4"], 12) == pinned
+        assert vocabulary_hash(vocab) == pinned
 
 
 class TestEncodeAndPad:
