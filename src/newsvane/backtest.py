@@ -110,32 +110,37 @@ def aggregate_daily(
 
     Input rows are (headline_id, asset, date, output) where the output is a
     scalar sigmoid probability or a length-3 probability vector; mixing the
-    two kinds is an error. Results are sorted by (date, asset).
+    two kinds is an error. Results are sorted by (date, asset). A day's
+    sigmoid outputs are averaged by ``_day_mean`` and its class vectors by
+    one ``mean(axis=0)``, which give the bits of ``np.mean`` over the day.
     """
     if not predictions:
         raise ValueError("no predictions to aggregate")
     groups: dict[tuple[dt.date, str], list] = {}
-    kinds: set[bool] = set()
+    scalar: bool | None = None
     for _, asset, date, output in predictions:
-        scalar = np.isscalar(output) or getattr(output, "shape", None) == ()
-        kinds.add(scalar)
-        if len(kinds) > 1:
-            raise ValueError("cannot mix scalar and 3-class outputs in one aggregation")
+        kind = _is_scalar_output(output)
+        if kind is not scalar:
+            if scalar is not None:
+                raise ValueError("cannot mix scalar and 3-class outputs in one aggregation")
+            scalar = kind
         groups.setdefault((date, asset), []).append(output)
 
-    scalar = kinds.pop()
     out: list[DayPrediction] = []
     for (date, asset), outputs in sorted(groups.items()):
         if scalar:
             out.append(
                 DayPrediction(
                     asset=asset, date=date, n_headlines=len(outputs),
-                    sigma_mean=float(np.mean([float(o) for o in outputs])),
+                    sigma_mean=_day_mean([float(o) for o in outputs]),
                 )
             )
         else:
-            arr = np.asarray([np.asarray(o, dtype=np.float64) for o in outputs])
-            if arr.shape[1] != 3:
+            try:
+                arr = np.array(outputs, dtype=np.float64)
+            except ValueError:  # outputs of different lengths
+                arr = None
+            if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
                 raise ValueError("3-class outputs must have length 3")
             mean = arr.mean(axis=0)
             out.append(
@@ -145,6 +150,15 @@ def aggregate_daily(
                 )
             )
     return out
+
+
+def _is_scalar_output(output) -> bool:
+    """True for one sigmoid probability, False for a class vector."""
+    if isinstance(output, float):  # np.float64 too
+        return True
+    if isinstance(output, np.ndarray):
+        return output.ndim == 0
+    return np.isscalar(output) or getattr(output, "shape", None) == ()
 
 
 def _buy_score(dp: DayPrediction, binary: bool) -> float:

@@ -189,9 +189,12 @@ def lookup_concat(enc: EncodedHeadline, table: EmbeddingTable) -> np.ndarray:
     Output length is max_len * p; padding positions contribute zero blocks.
     """
     idx = enc.indices
-    if idx.min() < 0 or idx.max() >= table.matrix.shape[0]:
-        raise ValueError("encoded index out of range for embedding table (corrupt input)")
-    return table.matrix[idx].reshape(-1)
+    if idx.min() >= 0:
+        try:
+            return table.matrix[idx].reshape(-1)
+        except IndexError:  # an index past the last row
+            pass
+    raise ValueError("encoded index out of range for embedding table (corrupt input)")
 
 
 def nearest_neighbors(

@@ -16,15 +16,25 @@ bit-reproducible. The embedding gradient of a sample is row-sparse: it is
 added only to the distinct non-padding rows its headline looks up, each
 summed over its positions in position order, so a backward pass never
 touches the rest of the table.
+
+Per-sample cost is mostly the count of numpy calls, so the conv stage runs
+all widths in shared buffers (``_ConvPlan``): one column per filter, one
+conv matmul per width writing its own columns, then one relu, one -inf fill
+past each width's map, one pool and one gather into z. ``backward`` scatters
+dz into the same layout and sums the word gradients of every width with one
+weighted ``np.bincount``. Each element still sees the float operations of a
+width-by-width loop, in the same order, so every output and gradient has
+that loop's bits; the tests keep a copy of it to compare against.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -215,7 +225,9 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, biases: np.ndarray,
     step, so every adjacent phrase of h words is scored once.
     """
     windows = _word_windows(x, filters.shape[1] // p, p)
-    return windows, windows @ filters.T + biases
+    pre = windows @ filters.T
+    pre += biases
+    return windows, pre
 
 
 def maxpool(maps: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,19 +235,29 @@ def maxpool(maps: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (pooled (ceil(n/w), d), argmax row indices into ``maps``). The
     final partial window is pooled as-is; ties resolve to the leftmost
-    element.
+    element. ``forward`` pools every width at once: it hands over a map
+    whose cells past each width's end hold -inf and whose length is a
+    multiple of w, which is pooled without a padded copy. In test mode it
+    takes the same block max without the argmax.
     """
     n, d = maps.shape
     if n == 0:
         raise ValueError("cannot pool an empty feature map")
     n_out = -(-n // w)
-    padded = np.full((n_out * w, d), -np.inf)
-    padded[:n] = maps
-    blocks = padded.reshape(n_out, w, d)
-    within = blocks.argmax(axis=1)
-    pooled = blocks.max(axis=1)
-    positions = within + (np.arange(n_out) * w)[:, None]
-    return pooled, positions
+    if n_out * w != n:
+        padded = np.full((n_out * w, d), -np.inf)
+        padded[:n] = maps
+        maps = padded
+    blocks = maps.reshape(n_out, w, d)
+    return blocks.max(axis=1), blocks.argmax(axis=1) + _pool_offsets(n_out, w)
+
+
+@functools.lru_cache(maxsize=256)
+def _pool_offsets(n_out: int, w: int) -> np.ndarray:
+    """First row of each pool window, as a read-only (n_out, 1) column."""
+    offsets = (np.arange(n_out) * w)[:, None]
+    offsets.flags.writeable = False
+    return offsets
 
 
 def dense_forward(
@@ -245,7 +267,8 @@ def dense_forward(
     zprev = np.asarray(zprev, dtype=np.float64)
     if w.shape[1] != zprev.size or w.shape[0] != b.size:
         raise ValueError(f"dense shape mismatch: w {w.shape}, b {b.shape}, input {zprev.shape}")
-    pre = w @ zprev + b
+    pre = w @ zprev
+    pre += b
     if activation == "relu":
         return relu(pre)
     if activation == "none":
@@ -301,16 +324,74 @@ def softmax3(z: np.ndarray) -> np.ndarray:
 # --- full network ---------------------------------------------------------
 
 
+class _Width(NamedTuple):
+    h: int
+    cols: slice    # its filters' columns in the shared conv buffers
+    length: int    # feature-map length, m - h + 1
+    pooled: int    # pooled length
+    grads: slice   # its (length, h*p) window gradients in backward's flat buffer
+    bins: np.ndarray  # the word-gradient element each of those adds into
+
+
+class _ConvPlan:
+    """Where every filter width lives in the conv buffers ``forward`` shares.
+
+    The buffers hold all widths side by side, one column per filter, in
+    ``config.filter_widths`` order (the order of z), and ``rows`` rows: the
+    longest map padded to whole pool windows. A wider filter's map ends
+    higher up; ``pad`` marks the cells below it.
+    """
+
+    def __init__(self, config: ModelConfig) -> None:
+        p, n_f = config.p, config.filters_per_width
+        narrowest = min(config.filter_widths)
+        self.n_filters = config.total_filters
+        self.map_rows = config.map_len(narrowest)
+        self.blocks = config.pooled_len(narrowest)
+        self.rows = self.blocks * config.pool_w
+        self.pad = np.zeros((self.rows, self.n_filters), dtype=bool)
+        widths, z_take = [], []
+        self.grads_size = 0
+        for i, h in enumerate(config.filter_widths):
+            col = i * n_f
+            length, pooled = config.map_len(h), config.pooled_len(h)
+            # element (k, o, j) of a width's window gradient belongs to word k+o
+            bins = ((np.arange(length)[:, None, None] + np.arange(h)[:, None]) * p
+                    + np.arange(p)).ravel()
+            bins.flags.writeable = False
+            widths.append(_Width(h, slice(col, col + n_f), length, pooled,
+                                 slice(self.grads_size, self.grads_size + bins.size), bins))
+            self.grads_size += bins.size
+            self.pad[length:, col : col + n_f] = True
+            # z is filter-major per width: filter f's pooled map, block by block
+            z_take.append((np.arange(col, col + n_f)[:, None]
+                           + np.arange(pooled) * self.n_filters).ravel())
+        self.widths = tuple(widths)
+        self.z_take = np.concatenate(z_take)  # z element -> cell of the pooled buffer
+        self.z_cols = self.z_take % self.n_filters
+        for arr in (self.pad, self.z_take, self.z_cols):
+            arr.flags.writeable = False
+
+
+_conv_plan = functools.lru_cache(maxsize=64)(_ConvPlan)
+
+
 @dataclass(eq=False)
 class ForwardCache:
-    """Intermediate values of a train-mode forward pass, for backpropagation."""
+    """Intermediate values of a train-mode forward pass, for backpropagation.
+
+    The conv stage of all widths lives in three shared buffers (see
+    ``_ConvPlan``); ``conv_pre``, ``conv_post`` and ``pool_argmax`` give
+    each width's part of them as views.
+    """
 
     indices: np.ndarray
     x: np.ndarray
-    windows: dict[int, np.ndarray]     # width -> (map_len, h*p) view of x
-    conv_pre: dict[int, np.ndarray]    # width -> (map_len, n_filters)
-    conv_post: dict[int, np.ndarray]
-    pool_argmax: dict[int, np.ndarray]  # width -> (pooled_len, n_filters)
+    windows: dict[int, np.ndarray]  # width -> (map_len, h*p) view of x
+    pre: np.ndarray                 # (rows, total filters) conv pre-activations
+    post: np.ndarray                # relu(pre), -inf in the pad cells
+    positions: np.ndarray           # (blocks, total filters) argmax rows of post
+    plan: _ConvPlan
     z: np.ndarray
     act1: np.ndarray
     mask1: np.ndarray
@@ -320,6 +401,21 @@ class ForwardCache:
     drop2: np.ndarray
     logits: np.ndarray
     output: np.ndarray  # sigmoid probability (len 1) or softmax probabilities (len 3)
+
+    @property
+    def conv_pre(self) -> dict[int, np.ndarray]:
+        """Width -> (map_len, n_filters) pre-activations."""
+        return {width.h: self.pre[: width.length, width.cols] for width in self.plan.widths}
+
+    @property
+    def conv_post(self) -> dict[int, np.ndarray]:
+        """Width -> (map_len, n_filters) relu feature maps."""
+        return {width.h: self.post[: width.length, width.cols] for width in self.plan.widths}
+
+    @property
+    def pool_argmax(self) -> dict[int, np.ndarray]:
+        """Width -> (pooled_len, n_filters) map rows the pool took."""
+        return {width.h: self.positions[: width.pooled, width.cols] for width in self.plan.widths}
 
 
 def forward(
@@ -341,20 +437,19 @@ def forward(
         raise ValueError(f"unknown mode {mode!r}")
     x = lookup_concat(enc, table)
 
+    plan = _conv_plan(config)
+    pre = np.zeros((plan.rows, plan.n_filters))
     windows: dict[int, np.ndarray] = {}
-    conv_pre: dict[int, np.ndarray] = {}
-    conv_post: dict[int, np.ndarray] = {}
-    pool_argmax: dict[int, np.ndarray] = {}
-    pooled_parts: list[np.ndarray] = []
-    for h in config.filter_widths:
-        windows[h], pre = conv_forward(x, params.filters[h], params.filter_biases[h], config.p)
-        post = relu(pre)
+    for width in plan.widths:
+        windows[width.h], pre[: width.length, width.cols] = conv_forward(
+            x, params.filters[width.h], params.filter_biases[width.h], config.p)
+    post = relu(pre)
+    post[plan.pad] = -np.inf
+    if mode == "test":
+        pooled, positions = post.reshape(plan.blocks, config.pool_w, -1).max(axis=1), None
+    else:
         pooled, positions = maxpool(post, config.pool_w)
-        conv_pre[h] = pre
-        conv_post[h] = post
-        pool_argmax[h] = positions
-        pooled_parts.append(pooled.T.reshape(-1))  # filter-major: maps stay contiguous
-    z = np.concatenate(pooled_parts)
+    z = pooled.take(plan.z_take)
 
     act1 = dense_forward(z, params.w1, params.b1, "relu")
     drop1, mask1 = apply_dropout(act1, config.dropout_rate, mode, rng)
@@ -363,8 +458,8 @@ def forward(
     logits = dense_forward(drop2, params.w_out, params.b_out, "none")
 
     if config.head == HEAD_BINARY:
-        probs = np.array([sigmoid(float(logits[0]))])
-        output: float | np.ndarray = float(probs[0])
+        output: float | np.ndarray = sigmoid(float(logits[0]))
+        probs = np.array([output])
     else:
         probs = softmax3(logits)
         output = probs
@@ -372,8 +467,8 @@ def forward(
     if mode == "test":
         return output, None
     cache = ForwardCache(
-        indices=enc.indices, x=x, windows=windows, conv_pre=conv_pre, conv_post=conv_post,
-        pool_argmax=pool_argmax, z=z, act1=act1, mask1=mask1, drop1=drop1,
+        indices=enc.indices, x=x, windows=windows, pre=pre, post=post, positions=positions,
+        plan=plan, z=z, act1=act1, mask1=mask1, drop1=drop1,
         act2=act2, mask2=mask2, drop2=drop2, logits=logits, output=probs,
     )
     return output, cache
@@ -386,6 +481,10 @@ def sample_loss(output: float | np.ndarray, y: int, head: str) -> float:
         s = min(max(float(output), LOG_EPS), 1.0 - LOG_EPS)
         return -math.log(s if y else 1.0 - s)
     return -math.log(min(max(float(output[y]), LOG_EPS), 1.0 - LOG_EPS))
+
+
+_ONE_HOT3 = np.eye(3)
+_ONE_HOT3.flags.writeable = False
 
 
 def backward(
@@ -418,53 +517,50 @@ def backward(
 
     # head: d(loss)/d(logits) for both cross-entropies
     if config.head == HEAD_BINARY:
-        dlogits = cache.output - np.array([float(y)])
+        dlogits = cache.output - float(y)
     else:
-        onehot = np.zeros(3)
-        onehot[y] = 1.0
-        dlogits = cache.output - onehot
+        dlogits = cache.output - _ONE_HOT3[y]
 
-    acc.w_out += np.outer(dlogits, cache.drop2)
+    # A dropout mask is 0 or 1 and relu output is >= 0, so drop > 0 exactly
+    # where both mask and relu pass: ddrop * (drop > 0) has the bits of
+    # ddrop * mask * (act > 0), signed zeros included.
+    acc.w_out += dlogits[:, None] * cache.drop2
     acc.b_out += dlogits
-    ddrop2 = params.w_out.T @ dlogits
-
-    dact2 = ddrop2 * cache.mask2
-    dpre2 = dact2 * (cache.act2 > 0)
-    acc.w2 += np.outer(dpre2, cache.drop1)
+    dpre2 = (params.w_out.T @ dlogits) * (cache.drop2 > 0)
+    acc.w2 += dpre2[:, None] * cache.drop1
     acc.b2 += dpre2
-    ddrop1 = params.w2.T @ dpre2
-
-    dact1 = ddrop1 * cache.mask1
-    dpre1 = dact1 * (cache.act1 > 0)
-    acc.w1 += np.outer(dpre1, cache.z)
+    dpre1 = (params.w2.T @ dpre2) * (cache.drop1 > 0)
+    acc.w1 += dpre1[:, None] * cache.z
     acc.b1 += dpre1
     dz = params.w1.T @ dpre1
 
-    n_f, p = config.filters_per_width, config.p
-    dx = None if acc_emb is None else np.zeros((config.m, p))
-    offset = 0
-    for h in config.filter_widths:
-        pooled_len = config.pooled_len(h)
-        seg = dz[offset : offset + n_f * pooled_len].reshape(n_f, pooled_len).T
-        offset += n_f * pooled_len
+    # pool windows do not overlap, so every argmax cell is hit once
+    plan = cache.plan
+    dpost = np.zeros((plan.map_rows, plan.n_filters))
+    dpost[cache.positions.take(plan.z_take), plan.z_cols] = dz
+    dpre = dpost * (cache.pre[: plan.map_rows] > 0)
 
-        # pool windows do not overlap, so every argmax cell is hit once
-        dpost = np.zeros(cache.conv_post[h].shape)
-        dpost[cache.pool_argmax[h], np.arange(n_f)] = seg
-        dpre = dpost * (cache.conv_pre[h] > 0)
+    dwindows = None if acc_emb is None else np.empty(plan.grads_size)
+    for width in plan.widths:
+        h, dpre_h = width.h, dpre[: width.length, width.cols]
+        acc.filters[h] += dpre_h.T @ cache.windows[h]
+        acc.filter_biases[h] += dpre_h.sum(axis=0)
+        if dwindows is not None:
+            np.matmul(dpre_h, params.filters[h], out=dwindows[width.grads].reshape(width.length, -1))
 
-        acc.filters[h] += dpre.T @ cache.windows[h]
-        acc.filter_biases[h] += dpre.sum(axis=0)
-
-        if dx is not None:
-            # window k covers words k..k+h-1; taking the word offset o from
-            # h-1 down to 0 adds into each word in ascending k
-            dwindows = (dpre @ params.filters[h]).reshape(-1, h, p)
-            for o in range(h - 1, -1, -1):
-                dx[o : o + dwindows.shape[0]] += dwindows[:, o]
-
-    if dx is None:
+    if dwindows is None:
         return np.empty(0, dtype=np.int64)
+    # Window k covers words k..k+h-1. bincount adds its weights in input
+    # order from 0.0: width by width in config order, and within a width
+    # in ascending k, which is descending word offset for any one word.
+    # The bins are joined per call (~1 us), not cached joined: with one
+    # cached index the V=20k bench workload's peak RSS ended one embedding
+    # table (15 MB) higher in 9 of 20 25 s runs, against 7 of 38 this way
+    # and 4 of 20 before this layout. Where glibc places the freed
+    # table-sized blocks decides it.
+    bins = np.concatenate([width.bins for width in plan.widths])
+    dx = np.bincount(bins, weights=dwindows,
+                     minlength=config.m * config.p).reshape(config.m, config.p)
     emb_rows, emb_grads = _sum_rows(cache.indices, dx)
     acc_emb[emb_rows] += emb_grads
     return emb_rows
@@ -479,13 +575,18 @@ def _sum_rows(indices: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     row's first position needs no zero to be added to). Headlines are a few
     words long, so plain Python groups the positions faster than a sort.
     """
-    positions: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
+    repeats: list[tuple[int, int]] = []
     for k, row in enumerate(indices.tolist()):
         if row:
-            positions.setdefault(row, []).append(k)
-    rows = sorted(positions)
-    sums = dx[[positions[row][0] for row in rows]]
-    for i, row in enumerate(rows):
-        for k in positions[row][1:]:
-            sums[i] += dx[k]
+            if row in first:
+                repeats.append((row, k))
+            else:
+                first[row] = k
+    rows = sorted(first)
+    sums = dx[[first[row] for row in rows]]
+    if repeats:
+        slot = {row: i for i, row in enumerate(rows)}
+        for row, k in repeats:
+            sums[slot[row]] += dx[k]
     return np.array(rows, dtype=np.int64), sums

@@ -63,6 +63,101 @@ class TestAggregateDaily:
         assert [(dp.date, dp.asset) for dp in out] == [(D0, "A"), (_day(1), "A"), (_day(1), "B")]
 
 
+def _former_aggregate_daily(predictions):
+    """``aggregate_daily`` as it was before its per-row fast paths."""
+    if not predictions:
+        raise ValueError("no predictions to aggregate")
+    groups, kinds = {}, set()
+    for _, asset, date, output in predictions:
+        kinds.add(np.isscalar(output) or getattr(output, "shape", None) == ())
+        if len(kinds) > 1:
+            raise ValueError("cannot mix scalar and 3-class outputs in one aggregation")
+        groups.setdefault((date, asset), []).append(output)
+    scalar = kinds.pop()
+    out = []
+    for (date, asset), outputs in sorted(groups.items()):
+        if scalar:
+            out.append(DayPrediction(asset=asset, date=date, n_headlines=len(outputs),
+                                     sigma_mean=float(np.mean([float(o) for o in outputs]))))
+        else:
+            arr = np.asarray([np.asarray(o, dtype=np.float64) for o in outputs])
+            if arr.shape[1] != 3:
+                raise ValueError("3-class outputs must have length 3")
+            mean = arr.mean(axis=0)
+            out.append(DayPrediction(asset=asset, date=date, n_headlines=len(outputs),
+                                     class_means=(float(mean[0]), float(mean[1]), float(mean[2]))))
+    return out
+
+
+def _day_bits(days):
+    return [(dp.asset, dp.date, dp.n_headlines,
+             None if dp.sigma_mean is None else dp.sigma_mean.hex(),
+             None if dp.class_means is None else tuple(v.hex() for v in dp.class_means))
+            for dp in days]
+
+
+_SCALAR_FORMS = (float, np.float64, np.float32, lambda v: np.array(v), lambda v: np.array([v])[0])
+_VECTOR_FORMS = (lambda v: np.array(v), lambda v: np.array(v, dtype=np.float32), list, tuple)
+
+
+class TestAggregateDailyExactness:
+    """Bit-for-bit equality with the former implementation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+           scalar=st.booleans(), form=st.integers(0, 3), seed=st.integers(0, 2**16))
+    def test_matches_former_code(self, sizes, scalar, form, seed):
+        rng = np.random.default_rng(seed)
+        forms = _SCALAR_FORMS if scalar else _VECTOR_FORMS
+        rows = []
+        for group, size in enumerate(sizes):
+            asset, date = "ABC"[group % 3], _day(group // 3)
+            for _ in range(size):
+                value = rng.random() if scalar else rng.dirichlet(np.ones(3)).tolist()
+                # one form per case, or a mix of forms when form == 0
+                make = forms[int(rng.integers(len(forms)))] if form == 0 else forms[form]
+                rows.append((len(rows), asset, date, make(value)))
+        order = rng.permutation(len(rows))
+        rows = [rows[i] for i in order]
+        assert _day_bits(aggregate_daily(rows)) == _day_bits(_former_aggregate_daily(rows))
+
+    @pytest.mark.parametrize("outputs", [
+        [0.5, np.array([0.2, 0.3, 0.5])],
+        [np.float64(0.5), [0.2, 0.3, 0.5]],
+        [np.array([0.2, 0.3, 0.5]), np.array(0.5)],
+        [np.array([0.2, 0.3, 0.5]), np.float32(0.5)],
+    ])
+    def test_mixed_kinds_rejected_like_former_code(self, outputs):
+        rows = [(i, "A", D0, o) for i, o in enumerate(outputs)]
+        for fn in (aggregate_daily, _former_aggregate_daily):
+            with pytest.raises(ValueError, match="mix"):
+                fn(rows)
+
+    @pytest.mark.parametrize("outputs", [
+        [np.array([0.5, 0.5])],
+        [np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.2, 0.3, 0.4])],
+        [[0.25, 0.25, 0.25, 0.25]],
+    ])
+    def test_wrong_length_rejected_like_former_code(self, outputs):
+        rows = [(i, "A", D0, o) for i, o in enumerate(outputs)]
+        with pytest.raises(ValueError, match="length 3"):
+            aggregate_daily(rows)
+        with pytest.raises(ValueError):
+            _former_aggregate_daily(rows)
+
+    def test_class_mean_is_the_sequential_row_sum_over_k(self):
+        """``mean(axis=0)`` of a (k, 3) array adds the rows one after another
+        from 0.0 and divides by k; a NumPy that changes this fails here."""
+        rng = np.random.default_rng(13)
+        for k in range(1, 41):
+            for _ in range(50):
+                arr = rng.dirichlet(np.ones(3), size=k)
+                total = np.zeros(3)
+                for row in arr:
+                    total += row
+                assert arr.mean(axis=0).tobytes() == (total / k).tobytes()
+
+
 class TestDecisions:
     def test_binary_strict_at_threshold(self):
         dp = DayPrediction(asset="A", date=D0, n_headlines=1, sigma_mean=0.5)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newsvane.embeddings import EmbeddingTable, lookup_concat
@@ -552,3 +552,234 @@ class TestBackwardContracts:
         acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
         with pytest.raises(ValueError):
             backward(None, 1, params, config, table, acc, np.zeros(table.matrix.shape))
+
+
+# --- exactness against the former per-width implementation -----------------
+#
+# In-test copies of forward, backward, maxpool and _sum_rows as they were
+# before the conv stage shared one buffer across widths. The shared-buffer
+# code must reproduce every output, cache field and gradient bit for bit.
+
+
+def _former_maxpool(maps, w):
+    n, d = maps.shape
+    n_out = -(-n // w)
+    padded = np.full((n_out * w, d), -np.inf)
+    padded[:n] = maps
+    blocks = padded.reshape(n_out, w, d)
+    within = blocks.argmax(axis=1)
+    pooled = blocks.max(axis=1)
+    positions = within + (np.arange(n_out) * w)[:, None]
+    return pooled, positions
+
+
+def _former_forward(enc, table, params, config, mode, rng):
+    x = lookup_concat(enc, table)
+    fields = {"indices": enc.indices, "x": x, "windows": {}, "conv_pre": {}, "conv_post": {},
+              "pool_argmax": {}}
+    pooled_parts = []
+    for h in config.filter_widths:
+        fields["windows"][h], pre = conv_forward(x, params.filters[h], params.filter_biases[h],
+                                                 config.p)
+        post = relu(pre)
+        pooled, positions = _former_maxpool(post, config.pool_w)
+        fields["conv_pre"][h] = pre
+        fields["conv_post"][h] = post
+        fields["pool_argmax"][h] = positions
+        pooled_parts.append(pooled.T.reshape(-1))
+    z = np.concatenate(pooled_parts)
+    act1 = dense_forward(z, params.w1, params.b1, "relu")
+    drop1, mask1 = apply_dropout(act1, config.dropout_rate, mode, rng)
+    act2 = dense_forward(drop1, params.w2, params.b2, "relu")
+    drop2, mask2 = apply_dropout(act2, config.dropout_rate, mode, rng)
+    logits = dense_forward(drop2, params.w_out, params.b_out, "none")
+    if config.head == "binary":
+        probs = np.array([sigmoid(float(logits[0]))])
+        output = float(probs[0])
+    else:
+        probs = softmax3(logits)
+        output = probs
+    if mode == "test":
+        return output, None
+    fields.update(z=z, act1=act1, mask1=mask1, drop1=drop1, act2=act2, mask2=mask2,
+                  drop2=drop2, logits=logits, output=probs)
+    return output, fields
+
+
+def _former_sum_rows(indices, dx):
+    positions = {}
+    for k, row in enumerate(indices.tolist()):
+        if row:
+            positions.setdefault(row, []).append(k)
+    rows = sorted(positions)
+    sums = dx[[positions[row][0] for row in rows]]
+    for i, row in enumerate(rows):
+        for k in positions[row][1:]:
+            sums[i] += dx[k]
+    return np.array(rows, dtype=np.int64), sums
+
+
+def _former_backward(cache, y, params, config, acc, acc_emb):
+    if config.head == "binary":
+        dlogits = cache["output"] - np.array([float(y)])
+    else:
+        onehot = np.zeros(3)
+        onehot[y] = 1.0
+        dlogits = cache["output"] - onehot
+    acc.w_out += np.outer(dlogits, cache["drop2"])
+    acc.b_out += dlogits
+    ddrop2 = params.w_out.T @ dlogits
+    dact2 = ddrop2 * cache["mask2"]
+    dpre2 = dact2 * (cache["act2"] > 0)
+    acc.w2 += np.outer(dpre2, cache["drop1"])
+    acc.b2 += dpre2
+    ddrop1 = params.w2.T @ dpre2
+    dact1 = ddrop1 * cache["mask1"]
+    dpre1 = dact1 * (cache["act1"] > 0)
+    acc.w1 += np.outer(dpre1, cache["z"])
+    acc.b1 += dpre1
+    dz = params.w1.T @ dpre1
+    n_f, p = config.filters_per_width, config.p
+    dx = None if acc_emb is None else np.zeros((config.m, p))
+    offset = 0
+    for h in config.filter_widths:
+        pooled_len = config.pooled_len(h)
+        seg = dz[offset : offset + n_f * pooled_len].reshape(n_f, pooled_len).T
+        offset += n_f * pooled_len
+        dpost = np.zeros(cache["conv_post"][h].shape)
+        dpost[cache["pool_argmax"][h], np.arange(n_f)] = seg
+        dpre = dpost * (cache["conv_pre"][h] > 0)
+        acc.filters[h] += dpre.T @ cache["windows"][h]
+        acc.filter_biases[h] += dpre.sum(axis=0)
+        if dx is not None:
+            dwindows = (dpre @ params.filters[h]).reshape(-1, h, p)
+            for o in range(h - 1, -1, -1):
+                dx[o : o + dwindows.shape[0]] += dwindows[:, o]
+    if dx is None:
+        return np.empty(0, dtype=np.int64)
+    emb_rows, emb_grads = _former_sum_rows(cache["indices"], dx)
+    acc_emb[emb_rows] += emb_grads
+    return emb_rows
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@st.composite
+def _exactness_cases(draw):
+    m = draw(st.integers(2, 11))
+    widths = tuple(draw(st.lists(st.integers(2, m), min_size=1, max_size=3, unique=True)))
+    n_f = draw(st.integers(1, 3))
+    pool_w = draw(st.integers(1, 3))
+    z_len = sum(n_f * -(-(m - h + 1) // pool_w) for h in widths)
+    assume(z_len >= 3)
+    l1 = draw(st.integers(2, min(z_len - 1, 12)))
+    config = ModelConfig(
+        p=draw(st.integers(1, 4)), m=m, filter_widths=widths, filters_per_width=n_f,
+        pool_w=pool_w, hidden_sizes=(l1, draw(st.integers(1, l1 - 1))),
+        dropout_rate=draw(st.sampled_from([0.0, 0.3])),
+        head=draw(st.sampled_from(["binary", "multiclass3"])),
+    )
+    return (config, draw(st.sampled_from(["static", "non_static"])),
+            draw(st.integers(0, m)), draw(st.booleans()), draw(st.integers(0, 2**16)))
+
+
+def _assert_exact_pass(config, mode, true_len, with_rng, seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(4, config.p))  # few rows, so tokens repeat
+    matrix[0] = 0.0
+    table = EmbeddingTable(matrix=matrix, mode=mode, p=config.p)
+    indices = np.zeros(config.m, dtype=np.int64)
+    indices[:true_len] = rng.integers(1, 4, size=true_len)
+    enc = EncodedHeadline(indices=indices, true_len=true_len)
+    params = init_parameters(config, rng)
+    params.flat[:] += rng.normal(0.0, 0.3, size=params.flat.size)  # non-zero biases too
+    y = int(rng.integers(0, config.out_dim + (config.out_dim == 1)))
+    # dropout 0 runs without a generator (gradcheck's path) unless asked
+    needs_rng = with_rng or config.dropout_rate > 0.0
+
+    def stream():
+        return np.random.default_rng(seed + 1) if needs_rng else None
+
+    out_new, _ = forward(enc, table, params, config, mode="test")
+    out_old, _ = _former_forward(enc, table, params, config, "test", None)
+    assert _bits(out_new) == _bits(out_old) and type(out_new) is type(out_old)
+
+    out_new, cache = forward(enc, table, params, config, mode="train", rng=stream())
+    out_old, fields = _former_forward(enc, table, params, config, "train", stream())
+    assert _bits(out_new) == _bits(out_old) and type(out_new) is type(out_old)
+    for name, old in fields.items():
+        new = getattr(cache, name)
+        if isinstance(old, dict):
+            assert list(new) == list(old), name
+            for h in old:
+                assert _bits(new[h]) == _bits(old[h]), (name, h)
+        else:
+            assert _bits(new) == _bits(old), name
+
+    start = rng.normal(size=params.flat.size)
+    start_emb = rng.normal(size=matrix.shape) if table.trainable else None
+    results = []
+    for step in (backward, None):
+        acc = ModelParameters.from_flat(start.copy(), params.layout)
+        acc_emb = None if start_emb is None else start_emb.copy()
+        if step is None:
+            rows = _former_backward(fields, y, params, config, acc, acc_emb)
+        else:
+            rows = step(cache, y, params, config, table, acc, acc_emb)
+        results.append((_bits(acc.flat), None if acc_emb is None else _bits(acc_emb), _bits(rows)))
+    assert results[0] == results[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_exactness_cases())
+def test_forward_and_backward_match_former_code_bit_for_bit(case):
+    _assert_exact_pass(*case)
+
+
+@pytest.mark.parametrize("config", [
+    # pooled lengths 5, 4 and 4 at m = 11, widths unsorted
+    ModelConfig(p=3, m=11, filter_widths=(5, 2, 4), filters_per_width=3, hidden_sizes=(8, 4),
+                dropout_rate=0.3, pool_w=2),
+    # map lengths 10, 8, 7 against pool_w 3: none divides
+    ModelConfig(p=2, m=11, filter_widths=(2, 4, 5), filters_per_width=2, hidden_sizes=(6, 3),
+                pool_w=3, head="multiclass3"),
+    # one width as long as the sentence: a one-row map
+    ModelConfig(p=2, m=6, filter_widths=(6, 3), filters_per_width=2, hidden_sizes=(5, 2),
+                pool_w=1),
+    # a single filter per width
+    ModelConfig(p=2, m=11, filter_widths=(4, 2), filters_per_width=1, hidden_sizes=(6, 2),
+                dropout_rate=0.3, pool_w=1, head="multiclass3"),
+])
+@pytest.mark.parametrize("mode", ["static", "non_static"])
+def test_named_shapes_match_former_code_bit_for_bit(config, mode):
+    for seed in range(8):
+        # all padding, partly padded and full encodings, with and without a generator
+        for true_len in (0, config.m // 2, config.m):
+            _assert_exact_pass(config, mode, true_len, seed % 2 == 0, seed)
+
+
+class TestNumpyAssumptions:
+    """The bit-exactness of forward and backward rests on these. A numpy
+    release that changes one fails here, not in a digest."""
+
+    def test_weighted_bincount_adds_in_input_order_from_zero(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_bins = int(rng.integers(1, 30))
+            index = rng.integers(0, n_bins, size=int(rng.integers(1, 200)))
+            weights = rng.normal(size=index.size) * 10.0 ** rng.integers(-8, 8, size=index.size)
+            expected = np.zeros(n_bins)
+            for i, w in zip(index.tolist(), weights.tolist()):
+                expected[i] += w
+            got = np.bincount(index, weights=weights, minlength=n_bins)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_outer_is_a_broadcast_multiply(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            a = rng.normal(size=int(rng.integers(1, 40)))
+            b = rng.normal(size=int(rng.integers(1, 40)))
+            assert np.outer(a, b).tobytes() == (a[:, None] * b).tobytes()
