@@ -4,8 +4,13 @@ A small convolutional network over word embeddings classifies headlines by
 the sign of the next trading day's open-to-close return, and a trading
 simulation layer turns day-averaged predictions into buy decisions with
 percent-profitable / average-trade-profit reporting.
+
+Importing the package pins glibc's mmap threshold (see ``allocation``), so
+that table-sized arrays are unmapped when freed instead of left resident in
+the heap.
 """
 
+from .allocation import pin_mmap_threshold
 from .backtest import (
     BUY,
     NO_ACTION,
@@ -72,3 +77,5 @@ from .training import (
 )
 
 __version__ = "0.1.0"
+
+pin_mmap_threshold()

@@ -103,7 +103,9 @@ def _read_sidecar(path: Path, name: str, sha256: str, size: int) -> np.ndarray:
     try:
         with open(path.parent / name, "rb") as fh:
             digest = hashlib.sha256()
-            while chunk := fh.read(1 << 20):
+            # chunks stay below the pinned mmap threshold (see ``allocation``),
+            # so each one reuses heap memory instead of mapping a fresh block
+            while chunk := fh.read(1 << 18):
                 digest.update(chunk)
             if digest.hexdigest() != sha256:
                 raise CheckpointError(f"{path}: sidecar.sha256: does not match the file {name}")

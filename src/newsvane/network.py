@@ -330,7 +330,6 @@ class _Width(NamedTuple):
     length: int    # feature-map length, m - h + 1
     pooled: int    # pooled length
     grads: slice   # its (length, h*p) window gradients in backward's flat buffer
-    bins: np.ndarray  # the word-gradient element each of those adds into
 
 
 class _ConvPlan:
@@ -350,18 +349,17 @@ class _ConvPlan:
         self.blocks = config.pooled_len(narrowest)
         self.rows = self.blocks * config.pool_w
         self.pad = np.zeros((self.rows, self.n_filters), dtype=bool)
-        widths, z_take = [], []
-        self.grads_size = 0
+        widths, z_take, bins = [], [], []
+        grads_size = 0
         for i, h in enumerate(config.filter_widths):
             col = i * n_f
             length, pooled = config.map_len(h), config.pooled_len(h)
             # element (k, o, j) of a width's window gradient belongs to word k+o
-            bins = ((np.arange(length)[:, None, None] + np.arange(h)[:, None]) * p
-                    + np.arange(p)).ravel()
-            bins.flags.writeable = False
+            bins.append(((np.arange(length)[:, None, None] + np.arange(h)[:, None]) * p
+                         + np.arange(p)).ravel())
             widths.append(_Width(h, slice(col, col + n_f), length, pooled,
-                                 slice(self.grads_size, self.grads_size + bins.size), bins))
-            self.grads_size += bins.size
+                                 slice(grads_size, grads_size + bins[-1].size)))
+            grads_size += bins[-1].size
             self.pad[length:, col : col + n_f] = True
             # z is filter-major per width: filter f's pooled map, block by block
             z_take.append((np.arange(col, col + n_f)[:, None]
@@ -369,7 +367,8 @@ class _ConvPlan:
         self.widths = tuple(widths)
         self.z_take = np.concatenate(z_take)  # z element -> cell of the pooled buffer
         self.z_cols = self.z_take % self.n_filters
-        for arr in (self.pad, self.z_take, self.z_cols):
+        self.bins = np.concatenate(bins)  # window-gradient element -> word-gradient element
+        for arr in (self.pad, self.z_take, self.z_cols, self.bins):
             arr.flags.writeable = False
 
 
@@ -540,7 +539,7 @@ def backward(
     dpost[cache.positions.take(plan.z_take), plan.z_cols] = dz
     dpre = dpost * (cache.pre[: plan.map_rows] > 0)
 
-    dwindows = None if acc_emb is None else np.empty(plan.grads_size)
+    dwindows = None if acc_emb is None else np.empty(plan.bins.size)
     for width in plan.widths:
         h, dpre_h = width.h, dpre[: width.length, width.cols]
         acc.filters[h] += dpre_h.T @ cache.windows[h]
@@ -553,13 +552,7 @@ def backward(
     # Window k covers words k..k+h-1. bincount adds its weights in input
     # order from 0.0: width by width in config order, and within a width
     # in ascending k, which is descending word offset for any one word.
-    # The bins are joined per call (~1 us), not cached joined: with one
-    # cached index the V=20k bench workload's peak RSS ended one embedding
-    # table (15 MB) higher in 9 of 20 25 s runs, against 7 of 38 this way
-    # and 4 of 20 before this layout. Where glibc places the freed
-    # table-sized blocks decides it.
-    bins = np.concatenate([width.bins for width in plan.widths])
-    dx = np.bincount(bins, weights=dwindows,
+    dx = np.bincount(plan.bins, weights=dwindows,
                      minlength=config.m * config.p).reshape(config.m, config.p)
     emb_rows, emb_grads = _sum_rows(cache.indices, dx)
     acc_emb[emb_rows] += emb_grads
