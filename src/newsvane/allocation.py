@@ -27,8 +27,8 @@ MMAP_THRESHOLD_BYTES = 1 << 20
 _M_MMAP_THRESHOLD = -3  # the mallopt parameter number in glibc's <malloc.h>
 
 
-def pin_mmap_threshold(nbytes: int = MMAP_THRESHOLD_BYTES) -> bool:
-    """Fix glibc's mmap threshold at ``nbytes``; True if it was set.
+def pin_mmap_threshold() -> bool:
+    """Fix glibc's mmap threshold at ``MMAP_THRESHOLD_BYTES``; True if it was set.
 
     Does nothing and returns False outside glibc, or when the environment
     already sets the threshold (``MALLOC_MMAP_THRESHOLD_`` or the
@@ -49,4 +49,4 @@ def pin_mmap_threshold(nbytes: int = MMAP_THRESHOLD_BYTES) -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return mallopt(_M_MMAP_THRESHOLD, nbytes) == 1
+    return mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
