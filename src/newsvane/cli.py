@@ -186,7 +186,12 @@ def _build_table(cfg: RunConfig, vocab, mode: str, seed: int) -> embeddings.Embe
     )
 
 
-def _prepare(cfg: RunConfig, prices: list[corpus.PriceBar]) -> pipeline.PreparedData:
+def _load_price_index(cfg: RunConfig) -> corpus.PriceIndex:
+    """The run's price bars, indexed once for labeling and the backtests alike."""
+    return corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
+
+
+def _prepare(cfg: RunConfig, prices: corpus.PriceIndex) -> pipeline.PreparedData:
     headlines = corpus.load_headlines(cfg.headlines_path, cfg.min_relevance)
     return pipeline.prepare_dataset(headlines, prices, set(cfg.portfolio), max_len=cfg.max_len)
 
@@ -221,7 +226,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    prepared = _prepare(cfg, corpus.load_prices(cfg.prices_path))
+    prepared = _prepare(cfg, _load_price_index(cfg))
     out = cfg.out_dir
     save_vocabulary(prepared.vocab, out / "vocab.tsv")
     write_json_atomic(
@@ -250,7 +255,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    prepared = _prepare(cfg, corpus.load_prices(cfg.prices_path))
+    prepared = _prepare(cfg, _load_price_index(cfg))
     vocab = prepared.vocab
     model_config = _model_config(cfg, vocab.max_len)
 
@@ -325,8 +330,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _checkpoint_run(
     cfg: RunConfig, args: argparse.Namespace
-) -> tuple[Checkpoint, pipeline.PreparedData, list[corpus.PriceBar]]:
-    """The checkpoint to run, the prepared data and the price bars it runs
+) -> tuple[Checkpoint, pipeline.PreparedData, corpus.PriceIndex]:
+    """The checkpoint to run, the prepared data and the price index it runs
     on, each read once, checked against each other."""
     path = Path(args.checkpoint) if args.checkpoint else cfg.out_dir / "checkpoint.json"
     _require(path.is_file(), f"checkpoint not found: {path}")
@@ -338,7 +343,7 @@ def _checkpoint_run(
             f"checkpoint (p={ckpt.config.p}, head={ckpt.config.head!r}) is incompatible "
             f"with the config (p={cfg.p}, head={cfg.head!r})"
         )
-    prices = corpus.load_prices(cfg.prices_path)
+    prices = _load_price_index(cfg)
     prepared = _prepare(cfg, prices)
     if vocabulary_hash(prepared.vocab) != ckpt.vocab_hash:
         raise ConfigError(
@@ -391,11 +396,11 @@ def _read_predictions_csv(path: Path) -> list[tuple[int, str, dt.date, float | n
 
 def _day_predictions(
     cfg: RunConfig, args: argparse.Namespace
-) -> tuple[list[bt.DayPrediction], list[corpus.PriceBar], str]:
+) -> tuple[list[bt.DayPrediction], corpus.PriceIndex, str]:
     """Day predictions from either a predictions CSV or a checkpoint run,
     with the head they were made by, checked against the strategy head."""
     if args.predictions:
-        prices = corpus.load_prices(cfg.prices_path)
+        prices = _load_price_index(cfg)
         rows = _read_predictions_csv(Path(args.predictions))
         head = HEAD_BINARY if np.isscalar(rows[0][3]) else HEAD_MULTICLASS3
     else:

@@ -20,9 +20,10 @@ import csv
 import datetime as dt
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,10 +44,7 @@ HEADLINE_CSV_HEADER = ["id", "asset", "date", "time", "relevance", "text"]
 PRICE_CSV_HEADER = ["asset", "date", "open", "close"]
 
 
-@dataclass(frozen=True)
-class HeadlineRecord:
-    """One ingested headline row."""
-
+class _HeadlineFields(NamedTuple):
     id: int
     asset: str
     date: dt.date
@@ -54,32 +52,50 @@ class HeadlineRecord:
     text: str
     relevance: float
 
-    def __post_init__(self) -> None:
-        if not self.text:
+
+class HeadlineRecord(_HeadlineFields):
+    """One ingested headline row, a named tuple.
+
+    Construction rejects empty text and a relevance outside [0, 1];
+    ``_make`` and ``_replace`` skip those checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: int, asset: str, date: dt.date, time: dt.time, text: str, relevance: float
+    ) -> HeadlineRecord:
+        if not text:
             raise ValueError("headline text must be non-empty")
-        if not 0.0 <= self.relevance <= 1.0:
+        if not 0.0 <= relevance <= 1.0:
             raise ValueError("relevance must lie in [0, 1]")
+        return _HeadlineFields.__new__(cls, id, asset, date, time, text, relevance)
 
 
-@dataclass(frozen=True)
-class PriceBar:
-    """Daily open/close prices for one asset."""
-
+class _PriceFields(NamedTuple):
     asset: str
     date: dt.date
     open: float
     close: float
 
-    def __post_init__(self) -> None:
-        if not (0 < self.open < math.inf and 0 < self.close < math.inf):
+
+class PriceBar(_PriceFields):
+    """Daily open/close prices for one asset, a named tuple whose
+    construction rejects prices that are not positive and finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, asset: str, date: dt.date, open: float, close: float) -> PriceBar:
+        if not (0 < open < math.inf and 0 < close < math.inf):
             raise ValueError("prices must be positive and finite")
+        return _PriceFields.__new__(cls, asset, date, open, close)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """A headline joined with the next trading day's return and labels."""
+class LabeledSample(NamedTuple):
+    """The label of one price bar: its open-to-close return and the binary
+    and three-way labels of that return. ``label_all`` hands the same object
+    to every headline whose next trading day is that bar."""
 
-    headline_id: int
     asset: str
     trade_date: dt.date
     next_day_return: float
@@ -130,17 +146,15 @@ def load_headlines(path: str | Path, min_relevance: float = 1.0) -> list[Headlin
             try:
                 if len(row) != 6:
                     raise ValueError(f"expected 6 fields, got {len(row)}")
-                int(row[0])
-                asset = row[1].strip()
+                file_id, asset, date, time, relevance, text = row
+                int(file_id)
+                asset = asset.strip()
                 if not asset:
                     raise ValueError("empty asset")
-                date = _parse_date(row[2])
-                time = _parse_time(row[3])
-                relevance = float(row[4])
-                record = HeadlineRecord(
-                    id=len(records), asset=asset, date=date, time=time,
-                    text=row[5], relevance=relevance,
-                )
+                date = _parse_date(date)
+                time = _parse_time(time)
+                relevance = float(relevance)
+                record = HeadlineRecord(len(records), asset, date, time, text, relevance)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             if relevance >= min_relevance:
@@ -166,10 +180,8 @@ def load_prices(path: str | Path) -> list[PriceBar]:
             try:
                 if len(row) != 4:
                     raise ValueError(f"expected 4 fields, got {len(row)}")
-                bar = PriceBar(
-                    asset=row[0].strip(), date=_parse_date(row[1]),
-                    open=float(row[2]), close=float(row[3]),
-                )
+                asset, date, open_, close = row
+                bar = PriceBar(asset.strip(), _parse_date(date), float(open_), float(close))
                 key = (bar.asset, bar.date)
                 if key in seen:
                     raise ValueError(f"duplicate bar for {bar.asset} {bar.date}")
@@ -196,11 +208,12 @@ def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
 class PriceIndex:
     """Price bars grouped per asset in date order, for next-trading-day lookups.
 
-    Build it once per price list and share it: ``next_bar`` binary-searches
-    each distinct ``(asset, after)`` once and remembers the bar it found, so
-    a repeated query (the same decision date at every threshold of a sweep)
-    is a dict lookup. A query past the end of the history is not remembered
-    and raises every time.
+    Build it once per price list and share it. ``next_bar`` answers one query:
+    it binary-searches each distinct ``(asset, after)`` once and remembers the
+    bar it found, so a repeated query (the same decision date at every
+    threshold of a sweep) is a dict lookup. A query past the end of the
+    history is not remembered and raises every time. ``next_positions``
+    answers many queries for one asset with one ``np.searchsorted``.
     """
 
     def __init__(self, prices: Iterable[PriceBar]) -> None:
@@ -210,6 +223,7 @@ class PriceIndex:
         for bars in self._bars.values():
             bars.sort(key=lambda b: b.date)
         self._dates = {a: [b.date for b in bars] for a, bars in self._bars.items()}
+        self._ordinals: dict[str, np.ndarray] = {}  # filled by next_positions
         self._resolved: dict[tuple[str, dt.date], PriceBar] = {}
 
     @classmethod
@@ -231,8 +245,19 @@ class PriceIndex:
             bar = self._resolved[asset, after] = self._bars[asset][pos]
         return bar
 
+    def next_positions(self, asset: str, after: np.ndarray) -> tuple[list[PriceBar], np.ndarray]:
+        """The asset's bars in date order and, for each day ordinal in
+        ``after``, the position among them of its first bar strictly after
+        that day: ``next_bar`` for many days at once, with ``len(bars)`` in
+        place of the error past the end of the history."""
+        ordinals = self._ordinals.get(asset)
+        if ordinals is None:
+            ordinals = np.array([d.toordinal() for d in self._dates.get(asset, [])], dtype=np.int64)
+            self._ordinals[asset] = ordinals
+        return self._bars.get(asset, []), np.searchsorted(ordinals, after, side="right")
 
-def _label_from_bar(headline: HeadlineRecord, bar: PriceBar) -> LabeledSample:
+
+def _bar_label(bar: PriceBar) -> LabeledSample:
     ret = (bar.close - bar.open) / bar.open
     if ret > SIGNIFICANT_RETURN:
         tri = TRI_BUY
@@ -240,14 +265,7 @@ def _label_from_bar(headline: HeadlineRecord, bar: PriceBar) -> LabeledSample:
         tri = TRI_AVOID
     else:
         tri = TRI_INCONSEQUENTIAL
-    return LabeledSample(
-        headline_id=headline.id,
-        asset=headline.asset,
-        trade_date=bar.date,
-        next_day_return=ret,
-        binary_label=1 if ret > 0 else 0,
-        tri_label=tri,
-    )
+    return LabeledSample(bar.asset, bar.date, ret, 1 if ret > 0 else 0, tri)
 
 
 def label_all(
@@ -258,21 +276,32 @@ def label_all(
     Binary label 1 means the close exceeded the open (a positive one-day
     return); unchanged or falling prices are class 0. The three-class label
     is 'buy' above +0.5%, 'avoid' below -0.5%, else 'inconsequential'.
-    Returns (labels by id, ids skipped at the end of their asset's history).
+    Returns (labels by id, ids skipped at the end of their asset's history),
+    both in headline order; headlines with the same next trading day share
+    one label. Raises ``ValueError`` if two headlines share an id.
     """
     index = PriceIndex.of(prices)
+    rows_by_asset: dict[str, list[int]] = {}
+    for row, h in enumerate(headlines):
+        rows_by_asset.setdefault(h.asset, []).append(row)
+    after = np.fromiter((h.date.toordinal() for h in headlines), np.int64, len(headlines))
+    label_of_row: list[LabeledSample | None] = [None] * len(headlines)
+    for asset, rows in rows_by_asset.items():
+        bars, positions = index.next_positions(asset, after[rows])
+        used = np.unique(positions[positions < len(bars)]).tolist()
+        label_at = dict(zip(used, [_bar_label(bars[pos]) for pos in used]))
+        for row, pos in zip(rows, positions.tolist()):
+            label_of_row[row] = label_at.get(pos)
     labels: dict[int, LabeledSample] = {}
     skipped: list[int] = []
-    for h in headlines:
-        try:
-            labels[h.id] = _label_from_bar(h, index.next_bar(h.asset, h.date))
-        except ValueError:  # end of the asset's price history
+    for h, label in zip(headlines, label_of_row):
+        if label is None:  # end of the asset's price history
             skipped.append(h.id)
+        else:
+            labels[h.id] = label
+    if len(labels.keys() | skipped) != len(headlines):
+        raise ValueError("headline ids must be unique")
     return labels, skipped
-
-
-def _half_hour_bucket(t: dt.time) -> tuple[int, int]:
-    return (t.hour, 0 if t.minute < 30 else 30)
 
 
 def split_half_hourly_unique(
@@ -293,16 +322,14 @@ def split_half_hourly_unique(
     if not portfolio:
         raise ValueError("portfolio must be non-empty")
     scoped = [h for h in headlines if h.asset in portfolio]
-    counts: dict[tuple[str, dt.date, tuple[int, int]], int] = {}
-    for h in scoped:
-        key = (h.asset, h.date, _half_hour_bucket(h.time))
-        counts[key] = counts.get(key, 0) + 1
+    buckets = [(h.asset, h.date, h.time.hour, h.time.minute // 30) for h in scoped]
+    counts = Counter(buckets)
 
-    unique_ids: set[int] = set()
+    unique: list[tuple[int, dt.date]] = []
     unique_assets_by_date: dict[dt.date, set[str]] = {}
-    for h in scoped:
-        if counts[(h.asset, h.date, _half_hour_bucket(h.time))] == 1:
-            unique_ids.add(h.id)
+    for h, bucket in zip(scoped, buckets):
+        if counts[bucket] == 1:
+            unique.append((h.id, h.date))
             unique_assets_by_date.setdefault(h.date, set()).add(h.asset)
 
     retained = {d for d, assets in unique_assets_by_date.items() if assets >= set(portfolio)}
@@ -311,7 +338,7 @@ def split_half_hourly_unique(
             "no test dates: no date has a half-hourly unique headline for every "
             "portfolio asset; provide more data or a smaller portfolio"
         )
-    test_ids = frozenset(h.id for h in scoped if h.date in retained and h.id in unique_ids)
+    test_ids = frozenset(hid for hid, date in unique if date in retained)
     train_ids = frozenset(h.id for h in scoped if h.date not in retained)
     return DatasetSplit(
         train_ids=train_ids, test_ids=test_ids, test_dates=tuple(sorted(retained))

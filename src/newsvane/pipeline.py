@@ -10,23 +10,27 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .corpus import (
     TRI_CLASSES,
     DatasetSplit,
     HeadlineRecord,
     PriceBar,
+    PriceIndex,
     label_all,
     split_half_hourly_unique,
 )
 from .text import EncodedHeadline, Vocabulary, build_vocabulary, encode_and_pad, tokenize
 
 TRI_INDEX = {name: i for i, name in enumerate(TRI_CLASSES)}
+_ID = attrgetter("id")
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One model-ready headline: encoding plus labels and trade metadata."""
+class Sample(NamedTuple):
+    """One model-ready headline: encoding plus labels and trade metadata, as a
+    named tuple (``==`` reaches the encoding's array, see ``EncodedHeadline``)."""
 
     headline_id: int
     asset: str
@@ -53,7 +57,7 @@ class PreparedData:
 
 def prepare_dataset(
     headlines: list[HeadlineRecord],
-    prices: list[PriceBar],
+    prices: list[PriceBar] | PriceIndex,
     portfolio: set[str] | frozenset[str],
     max_len: int | None = None,
 ) -> PreparedData:
@@ -62,30 +66,27 @@ def prepare_dataset(
     Headlines whose next trading day is beyond the price history are dropped
     before splitting (their count is reported). ``max_len`` optionally
     overrides the encoded length; otherwise the longest tokenized training
-    sentence defines it.
+    sentence defines it. Each role's samples are in headline id order.
     """
     labels, skipped = label_all(headlines, prices)
-    labeled_headlines = [h for h in headlines if h.id in labels]
-    split = split_half_hourly_unique(labeled_headlines, portfolio)
+    labeled = [h for h in headlines if h.id in labels] if skipped else headlines
+    split = split_half_hourly_unique(labeled, portfolio)
 
-    by_id = {h.id: h for h in labeled_headlines}
-    train_tokens = {hid: tokenize(by_id[hid].text) for hid in sorted(split.train_ids)}
-    vocab = build_vocabulary(list(train_tokens.values()))
+    in_id_order = sorted(labeled, key=_ID)
+    train_rows = [h for h in in_id_order if h.id in split.train_ids]
+    train_tokens = [tokenize(h.text) for h in train_rows]
+    vocab = build_vocabulary(train_tokens)
     if max_len is not None:
         vocab = vocab.with_max_len(max_len)
 
-    def to_sample(hid: int, tokens: list[str]) -> Sample:
-        h = by_id[hid]
-        lab = labels[hid]
-        return Sample(
-            headline_id=hid, asset=h.asset, date=h.date, trade_date=lab.trade_date,
-            next_day_return=lab.next_day_return, binary_label=lab.binary_label,
-            tri_label=lab.tri_label, enc=encode_and_pad(tokens, vocab),
-        )
+    def to_sample(h: HeadlineRecord, tokens: list[str]) -> Sample:
+        _, trade_date, ret, binary, tri = labels[h.id]
+        return Sample(h.id, h.asset, h.date, trade_date, ret, binary, tri,
+                      encode_and_pad(tokens, vocab))
 
-    train = tuple(to_sample(hid, toks) for hid, toks in train_tokens.items())
+    train = tuple(map(to_sample, train_rows, train_tokens))
     test = tuple(
-        to_sample(hid, tokenize(by_id[hid].text)) for hid in sorted(split.test_ids)
+        to_sample(h, tokenize(h.text)) for h in in_id_order if h.id in split.test_ids
     )
     return PreparedData(
         vocab=vocab, train=train, test=test, split=split, n_unlabeled=len(skipped)

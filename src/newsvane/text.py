@@ -10,10 +10,11 @@ dummy whose embedding stays a frozen zero vector.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import unicodedata
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class _PunctuationTable(dict):
 
 
 _DELETE_PUNCTUATION = _PunctuationTable()
+# The same deletion for ASCII text, as a ``bytes.translate`` argument.
+_ASCII_PUNCTUATION = bytes(c for c in range(128) if _is_punctuation(chr(c)))
 
 
 def tokenize(text: str) -> list[str]:
@@ -64,7 +67,11 @@ def tokenize(text: str) -> list[str]:
     is split on whitespace, and stop-words are removed. The output may be
     empty; downstream encoding handles that.
     """
-    cleaned = text.lower().translate(_DELETE_PUNCTUATION)
+    lowered = text.lower()
+    if lowered.isascii():  # the bytes path deletes the same characters, faster
+        cleaned = lowered.encode().translate(None, _ASCII_PUNCTUATION).decode()
+    else:
+        cleaned = lowered.translate(_DELETE_PUNCTUATION)
     return [tok for tok in cleaned.split() if tok not in STOP_WORDS]
 
 
@@ -95,24 +102,20 @@ class Vocabulary:
 
 def build_vocabulary(training_texts: list[list[str]]) -> Vocabulary:
     """Assign indices >= 1 in first-occurrence order over the training tokens."""
-    word_to_index: dict[str, int] = {}
-    max_len = 0
-    for tokens in training_texts:
-        max_len = max(max_len, len(tokens))
-        for tok in tokens:
-            if tok not in word_to_index:
-                word_to_index[tok] = len(word_to_index) + 1
-    if not word_to_index:
+    first_seen = dict.fromkeys(itertools.chain.from_iterable(training_texts))
+    if not first_seen:
         raise ValueError("cannot build a vocabulary: every token list is empty")
-    return Vocabulary(word_to_index=word_to_index, max_len=max_len)
+    word_to_index = {tok: i for i, tok in enumerate(first_seen, 1)}
+    return Vocabulary(word_to_index=word_to_index, max_len=max(map(len, training_texts)))
 
 
-@dataclass(frozen=True, eq=False)
-class EncodedHeadline:
+class EncodedHeadline(NamedTuple):
     """A headline as a length-``max_len`` index vector plus its true length.
 
     Positions >= true_len hold the padding index 0; positions before it hold
-    real token indices >= 1.
+    real token indices >= 1. It is a named tuple: ``==`` between two
+    encodings compares their index arrays and raises for arrays longer than
+    one, and it is unhashable; compare ``indices`` with ``np.array_equal``.
     """
 
     indices: np.ndarray  # int64, shape (max_len,)
@@ -127,10 +130,9 @@ def encode_and_pad(tokens: list[str], vocab: Vocabulary) -> EncodedHeadline:
     ``max_len`` tokens.
     """
     m = vocab.max_len
-    kept = [vocab.word_to_index[t] for t in tokens if t in vocab.word_to_index][:m]
-    indices = np.zeros(m, dtype=np.int64)
-    indices[: len(kept)] = kept
-    return EncodedHeadline(indices=indices, true_len=len(kept))
+    word_to_index = vocab.word_to_index
+    kept = [word_to_index[t] for t in tokens if t in word_to_index][:m]
+    return EncodedHeadline(np.array(kept + [0] * (m - len(kept)), dtype=np.int64), len(kept))
 
 
 def tokens_by_index(vocab: Vocabulary) -> list[str]:

@@ -247,17 +247,24 @@ class TestBacktest:
         assert not (tmp_path / "report.json").exists()
 
     def test_checkpoint_run_reads_prices_once(self, workspace, tmp_path, monkeypatch):
+        """Each command reads the price file once and indexes it once: labeling
+        and the backtest or sweep share one PriceIndex."""
         _, config_path, _, out, _ = workspace
-        calls = []
+        calls, indexed = [], []
         real = cli.corpus.load_prices
         monkeypatch.setattr(cli.corpus, "load_prices", lambda path: calls.append(path) or real(path))
+        real_init = cli.corpus.PriceIndex.__init__
+        monkeypatch.setattr(cli.corpus.PriceIndex, "__init__",
+                            lambda self, prices: indexed.append(1) or real_init(self, prices))
         for command in ("evaluate", "backtest", "sweep"):
             calls.clear()
+            indexed.clear()
             assert cli.main([
                 command, "--config", str(config_path),
                 "--checkpoint", str(out / "checkpoint.json"), "--out-dir", str(tmp_path),
             ]) == 0
             assert len(calls) == 1, command
+            assert len(indexed) == 1, command
 
     def test_sweep_subcommand(self, workspace, tmp_path):
         root, config_path, _, out, _ = workspace

@@ -1,9 +1,12 @@
 """Ingestion, labeling, split and synthetic-corpus tests."""
 
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsvane import corpus
 from newsvane.corpus import (
@@ -107,6 +110,51 @@ class TestLoadPrices:
         path.write_text(f"asset,date,open,close\nAAA,2016-01-07,100,101\nAAA,2016-01-08,{bar}\n")
         with pytest.raises(ValueError, match=f"{path}: line 3: prices must be positive and finite"):
             load_prices(path)
+
+
+class TestRowTypes:
+    """The row types are named tuples; their constructors still check their fields."""
+
+    @pytest.mark.parametrize("text,relevance,message", [
+        ("", 1.0, "headline text must be non-empty"),
+        ("x", -0.1, "relevance must lie in"),
+        ("x", 1.5, "relevance must lie in"),
+        ("x", math.nan, "relevance must lie in"),
+    ])
+    def test_headline_record_checks(self, text, relevance, message):
+        args = (0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5), text, relevance)
+        with pytest.raises(ValueError, match=message):
+            HeadlineRecord(*args)
+        with pytest.raises(ValueError, match=message):
+            HeadlineRecord(**dict(zip(HeadlineRecord._fields, args)))
+
+    @pytest.mark.parametrize("open_,close", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_price_bar_checks(self, open_, close):
+        with pytest.raises(ValueError, match="prices must be positive and finite"):
+            PriceBar("AAA", dt.date(2016, 1, 8), open_, close)
+        with pytest.raises(ValueError, match="prices must be positive and finite"):
+            PriceBar(asset="AAA", date=dt.date(2016, 1, 8), open=open_, close=close)
+
+    def test_fields_and_equality(self):
+        h = _headline(3, "AAA", dt.date(2016, 1, 8), dt.time(9, 5))
+        assert tuple(h) == (3, "AAA", dt.date(2016, 1, 8), dt.time(9, 5), "syn0 shares rally", 1.0)
+        assert h == _headline(3, "AAA", dt.date(2016, 1, 8), dt.time(9, 5))
+        assert repr(h).startswith("HeadlineRecord(id=3, asset='AAA'")
+        bar = PriceBar("AAA", dt.date(2016, 1, 8), 100.0, 101.0)
+        assert (bar.asset, bar.date, bar.open, bar.close) == tuple(bar)
+
+    @pytest.mark.parametrize("row,message", [
+        ("0,AAA,2016-01-08,09:05,1.0,", "headline text must be non-empty"),
+        ("0,AAA,2016-01-08,09:05,1.5,x", "relevance must lie in"),
+        ("0,AAA,2016-01-08,09:05,one,x", "could not convert"),
+        ("0,AAA,2016-13-08,09:05,1.0,x", "does not match format"),
+        ("0,AAA,2016-01-08,09:05,1.0", "expected 6 fields, got 5"),
+    ])
+    def test_bad_headline_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "h.csv"
+        path.write_text(f"id,asset,date,time,relevance,text\n0,AAA,2016-01-08,09:05,1.0,ok\n{row}\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: .*{message}"):
+            load_headlines(path, min_relevance=0.0)
 
 
 class TestNextTradingDay:
@@ -247,6 +295,71 @@ class TestLabeling:
             "AAA", dt.date(2016, 1, 11), 1)
 
 
+def _reference_label_all(headlines, prices):
+    """label_all as it was: one bisect per headline through ``next_bar``."""
+    index = PriceIndex(prices)
+    labels, skipped = {}, []
+    for h in headlines:
+        try:
+            bar = index.next_bar(h.asset, h.date)
+        except ValueError:
+            skipped.append(h.id)
+            continue
+        ret = (bar.close - bar.open) / bar.open
+        tri = "buy" if ret > 0.005 else "avoid" if ret < -0.005 else "inconsequential"
+        labels[h.id] = (h.asset, bar.date, ret, 1 if ret > 0 else 0, tri)
+    return labels, skipped
+
+
+_DAY0 = dt.date(2016, 1, 4)  # a Monday
+_bar_strategy = st.tuples(st.sampled_from("ABC"), st.integers(0, 20),
+                          st.floats(1.0, 200.0), st.floats(1.0, 200.0))
+_headline_strategy = st.tuples(st.sampled_from("ABCZ"), st.integers(-3, 24),
+                               st.integers(9, 16), st.integers(0, 59))
+
+
+class TestLabelAllOracle:
+    """label_all resolves each asset's headlines with one searchsorted; it
+    must give the per-headline bisect's labels, in its order, every time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bars=st.lists(_bar_strategy, max_size=40), heads=st.lists(_headline_strategy, max_size=40),
+           order=st.randoms(use_true_random=False))
+    def test_matches_per_headline_bisect(self, bars, heads, order):
+        # asset C may have no bars and Z never has any; days run from before
+        # the first possible bar to after the last, weekends included
+        unique_bars = {(a, d): (o, c) for a, d, o, c in bars}
+        prices = [PriceBar(a, _DAY0 + dt.timedelta(days=d), o, c) for (a, d), (o, c) in unique_bars.items()]
+        order.shuffle(prices)
+        headlines = [
+            _headline(i, asset, _DAY0 + dt.timedelta(days=day), dt.time(hour, minute))
+            for i, (asset, day, hour, minute) in enumerate(heads)
+        ]
+        order.shuffle(headlines)  # ids out of order too
+        labels, skipped = label_all(headlines, prices)
+        expected, expected_skipped = _reference_label_all(headlines, prices)
+        assert labels == expected
+        assert list(labels) == list(expected)
+        assert skipped == expected_skipped
+
+    def test_headlines_with_one_next_bar_share_its_label(self):
+        bars = [PriceBar("AAA", dt.date(2016, 1, 8), 100.0, 101.0),
+                PriceBar("AAA", dt.date(2016, 1, 11), 100.0, 99.0)]
+        heads = [_headline(i, "AAA", dt.date(2016, 1, 8 + i), dt.time(9, 5)) for i in range(3)]
+        labels, skipped = label_all(heads, bars)
+        assert labels[0] is labels[1] is labels[2]
+        assert labels[0] == ("AAA", dt.date(2016, 1, 11), -0.01, 0, "avoid")
+        assert skipped == []
+
+    def test_duplicate_ids_rejected(self):
+        bars = [PriceBar("AAA", dt.date(2016, 1, 11), 100.0, 101.0)]
+        for second_day in (8, 11):  # a labeled and a skipped duplicate
+            heads = [_headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5)),
+                     _headline(0, "AAA", dt.date(2016, 1, second_day), dt.time(9, 5))]
+            with pytest.raises(ValueError, match="headline ids must be unique"):
+                label_all(heads, bars)
+
+
 class TestSplit:
     D = dt.date(2016, 3, 14)
 
@@ -324,6 +437,50 @@ class TestSplit:
     def test_empty_portfolio_errors(self):
         with pytest.raises(ValueError):
             split_half_hourly_unique([], set())
+
+
+def _reference_split(headlines, portfolio):
+    """split_half_hourly_unique as it was: the bucket key computed in each pass."""
+    def bucket(t):
+        return (t.hour, 0 if t.minute < 30 else 30)
+
+    scoped = [h for h in headlines if h.asset in portfolio]
+    counts = {}
+    for h in scoped:
+        key = (h.asset, h.date, bucket(h.time))
+        counts[key] = counts.get(key, 0) + 1
+    unique_ids, unique_assets_by_date = set(), {}
+    for h in scoped:
+        if counts[(h.asset, h.date, bucket(h.time))] == 1:
+            unique_ids.add(h.id)
+            unique_assets_by_date.setdefault(h.date, set()).add(h.asset)
+    retained = {d for d, assets in unique_assets_by_date.items() if assets >= set(portfolio)}
+    if not retained:
+        return None
+    return corpus.DatasetSplit(
+        train_ids=frozenset(h.id for h in scoped if h.date not in retained),
+        test_ids=frozenset(h.id for h in scoped if h.date in retained and h.id in unique_ids),
+        test_dates=tuple(sorted(retained)),
+    )
+
+
+class TestSplitOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(heads=st.lists(st.tuples(st.sampled_from("ABC"), st.integers(0, 4), st.integers(9, 11),
+                                    st.sampled_from((0, 1, 29, 30, 31, 59))), max_size=40),
+           portfolio=st.sets(st.sampled_from("AB"), min_size=1))
+    def test_matches_two_pass_reference(self, heads, portfolio):
+        # asset C is never in the portfolio; minutes 29/30 and 59/0 straddle bucket edges
+        headlines = [
+            _headline(i, asset, TestSplit.D + dt.timedelta(days=day), dt.time(hour, minute))
+            for i, (asset, day, hour, minute) in enumerate(heads)
+        ]
+        expected = _reference_split(headlines, portfolio)
+        if expected is None:
+            with pytest.raises(ValueError, match="no test dates"):
+                split_half_hourly_unique(headlines, portfolio)
+        else:
+            assert split_half_hourly_unique(headlines, portfolio) == expected
 
 
 class TestSyntheticGenerator:

@@ -1,9 +1,14 @@
 """Dataset-preparation glue tests."""
 
+import datetime as dt
+import random
+
+import numpy as np
 import pytest
 
-from newsvane.corpus import generate_synthetic
+from newsvane.corpus import HeadlineRecord, generate_synthetic, label_all, split_half_hourly_unique
 from newsvane.pipeline import prepare_dataset, to_pairs, validation_slice
+from newsvane.text import build_vocabulary, encode_and_pad, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +53,54 @@ class TestPrepareDataset:
         assert {y for _, y in binary} <= {0, 1}
         assert {y for _, y in tri} <= {0, 1, 2}
         assert len(binary) == len(tri) == len(prepared.train)
+
+
+def _reference_rows(headlines, prices, portfolio, max_len=None):
+    """prepare_dataset's rows as it built them before: a by-id map of the
+    labeled headlines, read in sorted id order per role."""
+    labels, skipped = label_all(headlines, prices)
+    labeled = [h for h in headlines if h.id in labels]
+    split = split_half_hourly_unique(labeled, portfolio)
+    by_id = {h.id: h for h in labeled}
+    train_tokens = {hid: tokenize(by_id[hid].text) for hid in sorted(split.train_ids)}
+    vocab = build_vocabulary(list(train_tokens.values()))
+    if max_len is not None:
+        vocab = vocab.with_max_len(max_len)
+
+    def row(hid, tokens):
+        h, lab = by_id[hid], labels[hid]
+        enc = encode_and_pad(tokens, vocab)
+        return (hid, h.asset, h.date, lab.trade_date, lab.next_day_return, lab.binary_label,
+                lab.tri_label, enc.true_len, enc.indices.tolist())
+
+    train = [row(hid, toks) for hid, toks in train_tokens.items()]
+    test = [row(hid, tokenize(by_id[hid].text)) for hid in sorted(split.test_ids)]
+    return vocab, train, test, len(skipped)
+
+
+class TestPrepareOracle:
+    @pytest.mark.parametrize("max_len", [None, 5])
+    def test_shuffled_ids_and_skipped_tail_match_the_by_id_reference(self, max_len):
+        headlines, prices = generate_synthetic(
+            seed=8, n_assets=3, n_days=30, headlines_per_day=4, signal_strength=0.7
+        )
+        last = max(b.date for b in prices)
+        headlines += [HeadlineRecord(1000 + i, "SYN1", last + dt.timedelta(days=i), dt.time(10, 5),
+                                     "late syn1 news", 1.0) for i in range(3)]
+        random.Random(2).shuffle(headlines)
+        portfolio = {"SYN0", "SYN1"}  # SYN2 is outside it
+        prepared = prepare_dataset(headlines, prices, portfolio, max_len=max_len)
+        vocab, train, test, n_unlabeled = _reference_rows(headlines, prices, portfolio, max_len)
+
+        def rows(samples):
+            for s in samples:
+                assert s.enc.indices.dtype == np.int64
+            return [(*s[:7], s.enc.true_len, s.enc.indices.tolist()) for s in samples]
+
+        assert prepared.vocab == vocab
+        assert rows(prepared.train) == train
+        assert rows(prepared.test) == test
+        assert prepared.n_unlabeled == n_unlabeled == 3
 
 
 class TestValidationSlice:

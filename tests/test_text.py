@@ -1,6 +1,7 @@
 """Tokenizer, vocabulary and encoding tests."""
 
 import hashlib
+import string
 import unicodedata
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsvane.text import (
+    _DELETE_PUNCTUATION,
     STOP_WORDS,
     Vocabulary,
     build_vocabulary,
@@ -62,6 +64,19 @@ class TestTokenize:
         cleaned = "".join(ch for ch in text.lower() if not is_punctuation(ch))
         assert tokenize(text) == [tok for tok in cleaned.split() if tok not in STOP_WORDS]
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.characters(codec="ascii"), max_size=60)
+           | st.text(alphabet=st.sampled_from(
+               list(string.printable) + list("$%&+<=>|~«»—…¡¿“”‘’·、。")
+               + list("\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+               + ["é", "ß", "\u212a", "İ", "Ω"]), max_size=60))
+    def test_ascii_path_matches_str_translate(self, text):
+        """ASCII text takes a bytes.translate path; it must equal the
+        str.translate tokenizer it bypasses. U+212A (Kelvin) lowers to ASCII k."""
+        cleaned = text.lower().translate(_DELETE_PUNCTUATION)
+        assert tokenize(text) == [tok for tok in cleaned.split() if tok not in STOP_WORDS]
+
+
 class TestVocabulary:
     def test_first_occurrence_order(self):
         vocab = build_vocabulary([["a", "b"], ["b", "c"]])
@@ -76,6 +91,25 @@ class TestVocabulary:
     def test_all_empty_errors(self):
         with pytest.raises(ValueError):
             build_vocabulary([[], []])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=6), min_size=1, max_size=10))
+    def test_matches_per_token_loop(self, texts):
+        """The vocabulary built in one pass over the chained tokens equals the
+        per-token loop it replaced."""
+        word_to_index, max_len = {}, 0
+        for tokens in texts:
+            max_len = max(max_len, len(tokens))
+            for tok in tokens:
+                if tok not in word_to_index:
+                    word_to_index[tok] = len(word_to_index) + 1
+        if not word_to_index:
+            with pytest.raises(ValueError, match="every token list is empty"):
+                build_vocabulary(texts)
+            return
+        vocab = build_vocabulary(texts)
+        assert list(vocab.word_to_index.items()) == list(word_to_index.items())
+        assert vocab.max_len == max_len
 
     def test_serialization_format(self, tmp_path):
         vocab = build_vocabulary([["alpha", "beta"], ["beta", "gamma", "alpha"]])
@@ -129,6 +163,7 @@ class TestEncodeAndPad:
         vocab = self.VOCAB.with_max_len(max_len)
         enc = encode_and_pad(tokens, vocab)
         assert enc.indices.shape == (max_len,)
+        assert enc.indices.dtype == np.int64
         kept = [vocab.word_to_index[t] for t in tokens if t in vocab.word_to_index][:max_len]
         # word order of kept tokens preserved, zeros after true_len
         assert enc.indices[: enc.true_len].tolist() == kept
