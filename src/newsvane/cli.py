@@ -186,14 +186,11 @@ def _build_table(cfg: RunConfig, vocab, mode: str, seed: int) -> embeddings.Embe
     )
 
 
-def _load_price_index(cfg: RunConfig) -> corpus.PriceIndex:
-    """The run's price bars, indexed once for labeling and the backtests alike."""
-    return corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
-
-
-def _prepare(cfg: RunConfig, prices: corpus.PriceIndex) -> pipeline.PreparedData:
+def _prepare(cfg: RunConfig) -> tuple[pipeline.PreparedData, corpus.PriceIndex]:
+    """The prepared data and the price index it was labeled with, for the backtests."""
+    prices = corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
     headlines = corpus.load_headlines(cfg.headlines_path, cfg.min_relevance)
-    return pipeline.prepare_dataset(headlines, prices, set(cfg.portfolio), max_len=cfg.max_len)
+    return pipeline.prepare_dataset(headlines, prices, set(cfg.portfolio), max_len=cfg.max_len), prices
 
 
 def _model_config(cfg: RunConfig, m: int) -> ModelConfig:
@@ -226,7 +223,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    prepared = _prepare(cfg, _load_price_index(cfg))
+    prepared, _ = _prepare(cfg)
     out = cfg.out_dir
     save_vocabulary(prepared.vocab, out / "vocab.tsv")
     write_json_atomic(
@@ -255,7 +252,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    prepared = _prepare(cfg, _load_price_index(cfg))
+    prepared, _ = _prepare(cfg)
     vocab = prepared.vocab
     model_config = _model_config(cfg, vocab.max_len)
 
@@ -343,8 +340,7 @@ def _checkpoint_run(
             f"checkpoint (p={ckpt.config.p}, head={ckpt.config.head!r}) is incompatible "
             f"with the config (p={cfg.p}, head={cfg.head!r})"
         )
-    prices = _load_price_index(cfg)
-    prepared = _prepare(cfg, prices)
+    prepared, prices = _prepare(cfg)
     if vocabulary_hash(prepared.vocab) != ckpt.vocab_hash:
         raise ConfigError(
             "vocabulary hash mismatch: the data/config no longer reproduce the "
@@ -400,7 +396,7 @@ def _day_predictions(
     """Day predictions from either a predictions CSV or a checkpoint run,
     with the head they were made by, checked against the strategy head."""
     if args.predictions:
-        prices = _load_price_index(cfg)
+        prices = corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
         rows = _read_predictions_csv(Path(args.predictions))
         head = HEAD_BINARY if np.isscalar(rows[0][3]) else HEAD_MULTICLASS3
     else:

@@ -44,27 +44,19 @@ HEADLINE_CSV_HEADER = ["id", "asset", "date", "time", "relevance", "text"]
 PRICE_CSV_HEADER = ["asset", "date", "open", "close"]
 
 
-class _HeadlineFields(NamedTuple):
-    id: int
-    asset: str
-    date: dt.date
-    time: dt.time
-    text: str
-    relevance: float
+_HeadlineFields = NamedTuple("_HeadlineFields", [
+    ("id", int), ("asset", str), ("date", dt.date), ("time", dt.time), ("text", str),
+    ("relevance", float)])
 
 
 class HeadlineRecord(_HeadlineFields):
-    """One ingested headline row, a named tuple.
-
-    Construction rejects empty text and a relevance outside [0, 1];
-    ``_make`` and ``_replace`` skip those checks.
-    """
+    """One ingested headline row, a named tuple. Construction rejects empty
+    text and a relevance outside [0, 1]; ``_make`` and ``_replace`` do not."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, id: int, asset: str, date: dt.date, time: dt.time, text: str, relevance: float
-    ) -> HeadlineRecord:
+    def __new__(cls, id: int, asset: str, date: dt.date, time: dt.time, text: str,
+                relevance: float) -> HeadlineRecord:
         if not text:
             raise ValueError("headline text must be non-empty")
         if not 0.0 <= relevance <= 1.0:
@@ -72,11 +64,8 @@ class HeadlineRecord(_HeadlineFields):
         return _HeadlineFields.__new__(cls, id, asset, date, time, text, relevance)
 
 
-class _PriceFields(NamedTuple):
-    asset: str
-    date: dt.date
-    open: float
-    close: float
+_PriceFields = NamedTuple("_PriceFields", [
+    ("asset", str), ("date", dt.date), ("open", float), ("close", float)])
 
 
 class PriceBar(_PriceFields):
@@ -92,9 +81,8 @@ class PriceBar(_PriceFields):
 
 
 class LabeledSample(NamedTuple):
-    """The label of one price bar: its open-to-close return and the binary
-    and three-way labels of that return. ``label_all`` hands the same object
-    to every headline whose next trading day is that bar."""
+    """The label of one price bar, which ``label_all`` shares among the headlines
+    whose next trading day it is: the bar's return and its binary and 3-way labels."""
 
     asset: str
     trade_date: dt.date
@@ -208,12 +196,11 @@ def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
 class PriceIndex:
     """Price bars grouped per asset in date order, for next-trading-day lookups.
 
-    Build it once per price list and share it. ``next_bar`` answers one query:
-    it binary-searches each distinct ``(asset, after)`` once and remembers the
-    bar it found, so a repeated query (the same decision date at every
-    threshold of a sweep) is a dict lookup. A query past the end of the
-    history is not remembered and raises every time. ``next_positions``
-    answers many queries for one asset with one ``np.searchsorted``.
+    Build it once per price list and share it: ``next_bar`` binary-searches
+    each distinct ``(asset, after)`` once and remembers the bar it found, so
+    a repeated query (the same decision date at every threshold of a sweep)
+    is a dict lookup. A query past the end of the history is not remembered
+    and raises every time.
     """
 
     def __init__(self, prices: Iterable[PriceBar]) -> None:
@@ -222,8 +209,7 @@ class PriceIndex:
             self._bars.setdefault(bar.asset, []).append(bar)
         for bars in self._bars.values():
             bars.sort(key=lambda b: b.date)
-        self._dates = {a: [b.date for b in bars] for a, bars in self._bars.items()}
-        self._ordinals: dict[str, np.ndarray] = {}  # filled by next_positions
+        self._days = {a: [b.date.toordinal() for b in bars] for a, bars in self._bars.items()}
         self._resolved: dict[tuple[str, dt.date], PriceBar] = {}
 
     @classmethod
@@ -238,23 +224,18 @@ class PriceIndex:
         """The asset's first bar strictly after ``after``; ValueError past its history."""
         bar = self._resolved.get((asset, after))
         if bar is None:
-            dates = self._dates.get(asset, [])
-            pos = bisect.bisect_right(dates, after)
-            if pos == len(dates):
+            days = self._days.get(asset, [])
+            pos = bisect.bisect_right(days, after.toordinal())
+            if pos == len(days):
                 raise ValueError(f"end of price history: no bar for {asset} after {after}")
             bar = self._resolved[asset, after] = self._bars[asset][pos]
         return bar
 
     def next_positions(self, asset: str, after: np.ndarray) -> tuple[list[PriceBar], np.ndarray]:
-        """The asset's bars in date order and, for each day ordinal in
-        ``after``, the position among them of its first bar strictly after
-        that day: ``next_bar`` for many days at once, with ``len(bars)`` in
-        place of the error past the end of the history."""
-        ordinals = self._ordinals.get(asset)
-        if ordinals is None:
-            ordinals = np.array([d.toordinal() for d in self._dates.get(asset, [])], dtype=np.int64)
-            self._ordinals[asset] = ordinals
-        return self._bars.get(asset, []), np.searchsorted(ordinals, after, side="right")
+        """``next_bar`` for many day ordinals by one ``np.searchsorted``: the asset's bars and,
+        per day, the position among them of its next bar (``len(bars)`` past the history)."""
+        days = np.array(self._days.get(asset, []), dtype=np.int64)
+        return self._bars.get(asset, []), np.searchsorted(days, after, side="right")
 
 
 def _bar_label(bar: PriceBar) -> LabeledSample:
@@ -277,8 +258,8 @@ def label_all(
     return); unchanged or falling prices are class 0. The three-class label
     is 'buy' above +0.5%, 'avoid' below -0.5%, else 'inconsequential'.
     Returns (labels by id, ids skipped at the end of their asset's history),
-    both in headline order; headlines with the same next trading day share
-    one label. Raises ``ValueError`` if two headlines share an id.
+    both in headline order; headlines with one next trading day share its
+    label. Raises ``ValueError`` if two headlines share an id.
     """
     index = PriceIndex.of(prices)
     rows_by_asset: dict[str, list[int]] = {}
@@ -288,17 +269,12 @@ def label_all(
     label_of_row: list[LabeledSample | None] = [None] * len(headlines)
     for asset, rows in rows_by_asset.items():
         bars, positions = index.next_positions(asset, after[rows])
-        used = np.unique(positions[positions < len(bars)]).tolist()
-        label_at = dict(zip(used, [_bar_label(bars[pos]) for pos in used]))
-        for row, pos in zip(rows, positions.tolist()):
-            label_of_row[row] = label_at.get(pos)
-    labels: dict[int, LabeledSample] = {}
-    skipped: list[int] = []
-    for h, label in zip(headlines, label_of_row):
-        if label is None:  # end of the asset's price history
-            skipped.append(h.id)
-        else:
-            labels[h.id] = label
+        positions = positions.tolist()
+        bar_labels = {pos: _bar_label(bars[pos]) for pos in set(positions) if pos < len(bars)}
+        for row, pos in zip(rows, positions):
+            label_of_row[row] = bar_labels.get(pos)  # None past the asset's history
+    labels = {h.id: label for h, label in zip(headlines, label_of_row) if label is not None}
+    skipped = [h.id for h, label in zip(headlines, label_of_row) if label is None]
     if len(labels.keys() | skipped) != len(headlines):
         raise ValueError("headline ids must be unique")
     return labels, skipped
@@ -325,12 +301,10 @@ def split_half_hourly_unique(
     buckets = [(h.asset, h.date, h.time.hour, h.time.minute // 30) for h in scoped]
     counts = Counter(buckets)
 
-    unique: list[tuple[int, dt.date]] = []
+    unique = [h for h, bucket in zip(scoped, buckets) if counts[bucket] == 1]
     unique_assets_by_date: dict[dt.date, set[str]] = {}
-    for h, bucket in zip(scoped, buckets):
-        if counts[bucket] == 1:
-            unique.append((h.id, h.date))
-            unique_assets_by_date.setdefault(h.date, set()).add(h.asset)
+    for h in unique:
+        unique_assets_by_date.setdefault(h.date, set()).add(h.asset)
 
     retained = {d for d, assets in unique_assets_by_date.items() if assets >= set(portfolio)}
     if not retained:
@@ -338,7 +312,7 @@ def split_half_hourly_unique(
             "no test dates: no date has a half-hourly unique headline for every "
             "portfolio asset; provide more data or a smaller portfolio"
         )
-    test_ids = frozenset(hid for hid, date in unique if date in retained)
+    test_ids = frozenset(h.id for h in unique if h.date in retained)
     train_ids = frozenset(h.id for h in scoped if h.date not in retained)
     return DatasetSplit(
         train_ids=train_ids, test_ids=test_ids, test_dates=tuple(sorted(retained))

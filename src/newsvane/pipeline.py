@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
+import numpy as np
+
 from .corpus import (
     TRI_CLASSES,
     DatasetSplit,
@@ -22,6 +24,7 @@ from .corpus import (
     label_all,
     split_half_hourly_unique,
 )
+from .seeding import derive_seed
 from .text import EncodedHeadline, Vocabulary, build_vocabulary, encode_and_pad, tokenize
 
 TRI_INDEX = {name: i for i, name in enumerate(TRI_CLASSES)}
@@ -85,12 +88,8 @@ def prepare_dataset(
                       encode_and_pad(tokens, vocab))
 
     train = tuple(map(to_sample, train_rows, train_tokens))
-    test = tuple(
-        to_sample(h, tokenize(h.text)) for h in in_id_order if h.id in split.test_ids
-    )
-    return PreparedData(
-        vocab=vocab, train=train, test=test, split=split, n_unlabeled=len(skipped)
-    )
+    test = tuple(to_sample(h, tokenize(h.text)) for h in in_id_order if h.id in split.test_ids)
+    return PreparedData(vocab=vocab, train=train, test=test, split=split, n_unlabeled=len(skipped))
 
 
 def to_pairs(samples: tuple[Sample, ...], head: str) -> list[tuple[EncodedHeadline, int]]:
@@ -108,10 +107,6 @@ def validation_slice(
     Slicing by date rather than by headline keeps same-day rewrites of one
     event on the same side of the split.
     """
-    import numpy as np
-
-    from .seeding import derive_seed
-
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
     dates = sorted({s.date for s in samples})
