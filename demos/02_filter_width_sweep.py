@@ -45,7 +45,7 @@ axes = GridAxes(
 results = grid_search(
     to_pairs(fit, "binary"), to_pairs(selection, "binary"),
     base, axes, functools.partial(make_table, prepared.vocab),
-    seed=SEED, total_filters=8, batch_size=32,
+    seed=SEED, batch_size=32,
 )
 
 print("\nwidth   accuracy     F1   (ranked by F1)")

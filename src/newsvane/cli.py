@@ -270,7 +270,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             cfg.grid,
             functools.partial(_build_table, cfg, vocab),
             seed=cfg.seed,
-            total_filters=model_config.total_filters,
             batch_size=cfg.batch_size,
             lr=cfg.learning_rate,
             parallel=args.parallel,
@@ -283,12 +282,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"grid search: {len(results)} cells; best widths={best.widths} mode={best.mode} "
             f"dropout={best.dropout} epochs={best.epochs} f1={best.f1:.4f}"
         )
-        model_config = replace(
-            model_config,
-            filter_widths=best.widths,
-            filters_per_width=model_config.total_filters // len(best.widths),
-            dropout_rate=best.dropout,
-        )
+        model_config = training.cell_config(model_config, best.widths, best.dropout)
         cfg = replace(cfg, embedding_mode=best.mode, epochs=best.epochs)
 
     table = _build_table(cfg, vocab, cfg.embedding_mode, derive_seed(cfg.seed, "embeddings"))
@@ -364,7 +358,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions_csv(path: Path) -> list[tuple[int, str, dt.date, float | np.ndarray]]:
+def _read_predictions_csv(path: Path) -> tuple[list, str]:
+    """The (line, asset, date, output) rows of a predictions CSV and the head
+    its header names: p0 alone for the binary head, p0,p1,p2 for the 3-way head."""
     rows: list[tuple[int, str, dt.date, float | np.ndarray]] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -375,9 +371,9 @@ def _read_predictions_csv(path: Path) -> list[tuple[int, str, dt.date, float | n
             if not row:
                 continue
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"the header has {len(header)} fields, this row {len(row)}")
                 date = dt.datetime.strptime(row[1], "%Y-%m-%d").date()
-                if len(row) not in (3, 5):
-                    raise ValueError(f"expected 3 or 5 fields, got {len(row)}")
                 values = [float(x) for x in row[2:]]
                 if not all(0.0 <= v <= 1.0 for v in values):
                     raise ValueError(f"probabilities must lie in [0, 1], got {values}")
@@ -387,7 +383,7 @@ def _read_predictions_csv(path: Path) -> list[tuple[int, str, dt.date, float | n
             rows.append((lineno, row[0], date, output))
     if not rows:
         raise ConfigError(f"{path}: no prediction rows")
-    return rows
+    return rows, HEAD_BINARY if len(header) == 3 else HEAD_MULTICLASS3
 
 
 def _day_predictions(
@@ -397,8 +393,7 @@ def _day_predictions(
     with the head they were made by, checked against the strategy head."""
     if args.predictions:
         prices = corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
-        rows = _read_predictions_csv(Path(args.predictions))
-        head = HEAD_BINARY if np.isscalar(rows[0][3]) else HEAD_MULTICLASS3
+        rows, head = _read_predictions_csv(Path(args.predictions))
     else:
         ckpt, prepared, prices = _checkpoint_run(cfg, args)
         rows = [(s.headline_id, s.asset, s.date,

@@ -153,7 +153,8 @@ def load_headlines(path: str | Path, min_relevance: float = 1.0) -> list[Headlin
 
 
 def load_prices(path: str | Path) -> list[PriceBar]:
-    """Read a price CSV; rejects duplicate (asset, date) bars and non-positive prices."""
+    """Read a price CSV; rejects a file without bars, blank assets, duplicate
+    (asset, date) bars and non-positive prices."""
     path = Path(path)
     bars: list[PriceBar] = []
     seen: set[tuple[str, dt.date]] = set()
@@ -169,7 +170,10 @@ def load_prices(path: str | Path) -> list[PriceBar]:
                 if len(row) != 4:
                     raise ValueError(f"expected 4 fields, got {len(row)}")
                 asset, date, open_, close = row
-                bar = PriceBar(asset.strip(), _parse_date(date), float(open_), float(close))
+                asset = asset.strip()
+                if not asset:
+                    raise ValueError("empty asset")
+                bar = PriceBar(asset, _parse_date(date), float(open_), float(close))
                 key = (bar.asset, bar.date)
                 if key in seen:
                     raise ValueError(f"duplicate bar for {bar.asset} {bar.date}")
@@ -177,6 +181,8 @@ def load_prices(path: str | Path) -> list[PriceBar]:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             bars.append(bar)
+    if not bars:
+        raise ValueError(f"{path}: no price bars")
     return bars
 
 

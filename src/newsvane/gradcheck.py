@@ -216,6 +216,8 @@ def run_suite(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> SuiteResult:
     """Run the full randomized gradient check; deterministic per seed."""
+    if n_configs < 1:
+        raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
     start = time.perf_counter()
     results = []

@@ -8,9 +8,10 @@ updates are applied in a fixed tensor order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,6 +22,7 @@ from .embeddings import MODE_STATIC, EmbeddingTable
 from .fileio import csv_text, write_json_atomic, write_text_atomic
 from .network import (
     HEAD_BINARY,
+    HEAD_MULTICLASS3,
     ModelConfig,
     ModelParameters,
     backward,
@@ -268,10 +270,10 @@ def _predicted_class(output: float | np.ndarray, head: str, threshold: float) ->
 class MetricsReport:
     """Accuracy, precision, recall and F1 plus the raw confusion counts.
 
-    Binary reports carry tp/fp/fn/tn; multiclass reports carry the full 3x3
-    confusion matrix (rows true, columns predicted) and score the 'buy'
-    class against the rest, matching how the predictions are consumed by the
-    trading layer. Zero denominators yield 0 by convention.
+    ``confusion`` is the full matrix (rows true, columns predicted). tp/fp/fn/tn
+    score the last class (up, or buy for the 3-way head) against the rest,
+    matching how the predictions are consumed by the trading layer. Zero
+    denominators yield 0 by convention.
     """
 
     head: str
@@ -280,11 +282,11 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
-    tp: int | None = None
-    fp: int | None = None
-    fn: int | None = None
-    tn: int | None = None
-    confusion: tuple[tuple[int, ...], ...] | None = None
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+    confusion: tuple[tuple[int, ...], ...]
 
     def to_dict(self) -> dict:
         d = {
@@ -302,37 +304,23 @@ class MetricsReport:
         return d
 
 
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+def confusion_metrics(confusion: np.ndarray) -> MetricsReport:
+    """Metrics from a 2x2 (binary head) or 3x3 (3-way head) confusion matrix."""
+    confusion = np.asarray(confusion, dtype=np.int64)
+    k = len(confusion) - 1
+    total = int(confusion.sum())
+    tp = int(confusion[k, k])
+    fp = int(confusion[:, k].sum()) - tp
+    fn = int(confusion[k].sum()) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
-def binary_metrics(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
-    total = tp + fp + fn + tn
-    precision, recall, f1 = _prf(tp, fp, fn)
     return MetricsReport(
-        head=HEAD_BINARY, n_samples=total,
-        accuracy=(tp + tn) / total if total else 0.0,
-        precision=precision, recall=recall, f1=f1,
-        tp=tp, fp=fp, fn=fn, tn=tn,
-    )
-
-
-def multiclass_metrics(confusion: np.ndarray) -> MetricsReport:
-    """Metrics from a 3x3 confusion matrix; buy (class 2) is the positive class."""
-    confusion = np.asarray(confusion, dtype=np.int64)
-    total = int(confusion.sum())
-    tp = int(confusion[2, 2])
-    fp = int(confusion[0, 2] + confusion[1, 2])
-    fn = int(confusion[2, 0] + confusion[2, 1])
-    precision, recall, f1 = _prf(tp, fp, fn)
-    return MetricsReport(
-        head="multiclass3", n_samples=total,
-        accuracy=float(np.trace(confusion)) / total if total else 0.0,
-        precision=precision, recall=recall, f1=f1,
-        confusion=tuple(tuple(int(x) for x in row) for row in confusion),
+        head=HEAD_BINARY if k == 1 else HEAD_MULTICLASS3, n_samples=total,
+        accuracy=int(np.trace(confusion)) / total if total else 0.0,
+        precision=precision, recall=recall,
+        f1=2.0 * precision * recall / (precision + recall) if precision + recall else 0.0,
+        tp=tp, fp=fp, fn=fn, tn=total - tp - fp - fn,
+        confusion=tuple(tuple(row) for row in confusion.tolist()),
     )
 
 
@@ -352,10 +340,7 @@ def evaluate(
     for enc, y in dataset:
         output, _ = forward(enc, table, params, config, mode="test")
         confusion[y, _predicted_class(output, config.head, class_threshold)] += 1
-    if config.head == HEAD_BINARY:
-        (tn, fp), (fn, tp) = confusion.tolist()
-        return binary_metrics(tp, fp, fn, tn)
-    return multiclass_metrics(confusion)
+    return confusion_metrics(confusion)
 
 
 # --- grid search ------------------------------------------------------------
@@ -403,19 +388,26 @@ def _cell_seeds(seed: int, cell_id: int) -> tuple[int, int, int]:
     )
 
 
-def _run_grid_cell(args: tuple) -> GridResult:
-    (cell_id, widths, mode, dropout, epochs, base_config, total_filters,
-     train_set, selection_set, table_factory, seed, batch_size, lr) = args
-    if total_filters % len(widths) != 0:
+def cell_config(base_config: ModelConfig, widths: tuple[int, ...], dropout: float) -> ModelConfig:
+    """The model a grid cell trains: ``base_config`` with the cell's filter
+    widths and dropout rate. Every cell shares the base's filter budget,
+    ``base_config.total_filters``, split equally among its widths, so a
+    three-width cell is not three times larger than a one-width cell."""
+    total = base_config.total_filters
+    if total % len(widths) != 0:
         raise ValueError(
-            f"total_filters={total_filters} is not divisible by the {len(widths)} widths {widths}"
+            f"filters_per_width x len(filter_widths) = {total} is not divisible by len({widths})"
         )
-    config = replace(
-        base_config,
-        filter_widths=widths,
-        filters_per_width=total_filters // len(widths),
-        dropout_rate=dropout,
-    )
+    return replace(base_config, filter_widths=widths, filters_per_width=total // len(widths),
+                   dropout_rate=dropout)
+
+
+def _run_grid_cell(
+    cell_id: int, widths: tuple[int, ...], mode: str, dropout: float, epochs: int, *,
+    base_config: ModelConfig, train_set: Dataset, selection_set: Dataset,
+    table_factory: TableFactory, seed: int, batch_size: int, lr: float,
+) -> GridResult:
+    config = cell_config(base_config, widths, dropout)
     table_seed, params_seed, train_seed = _cell_seeds(seed, cell_id)
     table = table_factory(mode, table_seed)
     params = init_parameters(config, np.random.default_rng(derive_seed(params_seed, "params-init")))
@@ -435,7 +427,6 @@ def grid_search(
     axes: GridAxes,
     table_factory: TableFactory,
     seed: int,
-    total_filters: int | None = None,
     batch_size: int = 32,
     lr: float = 1e-3,
     parallel: bool = False,
@@ -443,11 +434,10 @@ def grid_search(
     """Exhaustively train and score every axis combination.
 
     Each cell starts from a fresh seeded table and parameter init, so cells
-    are independent and may run in parallel. ``total_filters`` is held
-    constant across width sets (filters_per_width = total / #widths), so a
-    three-width cell is not three times larger than a one-width cell. The
-    result list is ranked by F1 descending, ties broken by accuracy then by
-    the lexicographic (widths, mode, dropout, epochs) key.
+    are independent and may run in parallel. Each cell's model is
+    ``cell_config(base_config, widths, dropout)``. The result list is ranked
+    by F1 descending, ties broken by accuracy then by the lexicographic
+    (widths, mode, dropout, epochs) key.
     """
     epochs_axis = _dedup(tuple(axes.epochs), "epochs")
     dropout_axis = _dedup(tuple(axes.dropout), "dropout")
@@ -455,51 +445,30 @@ def grid_search(
     mode_axis = _dedup(tuple(axes.modes), "modes")
     if not (epochs_axis and dropout_axis and width_axis and mode_axis):
         raise ValueError("every grid axis must be non-empty")
-    if total_filters is None:
-        total_filters = base_config.total_filters
 
-    cells = []
-    for cell_id, (widths, mode, dropout, epochs) in enumerate(
-        product(width_axis, mode_axis, dropout_axis, epochs_axis)
-    ):
-        cells.append((cell_id, widths, mode, dropout, epochs, base_config, total_filters,
-                      train_set, selection_set, table_factory, seed, batch_size, lr))
-
+    run_cell = functools.partial(
+        _run_grid_cell, base_config=base_config, train_set=train_set,
+        selection_set=selection_set, table_factory=table_factory, seed=seed,
+        batch_size=batch_size, lr=lr,
+    )
+    cells = list(product(width_axis, mode_axis, dropout_axis, epochs_axis))
+    columns = (range(len(cells)), *zip(*cells))
     if parallel and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_grid_cell, cells))
+            results = list(pool.map(run_cell, *columns))
     else:
-        results = [_run_grid_cell(c) for c in cells]
+        results = list(map(run_cell, *columns))
 
     results.sort(key=lambda r: (-r.f1, -r.accuracy, (r.widths, r.mode, r.dropout, r.epochs)))
     return results
 
 
-def grid_csv(results: list[GridResult]) -> str:
-    return csv_text(["config_id", "widths", "mode", "dropout", "epochs", "accuracy", "f1"], (
-        [r.config_id, "|".join(str(h) for h in r.widths), r.mode, repr(r.dropout),
-         r.epochs, repr(r.accuracy), repr(r.f1)]
-        for r in results
-    ))
-
-
 def write_grid_results(results: list[GridResult], csv_path: str | Path, summary_path: str | Path) -> None:
-    write_text_atomic(csv_path, grid_csv(results))
-    best = results[0]
-    write_json_atomic(
-        summary_path,
-        {
-            "best": {
-                "config_id": best.config_id,
-                "widths": list(best.widths),
-                "mode": best.mode,
-                "dropout": best.dropout,
-                "epochs": best.epochs,
-                "accuracy": best.accuracy,
-                "f1": best.f1,
-            },
-            "n_cells": len(results),
-        },
-    )
+    write_text_atomic(csv_path, csv_text(
+        ["config_id", "widths", "mode", "dropout", "epochs", "accuracy", "f1"],
+        ([r.config_id, "|".join(str(h) for h in r.widths), r.mode, repr(r.dropout),
+          r.epochs, repr(r.accuracy), repr(r.f1)] for r in results),
+    ))
+    write_json_atomic(summary_path, {"best": asdict(results[0]), "n_cells": len(results)})

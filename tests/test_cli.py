@@ -14,7 +14,9 @@ from newsvane import cli
 from newsvane.checkpoint import load_checkpoint
 from newsvane.corpus import load_headlines, load_prices
 from newsvane.embeddings import load_pretrained, nearest_neighbors
+from newsvane.network import ModelConfig
 from newsvane.pipeline import prepare_dataset
+from newsvane.training import cell_config
 from test_gradients import perturb_backward
 
 
@@ -164,6 +166,40 @@ class TestTrain:
         assert ckpt.table.matrix.tobytes() == initial.matrix.tobytes()
 
 
+    def test_grid_retrains_the_best_cell(self, workspace, tmp_path):
+        _, _, _, _, config = workspace
+        outputs = ("grid.csv", "grid_summary.json", "checkpoint.json", "checkpoint.npy",
+                   "metrics.json", "trace.csv")
+        written = {}
+        for flag in ((), ("--parallel",)):
+            cfg = json.loads(json.dumps(config))
+            cfg["paths"]["out_dir"] = str(tmp_path / f"out{len(flag)}")
+            cfg["training"].update(epochs=2, grid={"width_sets": [[2], [2, 3]],
+                                                   "dropout": [0.0, 0.25]})
+            cfg_path = tmp_path / f"grid{len(flag)}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert cli.main(["train", "--config", str(cfg_path), *flag]) == 0
+            out = tmp_path / f"out{len(flag)}"
+            written[flag] = [(out / name).read_bytes() for name in outputs]
+
+        assert written[()] == written[("--parallel",)]
+        summary = json.loads((out / "grid_summary.json").read_text())
+        assert summary["n_cells"] == 4
+        assert (out / "grid.csv").read_text().count("\n") == 5
+        best = summary["best"]
+        ckpt = load_checkpoint(out / "checkpoint.json")
+        model = config["model"]
+        base = ModelConfig(
+            p=model["p"], m=ckpt.config.m, filter_widths=tuple(model["filter_widths"]),
+            filters_per_width=model["filters_per_width"],
+            hidden_sizes=tuple(model["hidden_sizes"]), dropout_rate=model["dropout_rate"],
+            head=model["head"],
+        )
+        assert ckpt.config == cell_config(base, tuple(best["widths"]), best["dropout"])
+        assert ckpt.training_meta["embedding_mode"] == best["mode"]
+        assert ckpt.training_meta["epochs"] == best["epochs"] == 2
+
+
 class TestEvaluate:
     def test_metrics_written(self, workspace, tmp_path):
         root, config_path, _, out, _ = workspace
@@ -246,6 +282,25 @@ class TestBacktest:
         assert f"{preds}: line 3: probabilities must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("header, row, fields", [
+        ("p0,p1,p2", "0.9", 3),  # once read as a binary prediction, and traded
+        ("p0", "0.1,0.2,0.7", 5),  # once a late error naming no file or line
+    ])
+    def test_prediction_rows_must_match_the_header(self, workspace, tmp_path, capsys,
+                                                   header, row, fields):
+        _, config_path, _, _, _ = workspace
+        good = "0.9" if header == "p0" else "0.1,0.2,0.7"
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"asset,date,{header}\nSYN0,2015-01-05,{good}\nSYN0,2015-01-06,{row}\n")
+        assert cli.main([
+            "backtest", "--config", str(config_path), "--predictions", str(preds),
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        n_header = 2 + len(header.split(","))
+        assert (f"{preds}: line 3: the header has {n_header} fields, this row {fields}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "report.json").exists()
+
     def test_checkpoint_run_reads_prices_once(self, workspace, tmp_path, monkeypatch):
         """Each command reads the price file once and indexes it once: labeling
         and the backtest or sweep share one PriceIndex."""
@@ -312,6 +367,10 @@ class TestGradcheckCommand:
         done = _run_cli("gradcheck", "--configs", "1")
         assert done.returncode == 0, done.stderr
         assert "gradcheck PASS" in done.stdout
+
+    def test_zero_configs_is_a_usage_error(self, capsys):
+        assert cli.main(["gradcheck", "--configs", "0"]) == 2
+        assert "n_configs must be >= 1, got 0" in capsys.readouterr().err
 
     def test_fixed_seed_identical_report(self, capsys):
         cli.main(["gradcheck", "--seed", "4", "--configs", "3"])

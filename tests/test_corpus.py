@@ -98,6 +98,18 @@ class TestLoadPrices:
         with pytest.raises(ValueError, match="line 3"):
             load_prices(path)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("asset,date,open,close\n")
+        with pytest.raises(ValueError, match=f"{path}: no price bars"):
+            load_prices(path)
+
+    def test_blank_asset_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("asset,date,open,close\nAAA,2016-01-07,100,101\n  ,2016-01-08,100,101\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: empty asset"):
+            load_prices(path)
+
     def test_nonpositive_price_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("asset,date,open,close\nAAA,2016-01-08,0,101\n")

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from newsvane.training import (
     GridAxes,
     NumericError,
     adam_step,
-    binary_metrics,
+    cell_config,
+    confusion_metrics,
     evaluate,
     grid_search,
-    multiclass_metrics,
     train,
 )
 from newsvane.training import _cell_seeds  # noqa: F401  (used to mirror grid cells)
@@ -417,13 +418,43 @@ class TestEvaluate:
         assert report.tp == 1  # predict 1 iff sigma >= threshold
 
     def test_metrics_recomputable_from_counts(self):
-        report = binary_metrics(tp=3, fp=1, fn=2, tn=4)
+        report = confusion_metrics(np.array([[4, 1], [2, 3]]))
+        assert (report.tp, report.fp, report.fn, report.tn) == (3, 1, 2, 4)
         assert report.accuracy == pytest.approx(0.7)
         assert report.f1 == pytest.approx(2 / 3)
-        m = multiclass_metrics(np.array([[5, 0, 1], [1, 3, 2], [0, 1, 7]]))
+        assert report.to_dict().keys() == {"head", "n_samples", "accuracy", "precision",
+                                           "recall", "f1", "tp", "fp", "fn", "tn"}
+        m = confusion_metrics(np.array([[5, 0, 1], [1, 3, 2], [0, 1, 7]]))
+        assert m.head == "multiclass3"
+        assert (m.tp, m.fp, m.fn, m.tn) == (7, 3, 1, 9)
         assert m.accuracy == pytest.approx(15 / 20)
         assert m.precision == pytest.approx(7 / 10)
         assert m.recall == pytest.approx(7 / 8)
+        assert m.to_dict()["confusion"] == [[5, 0, 1], [1, 3, 2], [0, 1, 7]]
+        assert "tp" not in m.to_dict()
+
+    def test_confusion_metrics_match_the_per_head_formulas(self):
+        """Bit-equal to the formulas the binary and 3-way heads were scored
+        with before one builder served both."""
+        def prf(tp, fp, fn):
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+            return precision, recall, f1
+
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            (tn, fp), (fn, tp) = c2 = rng.integers(0, 6, (2, 2)).tolist()
+            total = tp + fp + fn + tn
+            report = confusion_metrics(np.array(c2))
+            assert (report.accuracy, report.precision, report.recall, report.f1) == (
+                (tp + tn) / total if total else 0.0, *prf(tp, fp, fn))
+            c3 = rng.integers(0, 6, (3, 3))
+            total = int(c3.sum())
+            report = confusion_metrics(c3)
+            assert (report.accuracy, report.precision, report.recall, report.f1) == (
+                float(np.trace(c3)) / total if total else 0.0,
+                *prf(int(c3[2, 2]), int(c3[0, 2] + c3[1, 2]), int(c3[2, 0] + c3[2, 1])))
 
     def test_empty_dataset_rejected(self):
         _, table, config, params, _, _ = _fixture_model()
@@ -472,7 +503,7 @@ class TestGridSearch:
         results = grid_search(
             to_pairs(prepared.train, "binary")[:120],
             to_pairs(prepared.test, "binary")[:60],
-            base, axes, self._factory(prepared), seed=5, batch_size=16, total_filters=2,
+            base, axes, self._factory(prepared), seed=5, batch_size=16,
         )
         assert len(results) == 8
         assert sorted(r.widths for r in results) == sorted(widths)
@@ -500,18 +531,20 @@ class TestGridSearch:
         results = grid_search(
             to_pairs(tiny_corpus.train, "binary")[:60],
             to_pairs(tiny_corpus.test, "binary")[:30],
-            base, axes, self._factory(tiny_corpus), seed=5, batch_size=16, total_filters=6,
+            base, axes, self._factory(tiny_corpus), seed=5, batch_size=16,
         )
         assert len(results) == 2
+        assert cell_config(base, (2,), 0.0).filters_per_width == 6
+        assert cell_config(base, (2, 3), 0.0).filters_per_width == 3
 
     def test_indivisible_total_filters_rejected(self, tiny_corpus):
-        base = _tiny_config(tiny_corpus)
+        base = replace(_tiny_config(tiny_corpus), filter_widths=(2,), filters_per_width=7)
         axes = GridAxes(epochs=(1,), dropout=(0.0,), width_sets=((2, 3),), modes=("self_learnt",))
         with pytest.raises(ValueError, match="divisible"):
             grid_search(
                 to_pairs(tiny_corpus.train, "binary")[:40],
                 to_pairs(tiny_corpus.test, "binary")[:20],
-                base, axes, self._factory(tiny_corpus), seed=5, total_filters=7,
+                base, axes, self._factory(tiny_corpus), seed=5,
             )
 
     def test_parallel_matches_sequential(self, tiny_corpus):
@@ -525,7 +558,7 @@ class TestGridSearch:
             selection_set=to_pairs(tiny_corpus.test, "binary")[:40],
             base_config=base, axes=axes,
             table_factory=functools.partial(_self_learnt_factory, tiny_corpus.vocab),
-            seed=5, batch_size=16, total_filters=6,
+            seed=5, batch_size=16,
         )
         sequential = grid_search(parallel=False, **kwargs)
         parallel = grid_search(parallel=True, **kwargs)
