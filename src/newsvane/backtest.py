@@ -19,6 +19,7 @@ import datetime as dt
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -34,25 +35,29 @@ NO_ACTION = "no_action"
 BUY_CLASS = 2
 
 
-@dataclass(frozen=True)
-class DayPrediction:
-    """Mean model output over one asset's headlines on one day.
+_DayFields = NamedTuple("_DayFields", [
+    ("asset", str), ("date", dt.date), ("n_headlines", int), ("sigma_mean", float | None),
+    ("class_means", tuple[float, float, float] | None)])
+
+
+class DayPrediction(_DayFields):
+    """Mean model output over one asset's headlines on one day, a named tuple.
 
     Exactly one of ``sigma_mean`` (binary head) and ``class_means``
-    (3-way head) is set.
+    (3-way head) is set; construction rejects anything else, and
+    ``_make`` and ``_replace`` skip that check.
     """
 
-    asset: str
-    date: dt.date
-    n_headlines: int
-    sigma_mean: float | None = None
-    class_means: tuple[float, float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.sigma_mean is None) == (self.class_means is None):
+    def __new__(cls, asset: str, date: dt.date, n_headlines: int,
+                sigma_mean: float | None = None,
+                class_means: tuple[float, float, float] | None = None) -> DayPrediction:
+        if (sigma_mean is None) == (class_means is None):
             raise ValueError("exactly one of sigma_mean / class_means must be set")
-        if self.n_headlines < 1:
+        if n_headlines < 1:
             raise ValueError("n_headlines must be >= 1")
+        return _DayFields.__new__(cls, asset, date, n_headlines, sigma_mean, class_means)
 
 
 class Trade(NamedTuple):
@@ -64,9 +69,6 @@ class Trade(NamedTuple):
     @property
     def return_frac(self) -> float:
         return (self.exit - self.entry) / self.entry
-
-
-_BY_DATE_THEN_ASSET = operator.attrgetter("trade_date", "asset")
 
 
 @dataclass(frozen=True)
@@ -110,46 +112,44 @@ def aggregate_daily(
 
     Input rows are (headline_id, asset, date, output) where the output is a
     scalar sigmoid probability or a length-3 probability vector; mixing the
-    two kinds is an error. Results are sorted by (date, asset). A day's
-    sigmoid outputs are averaged by ``_day_mean`` and its class vectors by
-    one ``mean(axis=0)``, which give the bits of ``np.mean`` over the day.
+    two kinds is an error. Results are sorted by (date, asset). The rows are
+    grouped by one stable sort, so each day keeps its outputs in input order,
+    and ``_day_means`` averages them with the bits of ``np.mean`` over the day
+    (``mean(axis=0)`` for class vectors).
     """
     if not predictions:
         raise ValueError("no predictions to aggregate")
-    groups: dict[tuple[dt.date, str], list] = {}
-    scalar: bool | None = None
-    for _, asset, date, output in predictions:
-        kind = _is_scalar_output(output)
-        if kind is not scalar:
-            if scalar is not None:
-                raise ValueError("cannot mix scalar and 3-class outputs in one aggregation")
-            scalar = kind
-        groups.setdefault((date, asset), []).append(output)
+    _, assets, dates, outputs = zip(*predictions)
+    kinds = set(map(_is_scalar_output, outputs))
+    if len(kinds) > 1:
+        raise ValueError("cannot mix scalar and 3-class outputs in one aggregation")
+    scalar = kinds.pop()
+    if scalar:
+        values = np.fromiter(map(float, outputs), np.float64, len(outputs))
+    else:
+        try:
+            values = np.array(outputs, dtype=np.float64)
+        except ValueError:  # outputs of different lengths
+            values = None
+        if values is None or values.ndim != 2 or values.shape[1] != 3:
+            raise ValueError("3-class outputs must have length 3")
 
-    out: list[DayPrediction] = []
-    for (date, asset), outputs in sorted(groups.items()):
-        if scalar:
-            out.append(
-                DayPrediction(
-                    asset=asset, date=date, n_headlines=len(outputs),
-                    sigma_mean=_day_mean([float(o) for o in outputs]),
-                )
-            )
-        else:
-            try:
-                arr = np.array(outputs, dtype=np.float64)
-            except ValueError:  # outputs of different lengths
-                arr = None
-            if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
-                raise ValueError("3-class outputs must have length 3")
-            mean = arr.mean(axis=0)
-            out.append(
-                DayPrediction(
-                    asset=asset, date=date, n_headlines=len(outputs),
-                    class_means=(float(mean[0]), float(mean[1]), float(mean[2])),
-                )
-            )
-    return out
+    day_names, asset_names = sorted(set(dates)), sorted(set(assets))
+    day_code = {d: i for i, d in enumerate(day_names)}
+    asset_code = {a: i for i, a in enumerate(asset_names)}
+    key = (np.fromiter(map(day_code.__getitem__, dates), np.int64, len(dates)) * len(asset_names)
+           + np.fromiter(map(asset_code.__getitem__, assets), np.int64, len(assets)))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    sizes = _run_sizes(key)
+    means = _day_means(values[order], sizes).tolist()
+    day_of, asset_of = np.divmod(key[np.cumsum(sizes) - 1], len(asset_names))
+    sigma_means, class_means = (means, repeat(None)) if scalar else (repeat(None), map(tuple, means))
+    return [
+        DayPrediction._make((asset_names[a], day_names[d], k, sigma, classes))
+        for d, a, k, sigma, classes in zip(day_of.tolist(), asset_of.tolist(), sizes.tolist(),
+                                           sigma_means, class_means)
+    ]
 
 
 def _is_scalar_output(output) -> bool:
@@ -161,29 +161,60 @@ def _is_scalar_output(output) -> bool:
     return np.isscalar(output) or getattr(output, "shape", None) == ()
 
 
-def _buy_score(dp: DayPrediction, binary: bool) -> float:
-    """The value a buy threshold is compared with: a buy iff it exceeds t.
+def _run_sizes(keys: np.ndarray) -> np.ndarray:
+    """The lengths of the runs of equal values in a non-empty ``keys``, in order."""
+    return np.diff(np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True]))
 
-    For the binary head it is the day-mean sigmoid output. For the 3-way head
-    it is the buy-class mean when 'buy' is the strict argmax of the class
+
+def _day_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The mean of each run of ``values``, the runs ``sizes`` long and in order.
+
+    Each mean has the bits of ``np.mean`` over its run (``axis=0`` for rows).
+    NumPy adds rows, and fewer than 8 float64 values, one after another from
+    0.0, and so does a weighted ``np.bincount`` within each run. 1-D runs of 8
+    or more values, which NumPy sums pairwise, call ``np.mean``.
+    """
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    if values.ndim == 2:
+        return np.column_stack(
+            [np.bincount(run, column, len(sizes)) for column in values.T]) / sizes[:, None]
+    means = np.bincount(run, values, len(sizes)) / sizes
+    ends = np.cumsum(sizes)
+    for g in np.flatnonzero(sizes > 7).tolist():
+        means[g] = np.mean(values[ends[g] - sizes[g]:ends[g]])
+    return means
+
+
+def _day_mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` for one day of values, by ``_day_means``."""
+    return float(_day_means(np.asarray(values, dtype=np.float64), np.array([len(values)]))[0])
+
+
+def _buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.ndarray:
+    """The values a buy threshold is compared with: a day buys iff its score exceeds t.
+
+    For the binary head a score is the day-mean sigmoid output. For the 3-way
+    head it is the buy-class mean when 'buy' is the strict argmax of the class
     means, else -inf, so no threshold buys it. ``binary`` names the head the
     strategy expects; a prediction from the other head is a ValueError.
     """
     if binary:
-        if dp.sigma_mean is None:
+        sigma = [dp.sigma_mean for dp in day_predictions]
+        if None in sigma:
             raise ValueError("decide_binary needs a sigma_mean prediction")
-        return dp.sigma_mean
-    if dp.class_means is None:
+        return np.array(sigma, dtype=np.float64)
+    class_means = [dp.class_means for dp in day_predictions]
+    if None in class_means:
         raise ValueError("decide_multiclass needs class_means predictions")
-    means = dp.class_means
-    buy_mean = means[BUY_CLASS]
-    strictly_max = all(buy_mean > means[i] for i in range(3) if i != BUY_CLASS)
-    return buy_mean if strictly_max else -math.inf
+    cm = np.fromiter(chain.from_iterable(class_means), np.float64, 3 * len(class_means))
+    cm = cm.reshape(-1, 3)
+    buy = cm[:, BUY_CLASS]
+    return np.where((buy > cm[:, 0]) & (buy > cm[:, 1]), buy, -np.inf)
 
 
 def decide_binary(dp: DayPrediction, t: float) -> str:
     """Buy iff the day-mean sigmoid output strictly exceeds the threshold."""
-    return BUY if _buy_score(dp, binary=True) > t else NO_ACTION
+    return BUY if _buy_scores([dp], binary=True)[0] > t else NO_ACTION
 
 
 def decide_multiclass(dp: DayPrediction, t: float) -> str:
@@ -192,28 +223,96 @@ def decide_multiclass(dp: DayPrediction, t: float) -> str:
     An argmax tie is treated as no-action: without a strictly dominant buy
     probability the day's evidence is ambiguous.
     """
-    return BUY if _buy_score(dp, binary=False) > t else NO_ACTION
+    return BUY if _buy_scores([dp], binary=False)[0] > t else NO_ACTION
 
 
-def _day_mean(returns: list[float]) -> float:
-    """``float(np.mean(returns))``, without building an array for small days.
+_ENTRY = operator.attrgetter("entry")
+_EXIT = operator.attrgetter("exit")
 
-    NumPy's pairwise summation adds fewer than 8 float64 values one after
-    another, starting from 0.0, so this loop gives the same bits for them.
-    It is a loop, not the builtin ``sum``: from Python 3.12 ``sum`` compensates
-    float rounding and would differ.
-    """
-    k = len(returns)
-    if k > 7:
-        return float(np.mean(returns))
-    total = 0.0
-    for r in returns:
-        total += r
-    return total / k
+
+class _TradeBook(NamedTuple):
+    """Resolved buys as trades in execution order, with their returns as one
+    float64 array and their trade days as day ordinals."""
+
+    trades: tuple[Trade, ...]
+    returns: np.ndarray
+    days: np.ndarray
+
+    @classmethod
+    def of(cls, decisions: Sequence[tuple[str, dt.date, str]] | _TradeBook,
+           index: PriceIndex) -> _TradeBook:
+        """``decisions`` itself if it is already a book, else the book of its buys."""
+        if isinstance(decisions, cls):
+            return decisions
+        return cls.resolve([(asset, date) for asset, date, action in decisions if action == BUY],
+                           index)[0]
+
+    @classmethod
+    def resolve(cls, buys: Sequence[tuple[str, dt.date]],
+                index: PriceIndex) -> tuple[_TradeBook, np.ndarray]:
+        """The book of ``buys`` (asset, decision date) and, per trade, the
+        position of its buy in ``buys``.
+
+        Each buy trades on its asset's first bar after the decision date, found
+        by one ``searchsorted`` per asset. Trades are sorted by (trade date,
+        asset), stably, so ties keep the order of ``buys``. A buy with no later
+        bar is a ValueError that lists every such buy.
+        """
+        rows_by_asset: dict[str, list[int]] = {}
+        for row, (asset, _) in enumerate(buys):
+            rows_by_asset.setdefault(asset, []).append(row)
+        after = np.fromiter((date.toordinal() for _, date in buys), np.int64, len(buys))
+        bar_of_row: list[PriceBar | None] = [None] * len(buys)
+        asset_rank = np.empty(len(buys), dtype=np.int64)
+        for rank, (asset, rows) in enumerate(sorted(rows_by_asset.items())):
+            bars, positions = index.next_positions(asset, after[rows])
+            for row, pos in zip(rows, positions.tolist()):
+                if pos < len(bars):
+                    bar_of_row[row] = bars[pos]
+            asset_rank[rows] = rank
+        missing = sorted(buy for buy, bar in zip(buys, bar_of_row) if bar is None)
+        if missing:
+            listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in missing)
+            raise ValueError(f"no next-day price bar for: {listed}")
+
+        days = np.fromiter((bar.date.toordinal() for bar in bar_of_row), np.int64, len(buys))
+        order = np.lexsort((asset_rank, days))
+        trades = tuple(map(Trade._make, map(bar_of_row.__getitem__, order.tolist())))
+        entry = np.fromiter(map(_ENTRY, trades), np.float64, len(trades))
+        exit_ = np.fromiter(map(_EXIT, trades), np.float64, len(trades))
+        return cls(trades, (exit_ - entry) / entry, days[order]), order
+
+    def where(self, mask: np.ndarray) -> _TradeBook:
+        """The trades at the true entries of ``mask``, in book order."""
+        return _TradeBook(tuple(compress(self.trades, mask.tolist())), self.returns[mask],
+                          self.days[mask])
+
+
+def _report(book: _TradeBook) -> BacktestReport:
+    """The report of a book's trades: each trading day's return is the mean of
+    its trades' returns (``_day_means``), and days compound in date order."""
+    if not book.trades:
+        return BacktestReport(
+            trades=(), n_trades=0, total_return_pct=0.0, pp_pct=0.0, atp_pct=0.0,
+            max_single_day_loss_pct=0.0, avg_correct_buy_return_pct=0.0,
+        )
+    returns = book.returns
+    capital = math.prod((1.0 + _day_means(returns, _run_sizes(book.days))).tolist(), start=1.0)
+    wins = returns[returns > 0]
+    return BacktestReport(
+        trades=book.trades,
+        n_trades=len(returns),
+        total_return_pct=100.0 * (capital - 1.0),
+        pp_pct=100.0 * len(wins) / len(returns),
+        atp_pct=100.0 * float(np.mean(returns)),
+        max_single_day_loss_pct=100.0 * max(0.0, -float(returns.min())),
+        avg_correct_buy_return_pct=100.0 * float(np.mean(wins)) if len(wins) else 0.0,
+    )
 
 
 def simulate(
-    decisions: Sequence[tuple[str, dt.date, str]], prices: Sequence[PriceBar] | PriceIndex
+    decisions: Sequence[tuple[str, dt.date, str]] | _TradeBook,
+    prices: Sequence[PriceBar] | PriceIndex,
 ) -> BacktestReport:
     """Execute buy decisions and compound the daily returns.
 
@@ -221,52 +320,10 @@ def simulate(
     trading day after the decision date. Same-day buys split capital
     equally, so the day's return is the mean of its trade returns; days
     compound in date order. An empty decision list yields a zero report.
-    ``prices`` may be a prebuilt ``PriceIndex``, as ``threshold_sweep`` passes.
+    ``prices`` may be a prebuilt ``PriceIndex``. ``threshold_sweep`` passes
+    a resolved trade book as ``decisions``, which is reported as it is.
     """
-    index = PriceIndex.of(prices)
-    next_bar = index.next_bar
-    trades: list[Trade] = []
-    missing: list[tuple[str, dt.date]] = []
-    for asset, date, action in decisions:
-        if action != BUY:
-            continue
-        try:
-            bar = next_bar(asset, date)
-        except ValueError:
-            missing.append((asset, date))
-            continue
-        trades.append(Trade(asset, bar.date, bar.open, bar.close))
-    if missing:
-        listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in sorted(missing))
-        raise ValueError(f"no next-day price bar for: {listed}")
-
-    trades.sort(key=_BY_DATE_THEN_ASSET)
-    if not trades:
-        return BacktestReport(
-            trades=(), n_trades=0, total_return_pct=0.0, pp_pct=0.0, atp_pct=0.0,
-            max_single_day_loss_pct=0.0, avg_correct_buy_return_pct=0.0,
-        )
-
-    returns = [t.return_frac for t in trades]
-    # after the sort, each trading day's trades are one run of the list
-    capital = 1.0
-    start = 0
-    for end in range(1, len(trades) + 1):
-        if end == len(trades) or trades[end].trade_date != trades[start].trade_date:
-            capital *= 1.0 + _day_mean(returns[start:end])
-            start = end
-
-    wins = [r for r in returns if r > 0]
-    worst = min(returns)
-    return BacktestReport(
-        trades=tuple(trades),
-        n_trades=len(trades),
-        total_return_pct=100.0 * (capital - 1.0),
-        pp_pct=100.0 * len(wins) / len(trades),
-        atp_pct=100.0 * float(np.mean(returns)),
-        max_single_day_loss_pct=100.0 * max(0.0, -worst),
-        avg_correct_buy_return_pct=100.0 * float(np.mean(wins)) if wins else 0.0,
-    )
+    return _report(_TradeBook.of(decisions, PriceIndex.of(prices)))
 
 
 @dataclass(frozen=True)
@@ -285,9 +342,12 @@ def threshold_sweep(
 ) -> list[SweepRow]:
     """One ``SweepRow`` per threshold in ``t_grid``, for the head of the predictions.
 
-    Each day prediction is scored once (see ``_buy_score``); each threshold
-    then calls ``simulate`` on the buys whose score exceeds it, in the order
-    of ``day_predictions``, which is what the ``decide_*`` rule would buy.
+    Each day prediction is scored once (see ``_buy_scores``), and the buys at
+    the lowest threshold are resolved into one trade book: every later
+    threshold buys a subset of them, so a missing next bar raises here as it
+    would at the first threshold. Each threshold then calls ``simulate`` on
+    the book's trades whose score exceeds it, which are the trades the
+    ``decide_*`` rule would make.
     """
     if not t_grid:
         raise ValueError("t_grid must be non-empty")
@@ -295,14 +355,15 @@ def threshold_sweep(
         raise ValueError("t_grid must be sorted ascending")
     if not day_predictions:
         raise ValueError("no day predictions to sweep")
-    binary = day_predictions[0].sigma_mean is not None
-    score = np.array([_buy_score(dp, binary) for dp in day_predictions], dtype=np.float64)
-    buys = [(dp.asset, dp.date, BUY) for dp in day_predictions]
+    score = _buy_scores(day_predictions, binary=day_predictions[0].sigma_mean is not None)
     index = PriceIndex.of(prices)
+    first = np.flatnonzero(score > t_grid[0])
+    book, order = _TradeBook.resolve(
+        [(dp.asset, dp.date) for dp in map(day_predictions.__getitem__, first.tolist())], index)
+    score = score[first][order]  # in book order
     rows: list[SweepRow] = []
     for t in t_grid:
-        decisions = [buys[i] for i in np.flatnonzero(score > t).tolist()]
-        report = simulate(decisions, index)
+        report = simulate(book.where(score > t), index)
         rows.append(
             SweepRow(
                 t=float(t), pp_pct=report.pp_pct, atp_pct=report.atp_pct,

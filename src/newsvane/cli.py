@@ -358,9 +358,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions_csv(path: Path) -> tuple[list, str]:
+def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> tuple[list, str]:
     """The (line, asset, date, output) rows of a predictions CSV and the head
-    its header names: p0 alone for the binary head, p0,p1,p2 for the 3-way head."""
+    its header names: p0 alone for the binary head, p0,p1,p2 for the 3-way head.
+    Every row's asset must have bars in ``prices``."""
     rows: list[tuple[int, str, dt.date, float | np.ndarray]] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -373,6 +374,11 @@ def _read_predictions_csv(path: Path) -> tuple[list, str]:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"the header has {len(header)} fields, this row {len(row)}")
+                asset = row[0].strip()  # as load_prices reads it
+                if not asset:
+                    raise ValueError("empty asset")
+                if asset not in prices:
+                    raise ValueError(f"asset {asset!r} has no price bars")
                 date = dt.datetime.strptime(row[1], "%Y-%m-%d").date()
                 values = [float(x) for x in row[2:]]
                 if not all(0.0 <= v <= 1.0 for v in values):
@@ -380,7 +386,7 @@ def _read_predictions_csv(path: Path) -> tuple[list, str]:
                 output: float | np.ndarray = values[0] if len(row) == 3 else np.array(values)
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-            rows.append((lineno, row[0], date, output))
+            rows.append((lineno, asset, date, output))
     if not rows:
         raise ConfigError(f"{path}: no prediction rows")
     return rows, HEAD_BINARY if len(header) == 3 else HEAD_MULTICLASS3
@@ -393,7 +399,7 @@ def _day_predictions(
     with the head they were made by, checked against the strategy head."""
     if args.predictions:
         prices = corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
-        rows, head = _read_predictions_csv(Path(args.predictions))
+        rows, head = _read_predictions_csv(Path(args.predictions), prices)
     else:
         ckpt, prepared, prices = _checkpoint_run(cfg, args)
         rows = [(s.headline_id, s.asset, s.date,

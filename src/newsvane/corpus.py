@@ -20,6 +20,7 @@ import csv
 import datetime as dt
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,14 +200,15 @@ def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
     )))
 
 
+_BAR_DATE = operator.attrgetter("date")
+
+
 class PriceIndex:
     """Price bars grouped per asset in date order, for next-trading-day lookups.
 
-    Build it once per price list and share it: ``next_bar`` binary-searches
-    each distinct ``(asset, after)`` once and remembers the bar it found, so
-    a repeated query (the same decision date at every threshold of a sweep)
-    is a dict lookup. A query past the end of the history is not remembered
-    and raises every time.
+    Build it once per price list and share it. ``next_positions`` resolves
+    many days of one asset with one ``np.searchsorted``; ``next_bar`` is the
+    single-day form.
     """
 
     def __init__(self, prices: Iterable[PriceBar]) -> None:
@@ -214,9 +216,8 @@ class PriceIndex:
         for bar in prices:
             self._bars.setdefault(bar.asset, []).append(bar)
         for bars in self._bars.values():
-            bars.sort(key=lambda b: b.date)
+            bars.sort(key=_BAR_DATE)
         self._days = {a: [b.date.toordinal() for b in bars] for a, bars in self._bars.items()}
-        self._resolved: dict[tuple[str, dt.date], PriceBar] = {}
 
     @classmethod
     def of(cls, prices: Iterable[PriceBar] | PriceIndex) -> PriceIndex:
@@ -226,16 +227,17 @@ class PriceIndex:
     def __len__(self) -> int:
         return sum(len(bars) for bars in self._bars.values())
 
+    def __contains__(self, asset: str) -> bool:
+        """True if the index holds a bar of ``asset``."""
+        return asset in self._bars
+
     def next_bar(self, asset: str, after: dt.date) -> PriceBar:
         """The asset's first bar strictly after ``after``; ValueError past its history."""
-        bar = self._resolved.get((asset, after))
-        if bar is None:
-            days = self._days.get(asset, [])
-            pos = bisect.bisect_right(days, after.toordinal())
-            if pos == len(days):
-                raise ValueError(f"end of price history: no bar for {asset} after {after}")
-            bar = self._resolved[asset, after] = self._bars[asset][pos]
-        return bar
+        days = self._days.get(asset, [])
+        pos = bisect.bisect_right(days, after.toordinal())
+        if pos == len(days):
+            raise ValueError(f"end of price history: no bar for {asset} after {after}")
+        return self._bars[asset][pos]
 
     def next_positions(self, asset: str, after: np.ndarray) -> tuple[list[PriceBar], np.ndarray]:
         """``next_bar`` for many day ordinals by one ``np.searchsorted``: the asset's bars and,

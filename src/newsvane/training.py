@@ -435,7 +435,8 @@ def grid_search(
 
     Each cell starts from a fresh seeded table and parameter init, so cells
     are independent and may run in parallel. Each cell's model is
-    ``cell_config(base_config, widths, dropout)``. The result list is ranked
+    ``cell_config(base_config, widths, dropout)``, which is checked for every
+    cell before any cell trains. The result list is ranked
     by F1 descending, ties broken by accuracy then by the lexicographic
     (widths, mode, dropout, epochs) key.
     """
@@ -452,6 +453,8 @@ def grid_search(
         batch_size=batch_size, lr=lr,
     )
     cells = list(product(width_axis, mode_axis, dropout_axis, epochs_axis))
+    for widths, _, dropout, _ in cells:  # reject a bad cell before the first one trains
+        cell_config(base_config, widths, dropout)
     columns = (range(len(cells)), *zip(*cells))
     if parallel and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsvane import backtest
 from newsvane.backtest import (
     BUY,
     BUY_CLASS,
@@ -61,6 +62,17 @@ class TestAggregateDaily:
         preds = [(0, "B", _day(1), 0.5), (1, "A", _day(1), 0.5), (2, "A", D0, 0.5)]
         out = aggregate_daily(preds)
         assert [(dp.date, dp.asset) for dp in out] == [(D0, "A"), (_day(1), "A"), (_day(1), "B")]
+
+    def test_day_prediction_checks_its_fields(self):
+        for kwargs in (dict(), dict(sigma_mean=0.5, class_means=(0.2, 0.3, 0.5))):
+            with pytest.raises(ValueError, match="exactly one of sigma_mean / class_means"):
+                DayPrediction(asset="A", date=D0, n_headlines=1, **kwargs)
+        with pytest.raises(ValueError, match="n_headlines must be >= 1"):
+            DayPrediction("A", D0, 0, 0.5)
+        dp = DayPrediction("A", D0, 2, class_means=(0.2, 0.3, 0.5))
+        assert dp == ("A", D0, 2, None, (0.2, 0.3, 0.5))
+        assert aggregate_daily([(0, "A", D0, 0.25), (1, "A", D0, 0.75)]) == [
+            DayPrediction(asset="A", date=D0, n_headlines=2, sigma_mean=0.5)]
 
 
 def _former_aggregate_daily(predictions):
@@ -560,6 +572,64 @@ class TestSweepExactness:
             with pytest.raises(ValueError) as again:
                 threshold_sweep(day_preds, index, grid[-1:])
             assert str(again.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_grid_slices_give_the_rows_of_one_sweep(self, binary):
+        day_preds, bars = _desk(14, binary)
+        grid = default_threshold_grid(binary)
+        for prices in (bars, PriceIndex(bars)):
+            whole = [_row_bits(r) for r in threshold_sweep(day_preds, prices, grid)]
+            for size in (1, 10, len(grid)):
+                rows = [r for start in range(0, len(grid), size)
+                        for r in threshold_sweep(day_preds, prices, grid[start:start + size])]
+                assert [_row_bits(r) for r in rows] == whole, size
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_a_missing_bar_fails_the_slices_whose_first_threshold_buys_it(self, binary):
+        """A slice raises iff its first threshold buys the day with no next bar,
+        whichever of its later thresholds would not; the other slices give the
+        reference rows."""
+        day_preds, bars = _desk(15, binary)
+        last = max(b.date for b in bars)
+        grid = default_threshold_grid(binary)
+        score = grid[len(grid) // 2] + 0.005
+        late = DayPrediction(asset="S02", date=last, n_headlines=1,
+                             **(dict(sigma_mean=score) if binary
+                                else dict(class_means=((1 - score) / 2, (1 - score) / 2, score))))
+        day_preds = day_preds + [late]
+        index = PriceIndex(bars)
+        raised = set()
+        for size in (1, 10, len(grid)):
+            for start in range(0, len(grid), size):
+                part = grid[start:start + size]
+                if part[0] < score:
+                    with pytest.raises(ValueError) as err:
+                        threshold_sweep(day_preds, index, part)
+                    assert str(err.value) == f"no next-day price bar for: (S02, {last.isoformat()})"
+                    raised.add(size)
+                else:
+                    rows = threshold_sweep(day_preds, index, part)
+                    assert [_row_bits(r) for r in rows] == [
+                        _ref_row_bits(day_preds, bars, t) for t in part]
+        assert raised == {1, 10, len(grid)}
+
+    def test_one_simulate_call_per_threshold(self, monkeypatch):
+        """The benchmark counts ``simulate`` calls and the bars each is handed:
+        a sweep makes one call per threshold, each with every price bar."""
+        calls = []
+        real = backtest.simulate
+        monkeypatch.setattr(backtest, "simulate",
+                            lambda decisions, prices: calls.append(len(prices))
+                            or real(decisions, prices))
+        for binary in (True, False):
+            day_preds, bars = _desk(16, binary)
+            grid = default_threshold_grid(binary)
+            for prices in (bars, PriceIndex(bars)):
+                for size in (1, 10, len(grid)):
+                    calls.clear()
+                    for start in range(0, len(grid), size):
+                        threshold_sweep(day_preds, prices, grid[start:start + size])
+                    assert calls == [len(bars)] * len(grid)
 
     def test_wrong_head_in_a_sweep_is_rejected(self):
         day_preds, bars = _desk(13, True)

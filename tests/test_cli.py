@@ -301,6 +301,39 @@ class TestBacktest:
                 in capsys.readouterr().err)
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    @pytest.mark.parametrize("asset, message", [
+        ("", "empty asset"),
+        ("  ", "empty asset"),
+        ("ZZZ", "asset 'ZZZ' has no price bars"),
+    ])
+    def test_prediction_assets_must_have_price_bars(self, workspace, tmp_path, capsys,
+                                                    command, asset, message):
+        """Once a late 'no next-day price bar' error naming no file or line."""
+        _, config_path, _, _, _ = workspace
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"asset,date,p0\nSYN0,2015-01-05,0.9\n{asset},2015-01-05,0.9\n")
+        assert cli.main([
+            command, "--config", str(config_path), "--predictions", str(preds),
+            "--out-dir", str(tmp_path),
+        ]) == 2
+        assert f"{preds}: line 3: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists() and not (tmp_path / "sweep.csv").exists()
+
+    def test_prediction_assets_are_stripped_like_price_assets(self, workspace, tmp_path):
+        _, config_path, _, _, _ = workspace
+        reports = []
+        for asset in ("SYN1", " SYN1 "):
+            preds = tmp_path / "preds.csv"
+            preds.write_text(f"asset,date,p0\nSYN0,2015-01-05,0.9\n{asset},2015-01-05,0.8\n")
+            assert cli.main([
+                "backtest", "--config", str(config_path), "--predictions", str(preds),
+                "--out-dir", str(tmp_path),
+            ]) == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["n_trades"] == 2
+
     def test_checkpoint_run_reads_prices_once(self, workspace, tmp_path, monkeypatch):
         """Each command reads the price file once and indexes it once: labeling
         and the backtest or sweep share one PriceIndex."""

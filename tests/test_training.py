@@ -547,6 +547,20 @@ class TestGridSearch:
                 base, axes, self._factory(tiny_corpus), seed=5,
             )
 
+    def test_a_bad_last_width_set_is_rejected_before_any_cell_trains(self, tiny_corpus):
+        base = _tiny_config(tiny_corpus)  # 2 widths x 3 filters = 6 total
+        axes = GridAxes(epochs=(1,), dropout=(0.0,), width_sets=((2,), (2, 3), (2, 3, 4, 5)),
+                        modes=("self_learnt",))
+        made = []
+        factory = self._factory(tiny_corpus)
+        with pytest.raises(ValueError, match=r"not divisible by len\(\(2, 3, 4, 5\)\)"):
+            grid_search(
+                to_pairs(tiny_corpus.train, "binary")[:40],
+                to_pairs(tiny_corpus.test, "binary")[:20],
+                base, axes, lambda mode, seed: made.append(seed) or factory(mode, seed), seed=5,
+            )
+        assert made == []
+
     def test_parallel_matches_sequential(self, tiny_corpus):
         import functools
 
