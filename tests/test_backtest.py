@@ -22,6 +22,7 @@ from newsvane.backtest import (
     decide_multiclass,
     default_threshold_grid,
     simulate,
+    sweep_csv,
     threshold_sweep,
 )
 from newsvane.corpus import PriceBar, PriceIndex
@@ -346,6 +347,17 @@ class TestThresholdSweep:
         rows = threshold_sweep(day_preds, bars, default_threshold_grid(head_binary=False))
         counts = [r.n_trades for r in rows]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_numpy_prices_give_the_same_csv(self, crafted_fixture):
+        """``np.float64`` prices (as ``generate_synthetic`` makes) once left
+        ``np.float64(...)`` reprs in the total-return column."""
+        day_preds, _, bars = crafted_fixture
+        numpy_bars = [PriceBar(b.asset, b.date, np.float64(b.open), np.float64(b.close))
+                      for b in bars]
+        grid = default_threshold_grid(head_binary=True)
+        text = sweep_csv(threshold_sweep(day_preds, numpy_bars, grid))
+        assert text == sweep_csv(threshold_sweep(day_preds, bars, grid))
+        assert "np." not in text
 
     def test_unsorted_grid_rejected(self, crafted_fixture):
         day_preds, _, bars = crafted_fixture
