@@ -18,6 +18,7 @@ from .backtest import (
     DayPrediction,
     Trade,
     aggregate_daily,
+    buy_scores,
     decide_binary,
     decide_multiclass,
     simulate,

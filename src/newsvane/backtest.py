@@ -185,12 +185,7 @@ def _day_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return means
 
 
-def _day_mean(values: Sequence[float]) -> float:
-    """``float(np.mean(values))`` for one day of values, by ``_day_means``."""
-    return float(_day_means(np.asarray(values, dtype=np.float64), np.array([len(values)]))[0])
-
-
-def _buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.ndarray:
+def buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.ndarray:
     """The values a buy threshold is compared with: a day buys iff its score exceeds t.
 
     For the binary head a score is the day-mean sigmoid output. For the 3-way
@@ -214,7 +209,7 @@ def _buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.nd
 
 def decide_binary(dp: DayPrediction, t: float) -> str:
     """Buy iff the day-mean sigmoid output strictly exceeds the threshold."""
-    return BUY if _buy_scores([dp], binary=True)[0] > t else NO_ACTION
+    return BUY if buy_scores([dp], binary=True)[0] > t else NO_ACTION
 
 
 def decide_multiclass(dp: DayPrediction, t: float) -> str:
@@ -223,7 +218,7 @@ def decide_multiclass(dp: DayPrediction, t: float) -> str:
     An argmax tie is treated as no-action: without a strictly dominant buy
     probability the day's evidence is ambiguous.
     """
-    return BUY if _buy_scores([dp], binary=False)[0] > t else NO_ACTION
+    return BUY if buy_scores([dp], binary=False)[0] > t else NO_ACTION
 
 
 _ENTRY = operator.attrgetter("entry")
@@ -254,30 +249,20 @@ class _TradeBook(NamedTuple):
         position of its buy in ``buys``.
 
         Each buy trades on its asset's first bar after the decision date, found
-        by one ``searchsorted`` per asset. Trades are sorted by (trade date,
-        asset), stably, so ties keep the order of ``buys``. A buy with no later
-        bar is a ValueError that lists every such buy.
+        for every buy by one ``PriceIndex.next_positions`` call. Trades are
+        sorted by (trade date, asset), stably, so ties keep the order of
+        ``buys``: within a day the index positions already sort by asset. A
+        buy with no later bar is a ValueError that lists every such buy.
         """
-        rows_by_asset: dict[str, list[int]] = {}
-        for row, (asset, _) in enumerate(buys):
-            rows_by_asset.setdefault(asset, []).append(row)
-        after = np.fromiter((date.toordinal() for _, date in buys), np.int64, len(buys))
-        bar_of_row: list[PriceBar | None] = [None] * len(buys)
-        asset_rank = np.empty(len(buys), dtype=np.int64)
-        for rank, (asset, rows) in enumerate(sorted(rows_by_asset.items())):
-            bars, positions = index.next_positions(asset, after[rows])
-            for row, pos in zip(rows, positions.tolist()):
-                if pos < len(bars):
-                    bar_of_row[row] = bars[pos]
-            asset_rank[rows] = rank
-        missing = sorted(buy for buy, bar in zip(buys, bar_of_row) if bar is None)
+        positions = index.next_positions([asset for asset, _ in buys], [date for _, date in buys])
+        missing = sorted(buy for buy, pos in zip(buys, positions.tolist()) if pos < 0)
         if missing:
             listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in missing)
             raise ValueError(f"no next-day price bar for: {listed}")
 
-        days = np.fromiter((bar.date.toordinal() for bar in bar_of_row), np.int64, len(buys))
-        order = np.lexsort((asset_rank, days))
-        trades = tuple(map(Trade._make, map(bar_of_row.__getitem__, order.tolist())))
+        days = index.days[positions]
+        order = np.lexsort((positions, days))
+        trades = tuple(map(Trade._make, map(index.bars.__getitem__, positions[order].tolist())))
         entry = np.fromiter(map(_ENTRY, trades), np.float64, len(trades))
         exit_ = np.fromiter(map(_EXIT, trades), np.float64, len(trades))
         return cls(trades, (exit_ - entry) / entry, days[order]), order
@@ -342,7 +327,7 @@ def threshold_sweep(
 ) -> list[SweepRow]:
     """One ``SweepRow`` per threshold in ``t_grid``, for the head of the predictions.
 
-    Each day prediction is scored once (see ``_buy_scores``), and the buys at
+    Each day prediction is scored once (see ``buy_scores``), and the buys at
     the lowest threshold are resolved into one trade book: every later
     threshold buys a subset of them, so a missing next bar raises here as it
     would at the first threshold. Each threshold then calls ``simulate`` on
@@ -355,7 +340,7 @@ def threshold_sweep(
         raise ValueError("t_grid must be sorted ascending")
     if not day_predictions:
         raise ValueError("no day predictions to sweep")
-    score = _buy_scores(day_predictions, binary=day_predictions[0].sigma_mean is not None)
+    score = buy_scores(day_predictions, binary=day_predictions[0].sigma_mean is not None)
     index = PriceIndex.of(prices)
     first = np.flatnonzero(score > t_grid[0])
     book, order = _TradeBook.resolve(

@@ -18,6 +18,7 @@ import functools
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -414,9 +415,9 @@ def _day_predictions(
 def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     day_preds, prices, head = _day_predictions(cfg, args)
-    decide = bt.decide_binary if head == HEAD_BINARY else bt.decide_multiclass
-    decisions = [(dp.asset, dp.date, decide(dp, cfg.threshold)) for dp in day_preds]
-    report = bt.simulate(decisions, prices)
+    score = bt.buy_scores(day_preds, binary=head == HEAD_BINARY)
+    buys = compress(day_preds, (score > cfg.threshold).tolist())
+    report = bt.simulate([(dp.asset, dp.date, bt.BUY) for dp in buys], prices)
     bt.write_report_json(report, cfg.out_dir / "report.json")
     print(
         f"{report.n_trades} trades; total return {report.total_return_pct:.2f}%, "

@@ -15,16 +15,16 @@ controllable amount of real signal, used by the self-tests and demos.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import datetime as dt
 import functools
 import math
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,24 +200,36 @@ def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
     )))
 
 
-_BAR_DATE = operator.attrgetter("date")
+_BAR_DATE = operator.itemgetter(PriceBar._fields.index("date"))  # faster than attrgetter
+_DAY_BITS = 22  # every date.toordinal() is below 2**22 (date.max is 3,652,059)
 
 
 class PriceIndex:
-    """Price bars grouped per asset in date order, for next-trading-day lookups.
+    """Price bars sorted by asset name and then date, for next-trading-day lookups.
 
-    Build it once per price list and share it. ``next_positions`` resolves
-    many days of one asset with one ``np.searchsorted``; ``next_bar`` is the
-    single-day form.
+    Build it once per price list and share it. ``bars`` holds every bar in
+    that order and ``days`` their day ordinals (int64). One key per bar packs
+    its asset's rank above its day ordinal, so the keys are sorted too, and
+    ``next_positions`` answers any number of (asset, date) queries with one
+    ``np.searchsorted`` over them.
     """
 
     def __init__(self, prices: Iterable[PriceBar]) -> None:
-        self._bars: dict[str, list[PriceBar]] = {}
+        by_asset: defaultdict[str, list[PriceBar]] = defaultdict(list)
         for bar in prices:
-            self._bars.setdefault(bar.asset, []).append(bar)
-        for bars in self._bars.values():
-            bars.sort(key=_BAR_DATE)
-        self._days = {a: [b.date.toordinal() for b in bars] for a, bars in self._bars.items()}
+            by_asset[bar.asset].append(bar)
+        assets = sorted(by_asset)
+        self._rank = {asset: rank for rank, asset in enumerate(assets)}
+        bars: list[PriceBar] = []
+        for asset in assets:
+            bars += sorted(by_asset[asset], key=_BAR_DATE)
+        self.bars: tuple[PriceBar, ...] = tuple(bars)
+        self.days = np.fromiter(map(dt.date.toordinal, map(_BAR_DATE, bars)), np.int64, len(bars))
+        sizes = [len(by_asset[asset]) for asset in assets]
+        # each asset's end in ``bars``; the trailing 0 is the end of rank -1, an unknown asset
+        self._ends = np.array([*accumulate(sizes), 0], dtype=np.int64)
+        ranks = np.repeat(np.arange(len(assets), dtype=np.int64), sizes)
+        self._keys = ranks << _DAY_BITS | self.days
 
     @classmethod
     def of(cls, prices: Iterable[PriceBar] | PriceIndex) -> PriceIndex:
@@ -225,25 +237,20 @@ class PriceIndex:
         return prices if isinstance(prices, cls) else cls(prices)
 
     def __len__(self) -> int:
-        return sum(len(bars) for bars in self._bars.values())
+        return len(self.bars)
 
     def __contains__(self, asset: str) -> bool:
         """True if the index holds a bar of ``asset``."""
-        return asset in self._bars
+        return asset in self._rank
 
-    def next_bar(self, asset: str, after: dt.date) -> PriceBar:
-        """The asset's first bar strictly after ``after``; ValueError past its history."""
-        days = self._days.get(asset, [])
-        pos = bisect.bisect_right(days, after.toordinal())
-        if pos == len(days):
-            raise ValueError(f"end of price history: no bar for {asset} after {after}")
-        return self._bars[asset][pos]
-
-    def next_positions(self, asset: str, after: np.ndarray) -> tuple[list[PriceBar], np.ndarray]:
-        """``next_bar`` for many day ordinals by one ``np.searchsorted``: the asset's bars and,
-        per day, the position among them of its next bar (``len(bars)`` past the history)."""
-        days = np.array(self._days.get(asset, []), dtype=np.int64)
-        return self._bars.get(asset, []), np.searchsorted(days, after, side="right")
+    def next_positions(self, assets: Sequence[str], dates: Sequence[dt.date]) -> np.ndarray:
+        """For each (asset, date) pair, the position in ``bars`` of the asset's
+        first bar strictly after the date, as int64; -1 past the asset's
+        history or for an asset with no bars."""
+        rank = np.fromiter(map(self._rank.get, assets, repeat(-1)), np.int64, len(assets))
+        days = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+        positions = np.searchsorted(self._keys, rank << _DAY_BITS | days, side="right")
+        return np.where(positions < self._ends[rank], positions, -1)
 
 
 def _bar_label(bar: PriceBar) -> LabeledSample:
@@ -266,21 +273,15 @@ def label_all(
     return); unchanged or falling prices are class 0. The three-class label
     is 'buy' above +0.5%, 'avoid' below -0.5%, else 'inconsequential'.
     Returns (labels by id, ids skipped at the end of their asset's history),
-    both in headline order; headlines with one next trading day share its
-    label. Raises ``ValueError`` if two headlines share an id.
+    both in headline order. One ``PriceIndex.next_positions`` call finds every
+    headline's next bar, and headlines with one next bar share its label.
+    Raises ``ValueError`` if two headlines share an id.
     """
     index = PriceIndex.of(prices)
-    rows_by_asset: dict[str, list[int]] = {}
-    for row, h in enumerate(headlines):
-        rows_by_asset.setdefault(h.asset, []).append(row)
-    after = np.fromiter((h.date.toordinal() for h in headlines), np.int64, len(headlines))
-    label_of_row: list[LabeledSample | None] = [None] * len(headlines)
-    for asset, rows in rows_by_asset.items():
-        bars, positions = index.next_positions(asset, after[rows])
-        positions = positions.tolist()
-        bar_labels = {pos: _bar_label(bars[pos]) for pos in set(positions) if pos < len(bars)}
-        for row, pos in zip(rows, positions):
-            label_of_row[row] = bar_labels.get(pos)  # None past the asset's history
+    positions = index.next_positions([h.asset for h in headlines], [h.date for h in headlines])
+    positions = positions.tolist()
+    bar_labels = {pos: _bar_label(index.bars[pos]) for pos in set(positions) if pos >= 0}
+    label_of_row = list(map(bar_labels.get, positions))  # None past the asset's history
     labels = {h.id: label for h, label in zip(headlines, label_of_row) if label is not None}
     skipped = [h.id for h, label in zip(headlines, label_of_row) if label is None]
     if len(labels.keys() | skipped) != len(headlines):

@@ -16,7 +16,7 @@ from newsvane.backtest import (
     NO_ACTION,
     DayPrediction,
     Trade,
-    _day_mean,
+    _day_means,
     aggregate_daily,
     decide_binary,
     decide_multiclass,
@@ -586,6 +586,43 @@ class TestSweepExactness:
             assert str(again.value) == str(ref_err.value)
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_a_buy_of_an_asset_without_bars_is_listed_as_missing(self, binary):
+        day_preds, bars = _desk(18, binary)
+        last = max(b.date for b in bars)
+        strong = (dict(sigma_mean=0.97) if binary else dict(class_means=(0.01, 0.02, 0.97)))
+        day_preds = day_preds + [DayPrediction(asset="ZZZ", date=D0, n_headlines=1, **strong),
+                                 DayPrediction(asset="S07", date=last, n_headlines=1, **strong)]
+        expected = f"no next-day price bar for: (S07, {last.isoformat()}), (ZZZ, {D0.isoformat()})"
+        decisions = _ref_decisions(day_preds, 0.9)
+        with pytest.raises(ValueError) as ref_err:
+            _ref_simulate(decisions, bars)
+        assert str(ref_err.value) == expected
+        for prices in (bars, PriceIndex(bars)):
+            with pytest.raises(ValueError) as err:
+                simulate(decisions, prices)
+            assert str(err.value) == expected
+            with pytest.raises(ValueError) as err:
+                threshold_sweep(day_preds, prices, default_threshold_grid(binary))
+            assert str(err.value) == expected
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_shuffled_decisions_and_bars_give_the_reference_report(self, binary):
+        """Trades run in (trade date, asset) order whatever the order of the
+        decisions and of the bars."""
+        day_preds, bars = _desk(19, binary)
+        rng = np.random.default_rng(19)
+        index = PriceIndex([bars[i] for i in rng.permutation(len(bars)).tolist()])
+        n_trades = []
+        for t in default_threshold_grid(binary)[::6]:
+            decisions = _ref_decisions(day_preds, t)
+            shuffled = [decisions[i] for i in rng.permutation(len(decisions)).tolist()]
+            reference = _ref_simulate(shuffled, bars)
+            assert _report_bits(simulate(shuffled, index)) == _report_bits(reference)
+            assert _report_bits(simulate(shuffled, bars)) == _report_bits(reference)
+            n_trades.append(reference["n_trades"])
+        assert min(n_trades[:4]) > 50
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_grid_slices_give_the_rows_of_one_sweep(self, binary):
         day_preds, bars = _desk(14, binary)
         grid = default_threshold_grid(binary)
@@ -676,4 +713,5 @@ class TestDayMean:
         for k in range(1, 20):
             for _ in range(300):
                 values = rng.normal(0.0, 0.03, size=k).tolist()
-                assert _day_mean(values).hex() == float(np.mean(values)).hex(), values
+                (mean,) = _day_means(np.array(values), np.array([len(values)])).tolist()
+                assert mean.hex() == float(np.mean(values)).hex(), values

@@ -177,43 +177,69 @@ class TestNextTradingDay:
         PriceBar("BBB", dt.date(2016, 1, 9), 100.0, 101.0),
     ]
 
+    @staticmethod
+    def _next(index, asset, after):
+        """The asset's first bar after ``after`` by a one-query ``next_positions``;
+        None past its history."""
+        (pos,) = index.next_positions([asset], [after]).tolist()
+        return None if pos < 0 else index.bars[pos]
+
     def test_weekend_skipped_via_bar_presence(self):
-        assert PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 8)).date == dt.date(2016, 1, 11)
+        assert self._next(PriceIndex(self.BARS), "AAA", dt.date(2016, 1, 8)).date == dt.date(2016, 1, 11)
 
     def test_plain_next_day(self):
-        assert PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 11)).date == dt.date(2016, 1, 12)
+        assert self._next(PriceIndex(self.BARS), "AAA", dt.date(2016, 1, 11)).date == dt.date(2016, 1, 12)
 
     def test_end_of_history(self):
-        with pytest.raises(ValueError, match="end of price history"):
-            PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 12))
+        # AAA's last bar is followed in ``bars`` by BBB's first; it must not be returned
+        assert PriceIndex(self.BARS).next_positions(["AAA"], [dt.date(2016, 1, 12)]).tolist() == [-1]
 
-    def test_price_index_next_bar(self):
+    def test_price_index_next_positions(self):
         index = PriceIndex(reversed(self.BARS))  # input order does not matter
         assert len(index) == 4
-        assert index.next_bar("AAA", dt.date(2016, 1, 1)) == self.BARS[0]
-        assert index.next_bar("AAA", dt.date(2016, 1, 8)) == self.BARS[1]
+        assert index.bars == tuple(self.BARS)
+        assert self._next(index, "AAA", dt.date(2016, 1, 1)) == self.BARS[0]
+        assert self._next(index, "AAA", dt.date(2016, 1, 8)) == self.BARS[1]
         for asset, after in (("AAA", dt.date(2016, 1, 12)), ("ZZZ", dt.date(2016, 1, 1))):
-            with pytest.raises(ValueError, match=f"no bar for {asset} after"):
-                index.next_bar(asset, after)
+            assert self._next(index, asset, after) is None
         assert PriceIndex.of(index) is index
-        assert index.next_bar("BBB", dt.date(2016, 1, 1)).date == dt.date(2016, 1, 9)
+        assert self._next(index, "BBB", dt.date(2016, 1, 1)).date == dt.date(2016, 1, 9)
+        assert ("BBB" in index, "ZZZ" in index) == (True, False)
+
+    def test_assets_listed_out_of_order_and_days_before_the_first_bar(self):
+        bars = [PriceBar("B", dt.date(2016, 1, 4), 10.0, 11.0),
+                PriceBar("B", dt.date(2016, 1, 6), 12.0, 13.0),
+                PriceBar("A", dt.date(2016, 1, 7), 20.0, 21.0),
+                PriceBar("A", dt.date(2016, 1, 5), 22.0, 23.0)]
+        index = PriceIndex(bars)
+        assert index.bars == (bars[3], bars[2], bars[0], bars[1])
+        assert index.days.tolist() == [b.date.toordinal() for b in index.bars]
+        queries = [("B", dt.date(2015, 12, 31)), ("A", dt.date(2015, 12, 31)),
+                   ("A", dt.date(2016, 1, 5)), ("B", dt.date(2016, 1, 5)),
+                   ("A", dt.date(2016, 1, 7)), ("B", dt.date(2016, 1, 6)), ("C", dt.date(2016, 1, 1))]
+        positions = index.next_positions([a for a, _ in queries], [d for _, d in queries])
+        assert positions.dtype == np.int64
+        assert positions.tolist() == [2, 0, 1, 3, -1, -1, -1]
+
+    def test_no_bars_and_no_queries(self):
+        assert PriceIndex([]).next_positions(["AAA"], [dt.date(2016, 1, 1)]).tolist() == [-1]
+        assert len(PriceIndex([])) == 0
+        assert PriceIndex(self.BARS).next_positions([], []).tolist() == []
 
     def test_repeated_query_returns_the_identical_bar(self):
         index = PriceIndex(self.BARS)
-        first = index.next_bar("AAA", dt.date(2016, 1, 8))
-        assert index.next_bar("AAA", dt.date(2016, 1, 8)) is first
-        # Saturday and Sunday resolve to the same Monday bar object
-        assert index.next_bar("AAA", dt.date(2016, 1, 9)) is first
-        assert index.next_bar("AAA", dt.date(2016, 1, 10)) is first
-        assert first == PriceIndex(self.BARS).next_bar("AAA", dt.date(2016, 1, 8)) == self.BARS[1]
+        # Friday twice, then Saturday and Sunday: all resolve to the same Monday bar object
+        days = [dt.date(2016, 1, 8), dt.date(2016, 1, 8), dt.date(2016, 1, 9), dt.date(2016, 1, 10)]
+        positions = index.next_positions(["AAA"] * 4, days).tolist()
+        assert len(set(positions)) == 1
+        assert index.bars[positions[0]] is self.BARS[1]
+        assert PriceIndex(self.BARS).next_positions(["AAA"], days[:1]).tolist() == positions[:1]
 
-    def test_past_history_raises_on_every_call(self):
+    def test_past_history_is_minus_one_on_every_call(self):
         index = PriceIndex(self.BARS)
-        for asset, after in (("AAA", dt.date(2016, 1, 12)), ("ZZZ", dt.date(2016, 1, 1))):
-            for _ in range(2):
-                with pytest.raises(ValueError) as err:
-                    index.next_bar(asset, after)
-                assert str(err.value) == f"end of price history: no bar for {asset} after {after}"
+        assets, days = ["AAA", "ZZZ"], [dt.date(2016, 1, 12), dt.date(2016, 1, 1)]
+        for _ in range(2):
+            assert index.next_positions(assets, days).tolist() == [-1, -1]
 
     def test_label_all_unchanged_with_a_shared_index(self):
         headlines, prices = generate_synthetic(
@@ -222,7 +248,7 @@ class TestNextTradingDay:
         headlines = headlines + [_headline(10_000, "SYN0", last, dt.time(9, 5))]
         index = PriceIndex(prices)
         first = label_all(headlines, index)
-        assert label_all(headlines, index) == first  # answered from the memo
+        assert label_all(headlines, index) == first  # the same index again
         assert label_all(headlines, prices) == first  # a fresh index
         assert first[1] == [10_000]
         for h in headlines[:-1]:  # the next bar by a plain scan
@@ -237,8 +263,10 @@ class TestNextTradingDay:
         dates = sorted({dt.date(2016, 1, 1) + dt.timedelta(days=int(d)) for d in rng.integers(0, 60, 30)})
         bars = [PriceBar("AAA", d, 100.0, 101.0) for d in dates]
         index = PriceIndex(bars)
-        for d in dates[:-1]:
-            nxt = index.next_bar("AAA", d).date
+        positions = index.next_positions(["AAA"] * len(dates), dates).tolist()
+        assert positions[-1] == -1
+        for d, pos in zip(dates[:-1], positions):
+            nxt = index.bars[pos].date
             assert nxt > d
             assert not any(d < b.date < nxt for b in bars)
 
@@ -308,15 +336,15 @@ class TestLabeling:
 
 
 def _reference_label_all(headlines, prices):
-    """label_all as it was: one bisect per headline through ``next_bar``."""
-    index = PriceIndex(prices)
+    """label_all by a plain scan: each headline's next bar is the earliest of
+    its asset's bars dated after it."""
     labels, skipped = {}, []
     for h in headlines:
-        try:
-            bar = index.next_bar(h.asset, h.date)
-        except ValueError:
+        later = [b for b in prices if b.asset == h.asset and b.date > h.date]
+        if not later:
             skipped.append(h.id)
             continue
+        bar = min(later, key=lambda b: b.date)
         ret = (bar.close - bar.open) / bar.open
         tri = "buy" if ret > 0.005 else "avoid" if ret < -0.005 else "inconsequential"
         labels[h.id] = (h.asset, bar.date, ret, 1 if ret > 0 else 0, tri)
@@ -331,13 +359,13 @@ _headline_strategy = st.tuples(st.sampled_from("ABCZ"), st.integers(-3, 24),
 
 
 class TestLabelAllOracle:
-    """label_all resolves each asset's headlines with one searchsorted; it
-    must give the per-headline bisect's labels, in its order, every time."""
+    """label_all resolves every headline with one ``next_positions`` call; it
+    must give a plain scan's labels, in its order, every time."""
 
     @settings(max_examples=200, deadline=None)
     @given(bars=st.lists(_bar_strategy, max_size=40), heads=st.lists(_headline_strategy, max_size=40),
            order=st.randoms(use_true_random=False))
-    def test_matches_per_headline_bisect(self, bars, heads, order):
+    def test_matches_a_plain_scan(self, bars, heads, order):
         # asset C may have no bars and Z never has any; days run from before
         # the first possible bar to after the last, weekends included
         unique_bars = {(a, d): (o, c) for a, d, o, c in bars}
