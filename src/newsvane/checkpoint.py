@@ -24,55 +24,24 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from .embeddings import MODES, EmbeddingTable
-from .fileio import CONVERTERS, open_atomic, read_json, strict_int, strict_str, write_json_atomic
+from .fileio import (
+    CONVERTERS,
+    open_atomic,
+    read_json,
+    read_object,
+    strict_int,
+    strict_object,
+    strict_str,
+    write_json_atomic,
+)
 from .network import ModelConfig, ModelParameters, param_layout
 from .text import Vocabulary, tokens_by_index, tokens_hash
 
 FORMAT_VERSION = 3
 
-# The keys of each section; any other key is rejected on load, so a stale or
-# misspelt field is an error and not silently ignored. ``config`` holds the
-# ModelConfig fields and ``training_meta`` is free-form.
-_KEYS: dict[str, tuple[str, ...]] = {
-    "": ("format_version", "config", "vocab", "vocab_hash", "embedding", "sidecar",
-         "training_meta"),
-    "vocab": ("tokens", "max_len"),
-    "embedding": ("mode", "p", "pretrained_hit_count"),
-    "sidecar": ("name", "sha256"),
-}
-
 
 class CheckpointError(ValueError):
     pass
-
-
-def _value(section: dict, key: str, convert, path: str | Path, field: str):
-    """``convert(section[key])``, or a CheckpointError naming ``field``."""
-    if key not in section:
-        raise CheckpointError(f"{path}: {field}: missing")
-    try:
-        return convert(section[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: {field}: invalid ({exc})") from None
-
-
-def _no_unknown_keys(section: dict, known, path: str | Path, prefix: str) -> None:
-    for key in section:
-        if key not in known:
-            raise CheckpointError(f"{path}: {prefix}{key}: unknown key")
-
-
-def _section(payload: dict, name: str, path: str | Path) -> dict:
-    """The object ``payload[name]``, holding no key outside ``_KEYS[name]``."""
-    section = _value(payload, name, _as_object, path, name)
-    _no_unknown_keys(section, _KEYS[name], path, f"{name}.")
-    return section
-
-
-def _as_object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {type(value).__name__}")
-    return value
 
 
 def _basename(value) -> str:
@@ -81,6 +50,20 @@ def _basename(value) -> str:
     if name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ValueError(f"expected a plain file name, got {name!r}")
     return name
+
+
+# The converter of every key of format 3, one mapping per section. Every key is
+# required and any other is rejected on load, so a stale or misspelt field is an
+# error, not silently ignored. ``training_meta`` is free-form.
+_FORMAT = {
+    "format_version": strict_int,
+    "config": {f.name: CONVERTERS[f.type] for f in fields(ModelConfig)},
+    "vocab": {"tokens": strict_str, "max_len": strict_int},
+    "vocab_hash": strict_str,
+    "embedding": {"mode": strict_str, "p": strict_int, "pretrained_hit_count": strict_int},
+    "sidecar": {"name": _basename, "sha256": strict_str},
+    "training_meta": strict_object,
+}
 
 
 def _write_sidecar(path: Path, arrays: tuple[np.ndarray, ...]) -> str:
@@ -125,19 +108,6 @@ def _read_sidecar(path: Path, name: str, sha256: str, size: int) -> np.ndarray:
     except OSError as exc:
         raise CheckpointError(f"{path}: sidecar.name: cannot read {name}: {exc.strerror or exc}") from None
     return vec
-
-
-def _read_config(payload: dict, path: str | Path) -> ModelConfig:
-    """The ``config`` section: exactly the ModelConfig fields, each of its JSON type."""
-    section = _value(payload, "config", _as_object, path, "config")
-    converters = {f.name: CONVERTERS[f.type] for f in fields(ModelConfig)}
-    _no_unknown_keys(section, converters, path, "config.")
-    values = {name: _value(section, name, convert, path, f"config.{name}")
-              for name, convert in converters.items()}
-    try:
-        return ModelConfig(**values)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: config: invalid ({exc})") from None
 
 
 @dataclass
@@ -195,65 +165,59 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None) -> Checkpoint:
     """Load and validate a checkpoint and its sidecar.
 
-    Rejects other format versions (format 2 and older included), a section
-    or value that is missing or of the wrong JSON type (naming the field), a
-    key that no section of format 3 holds, an empty or repeated token,
-    internal vocabulary-hash mismatches (corruption), a
-    sidecar name with a directory part, a missing sidecar or one whose
-    sha256 differs, a sidecar whose dtype or length disagrees with the
-    configuration and vocabulary, and, when ``expected_config`` is given,
-    any configuration disagreement.
+    ``read_object`` checks the JSON file against ``_FORMAT``, and every error
+    is a CheckpointError naming the file and the field (``<path>:
+    config.pool_w: ...``). It rejects other format versions (format 2 and
+    older included), a section or value that is missing or of the wrong JSON
+    type, a key that format 3 does not hold, an empty or repeated token,
+    internal vocabulary-hash mismatches (corruption), a sidecar name with a
+    directory part, a missing sidecar or one whose sha256, dtype or length
+    disagrees, and, when ``expected_config`` is given, any configuration
+    disagreement. ``read_json`` reports a file that is not UTF-8 JSON.
     """
     path = Path(path)
     payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint format {payload.get('format_version')!r} "
-            f"(this version reads format {FORMAT_VERSION})"
-        )
-    _no_unknown_keys(payload, _KEYS[""], path, "")
-    config = _read_config(payload, path)
+    version = payload.get("format_version") if isinstance(payload, dict) else FORMAT_VERSION
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint format {version!r} "
+                              f"(this version reads format {FORMAT_VERSION})")
+    try:
+        payload = read_object(payload, _FORMAT, required=True)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    try:
+        config = ModelConfig(**payload["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: config: {exc}") from None
     if expected_config is not None and config != expected_config:
         raise CheckpointError(f"{path}: checkpoint config does not match the expected config")
 
-    vocab_section = _section(payload, "vocab", path)
-    joined = _value(vocab_section, "tokens", strict_str, path, "vocab.tokens")
+    joined = payload["vocab"]["tokens"]
     tokens = joined.split("\n") if joined else []
     if "" in tokens:
         raise CheckpointError(f"{path}: vocab.tokens: empty token")
-    vocab = Vocabulary(
-        word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
-        max_len=_value(vocab_section, "max_len", strict_int, path, "vocab.max_len"),
-    )
+    vocab = Vocabulary(word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
+                       max_len=payload["vocab"]["max_len"])
     if vocab.size != len(tokens):
         raise CheckpointError(f"{path}: vocab.tokens: repeated token")
-    stored_hash = _value(payload, "vocab_hash", strict_str, path, "vocab_hash")
-    if tokens_hash(tokens, vocab.max_len) != stored_hash:
+    if tokens_hash(tokens, vocab.max_len) != payload["vocab_hash"]:
         raise CheckpointError(f"{path}: vocabulary hash mismatch (corrupt checkpoint)")
     if vocab.max_len != config.m:
         raise CheckpointError(f"{path}: vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
 
-    emb = _section(payload, "embedding", path)
-    p = _value(emb, "p", strict_int, path, "embedding.p")
+    emb, sidecar = payload["embedding"], payload["sidecar"]
+    p = emb["p"]
     if p != config.p:
         raise CheckpointError(f"{path}: embedding.p is {p}, but the config has p={config.p}")
-    hits = _value(emb, "pretrained_hit_count", strict_int, path, "embedding.pretrained_hit_count")
-    mode = _value(emb, "mode", strict_str, path, "embedding.mode")
-    if mode not in MODES:
-        raise CheckpointError(f"{path}: embedding.mode: unknown mode {mode!r}")
-    sidecar = _section(payload, "sidecar", path)
-    name = _value(sidecar, "name", _basename, path, "sidecar.name")
-    sha256 = _value(sidecar, "sha256", strict_str, path, "sidecar.sha256")
+    if emb["mode"] not in MODES:
+        raise CheckpointError(f"{path}: embedding.mode: unknown mode {emb['mode']!r}")
     layout = param_layout(config)
     n_table = (len(tokens) + 1) * p
-    vec = _read_sidecar(path, name, sha256, n_table + layout.size)
-    table = EmbeddingTable(matrix=vec[:n_table].reshape(len(tokens) + 1, p), mode=mode, p=p,
-                           pretrained_hit_count=hits)
-    params = ModelParameters.from_flat(vec[n_table:], layout)
+    vec = _read_sidecar(path, sidecar["name"], sidecar["sha256"], n_table + layout.size)
+    table = EmbeddingTable(matrix=vec[:n_table].reshape(len(tokens) + 1, p), mode=emb["mode"], p=p,
+                           pretrained_hit_count=emb["pretrained_hit_count"])
     return Checkpoint(
-        config=config, vocab=vocab, table=table, params=params,
-        vocab_hash=stored_hash,
-        training_meta=_value(payload, "training_meta", _as_object, path, "training_meta"),
+        config=config, vocab=vocab, table=table,
+        params=ModelParameters.from_flat(vec[n_table:], layout),
+        vocab_hash=payload["vocab_hash"], training_meta=payload["training_meta"],
     )

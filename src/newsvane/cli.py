@@ -5,14 +5,13 @@ neighbors. Runs are driven by a JSON config file plus overriding flags; all
 randomness flows from the mandatory seed through named streams, so rerunning
 a command with the same inputs reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
-3 numeric failure during a run (a non-finite gradient).
+Exit codes: 0 success, 1 check failure, 2 usage, configuration or input
+error or a path that cannot be read or written, 3 numeric failure during a run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import functools
 import math
@@ -26,13 +25,15 @@ import numpy as np
 
 from . import backtest as bt
 from . import corpus, embeddings, gradcheck, pipeline, training
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .fileio import (
     CONVERTERS,
     csv_text,
     list_of,
     optional,
+    read_csv,
     read_json,
+    read_object,
     strict_int,
     strict_number,
     strict_str,
@@ -97,14 +98,17 @@ _SECTIONS: dict[str, dict[str, str]] = {
                                 "validation_fraction", "select_on_test", "grid")},
     "strategy": {"threshold": "threshold", "head": "strategy_head", "sweep_step": "sweep_step"},
 }
-_CONVERTERS: dict[str, Callable] = {
-    **CONVERTERS, "Path": Path, "Path | None": optional(Path),
-    "training.GridAxes | None": lambda grid: grid,  # checked below, as a section
-}
 _GRID_AXES: dict[str, Callable] = {
     "epochs": list_of(strict_int), "dropout": list_of(strict_number),
     "width_sets": list_of(list_of(strict_int)), "modes": list_of(strict_str),
 }
+_CONVERTERS: dict[str, Callable | dict] = {**CONVERTERS, "Path": Path, "Path | None": optional(Path),
+                                           "training.GridAxes | None": _GRID_AXES}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+# What ``read_object`` reads the file with: the top-level keys beside one mapping per section.
+_CONFIG_KEYS = {name: {key: _CONVERTERS[_FIELDS[field].type] for key, field in keys.items()}
+                for name, keys in _SECTIONS.items()}
+_CONFIG_KEYS.update(_CONFIG_KEYS.pop(""))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -112,68 +116,47 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _reject_unknown(section, known, name: str) -> None:
-    _require(isinstance(section, dict), f"config section {name!r} must be a JSON object")
-    for key in section:
-        _require(key in known, f"unknown key {key!r} in config section {name!r}")
-
-
-def _convert(convert: Callable, value, key: str, section: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} in section {section!r}: {exc}") from None
-
-
 def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
+    """The run config in the JSON file ``path``; ``--seed`` and ``--out-dir`` in
+    ``args`` override it. An unknown key, a value of the wrong JSON type or out of
+    range and a missing required key raise ConfigError as ``<path>:
+    <section>.<key>: <problem>`` (the bare key at the top level). The files it
+    names are not opened here: one that cannot be read is reported where it is."""
     raw = read_json(path)
-    run_fields = {f.name: f for f in fields(RunConfig)}
-    values: dict = {}
-    for name, keys in _SECTIONS.items():
-        section = raw.get(name, {}) if name else raw  # the top level is checked first
-        _reject_unknown(section, set(keys) if name else set(keys) | set(_SECTIONS) - {""},
-                        name or "top level")
-        for key, field in keys.items():
-            if key in section:
-                values[field] = _convert(_CONVERTERS[run_fields[field].type], section[key],
-                                         key, name or "top level")
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.out_dir:
-        values["out_dir"] = Path(args.out_dir)
-    missing = [f"{name}.{key}".lstrip(".") for name, keys in _SECTIONS.items()
-               for key, field in keys.items()
-               if field not in values and run_fields[field].default is MISSING]
-    _require(not missing, f"missing required config keys: {', '.join(missing)} "
-                          "(--seed stands in for training.seed)")
-    grid = values.pop("grid", None)
-    cfg = RunConfig(**values)
-    if grid is not None:
-        _reject_unknown(grid, _GRID_AXES, "training.grid")
-        defaults = {"epochs": [cfg.epochs], "dropout": [cfg.dropout_rate],
-                    "width_sets": [list(cfg.filter_widths)], "modes": [cfg.embedding_mode]}
-        cfg.grid = training.GridAxes(**{
-            axis: _convert(convert, grid.get(axis, defaults[axis]), axis, "training.grid")
-            for axis, convert in _GRID_AXES.items()})
-
-    _require(cfg.max_len is None or cfg.max_len >= 1,
-             f"config key 'max_len' in section 'model': expected an integer >= 1 or null, "
-             f"got {cfg.max_len!r}")
-    _require(cfg.portfolio != (), "portfolio must list at least one ticker")
-    _require(cfg.headlines_path.is_file(), f"headlines file not found: {cfg.headlines_path}")
-    _require(cfg.prices_path.is_file(), f"prices file not found: {cfg.prices_path}")
-    if cfg.embedding_mode in (embeddings.MODE_STATIC, embeddings.MODE_NON_STATIC):
-        _require(
-            cfg.pretrained_path is not None and cfg.pretrained_path.is_file(),
-            f"embedding mode {cfg.embedding_mode!r} requires an existing paths.pretrained file",
-        )
-    if cfg.strategy_head is not None:
-        _require(cfg.strategy_head in (HEAD_BINARY, HEAD_MULTICLASS3),
-                 f"unknown strategy head {cfg.strategy_head!r}")
-    _require(cfg.sweep_step > 0, f"config key 'sweep_step' in section 'strategy': "
-                                 f"expected a number > 0, got {cfg.sweep_step!r}")
-    _require(0.0 <= cfg.threshold <= 1.0, f"config key 'threshold' in section 'strategy': "
-                                          f"expected a number in [0, 1], got {cfg.threshold!r}")
+    try:
+        parsed = read_object(raw, _CONFIG_KEYS)
+        sections = {name: parsed.get(name, {}) if name else parsed for name in _SECTIONS}
+        values = {field: sections[name][key] for name, keys in _SECTIONS.items()
+                  for key, field in keys.items() if key in sections[name]}
+        if args.seed is not None:
+            values["seed"] = args.seed
+        if args.out_dir:
+            values["out_dir"] = Path(args.out_dir)
+        missing = [f"{name}.{key}".lstrip(".") for name, keys in _SECTIONS.items()
+                   for key, field in keys.items()
+                   if field not in values and _FIELDS[field].default is MISSING]
+        _require(not missing, f"missing required config keys: {', '.join(missing)} "
+                              "(--seed stands in for training.seed)")
+        grid = values.pop("grid", None)
+        cfg = RunConfig(**values)
+        if grid is not None:
+            defaults = {"epochs": (cfg.epochs,), "dropout": (cfg.dropout_rate,),
+                        "width_sets": (cfg.filter_widths,), "modes": (cfg.embedding_mode,)}
+            cfg.grid = training.GridAxes(**{**defaults, **grid})
+        _require(cfg.max_len is None or cfg.max_len >= 1,
+                 f"model.max_len: expected an integer >= 1 or null, got {cfg.max_len!r}")
+        _require(cfg.portfolio != (), "portfolio: expected at least one ticker")
+        if cfg.embedding_mode in (embeddings.MODE_STATIC, embeddings.MODE_NON_STATIC):
+            _require(cfg.pretrained_path is not None,
+                     f"paths.pretrained: embedding mode {cfg.embedding_mode!r} requires a vector file")
+        if cfg.strategy_head is not None:
+            _require(cfg.strategy_head in (HEAD_BINARY, HEAD_MULTICLASS3),
+                     f"strategy.head: unknown strategy head {cfg.strategy_head!r}")
+        _require(cfg.sweep_step > 0, f"strategy.sweep_step: expected a number > 0, got {cfg.sweep_step!r}")
+        _require(0.0 <= cfg.threshold <= 1.0, f"strategy.threshold: expected a number in [0, 1], "
+                                              f"got {cfg.threshold!r}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -325,9 +308,7 @@ def _checkpoint_run(
 ) -> tuple[Checkpoint, pipeline.PreparedData, corpus.PriceIndex]:
     """The checkpoint to run, the prepared data and the price index it runs
     on, each read once, checked against each other."""
-    path = Path(args.checkpoint) if args.checkpoint else cfg.out_dir / "checkpoint.json"
-    _require(path.is_file(), f"checkpoint not found: {path}")
-    ckpt = load_checkpoint(path)
+    ckpt = load_checkpoint(args.checkpoint or cfg.out_dir / "checkpoint.json")
     # widths/dropout/epochs may come from a grid search, but the embedding
     # dimension and the head must agree with the config driving this run
     if ckpt.config.p != cfg.p or ckpt.config.head != cfg.head:
@@ -362,34 +343,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> tuple[list, str]:
     """The (line, asset, date, output) rows of a predictions CSV and the head
     its header names: p0 alone for the binary head, p0,p1,p2 for the 3-way head.
-    Every row's asset must have bars in ``prices``."""
+    Every row needs a price bar of its asset after its date, to trade on."""
     rows: list[tuple[int, str, dt.date, float | np.ndarray]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (["asset", "date", "p0"], ["asset", "date", "p0", "p1", "p2"]):
-            raise ConfigError(f"{path}: expected header asset,date,p0[,p1,p2]")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"the header has {len(header)} fields, this row {len(row)}")
-                asset = row[0].strip()  # as load_prices reads it
-                if not asset:
-                    raise ValueError("empty asset")
-                if asset not in prices:
-                    raise ValueError(f"asset {asset!r} has no price bars")
-                date = dt.datetime.strptime(row[1], "%Y-%m-%d").date()
-                values = [float(x) for x in row[2:]]
-                if not all(0.0 <= v <= 1.0 for v in values):
-                    raise ValueError(f"probabilities must lie in [0, 1], got {values}")
-                output: float | np.ndarray = values[0] if len(row) == 3 else np.array(values)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-            rows.append((lineno, asset, date, output))
+
+    def parse(line: int, row: list[str]) -> None:
+        asset, date = corpus.parse_asset(row[0]), corpus.parse_date(row[1])
+        values = [float(x) for x in row[2:]]
+        if not all(0.0 <= v <= 1.0 for v in values):
+            raise ValueError(f"probabilities must lie in [0, 1], got {values}")
+        rows.append((line, asset, date, values[0] if len(values) == 1 else np.array(values)))
+    header = read_csv(path, (["asset", "date", "p0"], ["asset", "date", "p0", "p1", "p2"]), parse)
     if not rows:
         raise ConfigError(f"{path}: no prediction rows")
+    positions = prices.next_positions([row[1] for row in rows], [row[2] for row in rows])
+    late = np.flatnonzero(positions < 0)
+    if late.size:
+        line, asset, date, _ = rows[late[0]]
+        missing = f"no price bar after {date}" if asset in prices else "no price bars"
+        raise ConfigError(f"{path}: line {line}: asset {asset!r} has {missing}")
     return rows, HEAD_BINARY if len(header) == 3 else HEAD_MULTICLASS3
 
 
@@ -457,9 +428,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    path = Path(args.checkpoint)
-    _require(path.is_file(), f"checkpoint not found: {path}")
-    ckpt = load_checkpoint(path)
+    ckpt = load_checkpoint(args.checkpoint)
     if args.token == PAD_TOKEN:
         raise ConfigError("the padding token has no meaningful neighbors")
     neighbors = embeddings.nearest_neighbors(args.token, args.k, ckpt.table, ckpt.vocab)
@@ -550,9 +519,13 @@ def main(argv: list[str] | None = None) -> int:
     except training.NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, CheckpointError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError) as exc:  # ConfigError and CheckpointError among them
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 2
 
 

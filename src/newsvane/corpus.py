@@ -15,7 +15,6 @@ controllable amount of real signal, used by the self-tests and demos.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import functools
 import math
@@ -28,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fileio import csv_text, write_text_atomic
+from .fileio import csv_text, read_csv, write_text_atomic
 from .seeding import derive_seed
 
 TRI_AVOID = "avoid"
@@ -105,13 +104,21 @@ class DatasetSplit:
 # times across its rows, and date and time objects are immutable, so the
 # rows can share them. The bound keeps a long-lived process from growing.
 @functools.lru_cache(maxsize=1 << 16)
-def _parse_date(text: str) -> dt.date:
+def parse_date(text: str) -> dt.date:
     return dt.datetime.strptime(text, "%Y-%m-%d").date()
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def _parse_time(text: str) -> dt.time:
     return dt.datetime.strptime(text, "%H:%M").time()
+
+
+def parse_asset(text: str) -> str:
+    """An asset name read from a CSV field: stripped of surrounding blanks, never empty."""
+    asset = text.strip()
+    if not asset:
+        raise ValueError("empty asset")
+    return asset
 
 
 def load_headlines(path: str | Path, min_relevance: float = 1.0) -> list[HeadlineRecord]:
@@ -122,32 +129,16 @@ def load_headlines(path: str | Path, min_relevance: float = 1.0) -> list[Headlin
     Raises ``ValueError`` naming the offending line for malformed rows, and
     when no row qualifies.
     """
-    path = Path(path)
     records: list[HeadlineRecord] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != HEADLINE_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(HEADLINE_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 6:
-                    raise ValueError(f"expected 6 fields, got {len(row)}")
-                file_id, asset, date, time, relevance, text = row
-                int(file_id)
-                asset = asset.strip()
-                if not asset:
-                    raise ValueError("empty asset")
-                date = _parse_date(date)
-                time = _parse_time(time)
-                relevance = float(relevance)
-                record = HeadlineRecord(len(records), asset, date, time, text, relevance)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if relevance >= min_relevance:
-                records.append(record)
+
+    def parse(_line: int, row: list[str]) -> None:
+        file_id, asset, date, time, relevance, text = row
+        int(file_id)
+        record = HeadlineRecord(len(records), parse_asset(asset), parse_date(date),
+                                _parse_time(time), text, float(relevance))
+        if record.relevance >= min_relevance:
+            records.append(record)
+    read_csv(path, [HEADLINE_CSV_HEADER], parse)
     if not records:
         raise ValueError(f"{path}: no qualifying headlines at min_relevance={min_relevance}")
     return records
@@ -156,32 +147,18 @@ def load_headlines(path: str | Path, min_relevance: float = 1.0) -> list[Headlin
 def load_prices(path: str | Path) -> list[PriceBar]:
     """Read a price CSV; rejects a file without bars, blank assets, duplicate
     (asset, date) bars and non-positive prices."""
-    path = Path(path)
     bars: list[PriceBar] = []
     seen: set[tuple[str, dt.date]] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PRICE_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(PRICE_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                asset, date, open_, close = row
-                asset = asset.strip()
-                if not asset:
-                    raise ValueError("empty asset")
-                bar = PriceBar(asset, _parse_date(date), float(open_), float(close))
-                key = (bar.asset, bar.date)
-                if key in seen:
-                    raise ValueError(f"duplicate bar for {bar.asset} {bar.date}")
-                seen.add(key)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            bars.append(bar)
+
+    def parse(_line: int, row: list[str]) -> None:
+        asset, date, open_, close = row
+        bar = PriceBar(parse_asset(asset), parse_date(date), float(open_), float(close))
+        key = (bar.asset, bar.date)
+        if key in seen:
+            raise ValueError(f"duplicate bar for {bar.asset} {bar.date}")
+        seen.add(key)
+        bars.append(bar)
+    read_csv(path, [PRICE_CSV_HEADER], parse)
     if not bars:
         raise ValueError(f"{path}: no price bars")
     return bars
@@ -189,7 +166,7 @@ def load_prices(path: str | Path) -> list[PriceBar]:
 
 def write_headlines_csv(records: list[HeadlineRecord], path: str | Path) -> None:
     write_text_atomic(path, csv_text(HEADLINE_CSV_HEADER, (
-        [r.id, r.asset, r.date.isoformat(), r.time.strftime("%H:%M"), f"{r.relevance:.1f}", r.text]
+        [r.id, r.asset, r.date.isoformat(), r.time.strftime("%H:%M"), repr(float(r.relevance)), r.text]
         for r in records
     )))
 

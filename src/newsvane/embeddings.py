@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .fileio import open_text
 from .seeding import derive_seed
 from .text import EncodedHeadline, Vocabulary
 
@@ -115,7 +116,7 @@ def _parse_vector_file(path: Path) -> tuple[int, dict[str, np.ndarray], np.ndarr
     rejects and ``float()`` accepts (``1_0``, non-ASCII digits). Non-finite
     values are rejected, since they would make every fallback row NaN.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:

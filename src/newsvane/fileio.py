@@ -1,10 +1,11 @@
-"""Atomic file writers and the strict JSON reader.
+"""Atomic file writers and the readers every input file enters through.
 
 All machine outputs (CSV, JSON, checkpoints and their sidecars) go through
 these helpers: the content is written to a temporary file in the target
 directory and renamed into place, so a crashed run never leaves a truncated
-report behind. Run configs and checkpoints are read back with ``read_json``
-and the strict converters below.
+report behind. Every text input is opened as UTF-8 by ``open_text``; CSV
+inputs are read by ``read_csv``, and JSON inputs by ``read_json`` and then
+``read_object`` with the strict converters below.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 
 @contextmanager
@@ -42,10 +43,18 @@ def write_text_atomic(path: str | Path, content: str) -> None:
         fh.write(content.encode("utf-8"))
 
 
+class _LineFeedRows(io.StringIO):
+    """Rows a csv writer ends with CRLF (so it quotes a bare CR too), stored ending in LF."""
+
+    def write(self, row: str) -> int:
+        return super().write(row[:-2] + "\n")
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text with LF line endings: the header row, then ``rows``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """CSV text with LF line endings: the header row, then ``rows``. A field
+    holding CR or LF is quoted, so ``read_csv`` reads every field back."""
+    buf = _LineFeedRows()
+    writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
@@ -56,9 +65,75 @@ def write_json_atomic(path: str | Path, payload: Any) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened for reading as UTF-8 text. Bytes that are not UTF-8, or
+    malformed JSON, met anywhere in the block raise ValueError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+
+
+def read_csv(path: str | Path, headers: Sequence[Sequence[str]],
+             parse: Callable[[int, list[str]], None]) -> list[str]:
+    """Call ``parse(line, row)`` on each non-blank row of the CSV file ``path``,
+    whose header, returned, must be one of ``headers``. ``line`` is the physical
+    line the row starts on. A row whose field count is not the header's, or a
+    ValueError from ``parse``, raises ValueError as ``<path>: line <line>: ...``."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in headers:
+            raise ValueError(f"{path}: expected header {' or '.join(map(','.join, headers))}")
+        width = len(header)
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                try:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} fields, got {len(row)}")
+                    parse(line, row)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line}: {exc}") from exc
+            line = reader.line_num + 1
+    return header
+
+
 def read_json(path: str | Path) -> Any:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return json.load(fh)
+
+
+def read_object(value, converters: dict[str, Callable | dict], name: str = "",
+                required: bool = False) -> dict:
+    """The JSON object ``value`` (named ``name``; "" is the top level) with each
+    value converted by its key's converter, or read the same way by a nested
+    dict of converters. A key with no converter, a value its converter
+    rejects and, if ``required``, an absent key raise ValueError naming
+    ``<name>.<key>``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name or 'top level'}: expected a JSON object, got {type(value).__name__}")
+    prefix = f"{name}." if name else ""
+    for key in converters if required else ():
+        if key not in value:
+            raise ValueError(f"{prefix}{key}: missing")
+    out = {}
+    for key, item in value.items():
+        convert = converters.get(key)
+        if convert is None:
+            raise ValueError(f"{prefix}{key}: unknown key")
+        if isinstance(convert, dict):
+            out[key] = read_object(item, convert, prefix + key, required)
+        else:
+            try:
+                out[key] = convert(item)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{prefix}{key}: {exc}") from None
+    return out
 
 
 # Converters from parsed JSON to typed values. Each accepts only the JSON
@@ -92,6 +167,13 @@ def strict_number(value) -> float:
 def strict_str(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def strict_object(value) -> dict:
+    """A JSON object, its keys unchecked."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
     return value
 
 

@@ -20,6 +20,11 @@ from newsvane.training import cell_config
 from test_gradients import perturb_backward
 
 
+def _where(section: str, key: str) -> str:
+    """How a config error names a key: ``<section>.<key>``, or the bare key at the top level."""
+    return key if section == "top level" else f"{section}.{key}"
+
+
 def _run_cli(*args):
     """Run ``python -m newsvane`` on this checkout's sources in a subprocess."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -297,8 +302,7 @@ class TestBacktest:
             "--out-dir", str(tmp_path),
         ]) == 2
         n_header = 2 + len(header.split(","))
-        assert (f"{preds}: line 3: the header has {n_header} fields, this row {fields}"
-                in capsys.readouterr().err)
+        assert f"{preds}: line 3: expected {n_header} fields, got {fields}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["backtest", "sweep"])
@@ -384,6 +388,84 @@ class TestBacktest:
             "backtest", "--config", str(cfg_path),
             "--checkpoint", str(out / "checkpoint.json"),
         ]) == 2
+
+
+class TestPredictionsNeedALaterBar:
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    @pytest.mark.parametrize("days_after_last_bar", [0, 3])
+    @pytest.mark.parametrize("p0", ["0.9", "0.2"])  # one that buys, one that does not
+    def test_row_without_a_later_bar_rejected(self, workspace, tmp_path, capsys,
+                                              command, days_after_last_bar, p0):
+        import datetime as dt
+
+        _, config_path, data, _, _ = workspace
+        last = max(bar.date for bar in load_prices(data / "prices.csv") if bar.asset == "SYN1")
+        date = last + dt.timedelta(days=days_after_last_bar)
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"asset,date,p0\nSYN0,2015-01-05,0.9\nSYN1,{date},{p0}\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config_path), "--predictions", str(preds),
+                         "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: line 3: asset 'SYN1' has no price bar after {date}\n")
+        assert not out.exists()
+
+
+def _unreadable_input(workspace, tmp_path, kind, failure):
+    """The CLI arguments that read a ``kind`` input file spoilt by ``failure``,
+    and the path of that file."""
+    _, config_path, _, _, config = workspace
+    bad = tmp_path / f"{kind}.{'json' if kind in ('config', 'checkpoint') else 'csv'}"
+    if failure == "directory":
+        bad.mkdir()
+    elif failure == "non-UTF-8":
+        bad.write_bytes(b"caf\xe9\n")
+    elif failure == "malformed":
+        bad.write_text({
+            "config": '{"paths": ',
+            "headlines": "id,asset,date\n",
+            "prices": "asset,date,open,close\nSYN0,2015-01-05,1.0\n",
+            "vectors": "two 8\n",
+            "predictions": "asset,date,p0\nSYN0,2015-01-05,high\n",
+            "checkpoint": '{"format_version": 3',
+        }[kind])
+    run = ["--out-dir", str(tmp_path / "out")]
+    if kind == "config":
+        return ["train", "--config", str(bad), *run], bad
+    if kind == "predictions":
+        return ["backtest", "--config", str(config_path), "--predictions", str(bad), *run], bad
+    if kind == "checkpoint":
+        return ["evaluate", "--config", str(config_path), "--checkpoint", str(bad), *run], bad
+    cfg = json.loads(json.dumps(config))
+    if kind == "vectors":
+        cfg["paths"]["pretrained"] = str(bad)
+        cfg["model"]["embedding_mode"] = "static"
+    else:
+        cfg["paths"][kind] = str(bad)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["train", "--config", str(cfg_path), *run], bad
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("failure", ["missing", "directory", "non-UTF-8", "malformed"])
+    @pytest.mark.parametrize("kind", ["config", "headlines", "prices", "vectors", "predictions",
+                                      "checkpoint"])
+    def test_bad_input_is_one_error_line_naming_it(self, workspace, tmp_path, capsys,
+                                                   kind, failure):
+        args, bad = _unreadable_input(workspace, tmp_path, kind, failure)
+        assert cli.main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], lines
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_is_one_error_line_naming_it(self, workspace, tmp_path, capsys):
+        _, config_path, _, _, _ = workspace
+        target = config_path / "x"
+        assert cli.main(["prepare", "--config", str(config_path), "--out-dir", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: {target}: Not a directory\n"
+        assert cli.main(["synth", "--n-days", "3", "--out-dir", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {config_path}: File exists\n"
 
 
 class TestGradcheckCommand:
@@ -512,7 +594,7 @@ class TestUsageErrors:
             bad[section][key] = 1
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        with pytest.raises(cli.ConfigError, match=f"unknown key '{key}' in config section '{section}'"):
+        with pytest.raises(cli.ConfigError, match=f"^{bad_path}: {_where(section, key)}: unknown key$"):
             cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
         assert cli.main(["train", "--config", str(bad_path)]) == 2
         assert key in capsys.readouterr().err
@@ -525,7 +607,7 @@ class TestUsageErrors:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
         args = cli.build_parser().parse_args(["prepare"])
-        with pytest.raises(cli.ConfigError, match="'select_on_test' in section 'training'"):
+        with pytest.raises(cli.ConfigError, match=f"^{bad_path}: training.select_on_test: "):
             cli.load_run_config(bad_path, args)
         bad["training"]["select_on_test"] = False
         bad_path.write_text(json.dumps(bad))
@@ -556,7 +638,7 @@ class TestUsageErrors:
             bad[section][key] = value
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        with pytest.raises(cli.ConfigError, match=f"'{key}' in section '{section}'"):
+        with pytest.raises(cli.ConfigError, match=f"^{bad_path}: {_where(section, key)}: "):
             cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
 
     def test_null_and_integral_values_load(self, workspace, tmp_path):
@@ -577,7 +659,7 @@ class TestUsageErrors:
         bad["strategy"]["sweep_step"] = step
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        message = "config key 'sweep_step' in section 'strategy': expected a number > 0"
+        message = f"{bad_path}: strategy.sweep_step: expected a number > 0"
         with pytest.raises(cli.ConfigError, match=message):
             cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
         assert cli.main(["sweep", "--config", str(bad_path),
@@ -591,7 +673,7 @@ class TestUsageErrors:
         bad["strategy"]["threshold"] = threshold
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        message = "config key 'threshold' in section 'strategy': expected a number in [0, 1]"
+        message = f"{bad_path}: strategy.threshold: expected a number in [0, 1]"
         with pytest.raises(cli.ConfigError, match=re.escape(message)):
             cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
         assert cli.main(["backtest", "--config", str(bad_path),
@@ -627,7 +709,7 @@ class TestUsageErrors:
         bad = dict(config, model=[1, 2])
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        with pytest.raises(cli.ConfigError, match="config section 'model' must be a JSON object"):
+        with pytest.raises(cli.ConfigError, match=f"^{bad_path}: model: expected a JSON object, got list$"):
             cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
 
     def test_parallel_is_a_train_flag(self, workspace):

@@ -2,6 +2,8 @@
 
 import datetime as dt
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,54 @@ class TestLoadHeadlines:
         path.write_text("asset,date\nAAA,2016-01-08\n")
         with pytest.raises(ValueError, match="header"):
             load_headlines(path)
+
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        """Line numbers count the file's lines, so a quoted multi-line headline
+        does not shift the lines of the rows after it."""
+        path = tmp_path / "h.csv"
+        path.write_text('id,asset,date,time,relevance,text\n'
+                        '0,AAA,2016-01-08,09:05,1.0,"two\nlines"\n'
+                        '\n'
+                        '1,AAA,2016-01-08,09:20,2.0,x\n')
+        with pytest.raises(ValueError, match=f"^{path}: line 5: relevance must lie in"):
+            load_headlines(path)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"id,asset,date,time,relevance,text\n0,AAA,2016-01-08,09:05,1.0,caf\xe9\n")
+        with pytest.raises(ValueError, match=f"^{path}: not UTF-8 text"):
+            load_headlines(path)
+
+    def test_text_with_bare_cr_round_trips(self, tmp_path):
+        records = [_headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5), text="a\rb", relevance=0.35),
+                   _headline(1, "AAA", dt.date(2016, 1, 8), dt.time(9, 6))]
+        path = tmp_path / "h.csv"
+        write_headlines_csv(records, path)
+        assert load_headlines(path, min_relevance=0.0) == records
+        # a synthetic corpus's rows are written as before: relevance 1.0 as "1.0", nothing quoted
+        assert path.read_text().splitlines()[-1] == "1,AAA,2016-01-08,09:06,1.0,syn0 shares rally"
+
+
+_HEADLINE_ROWS = st.lists(st.tuples(
+    st.text(min_size=1).map(str.strip).filter(bool),
+    st.dates(),
+    st.builds(dt.time, st.integers(0, 23), st.integers(0, 59)),
+    st.text(min_size=1),
+    st.floats(0.0, 1.0),
+), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_HEADLINE_ROWS)
+def test_written_headlines_load_back_equal(rows):
+    """``load_headlines`` reads back every record ``write_headlines_csv``
+    writes: any text (quotes, commas, CR and LF included), any relevance."""
+    records = [HeadlineRecord(i, *row) for i, row in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.csv"
+        write_headlines_csv(records, path)
+        assert load_headlines(path, min_relevance=0.0) == records
 
 
 class TestLoadPrices:
