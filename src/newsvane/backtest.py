@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import PriceBar, PriceIndex
-from .fileio import csv_text, write_json_atomic, write_text_atomic
+from .fileio import csv_text, write_text_atomic
 
 BUY = "buy"
 NO_ACTION = "no_action"
@@ -376,7 +376,3 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     write_text_atomic(path, sweep_csv(rows))
-
-
-def write_report_json(report: BacktestReport, path: str | Path) -> None:
-    write_json_atomic(path, report.to_dict())

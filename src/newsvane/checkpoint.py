@@ -80,33 +80,32 @@ def _write_sidecar(path: Path, arrays: tuple[np.ndarray, ...]) -> str:
     return digest.hexdigest()
 
 
-def _read_sidecar(path: Path, name: str, sha256: str, size: int) -> np.ndarray:
-    """The float64 vector of ``size`` in the sidecar ``name`` beside ``path``,
-    checked against ``sha256`` and its own header before its data is read."""
+def _read_sidecar(path: Path, sha256: str, size: int) -> np.ndarray:
+    """The float64 vector of ``size`` in the sidecar ``path``, checked against
+    ``sha256`` and its own header before its data is read."""
     try:
-        with open(path.parent / name, "rb") as fh:
+        with open(path, "rb") as fh:
             digest = hashlib.sha256()
             # chunks stay below the pinned mmap threshold (see ``allocation``),
             # so each one reuses heap memory instead of mapping a fresh block
             while chunk := fh.read(1 << 18):
                 digest.update(chunk)
             if digest.hexdigest() != sha256:
-                raise CheckpointError(f"{path}: sidecar.sha256: does not match the file {name}")
+                raise ValueError(f"sidecar.sha256: does not match the file {path.name}")
             fh.seek(0)
             try:
                 if npy_format.read_magic(fh) != (1, 0):
                     raise ValueError("not an .npy file of format 1.0")
                 shape, _, dtype = npy_format.read_array_header_1_0(fh)
             except ValueError as exc:
-                raise CheckpointError(f"{path}: sidecar: invalid ({exc})") from None
+                raise ValueError(f"sidecar: invalid ({exc})") from None
             if dtype != np.dtype("<f8") or shape != (size,):
-                raise CheckpointError(
-                    f"{path}: sidecar: {dtype} {list(shape)}, expected float64 [{size}]")
+                raise ValueError(f"sidecar: {dtype} {list(shape)}, expected float64 [{size}]")
             vec = np.fromfile(fh, dtype="<f8", count=size)
             if vec.size != size or fh.read(1):
-                raise CheckpointError(f"{path}: sidecar: data is not {size} float64 values")
+                raise ValueError(f"sidecar: data is not {size} float64 values")
     except OSError as exc:
-        raise CheckpointError(f"{path}: sidecar.name: cannot read {name}: {exc.strerror or exc}") from None
+        raise ValueError(f"sidecar.name: cannot read {path.name}: {exc.strerror or exc}") from None
     return vec
 
 
@@ -177,43 +176,43 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
     """
     path = Path(path)
     payload = read_json(path)
-    version = payload.get("format_version") if isinstance(payload, dict) else FORMAT_VERSION
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint format {version!r} "
-                              f"(this version reads format {FORMAT_VERSION})")
-    try:
+    try:  # every error below is reported as "<path>: <message>"
+        version = payload.get("format_version") if isinstance(payload, dict) else FORMAT_VERSION
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format {version!r} "
+                             f"(this version reads format {FORMAT_VERSION})")
         payload = read_object(payload, _FORMAT, required=True)
+        try:
+            config = ModelConfig(**payload["config"])
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from None
+        if expected_config is not None and config != expected_config:
+            raise ValueError("checkpoint config does not match the expected config")
+
+        joined = payload["vocab"]["tokens"]
+        tokens = joined.split("\n") if joined else []
+        if "" in tokens:
+            raise ValueError("vocab.tokens: empty token")
+        vocab = Vocabulary(word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
+                           max_len=payload["vocab"]["max_len"])
+        if vocab.size != len(tokens):
+            raise ValueError("vocab.tokens: repeated token")
+        if tokens_hash(tokens, vocab.max_len) != payload["vocab_hash"]:
+            raise ValueError("vocabulary hash mismatch (corrupt checkpoint)")
+        if vocab.max_len != config.m:
+            raise ValueError(f"vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
+
+        emb, sidecar = payload["embedding"], payload["sidecar"]
+        p = emb["p"]
+        if p != config.p:
+            raise ValueError(f"embedding.p is {p}, but the config has p={config.p}")
+        if emb["mode"] not in MODES:
+            raise ValueError(f"embedding.mode: unknown mode {emb['mode']!r}")
+        layout = param_layout(config)
+        n_table = (len(tokens) + 1) * p
+        vec = _read_sidecar(path.parent / sidecar["name"], sidecar["sha256"], n_table + layout.size)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    try:
-        config = ModelConfig(**payload["config"])
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: config: {exc}") from None
-    if expected_config is not None and config != expected_config:
-        raise CheckpointError(f"{path}: checkpoint config does not match the expected config")
-
-    joined = payload["vocab"]["tokens"]
-    tokens = joined.split("\n") if joined else []
-    if "" in tokens:
-        raise CheckpointError(f"{path}: vocab.tokens: empty token")
-    vocab = Vocabulary(word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
-                       max_len=payload["vocab"]["max_len"])
-    if vocab.size != len(tokens):
-        raise CheckpointError(f"{path}: vocab.tokens: repeated token")
-    if tokens_hash(tokens, vocab.max_len) != payload["vocab_hash"]:
-        raise CheckpointError(f"{path}: vocabulary hash mismatch (corrupt checkpoint)")
-    if vocab.max_len != config.m:
-        raise CheckpointError(f"{path}: vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
-
-    emb, sidecar = payload["embedding"], payload["sidecar"]
-    p = emb["p"]
-    if p != config.p:
-        raise CheckpointError(f"{path}: embedding.p is {p}, but the config has p={config.p}")
-    if emb["mode"] not in MODES:
-        raise CheckpointError(f"{path}: embedding.mode: unknown mode {emb['mode']!r}")
-    layout = param_layout(config)
-    n_table = (len(tokens) + 1) * p
-    vec = _read_sidecar(path, sidecar["name"], sidecar["sha256"], n_table + layout.size)
     table = EmbeddingTable(matrix=vec[:n_table].reshape(len(tokens) + 1, p), mode=emb["mode"], p=p,
                            pretrained_hit_count=emb["pretrained_hit_count"])
     return Checkpoint(

@@ -103,7 +103,7 @@ _GRID_AXES: dict[str, Callable] = {
     "width_sets": list_of(list_of(strict_int)), "modes": list_of(strict_str),
 }
 _CONVERTERS: dict[str, Callable | dict] = {**CONVERTERS, "Path": Path, "Path | None": optional(Path),
-                                           "training.GridAxes | None": _GRID_AXES}
+                                           "training.GridAxes | None": optional(_GRID_AXES)}
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 # What ``read_object`` reads the file with: the top-level keys beside one mapping per section.
 _CONFIG_KEYS = {name: {key: _CONVERTERS[_FIELDS[field].type] for key, field in keys.items()}
@@ -389,7 +389,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     score = bt.buy_scores(day_preds, binary=head == HEAD_BINARY)
     buys = compress(day_preds, (score > cfg.threshold).tolist())
     report = bt.simulate([(dp.asset, dp.date, bt.BUY) for dp in buys], prices)
-    bt.write_report_json(report, cfg.out_dir / "report.json")
+    write_json_atomic(cfg.out_dir / "report.json", report.to_dict())
     print(
         f"{report.n_trades} trades; total return {report.total_return_pct:.2f}%, "
         f"PP {report.pp_pct:.2f}%, ATP {report.atp_pct:.4f}%"

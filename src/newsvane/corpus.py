@@ -134,9 +134,10 @@ def load_headlines(path: str | Path, min_relevance: float = 1.0) -> list[Headlin
     def parse(_line: int, row: list[str]) -> None:
         file_id, asset, date, time, relevance, text = row
         int(file_id)
+        relevance = float(relevance)
         record = HeadlineRecord(len(records), parse_asset(asset), parse_date(date),
-                                _parse_time(time), text, float(relevance))
-        if record.relevance >= min_relevance:
+                                _parse_time(time), text, relevance)
+        if relevance >= min_relevance:
             records.append(record)
     read_csv(path, [HEADLINE_CSV_HEADER], parse)
     if not records:

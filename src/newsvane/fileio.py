@@ -23,18 +23,22 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 @contextmanager
 def open_atomic(path: str | Path) -> Iterator[BinaryIO]:
-    """A binary file whose content replaces ``path`` only when the block
-    exits without an exception; until then it is a temporary file beside it."""
+    """A binary file whose content replaces ``path`` only when the block exits
+    without an exception; until then it is a temporary file beside it. An
+    OSError names ``path``, not the temporary file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -67,15 +71,13 @@ def write_json_atomic(path: str | Path, payload: Any) -> None:
 
 @contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` opened for reading as UTF-8 text. Bytes that are not UTF-8, or
-    malformed JSON, met anywhere in the block raise ValueError naming the file."""
+    """``path`` opened for reading as UTF-8 text. Bytes that are not UTF-8,
+    met anywhere in the block, raise ValueError naming the file."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def read_csv(path: str | Path, headers: Sequence[Sequence[str]],
@@ -105,16 +107,19 @@ def read_csv(path: str | Path, headers: Sequence[Sequence[str]],
 
 def read_json(path: str | Path) -> Any:
     with open_text(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def read_object(value, converters: dict[str, Callable | dict], name: str = "",
                 required: bool = False) -> dict:
     """The JSON object ``value`` (named ``name``; "" is the top level) with each
     value converted by its key's converter, or read the same way by a nested
-    dict of converters. A key with no converter, a value its converter
-    rejects and, if ``required``, an absent key raise ValueError naming
-    ``<name>.<key>``."""
+    dict of converters (which, wrapped in ``optional``, also takes null as
+    None). A key with no converter, a value its converter rejects and, if
+    ``required``, an absent key raise ValueError naming ``<name>.<key>``."""
     if not isinstance(value, dict):
         raise ValueError(f"{name or 'top level'}: expected a JSON object, got {type(value).__name__}")
     prefix = f"{name}." if name else ""
@@ -127,7 +132,8 @@ def read_object(value, converters: dict[str, Callable | dict], name: str = "",
         if convert is None:
             raise ValueError(f"{prefix}{key}: unknown key")
         if isinstance(convert, dict):
-            out[key] = read_object(item, convert, prefix + key, required)
+            out[key] = (None if item is None and isinstance(convert, _OptionalObject)
+                        else read_object(item, convert, prefix + key, required))
         else:
             try:
                 out[key] = convert(item)
@@ -188,8 +194,15 @@ def list_of(convert: Callable, length: int | None = None) -> Callable:
     return parse
 
 
-def optional(convert: Callable) -> Callable:
-    """JSON null is None; any other value must convert."""
+class _OptionalObject(dict):
+    """A nested dict of converters whose object may also be JSON null."""
+
+
+def optional(convert: Callable | dict) -> Callable | dict:
+    """JSON null is None; any other value must convert (or, for a nested dict
+    of converters, be an object ``read_object`` reads with it)."""
+    if isinstance(convert, dict):
+        return _OptionalObject(convert)
     return lambda value: None if value is None else convert(value)
 
 

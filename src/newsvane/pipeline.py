@@ -44,10 +44,6 @@ class Sample(NamedTuple):
     tri_label: str
     enc: EncodedHeadline
 
-    @property
-    def tri_index(self) -> int:
-        return TRI_INDEX[self.tri_label]
-
 
 @dataclass(frozen=True, eq=False)
 class PreparedData:
@@ -96,7 +92,7 @@ def to_pairs(samples: tuple[Sample, ...], head: str) -> list[tuple[EncodedHeadli
     """Project samples onto (encoding, class index) pairs for the given head."""
     if head == "binary":
         return [(s.enc, s.binary_label) for s in samples]
-    return [(s.enc, s.tri_index) for s in samples]
+    return [(s.enc, TRI_INDEX[s.tri_label]) for s in samples]
 
 
 def validation_slice(
@@ -113,11 +109,8 @@ def validation_slice(
     if len(dates) < 2:
         raise ValueError("need at least two distinct dates to carve a validation slice")
     rng = np.random.default_rng(derive_seed(seed, "validation-slice"))
-    n_val = max(1, int(round(fraction * len(dates))))
-    if n_val >= len(dates):
-        n_val = len(dates) - 1
-    chosen = set(rng.permutation(len(dates))[:n_val].tolist())
-    val_dates = {dates[i] for i in chosen}
+    n_val = min(max(1, int(round(fraction * len(dates)))), len(dates) - 1)
+    val_dates = {dates[i] for i in rng.permutation(len(dates))[:n_val].tolist()}
     fit = tuple(s for s in samples if s.date not in val_dates)
     val = tuple(s for s in samples if s.date in val_dates)
     return fit, val

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsvane import cli
+from newsvane import cli, fileio
 from newsvane.checkpoint import load_checkpoint
 from newsvane.corpus import load_headlines, load_prices
 from newsvane.embeddings import load_pretrained, nearest_neighbors
@@ -467,6 +467,23 @@ class TestUnreadableFiles:
         assert cli.main(["synth", "--n-days", "3", "--out-dir", str(config_path)]) == 2
         assert capsys.readouterr().err == f"error: {config_path}: File exists\n"
 
+    def test_output_that_is_a_directory_is_named(self, tmp_path, capsys):
+        (tmp_path / "headlines.csv").mkdir()
+        assert cli.main(["synth", "--n-days", "3", "--out-dir", str(tmp_path)]) == 2
+        target = tmp_path / "headlines.csv"
+        assert capsys.readouterr().err == f"error: {target}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["headlines.csv"]  # no temporary left
+
+    def test_unwritable_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
+        # Where a directory cannot be written, creating the temporary file fails
+        # first; the error names the output, not the temporary's random name.
+        def refuse(dir, prefix, suffix):
+            raise PermissionError(13, "Permission denied", f"{dir}/{prefix}x7k2{suffix}")
+        monkeypatch.setattr(fileio.tempfile, "mkstemp", refuse)
+        assert cli.main(["synth", "--n-days", "3", "--out-dir", str(tmp_path)]) == 2
+        target = tmp_path / "headlines.csv"
+        assert capsys.readouterr().err == f"error: {target}: Permission denied\n"
+
 
 class TestGradcheckCommand:
     def test_pass_exit_zero(self, capsys):
@@ -646,10 +663,11 @@ class TestUsageErrors:
         good = json.loads(json.dumps(config))
         good["model"]["max_len"] = None
         good["training"]["epochs"] = 3.0
+        good["training"]["grid"] = None
         path = tmp_path / "good.json"
         path.write_text(json.dumps(good))
         cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
-        assert cfg.max_len is None
+        assert cfg.max_len is None and cfg.grid is None
         assert cfg.epochs == 3 and isinstance(cfg.epochs, int)
 
     @pytest.mark.parametrize("step", [0, -0.01])
