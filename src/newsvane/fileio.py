@@ -37,7 +37,7 @@ def open_atomic(path: str | Path) -> Iterator[BinaryIO]:
     except BaseException as exc:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
