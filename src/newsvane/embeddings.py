@@ -9,10 +9,10 @@ and are fine-tuned during training.
 
 from __future__ import annotations
 
-import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -69,16 +69,6 @@ def init_self_learnt(
     return EmbeddingTable(matrix=matrix, mode=MODE_SELF_LEARNT, p=p)
 
 
-def _vector_fields(lines: Iterable[str], tokens: list[str]) -> Iterator[str]:
-    """The text after the token on each non-blank line; each token is
-    appended to ``tokens`` as its line is read."""
-    for line in lines:
-        parts = line.split(maxsplit=1)
-        if parts:
-            tokens.append(parts[0])
-            yield parts[1] if len(parts) == 2 else ""
-
-
 def _parse_vector_lines(lines: Iterable[str], path: Path, dim: int) -> tuple[list[str], np.ndarray]:
     """Line-by-line parse with ``float()``: the reference that names the
     first bad line, and the parse for the inputs ``np.loadtxt`` rejects."""
@@ -103,50 +93,52 @@ def _parse_vector_lines(lines: Iterable[str], path: Path, dim: int) -> tuple[lis
     return tokens, np.array(rows).reshape(len(rows), dim)
 
 
-def _parse_vector_file(path: Path) -> tuple[int, dict[str, np.ndarray], np.ndarray]:
+def _parse_vector_file(path: Path, expected_p: int | None = None) -> tuple[int, list[str], np.ndarray]:
     """Parse a word2vec-style text file: header '<count> <dim>', then one
     '<token> <v1> ... <v_dim>' line per vector; blank lines are skipped.
-    Returns (dim, token->vector, all file vectors stacked in file order).
+    Returns (dim, tokens, rows): the tokens in file order, repeats included,
+    and their vectors as one contiguous (count, dim) array.
 
-    The body is streamed once: Python splits off each line's token and
-    ``np.loadtxt`` converts the floats, which it parses exactly as
-    ``float()`` does. When that fails, or yields the wrong shape or a
-    non-finite value, the body is read again line by line with ``float()``:
-    that parse raises the error naming the line, or reads what ``loadtxt``
-    rejects and ``float()`` accepts (``1_0``, non-ASCII digits). Non-finite
-    values are rejected, since they would make every fallback row NaN.
+    The body is read by one ``np.loadtxt`` call, which splits fields as
+    ``str.split`` does and parses floats exactly as ``float()`` does. When it
+    fails or yields a non-finite value, the body is read again line by line
+    with ``float()``: that parse raises the error naming the line, or reads
+    what ``loadtxt`` rejects and ``float()`` accepts (``1_0``, non-ASCII
+    digits). Non-finite values are rejected, since they would make every
+    fallback row NaN. A ``dim`` other than ``expected_p`` is rejected before
+    the body is read; a ``count`` other than the number of vectors, after.
     """
     with open_text(path) as fh:
-        header = fh.readline()
-        parts = header.split()
+        parts = fh.readline().split()
         if len(parts) != 2:
             raise ValueError(f"{path}: line 1: expected '<count> <dim>' header")
         try:
-            _, dim = int(parts[0]), int(parts[1])
+            count, dim = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"{path}: line 1: expected integer count and dim") from exc
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
+        if expected_p is not None and dim != expected_p:
+            raise ValueError(f"{path}: file dimension {dim} != configured p {expected_p}")
         body = fh.tell()
-        tokens: list[str] = []
-        fields = _vector_fields(fh, tokens)
-        first = next(fields, None)  # loadtxt warns on an empty body
-        values = None
-        if first is not None:
-            try:
-                values = np.loadtxt(itertools.chain([first], fields), dtype=np.float64,
-                                    ndmin=2, comments=None)
-            except ValueError:
-                pass
-        if values is None or values.shape != (len(tokens), dim) or not np.isfinite(values).all():
+        rows = None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty body
+                records = np.loadtxt(fh, dtype=[("token", object), ("vector", np.float64, (dim,))],
+                                     ndmin=1, comments=None)
+            tokens, rows = records["token"].tolist(), records["vector"].copy()
+            del records  # before the finite check's mask adds to the peak
+        except ValueError:
+            pass
+        if rows is None or not np.isfinite(rows).all():
             fh.seek(body)
-            tokens, values = _parse_vector_lines(fh, path, dim)
+            tokens, rows = _parse_vector_lines(fh, path, dim)
     if not tokens:
         raise ValueError(f"{path}: no vectors in file")
-    vectors: dict[str, np.ndarray] = {}
-    for token, row in zip(tokens, values):
-        vectors.setdefault(token, row)
-    return dim, vectors, values
+    if len(tokens) != count:
+        raise ValueError(f"{path}: line 1: header count {count} != {len(tokens)} vectors in file")
+    return dim, tokens, rows
 
 
 def load_pretrained(
@@ -158,30 +150,30 @@ def load_pretrained(
 ) -> EmbeddingTable:
     """Build a table from pretrained vectors in word2vec text format.
 
-    Vocabulary tokens found in the file get their file vectors; missing
-    tokens are filled with per-dimension normal draws whose mean and std are
-    measured over all vectors in the file (not only the hits, for stability
-    with small vocabularies). ``expected_p`` guards against loading a file
-    whose dimension disagrees with the configured model.
+    Vocabulary tokens found in the file get their file vectors (a token
+    repeated in the file keeps its first one); missing tokens are filled
+    with per-dimension normal draws whose mean and std are measured over all
+    vectors in the file (not only the hits, for stability with small
+    vocabularies), drawn in vocabulary order. ``expected_p`` guards against
+    loading a file whose dimension disagrees with the configured model.
     """
     if mode not in (MODE_STATIC, MODE_NON_STATIC):
         raise ValueError(f"pretrained tables must be static or non_static, got {mode!r}")
-    dim, vectors, all_rows = _parse_vector_file(Path(path))
-    if expected_p is not None and dim != expected_p:
-        raise ValueError(f"{path}: file dimension {dim} != configured p {expected_p}")
-    mu = all_rows.mean(axis=0)
-    sigma = all_rows.std(axis=0)
-    rng = np.random.default_rng(derive_seed(seed, "embedding-fallback"))
+    dim, tokens, rows = _parse_vector_file(Path(path), expected_p)
+    first_row: dict[str, int] = {}
+    for row, token in enumerate(tokens):
+        first_row.setdefault(token, row)
+    # vocabulary indices run from 1 in word_to_index order: table row i + 1
+    # is the i-th token's file row, or -1 where the file lacks it
+    source = np.array([first_row.get(token, -1) for token in vocab.word_to_index], dtype=np.intp)
     matrix = np.zeros((vocab.size + 1, dim), dtype=np.float64)
-    hits = 0
-    for token, index in vocab.word_to_index.items():
-        vec = vectors.get(token)
-        if vec is not None:
-            matrix[index] = vec
-            hits += 1
-        else:
-            matrix[index] = rng.normal(mu, sigma)
-    return EmbeddingTable(matrix=matrix, mode=mode, p=dim, pretrained_hit_count=hits)
+    np.take(rows, source, axis=0, out=matrix[1:], mode="clip")
+    missing = source < 0
+    n_missing = int(missing.sum())
+    if n_missing:
+        rng = np.random.default_rng(derive_seed(seed, "embedding-fallback"))
+        matrix[1:][missing] = rng.normal(rows.mean(axis=0), rows.std(axis=0), size=(n_missing, dim))
+    return EmbeddingTable(matrix=matrix, mode=mode, p=dim, pretrained_hit_count=vocab.size - n_missing)
 
 
 def lookup_concat(enc: EncodedHeadline, table: EmbeddingTable) -> np.ndarray:

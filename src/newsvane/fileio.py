@@ -71,9 +71,10 @@ def write_json_atomic(path: str | Path, payload: Any) -> None:
 
 @contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` opened for reading as UTF-8 text. Bytes that are not UTF-8,
-    met anywhere in the block, raise ValueError naming the file."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """``path`` opened for reading as UTF-8 text, less a leading byte-order
+    mark. Bytes that are not UTF-8, met anywhere in the block, raise
+    ValueError naming the file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

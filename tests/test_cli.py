@@ -1,5 +1,7 @@
 """CLI subcommand tests, run in-process through main()."""
 
+import argparse
+import codecs
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import pytest
 
 from newsvane import cli, fileio
 from newsvane.checkpoint import load_checkpoint
-from newsvane.corpus import load_headlines, load_prices
+from newsvane.corpus import PriceIndex, load_headlines, load_prices
 from newsvane.embeddings import load_pretrained, nearest_neighbors
 from newsvane.network import ModelConfig
 from newsvane.pipeline import prepare_dataset
@@ -483,6 +485,35 @@ class TestUnreadableFiles:
         assert cli.main(["synth", "--n-days", "3", "--out-dir", str(tmp_path)]) == 2
         target = tmp_path / "headlines.csv"
         assert capsys.readouterr().err == f"error: {target}: Permission denied\n"
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", ["headlines", "prices", "predictions", "config", "checkpoint",
+                                      "vectors"])
+    def test_input_with_a_bom_reads_as_without_one(self, workspace, tmp_path, kind):
+        """Spreadsheet exports start UTF-8 files with a byte-order mark; every
+        input reads the same with one as without."""
+        _, config_path, data, out, _ = workspace
+        checkpoint = load_checkpoint(out / "checkpoint.json")
+        (tmp_path / "preds.csv").write_text("asset,date,p0\nSYN0,2015-01-05,0.9\n")
+        (tmp_path / "vecs.txt").write_text("2 2\nsyn0 1 2\nshares 3 4\n")
+        plain, read = {
+            "headlines": (data / "headlines.csv", load_headlines),
+            "prices": (data / "prices.csv", load_prices),
+            "predictions": (tmp_path / "preds.csv", lambda path: cli._read_predictions_csv(
+                path, PriceIndex(load_prices(data / "prices.csv")))),
+            "config": (config_path, lambda path: cli.load_run_config(
+                path, argparse.Namespace(seed=None, out_dir=None))),
+            "checkpoint": (out / "checkpoint.json", lambda path: (
+                (ck := load_checkpoint(path)).config, ck.vocab, ck.table.matrix.tobytes())),
+            "vectors": (tmp_path / "vecs.txt", lambda path: load_pretrained(
+                checkpoint.vocab, path, "static").matrix.tobytes()),
+        }[kind]
+        bom = tmp_path / "bom" / plain.name
+        bom.parent.mkdir()
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        (bom.parent / "checkpoint.npy").write_bytes((out / "checkpoint.npy").read_bytes())
+        assert read(bom) == read(plain)
 
 
 class TestGradcheckCommand:

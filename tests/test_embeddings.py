@@ -1,7 +1,12 @@
 """Embedding table, pretrained loader, lookup and similarity tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsvane import embeddings
 from newsvane.embeddings import (
@@ -12,6 +17,7 @@ from newsvane.embeddings import (
     lookup_concat,
     nearest_neighbors,
 )
+from newsvane.seeding import derive_seed
 from newsvane.text import EncodedHeadline, Vocabulary
 
 
@@ -91,6 +97,17 @@ class TestLoadPretrained:
         with pytest.raises(ValueError, match="dimension"):
             load_pretrained(_vocab("a"), path, mode="static", seed=0, expected_p=50)
 
+    def test_dimension_mismatch_rejected_before_the_body_is_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "vecs.txt"
+        _write_w2v(path, {"a": [0.1] * 300})
+
+        def parse(*args, **kwargs):
+            raise AssertionError("the body of a file of the wrong dimension must not be parsed")
+        monkeypatch.setattr(np, "loadtxt", parse)
+        monkeypatch.setattr(embeddings, "_parse_vector_lines", parse)
+        with pytest.raises(ValueError, match=f"^{path}: file dimension 300 != configured p 50$"):
+            load_pretrained(_vocab("a"), path, mode="static", seed=0, expected_p=50)
+
     def test_short_line_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1.0 2.0 3.0\nb 1.0 2.0\n")
@@ -123,7 +140,7 @@ def _float_per_token(text):
 
 
 class TestVectorParser:
-    """The streaming parser gives ``float()``'s values bit for bit, and the
+    """The one-call parser gives ``float()``'s values bit for bit, and the
     errors of a line-by-line parse, with their line numbers."""
 
     @pytest.mark.parametrize("fmt, wide", [("{:.6f}", False), ("{!r}", False), ("{!r}", True),
@@ -146,13 +163,12 @@ class TestVectorParser:
         def line_by_line(*args):
             raise AssertionError("a well-formed file must not need the line-by-line parse")
         monkeypatch.setattr(embeddings, "_parse_vector_lines", line_by_line)
-        dim, vectors, parsed = _parse_vector_file(path)
-        tokens, expected = _float_per_token(text)
+        dim, tokens, parsed = _parse_vector_file(path)
+        expected_tokens, expected = _float_per_token(text)
         assert dim == 6
-        assert parsed.dtype == np.float64
+        assert parsed.dtype == np.float64 and parsed.flags.c_contiguous
         assert parsed.tobytes() == np.array(expected).tobytes()
-        assert list(vectors) == tokens
-        assert all(vectors[t].tobytes() == parsed[i].tobytes() for i, t in enumerate(tokens))
+        assert tokens == expected_tokens
 
     @pytest.mark.parametrize("body", [
         "a 1_0 2\nb 3 4\n",            # float() reads underscores, loadtxt does not
@@ -163,10 +179,12 @@ class TestVectorParser:
     def test_float_only_inputs_load_as_float_reads_them(self, tmp_path, body):
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\n" + body, encoding="utf-8")
-        _, vectors, parsed = _parse_vector_file(path)
-        tokens, expected = _float_per_token("2 2\n" + body)
+        _, tokens, parsed = _parse_vector_file(path)
+        expected_tokens, expected = _float_per_token("2 2\n" + body)
         assert parsed.tolist() == expected
-        assert vectors["a"].tolist() == expected[0]
+        assert tokens == expected_tokens
+        table = load_pretrained(_vocab("a"), path, mode="static", seed=0)
+        assert table.matrix[1].tolist() == expected[0]
 
     @pytest.mark.parametrize("body, message", [
         ("a 1 2\n\nb 1\n", "line 4: expected token plus 2 floats, got 1"),
@@ -190,15 +208,87 @@ class TestVectorParser:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\n\n a 1 2 \n\t\n\nb 3 4\n\n")
-        dim, vectors, parsed = _parse_vector_file(path)
+        dim, tokens, parsed = _parse_vector_file(path)
         assert parsed.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert list(vectors) == ["a", "b"]
+        assert tokens == ["a", "b"]
+
+    @pytest.mark.parametrize("count", [999, -5, 1, 3, 0])
+    def test_header_count_must_match_the_vectors(self, tmp_path, count):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"{count} 2\na 1 2\n\nb 3 4\n")
+        message = f"^{path}: line 1: header count {count} != 2 vectors in file$"
+        with pytest.raises(ValueError, match=message):
+            _parse_vector_file(path)
 
     def test_non_finite_vector_never_reaches_the_table(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("3 2\na 1 2\nb nan 1\nc inf 2\n")
         with pytest.raises(ValueError, match="line 3: non-finite"):
             load_pretrained(_vocab("a", "zzz"), path, mode="static", seed=0)
+
+
+def _per_token_load_pretrained(vocab, text, mode, seed):
+    """The loader as a per-token loop with one fallback draw per missing token:
+    the oracle ``load_pretrained`` is compared against."""
+    tokens, rows = _float_per_token(text)
+    all_rows = np.array(rows)
+    vectors = {}
+    for token, row in zip(tokens, all_rows):
+        vectors.setdefault(token, row)
+    mu, sigma = all_rows.mean(axis=0), all_rows.std(axis=0)
+    rng = np.random.default_rng(derive_seed(seed, "embedding-fallback"))
+    matrix = np.zeros((vocab.size + 1, all_rows.shape[1]))
+    hits = 0
+    for token, index in vocab.word_to_index.items():
+        vec = vectors.get(token)
+        if vec is not None:
+            matrix[index] = vec
+            hits += 1
+        else:
+            matrix[index] = rng.normal(mu, sigma)
+    return EmbeddingTable(matrix=matrix, mode=mode, p=all_rows.shape[1], pretrained_hit_count=hits)
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
+
+
+@st.composite
+def _vector_files(draw):
+    """A word2vec text (repeated tokens and blank lines included) and a vocabulary
+    in another order that holds some of its tokens and some it lacks."""
+    dim = draw(st.integers(1, 4))
+    value = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    lines = [draw(_NAMES) + "".join(f" {draw(value)!r}" for _ in range(dim))
+             for _ in range(draw(st.integers(1, 8)))]
+    body = []
+    for line in lines:
+        body += [" " * draw(st.integers(0, 2))] * draw(st.integers(0, 1)) + [line]
+    text = f"{len(lines)} {dim}\n" + "\n".join(body) + "\n"
+    return text, _vocab(*draw(st.lists(_NAMES, min_size=1, unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(file=_vector_files(), mode=st.sampled_from(["static", "non_static"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_load_pretrained_matches_the_per_token_oracle(file, mode, seed):
+    text, vocab = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vecs.txt"
+        path.write_text(text)
+        table = load_pretrained(vocab, path, mode, seed=seed)
+    expected = _per_token_load_pretrained(vocab, text, mode, seed)
+    assert table.matrix.tobytes() == expected.matrix.tobytes()
+    assert (table.pretrained_hit_count, table.mode, table.p) == (
+        expected.pretrained_hit_count, expected.mode, expected.p)
+
+
+def test_one_normal_call_draws_as_successive_row_calls():
+    """``load_pretrained`` draws every missing row with one ``normal`` call; it
+    gives the bits of one call per row, in row order."""
+    mu, sigma = np.array([0.5, -2.0, 3e-3, 7.0]), np.array([0.1, 2.0, 0.0, 1e3])
+    together = np.random.default_rng(3).normal(mu, sigma, size=(50, 4))
+    rng = np.random.default_rng(3)
+    assert together.tobytes() == np.array([rng.normal(mu, sigma) for _ in range(50)]).tobytes()
 
 
 class TestLookupConcat:
