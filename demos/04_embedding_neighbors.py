@@ -38,7 +38,7 @@ rng = np.random.default_rng(0)
 with tempfile.TemporaryDirectory() as tmp:
     vec_path = Path(tmp) / "pretrained.txt"
     lines = [f"{vocab.size} 16"]
-    for token in vocab.word_to_index:
+    for token in vocab.tokens:
         lines.append(token + " " + " ".join(f"{x:.6f}" for x in rng.normal(0, 0.1, 16)))
     vec_path.write_text("\n".join(lines) + "\n")
 

@@ -35,7 +35,7 @@ from .fileio import (
     write_json_atomic,
 )
 from .network import ModelConfig, ModelParameters, param_layout
-from .text import Vocabulary, tokens_by_index, tokens_hash
+from .text import Vocabulary, vocabulary_hash
 
 FORMAT_VERSION = 3
 
@@ -130,17 +130,12 @@ def save_checkpoint(
     """Write the sidecar ``path.with_suffix(".npy")``, then the JSON file ``path``.
 
     Raises CheckpointError for a path that ends in ``.npy`` (the JSON would
-    replace its own sidecar), a token that is empty or contains a newline
-    (the vocabulary is stored newline-joined) and arrays that are not float64.
+    replace its own sidecar) and arrays that are not float64.
     """
     path = Path(path)
     sidecar = path.with_suffix(".npy")
     if sidecar == path:
         raise CheckpointError(f"{path}: a checkpoint path must not end in .npy, its sidecar's suffix")
-    tokens = tokens_by_index(vocab)
-    for token in tokens:
-        if not token or "\n" in token:
-            raise CheckpointError(f"cannot save the token {token!r}: it is empty or holds a newline")
     arrays = (table.matrix, params.flat)
     for arr in arrays:
         if arr.dtype != np.float64:
@@ -148,8 +143,8 @@ def save_checkpoint(
     payload = {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
-        "vocab": {"tokens": "\n".join(tokens), "max_len": vocab.max_len},
-        "vocab_hash": tokens_hash(tokens, vocab.max_len),
+        "vocab": {"tokens": "\n".join(vocab.tokens), "max_len": vocab.max_len},
+        "vocab_hash": vocabulary_hash(vocab),
         "embedding": {
             "mode": table.mode,
             "p": table.p,
@@ -190,14 +185,11 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
             raise ValueError("checkpoint config does not match the expected config")
 
         joined = payload["vocab"]["tokens"]
-        tokens = joined.split("\n") if joined else []
-        if "" in tokens:
-            raise ValueError("vocab.tokens: empty token")
-        vocab = Vocabulary(word_to_index={tok: i + 1 for i, tok in enumerate(tokens)},
-                           max_len=payload["vocab"]["max_len"])
-        if vocab.size != len(tokens):
-            raise ValueError("vocab.tokens: repeated token")
-        if tokens_hash(tokens, vocab.max_len) != payload["vocab_hash"]:
+        try:
+            vocab = Vocabulary(joined.split("\n") if joined else (), payload["vocab"]["max_len"])
+        except ValueError as exc:  # it names vocab.tokens or vocab.max_len
+            raise ValueError(f"vocab.{exc}") from None
+        if vocabulary_hash(vocab) != payload["vocab_hash"]:
             raise ValueError("vocabulary hash mismatch (corrupt checkpoint)")
         if vocab.max_len != config.m:
             raise ValueError(f"vocab.max_len is {vocab.max_len}, but the config has m={config.m}")
@@ -209,11 +201,11 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
         if emb["mode"] not in MODES:
             raise ValueError(f"embedding.mode: unknown mode {emb['mode']!r}")
         layout = param_layout(config)
-        n_table = (len(tokens) + 1) * p
+        n_table = (vocab.size + 1) * p
         vec = _read_sidecar(path.parent / sidecar["name"], sidecar["sha256"], n_table + layout.size)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    table = EmbeddingTable(matrix=vec[:n_table].reshape(len(tokens) + 1, p), mode=emb["mode"], p=p,
+    table = EmbeddingTable(matrix=vec[:n_table].reshape(vocab.size + 1, p), mode=emb["mode"], p=p,
                            pretrained_hit_count=emb["pretrained_hit_count"])
     return Checkpoint(
         config=config, vocab=vocab, table=table,

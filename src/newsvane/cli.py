@@ -146,9 +146,13 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
         _require(cfg.max_len is None or cfg.max_len >= 1,
                  f"model.max_len: expected an integer >= 1 or null, got {cfg.max_len!r}")
         _require(cfg.portfolio != (), "portfolio: expected at least one ticker")
-        if cfg.embedding_mode in (embeddings.MODE_STATIC, embeddings.MODE_NON_STATIC):
-            _require(cfg.pretrained_path is not None,
-                     f"paths.pretrained: embedding mode {cfg.embedding_mode!r} requires a vector file")
+        modes = [("model.embedding_mode", cfg.embedding_mode)]
+        modes += [("training.grid.modes", mode) for mode in (cfg.grid.modes if cfg.grid else ())]
+        for key, mode in modes:
+            _require(mode in embeddings.MODES, f"{key}: unknown embedding mode {mode!r}, "
+                                               f"expected one of {', '.join(embeddings.MODES)}")
+            _require(mode == embeddings.MODE_SELF_LEARNT or cfg.pretrained_path is not None,
+                     f"paths.pretrained: embedding mode {mode!r} ({key}) requires a vector file")
         if cfg.strategy_head is not None:
             _require(cfg.strategy_head in (HEAD_BINARY, HEAD_MULTICLASS3),
                      f"strategy.head: unknown strategy head {cfg.strategy_head!r}")
@@ -177,12 +181,15 @@ def _prepare(cfg: RunConfig) -> tuple[pipeline.PreparedData, corpus.PriceIndex]:
     return pipeline.prepare_dataset(headlines, prices, set(cfg.portfolio), max_len=cfg.max_len), prices
 
 
-def _model_config(cfg: RunConfig, m: int) -> ModelConfig:
-    return ModelConfig(
-        p=cfg.p, m=m, filter_widths=cfg.filter_widths,
-        filters_per_width=cfg.filters_per_width, hidden_sizes=cfg.hidden_sizes,
-        dropout_rate=cfg.dropout_rate, pool_w=cfg.pool_w, head=cfg.head,
-    )
+# RunConfig fields named as ModelConfig's; ``m`` comes from the prepared vocabulary.
+_MODEL_FIELDS = [f.name for f in fields(ModelConfig) if f.name != "m"]
+
+
+def _model_config(cfg: RunConfig, m: int, config_path: str | Path) -> ModelConfig:
+    try:
+        return ModelConfig(m=m, **{name: getattr(cfg, name) for name in _MODEL_FIELDS})
+    except ValueError as exc:
+        raise ConfigError(f"{config_path}: model: {exc}") from None
 
 
 # --- subcommands ------------------------------------------------------------
@@ -208,6 +215,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     prepared, _ = _prepare(cfg)
+    _model_config(cfg, prepared.vocab.max_len, args.config)
     out = cfg.out_dir
     save_vocabulary(prepared.vocab, out / "vocab.tsv")
     write_json_atomic(
@@ -238,7 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     prepared, _ = _prepare(cfg)
     vocab = prepared.vocab
-    model_config = _model_config(cfg, vocab.max_len)
+    model_config = _model_config(cfg, vocab.max_len, args.config)
 
     if cfg.grid is not None:
         if cfg.select_on_test:
@@ -452,10 +460,12 @@ def _probability(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to the JSON run configuration")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--out-dir", default=None, help="override the output directory")
+    # one parent parser per shared flag, given only to the subcommands that read it
+    config, seed, out_dir = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    config.add_argument("--config", required=True, help="path to the JSON run configuration")
+    seed.add_argument("--seed", type=int, default=None, help="override the config seed")
+    out_dir.add_argument("--out-dir", default=None, help="override the output directory")
+    run = [config, seed, out_dir]
 
     parser = argparse.ArgumentParser(
         prog="newsvane",
@@ -463,45 +473,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[seed, out_dir], help="generate a synthetic corpus")
     p.add_argument("--n-assets", type=int, default=2)
     p.add_argument("--n-days", type=int, default=300)
     p.add_argument("--headlines-per-day", type=int, default=5)
     p.add_argument("--signal-strength", type=float, default=1.0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("prepare", parents=[common],
+    p = sub.add_parser("prepare", parents=run,
                        help="materialize the labeled, split, encoded dataset")
-    p.set_defaults(func=cmd_prepare, needs_config=True)
+    p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", parents=[common], help="train a model and write a checkpoint")
+    p = sub.add_parser("train", parents=run, help="train a model and write a checkpoint")
     p.add_argument("--parallel", action="store_true",
                    help="run independent grid-search cells in parallel")
-    p.set_defaults(func=cmd_train, needs_config=True)
+    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common], help="evaluate a checkpoint on the test split")
+    p = sub.add_parser("evaluate", parents=run, help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--class-threshold", type=_probability, default=0.5)
-    p.set_defaults(func=cmd_evaluate, needs_config=True)
+    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("backtest", parents=[common], help="simulate the trading strategy")
+    p = sub.add_parser("backtest", parents=run, help="simulate the trading strategy")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--predictions", default=None,
                    help="standalone predictions CSV (asset,date,p0[,p1,p2]) instead of a checkpoint")
-    p.set_defaults(func=cmd_backtest, needs_config=True)
+    p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser("sweep", parents=[common], help="threshold sweep over the strategy grid")
+    p = sub.add_parser("sweep", parents=run, help="threshold sweep over the strategy grid")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--predictions", default=None)
-    p.set_defaults(func=cmd_sweep, needs_config=True)
+    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("gradcheck", parents=[common],
+    p = sub.add_parser("gradcheck", parents=[seed],
                        help="verify analytic gradients against finite differences")
     p.add_argument("--configs", type=int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("neighbors", parents=[common],
-                       help="cosine-similarity neighbors of a vocabulary token")
+    p = sub.add_parser("neighbors", help="cosine-similarity neighbors of a vocabulary token")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("token")
     p.add_argument("-k", type=int, default=5)
@@ -510,10 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_config", False) and not args.config:
-        parser.error(f"{args.command} requires --config")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except training.NumericError as exc:

@@ -163,9 +163,8 @@ def load_pretrained(
     first_row: dict[str, int] = {}
     for row, token in enumerate(tokens):
         first_row.setdefault(token, row)
-    # vocabulary indices run from 1 in word_to_index order: table row i + 1
-    # is the i-th token's file row, or -1 where the file lacks it
-    source = np.array([first_row.get(token, -1) for token in vocab.word_to_index], dtype=np.intp)
+    # table row i + 1 is the file row of vocab.tokens[i], or -1 where the file lacks it
+    source = np.array([first_row.get(token, -1) for token in vocab.tokens], dtype=np.intp)
     matrix = np.zeros((vocab.size + 1, dim), dtype=np.float64)
     np.take(rows, source, axis=0, out=matrix[1:], mode="clip")
     missing = source < 0
@@ -201,9 +200,9 @@ def nearest_neighbors(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if token not in vocab.word_to_index:
+    qi = vocab.word_to_index.get(token)
+    if qi is None:
         raise KeyError(f"token {token!r} not in vocabulary")
-    qi = vocab.word_to_index[token]
     q = table.matrix[qi]
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
@@ -213,11 +212,8 @@ def nearest_neighbors(
     norms = np.linalg.norm(rows, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = rows @ q / (norms * qnorm)
-    inverse = vocab.index_to_word()
-    candidates = [
-        (inverse[i + 1], float(sims[i]))
-        for i in range(rows.shape[0])
-        if i + 1 != qi and norms[i] > 0.0
-    ]
-    candidates.sort(key=lambda item: (-item[1], vocab.word_to_index[item[0]]))
-    return candidates[:k]
+    # positions into vocab.tokens; a stable sort keeps ties in index order
+    candidates = np.flatnonzero(norms > 0.0)
+    candidates = candidates[candidates != qi - 1]
+    best = candidates[np.argsort(-sims[candidates], kind="stable")[:k]]
+    return [(vocab.tokens[i], float(sims[i])) for i in best.tolist()]

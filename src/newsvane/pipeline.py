@@ -74,9 +74,7 @@ def prepare_dataset(
     in_id_order = sorted(labeled, key=_ID)
     train_rows = [h for h in in_id_order if h.id in split.train_ids]
     train_tokens = [tokenize(h.text) for h in train_rows]
-    vocab = build_vocabulary(train_tokens)
-    if max_len is not None:
-        vocab = vocab.with_max_len(max_len)
+    vocab = build_vocabulary(train_tokens, max_len)
 
     def to_sample(h: HeadlineRecord, tokens: list[str]) -> Sample:
         _, trade_date, ret, binary, tri = labels[h.id]

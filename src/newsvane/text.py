@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,36 +77,45 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-index map built from the training collection.
+    """The training collection's tokens in index order: ``tokens[i]`` has
+    index ``i + 1``; index 0 is reserved for padding. ``max_len`` is the
+    uniform encoded length, by default the longest tokenized training sentence.
+    The attribute ``word_to_index`` is the inverse map, built once here.
 
-    Indices are contiguous from 1; index 0 is reserved for padding.
-    ``max_len`` is the uniform encoded length, by default the longest
-    tokenized training sentence.
+    Construction rejects a repeated token, an empty token, a token holding a
+    newline (a checkpoint stores the tokens newline-joined) and ``max_len <
+    1``, as a ValueError that starts with ``tokens:`` or ``max_len:``.
     """
 
-    word_to_index: dict[str, int]
+    tokens: tuple[str, ...]
     max_len: int
+
+    def __post_init__(self) -> None:
+        tokens = tuple(self.tokens)
+        word_to_index = {tok: i for i, tok in enumerate(tokens, 1)}
+        if "" in word_to_index:
+            raise ValueError("tokens: empty token")
+        if len(word_to_index) != len(tokens):
+            raise ValueError("tokens: repeated token")
+        if "\n" in "".join(tokens):
+            raise ValueError("tokens: a token holds a newline")
+        if self.max_len < 1:
+            raise ValueError(f"max_len: expected an integer >= 1, got {self.max_len!r}")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "word_to_index", word_to_index)  # not a field: eq and repr skip it
 
     @property
     def size(self) -> int:
-        return len(self.word_to_index)
-
-    def index_to_word(self) -> dict[int, str]:
-        return {i: w for w, i in self.word_to_index.items()}
-
-    def with_max_len(self, max_len: int) -> "Vocabulary":
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        return replace(self, max_len=max_len)
+        return len(self.tokens)
 
 
-def build_vocabulary(training_texts: list[list[str]]) -> Vocabulary:
-    """Assign indices >= 1 in first-occurrence order over the training tokens."""
-    first_seen = dict.fromkeys(itertools.chain.from_iterable(training_texts))
-    if not first_seen:
+def build_vocabulary(training_texts: list[list[str]], max_len: int | None = None) -> Vocabulary:
+    """The training tokens in first-occurrence order; ``max_len`` defaults to
+    the longest training text."""
+    tokens = tuple(dict.fromkeys(itertools.chain.from_iterable(training_texts)))
+    if not tokens:
         raise ValueError("cannot build a vocabulary: every token list is empty")
-    word_to_index = {tok: i for i, tok in enumerate(first_seen, 1)}
-    return Vocabulary(word_to_index=word_to_index, max_len=max(map(len, training_texts)))
+    return Vocabulary(tokens, max(map(len, training_texts)) if max_len is None else max_len)
 
 
 class EncodedHeadline(NamedTuple):
@@ -135,31 +144,17 @@ def encode_and_pad(tokens: list[str], vocab: Vocabulary) -> EncodedHeadline:
     return EncodedHeadline(np.array(kept + [0] * (m - len(kept)), dtype=np.int64), len(kept))
 
 
-def tokens_by_index(vocab: Vocabulary) -> list[str]:
-    """The vocabulary's tokens in index order: index i holds element i - 1."""
-    return sorted(vocab.word_to_index, key=vocab.word_to_index.__getitem__)
-
-
-def _vocabulary_text(tokens: Sequence[str], max_len: int) -> str:
-    return f"max_len={max_len}\n" + "".join([f"{tok}\t{i}\n" for i, tok in enumerate(tokens, 1)])
-
-
 def vocabulary_to_text(vocab: Vocabulary) -> str:
     """Serialize as a header line ``max_len=<m>`` plus ``token<TAB>index`` rows."""
-    return _vocabulary_text(tokens_by_index(vocab), vocab.max_len)
+    return f"max_len={vocab.max_len}\n" + "".join(
+        [f"{tok}\t{i}\n" for i, tok in enumerate(vocab.tokens, 1)])
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     write_text_atomic(path, vocabulary_to_text(vocab))
 
 
-def tokens_hash(tokens: Sequence[str], max_len: int) -> str:
-    """The ``vocabulary_hash`` of the vocabulary whose ``tokens_by_index`` are
-    ``tokens``, for a caller that holds them already (checkpoint save and load)."""
-    return hashlib.sha256(_vocabulary_text(tokens, max_len).encode()).hexdigest()
-
-
 def vocabulary_hash(vocab: Vocabulary) -> str:
     """Stable content hash used to pair checkpoints with their vocabulary:
     the sha256 of its ``vocabulary_to_text``."""
-    return tokens_hash(tokens_by_index(vocab), vocab.max_len)
+    return hashlib.sha256(vocabulary_to_text(vocab).encode()).hexdigest()

@@ -141,12 +141,12 @@ def _naive_pool(c, w):
     return out
 
 
-def _naive_neighbors(token, k, matrix, word_to_index):
-    qi = word_to_index[token]
+def _naive_neighbors(token, k, matrix, tokens):
+    qi = tokens.index(token) + 1
     q = matrix[qi]
     qn = math.sqrt(sum(v * v for v in q))
     rows = []
-    for tok, idx in word_to_index.items():
+    for idx, tok in enumerate(tokens, 1):
         if idx == qi:
             continue
         v = matrix[idx]
@@ -180,15 +180,15 @@ def test_criterion_4_oracle_equivalence():
         assert pooled[:, 0].tolist() == _naive_pool(list(c), w)
     for trial in range(100):
         size = int(rng.integers(2, 30))
-        vocab = {f"t{i}": i + 1 for i in range(size)}
+        tokens = tuple(f"t{i}" for i in range(size))
         matrix = rng.normal(size=(size + 1, int(rng.integers(2, 6))))
         matrix[0] = 0.0
         table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=matrix.shape[1])
-        vv = Vocabulary(word_to_index=vocab, max_len=4)
+        vv = Vocabulary(tokens, max_len=4)
         token = f"t{int(rng.integers(size))}"
         k = int(rng.integers(1, size + 3))
         mine = [t for t, _ in nearest_neighbors(token, k, table, vv)]
-        assert mine == _naive_neighbors(token, k, matrix, vocab)
+        assert mine == _naive_neighbors(token, k, matrix, tokens)
     for _ in range(100):
         means = tuple(float(x) for x in rng.dirichlet(np.ones(3)))
         t = float(rng.uniform(0.0, 1.0))
@@ -200,7 +200,7 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_metric_exactness():
-    vocab = Vocabulary(word_to_index={"pos": 1, "neg": 2}, max_len=2)
+    vocab = Vocabulary(("pos", "neg"), max_len=2)
     table = EmbeddingTable(matrix=np.array([[0.0], [1.0], [-1.0]]), mode="self_learnt", p=1)
     config = ModelConfig(
         p=1, m=2, filter_widths=(2,), filters_per_width=4,
@@ -282,7 +282,7 @@ def test_criterion_7_mode_contracts(tmp_path):
     prepared = prepare_dataset(headlines, prices, PORTFOLIO)
     rng = np.random.default_rng(0)
     vecs = tmp_path / "vecs.txt"
-    tokens = list(prepared.vocab.word_to_index)[::2]
+    tokens = prepared.vocab.tokens[::2]
     vecs.write_text(
         f"{len(tokens)} 8\n"
         + "\n".join(t + " " + " ".join(f"{x:.6f}" for x in rng.normal(0, 0.2, 8)) for t in tokens)
@@ -356,7 +356,7 @@ def test_criterion_9_reference_shape_conformance(tmp_path):
         + "\n".join(t + " " + " ".join(f"{x:.4f}" for x in rng.normal(0, 0.1, 300)) for t in tokens)
         + "\n"
     )
-    vocab = Vocabulary(word_to_index={t: i + 1 for i, t in enumerate(tokens)}, max_len=20)
+    vocab = Vocabulary(tokens, max_len=20)
     table = load_pretrained(vocab, vecs, "non_static", seed=1, expected_p=300)
     assert table.p == 300
     assert table.pretrained_hit_count == 10

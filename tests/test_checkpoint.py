@@ -20,7 +20,7 @@ from newsvane.text import Vocabulary
 
 @pytest.fixture()
 def model_bits():
-    vocab = Vocabulary(word_to_index={"alpha": 1, "beta": 2, "gamma": 3}, max_len=5)
+    vocab = Vocabulary(("alpha", "beta", "gamma"), max_len=5)
     config = ModelConfig(
         p=4, m=5, filter_widths=(2, 3), filters_per_width=2,
         hidden_sizes=(4, 2), dropout_rate=0.1, head="binary",
@@ -68,7 +68,7 @@ class TestRoundtrip:
     @pytest.mark.parametrize("tokens", [(), ("solo",), ("a b", "tab\there", "ünï", "cr\r")],
                              ids=["empty", "one-token", "odd-tokens"])
     def test_vocabulary_edge_cases_roundtrip(self, tmp_path, tokens):
-        vocab = Vocabulary(word_to_index={t: i + 1 for i, t in enumerate(tokens)}, max_len=4)
+        vocab = Vocabulary(tokens, max_len=4)
         config = ModelConfig(p=2, m=4, filter_widths=(2,), filters_per_width=2,
                              hidden_sizes=(3, 1), dropout_rate=0.0, head="binary")
         table = init_self_learnt(vocab, 2, seed=3)
@@ -80,12 +80,11 @@ class TestRoundtrip:
         assert ckpt.params.flat.tobytes() == params.flat.tobytes()
 
     @pytest.mark.parametrize("token", ["", "two\nlines"], ids=["empty", "newline"])
-    def test_unstorable_token_refused(self, tmp_path, model_bits, token):
-        vocab, config, table, params = model_bits
-        vocab = Vocabulary(word_to_index={"alpha": 1, token: 2, "gamma": 3}, max_len=5)
-        with pytest.raises(CheckpointError, match="token"):
-            save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
-        assert not list(tmp_path.iterdir())
+    def test_unstorable_token_refused(self, token):
+        """A token the newline-joined list cannot store never reaches
+        ``save_checkpoint``: the vocabulary refuses it when it is built."""
+        with pytest.raises(ValueError, match="^tokens: .*(empty token|newline)"):
+            Vocabulary(("alpha", token, "gamma"), max_len=5)
 
     def test_npy_path_refused(self, tmp_path, model_bits):
         """The JSON file would replace its own sidecar."""
@@ -179,6 +178,7 @@ class TestValidation:
         ("config.dropout_rate", lambda pl: pl["config"].update(dropout_rate="0.0")),
         ("config.pool", lambda pl: pl["config"].update(pool=2)),
         ("vocab.max_len", lambda pl: pl["vocab"].update(max_len=8.7)),
+        ("vocab.max_len", lambda pl: pl["vocab"].update(max_len=0)),
         ("embedding.pretrained_hit_count",
          lambda pl: pl["embedding"].update(pretrained_hit_count="7")),
         ("vocab", lambda pl: pl.pop("vocab")),
@@ -190,7 +190,7 @@ class TestValidation:
         ("training_meta", lambda pl: pl.update(training_meta=3)),
     ], ids=["sidecar-str", "sidecar-no-sha256", "sidecar-name-int", "config-list", "config-no-p",
             "config-no-pool-w", "config-fractional-int", "config-str-widths",
-            "config-str-dropout", "config-unknown-key", "max-len-fraction", "hits-str",
+            "config-str-dropout", "config-unknown-key", "max-len-fraction", "max-len-zero", "hits-str",
             "no-vocab", "tokens-str", "tokens-list", "embedding-str", "no-sidecar", "mode",
             "meta-int"])
     def test_malformed_structure_rejected(self, tmp_path, model_bits, field, tamper):
@@ -316,7 +316,7 @@ def _model_configs(draw):
 @settings(max_examples=30, deadline=None)
 @given(config=_model_configs(), seed=st.integers(0, 2**16))
 def test_roundtrip_bit_exact_for_random_layouts(config, seed):
-    vocab = Vocabulary(word_to_index={"alpha": 1, "beta": 2}, max_len=config.m)
+    vocab = Vocabulary(("alpha", "beta"), max_len=config.m)
     table = init_self_learnt(vocab, config.p, seed=seed)
     params = init_parameters(config, np.random.default_rng(seed))
     with tempfile.TemporaryDirectory() as tmp:

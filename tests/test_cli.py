@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsvane import cli, fileio
+from newsvane import cli, fileio, pipeline, training
 from newsvane.checkpoint import load_checkpoint
 from newsvane.corpus import PriceIndex, load_headlines, load_prices
 from newsvane.embeddings import load_pretrained, nearest_neighbors
@@ -25,6 +25,11 @@ from test_gradients import perturb_backward
 def _where(section: str, key: str) -> str:
     """How a config error names a key: ``<section>.<key>``, or the bare key at the top level."""
     return key if section == "top level" else f"{section}.{key}"
+
+
+def _prepare_args(config_path) -> argparse.Namespace:
+    """The arguments of ``prepare --config <config_path>``."""
+    return cli.build_parser().parse_args(["prepare", "--config", str(config_path)])
 
 
 def _run_cli(*args):
@@ -151,7 +156,7 @@ class TestTrain:
         prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"})
         rng = np.random.default_rng(0)
         vecs = tmp_path / "vecs.txt"
-        tokens = list(prepared.vocab.word_to_index)
+        tokens = prepared.vocab.tokens
         lines = [f"{len(tokens)} 8"] + [
             t + " " + " ".join(f"{x:.6f}" for x in rng.normal(0, 0.2, 8)) for t in tokens
         ]
@@ -205,6 +210,49 @@ class TestTrain:
         assert ckpt.config == cell_config(base, tuple(best["widths"]), best["dropout"])
         assert ckpt.training_meta["embedding_mode"] == best["mode"]
         assert ckpt.training_meta["epochs"] == best["epochs"] == 2
+
+    @pytest.mark.parametrize("select_on_test", [False, True])
+    def test_grid_fit_and_selection_sets(self, workspace, tmp_path, monkeypatch, select_on_test):
+        """By default the grid fits on part of the training split and selects on
+        the rest, whole dates apart, with no test headline in either; with
+        ``select_on_test`` it fits on all of train and selects on test."""
+        _, _, data, _, config = workspace
+        real_to_pairs, real_grid_search = pipeline.to_pairs, training.grid_search
+
+        class Pairs(list):
+            samples: tuple = ()
+
+        def to_pairs(samples, head):
+            pairs = Pairs(real_to_pairs(samples, head))
+            pairs.samples = samples
+            return pairs
+
+        seen = []
+
+        def grid_search(train_set, selection_set, *args, **kwargs):
+            seen.append((train_set.samples, selection_set.samples))
+            return real_grid_search(train_set, selection_set, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "to_pairs", to_pairs)
+        monkeypatch.setattr(training, "grid_search", grid_search)
+        cfg = json.loads(json.dumps(config))
+        cfg["paths"]["out_dir"] = str(tmp_path / "out")
+        cfg["training"].update(epochs=1, select_on_test=select_on_test, grid={"epochs": [1]})
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+
+        prepared = prepare_dataset(load_headlines(data / "headlines.csv"),
+                                   load_prices(data / "prices.csv"), {"SYN0", "SYN1"})
+        [(fit, selection)] = seen
+        ids = lambda samples: [s.headline_id for s in samples]
+        if select_on_test:
+            assert ids(fit) == ids(prepared.train) and ids(selection) == ids(prepared.test)
+            return
+        assert fit and selection
+        assert sorted(ids(fit) + ids(selection)) == ids(prepared.train)
+        assert not {s.date for s in fit} & {s.date for s in selection}
+        assert not set(ids(fit) + ids(selection)) & prepared.split.test_ids
 
 
 class TestEvaluate:
@@ -392,6 +440,52 @@ class TestBacktest:
         ]) == 2
 
 
+class TestConfigRefusedBeforeOutput:
+    """A config the run cannot use exits 2 with one line naming the file and
+    the key, and writes nothing."""
+
+    @pytest.mark.parametrize("model, grid, message", [
+        ({}, {"modes": ["self_learnt", "non_static"]},
+         "paths.pretrained: embedding mode 'non_static' (training.grid.modes) requires a vector file"),
+        ({"embedding_mode": "glove"}, None, "model.embedding_mode: unknown embedding mode 'glove'"),
+        ({}, {"modes": ["self_learnt", "glove"]},
+         "training.grid.modes: unknown embedding mode 'glove'"),
+    ], ids=["grid-mode-without-vectors", "unknown-mode", "unknown-grid-mode"])
+    def test_every_embedding_mode_is_checked(self, workspace, tmp_path, capsys, model, grid,
+                                             message):
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["paths"]["out_dir"] = str(tmp_path / "out")
+        bad["model"].update(model)
+        bad["training"].update(epochs=1, grid=grid)
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        assert cli.main(["train", "--config", str(bad_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_path}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("filter_widths", [1, 3], "filter widths must be >= 2"),
+        ("hidden_sizes", [4, 8], "hidden sizes must satisfy 1 <= l2 < l1"),
+        ("dropout_rate", 1.5, "dropout_rate must lie in [0, 1)"),
+        ("head", "tri", "unknown head 'tri'"),
+        ("pool_w", 0, "pool_w must be >= 1"),
+        ("p", 0, "p and m must be >= 1"),
+    ])
+    def test_model_errors_name_the_file(self, workspace, tmp_path, capsys, key, value, message):
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["paths"]["out_dir"] = str(tmp_path / "out")
+        bad["model"][key] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        for command in ("prepare", "train"):
+            assert cli.main([command, "--config", str(bad_path)]) == 2
+            assert capsys.readouterr().err == f"error: {bad_path}: model: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestPredictionsNeedALaterBar:
     @pytest.mark.parametrize("command", ["backtest", "sweep"])
     @pytest.mark.parametrize("days_after_last_bar", [0, 3])
@@ -503,7 +597,7 @@ class TestByteOrderMark:
             "predictions": (tmp_path / "preds.csv", lambda path: cli._read_predictions_csv(
                 path, PriceIndex(load_prices(data / "prices.csv")))),
             "config": (config_path, lambda path: cli.load_run_config(
-                path, argparse.Namespace(seed=None, out_dir=None))),
+                path, _prepare_args(path))),
             "checkpoint": (out / "checkpoint.json", lambda path: (
                 (ck := load_checkpoint(path)).config, ck.vocab, ck.table.matrix.tobytes())),
             "vectors": (tmp_path / "vecs.txt", lambda path: load_pretrained(
@@ -549,7 +643,7 @@ class TestNeighborsCommand:
     def test_matches_brute_force(self, workspace, capsys):
         _, _, _, out, _ = workspace
         ckpt = load_checkpoint(out / "checkpoint.json")
-        token = next(iter(ckpt.vocab.word_to_index))
+        token = ckpt.vocab.tokens[0]
         assert cli.main([
             "neighbors", "--checkpoint", str(out / "checkpoint.json"), token, "-k", "1",
         ]) == 0
@@ -560,7 +654,7 @@ class TestNeighborsCommand:
     def test_k_larger_than_vocab(self, workspace, capsys):
         _, _, _, out, _ = workspace
         ckpt = load_checkpoint(out / "checkpoint.json")
-        token = next(iter(ckpt.vocab.word_to_index))
+        token = ckpt.vocab.tokens[0]
         assert cli.main([
             "neighbors", "--checkpoint", str(out / "checkpoint.json"), token, "-k", "100000",
         ]) == 0
@@ -595,6 +689,26 @@ class TestUsageErrors:
             cli.main(["train"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--config"), ("gradcheck", "--config"), ("gradcheck", "--out-dir"),
+        ("neighbors", "--config"), ("neighbors", "--seed"), ("neighbors", "--out-dir"),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_refused(self, workspace, tmp_path, command,
+                                                          flag):
+        _, _, _, out, _ = workspace
+        token = json.loads((out / "checkpoint.json").read_text())["vocab"]["tokens"].split()[0]
+        argv = {
+            "synth": ["synth", "--n-days", "2", "--out-dir", str(tmp_path / "data")],
+            "gradcheck": ["gradcheck", "--configs", "1"],
+            "neighbors": ["neighbors", "--checkpoint", str(out / "checkpoint.json"), token],
+        }[command]
+        value = {"--config": str(tmp_path / "nothing.json"), "--seed": "3",
+                 "--out-dir": str(tmp_path / "zz")}[flag]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "zz").exists()
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -616,7 +730,7 @@ class TestUsageErrors:
         }
         path = tmp_path / "full.json"
         path.write_text(json.dumps(full))
-        cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
+        cfg = cli.load_run_config(path, _prepare_args(path))
         assert (cfg.portfolio, cfg.min_relevance, cfg.pool_w, cfg.hidden_sizes) == (("SYN0",), 0.5, 1, (5, 2))
         assert (cfg.max_len, cfg.embedding_init_std, cfg.select_on_test) == (7, 0.2, True)
         assert (cfg.strategy_head, cfg.sweep_step, cfg.seed) == ("multiclass3", 0.05, 5)
@@ -643,7 +757,7 @@ class TestUsageErrors:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
         with pytest.raises(cli.ConfigError, match=f"^{bad_path}: {_where(section, key)}: unknown key$"):
-            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+            cli.load_run_config(bad_path, _prepare_args(bad_path))
         assert cli.main(["train", "--config", str(bad_path)]) == 2
         assert key in capsys.readouterr().err
 
@@ -654,7 +768,7 @@ class TestUsageErrors:
         bad["training"]["select_on_test"] = value
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        args = cli.build_parser().parse_args(["prepare"])
+        args = _prepare_args(bad_path)
         with pytest.raises(cli.ConfigError, match=f"^{bad_path}: training.select_on_test: "):
             cli.load_run_config(bad_path, args)
         bad["training"]["select_on_test"] = False
@@ -687,7 +801,7 @@ class TestUsageErrors:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
         with pytest.raises(cli.ConfigError, match=f"^{bad_path}: {_where(section, key)}: "):
-            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+            cli.load_run_config(bad_path, _prepare_args(bad_path))
 
     def test_null_and_integral_values_load(self, workspace, tmp_path):
         _, _, _, _, config = workspace
@@ -697,7 +811,7 @@ class TestUsageErrors:
         good["training"]["grid"] = None
         path = tmp_path / "good.json"
         path.write_text(json.dumps(good))
-        cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
+        cfg = cli.load_run_config(path, _prepare_args(path))
         assert cfg.max_len is None and cfg.grid is None
         assert cfg.epochs == 3 and isinstance(cfg.epochs, int)
 
@@ -710,7 +824,7 @@ class TestUsageErrors:
         bad_path.write_text(json.dumps(bad))
         message = f"{bad_path}: strategy.sweep_step: expected a number > 0"
         with pytest.raises(cli.ConfigError, match=message):
-            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+            cli.load_run_config(bad_path, _prepare_args(bad_path))
         assert cli.main(["sweep", "--config", str(bad_path),
                          "--checkpoint", str(out / "checkpoint.json")]) == 2
         assert message in capsys.readouterr().err
@@ -724,7 +838,7 @@ class TestUsageErrors:
         bad_path.write_text(json.dumps(bad))
         message = f"{bad_path}: strategy.threshold: expected a number in [0, 1]"
         with pytest.raises(cli.ConfigError, match=re.escape(message)):
-            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+            cli.load_run_config(bad_path, _prepare_args(bad_path))
         assert cli.main(["backtest", "--config", str(bad_path),
                          "--checkpoint", str(out / "checkpoint.json")]) == 2
         assert message in capsys.readouterr().err
@@ -736,9 +850,10 @@ class TestUsageErrors:
         good["strategy"]["threshold"] = int(threshold)
         path = tmp_path / "good.json"
         path.write_text(json.dumps(good))
-        cfg = cli.load_run_config(path, cli.build_parser().parse_args(["prepare"]))
+        cfg = cli.load_run_config(path, _prepare_args(path))
         assert cfg.threshold == float(threshold)
-        args = cli.build_parser().parse_args(["evaluate", "--class-threshold", threshold])
+        args = cli.build_parser().parse_args(["evaluate", "--config", str(path),
+                                              "--class-threshold", threshold])
         assert args.class_threshold == float(threshold)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5", "half"])
@@ -759,7 +874,7 @@ class TestUsageErrors:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
         with pytest.raises(cli.ConfigError, match=f"^{bad_path}: model: expected a JSON object, got list$"):
-            cli.load_run_config(bad_path, cli.build_parser().parse_args(["prepare"]))
+            cli.load_run_config(bad_path, _prepare_args(bad_path))
 
     def test_parallel_is_a_train_flag(self, workspace):
         _, config_path, _, _, _ = workspace

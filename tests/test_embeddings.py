@@ -22,7 +22,7 @@ from newsvane.text import EncodedHeadline, Vocabulary
 
 
 def _vocab(*tokens, max_len=4):
-    return Vocabulary(word_to_index={t: i + 1 for i, t in enumerate(tokens)}, max_len=max_len)
+    return Vocabulary(tokens, max_len=max_len)
 
 
 def _write_w2v(path, vectors):
@@ -84,6 +84,15 @@ class TestLoadPretrained:
         assert abs(body[:, 0].mean() - 5.0) < 0.2
         assert abs(body[:, 1].mean() + 3.0) < 0.6
         assert abs(body[:, 1].std() - 2.0) < 0.4
+
+    def test_rows_follow_the_vocabulary_not_the_file(self, tmp_path):
+        """Table row i + 1 holds the vector of ``vocab.tokens[i]``, whatever
+        order the file lists the tokens in."""
+        path = tmp_path / "vecs.txt"
+        _write_w2v(path, {"c": [3.0, 3.5], "a": [1.0, 1.5], "b": [2.0, 2.5]})
+        table = load_pretrained(_vocab("b", "zzz", "a", "c"), path, mode="static", seed=0)
+        assert table.matrix[[1, 3, 4]].tolist() == [[2.0, 2.5], [1.0, 1.5], [3.0, 3.5]]
+        assert table.pretrained_hit_count == 3
 
     def test_expected_dimension_accepted(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -239,7 +248,7 @@ def _per_token_load_pretrained(vocab, text, mode, seed):
     rng = np.random.default_rng(derive_seed(seed, "embedding-fallback"))
     matrix = np.zeros((vocab.size + 1, all_rows.shape[1]))
     hits = 0
-    for token, index in vocab.word_to_index.items():
+    for index, token in enumerate(vocab.tokens, 1):
         vec = vectors.get(token)
         if vec is not None:
             matrix[index] = vec
@@ -280,6 +289,28 @@ def test_load_pretrained_matches_the_per_token_oracle(file, mode, seed):
     assert table.matrix.tobytes() == expected.matrix.tobytes()
     assert (table.pretrained_hit_count, table.mode, table.p) == (
         expected.pretrained_hit_count, expected.mode, expected.p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(file_tokens=st.lists(_NAMES, min_size=1, unique=True),
+       vocab_tokens=st.lists(st.sampled_from("abcdefgxyz"), min_size=1, unique=True),
+       data=st.data())
+def test_each_token_gets_its_own_vector_in_any_order(file_tokens, vocab_tokens, data):
+    """Across shuffled vocabulary orders, a hit's row is its own file vector and
+    the hit count is the number of vocabulary tokens the file holds."""
+    vectors = {tok: [k + 1.0, -0.5 * k] for k, tok in enumerate(file_tokens)}
+    shuffled = data.draw(st.permutations(vocab_tokens))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vecs.txt"
+        _write_w2v(path, vectors)
+        tables = [load_pretrained(_vocab(*tokens), path, "non_static", seed=5)
+                  for tokens in (vocab_tokens, shuffled)]
+    for tokens, table in zip((vocab_tokens, shuffled), tables):
+        assert table.pretrained_hit_count == len(set(tokens) & set(file_tokens))
+        assert not table.matrix[0].any()
+        for i, token in enumerate(tokens):
+            if token in vectors:
+                assert table.matrix[i + 1].tolist() == vectors[token]
 
 
 def test_one_normal_call_draws_as_successive_row_calls():
@@ -358,7 +389,7 @@ def _brute_force_neighbors(token, k, table, vocab):
     qi = vocab.word_to_index[token]
     q = table.matrix[qi]
     rows = []
-    for other, idx in vocab.word_to_index.items():
+    for idx, other in enumerate(vocab.tokens, 1):
         if idx == qi:
             continue
         v = table.matrix[idx]

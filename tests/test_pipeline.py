@@ -8,7 +8,7 @@ import pytest
 
 from newsvane.corpus import HeadlineRecord, generate_synthetic, label_all, split_half_hourly_unique
 from newsvane.pipeline import prepare_dataset, to_pairs, validation_slice
-from newsvane.text import build_vocabulary, encode_and_pad, tokenize
+from newsvane.text import Vocabulary, build_vocabulary, encode_and_pad, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def _reference_rows(headlines, prices, portfolio, max_len=None):
     train_tokens = {hid: tokenize(by_id[hid].text) for hid in sorted(split.train_ids)}
     vocab = build_vocabulary(list(train_tokens.values()))
     if max_len is not None:
-        vocab = vocab.with_max_len(max_len)
+        vocab = Vocabulary(vocab.tokens, max_len)
 
     def row(hid, tokens):
         h, lab = by_id[hid], labels[hid]

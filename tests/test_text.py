@@ -1,5 +1,6 @@
 """Tokenizer, vocabulary and encoding tests."""
 
+import dataclasses
 import hashlib
 import string
 import unicodedata
@@ -17,9 +18,8 @@ from newsvane.text import (
     encode_and_pad,
     save_vocabulary,
     tokenize,
-    tokens_by_index,
-    tokens_hash,
     vocabulary_hash,
+    vocabulary_to_text,
 )
 
 
@@ -80,6 +80,7 @@ class TestTokenize:
 class TestVocabulary:
     def test_first_occurrence_order(self):
         vocab = build_vocabulary([["a", "b"], ["b", "c"]])
+        assert vocab.tokens == ("a", "b", "c")
         assert vocab.word_to_index == {"a": 1, "b": 2, "c": 3}
         assert vocab.max_len == 2
 
@@ -87,6 +88,12 @@ class TestVocabulary:
         vocab = build_vocabulary([["x"]])
         assert vocab.word_to_index == {"x": 1}
         assert vocab.max_len == 1
+
+    def test_max_len_override(self):
+        vocab = build_vocabulary([["a", "b"], ["b", "c", "a"]], max_len=7)
+        assert vocab == Vocabulary(("a", "b", "c"), 7)
+        with pytest.raises(ValueError, match="^max_len: "):
+            build_vocabulary([["a"]], max_len=0)
 
     def test_all_empty_errors(self):
         with pytest.raises(ValueError):
@@ -109,6 +116,7 @@ class TestVocabulary:
             return
         vocab = build_vocabulary(texts)
         assert list(vocab.word_to_index.items()) == list(word_to_index.items())
+        assert vocab.tokens == tuple(word_to_index)
         assert vocab.max_len == max_len
 
     def test_serialization_format(self, tmp_path):
@@ -117,20 +125,41 @@ class TestVocabulary:
         save_vocabulary(vocab, path)
         assert path.read_text() == "max_len=3\nalpha\t1\nbeta\t2\ngamma\t3\n"
         assert vocabulary_hash(vocab) == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert vocabulary_hash(vocab.with_max_len(4)) != vocabulary_hash(vocab)
+        assert vocabulary_hash(Vocabulary(vocab.tokens, 4)) != vocabulary_hash(vocab)
 
     def test_hash_from_the_token_list_is_pinned(self):
-        """Checkpoints hash the index-ordered token list they already hold;
-        the bytes hashed, and so every stored vocab_hash, stay the same."""
-        vocab = Vocabulary(word_to_index={"surge": 1, "slump": 2, "café": 3, "q4": 4}, max_len=12)
-        assert tokens_by_index(vocab) == ["surge", "slump", "café", "q4"]
+        """The hash is taken over the tokens in index order; the bytes hashed,
+        and so every stored vocab_hash, stay the same."""
+        vocab = Vocabulary(("surge", "slump", "café", "q4"), max_len=12)
+        assert vocab.word_to_index == {"surge": 1, "slump": 2, "café": 3, "q4": 4}
+        assert vocabulary_to_text(vocab) == "max_len=12\nsurge\t1\nslump\t2\ncafé\t3\nq4\t4\n"
         pinned = "076f807614aaed5ed4e4d61d2a1b8005a3c9942e380d4089521e083589102636"
-        assert tokens_hash(["surge", "slump", "café", "q4"], 12) == pinned
         assert vocabulary_hash(vocab) == pinned
+
+    @pytest.mark.parametrize("tokens, max_len, message", [
+        (("a", "b", "a"), 2, "^tokens: repeated token$"),
+        (("a", "", "c"), 2, "^tokens: empty token$"),
+        (("a", "two\nlines"), 2, "^tokens: a token holds a newline$"),
+        (("a\n",), 2, "^tokens: a token holds a newline$"),
+        (("a", "b"), 0, "^max_len: expected an integer >= 1, got 0$"),
+    ], ids=["repeated", "empty", "newline", "trailing-newline", "max-len-0"])
+    def test_construction_rejects(self, tokens, max_len, message):
+        with pytest.raises(ValueError, match=message):
+            Vocabulary(tokens, max_len)
+
+    def test_tokens_are_a_tuple_and_the_map_is_derived(self):
+        vocab = Vocabulary(["b", "a"], 3)
+        assert vocab.tokens == ("b", "a") and vocab.size == 2
+        assert vocab.word_to_index == {"b": 1, "a": 2}
+        assert vocab == Vocabulary(("b", "a"), 3) and hash(vocab) == hash(Vocabulary(("b", "a"), 3))
+        assert "word_to_index" not in {f.name for f in dataclasses.fields(Vocabulary)}
+        with pytest.raises(AttributeError):
+            vocab.word_to_index = {}
+        assert Vocabulary((), 1).size == 0
 
 
 class TestEncodeAndPad:
-    VOCAB = Vocabulary(word_to_index={"a": 1, "b": 2, "c": 3}, max_len=4)
+    VOCAB = Vocabulary(("a", "b", "c"), max_len=4)
 
     def test_padding(self):
         enc = encode_and_pad(["a", "c"], self.VOCAB)
@@ -138,13 +167,13 @@ class TestEncodeAndPad:
         assert enc.true_len == 2
 
     def test_unknown_tokens_dropped(self):
-        vocab = self.VOCAB.with_max_len(3)
+        vocab = Vocabulary(self.VOCAB.tokens, 3)
         enc = encode_and_pad(["z"], vocab)
         assert enc.indices.tolist() == [0, 0, 0]
         assert enc.true_len == 0
 
     def test_truncation(self):
-        vocab = self.VOCAB.with_max_len(3)
+        vocab = Vocabulary(self.VOCAB.tokens, 3)
         enc = encode_and_pad(["a", "b", "c", "a", "b"], vocab)
         assert enc.indices.tolist() == [1, 2, 3]
         assert enc.true_len == 3
@@ -152,7 +181,7 @@ class TestEncodeAndPad:
     def test_roundtrip_decode(self):
         enc = encode_and_pad(["b", "z", "a"], self.VOCAB)
         assert enc.indices.tolist() == [2, 1, 0, 0]
-        assert [self.VOCAB.index_to_word()[i] for i in enc.indices[: enc.true_len]] == ["b", "a"]
+        assert [self.VOCAB.tokens[i - 1] for i in enc.indices[: enc.true_len]] == ["b", "a"]
 
     @given(
         st.lists(st.sampled_from(["a", "b", "c", "zz", "qq"]), max_size=12),
@@ -160,7 +189,7 @@ class TestEncodeAndPad:
     )
     @settings(max_examples=200, deadline=None)
     def test_shape_and_order_properties(self, tokens, max_len):
-        vocab = self.VOCAB.with_max_len(max_len)
+        vocab = Vocabulary(self.VOCAB.tokens, max_len)
         enc = encode_and_pad(tokens, vocab)
         assert enc.indices.shape == (max_len,)
         assert enc.indices.dtype == np.int64

@@ -255,7 +255,7 @@ class TestTrain:
 def pretrained_file(tmp_path, tiny_corpus):
     rng = np.random.default_rng(0)
     path = tmp_path / "vecs.txt"
-    tokens = list(tiny_corpus.vocab.word_to_index)[::2]  # half the vocab has vectors
+    tokens = tiny_corpus.vocab.tokens[::2]  # half the vocab has vectors
     lines = [f"{len(tokens)} 8"]
     for tok in tokens:
         lines.append(tok + " " + " ".join(f"{x:.6f}" for x in rng.normal(0, 0.2, 8)))
@@ -366,7 +366,7 @@ class TestSparseEmbeddingEquivalence:
 
 def _fixture_model():
     """Hand-built model that predicts 1 exactly when the first token is 'pos'."""
-    vocab = Vocabulary(word_to_index={"pos": 1, "neg": 2}, max_len=2)
+    vocab = Vocabulary(("pos", "neg"), max_len=2)
     table = EmbeddingTable(matrix=np.array([[0.0], [1.0], [-1.0]]), mode="self_learnt", p=1)
     config = ModelConfig(
         p=1, m=2, filter_widths=(2,), filters_per_width=4,
