@@ -1,4 +1,4 @@
-"""Where the C allocator puts large arrays.
+"""Where the C allocator puts large arrays, and when the cyclic collector runs.
 
 Every ``train`` call allocates and frees a few arrays the size of the
 embedding table (the Adam moments, the batch gradient sum, the step's
@@ -16,12 +16,23 @@ a run got.
 raising: every block of 1 MiB or more gets its own mapping and goes back to
 the system when it is freed, so the peak RSS follows the arrays that are
 alive. The package calls it once on import.
+
+``collector_paused`` keeps Python's cyclic collector off while the bulk row
+builders run. Their rows are named tuples, which the collector never stops
+tracking, so its passes walk them all: about 60 ms of a 0.5 s round on a
+19,200-headline desk, 29 ms in ``prepare_dataset`` (freeing nothing) and
+26 ms in ``aggregate_daily`` (freeing about 50 objects). Reference counting
+still frees acyclic garbage at once, and the first pass after a call finds
+any cycle it made; nothing outside these calls changes.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import gc
 import os
+from typing import Callable
 
 MMAP_THRESHOLD_BYTES = 1 << 20
 _M_MMAP_THRESHOLD = -3  # the mallopt parameter number in glibc's <malloc.h>
@@ -50,3 +61,17 @@ def pin_mmap_threshold() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+
+
+def collector_paused(fn: Callable) -> Callable:
+    """``fn``, run with the cyclic collector off; a call that found it on turns it back on."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused

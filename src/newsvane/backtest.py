@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .allocation import collector_paused
 from .corpus import PriceBar, PriceIndex
 from .fileio import csv_text, write_text_atomic
 
@@ -105,6 +106,7 @@ class BacktestReport:
         }
 
 
+@collector_paused
 def aggregate_daily(
     predictions: Sequence[tuple[int, str, dt.date, float | np.ndarray | Sequence[float]]],
 ) -> list[DayPrediction]:
@@ -208,17 +210,23 @@ def buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.nda
 
 
 def decide_binary(dp: DayPrediction, t: float) -> str:
-    """Buy iff the day-mean sigmoid output strictly exceeds the threshold."""
-    return BUY if buy_scores([dp], binary=True)[0] > t else NO_ACTION
+    """Buy iff the day-mean sigmoid output strictly exceeds t (``buy_scores`` for one day)."""
+    if dp.sigma_mean is None:
+        raise ValueError("decide_binary needs a sigma_mean prediction")
+    return BUY if dp.sigma_mean > t else NO_ACTION
 
 
 def decide_multiclass(dp: DayPrediction, t: float) -> str:
-    """Buy iff 'buy' is the unique argmax of the class means and exceeds t.
+    """Buy iff 'buy' is the unique argmax of the class means and exceeds t
+    (``buy_scores`` for one day).
 
     An argmax tie is treated as no-action: without a strictly dominant buy
     probability the day's evidence is ambiguous.
     """
-    return BUY if buy_scores([dp], binary=False)[0] > t else NO_ACTION
+    if dp.class_means is None:
+        raise ValueError("decide_multiclass needs class_means predictions")
+    avoid, inconsequential, buy = dp.class_means
+    return BUY if buy > avoid and buy > inconsequential and buy > t else NO_ACTION
 
 
 _ENTRY = operator.attrgetter("entry")
@@ -320,6 +328,7 @@ class SweepRow:
     n_trades: int
 
 
+@collector_paused
 def threshold_sweep(
     day_predictions: Sequence[DayPrediction],
     prices: Sequence[PriceBar] | PriceIndex,

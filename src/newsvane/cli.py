@@ -187,9 +187,20 @@ _MODEL_FIELDS = [f.name for f in fields(ModelConfig) if f.name != "m"]
 
 def _model_config(cfg: RunConfig, m: int, config_path: str | Path) -> ModelConfig:
     try:
-        return ModelConfig(m=m, **{name: getattr(cfg, name) for name in _MODEL_FIELDS})
+        config = ModelConfig(m=m, **{name: getattr(cfg, name) for name in _MODEL_FIELDS})
     except ValueError as exc:
         raise ConfigError(f"{config_path}: model: {exc}") from None
+    if cfg.grid is None:
+        return config
+    # a cell's widths and its dropout are checked apart, so the message names the axis at fault
+    cells = ([("width_sets", tuple(widths), config.dropout_rate) for widths in cfg.grid.width_sets]
+             + [("dropout", config.filter_widths, dropout) for dropout in cfg.grid.dropout])
+    for key, widths, dropout in cells:
+        try:
+            training.cell_config(config, widths, dropout)
+        except ValueError as exc:
+            raise ConfigError(f"{config_path}: training.grid.{key}: {exc}") from None
+    return config
 
 
 # --- subcommands ------------------------------------------------------------

@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
+from .allocation import collector_paused
+
 
 @contextmanager
 def open_atomic(path: str | Path) -> Iterator[BinaryIO]:
@@ -81,6 +83,7 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@collector_paused
 def read_csv(path: str | Path, headers: Sequence[Sequence[str]],
              parse: Callable[[int, list[str]], None]) -> list[str]:
     """Call ``parse(line, row)`` on each non-blank row of the CSV file ``path``,

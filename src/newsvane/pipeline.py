@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .allocation import collector_paused
 from .corpus import (
     TRI_CLASSES,
     DatasetSplit,
@@ -54,6 +55,7 @@ class PreparedData:
     n_unlabeled: int  # headlines dropped because the price history ended
 
 
+@collector_paused
 def prepare_dataset(
     headlines: list[HeadlineRecord],
     prices: list[PriceBar] | PriceIndex,

@@ -394,11 +394,11 @@ def cell_config(base_config: ModelConfig, widths: tuple[int, ...], dropout: floa
     ``base_config.total_filters``, split equally among its widths, so a
     three-width cell is not three times larger than a one-width cell."""
     total = base_config.total_filters
-    if total % len(widths) != 0:
+    if widths and total % len(widths) != 0:
         raise ValueError(
             f"filters_per_width x len(filter_widths) = {total} is not divisible by len({widths})"
         )
-    return replace(base_config, filter_widths=widths, filters_per_width=total // len(widths),
+    return replace(base_config, filter_widths=widths, filters_per_width=total // max(len(widths), 1),
                    dropout_rate=dropout)
 
 

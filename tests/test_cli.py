@@ -485,6 +485,26 @@ class TestConfigRefusedBeforeOutput:
             assert capsys.readouterr().err == f"error: {bad_path}: model: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"width_sets": [[2, 3], [2, 9]]}, "width_sets: every filter width must be <= m"),
+        ({"width_sets": [[2, 3, 4]]},
+         "width_sets: filters_per_width x len(filter_widths) = 4 is not divisible by len((2, 3, 4))"),
+        ({"width_sets": [[]]}, "width_sets: at least one filter width required"),
+        ({"dropout": [0.1, 1.5]}, "dropout: dropout_rate must lie in [0, 1)"),
+    ], ids=["width-above-m", "indivisible-budget", "no-widths", "dropout"])
+    def test_every_grid_cell_is_checked(self, workspace, tmp_path, capsys, grid, message):
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["paths"]["out_dir"] = str(tmp_path / "out")
+        bad["model"]["max_len"] = 7  # m = 7; the filter budget is 2 widths x 2 = 4
+        bad["training"]["grid"] = grid
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        for command in ("prepare", "train"):
+            assert cli.main([command, "--config", str(bad_path)]) == 2
+            assert capsys.readouterr().err == f"error: {bad_path}: training.grid.{message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestPredictionsNeedALaterBar:
     @pytest.mark.parametrize("command", ["backtest", "sweep"])
