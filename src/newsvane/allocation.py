@@ -22,8 +22,11 @@ builders run. Their rows are named tuples, which the collector never stops
 tracking, so its passes walk them all: about 60 ms of a 0.5 s round on a
 19,200-headline desk, 29 ms in ``prepare_dataset`` (freeing nothing) and
 26 ms in ``aggregate_daily`` (freeing about 50 objects). Reference counting
-still frees acyclic garbage at once, and the first pass after a call finds
-any cycle it made; nothing outside these calls changes.
+still frees acyclic garbage at once, and the first pass after a call, run
+by the caller's next allocations, walks what the call kept and finds any
+cycle it made. ``gc.disable`` is process-wide: while a builder runs, every
+thread runs with the collector off, so the pause is meant for
+single-threaded use.
 """
 
 from __future__ import annotations

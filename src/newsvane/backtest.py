@@ -210,23 +210,17 @@ def buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.nda
 
 
 def decide_binary(dp: DayPrediction, t: float) -> str:
-    """Buy iff the day-mean sigmoid output strictly exceeds t (``buy_scores`` for one day)."""
-    if dp.sigma_mean is None:
-        raise ValueError("decide_binary needs a sigma_mean prediction")
-    return BUY if dp.sigma_mean > t else NO_ACTION
+    """Buy iff the day-mean sigmoid output strictly exceeds the threshold."""
+    return BUY if buy_scores([dp], binary=True)[0] > t else NO_ACTION
 
 
 def decide_multiclass(dp: DayPrediction, t: float) -> str:
-    """Buy iff 'buy' is the unique argmax of the class means and exceeds t
-    (``buy_scores`` for one day).
+    """Buy iff 'buy' is the unique argmax of the class means and exceeds t.
 
     An argmax tie is treated as no-action: without a strictly dominant buy
     probability the day's evidence is ambiguous.
     """
-    if dp.class_means is None:
-        raise ValueError("decide_multiclass needs class_means predictions")
-    avoid, inconsequential, buy = dp.class_means
-    return BUY if buy > avoid and buy > inconsequential and buy > t else NO_ACTION
+    return BUY if buy_scores([dp], binary=False)[0] > t else NO_ACTION
 
 
 _ENTRY = operator.attrgetter("entry")

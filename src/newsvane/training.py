@@ -393,12 +393,14 @@ def cell_config(base_config: ModelConfig, widths: tuple[int, ...], dropout: floa
     widths and dropout rate. Every cell shares the base's filter budget,
     ``base_config.total_filters``, split equally among its widths, so a
     three-width cell is not three times larger than a one-width cell."""
+    if not widths:  # no budget to split; ModelConfig names the fault
+        return replace(base_config, filter_widths=widths, dropout_rate=dropout)
     total = base_config.total_filters
-    if widths and total % len(widths) != 0:
+    if total % len(widths) != 0:
         raise ValueError(
             f"filters_per_width x len(filter_widths) = {total} is not divisible by len({widths})"
         )
-    return replace(base_config, filter_widths=widths, filters_per_width=total // max(len(widths), 1),
+    return replace(base_config, filter_widths=widths, filters_per_width=total // len(widths),
                    dropout_rate=dropout)
 
 

@@ -18,7 +18,6 @@ from newsvane.backtest import (
     Trade,
     _day_means,
     aggregate_daily,
-    buy_scores,
     decide_binary,
     decide_multiclass,
     default_threshold_grid,
@@ -206,26 +205,6 @@ class TestDecisions:
         dp = DayPrediction(asset="A", date=D0, n_headlines=1, class_means=(0.2, 0.3, 0.5))
         with pytest.raises(ValueError, match="decide_binary needs a sigma_mean prediction"):
             decide_binary(dp, 0.5)
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_one_day_decision_is_the_array_rule(self, data):
-        """``decide_*`` is ``buy_scores`` for one day, at every threshold of the
-        default grids, scores on a threshold and argmax ties included."""
-        grid = sorted(set(default_threshold_grid(True) + default_threshold_grid(False)))
-        score = st.one_of(st.sampled_from(grid), st.floats(0.0, 1.0))
-        binary = data.draw(st.booleans())
-        if binary:
-            dp = DayPrediction(asset="A", date=D0, n_headlines=1, sigma_mean=data.draw(score))
-        else:
-            means = data.draw(st.lists(score, min_size=3, max_size=3))
-            tie = data.draw(st.sampled_from([None, (0, 1), (0, 2), (1, 2)]))
-            if tie is not None:
-                means[tie[1]] = means[tie[0]]
-            dp = DayPrediction(asset="A", date=D0, n_headlines=1, class_means=tuple(means))
-        t = data.draw(st.sampled_from(grid))
-        decide = decide_binary if binary else decide_multiclass
-        assert decide(dp, t) == (BUY if buy_scores([dp], binary)[0] > t else NO_ACTION)
 
 
 def _bars_for(returns_by_day):
