@@ -18,15 +18,13 @@ the system when it is freed, so the peak RSS follows the arrays that are
 alive. The package calls it once on import.
 
 ``collector_paused`` keeps Python's cyclic collector off while the bulk row
-builders run. Their rows are named tuples, which the collector never stops
-tracking, so its passes walk them all: about 60 ms of a 0.5 s round on a
-19,200-headline desk, 29 ms in ``prepare_dataset`` (freeing nothing) and
-26 ms in ``aggregate_daily`` (freeing about 50 objects). Reference counting
-still frees acyclic garbage at once, and the first pass after a call, run
-by the caller's next allocations, walks what the call kept and finds any
-cycle it made. ``gc.disable`` is process-wide: while a builder runs, every
-thread runs with the collector off, so the pause is meant for
-single-threaded use.
+builders run: their rows are named tuples, which it never stops tracking, so
+its passes walked them all (about 60 ms of a 0.5 s round on a 19,200-headline
+desk: 29 ms in ``prepare_dataset``, freeing nothing, and 26 ms in
+``aggregate_daily``, freeing about 50 objects). Reference counting still frees
+acyclic garbage at once; the first pass after a call walks what it kept and
+finds any cycle it made. ``gc.disable`` is process-wide, so the pause is meant
+for single-threaded use.
 """
 
 from __future__ import annotations
