@@ -105,6 +105,9 @@ _GRID_AXES: dict[str, Callable] = {
 _CONVERTERS: dict[str, Callable | dict] = {**CONVERTERS, "Path": Path, "Path | None": optional(Path),
                                            "training.GridAxes | None": optional(_GRID_AXES)}
 _FIELDS = {f.name: f for f in fields(RunConfig)}
+# RunConfig field -> the key that sets it, as a message names it
+_KEY_OF = {field: f"{name}.{key}".lstrip(".")
+           for name, keys in _SECTIONS.items() for key, field in keys.items()}
 # What ``read_object`` reads the file with: the top-level keys beside one mapping per section.
 _CONFIG_KEYS = {name: {key: _CONVERTERS[_FIELDS[field].type] for key, field in keys.items()}
                 for name, keys in _SECTIONS.items()}
@@ -132,8 +135,7 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
             values["seed"] = args.seed
         if args.out_dir:
             values["out_dir"] = Path(args.out_dir)
-        missing = [f"{name}.{key}".lstrip(".") for name, keys in _SECTIONS.items()
-                   for key, field in keys.items()
+        missing = [key for field, key in _KEY_OF.items()
                    if field not in values and _FIELDS[field].default is MISSING]
         _require(not missing, f"missing required config keys: {', '.join(missing)} "
                               "(--seed stands in for training.seed)")
@@ -143,8 +145,20 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
             defaults = {"epochs": (cfg.epochs,), "dropout": (cfg.dropout_rate,),
                         "width_sets": (cfg.filter_widths,), "modes": (cfg.embedding_mode,)}
             cfg.grid = training.GridAxes(**{**defaults, **grid})
-        _require(cfg.max_len is None or cfg.max_len >= 1,
-                 f"model.max_len: expected an integer >= 1 or null, got {cfg.max_len!r}")
+            for axis, axis_values in grid.items():
+                _require(axis_values != (), f"training.grid.{axis}: expected at least one value")
+            for n in cfg.grid.epochs:
+                _require(n >= 0, f"training.grid.epochs: expected an integer >= 0, got {n!r}")
+        ranges = {"max_len": (cfg.max_len is None or cfg.max_len >= 1, "an integer >= 1 or null"),
+                  "embedding_init_std": (cfg.embedding_init_std > 0, "a number > 0"),
+                  "epochs": (cfg.epochs >= 0, "an integer >= 0"),
+                  "batch_size": (cfg.batch_size >= 1, "an integer >= 1"),
+                  "learning_rate": (cfg.learning_rate >= 0, "a number >= 0"),
+                  "validation_fraction": (0 < cfg.validation_fraction < 1, "a number in (0, 1)"),
+                  "sweep_step": (cfg.sweep_step > 0, "a number > 0"),
+                  "threshold": (0 <= cfg.threshold <= 1, "a number in [0, 1]")}
+        for field, (ok, expected) in ranges.items():
+            _require(ok, f"{_KEY_OF[field]}: expected {expected}, got {getattr(cfg, field)!r}")
         _require(cfg.portfolio != (), "portfolio: expected at least one ticker")
         modes = [("model.embedding_mode", cfg.embedding_mode)]
         modes += [("training.grid.modes", mode) for mode in (cfg.grid.modes if cfg.grid else ())]
@@ -156,9 +170,6 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
         if cfg.strategy_head is not None:
             _require(cfg.strategy_head in (HEAD_BINARY, HEAD_MULTICLASS3),
                      f"strategy.head: unknown strategy head {cfg.strategy_head!r}")
-        _require(cfg.sweep_step > 0, f"strategy.sweep_step: expected a number > 0, got {cfg.sweep_step!r}")
-        _require(0.0 <= cfg.threshold <= 1.0, f"strategy.threshold: expected a number in [0, 1], "
-                                              f"got {cfg.threshold!r}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg

@@ -71,22 +71,17 @@ def _loss_of(enc, table, params, config, y) -> float:
 
 
 def _well_conditioned(cache: ForwardCache, config: ModelConfig) -> bool:
-    for h in config.filter_widths:
-        if np.abs(cache.conv_pre[h]).min() < _KINK_MARGIN:
-            return False
-        # top-2 gap inside every pool window must clear the margin, or the
-        # argmax could flip inside the differencing interval
-        post = cache.conv_post[h]
-        n = post.shape[0]
-        w = config.pool_w
-        for start in range(0, n, w):
-            block = post[start : start + w]
-            if block.shape[0] < 2:
-                continue
-            top2 = np.sort(block, axis=0)[-2:]
-            if np.min(top2[1] - top2[0]) < _KINK_MARGIN:
-                return False
-    return True
+    plan = cache.plan
+    if np.abs(cache.pre[~plan.pad]).min() < _KINK_MARGIN:
+        return False
+    # The top-2 gap inside every pool window must clear the margin, or the
+    # argmax could flip inside the differencing interval. Pad cells sort
+    # below the map as -inf: a window with one map cell has gap inf and one
+    # of padding only has gap nan, and neither compares below the margin.
+    post = np.where(plan.pad, -np.inf, np.maximum(0.0, cache.pre))
+    top2 = np.sort(post.reshape(plan.blocks, config.pool_w, -1), axis=1)[:, -2:]
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        return not (np.diff(top2, axis=1) < _KINK_MARGIN).any()
 
 
 def _preactivation_margins(cache: ForwardCache, params: ModelParameters) -> float:
@@ -96,7 +91,7 @@ def _preactivation_margins(cache: ForwardCache, params: ModelParameters) -> floa
 
 
 def _random_instance(rng: np.random.Generator, index: int):
-    """One random toy configuration with its sample, table and parameters."""
+    """One random toy configuration with its sample, table, parameters and label."""
     head = HEAD_BINARY if index % 2 == 0 else HEAD_MULTICLASS3
     mode = (MODE_SELF_LEARNT, MODE_NON_STATIC, MODE_STATIC)[index % 3]
     for _ in range(200):
@@ -136,14 +131,14 @@ def _random_instance(rng: np.random.Generator, index: int):
         params.b2[:] = rng.normal(0.0, 0.3, size=l2)
         y = int(rng.integers(0, 2 if head == HEAD_BINARY else 3))
 
-        output, cache = forward(enc, table, params, config, mode="train", rng=None)
+        _, cache = forward(enc, table, params, config, mode="train", rng=None)
         if not _well_conditioned(cache, config):
             continue
         if _preactivation_margins(cache, params) < _KINK_MARGIN:
             continue
         if np.abs(cache.logits).max() > 8.0:
             continue
-        return config, enc, table, params, y, cache
+        return config, enc, table, params, y
     raise RuntimeError("could not sample a well-conditioned gradcheck instance")
 
 
@@ -222,7 +217,7 @@ def run_suite(
     start = time.perf_counter()
     results = []
     for index in range(n_configs):
-        config, enc, table, params, y, _ = _random_instance(rng, index)
+        config, enc, table, params, y = _random_instance(rng, index)
         results.append(check_instance(config, enc, table, params, y, step=step))
     elapsed = time.perf_counter() - start
     return SuiteResult(

@@ -20,7 +20,8 @@ touches the rest of the table.
 Per-sample cost is mostly the count of numpy calls, so the conv stage runs
 all widths in shared buffers (``_ConvPlan``): one column per filter, one
 conv matmul per width writing its own columns, then one relu, one -inf fill
-past each width's map, one pool and one gather into z. ``backward`` scatters
+past each width's map and one view as whole pool windows, whose max (and,
+in train mode, leftmost argmax) is gathered into z. ``backward`` scatters
 dz into the same layout and sums the word gradients of every width with one
 weighted ``np.bincount``. Each element still sees the float operations of a
 width-by-width loop, in the same order, so every output and gradient has
@@ -230,36 +231,6 @@ def conv_forward(x: np.ndarray, filters: np.ndarray, biases: np.ndarray,
     return windows, pre
 
 
-def maxpool(maps: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max-pool each column of ``maps`` (shape (n, d)) with window/stride w.
-
-    Returns (pooled (ceil(n/w), d), argmax row indices into ``maps``). The
-    final partial window is pooled as-is; ties resolve to the leftmost
-    element. ``forward`` pools every width at once: it hands over a map
-    whose cells past each width's end hold -inf and whose length is a
-    multiple of w, which is pooled without a padded copy. In test mode it
-    takes the same block max without the argmax.
-    """
-    n, d = maps.shape
-    if n == 0:
-        raise ValueError("cannot pool an empty feature map")
-    n_out = -(-n // w)
-    if n_out * w != n:
-        padded = np.full((n_out * w, d), -np.inf)
-        padded[:n] = maps
-        maps = padded
-    blocks = maps.reshape(n_out, w, d)
-    return blocks.max(axis=1), blocks.argmax(axis=1) + _pool_offsets(n_out, w)
-
-
-@functools.lru_cache(maxsize=256)
-def _pool_offsets(n_out: int, w: int) -> np.ndarray:
-    """First row of each pool window, as a read-only (n_out, 1) column."""
-    offsets = (np.arange(n_out) * w)[:, None]
-    offsets.flags.writeable = False
-    return offsets
-
-
 def dense_forward(
     zprev: np.ndarray, w: np.ndarray, b: np.ndarray, activation: Literal["relu", "none"]
 ) -> np.ndarray:
@@ -281,27 +252,23 @@ def apply_dropout(
     rate: float,
     mode: Literal["train", "test"],
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Dropout with test-time weight scaling.
 
-    Train mode zeroes each element independently with probability ``rate``
-    and returns the kept-element mask; test mode scales every element by
-    (1 - rate) to account for the expected exclusions, returning mask None.
+    Train mode zeroes each element independently with probability ``rate``,
+    one uniform draw per element whenever a generator is given; test mode
+    scales every element by (1 - rate) to account for the expected exclusions.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
     v = np.asarray(v, dtype=np.float64)
     if mode == "test":
-        return v * (1.0 - rate), None
+        return v * (1.0 - rate)
     if mode != "train":
         raise ValueError(f"unknown dropout mode {mode!r}")
-    if rate == 0.0 and rng is None:
-        mask = np.ones_like(v)
-    else:
-        if rng is None:
-            raise ValueError("train-mode dropout with rate > 0 needs a generator")
-        mask = (rng.random(v.shape) >= rate).astype(np.float64)
-    return v * mask, mask
+    if rng is None and rate > 0.0:
+        raise ValueError("train-mode dropout with rate > 0 needs a generator")
+    return v.copy() if rng is None else v * (rng.random(v.shape) >= rate)
 
 
 def sigmoid(z: float) -> float:
@@ -328,7 +295,6 @@ class _Width(NamedTuple):
     h: int
     cols: slice    # its filters' columns in the shared conv buffers
     length: int    # feature-map length, m - h + 1
-    pooled: int    # pooled length
     grads: slice   # its (length, h*p) window gradients in backward's flat buffer
 
 
@@ -337,8 +303,9 @@ class _ConvPlan:
 
     The buffers hold all widths side by side, one column per filter, in
     ``config.filter_widths`` order (the order of z), and ``rows`` rows: the
-    longest map padded to whole pool windows. A wider filter's map ends
-    higher up; ``pad`` marks the cells below it.
+    longest map padded to ``blocks`` whole pool windows, whose first rows
+    ``starts`` holds as a column. A wider filter's map ends higher up; ``pad``
+    marks the cells below it, which may fill its last windows.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -348,6 +315,7 @@ class _ConvPlan:
         self.map_rows = config.map_len(narrowest)
         self.blocks = config.pooled_len(narrowest)
         self.rows = self.blocks * config.pool_w
+        self.starts = (np.arange(self.blocks) * config.pool_w)[:, None]
         self.pad = np.zeros((self.rows, self.n_filters), dtype=bool)
         widths, z_take, bins = [], [], []
         grads_size = 0
@@ -357,7 +325,7 @@ class _ConvPlan:
             # element (k, o, j) of a width's window gradient belongs to word k+o
             bins.append(((np.arange(length)[:, None, None] + np.arange(h)[:, None]) * p
                          + np.arange(p)).ravel())
-            widths.append(_Width(h, slice(col, col + n_f), length, pooled,
+            widths.append(_Width(h, slice(col, col + n_f), length,
                                  slice(grads_size, grads_size + bins[-1].size)))
             grads_size += bins[-1].size
             self.pad[length:, col : col + n_f] = True
@@ -368,7 +336,7 @@ class _ConvPlan:
         self.z_take = np.concatenate(z_take)  # z element -> cell of the pooled buffer
         self.z_cols = self.z_take % self.n_filters
         self.bins = np.concatenate(bins)  # window-gradient element -> word-gradient element
-        for arr in (self.pad, self.z_take, self.z_cols, self.bins):
+        for arr in (self.pad, self.starts, self.z_take, self.z_cols, self.bins):
             arr.flags.writeable = False
 
 
@@ -377,44 +345,19 @@ _conv_plan = functools.lru_cache(maxsize=64)(_ConvPlan)
 
 @dataclass(eq=False)
 class ForwardCache:
-    """Intermediate values of a train-mode forward pass, for backpropagation.
-
-    The conv stage of all widths lives in three shared buffers (see
-    ``_ConvPlan``); ``conv_pre``, ``conv_post`` and ``pool_argmax`` give
-    each width's part of them as views.
-    """
+    """What ``backward`` reads of a train-mode forward pass. The conv stage
+    of all widths lives in buffers laid out by ``plan`` (see ``_ConvPlan``)."""
 
     indices: np.ndarray
-    x: np.ndarray
-    windows: dict[int, np.ndarray]  # width -> (map_len, h*p) view of x
-    pre: np.ndarray                 # (rows, total filters) conv pre-activations
-    post: np.ndarray                # relu(pre), -inf in the pad cells
-    positions: np.ndarray           # (blocks, total filters) argmax rows of post
+    windows: dict[int, np.ndarray]  # width -> (map_len, h*p) view of the embedding vector
+    pre: np.ndarray                 # (rows, total filters) conv pre-activations, 0 in the pad cells
+    positions: np.ndarray           # (blocks, total filters) argmax rows of each pool window
     plan: _ConvPlan
     z: np.ndarray
-    act1: np.ndarray
-    mask1: np.ndarray
     drop1: np.ndarray
-    act2: np.ndarray
-    mask2: np.ndarray
     drop2: np.ndarray
     logits: np.ndarray
     output: np.ndarray  # sigmoid probability (len 1) or softmax probabilities (len 3)
-
-    @property
-    def conv_pre(self) -> dict[int, np.ndarray]:
-        """Width -> (map_len, n_filters) pre-activations."""
-        return {width.h: self.pre[: width.length, width.cols] for width in self.plan.widths}
-
-    @property
-    def conv_post(self) -> dict[int, np.ndarray]:
-        """Width -> (map_len, n_filters) relu feature maps."""
-        return {width.h: self.post[: width.length, width.cols] for width in self.plan.widths}
-
-    @property
-    def pool_argmax(self) -> dict[int, np.ndarray]:
-        """Width -> (pooled_len, n_filters) map rows the pool took."""
-        return {width.h: self.positions[: width.pooled, width.cols] for width in self.plan.widths}
 
 
 def forward(
@@ -444,16 +387,13 @@ def forward(
             x, params.filters[width.h], params.filter_biases[width.h], config.p)
     post = relu(pre)
     post[plan.pad] = -np.inf
-    if mode == "test":
-        pooled, positions = post.reshape(plan.blocks, config.pool_w, -1).max(axis=1), None
-    else:
-        pooled, positions = maxpool(post, config.pool_w)
-    z = pooled.take(plan.z_take)
+    blocks = post.reshape(plan.blocks, config.pool_w, -1)
+    z = blocks.max(axis=1).take(plan.z_take)
 
-    act1 = dense_forward(z, params.w1, params.b1, "relu")
-    drop1, mask1 = apply_dropout(act1, config.dropout_rate, mode, rng)
-    act2 = dense_forward(drop1, params.w2, params.b2, "relu")
-    drop2, mask2 = apply_dropout(act2, config.dropout_rate, mode, rng)
+    drop1 = apply_dropout(dense_forward(z, params.w1, params.b1, "relu"),
+                          config.dropout_rate, mode, rng)
+    drop2 = apply_dropout(dense_forward(drop1, params.w2, params.b2, "relu"),
+                          config.dropout_rate, mode, rng)
     logits = dense_forward(drop2, params.w_out, params.b_out, "none")
 
     if config.head == HEAD_BINARY:
@@ -466,9 +406,9 @@ def forward(
     if mode == "test":
         return output, None
     cache = ForwardCache(
-        indices=enc.indices, x=x, windows=windows, pre=pre, post=post, positions=positions,
-        plan=plan, z=z, act1=act1, mask1=mask1, drop1=drop1,
-        act2=act2, mask2=mask2, drop2=drop2, logits=logits, output=probs,
+        indices=enc.indices, windows=windows, pre=pre,
+        positions=blocks.argmax(axis=1) + plan.starts, plan=plan, z=z,
+        drop1=drop1, drop2=drop2, logits=logits, output=probs,
     )
     return output, cache
 
@@ -520,9 +460,9 @@ def backward(
     else:
         dlogits = cache.output - _ONE_HOT3[y]
 
-    # A dropout mask is 0 or 1 and relu output is >= 0, so drop > 0 exactly
-    # where both mask and relu pass: ddrop * (drop > 0) has the bits of
-    # ddrop * mask * (act > 0), signed zeros included.
+    # Dropout keeps or zeroes an element and relu output is >= 0, so drop > 0
+    # exactly where both keep and relu pass: ddrop * (drop > 0) has the bits
+    # of ddrop * mask * (act > 0), signed zeros included.
     acc.w_out += dlogits[:, None] * cache.drop2
     acc.b_out += dlogits
     dpre2 = (params.w_out.T @ dlogits) * (cache.drop2 > 0)

@@ -32,7 +32,6 @@ from newsvane.network import (
     conv_forward,
     forward,
     init_parameters,
-    maxpool,
     param_layout,
     relu,
 )
@@ -40,6 +39,7 @@ from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
 from newsvane.text import EncodedHeadline, Vocabulary
 from newsvane.training import evaluate, train
+from test_network import forward_pools
 
 PORTFOLIO = {"SYN0", "SYN1"}
 
@@ -135,10 +135,12 @@ def _naive_conv(x, filt, bias, h):
 
 
 def _naive_pool(c, w):
-    out = []
+    """Each window's max and the position of its first occurrence."""
+    out, pos = [], []
     for start in range(0, len(c), w):
         out.append(max(c[start : start + w]))
-    return out
+        pos.append(c.index(out[-1], start))
+    return out, pos
 
 
 def _naive_neighbors(token, k, matrix, tokens):
@@ -174,10 +176,11 @@ def test_criterion_4_oracle_equivalence():
         _, pre = conv_forward(x, filt[None, :], np.array([bias]), p)  # a one-filter bank
         np.testing.assert_allclose(relu(pre[:, 0]), _naive_conv(x, filt, bias, h), atol=1e-12)
     for _ in range(100):
-        c = rng.normal(size=int(rng.integers(1, 25)))
+        # one filter per width through forward's pool; negative words give relu ties at 0
+        words = rng.normal(size=int(rng.integers(4, 28))).tolist()
         w = int(rng.integers(1, 5))
-        pooled, _ = maxpool(c[:, None], w)  # a one-column map
-        assert pooled[:, 0].tolist() == _naive_pool(list(c), w)
+        for post, pooled, positions in forward_pools(words, w):
+            assert (pooled, positions) == _naive_pool(post, w)
     for trial in range(100):
         size = int(rng.integers(2, 30))
         tokens = tuple(f"t{i}" for i in range(size))
@@ -195,7 +198,7 @@ def test_criterion_4_oracle_equivalence():
         dp = DayPrediction(asset="A", date=__import__("datetime").date(2016, 1, 4),
                            n_headlines=1, class_means=means)
         assert decide_multiclass(dp, t) == _naive_multiclass_decision(means, t)
-    _passed(4, "conv, maxpool, neighbors and 3-class decisions match naive oracles "
+    _passed(4, "conv, max-pool, neighbors and 3-class decisions match naive oracles "
                "on 100 random instances each")
 
 
@@ -374,9 +377,9 @@ def test_criterion_9_reference_shape_conformance(tmp_path):
     enc = EncodedHeadline(indices=indices, true_len=9)
     _, cache = forward(enc, table, params, config, mode="train")
     expected_z = 0
-    for h in config.filter_widths:
-        assert cache.conv_post[h].shape == (m - h + 1, 12)
-        expected_z += 12 * math.ceil((m - h + 1) / 2)
+    for width in cache.plan.widths:
+        assert cache.pre[: width.length, width.cols].shape == (m - width.h + 1, 12)
+        expected_z += 12 * math.ceil((m - width.h + 1) / 2)
     assert cache.z.shape == (expected_z,)
     assert config.z_len == expected_z
 

@@ -505,6 +505,37 @@ class TestConfigRefusedBeforeOutput:
             assert capsys.readouterr().err == f"error: {bad_path}: training.grid.{message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("training", "batch_size", 0, "expected an integer >= 1, got 0"),
+        ("training", "epochs", -1, "expected an integer >= 0, got -1"),
+        ("training", "learning_rate", -1, "expected a number >= 0, got -1.0"),
+        ("training", "validation_fraction", 1.5, "expected a number in (0, 1), got 1.5"),
+        ("model", "embedding_init_std", 0, "expected a number > 0, got 0.0"),
+        ("training.grid", "epochs", [-1], "expected an integer >= 0, got -1"),
+        ("training.grid", "dropout", [], "expected at least one value"),
+    ], ids=["batch_size", "epochs", "learning_rate", "validation_fraction", "embedding_init_std",
+            "grid-epochs", "grid-empty-axis"])
+    def test_training_values_checked_on_load(self, workspace, tmp_path, capsys, section, key,
+                                             value, message):
+        # each used to pass prepare, which wrote its files, and fail later in train
+        _, _, _, _, config = workspace
+        bad = json.loads(json.dumps(config))
+        bad["paths"]["out_dir"] = str(tmp_path / "out")
+        bad["training"]["grid"] = {"epochs": [1]}  # validation_fraction is read with a grid
+        if section == "training.grid":
+            bad["training"]["grid"] = {key: value}
+        else:
+            bad[section][key] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        expected = f"{bad_path}: {section}.{key}: {message}"
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(expected)}$"):
+            cli.load_run_config(bad_path, _prepare_args(bad_path))
+        for command in ("prepare", "train"):
+            assert cli.main([command, "--config", str(bad_path)]) == 2
+            assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestPredictionsNeedALaterBar:
     @pytest.mark.parametrize("command", ["backtest", "sweep"])

@@ -1,9 +1,11 @@
 """Finite-difference verification of backpropagation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from newsvane import gradcheck
+from newsvane import gradcheck, network
 from newsvane.gradcheck import DEFAULT_TOLERANCE, _random_instance, check_instance, run_suite
 from newsvane.seeding import derive_seed
 
@@ -50,7 +52,7 @@ class TestSuite:
 class TestInstances:
     def test_embedding_rows_checked_in_trainable_modes(self):
         rng = np.random.default_rng(derive_seed(1, "gradcheck"))
-        config, enc, table, params, y, _ = _random_instance(rng, index=1)  # non_static
+        config, enc, table, params, y = _random_instance(rng, index=1)  # non_static
         assert table.mode == "non_static"
         result = check_instance(config, enc, table, params, y)
         # parameter scalars plus all non-padding embedding entries
@@ -60,7 +62,7 @@ class TestInstances:
 
     def test_static_mode_skips_embeddings(self):
         rng = np.random.default_rng(derive_seed(1, "gradcheck"))
-        config, enc, table, params, y, _ = _random_instance(rng, index=2)  # static
+        config, enc, table, params, y = _random_instance(rng, index=2)  # static
         assert table.mode == "static"
         result = check_instance(config, enc, table, params, y)
         assert result.n_checked == sum(a.size for _, a in params.tensors())
@@ -68,6 +70,55 @@ class TestInstances:
     @pytest.mark.parametrize("index", range(6))
     def test_individual_instances(self, index):
         rng = np.random.default_rng(derive_seed(99, "gradcheck"))
-        config, enc, table, params, y, _ = _random_instance(rng, index)
+        config, enc, table, params, y = _random_instance(rng, index)
         result = check_instance(config, enc, table, params, y)
         assert result.max_rel_error < DEFAULT_TOLERANCE, result
+
+
+def _former_well_conditioned(cache, config):
+    """The width-by-width check gradcheck made before it read the shared
+    conv buffers: every pre-activation and every top-2 gap of a pool
+    window with two or more map cells must clear the margin."""
+    for width in cache.plan.widths:
+        pre = cache.pre[: width.length, width.cols]
+        if np.abs(pre).min() < gradcheck._KINK_MARGIN:
+            return False
+        post = np.maximum(0.0, pre)
+        for start in range(0, post.shape[0], config.pool_w):
+            block = post[start : start + config.pool_w]
+            if block.shape[0] < 2:
+                continue
+            top2 = np.sort(block, axis=0)[-2:]
+            if np.min(top2[1] - top2[0]) < gradcheck._KINK_MARGIN:
+                return False
+    return True
+
+
+def test_well_conditioned_decides_like_the_per_width_loop():
+    # Pre-activations on a grid of 0.004 steps, so values and window gaps land
+    # on both sides of the 0.01 margin; the pad cells hold 0, as forward leaves them.
+    rng = np.random.default_rng(19)
+    seen = {"accepted": 0, "rejected": 0, "one-cell window": 0, "padding-only window": 0}
+    for _ in range(3000):
+        m = int(rng.integers(2, 9))
+        widths = tuple(rng.choice(np.arange(2, m + 1), size=min(m - 1, int(rng.integers(1, 4))),
+                                  replace=False).tolist())
+        n_f, pool_w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        if sum(n_f * -(-(m - h + 1) // pool_w) for h in widths) < 3:
+            continue
+        config = network.ModelConfig(p=1, m=m, filter_widths=widths, filters_per_width=n_f,
+                                     hidden_sizes=(2, 1), pool_w=pool_w)
+        plan = network._conv_plan(config)
+        lowest = 0 if rng.random() < 0.3 else int(rng.integers(3, 6))  # |pre| >= 0.012 unless 0
+        pre = rng.choice([-1, 1], size=plan.pad.shape) * rng.integers(lowest, lowest + 8,
+                                                                      size=plan.pad.shape) * 0.004
+        pre[plan.pad] = 0.0
+        cache = SimpleNamespace(pre=pre, plan=plan)
+        decision = gradcheck._well_conditioned(cache, config)
+        assert decision == _former_well_conditioned(cache, config), (config, pre)
+        seen["accepted" if decision else "rejected"] += 1
+        if decision and pool_w > 1:
+            lengths = [config.map_len(h) for h in widths]
+            seen["one-cell window"] += any(n % pool_w == 1 for n in lengths)
+            seen["padding-only window"] += any(config.pooled_len(h) < plan.blocks for h in widths)
+    assert min(seen.values()) >= 20, seen

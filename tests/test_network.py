@@ -19,7 +19,6 @@ from newsvane.network import (
     forward,
     init_parameters,
     param_layout,
-    maxpool,
     relu,
     sample_loss,
     sigmoid,
@@ -88,32 +87,70 @@ def _naive_pool(c, w):
     return out, pos
 
 
+def forward_pools(words, w):
+    """Pool feature maps of ``words`` through a train-mode forward.
+
+    p = 1 and one filter per width (2, 3, 4), each [1, 0, ...] with bias 0,
+    so width h's map is relu of the first len(words) - h + 1 words: a
+    wider map is a shorter prefix, which can end in windows of padding only.
+    Returns (map, pooled values, pool positions) per width, the last two
+    taken from the cache's ``z`` and ``positions``.
+    """
+    m = len(words)
+    config = ModelConfig(p=1, m=m, filter_widths=(2, 3, 4), filters_per_width=1,
+                         hidden_sizes=(2, 1), pool_w=w)
+    table = EmbeddingTable(matrix=np.array([0.0, *words])[:, None], mode="static", p=1)
+    layout = param_layout(config)
+    params = ModelParameters.from_flat(np.zeros(layout.size), layout)
+    for h in config.filter_widths:
+        params.filters[h][0, 0] = 1.0
+    _, cache = forward(EncodedHeadline(indices=np.arange(1, m + 1), true_len=m), table, params,
+                       config, mode="train")
+    pools, start = [], 0
+    for width in cache.plan.widths:
+        n = config.pooled_len(width.h)
+        pools.append(([max(0.0, v) for v in words[: width.length]], cache.z[start : start + n].tolist(),
+                      cache.positions[:n, width.cols][:, 0].tolist()))
+        start += n
+    return pools
+
+
 def _pool1(c, w):
-    """Pool a one-column feature map with forward's column pool."""
-    pooled, pos = maxpool(np.array(c, dtype=np.float64)[:, None], w)
-    return pooled[:, 0], pos[:, 0]
+    """Pool the map ``c`` (as width 4's map, with three more words) through
+    forward; every width's pool, those ending in windows of padding only
+    too, must match the naive one."""
+    pools = forward_pools([*c, 0.5, 2.0, 0.5], w)
+    for post, pooled, positions in pools:
+        assert (pooled, positions) == _naive_pool(post, w)
+    return pools[-1][1:]
 
 
 class TestMaxpool:
     def test_even_windows(self):
         pooled, pos = _pool1([3.0, 5.0, 1.0, 4.0], 2)
-        assert pooled.tolist() == [5.0, 4.0]
-        assert pos.tolist() == [1, 3]
+        assert pooled == [5.0, 4.0]
+        assert pos == [1, 3]
+        assert _pool1([3.0, 5.0, 1.0], 1) == ([3.0, 5.0, 1.0], [0, 1, 2])
 
     def test_partial_final_window(self):
         pooled, pos = _pool1([3.0, 5.0, 1.0], 2)
-        assert pooled.tolist() == [5.0, 1.0]
-        assert pos.tolist() == [1, 2]
+        assert pooled == [5.0, 1.0]
+        assert pos == [1, 2]
+        pooled, pos = _pool1([3.0, 5.0, 1.0, 4.0], 3)
+        assert (pooled, pos) == ([5.0, 4.0], [1, 3])
 
     def test_single_element(self):
         pooled, _ = _pool1([7.0], 2)
-        assert pooled.tolist() == [7.0]
+        assert pooled == [7.0]
 
     def test_tie_takes_leftmost(self):
         _, pos = _pool1([2.0, 2.0, 1.0, 5.0, 5.0], 2)
-        assert pos.tolist() == [0, 3, 4]
+        assert pos == [0, 3, 4]
+        _, pos = _pool1([1.0, 2.0, 2.0, 0.0, 0.0, 0.0], 3)
+        assert pos == [1, 3]
 
     def test_empty_rejected(self):
+        # a map is empty only under a filter wider than the sentence, which no config allows
         with pytest.raises(ValueError):
             _pool1([], 2)
 
@@ -124,9 +161,7 @@ class TestMaxpool:
     @settings(max_examples=200, deadline=None)
     def test_matches_naive(self, values, w):
         pooled, pos = _pool1(values, w)
-        expected_vals, expected_pos = _naive_pool(values, w)
-        assert pooled.tolist() == expected_vals
-        assert pos.tolist() == expected_pos
+        assert (pooled, pos) == _naive_pool([max(0.0, v) for v in values], w)
         assert len(pooled) == math.ceil(len(values) / w)
 
 
@@ -151,25 +186,25 @@ class TestDenseForward:
 class TestDropout:
     def test_rate_zero_train_is_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        out, mask = apply_dropout(v, 0.0, "train", np.random.default_rng(0))
-        assert out.tolist() == v.tolist()
-        assert mask.tolist() == [1.0, 1.0, 1.0]
+        for rng in (np.random.default_rng(0), None):
+            out = apply_dropout(v, 0.0, "train", rng)
+            assert out.tolist() == v.tolist() and out is not v
 
     def test_test_mode_scales(self):
-        out, mask = apply_dropout(np.array([2.0, 4.0]), 0.5, "test")
+        out = apply_dropout(np.array([2.0, 4.0]), 0.5, "test")
         assert out.tolist() == [1.0, 2.0]
-        assert mask is None
 
     def test_zeroed_fraction(self):
         rng = np.random.default_rng(7)
-        out, mask = apply_dropout(np.ones(10_000), 0.5, "train", rng)
-        zeroed = 1.0 - mask.mean()
-        assert 0.47 <= zeroed <= 0.53
-        np.testing.assert_array_equal(out, mask)
+        v = np.random.default_rng(8).normal(size=10_000)
+        out = apply_dropout(v, 0.5, "train", rng)
+        kept = np.random.default_rng(7).random(v.shape) >= 0.5  # the same draws
+        assert 0.47 <= 1.0 - kept.mean() <= 0.53
+        assert out.tobytes() == (v * kept.astype(np.float64)).tobytes()
 
     def test_deterministic_per_stream(self):
-        a, _ = apply_dropout(np.ones(100), 0.3, "train", np.random.default_rng(5))
-        b, _ = apply_dropout(np.ones(100), 0.3, "train", np.random.default_rng(5))
+        a = apply_dropout(np.ones(100), 0.3, "train", np.random.default_rng(5))
+        b = apply_dropout(np.ones(100), 0.3, "train", np.random.default_rng(5))
         assert a.tolist() == b.tolist()
 
 
@@ -336,14 +371,15 @@ class TestForward:
     def test_hand_traced_values(self):
         config, table, enc, params = _toy_setup()
         output, cache = forward(enc, table, params, config, mode="train")
-        assert cache.x.tolist() == [2.0, -1.0, 2.0]
+        assert list(cache.windows) == [2]
+        assert cache.windows[2].tolist() == [[2.0, -1.0], [-1.0, 2.0]]
         np.testing.assert_array_equal(
-            cache.conv_post[2], [[1.5, 0.0, 0.0, 1.0], [0.0, 3.5, 1.5, 1.0]]
+            cache.pre, [[1.5, -2.5, -1.5, 1.0], [0.0, 3.5, 1.5, 1.0]]
         )
-        assert cache.pool_argmax[2].tolist() == [[0, 1, 1, 0]]
+        assert cache.positions.tolist() == [[0, 1, 1, 0]]
         assert cache.z.tolist() == [1.5, 3.5, 1.5, 1.0]
-        assert cache.act1.tolist() == [1.5, 0.5, 0.0]
-        assert cache.act2.tolist() == [2.0, 0.0]
+        assert cache.drop1.tolist() == [1.5, 0.5, 0.0]  # dropout 0: the relu outputs
+        assert cache.drop2.tolist() == [2.0, 0.0]
         assert cache.logits.tolist() == [0.4]
         assert output == pytest.approx(1.0 / (1.0 + math.exp(-0.4)), abs=1e-15)
 
@@ -409,19 +445,19 @@ def test_forward_feature_maps_match_naive_conv_and_pool(config, seed):
 
     _, cache = forward(enc, table, params, config, mode="train", rng=rng)
     x = lookup_concat(enc, table)
-    z = []
-    for h in config.filter_widths:
-        assert cache.conv_pre[h].shape == (config.map_len(h), config.filters_per_width)
+    plan, z = cache.plan, []
+    assert cache.pre.shape == (plan.rows, config.total_filters)
+    assert not cache.pre[plan.pad].any()
+    for width in plan.widths:
+        h, n_pooled = width.h, config.pooled_len(width.h)
+        pre, positions = cache.pre[: width.length, width.cols], cache.positions[:, width.cols]
         for f in range(config.filters_per_width):
-            post, (pooled, positions) = _naive_feature_maps(
+            post, (pooled, _) = _naive_feature_maps(
                 x, params.filters[h][f], params.filter_biases[h][f], h, config.p, config.pool_w)
-            np.testing.assert_allclose(cache.conv_post[h][:, f], post, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(np.maximum(cache.conv_pre[h][:, f], 0.0), post,
-                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(np.maximum(pre[:, f], 0.0), post, rtol=1e-12, atol=1e-12)
             # pooling picks exactly, so it is checked on forward's own map
-            assert _naive_pool(cache.conv_post[h][:, f].tolist(), config.pool_w) == (
-                cache.z[len(z):len(z) + len(pooled)].tolist(),
-                cache.pool_argmax[h][:, f].tolist())
+            assert _naive_pool(relu(pre[:, f]).tolist(), config.pool_w) == (
+                cache.z[len(z):len(z) + n_pooled].tolist(), positions[:n_pooled, f].tolist())
             z.extend(pooled)
     np.testing.assert_allclose(cache.z, z, rtol=1e-12, atol=1e-12)
 
@@ -438,9 +474,11 @@ class TestShapes:
         enc = EncodedHeadline(indices=np.array([1, 2, 3, 4, 5, 1, 2, 0, 0, 0, 0]), true_len=7)
         params = init_parameters(config, np.random.default_rng(1))
         _, cache = forward(enc, table, params, config, mode="train")
-        for h in config.filter_widths:
-            assert cache.conv_post[h].shape == (11 - h + 1, 3)
-            assert cache.pool_argmax[h].shape == (math.ceil((11 - h + 1) / 2), 3)
+        # the longest map, 10 rows, as 5 pool windows; the wider maps end in padding
+        assert cache.pre.shape == (10, 9) and cache.positions.shape == (5, 9)
+        for width in cache.plan.widths:
+            assert width.length == 11 - width.h + 1
+            assert cache.plan.pad[:, width.cols].sum(axis=0).tolist() == [width.h - 2] * 3
         expected_z = sum(3 * math.ceil((11 - h + 1) / 2) for h in config.filter_widths)
         assert cache.z.shape == (expected_z,)
         assert config.z_len == expected_z
@@ -556,9 +594,10 @@ class TestBackwardContracts:
 
 # --- exactness against the former per-width implementation -----------------
 #
-# In-test copies of forward, backward, maxpool and _sum_rows as they were
-# before the conv stage shared one buffer across widths. The shared-buffer
-# code must reproduce every output, cache field and gradient bit for bit.
+# In-test copies of forward, backward, maxpool, apply_dropout and _sum_rows
+# as they were before the conv stage shared one buffer across widths. The
+# shared-buffer code must reproduce every output, every field its cache
+# keeps and every gradient bit for bit.
 
 
 def _former_maxpool(maps, w):
@@ -571,6 +610,16 @@ def _former_maxpool(maps, w):
     pooled = blocks.max(axis=1)
     positions = within + (np.arange(n_out) * w)[:, None]
     return pooled, positions
+
+
+def _former_apply_dropout(v, rate, mode, rng):
+    if mode == "test":
+        return v * (1.0 - rate), None
+    if rate == 0.0 and rng is None:
+        mask = np.ones_like(v)
+    else:
+        mask = (rng.random(v.shape) >= rate).astype(np.float64)
+    return v * mask, mask
 
 
 def _former_forward(enc, table, params, config, mode, rng):
@@ -589,9 +638,9 @@ def _former_forward(enc, table, params, config, mode, rng):
         pooled_parts.append(pooled.T.reshape(-1))
     z = np.concatenate(pooled_parts)
     act1 = dense_forward(z, params.w1, params.b1, "relu")
-    drop1, mask1 = apply_dropout(act1, config.dropout_rate, mode, rng)
+    drop1, mask1 = _former_apply_dropout(act1, config.dropout_rate, mode, rng)
     act2 = dense_forward(drop1, params.w2, params.b2, "relu")
-    drop2, mask2 = apply_dropout(act2, config.dropout_rate, mode, rng)
+    drop2, mask2 = _former_apply_dropout(act2, config.dropout_rate, mode, rng)
     logits = dense_forward(drop2, params.w_out, params.b_out, "none")
     if config.head == "binary":
         probs = np.array([sigmoid(float(logits[0]))])
@@ -710,14 +759,18 @@ def _assert_exact_pass(config, mode, true_len, with_rng, seed):
     out_new, cache = forward(enc, table, params, config, mode="train", rng=stream())
     out_old, fields = _former_forward(enc, table, params, config, "train", stream())
     assert _bits(out_new) == _bits(out_old) and type(out_new) is type(out_old)
-    for name, old in fields.items():
-        new = getattr(cache, name)
-        if isinstance(old, dict):
-            assert list(new) == list(old), name
-            for h in old:
-                assert _bits(new[h]) == _bits(old[h]), (name, h)
-        else:
-            assert _bits(new) == _bits(old), name
+    # every field the cache keeps, per width where it holds all widths
+    plan = cache.plan
+    assert not cache.pre[plan.pad].any()
+    assert list(cache.windows) == list(fields["windows"])
+    for width in plan.widths:
+        h, n_pooled = width.h, config.pooled_len(width.h)
+        assert _bits(cache.windows[h]) == _bits(fields["windows"][h]), h
+        assert _bits(cache.pre[: width.length, width.cols]) == _bits(fields["conv_pre"][h]), h
+        assert (_bits(cache.positions[:n_pooled, width.cols])
+                == _bits(fields["pool_argmax"][h])), h
+    for name in ("indices", "z", "drop1", "drop2", "logits", "output"):
+        assert _bits(getattr(cache, name)) == _bits(fields[name]), name
 
     start = rng.normal(size=params.flat.size)
     start_emb = rng.normal(size=matrix.shape) if table.trainable else None
