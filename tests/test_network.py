@@ -109,7 +109,8 @@ def forward_pools(words, w):
     pools, start = [], 0
     for width in cache.plan.widths:
         n = config.pooled_len(width.h)
-        pools.append(([max(0.0, v) for v in words[: width.length]], cache.z[start : start + n].tolist(),
+        post = [max(0.0, v) for v in words[: width.length]]
+        pools.append((post, cache.z[start : start + n].tolist(),
                       cache.positions[:n, width.cols][:, 0].tolist()))
         start += n
     return pools
