@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -223,10 +222,6 @@ def decide_multiclass(dp: DayPrediction, t: float) -> str:
     return BUY if buy_scores([dp], binary=False)[0] > t else NO_ACTION
 
 
-_ENTRY = operator.attrgetter("entry")
-_EXIT = operator.attrgetter("exit")
-
-
 class _TradeBook(NamedTuple):
     """Resolved buys as trades in execution order, with their returns as one
     float64 array and their trade days as day ordinals."""
@@ -238,11 +233,18 @@ class _TradeBook(NamedTuple):
     @classmethod
     def of(cls, decisions: Sequence[tuple[str, dt.date, str]] | _TradeBook,
            index: PriceIndex) -> _TradeBook:
-        """``decisions`` itself if it is already a book, else the book of its buys."""
+        """``decisions`` itself if it is already a book, else the book of its
+        buys; an action other than ``BUY`` or ``NO_ACTION`` is a ValueError."""
         if isinstance(decisions, cls):
             return decisions
-        return cls.resolve([(asset, date) for asset, date, action in decisions if action == BUY],
-                           index)[0]
+        buys = []
+        for asset, date, action in decisions:
+            if action == BUY:
+                buys.append((asset, date))
+            elif action != NO_ACTION:
+                raise ValueError(f"unknown action {action!r} for ({asset}, {date}): "
+                                 f"expected {BUY!r} or {NO_ACTION!r}")
+        return cls.resolve(buys, index)[0]
 
     @classmethod
     def resolve(cls, buys: Sequence[tuple[str, dt.date]],
@@ -264,10 +266,9 @@ class _TradeBook(NamedTuple):
 
         days = index.days[positions]
         order = np.lexsort((positions, days))
-        trades = tuple(map(Trade._make, map(index.bars.__getitem__, positions[order].tolist())))
-        entry = np.fromiter(map(_ENTRY, trades), np.float64, len(trades))
-        exit_ = np.fromiter(map(_EXIT, trades), np.float64, len(trades))
-        return cls(trades, (exit_ - entry) / entry, days[order]), order
+        positions = positions[order]
+        trades = tuple(map(Trade._make, map(index.bars.__getitem__, positions.tolist())))
+        return cls(trades, index.returns[positions], days[order]), order
 
     def where(self, mask: np.ndarray) -> _TradeBook:
         """The trades at the true entries of ``mask``, in book order."""
@@ -306,9 +307,11 @@ def simulate(
     Each buy is filled at the open and closed at the close of the first
     trading day after the decision date. Same-day buys split capital
     equally, so the day's return is the mean of its trade returns; days
-    compound in date order. An empty decision list yields a zero report.
-    ``prices`` may be a prebuilt ``PriceIndex``. ``threshold_sweep`` passes
-    a resolved trade book as ``decisions``, which is reported as it is.
+    compound in date order. An empty decision list yields a zero report,
+    and an action other than ``BUY`` or ``NO_ACTION`` is a ValueError.
+    ``prices`` is best the ``PriceIndex`` that ``load_prices`` returns; a
+    list of bars is indexed on each call. ``threshold_sweep`` passes a
+    resolved trade book as ``decisions``, which is reported as it is.
     """
     return _report(_TradeBook.of(decisions, PriceIndex.of(prices)))
 

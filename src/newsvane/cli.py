@@ -187,7 +187,7 @@ def _build_table(cfg: RunConfig, vocab, mode: str, seed: int) -> embeddings.Embe
 
 def _prepare(cfg: RunConfig) -> tuple[pipeline.PreparedData, corpus.PriceIndex]:
     """The prepared data and the price index it was labeled with, for the backtests."""
-    prices = corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
+    prices = corpus.load_prices(cfg.prices_path)
     headlines = corpus.load_headlines(cfg.headlines_path, cfg.min_relevance)
     return pipeline.prepare_dataset(headlines, prices, set(cfg.portfolio), max_len=cfg.max_len), prices
 
@@ -400,7 +400,7 @@ def _day_predictions(
     """Day predictions from either a predictions CSV or a checkpoint run,
     with the head they were made by, checked against the strategy head."""
     if args.predictions:
-        prices = corpus.PriceIndex(corpus.load_prices(cfg.prices_path))
+        prices = corpus.load_prices(cfg.prices_path)
         rows, head = _read_predictions_csv(Path(args.predictions), prices)
     else:
         ckpt, prepared, prices = _checkpoint_run(cfg, args)

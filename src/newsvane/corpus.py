@@ -145,8 +145,9 @@ def load_headlines(path: str | Path, min_relevance: float = 1.0) -> list[Headlin
     return records
 
 
-def load_prices(path: str | Path) -> list[PriceBar]:
-    """Read a price CSV; rejects a file without bars, blank assets, duplicate
+def load_prices(path: str | Path) -> PriceIndex:
+    """Read a price CSV into one ``PriceIndex``, to share with every labelling
+    and backtest call; rejects a file without bars, blank assets, duplicate
     (asset, date) bars and non-positive prices."""
     bars: list[PriceBar] = []
     seen: set[tuple[str, dt.date]] = set()
@@ -162,7 +163,7 @@ def load_prices(path: str | Path) -> list[PriceBar]:
     read_csv(path, [PRICE_CSV_HEADER], parse)
     if not bars:
         raise ValueError(f"{path}: no price bars")
-    return bars
+    return PriceIndex(bars)
 
 
 def write_headlines_csv(records: list[HeadlineRecord], path: str | Path) -> None:
@@ -178,15 +179,20 @@ def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
     )))
 
 
-_BAR_DATE = operator.itemgetter(PriceBar._fields.index("date"))  # faster than attrgetter
+# itemgetters are faster than attrgetters
+_BAR_DATE = operator.itemgetter(PriceBar._fields.index("date"))
+_BAR_OPEN = operator.itemgetter(PriceBar._fields.index("open"))
+_BAR_CLOSE = operator.itemgetter(PriceBar._fields.index("close"))
 _DAY_BITS = 22  # every date.toordinal() is below 2**22 (date.max is 3,652,059)
 
 
 class PriceIndex:
     """Price bars sorted by asset name and then date, for next-trading-day lookups.
 
-    Build it once per price list and share it. ``bars`` holds every bar in
-    that order and ``days`` their day ordinals (int64). One key per bar packs
+    Build it once per price list and share it; ``load_prices`` returns one.
+    ``bars`` holds every bar in that order, ``days`` their day ordinals
+    (int64) and ``returns`` their open-to-close returns ``(close - open) /
+    open`` (float64, the bits of that Python expression). One key per bar packs
     its asset's rank above its day ordinal, so the keys are sorted too, and
     ``next_positions`` answers any number of (asset, date) queries with one
     ``np.searchsorted`` over them.
@@ -203,6 +209,8 @@ class PriceIndex:
             bars += sorted(by_asset[asset], key=_BAR_DATE)
         self.bars: tuple[PriceBar, ...] = tuple(bars)
         self.days = np.fromiter(map(dt.date.toordinal, map(_BAR_DATE, bars)), np.int64, len(bars))
+        opens = np.fromiter(map(_BAR_OPEN, bars), np.float64, len(bars))
+        self.returns = (np.fromiter(map(_BAR_CLOSE, bars), np.float64, len(bars)) - opens) / opens
         sizes = [len(by_asset[asset]) for asset in assets]
         # each asset's end in ``bars``; the trailing 0 is the end of rank -1, an unknown asset
         self._ends = np.array([*accumulate(sizes), 0], dtype=np.int64)
@@ -231,8 +239,8 @@ class PriceIndex:
         return np.where(positions < self._ends[rank], positions, -1)
 
 
-def _bar_label(bar: PriceBar) -> LabeledSample:
-    ret = (bar.close - bar.open) / bar.open
+def _bar_label(bar: PriceBar, ret: float) -> LabeledSample:
+    """The label of ``bar``, whose open-to-close return is ``ret``."""
     if ret > SIGNIFICANT_RETURN:
         tri = TRI_BUY
     elif ret < -SIGNIFICANT_RETURN:
@@ -257,8 +265,10 @@ def label_all(
     """
     index = PriceIndex.of(prices)
     positions = index.next_positions([h.asset for h in headlines], [h.date for h in headlines])
+    used = np.unique(positions[positions >= 0])
+    bar_labels = dict(zip(used.tolist(), map(
+        _bar_label, map(index.bars.__getitem__, used.tolist()), index.returns[used].tolist())))
     positions = positions.tolist()
-    bar_labels = {pos: _bar_label(index.bars[pos]) for pos in set(positions) if pos >= 0}
     label_of_row = list(map(bar_labels.get, positions))  # None past the asset's history
     labels = {h.id: label for h, label in zip(headlines, label_of_row) if label is not None}
     skipped = [h.id for h, label in zip(headlines, label_of_row) if label is None]

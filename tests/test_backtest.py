@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsvane import backtest
+from newsvane import backtest, corpus
 from newsvane.backtest import (
     BUY,
     BUY_CLASS,
@@ -26,6 +26,7 @@ from newsvane.backtest import (
     threshold_sweep,
 )
 from newsvane.corpus import PriceBar, PriceIndex
+from newsvane.pipeline import prepare_dataset
 
 D0 = dt.date(2016, 6, 1)
 
@@ -255,6 +256,17 @@ class TestSimulate:
         assert report.max_single_day_loss_pct == pytest.approx(5.0, abs=1e-9)
         assert report.avg_correct_buy_return_pct == pytest.approx(2.0, abs=1e-9)
         assert report.pp_pct == pytest.approx(100.0 * 2 / 3)
+
+    @pytest.mark.parametrize("action", ["BUY", "Buy ", "Buy", " buy", "", "hold"])
+    def test_misspelt_action_rejected(self, action):
+        """An action that is neither BUY nor NO_ACTION is an error, not a day
+        without a trade; the message names it and its (asset, date)."""
+        bars = _bars_for({("A", 1): 0.01, ("B", 1): 0.02})
+        decisions = [("A", _day(0), BUY), ("B", _day(0), action)]
+        with pytest.raises(ValueError) as err:
+            simulate(decisions, bars)
+        assert str(err.value) == (
+            f"unknown action {action!r} for (B, 2016-06-01): expected 'buy' or 'no_action'")
 
     def test_report_recomputable_from_trades(self):
         bars = _bars_for({("A", 1): 0.01, ("B", 1): -0.02, ("A", 2): 0.015})
@@ -696,6 +708,66 @@ class TestSweepExactness:
             "Trade(asset='A', trade_date=datetime.date(2016, 6, 1), entry=100.0, exit=103.0)")
         assert trade.return_frac == (103.0 - 100.0) / 100.0
         assert trade == Trade(asset="A", trade_date=D0, entry=100.0, exit=103.0)
+
+
+class TestLoadedPriceIndex:
+    """``load_prices`` returns the one index that labelling, ``simulate`` and
+    every sweep slice share."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        headlines, bars = corpus.generate_synthetic(
+            seed=21, n_assets=2, n_days=90, headlines_per_day=4, signal_strength=0.7)
+        out = tmp_path_factory.mktemp("corpus")
+        corpus.write_headlines_csv(headlines, out / "headlines.csv")
+        corpus.write_prices_csv(bars, out / "prices.csv")
+        # the bars as the price file holds them, in file order
+        written = [PriceBar(b.asset, b.date, float(f"{b.open:.6f}"), float(f"{b.close:.6f}"))
+                   for b in bars]
+        return out, written
+
+    @staticmethod
+    def _day_predictions(prepared, binary):
+        rng = np.random.default_rng(22)
+        rows = []
+        for s in prepared.train + prepared.test:
+            output = float(rng.uniform(0.3, 0.95)) if binary else rng.dirichlet((1.0, 1.0, 2.0))
+            rows.append((s.headline_id, s.asset, s.date, output))
+        return aggregate_daily(rows)
+
+    def _backtest(self, headlines, prices):
+        """Labels, then per head one ``simulate`` at t=0.5 and the sweep in
+        10-threshold slices, as the benchmark round calls them."""
+        prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"})
+        results = [corpus.label_all(headlines, prices)]
+        for binary in (True, False):
+            day_preds = self._day_predictions(prepared, binary)
+            decide = decide_binary if binary else decide_multiclass
+            report = simulate([(dp.asset, dp.date, decide(dp, 0.5)) for dp in day_preds], prices)
+            grid = default_threshold_grid(binary)
+            rows = [_row_bits(r) for start in range(0, len(grid), 10)
+                    for r in threshold_sweep(day_preds, prices, grid[start:start + 10])]
+            results += [_report_bits(report), rows]
+        return results
+
+    def test_one_index_per_round(self, files, monkeypatch):
+        out, _ = files
+        built = []
+        real_init = PriceIndex.__init__
+        monkeypatch.setattr(PriceIndex, "__init__",
+                            lambda self, prices: built.append(1) or real_init(self, prices))
+        headlines = corpus.load_headlines(out / "headlines.csv")
+        _, binary_report, _, tri_report, _ = self._backtest(
+            headlines, corpus.load_prices(out / "prices.csv"))
+        assert binary_report[0][0] > 0 and tri_report[0][0] > 0  # n_trades
+        assert len(built) == 1
+
+    def test_the_index_gives_the_results_of_the_bar_list(self, files):
+        out, written = files
+        headlines = corpus.load_headlines(out / "headlines.csv")
+        index = corpus.load_prices(out / "prices.csv")
+        assert sorted(index.bars) == sorted(written)
+        assert self._backtest(headlines, index) == self._backtest(headlines, written[::-1])
 
 
 class TestDayMean:

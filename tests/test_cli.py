@@ -14,7 +14,7 @@ import pytest
 
 from newsvane import cli, fileio, pipeline, training
 from newsvane.checkpoint import load_checkpoint
-from newsvane.corpus import PriceIndex, load_headlines, load_prices
+from newsvane.corpus import load_headlines, load_prices
 from newsvane.embeddings import load_pretrained, nearest_neighbors
 from newsvane.network import ModelConfig
 from newsvane.pipeline import prepare_dataset
@@ -546,7 +546,7 @@ class TestPredictionsNeedALaterBar:
         import datetime as dt
 
         _, config_path, data, _, _ = workspace
-        last = max(bar.date for bar in load_prices(data / "prices.csv") if bar.asset == "SYN1")
+        last = max(bar.date for bar in load_prices(data / "prices.csv").bars if bar.asset == "SYN1")
         date = last + dt.timedelta(days=days_after_last_bar)
         preds = tmp_path / "preds.csv"
         preds.write_text(f"asset,date,p0\nSYN0,2015-01-05,0.9\nSYN1,{date},{p0}\n")
@@ -644,9 +644,9 @@ class TestByteOrderMark:
         (tmp_path / "vecs.txt").write_text("2 2\nsyn0 1 2\nshares 3 4\n")
         plain, read = {
             "headlines": (data / "headlines.csv", load_headlines),
-            "prices": (data / "prices.csv", load_prices),
+            "prices": (data / "prices.csv", lambda path: load_prices(path).bars),
             "predictions": (tmp_path / "preds.csv", lambda path: cli._read_predictions_csv(
-                path, PriceIndex(load_prices(data / "prices.csv")))),
+                path, load_prices(data / "prices.csv"))),
             "config": (config_path, lambda path: cli.load_run_config(
                 path, _prepare_args(path))),
             "checkpoint": (out / "checkpoint.json", lambda path: (

@@ -137,8 +137,8 @@ class TestLoadPrices:
         path = tmp_path / "p.csv"
         write_prices_csv(bars, path)
         loaded = load_prices(path)
-        assert [b.asset for b in loaded] == ["AAA", "AAA"]
-        assert loaded[0].open == pytest.approx(100.0)
+        assert [b.asset for b in loaded.bars] == ["AAA", "AAA"]
+        assert loaded.bars[0].open == pytest.approx(100.0)
 
     def test_duplicate_bar_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -306,6 +306,18 @@ class TestNextTradingDay:
                       key=lambda b: b.date)
             assert first[0][h.id].trade_date == bar.date
             assert first[0][h.id].next_day_return == (bar.close - bar.open) / bar.open
+
+    def test_returns_have_the_bits_of_the_python_expression(self):
+        _, prices = generate_synthetic(
+            seed=5, n_assets=3, n_days=40, headlines_per_day=1, signal_strength=0.5)
+        rng = np.random.default_rng(5)
+        prices += [PriceBar("WIDE", dt.date(2016, 1, 1) + dt.timedelta(days=i),
+                            float(o), float(c))
+                   for i, (o, c) in enumerate(10.0 ** rng.uniform(-6, 6, size=(200, 2)))]
+        index = PriceIndex(prices)
+        assert index.returns.dtype == np.float64
+        expected = np.array([(b.close - b.open) / b.open for b in index.bars])
+        assert np.array_equal(index.returns.view(np.int64), expected.view(np.int64))
 
     def test_strictly_later_and_no_gap(self):
         # property: result > query date and no bar strictly between them
