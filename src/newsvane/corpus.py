@@ -179,8 +179,7 @@ def write_prices_csv(bars: list[PriceBar], path: str | Path) -> None:
     )))
 
 
-# itemgetters are faster than attrgetters
-_BAR_DATE = operator.itemgetter(PriceBar._fields.index("date"))
+_BAR_DATE = operator.itemgetter(PriceBar._fields.index("date"))  # faster than attrgetter
 _BAR_OPEN = operator.itemgetter(PriceBar._fields.index("open"))
 _BAR_CLOSE = operator.itemgetter(PriceBar._fields.index("close"))
 _DAY_BITS = 22  # every date.toordinal() is below 2**22 (date.max is 3,652,059)
@@ -265,10 +264,9 @@ def label_all(
     """
     index = PriceIndex.of(prices)
     positions = index.next_positions([h.asset for h in headlines], [h.date for h in headlines])
-    used = np.unique(positions[positions >= 0])
-    bar_labels = dict(zip(used.tolist(), map(
-        _bar_label, map(index.bars.__getitem__, used.tolist()), index.returns[used].tolist())))
-    positions = positions.tolist()
+    positions, returns = positions.tolist(), index.returns.tolist()
+    bar_labels = {pos: _bar_label(index.bars[pos], returns[pos])
+                  for pos in set(positions) if pos >= 0}
     label_of_row = list(map(bar_labels.get, positions))  # None past the asset's history
     labels = {h.id: label for h, label in zip(headlines, label_of_row) if label is not None}
     skipped = [h.id for h, label in zip(headlines, label_of_row) if label is None]

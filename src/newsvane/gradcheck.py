@@ -10,7 +10,8 @@ Relu and max-pool make the loss piecewise smooth; a finite difference taken
 across a kink is meaningless. Candidate instances are therefore rejection
 sampled (deterministically) until all pre-activations, pool-window margins
 and output logits sit safely away from their kinks relative to the step
-size.
+size. Instances span pool widths 1 to 3 and some use dropout, with masks
+fixed per instance by a seed.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class SuiteResult:
         return self.max_rel_error < self.tolerance
 
 
-def _loss_of(enc, table, params, config, y) -> float:
-    output, _ = forward(enc, table, params, config, mode="train", rng=None)
-    return sample_loss(output, y, config.head)
+def _seeded_forward(enc, table, params, config, seed: int):
+    """A train-mode forward pass whose dropout masks depend only on ``seed``."""
+    return forward(enc, table, params, config, mode="train", rng=np.random.default_rng(seed))
 
 
 def _well_conditioned(cache: ForwardCache, config: ModelConfig) -> bool:
@@ -91,7 +92,8 @@ def _preactivation_margins(cache: ForwardCache, params: ModelParameters) -> floa
 
 
 def _random_instance(rng: np.random.Generator, index: int):
-    """One random toy configuration with its sample, table, parameters and label."""
+    """One random toy configuration with its sample, table, parameters, label
+    and dropout seed."""
     head = HEAD_BINARY if index % 2 == 0 else HEAD_MULTICLASS3
     mode = (MODE_SELF_LEARNT, MODE_NON_STATIC, MODE_STATIC)[index % 3]
     for _ in range(200):
@@ -101,12 +103,14 @@ def _random_instance(rng: np.random.Generator, index: int):
         filters_per_width = int(rng.integers(1, 3))
         if filters_per_width * len(widths) > 4:
             filters_per_width = 1
+        pool_w = int(rng.integers(1, 4))
+        dropout_rate = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 0.5))
         config_try = dict(
             p=p, m=m, filter_widths=widths, filters_per_width=filters_per_width,
-            pool_w=2, dropout_rate=0.0, head=head,
+            pool_w=pool_w, dropout_rate=dropout_rate, head=head,
         )
         z_len = sum(
-            filters_per_width * -(-(m - h + 1) // 2) for h in widths
+            filters_per_width * -(-(m - h + 1) // pool_w) for h in widths
         )
         if z_len < 3:
             continue
@@ -130,15 +134,16 @@ def _random_instance(rng: np.random.Generator, index: int):
         params.b1[:] = rng.normal(0.0, 0.3, size=l1)
         params.b2[:] = rng.normal(0.0, 0.3, size=l2)
         y = int(rng.integers(0, 2 if head == HEAD_BINARY else 3))
+        seed = int(rng.integers(2**63))
 
-        _, cache = forward(enc, table, params, config, mode="train", rng=None)
+        _, cache = _seeded_forward(enc, table, params, config, seed)
         if not _well_conditioned(cache, config):
             continue
         if _preactivation_margins(cache, params) < _KINK_MARGIN:
             continue
         if np.abs(cache.logits).max() > 8.0:
             continue
-        return config, enc, table, params, y
+        return config, enc, table, params, y, seed
     raise RuntimeError("could not sample a well-conditioned gradcheck instance")
 
 
@@ -168,20 +173,23 @@ def check_instance(
     table: EmbeddingTable,
     params: ModelParameters,
     y: int,
+    seed: int,
     step: float = DEFAULT_STEP,
 ) -> CheckResult:
     """Compare analytic and central-difference gradients for one instance.
 
-    Frozen tensors (static embedding tables, the padding row) are excluded:
-    they are pinned by contract, not by a zero derivative of the loss.
+    Every forward pass draws its dropout masks from a generator seeded with
+    ``seed``, so all of them zero the same units. Frozen tensors (static
+    embedding tables, the padding row) are excluded: they are pinned by
+    contract, not by a zero derivative of the loss.
     """
-    _, cache = forward(enc, table, params, config, mode="train", rng=None)
+    _, cache = _seeded_forward(enc, table, params, config, seed)
     analytic = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
     analytic_emb = np.zeros(table.matrix.shape) if table.trainable else None
     backward(cache, y, params, config, table, analytic, analytic_emb)
 
     def loss_fn() -> float:
-        return _loss_of(enc, table, params, config, y)
+        return sample_loss(_seeded_forward(enc, table, params, config, seed)[0], y, config.head)
 
     errors = _rel_errors(analytic.flat, _numeric_tensor_grad(params.flat, loss_fn, step))
     worst_index = int(np.argmax(errors))
@@ -197,7 +205,7 @@ def check_instance(
     desc = (
         f"head={config.head} mode={table.mode} m={config.m} p={config.p} "
         f"widths={config.filter_widths} f/w={config.filters_per_width} "
-        f"hidden={config.hidden_sizes}"
+        f"pool_w={config.pool_w} dropout={config.dropout_rate:.3f} hidden={config.hidden_sizes}"
     )
     return CheckResult(
         description=desc, max_rel_error=worst, worst_tensor=worst_name, n_checked=n_checked
@@ -217,8 +225,7 @@ def run_suite(
     start = time.perf_counter()
     results = []
     for index in range(n_configs):
-        config, enc, table, params, y = _random_instance(rng, index)
-        results.append(check_instance(config, enc, table, params, y, step=step))
+        results.append(check_instance(*_random_instance(rng, index), step=step))
     elapsed = time.perf_counter() - start
     return SuiteResult(
         results=tuple(results),

@@ -52,9 +52,9 @@ class TestSuite:
 class TestInstances:
     def test_embedding_rows_checked_in_trainable_modes(self):
         rng = np.random.default_rng(derive_seed(1, "gradcheck"))
-        config, enc, table, params, y = _random_instance(rng, index=1)  # non_static
+        config, enc, table, params, y, seed = _random_instance(rng, index=1)  # non_static
         assert table.mode == "non_static"
-        result = check_instance(config, enc, table, params, y)
+        result = check_instance(config, enc, table, params, y, seed)
         # parameter scalars plus all non-padding embedding entries
         n_params = sum(a.size for _, a in params.tensors())
         assert result.n_checked == n_params + table.matrix[1:].size
@@ -62,17 +62,30 @@ class TestInstances:
 
     def test_static_mode_skips_embeddings(self):
         rng = np.random.default_rng(derive_seed(1, "gradcheck"))
-        config, enc, table, params, y = _random_instance(rng, index=2)  # static
+        config, enc, table, params, y, seed = _random_instance(rng, index=2)  # static
         assert table.mode == "static"
-        result = check_instance(config, enc, table, params, y)
+        result = check_instance(config, enc, table, params, y, seed)
         assert result.n_checked == sum(a.size for _, a in params.tensors())
 
     @pytest.mark.parametrize("index", range(6))
     def test_individual_instances(self, index):
         rng = np.random.default_rng(derive_seed(99, "gradcheck"))
-        config, enc, table, params, y = _random_instance(rng, index)
-        result = check_instance(config, enc, table, params, y)
+        result = check_instance(*_random_instance(rng, index))
         assert result.max_rel_error < DEFAULT_TOLERANCE, result
+
+    def test_suite_differences_every_pool_width_and_dropped_units(self):
+        """The seed-0 suite runs pool widths 1, 2 and 3, and its dropout
+        instances zero a unit whose relu output is positive."""
+        rng = np.random.default_rng(derive_seed(0, "gradcheck"))
+        pool_widths, dropped = set(), 0
+        for index in range(20):
+            config, enc, table, params, y, seed = _random_instance(rng, index)
+            pool_widths.add(config.pool_w)
+            _, cache = gradcheck._seeded_forward(enc, table, params, config, seed)
+            act1 = network.relu(params.w1 @ cache.z + params.b1)
+            dropped += int(np.count_nonzero((act1 > 0) & (cache.drop1 == 0)))
+        assert pool_widths == {1, 2, 3}
+        assert dropped > 0
 
 
 def _former_well_conditioned(cache, config):
