@@ -11,14 +11,20 @@ Reported metrics: PP (percent profitable, the share of trades with positive
 return), ATP (average trade profit, the mean percentage return per trade),
 the compounded total return, the worst one-day trade loss, and the average
 return of the winning trades.
+
+A report holds its trades as positions into the ``PriceIndex`` they traded
+on, so it keeps a reference to that index. ``BacktestReport.trades`` builds
+the ``Trade`` tuples from the index's bars each time it is read; a threshold
+sweep reads none. Report ``==`` and ``hash`` compare the metrics only, not
+the trades.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -73,13 +79,19 @@ class Trade(NamedTuple):
 
 @dataclass(frozen=True)
 class BacktestReport:
-    trades: tuple[Trade, ...]
     n_trades: int
     total_return_pct: float
     pp_pct: float
     atp_pct: float
     max_single_day_loss_pct: float
     avg_correct_buy_return_pct: float
+    _book: _TradeBook = field(repr=False, compare=False)
+
+    @property
+    def trades(self) -> tuple[Trade, ...]:
+        """The trades in execution order, built from the price index's bars on each read."""
+        book = self._book
+        return tuple(map(Trade._make, map(book.index.bars.__getitem__, book.positions.tolist())))
 
     def to_dict(self) -> dict:
         return {
@@ -223,10 +235,12 @@ def decide_multiclass(dp: DayPrediction, t: float) -> str:
 
 
 class _TradeBook(NamedTuple):
-    """Resolved buys as trades in execution order, with their returns as one
-    float64 array and their trade days as day ordinals."""
+    """Resolved buys in execution order: the positions of their bars in
+    ``index.bars`` (int64), their returns (float64) and their trade days as
+    day ordinals (int64)."""
 
-    trades: tuple[Trade, ...]
+    index: PriceIndex
+    positions: np.ndarray
     returns: np.ndarray
     days: np.ndarray
 
@@ -259,42 +273,40 @@ class _TradeBook(NamedTuple):
         buy with no later bar is a ValueError that lists every such buy.
         """
         positions = index.next_positions([asset for asset, _ in buys], [date for _, date in buys])
-        missing = sorted(buy for buy, pos in zip(buys, positions.tolist()) if pos < 0)
-        if missing:
+        if len(positions) and positions.min() < 0:
+            missing = sorted(buy for buy, pos in zip(buys, positions.tolist()) if pos < 0)
             listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in missing)
             raise ValueError(f"no next-day price bar for: {listed}")
 
         days = index.days[positions]
         order = np.lexsort((positions, days))
         positions = positions[order]
-        trades = tuple(map(Trade._make, map(index.bars.__getitem__, positions.tolist())))
-        return cls(trades, index.returns[positions], days[order]), order
+        return cls(index, positions, index.returns[positions], days[order]), order
 
     def where(self, mask: np.ndarray) -> _TradeBook:
         """The trades at the true entries of ``mask``, in book order."""
-        return _TradeBook(tuple(compress(self.trades, mask.tolist())), self.returns[mask],
-                          self.days[mask])
+        return _TradeBook(self.index, self.positions[mask], self.returns[mask], self.days[mask])
 
 
 def _report(book: _TradeBook) -> BacktestReport:
     """The report of a book's trades: each trading day's return is the mean of
     its trades' returns (``_day_means``), and days compound in date order."""
-    if not book.trades:
-        return BacktestReport(
-            trades=(), n_trades=0, total_return_pct=0.0, pp_pct=0.0, atp_pct=0.0,
-            max_single_day_loss_pct=0.0, avg_correct_buy_return_pct=0.0,
-        )
     returns = book.returns
+    if not len(returns):
+        return BacktestReport(
+            n_trades=0, total_return_pct=0.0, pp_pct=0.0, atp_pct=0.0,
+            max_single_day_loss_pct=0.0, avg_correct_buy_return_pct=0.0, _book=book,
+        )
     capital = math.prod((1.0 + _day_means(returns, _run_sizes(book.days))).tolist(), start=1.0)
     wins = returns[returns > 0]
     return BacktestReport(
-        trades=book.trades,
         n_trades=len(returns),
         total_return_pct=100.0 * (capital - 1.0),
         pp_pct=100.0 * len(wins) / len(returns),
         atp_pct=100.0 * float(np.mean(returns)),
         max_single_day_loss_pct=100.0 * max(0.0, -float(returns.min())),
         avg_correct_buy_return_pct=100.0 * float(np.mean(wins)) if len(wins) else 0.0,
+        _book=book,
     )
 
 
@@ -338,10 +350,14 @@ def threshold_sweep(
     threshold buys a subset of them, so a missing next bar raises here as it
     would at the first threshold. Each threshold then calls ``simulate`` on
     the book's trades whose score exceeds it, which are the trades the
-    ``decide_*`` rule would make.
+    ``decide_*`` rule would make; no ``Trade`` is built. A threshold that is
+    not finite is a ValueError.
     """
     if not t_grid:
         raise ValueError("t_grid must be non-empty")
+    for t in t_grid:
+        if not math.isfinite(t):
+            raise ValueError(f"thresholds must be finite, got {float(t)!r}")
     if sorted(t_grid) != list(t_grid):
         raise ValueError("t_grid must be sorted ascending")
     if not day_predictions:

@@ -389,7 +389,7 @@ def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> tuple[list, 
     late = np.flatnonzero(positions < 0)
     if late.size:
         line, asset, date, _ = rows[late[0]]
-        missing = f"no price bar after {date}" if asset in prices else "no price bars"
+        missing = f"no price bar after {date}" if prices.has_asset(asset) else "no price bars"
         raise ConfigError(f"{path}: line {line}: asset {asset!r} has {missing}")
     return rows, HEAD_BINARY if len(header) == 3 else HEAD_MULTICLASS3
 

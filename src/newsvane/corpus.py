@@ -224,7 +224,7 @@ class PriceIndex:
     def __len__(self) -> int:
         return len(self.bars)
 
-    def __contains__(self, asset: str) -> bool:
+    def has_asset(self, asset: str) -> bool:
         """True if the index holds a bar of ``asset``."""
         return asset in self._rank
 

@@ -276,6 +276,15 @@ class TestSimulate:
         assert report.atp_pct == pytest.approx(100.0 * np.mean(returns), abs=1e-12)
         assert report.pp_pct == pytest.approx(100.0 * np.mean([r > 0 for r in returns]), abs=1e-12)
 
+    def test_reports_compare_and_hash_by_their_metrics(self):
+        """Two reports with equal metrics are equal and hash alike whatever
+        their trades; the trades are read from each report's own book."""
+        bars = _bars_for({("A", 1): 0.01, ("B", 1): 0.01})
+        on_a, on_b = (simulate([(asset, _day(0), BUY)], bars) for asset in ("A", "B"))
+        assert on_a == on_b and hash(on_a) == hash(on_b)
+        assert [t.asset for t in on_a.trades] == ["A"] and [t.asset for t in on_b.trades] == ["B"]
+        assert on_a.to_dict() != on_b.to_dict()
+
 
 def _enumerate_backtest_binary(day_preds, returns_by_day, t):
     """Independent oracle: plain-python day-by-day enumeration."""
@@ -373,6 +382,17 @@ class TestThresholdSweep:
         text = sweep_csv(threshold_sweep(day_preds, numpy_bars, grid))
         assert text == sweep_csv(threshold_sweep(day_preds, bars, grid))
         assert "np." not in text
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_non_finite_threshold_rejected(self, crafted_fixture, bad):
+        """A NaN threshold once resolved the book at NaN and reported no trades
+        at every later threshold."""
+        day_preds, _, bars = crafted_fixture
+        assert threshold_sweep(day_preds, bars, [0.5])[0].n_trades > 0
+        for grid in ([bad, 0.5], [0.5, bad], [bad]):
+            with pytest.raises(ValueError) as err:
+                threshold_sweep(day_preds, bars, grid)
+            assert str(err.value) == f"thresholds must be finite, got {float(bad)!r}"
 
     def test_unsorted_grid_rejected(self, crafted_fixture):
         day_preds, _, bars = crafted_fixture
@@ -694,6 +714,41 @@ class TestSweepExactness:
                     for start in range(0, len(grid), size):
                         threshold_sweep(day_preds, prices, grid[start:start + size])
                     assert calls == [len(bars)] * len(grid)
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_a_sweep_builds_no_trade(self, binary, monkeypatch):
+        """A sweep reads counts and returns, so it builds no ``Trade``; a report
+        builds its trades when they are read, with the reference's bits."""
+        made = []
+
+        class CountingTrade(Trade):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                made.append(1)
+                return super().__new__(cls, *args, **kwargs)
+
+            @classmethod
+            def _make(cls, iterable):
+                made.append(1)
+                return super()._make(iterable)
+
+        monkeypatch.setattr(backtest, "Trade", CountingTrade)
+        day_preds, bars = _desk(17, binary)
+        index = PriceIndex(bars)
+        grid = default_threshold_grid(binary)
+        rows = threshold_sweep(day_preds, index, grid)
+        assert made == [] and rows[0].n_trades > 50
+        for t in grid[::8]:
+            report = simulate(_ref_decisions(day_preds, t), index)
+            assert made == []
+            reference = _ref_simulate(_ref_decisions(day_preds, t), bars)
+            assert _report_bits(report) == _report_bits(reference)
+            assert len(made) == reference["n_trades"]
+            made.clear()
+            text = repr(report)
+            assert text.startswith("BacktestReport(n_trades=")
+            assert "array" not in text and "Trade" not in text and "Index" not in text
 
     def test_wrong_head_in_a_sweep_is_rejected(self):
         day_preds, bars = _desk(13, True)

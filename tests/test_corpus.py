@@ -254,7 +254,15 @@ class TestNextTradingDay:
             assert self._next(index, asset, after) is None
         assert PriceIndex.of(index) is index
         assert self._next(index, "BBB", dt.date(2016, 1, 1)).date == dt.date(2016, 1, 9)
-        assert ("BBB" in index, "ZZZ" in index) == (True, False)
+        assert (index.has_asset("BBB"), index.has_asset("ZZZ")) == (True, False)
+
+    def test_membership_test_is_a_type_error(self):
+        """``len()`` and ``.bars`` count bars, so ``in`` on the index would
+        read as bar membership; it raises rather than answer for asset names."""
+        index = PriceIndex(self.BARS)
+        for item in (self.BARS[0], "AAA"):
+            with pytest.raises(TypeError):
+                item in index  # noqa: B015
 
     def test_assets_listed_out_of_order_and_days_before_the_first_bar(self):
         bars = [PriceBar("B", dt.date(2016, 1, 4), 10.0, 11.0),
