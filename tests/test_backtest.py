@@ -385,8 +385,8 @@ class TestThresholdSweep:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
     def test_non_finite_threshold_rejected(self, crafted_fixture, bad):
-        """A NaN threshold once resolved the book at NaN and reported no trades
-        at every later threshold."""
+        """A NaN first threshold would resolve the book at NaN, so every later
+        threshold would report no trades without an error."""
         day_preds, _, bars = crafted_fixture
         assert threshold_sweep(day_preds, bars, [0.5])[0].n_trades > 0
         for grid in ([bad, 0.5], [0.5, bad], [bad]):

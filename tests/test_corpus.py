@@ -262,7 +262,7 @@ class TestNextTradingDay:
         index = PriceIndex(self.BARS)
         for item in (self.BARS[0], "AAA"):
             with pytest.raises(TypeError):
-                item in index  # noqa: B015
+                item in index
 
     def test_assets_listed_out_of_order_and_days_before_the_first_bar(self):
         bars = [PriceBar("B", dt.date(2016, 1, 4), 10.0, 11.0),
