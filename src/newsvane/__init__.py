@@ -48,6 +48,7 @@ from .network import (
     ForwardCache,
     ModelConfig,
     ModelParameters,
+    RowGradient,
     apply_dropout,
     backward,
     dense_forward,

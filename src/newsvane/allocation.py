@@ -1,9 +1,9 @@
 """Where the C allocator puts large arrays, and when the cyclic collector runs.
 
-Every ``train`` call allocates and frees a few arrays the size of the
-embedding table (the Adam moments, the batch gradient sum, the step's
-scratch), and loading a table or a checkpoint parses through more of them.
-glibc gives a block of 128 KiB or more its own mapping only until the first
+Loading a table or a checkpoint allocates and frees arrays the size of the
+embedding table. ``train`` allocates none: its embedding gradient and Adam
+moments follow the rows its batches touch, though at a large share of a
+big table they too pass 1 MiB. glibc gives a block of 128 KiB or more its own mapping only until the first
 such block is freed: from then on its threshold rises to that block's size,
 so every later table-sized array is carved from the heap. A freed one stays
 resident there, and whether the next one fits into a hole depends on the

@@ -353,7 +353,7 @@ def threshold_sweep(
     ``decide_*`` rule would make; no ``Trade`` is built. A threshold that is
     not finite is a ValueError.
     """
-    if not t_grid:
+    if len(t_grid) == 0:
         raise ValueError("t_grid must be non-empty")
     for t in t_grid:
         if not math.isfinite(t):

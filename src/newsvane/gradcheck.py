@@ -185,8 +185,7 @@ def check_instance(
     """
     _, cache = _seeded_forward(enc, table, params, config, seed)
     analytic = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
-    analytic_emb = np.zeros(table.matrix.shape) if table.trainable else None
-    backward(cache, y, params, config, table, analytic, analytic_emb)
+    emb_grad = backward(cache, y, params, config, table, analytic)
 
     def loss_fn() -> float:
         return sample_loss(_seeded_forward(enc, table, params, config, seed)[0], y, config.head)
@@ -195,7 +194,9 @@ def check_instance(
     worst_index = int(np.argmax(errors))
     worst, worst_name = float(errors[worst_index]), params.layout.name_at(worst_index)
     n_checked = params.flat.size
-    if analytic_emb is not None:
+    if emb_grad is not None:
+        analytic_emb = np.zeros(table.matrix.shape)
+        analytic_emb[emb_grad.rows] = emb_grad.values
         rows = table.matrix[1:]
         numeric_rows = _numeric_tensor_grad(rows, loss_fn, step)
         n_checked += rows.size

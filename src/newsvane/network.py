@@ -10,12 +10,12 @@ dropout follow; the output head is a single sigmoid unit (binary) or a
 3-way softmax (multiclass), trained with the matching cross-entropy loss.
 
 Everything is float64 and single-sample. ``backward`` adds a sample's
-gradient into accumulators its caller owns, so the training loop sums a
-batch by calling it once per sample in a fixed order, which keeps runs
-bit-reproducible. The embedding gradient of a sample is row-sparse: it is
-added only to the distinct non-padding rows its headline looks up, each
+parameter gradient into accumulators its caller owns, so the training loop
+sums a batch by calling it once per sample in a fixed order, which keeps
+runs bit-reproducible. It returns the sample's embedding gradient as a
+``RowGradient``: the distinct non-padding rows its headline looks up, each
 summed over its positions in position order, so a backward pass never
-touches the rest of the table.
+touches the rest of the table and allocates nothing the table's size.
 
 Per-sample cost is mostly the count of numpy calls, so the conv stage runs
 all widths in shared buffers (``_ConvPlan``): one column per filter, one
@@ -426,6 +426,14 @@ _ONE_HOT3 = np.eye(3)
 _ONE_HOT3.flags.writeable = False
 
 
+class RowGradient(NamedTuple):
+    """A gradient that is zero outside ``rows``: the sorted distinct row
+    indices (first axis of the tensor) and, row for row, their gradients."""
+
+    rows: np.ndarray    # int64, ascending, no repeats
+    values: np.ndarray  # (len(rows), ...) in the tensor's row shape
+
+
 def backward(
     cache: ForwardCache,
     y: int,
@@ -433,23 +441,20 @@ def backward(
     config: ModelConfig,
     table: EmbeddingTable,
     acc: ModelParameters,
-    acc_emb: np.ndarray | None,
-) -> np.ndarray:
+) -> RowGradient | None:
     """Add the exact analytic gradient of one sample's loss into ``acc`` and
-    ``acc_emb``.
+    return its embedding gradient.
 
-    ``acc`` has the layout of ``params``; ``acc_emb`` is the table-shaped
-    accumulator of the embedding gradient, or None for a static table, whose
-    gradient is then not computed. Every tensor of ``acc`` receives
+    ``acc`` has the layout of ``params``, and every tensor of it receives
     ``acc + g`` element by element, so calling this once per sample, in a
     fixed order, into zeroed accumulators sums a batch reproducibly.
 
     The gradient flows only through the max-pool argmax positions, and relu
     passes it only where its input was strictly positive. The embedding
-    gradient is row-sparse: it is added only to the sorted distinct
-    non-padding rows the headline looks up, each summed over its positions
-    in position order first. Those rows are returned (none when ``acc_emb``
-    is None); every other row, the padding row included, is left as it was.
+    gradient is row-sparse: its rows are the sorted distinct non-padding
+    rows the headline looks up, each summed over its positions in position
+    order from +0.0, and every other row, the padding row included, is zero.
+    For a static table it is not computed and None is returned.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward pass")
@@ -479,7 +484,7 @@ def backward(
     dpost[cache.positions.take(plan.z_take), plan.z_cols] = dz
     dpre = dpost * (cache.pre[: plan.map_rows] > 0)
 
-    dwindows = None if acc_emb is None else np.empty(plan.bins.size)
+    dwindows = np.empty(plan.bins.size) if table.trainable else None
     for width in plan.widths:
         h, dpre_h = width.h, dpre[: width.length, width.cols]
         acc.filters[h] += dpre_h.T @ cache.windows[h]
@@ -488,15 +493,13 @@ def backward(
             np.matmul(dpre_h, params.filters[h], out=dwindows[width.grads].reshape(width.length, -1))
 
     if dwindows is None:
-        return np.empty(0, dtype=np.int64)
+        return None
     # Window k covers words k..k+h-1. bincount adds its weights in input
     # order from 0.0: width by width in config order, and within a width
     # in ascending k, which is descending word offset for any one word.
     dx = np.bincount(plan.bins, weights=dwindows,
                      minlength=config.m * config.p).reshape(config.m, config.p)
-    emb_rows, emb_grads = _sum_rows(cache.indices, dx)
-    acc_emb[emb_rows] += emb_grads
-    return emb_rows
+    return RowGradient(*_sum_rows(cache.indices, dx))
 
 
 def _sum_rows(indices: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -394,6 +394,14 @@ class TestThresholdSweep:
                 threshold_sweep(day_preds, bars, grid)
             assert str(err.value) == f"thresholds must be finite, got {float(bad)!r}"
 
+    def test_numpy_grid_sweeps_like_the_equal_list(self, crafted_fixture):
+        day_preds, _, bars = crafted_fixture
+        grid = default_threshold_grid(head_binary=True)
+        assert threshold_sweep(day_preds, bars, np.array(grid)) == threshold_sweep(day_preds, bars, grid)
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="^t_grid must be non-empty$"):
+                threshold_sweep(day_preds, bars, empty)
+
     def test_unsorted_grid_rejected(self, crafted_fixture):
         day_preds, _, bars = crafted_fixture
         with pytest.raises(ValueError):

@@ -14,10 +14,10 @@ def perturb_backward(monkeypatch, error):
     """Make the backward pass gradcheck calls add ``error`` to one filter entry."""
     real = gradcheck.backward
 
-    def backward(cache, y, params, config, table, acc, acc_emb):
-        rows = real(cache, y, params, config, table, acc, acc_emb)
+    def backward(cache, y, params, config, table, acc):
+        emb_grad = real(cache, y, params, config, table, acc)
         acc.filters[config.filter_widths[0]][0, 0] += error
-        return rows
+        return emb_grad
 
     monkeypatch.setattr(gradcheck, "backward", backward)
 

@@ -496,11 +496,15 @@ class TestShapes:
 
 
 def _backward(cache, y, params, config, table):
-    """One sample's gradient in zeroed accumulators: (params, embeddings or None, rows)."""
+    """One sample's gradient: (params in zeroed accumulators, the table-shaped
+    embedding gradient or None, its rows or None)."""
     acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
-    acc_emb = np.zeros(table.matrix.shape) if table.trainable else None
-    rows = backward(cache, y, params, config, table, acc, acc_emb)
-    return acc, acc_emb, rows
+    emb_grad = backward(cache, y, params, config, table, acc)
+    if emb_grad is None:
+        return acc, None, None
+    acc_emb = np.zeros(table.matrix.shape)
+    acc_emb[emb_grad.rows] += emb_grad.values
+    return acc, acc_emb, emb_grad.rows
 
 
 class TestBackwardContracts:
@@ -509,7 +513,7 @@ class TestBackwardContracts:
         static_table = EmbeddingTable(matrix=table.matrix.copy(), mode="static", p=1)
         _, cache = forward(enc, static_table, params, config, mode="train")
         acc, acc_emb, rows = _backward(cache, 1, params, config, static_table)
-        assert acc_emb is None and rows.shape == (0,) and rows.dtype == np.int64
+        assert acc_emb is None and rows is None
         assert acc.flat.any()
 
     def test_padding_row_gradient_always_zero(self):
@@ -517,7 +521,7 @@ class TestBackwardContracts:
         enc = EncodedHeadline(indices=np.array([2, 1, 0]), true_len=2)
         _, cache = forward(enc, table, params, config, mode="train")
         _, acc_emb, rows = _backward(cache, 0, params, config, table)
-        assert rows.tolist() == [1, 2]  # sorted, padding row 0 left out
+        assert rows.tolist() == [1, 2] and rows.dtype == np.int64  # sorted, padding row 0 left out
         assert not acc_emb[0].any()
         assert np.all(acc_emb[1:] != 0.0)  # trainable rows do receive gradient
 
@@ -562,7 +566,9 @@ class TestBackwardContracts:
         # From accumulators pre-filled with a known value, one call adds one
         # sample's gradient and a second call on the same cache adds it again:
         # the result is exactly the known value plus twice one call's gradient
-        # in every tensor, and untouched embedding rows keep the known value.
+        # in every tensor. The embedding gradient is returned, not added: each
+        # call returns the same rows and values, and adding them twice into a
+        # table pre-filled with the known value leaves untouched rows at it.
         rng = np.random.default_rng(6)
         config = ModelConfig(p=3, m=7, filter_widths=(2, 4), filters_per_width=2,
                              hidden_sizes=(4, 2), dropout_rate=0.3)
@@ -578,8 +584,10 @@ class TestBackwardContracts:
             acc = ModelParameters.from_flat(np.full(params.layout.size, 0.375), params.layout)
             acc_emb = np.full(matrix.shape, 0.375)
             for _ in range(2):
-                again = backward(cache, y, params, config, table, acc, acc_emb)
-                assert again.tolist() == rows.tolist()
+                again = backward(cache, y, params, config, table, acc)
+                assert again.rows.tolist() == rows.tolist()
+                assert again.values.tobytes() == once_emb[rows].tobytes()
+                acc_emb[again.rows] += again.values
             assert acc.flat.tobytes() == ((0.375 + once.flat) + once.flat).tobytes()
             assert acc_emb.tobytes() == ((0.375 + once_emb) + once_emb).tobytes()
             untouched = np.ones(len(matrix), dtype=bool)
@@ -590,7 +598,7 @@ class TestBackwardContracts:
         config, table, enc, params = _toy_setup()
         acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
         with pytest.raises(ValueError):
-            backward(None, 1, params, config, table, acc, np.zeros(table.matrix.shape))
+            backward(None, 1, params, config, table, acc)
 
 
 # --- exactness against the former per-width implementation -----------------
@@ -782,7 +790,11 @@ def _assert_exact_pass(config, mode, true_len, with_rng, seed):
         if step is None:
             rows = _former_backward(fields, y, params, config, acc, acc_emb)
         else:
-            rows = step(cache, y, params, config, table, acc, acc_emb)
+            emb_grad = step(cache, y, params, config, table, acc)
+            assert (emb_grad is None) == (acc_emb is None)
+            rows = np.empty(0, dtype=np.int64) if emb_grad is None else emb_grad.rows
+            if emb_grad is not None:  # what the former code did with its sums
+                acc_emb[emb_grad.rows] += emb_grad.values
         results.append((_bits(acc.flat), None if acc_emb is None else _bits(acc_emb), _bits(rows)))
     assert results[0] == results[1]
 

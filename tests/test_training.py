@@ -1,17 +1,20 @@
 """Adam, training-loop, metrics and grid-search tests."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from newsvane import training
 from newsvane.embeddings import EmbeddingTable, init_self_learnt, load_pretrained
 from newsvane.corpus import generate_synthetic
 from newsvane.network import (
     ModelConfig,
     ModelParameters,
+    RowGradient,
     backward,
     forward,
     init_parameters,
@@ -80,18 +83,20 @@ class TestAdam:
             adam_step(tensors, {"w": g}, state)
         assert tensors["w"].tobytes() == _textbook_adam(theta0, grads, lr=0.01).tobytes()
 
-    @pytest.mark.parametrize("n_hot, gathered", [(20, True), (45, False)])
-    def test_row_steps_match_textbook(self, n_hot, gathered):
-        # Each step names the rows it gives a gradient, drawn from the first
-        # n_hot of 50. Their union stays below half the rows (the step gathers
-        # them) or passes it (the step goes whole). Either way the result is
-        # the textbook whole-array step, and rows never named, -0.0 and NaN
-        # included, keep their bytes.
+    @pytest.mark.parametrize("n_hot, chunked", [(20, True), (45, False)])
+    def test_row_steps_match_textbook(self, n_hot, chunked, monkeypatch):
+        # Each step gives a RowGradient on rows drawn from the first n_hot of
+        # 50. Whether the update runs in one chunk or in chunks of two rows,
+        # the result is the textbook whole-array step, the moments hold the
+        # rows named so far and no others, and rows never named, -0.0 and
+        # NaN included, keep their bytes.
+        if chunked:
+            monkeypatch.setattr(training, "_CHUNK_ELEMENTS", 6)
         rng = np.random.default_rng(8)
         theta0 = rng.normal(size=(50, 3))
         theta0[47:] = [[-0.0, np.nan, np.inf], [-np.inf, -0.0, 0.0], [np.nan, 1e300, -1e-300]]
         tensors = {"w": theta0.copy()}
-        state = AdamState.initialize(tensors, lr=0.01)
+        state = AdamState.initialize(tensors, lr=0.01, row_sparse=["w"])
         grads, named = [], np.zeros(50, dtype=bool)
         for _ in range(10):
             rows = np.sort(rng.choice(n_hot, size=6, replace=False))
@@ -99,19 +104,66 @@ class TestAdam:
             g[rows] = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-6, 3, size=(6, 1))
             grads.append(g)
             named[rows] = True
-            adam_step(tensors, {"w": g}, state, rows={"w": rows})
-        assert ("w" in state.active) == gathered
+            adam_step(tensors, {"w": RowGradient(rows, g[rows])}, state)
+            assert sorted(state.rows["w"].tolist()) == np.flatnonzero(named).tolist()
         assert tensors["w"].tobytes() == _textbook_adam(theta0, grads, lr=0.01).tobytes()
         assert tensors["w"][~named].tobytes() == theta0[~named].tobytes()
 
-    @pytest.mark.parametrize("rows", [None, {"embeddings": np.array([3])}])
+    @pytest.mark.parametrize("rows", [None, np.array([3])])
     def test_nonfinite_embedding_gradient_names_tensor(self, rows):
         tensors = {"embeddings": np.ones((10, 2))}
-        state = AdamState.initialize(tensors)
         g = np.zeros((10, 2))
         g[3, 1] = np.inf
+        if rows is None:
+            state, grad = AdamState.initialize(tensors), g
+        else:
+            state = AdamState.initialize(tensors, row_sparse=["embeddings"])
+            grad = RowGradient(rows, g[rows])
         with pytest.raises(NumericError, match="non-finite gradient for tensor 'embeddings'"):
-            adam_step(tensors, {"embeddings": g}, state, rows=rows)
+            adam_step(tensors, {"embeddings": grad}, state)
+
+    def test_nonfinite_gradient_changes_nothing(self):
+        # The embedding gradient is read after the finite params gradient,
+        # and it also names a new row: neither tensor, moment, named row nor
+        # the step count may change before it is found non-finite.
+        tensors = {"params": np.ones(3), "embeddings": np.ones((10, 2))}
+        state = AdamState.initialize(tensors, lr=0.1, row_sparse=["embeddings"])
+        adam_step(tensors, {"params": np.full(3, 0.5),
+                            "embeddings": RowGradient(np.array([2, 5]), np.ones((2, 2)))}, state)
+
+        def snapshot():
+            arrays = [*tensors.values(), *state.m.values(), *state.v.values(),
+                      *state.rows.values(), *state.slots.values()]
+            return [a.tobytes() for a in arrays], state.t
+
+        before = snapshot()
+        bad = RowGradient(np.array([2, 7]), np.array([[1.0, np.nan], [1.0, 1.0]]))
+        with pytest.raises(NumericError, match="non-finite gradient for tensor 'embeddings'"):
+            adam_step(tensors, {"params": np.full(3, 0.5), "embeddings": bad}, state)
+        assert snapshot() == before
+
+    @pytest.mark.parametrize("rows, values", [
+        (np.array([3, 1]), np.ones((2, 2))),   # not ascending
+        (np.array([1, 1]), np.ones((2, 2))),   # repeated
+        (np.array([-1]), np.ones((1, 2))),     # below the first row
+        (np.array([10]), np.ones((1, 2))),     # past the last row
+        (np.array([1, 2]), np.ones((1, 2))),   # one value row short
+    ])
+    def test_malformed_row_gradient_rejected(self, rows, values):
+        tensors = {"embeddings": np.ones((10, 2))}
+        state = AdamState.initialize(tensors, row_sparse=["embeddings"])
+        with pytest.raises(ValueError, match="distinct ascending rows below 10"):
+            adam_step(tensors, {"embeddings": RowGradient(rows, values)}, state)
+        assert state.t == 0 and not state.rows["embeddings"].size
+
+    def test_gradient_kind_must_match_the_state(self):
+        tensors = {"w": np.ones((4, 2))}
+        with pytest.raises(TypeError, match="'w' takes a RowGradient"):
+            adam_step(tensors, {"w": np.zeros((4, 2))},
+                      AdamState.initialize(tensors, row_sparse=["w"]))
+        with pytest.raises(TypeError, match="'w' takes a dense gradient"):
+            adam_step(tensors, {"w": RowGradient(np.array([1]), np.zeros((1, 2)))},
+                      AdamState.initialize(tensors))
 
     @pytest.mark.parametrize("hyper", [{"lr": -1e-3}, {"lr": math.inf}, {"beta1": 1.0},
                                        {"beta2": -0.5}, {"eps": 0.0}, {"eps": math.nan}])
@@ -288,7 +340,8 @@ class TestEmbeddingModeContracts:
 def _dense_reference_train(dataset, table, params, config, epochs, batch_size, seed, lr=1e-3):
     """Per-sample dense accumulation: each sample's embedding gradient fills a
     table-sized matrix, the batch sum is scaled whole, and Adam is the
-    textbook whole-array update of every tensor."""
+    textbook whole-array update of every tensor. Returns, per step, the
+    table rows the batch looked up and the rows whose bytes the step changed."""
     shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
     tensors = {"params": params.flat, "embeddings": table.matrix}
@@ -296,20 +349,25 @@ def _dense_reference_train(dataset, table, params, config, epochs, batch_size, s
         del tensors["embeddings"]
     moments = {k: (np.zeros_like(a), np.zeros_like(a)) for k, a in tensors.items()}
     t = 0
+    history = []
     for _ in range(epochs):
         order = shuffle_rng.permutation(len(dataset))
         for start in range(0, len(dataset), batch_size):
             batch = order[start : start + batch_size]
             acc = {"params": np.zeros_like(params.flat), "embeddings": np.zeros_like(table.matrix)}
+            looked_up = np.zeros(len(table.matrix), dtype=bool)
             for i in batch:
                 enc, y = dataset[i]
+                looked_up[enc.indices] = True
                 _, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
                 g = ModelParameters.from_flat(np.zeros_like(params.flat), params.layout)
-                demb = np.zeros_like(table.matrix) if table.trainable else None
-                backward(cache, y, params, config, table, g, demb)
+                emb_grad = backward(cache, y, params, config, table, g)
                 acc["params"] += g.flat
-                if demb is not None:
+                if emb_grad is not None:
+                    demb = np.zeros_like(table.matrix)
+                    demb[emb_grad.rows] += emb_grad.values
                     acc["embeddings"] += demb
+            before = table.matrix.copy()
             t += 1
             for name, theta in tensors.items():
                 g = acc[name] * (1.0 / len(batch))
@@ -320,6 +378,9 @@ def _dense_reference_train(dataset, table, params, config, epochs, batch_size, s
                 v += (1.0 - 0.999) * g * g
                 theta -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
             table.matrix[0] = 0.0
+            looked_up[0] = False
+            history.append((looked_up, (before != table.matrix).any(axis=1)))
+    return history
 
 
 class TestSparseEmbeddingEquivalence:
@@ -328,11 +389,10 @@ class TestSparseEmbeddingEquivalence:
         # Two corpora of 21 samples in batches of 8, leaving a final partial
         # batch of 5. "shared": five tokens in six slots of a 6-row table, so
         # most headlines repeat a token and every batch touches nearly every
-        # row (Adam soon steps the whole table). "disjoint": each headline
-        # owns two tokens of a 100-row table, so consecutive batches touch
-        # disjoint rows, rows an earlier batch touched must keep moving on
-        # their moments, the 42 touched rows stay below half the table (Adam
-        # gathers them) and the other rows must keep their bytes.
+        # row. "disjoint": each headline owns two tokens of a 100-row table,
+        # so consecutive batches touch disjoint rows, rows an earlier batch
+        # touched must keep moving on their moments, and the 58 rows no
+        # headline looks up must keep their bytes.
         rng = np.random.default_rng(9)
         config = ModelConfig(p=4, m=6, filter_widths=(2, 3), filters_per_width=2,
                              hidden_sizes=(5, 3), dropout_rate=0.25, head="multiclass3")
@@ -362,6 +422,80 @@ class TestSparseEmbeddingEquivalence:
             assert table.matrix[~touched].tobytes() == matrix[~touched].tobytes()
             if mode != "static":
                 assert not np.array_equal(table.matrix[touched], matrix[touched])
+
+    @pytest.mark.parametrize("mode", ["non_static", "static"])
+    def test_rows_named_late_or_left_out_step_like_dense_adam(self, mode, monkeypatch):
+        # One epoch of four batches of four over a 12-row table whose rows are
+        # handed out by batch: rows 1-3 only in the first batch, so their
+        # moments decay over three steps with a zero gradient and they must
+        # still move on each; rows 7 and 8 first in the last batch; row 4 in
+        # every batch; rows 9-11 never. Chunks of two rows put the rows a
+        # batch names into several chunks of every step.
+        monkeypatch.setattr(training, "_CHUNK_ELEMENTS", 8)
+        rng = np.random.default_rng(21)
+        config = ModelConfig(p=4, m=5, filter_widths=(2, 3), filters_per_width=2,
+                             hidden_sizes=(5, 3), dropout_rate=0.3)
+        by_batch = ([1, 2, 3, 4], [4, 5, 6], [4, 5], [4, 7, 8])
+        seed, batch_size = 13, 4
+        order = np.random.default_rng(derive_seed(seed, "shuffle")).permutation(16)
+        dataset = [None] * 16
+        for position, i in enumerate(order):
+            tokens = by_batch[position // batch_size]
+            true_len = int(rng.integers(2, 6))
+            indices = np.zeros(5, dtype=np.int64)
+            indices[:true_len] = rng.choice(tokens, size=true_len)
+            indices[0] = tokens[position % batch_size % len(tokens)]
+            dataset[i] = (EncodedHeadline(indices=indices, true_len=true_len), int(rng.integers(2)))
+        matrix = rng.normal(size=(12, 4))
+        matrix[0] = 0.0
+        params = init_parameters(config, rng)
+        runs, history = [], None
+        for trainer in (train, _dense_reference_train):
+            table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=4)
+            run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
+            history = trainer(dataset, table, run_params, config, epochs=1,
+                              batch_size=batch_size, seed=seed, lr=0.01)
+            runs.append((run_params.flat.tobytes(), table.matrix.tobytes()))
+        assert runs[0] == runs[1]
+        assert len(history) == 4
+        for step, (looked_up, moved) in enumerate(history):
+            assert np.flatnonzero(looked_up).tolist() == sorted(set(by_batch[step]))
+            assert not moved[[0, 9, 10, 11]].any()
+            if mode == "static":
+                assert not moved.any()
+            else:
+                assert moved[[1, 2, 3, 4]].all() and moved[5:7].all() == (step >= 1)
+                assert moved[7:9].any() == (step == 3)
+        if mode == "static":
+            assert runs[0][1] == matrix.tobytes()
+
+
+def test_train_allocates_nothing_the_size_of_the_table():
+    # Tracemalloc sees NumPy's buffers. One train() call on a 50,000-row
+    # table must stay far below the table's own size: its gradient and Adam
+    # state follow the rows the batches look up.
+    rng = np.random.default_rng(17)
+    config = ModelConfig(p=64, m=6, filter_widths=(2, 3), filters_per_width=2,
+                         hidden_sizes=(5, 3), dropout_rate=0.25)
+    matrix = rng.normal(0.0, 0.1, size=(50_000, 64))
+    matrix[0] = 0.0
+    table = EmbeddingTable(matrix=matrix, mode="non_static", p=64)
+    params = init_parameters(config, rng)
+    dataset = []
+    for _ in range(48):
+        indices = np.zeros(6, dtype=np.int64)
+        indices[:5] = rng.integers(1, 50_000, size=5)
+        dataset.append((EncodedHeadline(indices=indices, true_len=5), int(rng.integers(2))))
+    looked_up = np.unique([e.indices for e, _ in dataset])[1:]
+    before = matrix[looked_up]
+    tracemalloc.start()
+    try:
+        train(dataset, table, params, config, epochs=2, batch_size=16, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (table.matrix[looked_up] != before).any()
+    assert peak < table.matrix.nbytes / 4
 
 
 def _fixture_model():
