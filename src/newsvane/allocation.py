@@ -1,16 +1,17 @@
 """Where the C allocator puts large arrays, and when the cyclic collector runs.
 
-Loading a table or a checkpoint allocates and frees arrays the size of the
-embedding table. ``train`` allocates none: its embedding gradient and Adam
-moments follow the rows its batches touch, though at a large share of a
-big table they too pass 1 MiB. glibc gives a block of 128 KiB or more its own mapping only until the first
-such block is freed: from then on its threshold rises to that block's size,
-so every later table-sized array is carved from the heap. A freed one stays
-resident there, and whether the next one fits into a hole depends on the
-order of every smaller allocation made before it. Two identical V=20k,
-p=100 runs then ended with peak RSS one whole table (15 MB) apart, and an
-unrelated change to small per-sample allocations moved which of the two
-a run got.
+``load_pretrained`` and ``load_checkpoint`` allocate and free arrays the
+size of the embedding table, and those are what the pin below is for.
+``train`` allocates none: its embedding gradient and Adam moments follow
+the rows its batches touch, though over a large share of a big table they
+too pass 1 MiB. glibc gives a block of 128 KiB or more its own mapping
+only until the first such block is freed: from then on its threshold
+rises to that block's size, so every later table-sized array is carved
+from the heap. A freed one stays resident there, and whether the next one
+fits into a hole depends on the order of every smaller allocation made
+before it. Two identical V=20k, p=100 runs then ended with
+peak RSS one whole table (15 MB) apart, and an unrelated change to small
+per-sample allocations moved which of the two a run got.
 
 ``pin_mmap_threshold`` fixes the threshold, which also turns off its
 raising: every block of 1 MiB or more gets its own mapping and goes back to

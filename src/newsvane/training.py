@@ -128,25 +128,24 @@ def adam_step(
     """
     stepped = [name for name in tensors if name not in state.frozen]
     for name in stepped:
-        grad = grads[name]
-        if isinstance(grad, RowGradient) != (name in state.rows):
-            kind = "a RowGradient" if name in state.rows else "a dense gradient"
+        grad, sparse = grads[name], name in state.rows
+        if isinstance(grad, RowGradient) != sparse:
+            kind = "a RowGradient" if sparse else "a dense gradient"
             raise TypeError(f"tensor {name!r} takes {kind}")
-        values = grad
-        if isinstance(grad, RowGradient):
-            rows, values, theta = grad.rows, grad.values, tensors[name]
-            if values.shape != (rows.size, *theta.shape[1:]) or rows.size and (
-                    rows[0] < 0 or rows[-1] >= len(theta) or (np.diff(rows) <= 0).any()):
+        if sparse:
+            rows, grad, n = grad.rows, grad.values, len(tensors[name])
+            if grad.shape != (rows.size, *tensors[name].shape[1:]) or rows.size and (
+                    rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any()):
                 raise ValueError(f"the gradient of tensor {name!r} needs distinct ascending "
-                                 f"rows below {len(theta)}, one value row each")
-        if not np.isfinite(values).all():
+                                 f"rows below {n}, one value row each")
+        if not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient for tensor {name!r}")
     state.t += 1
     hyper = (state.lr, state.beta1, state.beta2, 1.0 - state.beta1 ** state.t,
              1.0 - state.beta2 ** state.t, state.eps)
     for name in stepped:
         theta, grad = tensors[name], grads[name]
-        if isinstance(grad, RowGradient):
+        if name in state.rows:
             _step_named_rows(theta, grad, state, name, hyper)
             continue
         m, v = state.m[name], state.v[name]
