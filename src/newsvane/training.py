@@ -41,9 +41,9 @@ class NumericError(ValueError):
     """A run produced a non-finite number (for example a diverging step)."""
 
 
-# Rows per chunk of an Adam step are chosen so that each temporary holds
-# about this many floats (128 KiB): a chunk's arrays then stay in a core's
-# cache across the dozen passes the update makes over them.
+# Rows per chunk of a row-sparse Adam step are chosen so that each temporary
+# holds about this many floats (128 KiB): a chunk's arrays then stay in a
+# core's cache across the dozen passes the update makes over them.
 _CHUNK_ELEMENTS = 1 << 14
 
 
@@ -51,14 +51,15 @@ _CHUNK_ELEMENTS = 1 << 14
 class AdamState:
     """First/second moment accumulators and hyperparameters for Adam.
 
-    ``m`` and ``v`` hold the moments of every tensor that is not frozen.
-    For a row-sparse tensor (one listed in ``row_sparse`` at creation, whose
-    gradients are ``RowGradient``s) they hold only the rows a gradient has
-    named since the state was created: moment row i belongs to tensor row
-    ``rows[name][i]``, ``slots[name]`` maps a tensor row back to its moment
-    row (-1 if none), and the arrays keep spare zero rows past
-    ``len(rows[name])``, doubling when they fill, so adding rows copies
-    each moment row O(1) times on average.
+    ``m`` and ``v`` hold the moments of every tensor stepped so far; a
+    tensor's are made on its first step, and frozen tensors get none. A
+    tensor whose gradients are ``RowGradient``s (a row-sparse tensor; every
+    gradient of a tensor must be of the kind its first was) has moments
+    only for the rows a gradient has named since the state was created:
+    moment row i belongs to tensor row ``rows[name][i]``, ``slots[name]``
+    maps a tensor row back to its moment row (-1 if none), and the arrays
+    keep spare zero rows past ``len(rows[name])``, doubling when they fill,
+    so adding rows copies each moment row O(1) times on average.
     """
 
     lr: float
@@ -75,13 +76,11 @@ class AdamState:
     @classmethod
     def initialize(
         cls,
-        tensors: dict[str, np.ndarray],
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
         frozen: Sequence[str] = (),
-        row_sparse: Sequence[str] = (),
     ) -> "AdamState":
         # These ranges make a zero-moment, zero-gradient row's step exactly
         # +0.0, which is what lets adam_step leave unnamed rows out.
@@ -89,17 +88,8 @@ class AdamState:
                 and 0.0 <= beta2 < 1.0 and math.isfinite(eps) and eps > 0.0):
             raise ValueError(f"Adam needs finite lr >= 0, betas in [0, 1) and finite eps > 0; "
                              f"got lr={lr}, beta1={beta1}, beta2={beta2}, eps={eps}")
-        stepped = {k: a for k, a in tensors.items() if k not in frozen}
-        sparse = {k: a for k, a in stepped.items() if k in row_sparse}
-        shapes = {k: (0, *a.shape[1:]) if k in sparse else a.shape for k, a in stepped.items()}
-        return cls(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-            m={k: np.zeros(shape) for k, shape in shapes.items()},
-            v={k: np.zeros(shape) for k, shape in shapes.items()},
-            frozen=frozenset(frozen),
-            rows={k: np.empty(0, dtype=np.intp) for k in sparse},
-            slots={k: np.full(len(a), -1, dtype=np.intp) for k, a in sparse.items()},
-        )
+        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0, m={}, v={},
+                   frozen=frozenset(frozen))
 
 
 def adam_step(
@@ -115,24 +105,20 @@ def adam_step(
     is bit-identical to that expression. Tensors listed in ``state.frozen``
     are skipped entirely; their gradients are not read. Every gradient that
     will be read is checked first: a non-finite one raises ``NumericError``
-    naming its tensor before any tensor or ``state.t`` changes.
+    naming its tensor before any tensor, moment or ``state.t`` changes.
 
-    A row-sparse tensor's gradient is a ``RowGradient``, zero outside its
-    rows. A row that no step has named yet has zero moments, and with a
-    zero gradient its update is the identity: m, v and the step stay +0.0,
-    and theta - 0.0 leaves every float as it is, -0.0 and NaN included. So
-    such a tensor is updated only on the rows named since ``state`` was
-    created, each of them on every step, as the whole-tensor update would.
-    Every tensor is updated in chunks of rows small enough for the
-    temporaries to stay in cache.
+    A ``RowGradient`` is zero outside its rows. A row that no step has
+    named yet has zero moments, and with a zero gradient its update is the
+    identity: m, v and the step stay +0.0, and theta - 0.0 leaves every
+    float as it is, -0.0 and NaN included. So a row-sparse tensor is
+    updated only on the rows named since ``state`` was created, each of
+    them on every step, as the whole-tensor update would, in chunks of rows
+    small enough for the temporaries to stay in cache.
     """
     stepped = [name for name in tensors if name not in state.frozen]
     for name in stepped:
-        grad, sparse = grads[name], name in state.rows
-        if isinstance(grad, RowGradient) != sparse:
-            kind = "a RowGradient" if sparse else "a dense gradient"
-            raise TypeError(f"tensor {name!r} takes {kind}")
-        if sparse:
+        grad = grads[name]
+        if isinstance(grad, RowGradient):
             rows, grad, n = grad.rows, grad.values, len(tensors[name])
             if grad.shape != (rows.size, *tensors[name].shape[1:]) or rows.size and (
                     rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any()):
@@ -145,24 +131,23 @@ def adam_step(
              1.0 - state.beta2 ** state.t, state.eps)
     for name in stepped:
         theta, grad = tensors[name], grads[name]
-        if name in state.rows:
+        if isinstance(grad, RowGradient):
             _step_named_rows(theta, grad, state, name, hyper)
             continue
-        m, v = state.m[name], state.v[name]
-        per = _chunk_rows(theta)
-        for start in range(0, len(theta), per):
-            chunk = slice(start, start + per)
-            _adam_update(theta[chunk], m[chunk], v[chunk], grad[chunk], hyper)
-
-
-def _chunk_rows(theta: np.ndarray) -> int:
-    return max(1, _CHUNK_ELEMENTS * len(theta) // max(theta.size, 1))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros(theta.shape), np.zeros(theta.shape)
+        _adam_update(theta, state.m[name], state.v[name], grad, hyper)
 
 
 def _step_named_rows(theta: np.ndarray, grad: RowGradient, state: AdamState, name: str,
                      hyper: tuple[float, ...]) -> None:
     """Step every row of ``theta`` named since ``state`` was created, after
     naming ``grad.rows``; the gradient is zero on the rows it does not list."""
+    if name not in state.slots:
+        state.slots[name] = np.full(len(theta), -1, dtype=np.intp)
+        state.rows[name] = np.empty(0, dtype=np.intp)
+        state.m[name] = np.zeros((0, *theta.shape[1:]))
+        state.v[name] = np.zeros((0, *theta.shape[1:]))
     slots = state.slots[name]
     new = grad.rows[slots[grad.rows] < 0]
     if new.size:
@@ -181,7 +166,7 @@ def _step_named_rows(theta: np.ndarray, grad: RowGradient, state: AdamState, nam
     at = slots[grad.rows]
     order = np.argsort(at)
     at, values = at[order], grad.values[order]
-    per = _chunk_rows(theta)
+    per = max(1, _CHUNK_ELEMENTS * len(theta) // max(theta.size, 1))
     starts = range(0, len(rows), per)
     bounds = np.searchsorted(at, [*starts, len(rows)]).tolist()
     for i, start in enumerate(starts):
@@ -259,7 +244,7 @@ def train(
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
     frozen = {"embeddings"} if table.mode == MODE_STATIC else set()
     tensors = {"params": params.flat, "embeddings": table.matrix}
-    state = AdamState.initialize(tensors, lr=lr, frozen=frozen, row_sparse=["embeddings"])
+    state = AdamState.initialize(lr=lr, frozen=frozen)
     # the batch sum that backward adds each sample's parameter gradient into
     acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
 
