@@ -16,6 +16,7 @@ from .backtest import (
     NO_ACTION,
     BacktestReport,
     DayPrediction,
+    DayPredictions,
     Trade,
     aggregate_daily,
     buy_scores,

@@ -25,7 +25,8 @@ desk: 29 ms in ``prepare_dataset``, freeing nothing, and 26 ms in
 ``aggregate_daily``, freeing about 50 objects). Reference counting still frees
 acyclic garbage at once; the first pass after a call walks what it kept and
 finds any cycle it made. ``gc.disable`` is process-wide, so the pause is meant
-for single-threaded use.
+for single-threaded use. ``threshold_sweep`` reads the columns of its day
+predictions and builds no per-day rows, so it runs unpaused.
 """
 
 from __future__ import annotations

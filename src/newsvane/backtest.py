@@ -7,6 +7,10 @@ day's open and sells at its close. Capital is fully deployed every trading
 day and split equally across that day's buys, and day returns compound
 multiplicatively across the simulation.
 
+``aggregate_daily`` returns a ``DayPredictions``, rows that keep their
+columns as arrays; ``buy_scores`` and ``threshold_sweep`` read the columns,
+so a sweep call builds no per-day tuple or list.
+
 Reported metrics: PP (percent profitable, the share of trades with positive
 return), ATP (average trade profit, the mean percentage return per trade),
 the compounded total return, the worst one-day trade loss, and the average
@@ -24,7 +28,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -64,6 +68,69 @@ class DayPrediction(_DayFields):
         if n_headlines < 1:
             raise ValueError("n_headlines must be >= 1")
         return _DayFields.__new__(cls, asset, date, n_headlines, sigma_mean, class_means)
+
+
+@dataclass(frozen=True, eq=False)
+class DayPredictions(Sequence[DayPrediction]):
+    """An immutable sequence of ``DayPrediction`` rows that keeps their columns.
+
+    ``asset_names`` holds the rows' assets, sorted. Per row, ``assets`` holds
+    the code of its asset in ``asset_names``, ``days`` its date ordinal and
+    ``n_headlines`` its headline count (int64), and ``means`` its sigma mean,
+    ``(n,)``, or its class means, ``(n, 3)`` (float64). The arrays are
+    read-only. ``aggregate_daily`` returns one; ``of`` makes one of any rows.
+    """
+
+    rows: tuple[DayPrediction, ...]
+    asset_names: tuple[str, ...]
+    assets: np.ndarray
+    days: np.ndarray
+    n_headlines: np.ndarray
+    means: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.assets, self.days, self.n_headlines, self.means):
+            column.flags.writeable = False
+
+    def __reduce__(self):  # so that a copy's arrays are read-only too
+        return type(self), (self.rows, self.asset_names, self.assets, self.days, self.n_headlines,
+                            self.means)
+
+    @classmethod
+    def of(cls, rows: Sequence[DayPrediction]) -> DayPredictions:
+        """``rows`` itself if it is already a ``DayPredictions``, else one of its
+        rows in their order; rows of both heads are a ValueError."""
+        if isinstance(rows, cls):
+            return rows
+        rows = tuple(rows)
+        sigma = [dp.sigma_mean for dp in rows]
+        if None not in sigma:
+            means = np.array(sigma, dtype=np.float64)
+        else:
+            class_means = [dp.class_means for dp in rows]
+            if None in class_means:
+                raise ValueError("day predictions mix the binary and 3-way heads")
+            means = np.array(class_means, dtype=np.float64).reshape(-1, 3)
+        asset_names = tuple(sorted({dp.asset for dp in rows}))
+        code = {asset: i for i, asset in enumerate(asset_names)}
+        return cls(rows, asset_names,
+                   np.fromiter((code[dp.asset] for dp in rows), np.int64, len(rows)),
+                   np.fromiter((dt.date.toordinal(dp.date) for dp in rows), np.int64, len(rows)),
+                   np.fromiter((dp.n_headlines for dp in rows), np.int64, len(rows)), means)
+
+    @property
+    def binary(self) -> bool:
+        """False for the 3-way head, True for the binary head and for no rows."""
+        return self.means.ndim == 1
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
 
 
 class Trade(NamedTuple):
@@ -120,12 +187,13 @@ class BacktestReport:
 @collector_paused
 def aggregate_daily(
     predictions: Sequence[tuple[int, str, dt.date, float | np.ndarray | Sequence[float]]],
-) -> list[DayPrediction]:
+) -> DayPredictions:
     """Average per-headline outputs into one prediction per (asset, date).
 
     Input rows are (headline_id, asset, date, output) where the output is a
     scalar sigmoid probability or a length-3 probability vector; mixing the
-    two kinds is an error. Results are sorted by (date, asset). The rows are
+    two kinds is an error. Results are sorted by (date, asset), and their
+    columns are the codes and means computed here. The rows are
     grouped by one stable sort, so each day keeps its outputs in input order,
     and ``_day_means`` averages them with the bits of ``np.mean`` over the day
     (``mean(axis=0)`` for class vectors).
@@ -155,14 +223,17 @@ def aggregate_daily(
     order = np.argsort(key, kind="stable")
     key = key[order]
     sizes = _run_sizes(key)
-    means = _day_means(values[order], sizes).tolist()
+    means = _day_means(values[order], sizes)
     day_of, asset_of = np.divmod(key[np.cumsum(sizes) - 1], len(asset_names))
-    sigma_means, class_means = (means, repeat(None)) if scalar else (repeat(None), map(tuple, means))
-    return [
+    per_day = means.tolist()
+    sigma_means, class_means = (per_day, repeat(None)) if scalar else (repeat(None), map(tuple, per_day))
+    rows = [
         DayPrediction._make((asset_names[a], day_names[d], k, sigma, classes))
         for d, a, k, sigma, classes in zip(day_of.tolist(), asset_of.tolist(), sizes.tolist(),
                                            sigma_means, class_means)
     ]
+    ordinals = np.fromiter(map(dt.date.toordinal, day_names), np.int64, len(day_names))
+    return DayPredictions(tuple(rows), tuple(asset_names), asset_of, ordinals[day_of], sizes, means)
 
 
 def _is_scalar_output(output) -> bool:
@@ -203,26 +274,36 @@ def buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.nda
 
     For the binary head a score is the day-mean sigmoid output. For the 3-way
     head it is the buy-class mean when 'buy' is the strict argmax of the class
-    means, else -inf, so no threshold buys it. ``binary`` names the head the
-    strategy expects; a prediction from the other head is a ValueError.
+    means, else -inf, so no threshold buys it. The scores are read from the
+    columns of ``DayPredictions.of(day_predictions)``. ``binary`` names the
+    head the strategy expects; predictions of the other head are a ValueError.
     """
-    if binary:
-        sigma = [dp.sigma_mean for dp in day_predictions]
-        if None in sigma:
-            raise ValueError("decide_binary needs a sigma_mean prediction")
-        return np.array(sigma, dtype=np.float64)
-    class_means = [dp.class_means for dp in day_predictions]
-    if None in class_means:
-        raise ValueError("decide_multiclass needs class_means predictions")
-    cm = np.fromiter(chain.from_iterable(class_means), np.float64, 3 * len(class_means))
-    cm = cm.reshape(-1, 3)
-    buy = cm[:, BUY_CLASS]
-    return np.where((buy > cm[:, 0]) & (buy > cm[:, 1]), buy, -np.inf)
+    day_predictions = DayPredictions.of(day_predictions)
+    if len(day_predictions) and day_predictions.binary != binary:
+        raise _wrong_head(f"buy_scores(binary={binary})", binary)
+    return _scores(day_predictions.means)
+
+
+def _scores(means: np.ndarray) -> np.ndarray:
+    """``buy_scores`` of sigma means ``(n,)`` or class means ``(n, 3)``."""
+    if means.ndim == 1:
+        return means.copy()
+    buy = means[:, BUY_CLASS]
+    return np.where((buy > means[:, 0]) & (buy > means[:, 1]), buy, -np.inf)
+
+
+def _wrong_head(call: str, binary: bool) -> ValueError:
+    """The error of ``call``, which needs the binary head's predictions iff ``binary``."""
+    want = "binary-head day predictions (sigma_mean), not 3-way" if binary else (
+        "3-way-head day predictions (class_means), not binary")
+    return ValueError(f"{call} needs {want} ones")
 
 
 def decide_binary(dp: DayPrediction, t: float) -> str:
     """Buy iff the day-mean sigmoid output strictly exceeds the threshold."""
-    return BUY if buy_scores([dp], binary=True)[0] > t else NO_ACTION
+    if dp.sigma_mean is None:
+        raise _wrong_head("decide_binary", True)
+    return BUY if dp.sigma_mean > t else NO_ACTION
 
 
 def decide_multiclass(dp: DayPrediction, t: float) -> str:
@@ -231,7 +312,9 @@ def decide_multiclass(dp: DayPrediction, t: float) -> str:
     An argmax tie is treated as no-action: without a strictly dominant buy
     probability the day's evidence is ambiguous.
     """
-    return BUY if buy_scores([dp], binary=False)[0] > t else NO_ACTION
+    if dp.class_means is None:
+        raise _wrong_head("decide_multiclass", False)
+    return BUY if _scores(np.array([dp.class_means], dtype=np.float64))[0] > t else NO_ACTION
 
 
 class _TradeBook(NamedTuple):
@@ -251,30 +334,35 @@ class _TradeBook(NamedTuple):
         buys; an action other than ``BUY`` or ``NO_ACTION`` is a ValueError."""
         if isinstance(decisions, cls):
             return decisions
-        buys = []
+        assets, days = [], []
         for asset, date, action in decisions:
             if action == BUY:
-                buys.append((asset, date))
+                assets.append(asset)
+                days.append(dt.date.toordinal(date))
             elif action != NO_ACTION:
                 raise ValueError(f"unknown action {action!r} for ({asset}, {date}): "
                                  f"expected {BUY!r} or {NO_ACTION!r}")
-        return cls.resolve(buys, index)[0]
+        return cls.resolve(index, assets, np.arange(len(assets)), np.array(days, dtype=np.int64))[0]
 
     @classmethod
-    def resolve(cls, buys: Sequence[tuple[str, dt.date]],
-                index: PriceIndex) -> tuple[_TradeBook, np.ndarray]:
-        """The book of ``buys`` (asset, decision date) and, per trade, the
-        position of its buy in ``buys``.
+    def resolve(cls, index: PriceIndex, asset_names: Sequence[str], assets: np.ndarray,
+                days: np.ndarray) -> tuple[_TradeBook, np.ndarray]:
+        """The book of the buys whose assets are ``asset_names[assets]`` (int64
+        codes) and whose decision days are the ordinals ``days``, and, per
+        trade, the position of its buy in them.
 
-        Each buy trades on its asset's first bar after the decision date, found
-        for every buy by one ``PriceIndex.next_positions`` call. Trades are
-        sorted by (trade date, asset), stably, so ties keep the order of
-        ``buys``: within a day the index positions already sort by asset. A
-        buy with no later bar is a ValueError that lists every such buy.
+        Each buy trades on its asset's first bar after the decision day, found
+        for every buy by one ``PriceIndex.positions_after`` query. Trades are
+        sorted by (trade date, asset), stably, so ties keep the order of the
+        buys: within a day the index positions already sort by asset. A buy
+        with no later bar is a ValueError that lists every such buy, sorted by
+        (asset, date).
         """
-        positions = index.next_positions([asset for asset, _ in buys], [date for _, date in buys])
+        positions = index.positions_after(index.ranks(asset_names)[assets], days)
         if len(positions) and positions.min() < 0:
-            missing = sorted(buy for buy, pos in zip(buys, positions.tolist()) if pos < 0)
+            late = positions < 0
+            missing = sorted(zip(map(asset_names.__getitem__, assets[late].tolist()),
+                                 map(dt.date.fromordinal, days[late].tolist())))
             listed = ", ".join(f"({asset}, {date.isoformat()})" for asset, date in missing)
             raise ValueError(f"no next-day price bar for: {listed}")
 
@@ -337,7 +425,6 @@ class SweepRow:
     n_trades: int
 
 
-@collector_paused
 def threshold_sweep(
     day_predictions: Sequence[DayPrediction],
     prices: Sequence[PriceBar] | PriceIndex,
@@ -345,7 +432,8 @@ def threshold_sweep(
 ) -> list[SweepRow]:
     """One ``SweepRow`` per threshold in ``t_grid``, for the head of the predictions.
 
-    Each day prediction is scored once (see ``buy_scores``), and the buys at
+    Each day prediction is scored once from its columns (see ``buy_scores``;
+    a list of rows is made into a ``DayPredictions`` first), and the buys at
     the lowest threshold are resolved into one trade book: every later
     threshold buys a subset of them, so a missing next bar raises here as it
     would at the first threshold. Each threshold then calls ``simulate`` on
@@ -362,11 +450,12 @@ def threshold_sweep(
         raise ValueError("t_grid must be sorted ascending")
     if not day_predictions:
         raise ValueError("no day predictions to sweep")
-    score = buy_scores(day_predictions, binary=day_predictions[0].sigma_mean is not None)
+    day_predictions = DayPredictions.of(day_predictions)
+    score = buy_scores(day_predictions, binary=day_predictions.binary)
     index = PriceIndex.of(prices)
     first = np.flatnonzero(score > t_grid[0])
-    book, order = _TradeBook.resolve(
-        [(dp.asset, dp.date) for dp in map(day_predictions.__getitem__, first.tolist())], index)
+    book, order = _TradeBook.resolve(index, day_predictions.asset_names,
+                                     day_predictions.assets[first], day_predictions.days[first])
     score = score[first][order]  # in book order
     rows: list[SweepRow] = []
     for t in t_grid:
@@ -381,11 +470,12 @@ def threshold_sweep(
 
 
 def default_threshold_grid(head_binary: bool, step: float = 0.01) -> list[float]:
-    """Threshold grids used by the sweeps: [0.5, 0.9] binary, [0.33, 0.9] 3-way."""
+    """Threshold grids used by the sweeps: [0.5, 0.9] binary, [0.33, 0.9] 3-way, never past 0.9."""
     if not step > 0:
         raise ValueError(f"threshold grid step must be > 0, got {step!r}")
     start = 0.5 if head_binary else 0.33
-    count = int(round((0.9 - start) / step))
+    # rounded down; the tolerance keeps (0.9 - 0.33) / 0.01 = 56.999... at 57
+    count = math.floor((0.9 - start) / step + 1e-9)
     return [round(start + i * step, 10) for i in range(count + 1)]
 
 

@@ -396,7 +396,7 @@ def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> tuple[list, 
 
 def _day_predictions(
     cfg: RunConfig, args: argparse.Namespace
-) -> tuple[list[bt.DayPrediction], corpus.PriceIndex, str]:
+) -> tuple[bt.DayPredictions, corpus.PriceIndex, str]:
     """Day predictions from either a predictions CSV or a checkpoint run,
     with the head they were made by, checked against the strategy head."""
     if args.predictions:

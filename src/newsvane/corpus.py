@@ -193,8 +193,9 @@ class PriceIndex:
     (int64) and ``returns`` their open-to-close returns ``(close - open) /
     open`` (float64, the bits of that Python expression). One key per bar packs
     its asset's rank above its day ordinal, so the keys are sorted too, and
-    ``next_positions`` answers any number of (asset, date) queries with one
-    ``np.searchsorted`` over them.
+    ``positions_after`` answers any number of (asset rank, day ordinal) queries
+    with one ``np.searchsorted`` over them; ``next_positions`` asks it by asset
+    name and date.
     """
 
     def __init__(self, prices: Iterable[PriceBar]) -> None:
@@ -228,14 +229,21 @@ class PriceIndex:
         """True if the index holds a bar of ``asset``."""
         return asset in self._rank
 
+    def ranks(self, assets: Sequence[str]) -> np.ndarray:
+        """Each asset's rank in the index's sorted assets (int64), -1 if it has no bars."""
+        return np.fromiter(map(self._rank.get, assets, repeat(-1)), np.int64, len(assets))
+
+    def positions_after(self, ranks: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """For each (asset rank, day ordinal) pair, the position in ``bars`` of the
+        asset's first bar strictly after the day (int64); -1 past the asset's
+        history or for rank -1."""
+        positions = np.searchsorted(self._keys, ranks << _DAY_BITS | days, side="right")
+        return np.where(positions < self._ends[ranks], positions, -1)
+
     def next_positions(self, assets: Sequence[str], dates: Sequence[dt.date]) -> np.ndarray:
-        """For each (asset, date) pair, the position in ``bars`` of the asset's
-        first bar strictly after the date, as int64; -1 past the asset's
-        history or for an asset with no bars."""
-        rank = np.fromiter(map(self._rank.get, assets, repeat(-1)), np.int64, len(assets))
+        """``positions_after`` for each (asset, date) pair."""
         days = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
-        positions = np.searchsorted(self._keys, rank << _DAY_BITS | days, side="right")
-        return np.where(positions < self._ends[rank], positions, -1)
+        return self.positions_after(self.ranks(assets), days)
 
 
 def _bar_label(bar: PriceBar, ret: float) -> LabeledSample:

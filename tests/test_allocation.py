@@ -136,7 +136,8 @@ class TestCollectorPaused:
         data = pipeline.prepare_dataset(headlines, prices, {"SYN0"})
         days = backtest.aggregate_daily([(s.headline_id, s.asset, s.date, 0.7) for s in data.test])
         backtest.threshold_sweep(days, prices, [0.5])
-        assert seen == {"tokenize": {False}, "_is_scalar_output": {False}, "simulate": {False}}
+        # a sweep reads the day predictions' columns and builds no per-day rows, so it runs as found
+        assert seen == {"tokenize": {False}, "_is_scalar_output": {False}, "simulate": {True}}
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
@@ -154,8 +155,8 @@ class TestCollectorPaused:
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     @pytest.mark.parametrize("call, message", [
         (lambda: backtest.aggregate_daily([]), "no predictions to aggregate"),
-        (lambda: backtest.threshold_sweep([], [], []), "t_grid must be non-empty"),
-    ], ids=["aggregate_daily", "threshold_sweep"])
+        (lambda: pipeline.prepare_dataset([], [], set()), "portfolio must be non-empty"),
+    ], ids=["aggregate_daily", "prepare_dataset"])
     def test_a_failing_builder_leaves_the_collector_as_it_found_it(self, call, message, enabled):
         (gc.enable if enabled else gc.disable)()
         with pytest.raises(ValueError, match=message):

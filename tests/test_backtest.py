@@ -1,8 +1,10 @@
 """Trading-simulation tests: aggregation, decisions, compounding, sweeps."""
 
 import bisect
+import copy
 import dataclasses
 import datetime as dt
+import pickle
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from newsvane.backtest import (
     BUY_CLASS,
     NO_ACTION,
     DayPrediction,
+    DayPredictions,
     Trade,
     _day_means,
     aggregate_daily,
+    buy_scores,
     decide_binary,
     decide_multiclass,
     default_threshold_grid,
@@ -73,8 +77,62 @@ class TestAggregateDaily:
             DayPrediction("A", D0, 0, 0.5)
         dp = DayPrediction("A", D0, 2, class_means=(0.2, 0.3, 0.5))
         assert dp == ("A", D0, 2, None, (0.2, 0.3, 0.5))
-        assert aggregate_daily([(0, "A", D0, 0.25), (1, "A", D0, 0.75)]) == [
+        assert list(aggregate_daily([(0, "A", D0, 0.25), (1, "A", D0, 0.75)])) == [
             DayPrediction(asset="A", date=D0, n_headlines=2, sigma_mean=0.5)]
+
+
+def _column_bits(day_predictions):
+    """``_day_bits`` of the rows that the columns of ``day_predictions`` spell."""
+    dps = day_predictions
+    return [(dps.asset_names[a], dt.date.fromordinal(d), k,
+             mean.hex() if dps.binary else None,
+             None if dps.binary else tuple(v.hex() for v in mean))
+            for a, d, k, mean in zip(dps.assets.tolist(), dps.days.tolist(),
+                                     dps.n_headlines.tolist(), dps.means.tolist())]
+
+
+class TestDayPredictions:
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_the_columns_agree_with_the_rows(self, binary):
+        rng = np.random.default_rng(23)
+        preds = [(i, f"S{rng.integers(5)}", _day(int(rng.integers(9))),
+                  float(rng.random()) if binary else rng.dirichlet((1.0, 1.0, 1.0)))
+                 for i in range(400)]
+        aggregated = aggregate_daily(preds)
+        shuffled = [aggregated[i] for i in rng.permutation(len(aggregated)).tolist()]
+        for dps, rows in ((aggregated, aggregated), (DayPredictions.of(shuffled), shuffled)):
+            assert dps.binary is binary and len(dps) == len(rows) == 45
+            assert list(dps) == list(rows) and dps[3] == rows[3]
+            assert _column_bits(dps) == _day_bits(rows)
+            assert dps.asset_names == tuple(f"S{i}" for i in range(5))
+            assert dps.assets.dtype == dps.days.dtype == dps.n_headlines.dtype == np.int64
+            assert dps.means.dtype == np.float64
+            assert dps.means.shape == ((45,) if binary else (45, 3))
+        # days reach both paths of ``_day_means``
+        assert min(aggregated.n_headlines) < 8 <= max(aggregated.n_headlines)
+
+    def test_of_returns_day_predictions_as_they_are_and_rejects_mixed_heads(self):
+        dps = aggregate_daily([(0, "A", D0, 0.25), (1, "B", D0, 0.75)])
+        assert DayPredictions.of(dps) is dps
+        assert len(DayPredictions.of([])) == 0
+        mixed = list(dps) + [DayPrediction("A", _day(1), 1, class_means=(0.2, 0.3, 0.5))]
+        with pytest.raises(ValueError, match="^day predictions mix the binary and 3-way heads$"):
+            DayPredictions.of(mixed)
+
+    def test_neither_the_sequence_nor_its_columns_can_be_changed(self):
+        rows = [DayPrediction("A", D0, 2, class_means=(0.2, 0.3, 0.5)),
+                DayPrediction("B", D0, 1, class_means=(0.6, 0.3, 0.1))]
+        for made in (aggregate_daily([(0, "A", D0, 0.25), (1, "B", D0, 0.75)]),
+                     DayPredictions.of(rows)):
+            for dps in (made, copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+                assert list(dps) == list(made)
+                for column in (dps.assets, dps.days, dps.n_headlines, dps.means):
+                    with pytest.raises(ValueError, match="read-only"):
+                        column[0] = 0
+                with pytest.raises(TypeError):
+                    dps[0] = dps[1]
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    dps.means = np.zeros(2)
 
 
 def _former_aggregate_daily(predictions):
@@ -201,11 +259,17 @@ class TestDecisions:
 
     def test_wrong_head_rejected(self):
         dp = DayPrediction(asset="A", date=D0, n_headlines=1, sigma_mean=0.7)
-        with pytest.raises(ValueError, match="decide_multiclass needs class_means predictions"):
+        with pytest.raises(ValueError, match=r"^decide_multiclass needs 3-way-head day "
+                                             r"predictions \(class_means\), not binary ones$"):
             decide_multiclass(dp, 0.5)
+        with pytest.raises(ValueError, match=r"^buy_scores\(binary=False\) needs 3-way-head"):
+            buy_scores([dp], binary=False)
         dp = DayPrediction(asset="A", date=D0, n_headlines=1, class_means=(0.2, 0.3, 0.5))
-        with pytest.raises(ValueError, match="decide_binary needs a sigma_mean prediction"):
+        with pytest.raises(ValueError, match=r"^decide_binary needs binary-head day "
+                                             r"predictions \(sigma_mean\), not 3-way ones$"):
             decide_binary(dp, 0.5)
+        with pytest.raises(ValueError, match=r"^buy_scores\(binary=True\) needs binary-head"):
+            buy_scores(aggregate_daily([(0, "A", D0, np.array([0.2, 0.3, 0.5]))]), binary=True)
 
 
 def _bars_for(returns_by_day):
@@ -413,6 +477,16 @@ class TestThresholdSweep:
             with pytest.raises(ValueError, match="step must be > 0"):
                 default_threshold_grid(head_binary, step=step)
 
+    @pytest.mark.parametrize("head_binary, step, grid", [
+        (True, 0.07, [0.5, 0.57, 0.64, 0.71, 0.78, 0.85]),
+        (False, 0.3, [0.33, 0.63]),
+        (True, 0.5, [0.5]),
+        (True, 0.01, [round(0.5 + i * 0.01, 10) for i in range(41)]),
+        (False, 0.01, [round(0.33 + i * 0.01, 10) for i in range(58)]),
+    ])
+    def test_grid_ends_at_its_last_threshold_not_past_0_9(self, head_binary, step, grid):
+        assert default_threshold_grid(head_binary, step=step) == grid
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_monotonicity_property(self, sigmas):
@@ -450,13 +524,13 @@ class _RefTrade:
 
 def _ref_decide_binary(dp, t):
     if dp.sigma_mean is None:
-        raise ValueError("decide_binary needs a sigma_mean prediction")
+        raise ValueError("the binary head needs a sigma_mean prediction")
     return BUY if dp.sigma_mean > t else NO_ACTION
 
 
 def _ref_decide_multiclass(dp, t):
     if dp.class_means is None:
-        raise ValueError("decide_multiclass needs class_means predictions")
+        raise ValueError("the 3-way head needs class_means predictions")
     means = dp.class_means
     buy_mean = means[BUY_CLASS]
     strictly_max = all(buy_mean > means[i] for i in range(3) if i != BUY_CLASS)
@@ -667,14 +741,15 @@ class TestSweepExactness:
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_grid_slices_give_the_rows_of_one_sweep(self, binary):
-        day_preds, bars = _desk(14, binary)
+        rows, bars = _desk(14, binary)
         grid = default_threshold_grid(binary)
-        for prices in (bars, PriceIndex(bars)):
-            whole = [_row_bits(r) for r in threshold_sweep(day_preds, prices, grid)]
-            for size in (1, 10, len(grid)):
-                rows = [r for start in range(0, len(grid), size)
-                        for r in threshold_sweep(day_preds, prices, grid[start:start + size])]
-                assert [_row_bits(r) for r in rows] == whole, size
+        whole = [_row_bits(r) for r in threshold_sweep(rows, bars, grid)]
+        for day_preds in (rows, DayPredictions.of(rows)):
+            for prices in (bars, PriceIndex(bars)):
+                for size in (1, 10, len(grid)):
+                    got = [r for start in range(0, len(grid), size)
+                           for r in threshold_sweep(day_preds, prices, grid[start:start + size])]
+                    assert [_row_bits(r) for r in got] == whole, size
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_a_missing_bar_fails_the_slices_whose_first_threshold_buys_it(self, binary):
@@ -762,7 +837,7 @@ class TestSweepExactness:
         day_preds, bars = _desk(13, True)
         mixed = day_preds + [DayPrediction(asset="S00", date=D0, n_headlines=1,
                                            class_means=(0.2, 0.3, 0.5))]
-        with pytest.raises(ValueError, match="decide_binary needs a sigma_mean prediction"):
+        with pytest.raises(ValueError, match="^day predictions mix the binary and 3-way heads$"):
             threshold_sweep(mixed, bars, [0.5])
 
     def test_trade_repr_equality_and_return(self):
