@@ -44,6 +44,10 @@ NO_ACTION = "no_action"
 # index of the 'buy' class in the 3-way head's probability vector
 BUY_CLASS = 2
 
+# smallest threshold grid step (strategy.sweep_step): a sweep simulates once per
+# threshold, so this caps a grid at 5,701 thresholds
+MIN_GRID_STEP = 1e-4
+
 
 _DayFields = NamedTuple("_DayFields", [
     ("asset", str), ("date", dt.date), ("n_headlines", int), ("sigma_mean", float | None),
@@ -471,8 +475,9 @@ def threshold_sweep(
 
 def default_threshold_grid(head_binary: bool, step: float = 0.01) -> list[float]:
     """Threshold grids used by the sweeps: [0.5, 0.9] binary, [0.33, 0.9] 3-way, never past 0.9."""
-    if not step > 0:
-        raise ValueError(f"threshold grid step must be > 0, got {step!r}")
+    if not step >= MIN_GRID_STEP:
+        raise ValueError(f"threshold grid step (strategy.sweep_step) must be >= {MIN_GRID_STEP}, "
+                         f"got {step!r}")
     start = 0.5 if head_binary else 0.33
     # rounded down; the tolerance keeps (0.9 - 0.33) / 0.01 = 56.999... at 57
     count = math.floor((0.9 - start) / step + 1e-9)

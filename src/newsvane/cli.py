@@ -155,7 +155,7 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
                   "batch_size": (cfg.batch_size >= 1, "an integer >= 1"),
                   "learning_rate": (cfg.learning_rate >= 0, "a number >= 0"),
                   "validation_fraction": (0 < cfg.validation_fraction < 1, "a number in (0, 1)"),
-                  "sweep_step": (cfg.sweep_step > 0, "a number > 0"),
+                  "sweep_step": (cfg.sweep_step >= bt.MIN_GRID_STEP, f"a number >= {bt.MIN_GRID_STEP}"),
                   "threshold": (0 <= cfg.threshold <= 1, "a number in [0, 1]")}
         for field, (ok, expected) in ranges.items():
             _require(ok, f"{_KEY_OF[field]}: expected {expected}, got {getattr(cfg, field)!r}")

@@ -181,10 +181,10 @@ def lookup_concat(enc: EncodedHeadline, table: EmbeddingTable) -> np.ndarray:
     Output length is max_len * p; padding positions contribute zero blocks.
     """
     idx = enc.indices
-    if idx.min() >= 0:
+    if idx[idx.argmin()] >= 0:  # take would read index -k as the k-th row from the end
         try:
-            return table.matrix[idx].reshape(-1)
-        except IndexError:  # an index past the last row
+            return table.matrix.take(idx, axis=0).reshape(-1)
+        except (IndexError, TypeError):  # an index past the last row, or not an integer
             pass
     raise ValueError("encoded index out of range for embedding table (corrupt input)")
 

@@ -79,7 +79,7 @@ def _well_conditioned(cache: ForwardCache, config: ModelConfig) -> bool:
     # argmax could flip inside the differencing interval. Pad cells sort
     # below the map as -inf: a window with one map cell has gap inf and one
     # of padding only has gap nan, and neither compares below the margin.
-    post = np.where(plan.pad, -np.inf, np.maximum(0.0, cache.pre))
+    post = np.maximum(plan.floor, cache.pre)
     top2 = np.sort(post.reshape(plan.blocks, config.pool_w, -1), axis=1)[:, -2:]
     with np.errstate(invalid="ignore"):  # -inf - -inf
         return not (np.diff(top2, axis=1) < _KINK_MARGIN).any()

@@ -17,12 +17,17 @@ runs bit-reproducible. It returns the sample's embedding gradient as a
 summed over its positions in position order, so a backward pass never
 touches the rest of the table and allocates nothing the table's size.
 
-Per-sample cost is mostly the count of numpy calls, so the conv stage runs
-all widths in shared buffers (``_ConvPlan``): one column per filter, one
-conv matmul per width writing its own columns, then one relu, one -inf fill
-past each width's map and one view as whole pool windows, whose max (and,
-in train mode, leftmost argmax) is gathered into z. ``backward`` scatters
-dz into the same layout and sums the word gradients of every width with one
+Per-sample cost is mostly the count of numpy calls and temporaries, so the
+conv stage runs all widths in one shared buffer (``_ConvPlan``), one column
+per filter. The buffer starts as a copy of the plan's ``floor`` (-inf past
+each width's map, 0 elsewhere); each width's matmul writes straight into its
+own columns and adds its biases there. Relu is one ``np.maximum`` with that
+floor, which keeps the cells past a map at -inf, and pooling is one
+``np.maximum`` per further row of a pool window, over strided row slices,
+gathered into z with one index; train mode adds the leftmost argmax of each
+window. The lookup is one ``take``, the dense layers apply relu in place, and
+test mode builds no probability array. ``backward`` scatters dz into the
+same layout and sums the word gradients of every width with one
 weighted ``np.bincount``. Each element still sees the float operations of a
 width-by-width loop, in the same order, so every output and gradient has
 that loop's bits; the tests keep a copy of it to compare against.
@@ -209,24 +214,25 @@ def _word_windows(x: np.ndarray, h: int, p: int) -> np.ndarray:
     m = x.size // p
     if h > m:
         raise ValueError(f"filter width {h} exceeds sentence length {m}")
-    windows = np.ndarray((m - h + 1, h * p), dtype=x.dtype, buffer=x,
-                         strides=(p * x.itemsize, x.itemsize))
+    # positional: the ndarray constructor's keyword parsing costs as much as the view
+    windows = np.ndarray((m - h + 1, h * p), x.dtype, x, 0, (p * x.itemsize, x.itemsize))
     windows.flags.writeable = False
     return windows
 
 
-def conv_forward(x: np.ndarray, filters: np.ndarray, biases: np.ndarray,
-                 p: int) -> tuple[np.ndarray, np.ndarray]:
+def conv_forward(x: np.ndarray, filters: np.ndarray, biases: np.ndarray, p: int,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Filter-bank convolution of one width over the concatenated embedding vector.
 
     ``filters`` holds one filter of length h*p per row. Returns (windows,
     pre): ``windows`` is the (m-h+1, h*p) view of x whose row k covers words
     k..k+h-1, and ``pre[k, f]`` is filters[f] . windows[k] + biases[f], the
     pre-activation of filter f at word k. The filter advances one word per
-    step, so every adjacent phrase of h words is scored once.
+    step, so every adjacent phrase of h words is scored once. ``pre`` is
+    written into ``out`` when given (a (m-h+1, n_filters) array or view).
     """
     windows = _word_windows(x, filters.shape[1] // p, p)
-    pre = windows @ filters.T
+    pre = np.matmul(windows, filters.T, out=out)
     pre += biases
     return windows, pre
 
@@ -241,7 +247,7 @@ def dense_forward(
     pre = w @ zprev
     pre += b
     if activation == "relu":
-        return relu(pre)
+        return np.maximum(0.0, pre, out=pre)  # relu, in the fresh array
     if activation == "none":
         return pre
     raise ValueError(f"unknown activation {activation!r}")
@@ -305,7 +311,9 @@ class _ConvPlan:
     ``config.filter_widths`` order (the order of z), and ``rows`` rows: the
     longest map padded to ``blocks`` whole pool windows, whose first rows
     ``starts`` holds as a column. A wider filter's map ends higher up; ``pad``
-    marks the cells below it, which may fill its last windows.
+    marks the cells below it, which may fill its last windows, and ``floor``
+    holds -inf there and 0 in every map cell: relu's floor, and the template
+    the pre-activation buffer starts from.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -336,7 +344,8 @@ class _ConvPlan:
         self.z_take = np.concatenate(z_take)  # z element -> cell of the pooled buffer
         self.z_cols = self.z_take % self.n_filters
         self.bins = np.concatenate(bins)  # window-gradient element -> word-gradient element
-        for arr in (self.pad, self.starts, self.z_take, self.z_cols, self.bins):
+        self.floor = np.where(self.pad, -np.inf, 0.0)
+        for arr in (self.pad, self.floor, self.starts, self.z_take, self.z_cols, self.bins):
             arr.flags.writeable = False
 
 
@@ -350,7 +359,7 @@ class ForwardCache:
 
     indices: np.ndarray
     windows: dict[int, np.ndarray]  # width -> (map_len, h*p) view of the embedding vector
-    pre: np.ndarray                 # (rows, total filters) conv pre-activations, 0 in the pad cells
+    pre: np.ndarray                 # (rows, total filters) conv pre-activations, -inf in the pad cells
     positions: np.ndarray           # (blocks, total filters) argmax rows of each pool window
     plan: _ConvPlan
     z: np.ndarray
@@ -380,15 +389,16 @@ def forward(
     x = lookup_concat(enc, table)
 
     plan = _conv_plan(config)
-    pre = np.zeros((plan.rows, plan.n_filters))
+    pre = plan.floor.copy()
     windows: dict[int, np.ndarray] = {}
     for width in plan.widths:
-        windows[width.h], pre[: width.length, width.cols] = conv_forward(
-            x, params.filters[width.h], params.filter_biases[width.h], config.p)
-    post = relu(pre)
-    post[plan.pad] = -np.inf
-    blocks = post.reshape(plan.blocks, config.pool_w, -1)
-    z = blocks.max(axis=1).take(plan.z_take)
+        windows[width.h], _ = conv_forward(x, params.filters[width.h], params.filter_biases[width.h],
+                                           config.p, out=pre[: width.length, width.cols])
+    post = np.maximum(plan.floor, pre)  # relu; the pad cells stay -inf
+    pooled = post[:: config.pool_w]
+    for j in range(1, config.pool_w):  # the max of each pool window's rows
+        pooled = np.maximum(pooled, post[j :: config.pool_w])
+    z = pooled.ravel()[plan.z_take]
 
     drop1 = apply_dropout(dense_forward(z, params.w1, params.b1, "relu"),
                           config.dropout_rate, mode, rng)
@@ -398,17 +408,16 @@ def forward(
 
     if config.head == HEAD_BINARY:
         output: float | np.ndarray = sigmoid(float(logits[0]))
-        probs = np.array([output])
     else:
-        probs = softmax3(logits)
-        output = probs
+        output = softmax3(logits)
 
     if mode == "test":
         return output, None
+    blocks = post.reshape(plan.blocks, config.pool_w, -1)
     cache = ForwardCache(
         indices=enc.indices, windows=windows, pre=pre,
-        positions=blocks.argmax(axis=1) + plan.starts, plan=plan, z=z,
-        drop1=drop1, drop2=drop2, logits=logits, output=probs,
+        positions=blocks.argmax(axis=1) + plan.starts, plan=plan, z=z, drop1=drop1, drop2=drop2,
+        logits=logits, output=np.array([output]) if config.head == HEAD_BINARY else output,
     )
     return output, cache
 

@@ -471,11 +471,16 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(day_preds, bars, [0.9, 0.5])
 
-    @pytest.mark.parametrize("step", [0.0, -0.01])
+    # below 1e-4 a grid would simulate up to 400,001 thresholds (1e-6) or more
+    @pytest.mark.parametrize("step", [0.0, -0.01, 1e-6, 9.99e-5, float("nan")])
     def test_grid_step_must_be_positive(self, step):
         for head_binary in (True, False):
-            with pytest.raises(ValueError, match="step must be > 0"):
+            with pytest.raises(ValueError, match=r"\(strategy\.sweep_step\) must be >= 0\.0001"):
                 default_threshold_grid(head_binary, step=step)
+
+    def test_smallest_grid_step_is_accepted(self):
+        assert len(default_threshold_grid(True, step=1e-4)) == 4001
+        assert len(default_threshold_grid(False, step=1e-4)) == 5701
 
     @pytest.mark.parametrize("head_binary, step, grid", [
         (True, 0.07, [0.5, 0.57, 0.64, 0.71, 0.78, 0.85]),

@@ -866,14 +866,14 @@ class TestUsageErrors:
         assert cfg.max_len is None and cfg.grid is None
         assert cfg.epochs == 3 and isinstance(cfg.epochs, int)
 
-    @pytest.mark.parametrize("step", [0, -0.01])
+    @pytest.mark.parametrize("step", [0, -0.01, 1e-6])
     def test_sweep_step_must_be_positive(self, workspace, tmp_path, capsys, step):
         _, _, _, out, config = workspace
         bad = json.loads(json.dumps(config))
         bad["strategy"]["sweep_step"] = step
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        message = f"{bad_path}: strategy.sweep_step: expected a number > 0"
+        message = f"{bad_path}: strategy.sweep_step: expected a number >= 0.0001"
         with pytest.raises(cli.ConfigError, match=message):
             cli.load_run_config(bad_path, _prepare_args(bad_path))
         assert cli.main(["sweep", "--config", str(bad_path),

@@ -351,6 +351,14 @@ class TestLookupConcat:
         with pytest.raises(ValueError, match="corrupt"):
             lookup_concat(enc, table)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_negative_index(self, dtype):
+        # numpy would read index -1 as the last row
+        table = EmbeddingTable(matrix=np.arange(3.0)[:, None], mode="self_learnt", p=1)
+        enc = EncodedHeadline(indices=np.array([1, -1, 0], dtype=dtype), true_len=2)
+        with pytest.raises(ValueError, match="corrupt"):
+            lookup_concat(enc, table)
+
 
 def _similarity(u, v):
     """The cosine similarity nearest_neighbors reports between two tokens."""

@@ -109,7 +109,7 @@ def _former_well_conditioned(cache, config):
 
 def test_well_conditioned_decides_like_the_per_width_loop():
     # Pre-activations on a grid of 0.004 steps, so values and window gaps land
-    # on both sides of the 0.01 margin; the pad cells hold 0, as forward leaves them.
+    # on both sides of the 0.01 margin; the pad cells hold -inf, as forward leaves them.
     rng = np.random.default_rng(19)
     seen = {"accepted": 0, "rejected": 0, "one-cell window": 0, "padding-only window": 0}
     for _ in range(3000):
@@ -125,7 +125,7 @@ def test_well_conditioned_decides_like_the_per_width_loop():
         lowest = 0 if rng.random() < 0.3 else int(rng.integers(3, 6))  # |pre| >= 0.012 unless 0
         pre = rng.choice([-1, 1], size=plan.pad.shape) * rng.integers(lowest, lowest + 8,
                                                                       size=plan.pad.shape) * 0.004
-        pre[plan.pad] = 0.0
+        pre[plan.pad] = -np.inf
         cache = SimpleNamespace(pre=pre, plan=plan)
         decision = gradcheck._well_conditioned(cache, config)
         assert decision == _former_well_conditioned(cache, config), (config, pre)

@@ -183,6 +183,15 @@ class TestDenseForward:
         with pytest.raises(ValueError):
             dense_forward(np.ones(3), np.ones((2, 2)), np.zeros(2), "relu")
 
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    def test_inputs_unchanged_and_output_fresh(self, activation):
+        rng = np.random.default_rng(3)
+        zprev, w, b = rng.normal(size=5), rng.normal(size=(4, 5)), rng.normal(size=4)
+        before = [a.tobytes() for a in (zprev, w, b)]
+        out = dense_forward(zprev, w, b, activation)
+        assert [a.tobytes() for a in (zprev, w, b)] == before
+        assert not any(np.shares_memory(out, a) for a in (zprev, w, b))
+
 
 class TestDropout:
     def test_rate_zero_train_is_identity(self):
@@ -194,6 +203,12 @@ class TestDropout:
     def test_test_mode_scales(self):
         out = apply_dropout(np.array([2.0, 4.0]), 0.5, "test")
         assert out.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25])
+    def test_test_mode_leaves_its_input_unchanged(self, rate):
+        v = np.array([2.0, -4.0, 0.5])
+        out = apply_dropout(v, rate, "test")
+        assert v.tolist() == [2.0, -4.0, 0.5] and not np.shares_memory(out, v)
 
     def test_zeroed_fraction(self):
         rng = np.random.default_rng(7)
@@ -390,6 +405,21 @@ class TestForward:
         b, _ = forward(enc, table, params, config, mode="test")
         assert a == b
 
+    @pytest.mark.parametrize("head", ["binary", "multiclass3"])
+    def test_test_mode_leaves_table_and_parameters_unchanged(self, head):
+        config = ModelConfig(p=3, m=7, filter_widths=(4, 2), filters_per_width=2,
+                             hidden_sizes=(6, 3), dropout_rate=0.3, pool_w=2, head=head)
+        rng = np.random.default_rng(4)
+        table = EmbeddingTable(matrix=rng.normal(size=(5, 3)), mode="non_static", p=3)
+        table.matrix[0] = 0.0
+        params = init_parameters(config, rng)
+        params.flat[:] += rng.normal(0.0, 0.3, size=params.flat.size)
+        before = table.matrix.tobytes(), params.flat.tobytes()
+        for indices in ([1, 2, 3, 4, 1, 0, 0], [4, 4, 4, 4, 4, 4, 4], [0] * 7):
+            forward(EncodedHeadline(indices=np.array(indices), true_len=7 - indices.count(0)),
+                    table, params, config, mode="test")
+            assert (table.matrix.tobytes(), params.flat.tobytes()) == before
+
     def test_dropout_scaling_applies_in_test_mode(self):
         import dataclasses
 
@@ -448,7 +478,7 @@ def test_forward_feature_maps_match_naive_conv_and_pool(config, seed):
     x = lookup_concat(enc, table)
     plan, z = cache.plan, []
     assert cache.pre.shape == (plan.rows, config.total_filters)
-    assert not cache.pre[plan.pad].any()
+    assert (cache.pre[plan.pad] == -np.inf).all()
     for width in plan.widths:
         h, n_pooled = width.h, config.pooled_len(width.h)
         pre, positions = cache.pre[: width.length, width.cols], cache.positions[:, width.cols]
@@ -770,7 +800,7 @@ def _assert_exact_pass(config, mode, true_len, with_rng, seed):
     assert _bits(out_new) == _bits(out_old) and type(out_new) is type(out_old)
     # every field the cache keeps, per width where it holds all widths
     plan = cache.plan
-    assert not cache.pre[plan.pad].any()
+    assert (cache.pre[plan.pad] == -np.inf).all()
     assert list(cache.windows) == list(fields["windows"])
     for width in plan.widths:
         h, n_pooled = width.h, config.pooled_len(width.h)
