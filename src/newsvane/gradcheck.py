@@ -35,6 +35,7 @@ from .network import (
 )
 from .seeding import derive_seed
 from .text import EncodedHeadline
+from .training import _batch_sum
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOLERANCE = 1e-4
@@ -195,8 +196,9 @@ def check_instance(
     worst, worst_name = float(errors[worst_index]), params.layout.name_at(worst_index)
     n_checked = params.flat.size
     if emb_grad is not None:
+        summed = _batch_sum([emb_grad], table.p, 1.0)
         analytic_emb = np.zeros(table.matrix.shape)
-        analytic_emb[emb_grad.rows] = emb_grad.values
+        analytic_emb[summed.rows] = summed.values
         rows = table.matrix[1:]
         numeric_rows = _numeric_tensor_grad(rows, loss_fn, step)
         n_checked += rows.size

@@ -12,25 +12,22 @@ dropout follow; the output head is a single sigmoid unit (binary) or a
 Everything is float64 and single-sample. ``backward`` adds a sample's
 parameter gradient into accumulators its caller owns, so the training loop
 sums a batch by calling it once per sample in a fixed order, which keeps
-runs bit-reproducible. It returns the sample's embedding gradient as a
-``RowGradient``: the distinct non-padding rows its headline looks up, each
-summed over its positions in position order, so a backward pass never
-touches the rest of the table and allocates nothing the table's size.
+runs bit-reproducible; it returns the embedding gradient by position, which
+the loop sums by table row once per batch, touching nothing the table's size.
 
 Per-sample cost is mostly the count of numpy calls and temporaries, so the
 conv stage runs all widths in one shared buffer (``_ConvPlan``), one column
-per filter. The buffer starts as a copy of the plan's ``floor`` (-inf past
-each width's map, 0 elsewhere); each width's matmul writes straight into its
-own columns and adds its biases there. Relu is one ``np.maximum`` with that
-floor, which keeps the cells past a map at -inf, and pooling is one
-``np.maximum`` per further row of a pool window, over strided row slices,
-gathered into z with one index; train mode adds the leftmost argmax of each
-window. The lookup is one ``take``, the dense layers apply relu in place, and
-test mode builds no probability array. ``backward`` scatters dz into the
-same layout and sums the word gradients of every width with one
-weighted ``np.bincount``. Each element still sees the float operations of a
-width-by-width loop, in the same order, so every output and gradient has
-that loop's bits; the tests keep a copy of it to compare against.
+per filter, copied from the plan's ``floor`` (-inf past each width's map, 0
+elsewhere); each width's matmul writes into its own columns. Relu is one
+``np.maximum`` with that floor, pooling one ``np.maximum`` per further row of
+a pool window, and train mode adds each window's leftmost argmax. ``backward``
+gates each layer's gradient by ``np.sign`` of its cached output (1 where relu
+and dropout pass, else a zero), scatters the gated dz into the buffer's layout,
+takes one column sum for the filter biases and one weighted ``np.bincount``
+for the word gradients. Each element still sees a width-by-width loop's float
+operations in its order, so every output and gradient has that loop's bits,
+up to signs of zeros that no sum into a non-zero or +0.0 accumulator sees;
+the tests keep that loop to compare against.
 """
 
 from __future__ import annotations
@@ -116,6 +113,10 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @functools.cached_property
+    def _plan(self) -> "_ConvPlan":  # kept on the instance: no hash of the fields per call
+        return _ConvPlan(self)
 
 
 class ParamLayout:
@@ -307,13 +308,14 @@ class _Width(NamedTuple):
 class _ConvPlan:
     """Where every filter width lives in the conv buffers ``forward`` shares.
 
-    The buffers hold all widths side by side, one column per filter, in
-    ``config.filter_widths`` order (the order of z), and ``rows`` rows: the
-    longest map padded to ``blocks`` whole pool windows, whose first rows
-    ``starts`` holds as a column. A wider filter's map ends higher up; ``pad``
-    marks the cells below it, which may fill its last windows, and ``floor``
-    holds -inf there and 0 in every map cell: relu's floor, and the template
-    the pre-activation buffer starts from.
+    The buffers hold all widths side by side, one column per filter, by
+    ascending width (the order of the filter biases in ``param_layout``;
+    ``widths`` keeps ``config.filter_widths`` order, the order of z), and
+    ``rows`` rows: the longest map padded to ``blocks`` whole pool windows,
+    whose first rows ``starts`` holds as a column. A wider filter's map ends
+    higher up; ``pad`` marks the cells below it, which may fill its last
+    windows, and ``floor`` holds -inf there and 0 in every map cell: relu's
+    floor, and the template the pre-activation buffer starts from.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -327,8 +329,8 @@ class _ConvPlan:
         self.pad = np.zeros((self.rows, self.n_filters), dtype=bool)
         widths, z_take, bins = [], [], []
         grads_size = 0
-        for i, h in enumerate(config.filter_widths):
-            col = i * n_f
+        for h in config.filter_widths:
+            col = sorted(config.filter_widths).index(h) * n_f
             length, pooled = config.map_len(h), config.pooled_len(h)
             # element (k, o, j) of a width's window gradient belongs to word k+o
             bins.append(((np.arange(length)[:, None, None] + np.arange(h)[:, None]) * p
@@ -345,11 +347,12 @@ class _ConvPlan:
         self.z_cols = self.z_take % self.n_filters
         self.bins = np.concatenate(bins)  # window-gradient element -> word-gradient element
         self.floor = np.where(self.pad, -np.inf, 0.0)
+        # one column sum for every bias (the cells past a map hold +0.0, which changes no
+        # sum), unless numpy would sum a one-filter width's lone column pairwise
+        start = param_layout(config).starts[len(widths)]
+        self.biases = slice(start, start + self.n_filters) if n_f > 1 or len(widths) == 1 else None
         for arr in (self.pad, self.floor, self.starts, self.z_take, self.z_cols, self.bins):
             arr.flags.writeable = False
-
-
-_conv_plan = functools.lru_cache(maxsize=64)(_ConvPlan)
 
 
 @dataclass(eq=False)
@@ -386,9 +389,11 @@ def forward(
     """
     if mode not in ("train", "test"):
         raise ValueError(f"unknown mode {mode!r}")
+    if enc.indices.shape != (config.m,):
+        raise ValueError(f"an encoding of shape {enc.indices.shape} is not m={config.m} indices")
     x = lookup_concat(enc, table)
 
-    plan = _conv_plan(config)
+    plan = config._plan
     pre = plan.floor.copy()
     windows: dict[int, np.ndarray] = {}
     for width in plan.widths:
@@ -450,9 +455,9 @@ def backward(
     config: ModelConfig,
     table: EmbeddingTable,
     acc: ModelParameters,
-) -> RowGradient | None:
-    """Add the exact analytic gradient of one sample's loss into ``acc`` and
-    return its embedding gradient.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Add the exact analytic gradient of one sample's loss into ``acc``;
+    return its embedding gradient by position.
 
     ``acc`` has the layout of ``params``, and every tensor of it receives
     ``acc + g`` element by element, so calling this once per sample, in a
@@ -460,44 +465,49 @@ def backward(
 
     The gradient flows only through the max-pool argmax positions, and relu
     passes it only where its input was strictly positive. The embedding
-    gradient is row-sparse: its rows are the sorted distinct non-padding
-    rows the headline looks up, each summed over its positions in position
-    order from +0.0, and every other row, the padding row included, is zero.
-    For a static table it is not computed and None is returned.
+    gradient is ``(indices, dx)``: the headline's (m,) row indices and the
+    (m, p) gradient of its embedding vector by position, summed from +0.0.
+    Table row r's gradient is the sum of dx over the positions that look r
+    up, the padding row's is zero, and ``training._batch_sum`` sums a batch
+    by row. For a static table it is not computed and None is returned.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward pass")
 
-    # head: d(loss)/d(logits) for both cross-entropies
+    # drop >= +0, so np.sign(drop) is 1.0 where dropout and relu pass, else a zero
     if config.head == HEAD_BINARY:
-        dlogits = cache.output - float(y)
+        dlogit = cache.output.item() - y
+        acc.w_out += dlogit * cache.drop2
+        acc.b_out[0] += dlogit  # a Python float add, cheaper than a 1-element array's
+        dpre2 = params.w_out[0] * dlogit
     else:
         dlogits = cache.output - _ONE_HOT3[y]
-
-    # Dropout keeps or zeroes an element and relu output is >= 0, so drop > 0
-    # exactly where both keep and relu pass: ddrop * (drop > 0) has the bits
-    # of ddrop * mask * (act > 0), signed zeros included.
-    acc.w_out += dlogits[:, None] * cache.drop2
-    acc.b_out += dlogits
-    dpre2 = (params.w_out.T @ dlogits) * (cache.drop2 > 0)
+        acc.w_out += dlogits[:, None] * cache.drop2
+        acc.b_out += dlogits
+        dpre2 = params.w_out.T @ dlogits
+    dpre2 *= np.sign(cache.drop2)
     acc.w2 += dpre2[:, None] * cache.drop1
     acc.b2 += dpre2
-    dpre1 = (params.w2.T @ dpre2) * (cache.drop1 > 0)
+    dpre1 = params.w2.T @ dpre2
+    dpre1 *= np.sign(cache.drop1)
     acc.w1 += dpre1[:, None] * cache.z
     acc.b1 += dpre1
     dz = params.w1.T @ dpre1
+    dz *= np.sign(cache.z)  # z is relu(pre) at its argmax cell
 
     # pool windows do not overlap, so every argmax cell is hit once
     plan = cache.plan
-    dpost = np.zeros((plan.map_rows, plan.n_filters))
-    dpost[cache.positions.take(plan.z_take), plan.z_cols] = dz
-    dpre = dpost * (cache.pre[: plan.map_rows] > 0)
+    dpre = np.zeros((plan.map_rows, plan.n_filters))
+    dpre.ravel()[cache.positions.take(plan.z_take) * plan.n_filters + plan.z_cols] = dz
+    if plan.biases is not None:
+        acc.flat[plan.biases] += np.add.reduce(dpre, axis=0)
 
     dwindows = np.empty(plan.bins.size) if table.trainable else None
     for width in plan.widths:
         h, dpre_h = width.h, dpre[: width.length, width.cols]
         acc.filters[h] += dpre_h.T @ cache.windows[h]
-        acc.filter_biases[h] += dpre_h.sum(axis=0)
+        if plan.biases is None:
+            acc.filter_biases[h] += np.add.reduce(dpre_h, axis=0)
         if dwindows is not None:
             np.matmul(dpre_h, params.filters[h], out=dwindows[width.grads].reshape(width.length, -1))
 
@@ -506,32 +516,5 @@ def backward(
     # Window k covers words k..k+h-1. bincount adds its weights in input
     # order from 0.0: width by width in config order, and within a width
     # in ascending k, which is descending word offset for any one word.
-    dx = np.bincount(plan.bins, weights=dwindows,
-                     minlength=config.m * config.p).reshape(config.m, config.p)
-    return RowGradient(*_sum_rows(cache.indices, dx))
-
-
-def _sum_rows(indices: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the per-position gradients ``dx`` (m, p) by table row.
-
-    Returns the sorted distinct non-padding rows of ``indices`` and their
-    sums, added in position order exactly as ``np.add.at`` into a zeroed
-    table would (``dx`` is accumulated from +0.0, so it holds no -0.0 and a
-    row's first position needs no zero to be added to). Headlines are a few
-    words long, so plain Python groups the positions faster than a sort.
-    """
-    first: dict[int, int] = {}
-    repeats: list[tuple[int, int]] = []
-    for k, row in enumerate(indices.tolist()):
-        if row:
-            if row in first:
-                repeats.append((row, k))
-            else:
-                first[row] = k
-    rows = sorted(first)
-    sums = dx[[first[row] for row in rows]]
-    if repeats:
-        slot = {row: i for i, row in enumerate(rows)}
-        for row, k in repeats:
-            sums[slot[row]] += dx[k]
-    return np.array(rows, dtype=np.int64), sums
+    dx = np.bincount(plan.bins, weights=dwindows).reshape(config.m, config.p)
+    return cache.indices, dx

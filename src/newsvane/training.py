@@ -231,8 +231,7 @@ def train(
     is static, and its padding row is pinned back to zero after every step.
     Returns the (mutated) parameters plus a per-epoch loss/accuracy trace.
     """
-    if not dataset:
-        raise ValueError("training dataset is empty")
+    _checked_classes(dataset, config.head, "training")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if epochs < 0:
@@ -257,7 +256,7 @@ def train(
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             emb_grads = []  # None for a static table
-            for idx in batch:
+            for idx in batch.tolist():
                 enc, y = dataset[idx]
                 output, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
                 loss_sum += sample_loss(output, y, config.head)
@@ -281,17 +280,34 @@ def train(
     return TrainResult(params=params, trace=trace)
 
 
-def _batch_sum(grads: list[RowGradient], p: int, scale: float) -> RowGradient:
-    """The scaled sum of a batch's per-sample row gradients. Each row is
-    summed from +0.0 in sample order, as adding every sample into a zeroed
-    table-shaped array would: a weighted ``np.bincount`` adds its weights in
-    input order from 0.0, as ``np.add.at`` does, in a third of the time."""
-    rows, inverse = np.unique(np.concatenate([g.rows for g in grads]), return_inverse=True)
-    bins = (inverse[:, None] * p + np.arange(p)).ravel()
-    values = np.concatenate([g.values for g in grads]).ravel()
-    sums = np.bincount(bins, weights=values, minlength=rows.size * p).reshape(rows.size, p)
-    sums *= scale
-    return RowGradient(rows, sums)
+def _batch_sum(grads: list[tuple[np.ndarray, np.ndarray]], p: int, scale: float) -> RowGradient:
+    """The scaled sum by table row, padding row left out, of a batch's
+    ``(indices, dx)`` embedding gradients from ``backward``: from +0.0 over
+    each sample's positions in order, then over the samples in order, each
+    level one weighted ``np.bincount``, which adds in input order from 0.0."""
+    indices, n = np.concatenate([g[0] for g in grads]), len(grads)
+    looked_up = np.flatnonzero(indices)  # the empty bincount would come back as int64
+    if not looked_up.size:
+        return RowGradient(np.empty(0, dtype=np.int64), np.empty((0, p)))
+    # (row, sample) pairs, in sample order within each row; every sample has m positions
+    pairs, inverse = np.unique(indices[looked_up] * n + looked_up // len(grads[0][0]),
+                               return_inverse=True)
+    values = np.concatenate([g[1] for g in grads])[looked_up].ravel()
+    per_sample = np.bincount((inverse[:, None] * p + np.arange(p)).ravel(), weights=values)
+    rows, inverse = np.unique(pairs // n, return_inverse=True)
+    sums = np.bincount((inverse[:, None] * p + np.arange(p)).ravel(), weights=per_sample)
+    return RowGradient(rows.astype(np.int64, copy=False), sums.reshape(rows.size, p) * scale)
+
+
+def _checked_classes(dataset: Dataset, head: str, role: str) -> int:
+    """The class count of ``head``, for a non-empty ``dataset`` of its class indices."""
+    if not dataset:
+        raise ValueError(f"{role} dataset is empty")
+    n_classes = 2 if head == HEAD_BINARY else 3
+    for i, (_, y) in enumerate(dataset):
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < n_classes:
+            raise ValueError(f"sample {i} has label {y!r}, not a class index of the {head} head")
+    return n_classes
 
 
 def _predicted_class(output: float | np.ndarray, head: str, threshold: float) -> int:
@@ -370,9 +386,7 @@ def evaluate(
 ) -> MetricsReport:
     """Test-mode evaluation: binary predicts 1 iff sigma >= threshold,
     multiclass predicts the argmax class."""
-    if not dataset:
-        raise ValueError("evaluation dataset is empty")
-    n_classes = 2 if config.head == HEAD_BINARY else 3
+    n_classes = _checked_classes(dataset, config.head, "evaluation")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for enc, y in dataset:
         output, _ = forward(enc, table, params, config, mode="test")

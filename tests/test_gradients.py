@@ -121,7 +121,7 @@ def test_well_conditioned_decides_like_the_per_width_loop():
             continue
         config = network.ModelConfig(p=1, m=m, filter_widths=widths, filters_per_width=n_f,
                                      hidden_sizes=(2, 1), pool_w=pool_w)
-        plan = network._conv_plan(config)
+        plan = config._plan
         lowest = 0 if rng.random() < 0.3 else int(rng.integers(3, 6))  # |pre| >= 0.012 unless 0
         pre = rng.choice([-1, 1], size=plan.pad.shape) * rng.integers(lowest, lowest + 8,
                                                                       size=plan.pad.shape) * 0.004

@@ -25,6 +25,7 @@ from newsvane.network import (
     softmax3,
 )
 from newsvane.text import EncodedHeadline
+from newsvane.training import _batch_sum
 from test_checkpoint import _model_configs
 
 
@@ -514,6 +515,19 @@ class TestShapes:
         assert cache.z.shape == (expected_z,)
         assert config.z_len == expected_z
 
+    def test_encoding_of_another_length_rejected(self):
+        # under m=12: one index short, one too many, and twelve in a column
+        config = ModelConfig(p=2, m=12, filter_widths=(3, 4), filters_per_width=2,
+                             hidden_sizes=(6, 3))
+        table = EmbeddingTable(matrix=np.random.default_rng(2).normal(size=(5, 2)),
+                               mode="non_static", p=2)
+        params = init_parameters(config, np.random.default_rng(3))
+        for shape in ((11,), (13,), (12, 1)):
+            enc = EncodedHeadline(indices=np.ones(shape, dtype=np.int64), true_len=shape[0])
+            for mode in ("train", "test"):
+                with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*m=12"):
+                    forward(enc, table, params, config, mode=mode)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(p=2, m=3, filter_widths=(4,), filters_per_width=1, hidden_sizes=(2, 1))
@@ -532,9 +546,10 @@ def _backward(cache, y, params, config, table):
     emb_grad = backward(cache, y, params, config, table, acc)
     if emb_grad is None:
         return acc, None, None
+    summed = _batch_sum([emb_grad], table.p, 1.0)
     acc_emb = np.zeros(table.matrix.shape)
-    acc_emb[emb_grad.rows] += emb_grad.values
-    return acc, acc_emb, emb_grad.rows
+    acc_emb[summed.rows] += summed.values
+    return acc, acc_emb, summed.rows
 
 
 class TestBackwardContracts:
@@ -614,7 +629,7 @@ class TestBackwardContracts:
             acc = ModelParameters.from_flat(np.full(params.layout.size, 0.375), params.layout)
             acc_emb = np.full(matrix.shape, 0.375)
             for _ in range(2):
-                again = backward(cache, y, params, config, table, acc)
+                again = _batch_sum([backward(cache, y, params, config, table, acc)], 3, 1.0)
                 assert again.rows.tolist() == rows.tolist()
                 assert again.values.tobytes() == once_emb[rows].tobytes()
                 acc_emb[again.rows] += again.values
@@ -822,9 +837,15 @@ def _assert_exact_pass(config, mode, true_len, with_rng, seed):
         else:
             emb_grad = step(cache, y, params, config, table, acc)
             assert (emb_grad is None) == (acc_emb is None)
-            rows = np.empty(0, dtype=np.int64) if emb_grad is None else emb_grad.rows
-            if emb_grad is not None:  # what the former code did with its sums
-                acc_emb[emb_grad.rows] += emb_grad.values
+            rows = np.empty(0, dtype=np.int64)
+            if emb_grad is not None:  # summed by row, then what the former code did with its sums
+                indices, dx = emb_grad
+                summed = _batch_sum([emb_grad], config.p, 1.0)
+                former_rows, former_sums = _former_sum_rows(indices, dx)
+                assert _bits(summed.rows) == _bits(former_rows)
+                assert _bits(summed.values) == _bits(former_sums)
+                rows = summed.rows
+                acc_emb[summed.rows] += summed.values
         results.append((_bits(acc.flat), None if acc_emb is None else _bits(acc_emb), _bits(rows)))
     assert results[0] == results[1]
 
@@ -848,6 +869,9 @@ def test_forward_and_backward_match_former_code_bit_for_bit(case):
     # a single filter per width
     ModelConfig(p=2, m=11, filter_widths=(4, 2), filters_per_width=1, hidden_sizes=(6, 2),
                 dropout_rate=0.3, pool_w=1, head="multiclass3"),
+    # the same with every map cell an argmax: numpy sums a lone column pairwise
+    ModelConfig(p=1, m=9, filter_widths=(2, 4), filters_per_width=1, hidden_sizes=(3, 1),
+                pool_w=1),
 ])
 @pytest.mark.parametrize("mode", ["static", "non_static"])
 def test_named_shapes_match_former_code_bit_for_bit(config, mode):

@@ -34,6 +34,7 @@ from newsvane.training import (
     grid_search,
     train,
 )
+from newsvane.training import _batch_sum
 from newsvane.training import _cell_seeds  # noqa: F401  (used to mirror grid cells)
 
 
@@ -240,6 +241,32 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], table, params, config, epochs=1, batch_size=8, seed=3)
 
+    @pytest.mark.parametrize("head, bad", [("binary", 2), ("binary", -1), ("binary", 1.5),
+                                           ("binary", True), ("multiclass3", -1),
+                                           ("multiclass3", 3), ("multiclass3", np.bool_(False))])
+    def test_label_outside_the_head_rejected_before_any_step(self, tiny_corpus, head, bad):
+        # the former loop trained a binary 2, -1 or 1.5 and a 3-way -1 (as class 2)
+        config = _tiny_config(tiny_corpus, head)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        params = init_parameters(config, np.random.default_rng(2))
+        before = params.flat.tobytes() + table.matrix.tobytes()
+        pairs = to_pairs(tiny_corpus.train, head)[:6]
+        pairs[4] = (pairs[4][0], bad)
+        with pytest.raises(ValueError, match=rf"sample 4 has label {bad!r}, .* {head} head"):
+            train(pairs, table, params, config, epochs=1, batch_size=2, seed=3)
+        assert params.flat.tobytes() + table.matrix.tobytes() == before
+
+    def test_numpy_integer_labels_train_like_ints(self, tiny_corpus):
+        config = _tiny_config(tiny_corpus, "multiclass3")
+        runs = []
+        for cast in (int, np.int64):
+            table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+            params = init_parameters(config, np.random.default_rng(2))
+            pairs = [(enc, cast(y)) for enc, y in to_pairs(tiny_corpus.train, "multiclass3")[:12]]
+            train(pairs, table, params, config, epochs=1, batch_size=5, seed=3)
+            runs.append(params.flat.tobytes() + table.matrix.tobytes())
+        assert runs[0] == runs[1]
+
     def test_nonfinite_gradient_names_layout_tensor(self, tiny_corpus):
         # an infinite second-layer bias makes only the head weights' gradient
         # non-finite; the error names that tensor, not the flat vector
@@ -351,8 +378,9 @@ def _dense_reference_train(dataset, table, params, config, epochs, batch_size, s
                 emb_grad = backward(cache, y, params, config, table, g)
                 acc["params"] += g.flat
                 if emb_grad is not None:
+                    summed = _batch_sum([emb_grad], table.p, 1.0)
                     demb = np.zeros_like(table.matrix)
-                    demb[emb_grad.rows] += emb_grad.values
+                    demb[summed.rows] += summed.values
                     acc["embeddings"] += demb
             before = table.matrix.copy()
             t += 1
@@ -455,6 +483,161 @@ class TestSparseEmbeddingEquivalence:
                 assert moved[7:9].any() == (step == 3)
         if mode == "static":
             assert runs[0][1] == matrix.tobytes()
+
+
+# --- exactness against the former per-sample row sums -------------------------
+#
+# In-test copies of network._sum_rows and training._batch_sum as they were
+# when backward summed each sample's embedding gradient by row itself, and of
+# the train() loop around them. train() must reproduce every bit they gave.
+
+
+def _former_sum_rows(indices, dx):
+    first: dict[int, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for k, row in enumerate(indices.tolist()):
+        if row:
+            if row in first:
+                repeats.append((row, k))
+            else:
+                first[row] = k
+    rows = sorted(first)
+    sums = dx[[first[row] for row in rows]]
+    if repeats:
+        slot = {row: i for i, row in enumerate(rows)}
+        for row, k in repeats:
+            sums[slot[row]] += dx[k]
+    return np.array(rows, dtype=np.int64), sums
+
+
+def _former_batch_sum(grads, p, scale):
+    rows, inverse = np.unique(np.concatenate([g.rows for g in grads]), return_inverse=True)
+    bins = (inverse[:, None] * p + np.arange(p)).ravel()
+    values = np.concatenate([g.values for g in grads]).ravel()
+    sums = np.bincount(bins, weights=values, minlength=rows.size * p).reshape(rows.size, p)
+    sums *= scale
+    return RowGradient(rows, sums)
+
+
+def _former_train(dataset, table, params, config, epochs, batch_size, seed, lr):
+    shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
+    dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
+    tensors = {"params": params.flat, "embeddings": table.matrix}
+    state = AdamState.initialize(lr=lr, frozen={"embeddings"} if table.mode == "static" else ())
+    acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(len(dataset))
+        for start in range(0, len(dataset), batch_size):
+            batch = order[start : start + batch_size]
+            emb_grads = []
+            for idx in batch:
+                enc, y = dataset[idx]
+                _, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
+                emb_grad = backward(cache, y, params, config, table, acc)
+                if emb_grad is not None:
+                    emb_grads.append(RowGradient(*_former_sum_rows(*emb_grad)))
+            scale = 1.0 / len(batch)
+            grads = {"params": acc.flat * scale}
+            if table.trainable:
+                if any(g.rows.size for g in emb_grads):
+                    grads["embeddings"] = _former_batch_sum(emb_grads, table.p, scale)
+                else:  # the former sum failed here: its empty bincount came back as int64
+                    grads["embeddings"] = RowGradient(np.empty(0, dtype=np.int64),
+                                                      np.empty((0, table.p)))
+            training.adam_step(tensors, grads, state)
+            table.matrix[0] = 0.0
+            acc.flat[:] = 0.0
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig(p=3, m=7, filter_widths=(2, 4), filters_per_width=2, hidden_sizes=(6, 3),
+                dropout_rate=0.25),
+    ModelConfig(p=2, m=9, filter_widths=(3, 2), filters_per_width=3, hidden_sizes=(5, 2),
+                dropout_rate=0.25, pool_w=3, head="multiclass3"),
+])
+@pytest.mark.parametrize("mode", ["static", "non_static"])
+def test_train_matches_former_row_sums_bit_for_bit(config, mode, monkeypatch):
+    # 41 samples in batches of 6, so the last batch holds 5. Headlines look
+    # up rows 1 and 2 of a 6-row table alone, so rows repeat within headlines
+    # and across them, and sums of a row differ in their last bits with the
+    # order they are added in. The first epoch's first batch is all padding,
+    # and so is every fifth headline after it. Adam's step is nearly blind
+    # to the last bits of a gradient, so every step's gradients are compared
+    # too, not just the trained weights.
+    steps = []
+
+    def recording_step(tensors, grads, state):
+        steps[-1].append({name: (g.rows.tobytes(), g.values.tobytes())
+                          if isinstance(g, RowGradient) else g.tobytes()
+                          for name, g in grads.items()})
+        adam_step(tensors, grads, state)
+
+    monkeypatch.setattr(training, "adam_step", recording_step)
+    rng = np.random.default_rng(31)
+    seed, batch_size, n = 5, 6, 41
+    order = np.random.default_rng(derive_seed(seed, "shuffle")).permutation(n)
+    dataset = [None] * n
+    for position, i in enumerate(order):
+        true_len = 0 if position < batch_size or position % 5 == 0 else int(
+            rng.integers(1, config.m + 1))
+        indices = np.zeros(config.m, dtype=np.int64)
+        indices[:true_len] = rng.integers(1, 3, size=true_len)
+        dataset[i] = (EncodedHeadline(indices=indices, true_len=true_len),
+                      int(rng.integers(config.out_dim + (config.out_dim == 1))))
+    assert any(len(set(e.indices[: e.true_len].tolist())) < e.true_len for e, _ in dataset)
+    matrix = rng.normal(size=(6, config.p))
+    matrix[0] = 0.0
+    params = init_parameters(config, rng)
+    runs = []
+    for trainer in (train, _former_train):
+        steps.append([])
+        table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=config.p)
+        run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
+        trainer(dataset, table, run_params, config, epochs=2, batch_size=batch_size, seed=seed,
+                lr=0.01)
+        runs.append((run_params.flat.tobytes(), table.matrix.tobytes()))
+    assert len(steps[0]) == 2 * 7 and steps[0] == steps[1]
+    assert runs[0] == runs[1]
+    assert runs[0][0] != params.flat.tobytes()
+    moved = (np.frombuffer(runs[0][1]).reshape(matrix.shape) != matrix).any(axis=1)
+    assert not moved[[0, 3, 4, 5]].any() and moved[1:3].any() == (mode != "static")
+
+
+class TestBatchSum:
+    def test_each_sample_is_summed_by_row_before_samples_are_added(self):
+        # Row 3 is looked up once by the first sample and twice by the second.
+        # Added sample by sample it is 1 + (2**-53 + 2**-53) = 1 + 2**-52; one
+        # sum over all positions in order would give (1 + 2**-53) + 2**-53 = 1.
+        # Padding positions carry gradients too, and are left out.
+        first = (np.array([3, 0, 0]), np.array([[1.0, 1.0], [5.0, 5.0], [6.0, 6.0]]))
+        second = (np.array([3, 1, 3]), np.array([[2.0**-53, 0.5], [7.0, 8.0], [2.0**-53, 0.25]]))
+        got = _batch_sum([first, second], 2, 0.5)
+        assert got.rows.tolist() == [1, 3] and got.rows.dtype == np.int64
+        assert got.values.tolist() == [[3.5, 4.0], [(1.0 + 2.0**-52) * 0.5, 0.875]]
+        assert (1.0 + 2.0**-53) + 2.0**-53 == 1.0
+        former = _former_batch_sum([RowGradient(*_former_sum_rows(*g)) for g in (first, second)],
+                                   2, 0.5)
+        assert got.rows.tobytes() == former.rows.tobytes()
+        assert got.values.tobytes() == former.values.tobytes()
+
+    def test_all_padding_batch_sums_to_no_rows(self):
+        grads = [(np.zeros(4, dtype=np.int64), np.ones((4, 3)))] * 2
+        got = _batch_sum(grads, 3, 0.5)
+        assert got.rows.dtype == np.int64 and got.rows.shape == (0,)
+        assert got.values.dtype == np.float64 and got.values.shape == (0, 3)
+
+    def test_all_padding_batch_trains(self):
+        # the former sum failed on such a batch with a trainable table
+        config = ModelConfig(p=2, m=4, filter_widths=(2,), filters_per_width=2, hidden_sizes=(3, 1))
+        matrix = np.random.default_rng(6).normal(size=(5, 2))
+        matrix[0] = 0.0
+        table = EmbeddingTable(matrix=matrix.copy(), mode="non_static", p=2)
+        params = init_parameters(config, np.random.default_rng(7))
+        before = params.flat.copy()
+        dataset = [(EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0), 1)] * 3
+        train(dataset, table, params, config, epochs=1, batch_size=2, seed=0)
+        assert table.matrix.tobytes() == matrix.tobytes()
+        assert not np.array_equal(params.flat, before)
 
 
 def test_train_allocates_nothing_the_size_of_the_table():
@@ -581,6 +764,18 @@ class TestEvaluate:
         _, table, config, params, _, _ = _fixture_model()
         with pytest.raises(ValueError):
             evaluate([], table, params, config)
+
+    @pytest.mark.parametrize("head, bad", [("binary", -1), ("binary", True), ("binary", 2),
+                                           ("multiclass3", -1), ("multiclass3", 3)])
+    def test_label_outside_the_head_rejected(self, head, bad):
+        # the former loop counted a binary -1 as class 1, and a True label in
+        # both rows of the confusion matrix (two samples gave n_samples 3)
+        _, table, config, params, pos, neg = _fixture_model()
+        if head == "multiclass3":
+            config = replace(config, head=head)
+            params = init_parameters(config, np.random.default_rng(4))
+        with pytest.raises(ValueError, match=rf"sample 1 has label {bad!r}, .* {head} head"):
+            evaluate([(pos, 1), (neg, bad)], table, params, config)
 
 
 class TestGridSearch:
