@@ -22,12 +22,12 @@ elsewhere); each width's matmul writes into its own columns. Relu is one
 ``np.maximum`` with that floor, pooling one ``np.maximum`` per further row of
 a pool window, and train mode adds each window's leftmost argmax. ``backward``
 gates each layer's gradient by ``np.sign`` of its cached output (1 where relu
-and dropout pass, else a zero), scatters the gated dz into the buffer's layout,
-takes one column sum for the filter biases and one weighted ``np.bincount``
-for the word gradients. Each element still sees a width-by-width loop's float
-operations in its order, so every output and gradient has that loop's bits,
-up to signs of zeros that no sum into a non-zero or +0.0 accumulator sees;
-the tests keep that loop to compare against.
+and dropout pass, else a zero), scatters the gated dz into the buffer's layout
+and sums the word gradients of every width with one weighted ``np.bincount``.
+Each element still sees a width-by-width loop's float operations in its
+order, so every output and gradient has that loop's bits, up to signs of
+zeros that no sum into a non-zero or +0.0 accumulator sees; the tests keep
+that loop to compare against.
 """
 
 from __future__ import annotations
@@ -308,14 +308,13 @@ class _Width(NamedTuple):
 class _ConvPlan:
     """Where every filter width lives in the conv buffers ``forward`` shares.
 
-    The buffers hold all widths side by side, one column per filter, by
-    ascending width (the order of the filter biases in ``param_layout``;
-    ``widths`` keeps ``config.filter_widths`` order, the order of z), and
-    ``rows`` rows: the longest map padded to ``blocks`` whole pool windows,
-    whose first rows ``starts`` holds as a column. A wider filter's map ends
-    higher up; ``pad`` marks the cells below it, which may fill its last
-    windows, and ``floor`` holds -inf there and 0 in every map cell: relu's
-    floor, and the template the pre-activation buffer starts from.
+    The buffers hold all widths side by side, one column per filter, in
+    ``config.filter_widths`` order (the order of z), and ``rows`` rows: the
+    longest map padded to ``blocks`` whole pool windows, whose first rows
+    ``starts`` holds as a column. A wider filter's map ends higher up; ``pad``
+    marks the cells below it, which may fill its last windows, and ``floor``
+    holds -inf there and 0 in every map cell: relu's floor, and the template
+    the pre-activation buffer starts from.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -329,8 +328,8 @@ class _ConvPlan:
         self.pad = np.zeros((self.rows, self.n_filters), dtype=bool)
         widths, z_take, bins = [], [], []
         grads_size = 0
-        for h in config.filter_widths:
-            col = sorted(config.filter_widths).index(h) * n_f
+        for i, h in enumerate(config.filter_widths):
+            col = i * n_f
             length, pooled = config.map_len(h), config.pooled_len(h)
             # element (k, o, j) of a width's window gradient belongs to word k+o
             bins.append(((np.arange(length)[:, None, None] + np.arange(h)[:, None]) * p
@@ -347,10 +346,6 @@ class _ConvPlan:
         self.z_cols = self.z_take % self.n_filters
         self.bins = np.concatenate(bins)  # window-gradient element -> word-gradient element
         self.floor = np.where(self.pad, -np.inf, 0.0)
-        # one column sum for every bias (the cells past a map hold +0.0, which changes no
-        # sum), unless numpy would sum a one-filter width's lone column pairwise
-        start = param_layout(config).starts[len(widths)]
-        self.biases = slice(start, start + self.n_filters) if n_f > 1 or len(widths) == 1 else None
         for arr in (self.pad, self.floor, self.starts, self.z_take, self.z_cols, self.bins):
             arr.flags.writeable = False
 
@@ -499,15 +494,12 @@ def backward(
     plan = cache.plan
     dpre = np.zeros((plan.map_rows, plan.n_filters))
     dpre.ravel()[cache.positions.take(plan.z_take) * plan.n_filters + plan.z_cols] = dz
-    if plan.biases is not None:
-        acc.flat[plan.biases] += np.add.reduce(dpre, axis=0)
 
     dwindows = np.empty(plan.bins.size) if table.trainable else None
     for width in plan.widths:
         h, dpre_h = width.h, dpre[: width.length, width.cols]
         acc.filters[h] += dpre_h.T @ cache.windows[h]
-        if plan.biases is None:
-            acc.filter_biases[h] += np.add.reduce(dpre_h, axis=0)
+        acc.filter_biases[h] += np.add.reduce(dpre_h, axis=0)  # no ``.sum`` wrapper
         if dwindows is not None:
             np.matmul(dpre_h, params.filters[h], out=dwindows[width.grads].reshape(width.length, -1))
 

@@ -285,7 +285,8 @@ def _batch_sum(grads: list[tuple[np.ndarray, np.ndarray]], p: int, scale: float)
     ``(indices, dx)`` embedding gradients from ``backward``: from +0.0 over
     each sample's positions in order, then over the samples in order, each
     level one weighted ``np.bincount``, which adds in input order from 0.0."""
-    indices, n = np.concatenate([g[0] for g in grads]), len(grads)
+    # int64 keys: an int32 row times the batch size could wrap
+    indices, n = np.concatenate([g[0] for g in grads]).astype(np.int64, copy=False), len(grads)
     looked_up = np.flatnonzero(indices)  # the empty bincount would come back as int64
     if not looked_up.size:
         return RowGradient(np.empty(0, dtype=np.int64), np.empty((0, p)))
@@ -296,7 +297,7 @@ def _batch_sum(grads: list[tuple[np.ndarray, np.ndarray]], p: int, scale: float)
     per_sample = np.bincount((inverse[:, None] * p + np.arange(p)).ravel(), weights=values)
     rows, inverse = np.unique(pairs // n, return_inverse=True)
     sums = np.bincount((inverse[:, None] * p + np.arange(p)).ravel(), weights=per_sample)
-    return RowGradient(rows.astype(np.int64, copy=False), sums.reshape(rows.size, p) * scale)
+    return RowGradient(rows, sums.reshape(rows.size, p) * scale)
 
 
 def _checked_classes(dataset: Dataset, head: str, role: str) -> int:

@@ -620,6 +620,16 @@ class TestBatchSum:
         assert got.rows.tobytes() == former.rows.tobytes()
         assert got.values.tobytes() == former.values.tobytes()
 
+    def test_int32_rows_past_the_int32_range_times_the_batch_size(self):
+        # a row near 2**30 times a batch of 3 passes 2**31: int32 keys would wrap
+        big = 2**30 + 5
+        grads = [(np.array([big, 0], dtype=np.int32), np.array([[1.0], [9.0]])),
+                 (np.array([3, big], dtype=np.int32), np.array([[2.0], [4.0]])),
+                 (np.array([big, big], dtype=np.int32), np.array([[8.0], [16.0]]))]
+        got = _batch_sum(grads, 1, 1.0)
+        assert got.rows.tolist() == [3, big] and got.rows.dtype == np.int64
+        assert got.values.tolist() == [[2.0], [29.0]]
+
     def test_all_padding_batch_sums_to_no_rows(self):
         grads = [(np.zeros(4, dtype=np.int64), np.ones((4, 3)))] * 2
         got = _batch_sum(grads, 3, 0.5)
