@@ -10,6 +10,7 @@ import numpy as np
 
 from newsvane import (
     ModelConfig,
+    PriceIndex,
     aggregate_daily,
     decide_binary,
     evaluate,
@@ -28,9 +29,10 @@ SEED = 42
 PORTFOLIO = {"SYN0", "SYN1"}
 
 print("== 1. synthetic corpus ==")
-headlines, prices = generate_synthetic(
+headlines, bars = generate_synthetic(
     seed=SEED, n_assets=2, n_days=300, headlines_per_day=5, signal_strength=1.0
 )
+prices = PriceIndex(bars)  # one index, shared by labelling and the backtest
 print(f"{len(headlines)} headlines over 300 trading days, e.g.:")
 for h in headlines[:3]:
     print(f"  {h.date} {h.time} [{h.asset}] {h.text!r}")
@@ -49,11 +51,12 @@ config = ModelConfig(
     p=16, m=prepared.vocab.max_len, filter_widths=(3, 4), filters_per_width=6,
     hidden_sizes=(32, 16), dropout_rate=0.25, head="binary",
 )
-table = init_self_learnt(prepared.vocab, config.p, seed=derive_seed(SEED, "embeddings"))
+table = init_self_learnt(prepared.vocab, config.p, mean=0.0, std=0.1,
+                         seed=derive_seed(SEED, "embeddings"))
 params = init_parameters(config, np.random.default_rng(derive_seed(SEED, "params-init")))
 result = train(
     to_pairs(prepared.train, "binary"), table, params, config,
-    epochs=10, batch_size=32, seed=derive_seed(SEED, "train"),
+    epochs=10, batch_size=32, seed=derive_seed(SEED, "train"), lr=1e-3,
 )
 for stats in result.trace[::3]:
     print(f"  epoch {stats.epoch}: mean loss {stats.mean_loss:.4f}, accuracy {stats.accuracy:.3f}")

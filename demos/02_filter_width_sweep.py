@@ -10,7 +10,15 @@ plot-ready CSV next to this script.
 import functools
 from pathlib import Path
 
-from newsvane import GridAxes, ModelConfig, generate_synthetic, init_self_learnt, prepare_dataset, to_pairs
+from newsvane import (
+    GridAxes,
+    ModelConfig,
+    PriceIndex,
+    generate_synthetic,
+    init_self_learnt,
+    prepare_dataset,
+    to_pairs,
+)
 from newsvane.pipeline import validation_slice
 from newsvane.training import grid_search, write_grid_results
 
@@ -20,13 +28,13 @@ OUT = Path(__file__).parent / "output"
 
 def make_table(vocab, mode, seed):
     assert mode == "self_learnt"
-    return init_self_learnt(vocab, 16, seed=seed)
+    return init_self_learnt(vocab, 16, mean=0.0, std=0.1, seed=seed)
 
 
-headlines, prices = generate_synthetic(
+headlines, bars = generate_synthetic(
     seed=SEED, n_assets=2, n_days=200, headlines_per_day=5, signal_strength=0.85
 )
-prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"}, max_len=16)
+prepared = prepare_dataset(headlines, PriceIndex(bars), {"SYN0", "SYN1"}, max_len=16)
 fit, selection = validation_slice(prepared.train, fraction=0.25, seed=SEED)
 print(
     f"corpus: {len(prepared.train)} training headlines; grid fits on {len(fit)}, "
@@ -45,7 +53,7 @@ axes = GridAxes(
 results = grid_search(
     to_pairs(fit, "binary"), to_pairs(selection, "binary"),
     base, axes, functools.partial(make_table, prepared.vocab),
-    seed=SEED, batch_size=32,
+    seed=SEED, batch_size=32, lr=1e-3, parallel=False,
 )
 
 print("\nwidth   accuracy     F1   (ranked by F1)")

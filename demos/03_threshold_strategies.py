@@ -15,6 +15,7 @@ import numpy as np
 
 from newsvane import (
     ModelConfig,
+    PriceIndex,
     aggregate_daily,
     evaluate,
     forward,
@@ -32,9 +33,10 @@ SEED = 13
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
-headlines, prices = generate_synthetic(
+headlines, bars = generate_synthetic(
     seed=SEED, n_assets=2, n_days=250, headlines_per_day=5, signal_strength=0.8
 )
+prices = PriceIndex(bars)  # indexed once, for the labels and every sweep
 prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"}, max_len=12)
 print(f"{len(prepared.train)} train / {len(prepared.test)} test headlines\n")
 
@@ -44,11 +46,12 @@ for head in ("binary", "multiclass3"):
         p=16, m=prepared.vocab.max_len, filter_widths=(3, 4), filters_per_width=6,
         hidden_sizes=(32, 16), dropout_rate=0.25, head=head,
     )
-    table = init_self_learnt(prepared.vocab, config.p, seed=derive_seed(SEED, "embeddings"))
+    table = init_self_learnt(prepared.vocab, config.p, mean=0.0, std=0.1,
+                             seed=derive_seed(SEED, "embeddings"))
     params = init_parameters(config, np.random.default_rng(derive_seed(SEED, "params-init")))
     train(
         to_pairs(prepared.train, head), table, params, config,
-        epochs=8, batch_size=32, seed=derive_seed(SEED, "train"),
+        epochs=8, batch_size=32, seed=derive_seed(SEED, "train"), lr=1e-3,
     )
     metrics = evaluate(to_pairs(prepared.test, head), table, params, config)
     print(f"[{head}] test accuracy {metrics.accuracy:.3f}, F1 {metrics.f1:.3f}")

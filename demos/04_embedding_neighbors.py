@@ -15,6 +15,7 @@ import numpy as np
 
 from newsvane import (
     ModelConfig,
+    PriceIndex,
     generate_synthetic,
     init_parameters,
     load_pretrained,
@@ -27,10 +28,10 @@ from newsvane.seeding import derive_seed
 
 SEED = 3
 
-headlines, prices = generate_synthetic(
+headlines, bars = generate_synthetic(
     seed=SEED, n_assets=2, n_days=250, headlines_per_day=5, signal_strength=1.0
 )
-prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"}, max_len=12)
+prepared = prepare_dataset(headlines, PriceIndex(bars), {"SYN0", "SYN1"}, max_len=12)
 vocab = prepared.vocab
 
 # toy "pretrained" vectors: random directions, no sentiment structure
@@ -52,7 +53,7 @@ config = ModelConfig(
 params = init_parameters(config, np.random.default_rng(derive_seed(SEED, "params-init")))
 train(
     to_pairs(prepared.train, "binary"), tuned, params, config,
-    epochs=10, batch_size=32, seed=derive_seed(SEED, "train"),
+    epochs=10, batch_size=32, seed=derive_seed(SEED, "train"), lr=1e-3,
 )
 
 probes = [w for w in ("surge", "slump", "beat", "miss", "profit") if w in vocab.word_to_index]

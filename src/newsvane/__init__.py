@@ -55,7 +55,6 @@ from .network import (
     dense_forward,
     forward,
     init_parameters,
-    relu,
     sigmoid,
     softmax3,
 )

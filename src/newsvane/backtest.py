@@ -35,14 +35,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .allocation import collector_paused
-from .corpus import PriceBar, PriceIndex
+from .corpus import TRI_BUY, TRI_CLASSES, PriceIndex
 from .fileio import csv_text, write_text_atomic
 
 BUY = "buy"
 NO_ACTION = "no_action"
 
 # index of the 'buy' class in the 3-way head's probability vector
-BUY_CLASS = 2
+BUY_CLASS = TRI_CLASSES.index(TRI_BUY)
 
 # smallest threshold grid step (strategy.sweep_step): a sweep simulates once per
 # threshold, so this caps a grid at 5,701 thresholds
@@ -82,7 +82,7 @@ class DayPredictions(Sequence[DayPrediction]):
     the code of its asset in ``asset_names``, ``days`` its date ordinal and
     ``n_headlines`` its headline count (int64), and ``means`` its sigma mean,
     ``(n,)``, or its class means, ``(n, 3)`` (float64). The arrays are
-    read-only. ``aggregate_daily`` returns one; ``of`` makes one of any rows.
+    read-only. ``aggregate_daily`` builds one.
     """
 
     rows: tuple[DayPrediction, ...]
@@ -99,28 +99,6 @@ class DayPredictions(Sequence[DayPrediction]):
     def __reduce__(self):  # so that a copy's arrays are read-only too
         return type(self), (self.rows, self.asset_names, self.assets, self.days, self.n_headlines,
                             self.means)
-
-    @classmethod
-    def of(cls, rows: Sequence[DayPrediction]) -> DayPredictions:
-        """``rows`` itself if it is already a ``DayPredictions``, else one of its
-        rows in their order; rows of both heads are a ValueError."""
-        if isinstance(rows, cls):
-            return rows
-        rows = tuple(rows)
-        sigma = [dp.sigma_mean for dp in rows]
-        if None not in sigma:
-            means = np.array(sigma, dtype=np.float64)
-        else:
-            class_means = [dp.class_means for dp in rows]
-            if None in class_means:
-                raise ValueError("day predictions mix the binary and 3-way heads")
-            means = np.array(class_means, dtype=np.float64).reshape(-1, 3)
-        asset_names = tuple(sorted({dp.asset for dp in rows}))
-        code = {asset: i for i, asset in enumerate(asset_names)}
-        return cls(rows, asset_names,
-                   np.fromiter((code[dp.asset] for dp in rows), np.int64, len(rows)),
-                   np.fromiter((dt.date.toordinal(dp.date) for dp in rows), np.int64, len(rows)),
-                   np.fromiter((dp.n_headlines for dp in rows), np.int64, len(rows)), means)
 
     @property
     def binary(self) -> bool:
@@ -273,16 +251,16 @@ def _day_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return means
 
 
-def buy_scores(day_predictions: Sequence[DayPrediction], binary: bool) -> np.ndarray:
+def buy_scores(day_predictions: DayPredictions, binary: bool) -> np.ndarray:
     """The values a buy threshold is compared with: a day buys iff its score exceeds t.
 
     For the binary head a score is the day-mean sigmoid output. For the 3-way
     head it is the buy-class mean when 'buy' is the strict argmax of the class
     means, else -inf, so no threshold buys it. The scores are read from the
-    columns of ``DayPredictions.of(day_predictions)``. ``binary`` names the
-    head the strategy expects; predictions of the other head are a ValueError.
+    columns of the ``DayPredictions`` that ``aggregate_daily`` returns.
+    ``binary`` names the head the strategy expects; predictions of the other
+    head are a ValueError.
     """
-    day_predictions = DayPredictions.of(day_predictions)
     if len(day_predictions) and day_predictions.binary != binary:
         raise _wrong_head(f"buy_scores(binary={binary})", binary)
     return _scores(day_predictions.means)
@@ -403,8 +381,7 @@ def _report(book: _TradeBook) -> BacktestReport:
 
 
 def simulate(
-    decisions: Sequence[tuple[str, dt.date, str]] | _TradeBook,
-    prices: Sequence[PriceBar] | PriceIndex,
+    decisions: Sequence[tuple[str, dt.date, str]] | _TradeBook, prices: PriceIndex
 ) -> BacktestReport:
     """Execute buy decisions and compound the daily returns.
 
@@ -413,11 +390,11 @@ def simulate(
     equally, so the day's return is the mean of its trade returns; days
     compound in date order. An empty decision list yields a zero report,
     and an action other than ``BUY`` or ``NO_ACTION`` is a ValueError.
-    ``prices`` is best the ``PriceIndex`` that ``load_prices`` returns; a
-    list of bars is indexed on each call. ``threshold_sweep`` passes a
-    resolved trade book as ``decisions``, which is reported as it is.
+    ``prices`` is the ``PriceIndex`` that ``load_prices`` or
+    ``PriceIndex(bars)`` builds. ``threshold_sweep`` passes a resolved trade
+    book as ``decisions``, which is reported as it is.
     """
-    return _report(_TradeBook.of(decisions, PriceIndex.of(prices)))
+    return _report(_TradeBook.of(decisions, prices))
 
 
 @dataclass(frozen=True)
@@ -430,20 +407,19 @@ class SweepRow:
 
 
 def threshold_sweep(
-    day_predictions: Sequence[DayPrediction],
-    prices: Sequence[PriceBar] | PriceIndex,
-    t_grid: Sequence[float],
+    day_predictions: DayPredictions, prices: PriceIndex, t_grid: Sequence[float]
 ) -> list[SweepRow]:
     """One ``SweepRow`` per threshold in ``t_grid``, for the head of the predictions.
 
-    Each day prediction is scored once from its columns (see ``buy_scores``;
-    a list of rows is made into a ``DayPredictions`` first), and the buys at
-    the lowest threshold are resolved into one trade book: every later
-    threshold buys a subset of them, so a missing next bar raises here as it
-    would at the first threshold. Each threshold then calls ``simulate`` on
-    the book's trades whose score exceeds it, which are the trades the
-    ``decide_*`` rule would make; no ``Trade`` is built. A threshold that is
-    not finite is a ValueError.
+    ``day_predictions`` is what ``aggregate_daily`` returns and ``prices`` the
+    ``PriceIndex`` that ``load_prices`` or ``PriceIndex(bars)`` builds. Each
+    day prediction is scored once from its columns (see ``buy_scores``), and
+    the buys at the lowest threshold are resolved into one trade book: every
+    later threshold buys a subset of them, so a missing next bar raises here
+    as it would at the first threshold. Each threshold then calls
+    ``simulate`` on the book's trades whose score exceeds it, which are the
+    trades the ``decide_*`` rule would make; no ``Trade`` is built. A
+    threshold that is not finite is a ValueError.
     """
     if len(t_grid) == 0:
         raise ValueError("t_grid must be non-empty")
@@ -454,16 +430,14 @@ def threshold_sweep(
         raise ValueError("t_grid must be sorted ascending")
     if not day_predictions:
         raise ValueError("no day predictions to sweep")
-    day_predictions = DayPredictions.of(day_predictions)
     score = buy_scores(day_predictions, binary=day_predictions.binary)
-    index = PriceIndex.of(prices)
     first = np.flatnonzero(score > t_grid[0])
-    book, order = _TradeBook.resolve(index, day_predictions.asset_names,
+    book, order = _TradeBook.resolve(prices, day_predictions.asset_names,
                                      day_predictions.assets[first], day_predictions.days[first])
     score = score[first][order]  # in book order
     rows: list[SweepRow] = []
     for t in t_grid:
-        report = simulate(book.where(score > t), index)
+        report = simulate(book.where(score > t), prices)
         rows.append(
             SweepRow(
                 t=float(t), pp_pct=report.pp_pct, atp_pct=report.atp_pct,

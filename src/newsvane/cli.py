@@ -40,7 +40,7 @@ from .fileio import (
     write_json_atomic,
     write_text_atomic,
 )
-from .network import HEAD_BINARY, HEAD_MULTICLASS3, ModelConfig, forward, init_parameters
+from .network import HEAD_BINARY, HEAD_MULTICLASS3, HEADS, ModelConfig, forward, init_parameters
 from .seeding import derive_seed
 from .text import PAD_TOKEN, save_vocabulary, vocabulary_hash
 
@@ -168,7 +168,7 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
             _require(mode == embeddings.MODE_SELF_LEARNT or cfg.pretrained_path is not None,
                      f"paths.pretrained: embedding mode {mode!r} ({key}) requires a vector file")
         if cfg.strategy_head is not None:
-            _require(cfg.strategy_head in (HEAD_BINARY, HEAD_MULTICLASS3),
+            _require(cfg.strategy_head in HEADS,
                      f"strategy.head: unknown strategy head {cfg.strategy_head!r}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -451,7 +451,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     verdict = "PASS" if suite.passed else "FAIL"
     print(
         f"gradcheck {verdict}: max relative error {suite.max_rel_error:.3e} "
-        f"(tolerance {suite.tolerance:.0e}) over {len(suite.results)} configs "
+        f"(tolerance {gradcheck.TOLERANCE:.0e}) over {len(suite.results)} configs "
         f"in {suite.elapsed_s:.2f}s"
     )
     return 0 if suite.passed else 1

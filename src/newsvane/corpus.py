@@ -217,11 +217,6 @@ class PriceIndex:
         ranks = np.repeat(np.arange(len(assets), dtype=np.int64), sizes)
         self._keys = ranks << _DAY_BITS | self.days
 
-    @classmethod
-    def of(cls, prices: Iterable[PriceBar] | PriceIndex) -> PriceIndex:
-        """``prices`` itself if it is already an index, else a new index of it."""
-        return prices if isinstance(prices, cls) else cls(prices)
-
     def __len__(self) -> int:
         return len(self.bars)
 
@@ -258,7 +253,7 @@ def _bar_label(bar: PriceBar, ret: float) -> LabeledSample:
 
 
 def label_all(
-    headlines: list[HeadlineRecord], prices: Iterable[PriceBar] | PriceIndex
+    headlines: list[HeadlineRecord], prices: PriceIndex
 ) -> tuple[dict[int, LabeledSample], list[int]]:
     """Label every headline with the next trading day's open-to-close return.
 
@@ -266,14 +261,14 @@ def label_all(
     return); unchanged or falling prices are class 0. The three-class label
     is 'buy' above +0.5%, 'avoid' below -0.5%, else 'inconsequential'.
     Returns (labels by id, ids skipped at the end of their asset's history),
-    both in headline order. One ``PriceIndex.next_positions`` call finds every
-    headline's next bar, and headlines with one next bar share its label.
-    Raises ``ValueError`` if two headlines share an id.
+    both in headline order. ``prices`` is the ``PriceIndex`` that
+    ``load_prices`` or ``PriceIndex(bars)`` builds; one ``next_positions``
+    call on it finds every headline's next bar, and headlines with one next
+    bar share its label. Raises ``ValueError`` if two headlines share an id.
     """
-    index = PriceIndex.of(prices)
-    positions = index.next_positions([h.asset for h in headlines], [h.date for h in headlines])
-    positions, returns = positions.tolist(), index.returns.tolist()
-    bar_labels = {pos: _bar_label(index.bars[pos], returns[pos])
+    positions = prices.next_positions([h.asset for h in headlines], [h.date for h in headlines])
+    positions, returns = positions.tolist(), prices.returns.tolist()
+    bar_labels = {pos: _bar_label(prices.bars[pos], returns[pos])
                   for pos in set(positions) if pos >= 0}
     label_of_row = list(map(bar_labels.get, positions))  # None past the asset's history
     labels = {h.id: label for h, label in zip(headlines, label_of_row) if label is not None}

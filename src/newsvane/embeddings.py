@@ -51,13 +51,14 @@ class EmbeddingTable:
 
 
 def init_self_learnt(
-    vocab: Vocabulary, p: int, mean: float = 0.0, std: float = 0.1, seed: int = 0
+    vocab: Vocabulary, p: int, mean: float, std: float, seed: int
 ) -> EmbeddingTable:
     """Random-normal table for training embeddings from scratch.
 
-    The defaults mirror typical element statistics of published pretrained
-    vectors; pass the measured mean/std of a reference collection to match
-    it exactly.
+    Every row but the padding row is drawn from normal(``mean``, ``std``). A
+    run passes its config's ``model.embedding_init_mean`` and
+    ``model.embedding_init_std``; the measured mean/std of a collection of
+    pretrained vectors gives rows with that collection's statistics.
     """
     if p < 1:
         raise ValueError("embedding dimension p must be >= 1")
@@ -93,7 +94,7 @@ def _parse_vector_lines(lines: Iterable[str], path: Path, dim: int) -> tuple[lis
     return tokens, np.array(rows).reshape(len(rows), dim)
 
 
-def _parse_vector_file(path: Path, expected_p: int | None = None) -> tuple[int, list[str], np.ndarray]:
+def _parse_vector_file(path: Path, expected_p: int) -> tuple[int, list[str], np.ndarray]:
     """Parse a word2vec-style text file: header '<count> <dim>', then one
     '<token> <v1> ... <v_dim>' line per vector; blank lines are skipped.
     Returns (dim, tokens, rows): the tokens in file order, repeats included,
@@ -118,7 +119,7 @@ def _parse_vector_file(path: Path, expected_p: int | None = None) -> tuple[int, 
             raise ValueError(f"{path}: line 1: expected integer count and dim") from exc
         if dim < 1:
             raise ValueError(f"{path}: line 1: dimension must be >= 1")
-        if expected_p is not None and dim != expected_p:
+        if dim != expected_p:
             raise ValueError(f"{path}: file dimension {dim} != configured p {expected_p}")
         body = fh.tell()
         rows = None
@@ -145,8 +146,8 @@ def load_pretrained(
     vocab: Vocabulary,
     path: str | Path,
     mode: str,
-    seed: int = 0,
-    expected_p: int | None = None,
+    seed: int,
+    expected_p: int,
 ) -> EmbeddingTable:
     """Build a table from pretrained vectors in word2vec text format.
 

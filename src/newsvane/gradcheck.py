@@ -37,8 +37,9 @@ from .seeding import derive_seed
 from .text import EncodedHeadline
 from .training import _batch_sum
 
-DEFAULT_STEP = 1e-4
-DEFAULT_TOLERANCE = 1e-4
+# the central difference's step, and the largest relative error a passing suite may show
+STEP = 1e-4
+TOLERANCE = 1e-4
 # margin (in units of the step) that every kink must clear before an
 # instance is accepted for differencing
 _KINK_MARGIN = 1e-2
@@ -59,12 +60,11 @@ class CheckResult:
 class SuiteResult:
     results: tuple[CheckResult, ...]
     max_rel_error: float
-    tolerance: float
     elapsed_s: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < TOLERANCE
 
 
 def _seeded_forward(enc, table, params, config, seed: int):
@@ -148,18 +148,18 @@ def _random_instance(rng: np.random.Generator, index: int):
     raise RuntimeError("could not sample a well-conditioned gradcheck instance")
 
 
-def _numeric_tensor_grad(arr: np.ndarray, loss_fn, step: float) -> np.ndarray:
+def _numeric_tensor_grad(arr: np.ndarray, loss_fn) -> np.ndarray:
     out = np.zeros(arr.shape)
     flat = arr.reshape(-1)
     grad = out.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         up = loss_fn()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         down = loss_fn()
         flat[i] = orig
-        grad[i] = (up - down) / (2.0 * step)
+        grad[i] = (up - down) / (2.0 * STEP)
     return out
 
 
@@ -175,7 +175,6 @@ def check_instance(
     params: ModelParameters,
     y: int,
     seed: int,
-    step: float = DEFAULT_STEP,
 ) -> CheckResult:
     """Compare analytic and central-difference gradients for one instance.
 
@@ -191,7 +190,7 @@ def check_instance(
     def loss_fn() -> float:
         return sample_loss(_seeded_forward(enc, table, params, config, seed)[0], y, config.head)
 
-    errors = _rel_errors(analytic.flat, _numeric_tensor_grad(params.flat, loss_fn, step))
+    errors = _rel_errors(analytic.flat, _numeric_tensor_grad(params.flat, loss_fn))
     worst_index = int(np.argmax(errors))
     worst, worst_name = float(errors[worst_index]), params.layout.name_at(worst_index)
     n_checked = params.flat.size
@@ -200,7 +199,7 @@ def check_instance(
         analytic_emb = np.zeros(table.matrix.shape)
         analytic_emb[summed.rows] = summed.values
         rows = table.matrix[1:]
-        numeric_rows = _numeric_tensor_grad(rows, loss_fn, step)
+        numeric_rows = _numeric_tensor_grad(rows, loss_fn)
         n_checked += rows.size
         err = float(np.max(_rel_errors(analytic_emb[1:], numeric_rows)))
         if err > worst:
@@ -215,12 +214,7 @@ def check_instance(
     )
 
 
-def run_suite(
-    seed: int = 0,
-    n_configs: int = 20,
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> SuiteResult:
+def run_suite(seed: int, n_configs: int) -> SuiteResult:
     """Run the full randomized gradient check; deterministic per seed."""
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
@@ -228,11 +222,10 @@ def run_suite(
     start = time.perf_counter()
     results = []
     for index in range(n_configs):
-        results.append(check_instance(*_random_instance(rng, index), step=step))
+        results.append(check_instance(*_random_instance(rng, index)))
     elapsed = time.perf_counter() - start
     return SuiteResult(
         results=tuple(results),
         max_rel_error=max(r.max_rel_error for r in results),
-        tolerance=tolerance,
         elapsed_s=elapsed,
     )

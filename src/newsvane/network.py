@@ -61,9 +61,9 @@ class ModelConfig:
     filter_widths: tuple[int, ...]
     filters_per_width: int
     hidden_sizes: tuple[int, int]
+    head: str
     dropout_rate: float = 0.0
     pool_w: int = 2
-    head: str = HEAD_BINARY
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.m < 1:
@@ -196,11 +196,6 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ModelParam
 
 
 # --- primitive operations -------------------------------------------------
-
-
-def relu(x):
-    """max(0, x), elementwise; the derivative at exactly 0 is taken as 0."""
-    return np.maximum(0.0, x)
 
 
 def _word_windows(x: np.ndarray, h: int, p: int) -> np.ndarray:

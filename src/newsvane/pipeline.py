@@ -20,11 +20,11 @@ from .corpus import (
     TRI_CLASSES,
     DatasetSplit,
     HeadlineRecord,
-    PriceBar,
     PriceIndex,
     label_all,
     split_half_hourly_unique,
 )
+from .network import HEAD_BINARY, HEADS
 from .seeding import derive_seed
 from .text import EncodedHeadline, Vocabulary, build_vocabulary, encode_and_pad, tokenize
 
@@ -58,11 +58,12 @@ class PreparedData:
 @collector_paused
 def prepare_dataset(
     headlines: list[HeadlineRecord],
-    prices: list[PriceBar] | PriceIndex,
+    prices: PriceIndex,
     portfolio: set[str] | frozenset[str],
-    max_len: int | None = None,
+    max_len: int | None,
 ) -> PreparedData:
-    """Label, split and encode a corpus.
+    """Label, split and encode a corpus, labeled on the ``PriceIndex`` that
+    ``load_prices`` or ``PriceIndex(bars)`` builds.
 
     Headlines whose next trading day is beyond the price history are dropped
     before splitting (their count is reported). ``max_len`` optionally
@@ -89,8 +90,11 @@ def prepare_dataset(
 
 
 def to_pairs(samples: tuple[Sample, ...], head: str) -> list[tuple[EncodedHeadline, int]]:
-    """Project samples onto (encoding, class index) pairs for the given head."""
-    if head == "binary":
+    """Project samples onto (encoding, class index) pairs for the given head,
+    one of ``network.HEADS``; any other head is a ValueError."""
+    if head not in HEADS:
+        raise ValueError(f"unknown head {head!r}, expected one of {', '.join(HEADS)}")
+    if head == HEAD_BINARY:
         return [(s.enc, s.binary_label) for s in samples]
     return [(s.enc, TRI_INDEX[s.tri_label]) for s in samples]
 

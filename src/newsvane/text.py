@@ -109,9 +109,9 @@ class Vocabulary:
         return len(self.tokens)
 
 
-def build_vocabulary(training_texts: list[list[str]], max_len: int | None = None) -> Vocabulary:
-    """The training tokens in first-occurrence order; ``max_len`` defaults to
-    the longest training text."""
+def build_vocabulary(training_texts: list[list[str]], max_len: int | None) -> Vocabulary:
+    """The training tokens in first-occurrence order; a ``max_len`` of None
+    takes the length of the longest training text."""
     tokens = tuple(dict.fromkeys(itertools.chain.from_iterable(training_texts)))
     if not tokens:
         raise ValueError("cannot build a vocabulary: every token list is empty")

@@ -41,6 +41,13 @@ class NumericError(ValueError):
     """A run produced a non-finite number (for example a diverging step)."""
 
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba, arXiv:1412.6980).
+# Betas in [0, 1) and a finite eps > 0 make a zero-moment, zero-gradient row's
+# step exactly +0.0, which is what lets adam_step leave unnamed rows out.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Rows per chunk of a row-sparse Adam step are chosen so that each temporary
 # holds about this many floats (128 KiB): a chunk's arrays then stay in a
 # core's cache across the dozen passes the update makes over them.
@@ -49,7 +56,8 @@ _CHUNK_ELEMENTS = 1 << 14
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and hyperparameters for Adam.
+    """First/second moment accumulators and the learning rate for Adam, whose
+    other hyperparameters are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     ``m`` and ``v`` hold the moments of every tensor stepped so far; a
     tensor's are made on its first step, and frozen tensors get none. A
@@ -63,9 +71,6 @@ class AdamState:
     """
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     t: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -74,22 +79,11 @@ class AdamState:
     slots: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
-    def initialize(
-        cls,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        frozen: Sequence[str] = (),
-    ) -> "AdamState":
-        # These ranges make a zero-moment, zero-gradient row's step exactly
-        # +0.0, which is what lets adam_step leave unnamed rows out.
-        if not (math.isfinite(lr) and lr >= 0.0 and 0.0 <= beta1 < 1.0
-                and 0.0 <= beta2 < 1.0 and math.isfinite(eps) and eps > 0.0):
-            raise ValueError(f"Adam needs finite lr >= 0, betas in [0, 1) and finite eps > 0; "
-                             f"got lr={lr}, beta1={beta1}, beta2={beta2}, eps={eps}")
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0, m={}, v={},
-                   frozen=frozenset(frozen))
+    def initialize(cls, lr: float, frozen: Sequence[str] = ()) -> "AdamState":
+        # a finite lr >= 0 keeps a zero-moment row's step +0.0 as well
+        if not (math.isfinite(lr) and lr >= 0.0):
+            raise ValueError(f"Adam needs a finite lr >= 0, got lr={lr}")
+        return cls(lr=lr, t=0, m={}, v={}, frozen=frozenset(frozen))
 
 
 def adam_step(
@@ -100,7 +94,7 @@ def adam_step(
     """One Adam update, in place, with bias correction.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps), evaluated as
-    ``theta -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)``
+    ``theta -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)``
     would be over the whole tensor, one operation at a time, so the result
     is bit-identical to that expression. Tensors listed in ``state.frozen``
     are skipped entirely; their gradients are not read. Every gradient that
@@ -127,8 +121,7 @@ def adam_step(
         if not np.isfinite(grad).all():
             raise NumericError(f"non-finite gradient for tensor {name!r}")
     state.t += 1
-    hyper = (state.lr, state.beta1, state.beta2, 1.0 - state.beta1 ** state.t,
-             1.0 - state.beta2 ** state.t, state.eps)
+    hyper = (state.lr, 1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t)
     for name in stepped:
         theta, grad = tensors[name], grads[name]
         if isinstance(grad, RowGradient):
@@ -182,18 +175,18 @@ def _step_named_rows(theta: np.ndarray, grad: RowGradient, state: AdamState, nam
 def _adam_update(th: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
                  hyper: tuple[float, ...]) -> None:
     """The textbook update of ``th``, ``m`` and ``v`` in place, one operation at a time."""
-    lr, b1, b2, bias1, bias2, eps = hyper
+    lr, bias1, bias2 = hyper
     step, denom = np.empty_like(g), np.empty_like(g)
-    m *= b1
-    m += np.multiply(1.0 - b1, g, out=step)
-    v *= b2
-    np.multiply(1.0 - b2, g, out=denom)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=denom)
     v += np.multiply(denom, g, out=denom)
     np.divide(m, bias1, out=step)
     np.multiply(lr, step, out=step)
     np.divide(v, bias2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     th -= np.divide(step, denom, out=step)
 
 
@@ -221,7 +214,7 @@ def train(
     epochs: int,
     batch_size: int,
     seed: int,
-    lr: float = 1e-3,
+    lr: float,
 ) -> TrainResult:
     """Train in place for ``epochs`` passes of shuffled mini-batches.
 
@@ -481,9 +474,9 @@ def grid_search(
     axes: GridAxes,
     table_factory: TableFactory,
     seed: int,
-    batch_size: int = 32,
-    lr: float = 1e-3,
-    parallel: bool = False,
+    batch_size: int,
+    lr: float,
+    parallel: bool,
 ) -> list[GridResult]:
     """Exhaustively train and score every axis combination.
 

@@ -14,11 +14,12 @@ import pytest
 from newsvane import cli
 from newsvane.backtest import (
     DayPrediction,
+    aggregate_daily,
     decide_multiclass,
     default_threshold_grid,
     threshold_sweep,
 )
-from newsvane.corpus import PriceBar, generate_synthetic
+from newsvane.corpus import PriceBar, PriceIndex, generate_synthetic
 from newsvane.embeddings import (
     EmbeddingTable,
     init_self_learnt,
@@ -33,7 +34,6 @@ from newsvane.network import (
     forward,
     init_parameters,
     param_layout,
-    relu,
 )
 from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
@@ -56,17 +56,18 @@ def learning_runs():
         headlines, prices = generate_synthetic(
             seed=42, n_assets=2, n_days=300, headlines_per_day=5, signal_strength=signal
         )
-        prepared = prepare_dataset(headlines, prices, PORTFOLIO, max_len=12)
+        prepared = prepare_dataset(headlines, PriceIndex(prices), PORTFOLIO, max_len=12)
         config = ModelConfig(
             p=16, m=12, filter_widths=(3, 4), filters_per_width=6,
             hidden_sizes=(32, 16), dropout_rate=0.25, head="binary",
         )
-        table = init_self_learnt(prepared.vocab, 16, seed=derive_seed(42, "embeddings"))
+        table = init_self_learnt(prepared.vocab, 16, mean=0.0, std=0.1,
+                                 seed=derive_seed(42, "embeddings"))
         params = init_parameters(config, np.random.default_rng(derive_seed(42, "params-init")))
         start = time.perf_counter()
         train(
             to_pairs(prepared.train, "binary"), table, params, config,
-            epochs=10, batch_size=32, seed=derive_seed(42, "train"),
+            epochs=10, batch_size=32, seed=derive_seed(42, "train"), lr=1e-3,
         )
         elapsed = time.perf_counter() - start
         runs[signal] = dict(
@@ -113,10 +114,11 @@ def test_criterion_3_overfit_one_batch(learning_runs):
         p=16, m=12, filter_widths=(3, 4), filters_per_width=6,
         hidden_sizes=(32, 16), dropout_rate=0.0, head="binary",
     )
-    table = init_self_learnt(prepared.vocab, 16, seed=derive_seed(42, "embeddings"))
+    table = init_self_learnt(prepared.vocab, 16, mean=0.0, std=0.1,
+                             seed=derive_seed(42, "embeddings"))
     params = init_parameters(config, np.random.default_rng(derive_seed(42, "params-init")))
     result = train(batch, table, params, config, epochs=200, batch_size=8,
-                   seed=derive_seed(42, "train"))
+                   seed=derive_seed(42, "train"), lr=1e-3)
     final_loss = result.trace[-1].mean_loss
     assert final_loss < 0.01
     _passed(3, f"mean loss {final_loss:.5f} < 0.01 after 200 epochs on one batch of 8")
@@ -174,7 +176,8 @@ def test_criterion_4_oracle_equivalence():
         filt = rng.normal(size=h * p)
         bias = float(rng.normal())
         _, pre = conv_forward(x, filt[None, :], np.array([bias]), p)  # a one-filter bank
-        np.testing.assert_allclose(relu(pre[:, 0]), _naive_conv(x, filt, bias, h), atol=1e-12)
+        np.testing.assert_allclose(np.maximum(0.0, pre[:, 0]), _naive_conv(x, filt, bias, h),
+                                   atol=1e-12)
     for _ in range(100):
         # one filter per width through forward's pool; negative words give relu ties at 0
         words = rng.normal(size=int(rng.integers(4, 28))).tolist()
@@ -234,17 +237,17 @@ def test_criterion_6_backtest_exactness():
 
     d0 = dt.date(2016, 6, 1)
     rng = np.random.default_rng(606)
-    day_preds = []
+    outputs = []
     returns = {}
     bars = []
     for day in range(20):
         for asset in ("A", "B"):
             sigma = float(rng.uniform(0.3, 0.95))
             ret = float(rng.uniform(-0.04, 0.05))
-            day_preds.append(DayPrediction(asset=asset, date=d0 + dt.timedelta(days=day),
-                                           n_headlines=1, sigma_mean=sigma))
+            outputs.append((len(outputs), asset, d0 + dt.timedelta(days=day), sigma))
             returns[(asset, day + 1)] = ret
             bars.append(PriceBar(asset, d0 + dt.timedelta(days=day + 1), 50.0, 50.0 * (1 + ret)))
+    day_preds = aggregate_daily(outputs)  # one output per (asset, day): its own mean
 
     def enumerate_at(t):
         trades = []
@@ -265,7 +268,7 @@ def test_criterion_6_backtest_exactness():
         return pp, atp, 100.0 * (capital - 1.0), len(trades)
 
     grid = default_threshold_grid(head_binary=True)
-    rows = threshold_sweep(day_preds, bars, grid)
+    rows = threshold_sweep(day_preds, PriceIndex(bars), grid)
     for row in rows:
         pp, atp, total, n = enumerate_at(row.t)
         assert row.n_trades == n
@@ -282,7 +285,7 @@ def test_criterion_7_mode_contracts(tmp_path):
     headlines, prices = generate_synthetic(
         seed=7, n_assets=2, n_days=60, headlines_per_day=4, signal_strength=1.0
     )
-    prepared = prepare_dataset(headlines, prices, PORTFOLIO)
+    prepared = prepare_dataset(headlines, PriceIndex(prices), PORTFOLIO, max_len=None)
     rng = np.random.default_rng(0)
     vecs = tmp_path / "vecs.txt"
     tokens = prepared.vocab.tokens[::2]
@@ -299,12 +302,12 @@ def test_criterion_7_mode_contracts(tmp_path):
     outcomes = {}
     for mode in ("static", "non_static", "self_learnt"):
         if mode == "self_learnt":
-            table = init_self_learnt(prepared.vocab, 8, seed=2)
+            table = init_self_learnt(prepared.vocab, 8, mean=0.0, std=0.1, seed=2)
         else:
             table = load_pretrained(prepared.vocab, vecs, mode, seed=2, expected_p=8)
         initial = table.matrix.copy()
         params = init_parameters(config, np.random.default_rng(3))
-        train(pairs, table, params, config, epochs=2, batch_size=16, seed=4)
+        train(pairs, table, params, config, epochs=2, batch_size=16, seed=4, lr=1e-3)
         assert not table.matrix[0].any(), f"padding row moved in mode {mode}"
         changed_rows = int(np.any(table.matrix != initial, axis=1).sum())
         outcomes[mode] = changed_rows
@@ -385,6 +388,6 @@ def test_criterion_9_reference_shape_conformance(tmp_path):
 
     # one batch-32 training step runs at these shapes
     pairs = [(enc, int(rng.integers(2))) for _ in range(32)]
-    train(pairs, table, params, config, epochs=1, batch_size=32, seed=3)
+    train(pairs, table, params, config, epochs=1, batch_size=32, seed=3, lr=1e-3)
     _passed(9, f"p=300 accepted; |c|=m-h+1 and |z|={expected_z}=sum(12*ceil((m-h+1)/2)) "
                "verified; batch-32 step ran")

@@ -12,7 +12,7 @@ import pytest
 import newsvane
 from newsvane import backtest, fileio, pipeline
 from newsvane.allocation import collector_paused, pin_mmap_threshold
-from newsvane.corpus import generate_synthetic
+from newsvane.corpus import PriceIndex, generate_synthetic
 
 SRC = str(Path(newsvane.__file__).resolve().parents[1])
 ON_GLIBC = hasattr(os, "confstr") and (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
@@ -131,9 +131,10 @@ class TestCollectorPaused:
                              (backtest, "simulate")):
             spy(module, name)
         gc.enable()
-        headlines, prices = generate_synthetic(seed=1, n_assets=1, n_days=20, headlines_per_day=2,
-                                               signal_strength=1.0)
-        data = pipeline.prepare_dataset(headlines, prices, {"SYN0"})
+        headlines, bars = generate_synthetic(seed=1, n_assets=1, n_days=20, headlines_per_day=2,
+                                             signal_strength=1.0)
+        prices = PriceIndex(bars)
+        data = pipeline.prepare_dataset(headlines, prices, {"SYN0"}, max_len=None)
         days = backtest.aggregate_daily([(s.headline_id, s.asset, s.date, 0.7) for s in data.test])
         backtest.threshold_sweep(days, prices, [0.5])
         # a sweep reads the day predictions' columns and builds no per-day rows, so it runs as found
@@ -155,7 +156,8 @@ class TestCollectorPaused:
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     @pytest.mark.parametrize("call, message", [
         (lambda: backtest.aggregate_daily([]), "no predictions to aggregate"),
-        (lambda: pipeline.prepare_dataset([], [], set()), "portfolio must be non-empty"),
+        (lambda: pipeline.prepare_dataset([], PriceIndex([]), set(), max_len=None),
+         "portfolio must be non-empty"),
     ], ids=["aggregate_daily", "prepare_dataset"])
     def test_a_failing_builder_leaves_the_collector_as_it_found_it(self, call, message, enabled):
         (gc.enable if enabled else gc.disable)()

@@ -17,7 +17,6 @@ from newsvane.backtest import (
     BUY_CLASS,
     NO_ACTION,
     DayPrediction,
-    DayPredictions,
     Trade,
     _day_means,
     aggregate_daily,
@@ -98,32 +97,22 @@ class TestDayPredictions:
         preds = [(i, f"S{rng.integers(5)}", _day(int(rng.integers(9))),
                   float(rng.random()) if binary else rng.dirichlet((1.0, 1.0, 1.0)))
                  for i in range(400)]
-        aggregated = aggregate_daily(preds)
-        shuffled = [aggregated[i] for i in rng.permutation(len(aggregated)).tolist()]
-        for dps, rows in ((aggregated, aggregated), (DayPredictions.of(shuffled), shuffled)):
-            assert dps.binary is binary and len(dps) == len(rows) == 45
-            assert list(dps) == list(rows) and dps[3] == rows[3]
-            assert _column_bits(dps) == _day_bits(rows)
-            assert dps.asset_names == tuple(f"S{i}" for i in range(5))
-            assert dps.assets.dtype == dps.days.dtype == dps.n_headlines.dtype == np.int64
-            assert dps.means.dtype == np.float64
-            assert dps.means.shape == ((45,) if binary else (45, 3))
+        dps = aggregate_daily(preds)
+        rows = list(dps)
+        assert dps.binary is binary and len(dps) == len(rows) == 45
+        assert dps[3] == rows[3]
+        assert _column_bits(dps) == _day_bits(rows)
+        assert dps.asset_names == tuple(f"S{i}" for i in range(5))
+        assert dps.assets.dtype == dps.days.dtype == dps.n_headlines.dtype == np.int64
+        assert dps.means.dtype == np.float64
+        assert dps.means.shape == ((45,) if binary else (45, 3))
         # days reach both paths of ``_day_means``
-        assert min(aggregated.n_headlines) < 8 <= max(aggregated.n_headlines)
-
-    def test_of_returns_day_predictions_as_they_are_and_rejects_mixed_heads(self):
-        dps = aggregate_daily([(0, "A", D0, 0.25), (1, "B", D0, 0.75)])
-        assert DayPredictions.of(dps) is dps
-        assert len(DayPredictions.of([])) == 0
-        mixed = list(dps) + [DayPrediction("A", _day(1), 1, class_means=(0.2, 0.3, 0.5))]
-        with pytest.raises(ValueError, match="^day predictions mix the binary and 3-way heads$"):
-            DayPredictions.of(mixed)
+        assert min(dps.n_headlines) < 8 <= max(dps.n_headlines)
 
     def test_neither_the_sequence_nor_its_columns_can_be_changed(self):
-        rows = [DayPrediction("A", D0, 2, class_means=(0.2, 0.3, 0.5)),
-                DayPrediction("B", D0, 1, class_means=(0.6, 0.3, 0.1))]
         for made in (aggregate_daily([(0, "A", D0, 0.25), (1, "B", D0, 0.75)]),
-                     DayPredictions.of(rows)):
+                     aggregate_daily([(0, "A", D0, np.array([0.2, 0.3, 0.5])),
+                                      (1, "B", D0, np.array([0.6, 0.3, 0.1]))])):
             for dps in (made, copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
                 assert list(dps) == list(made)
                 for column in (dps.assets, dps.days, dps.n_headlines, dps.means):
@@ -263,7 +252,7 @@ class TestDecisions:
                                              r"predictions \(class_means\), not binary ones$"):
             decide_multiclass(dp, 0.5)
         with pytest.raises(ValueError, match=r"^buy_scores\(binary=False\) needs 3-way-head"):
-            buy_scores([dp], binary=False)
+            buy_scores(aggregate_daily([(0, "A", D0, 0.7)]), binary=False)
         dp = DayPrediction(asset="A", date=D0, n_headlines=1, class_means=(0.2, 0.3, 0.5))
         with pytest.raises(ValueError, match=r"^decide_binary needs binary-head day "
                                              r"predictions \(sigma_mean\), not 3-way ones$"):
@@ -272,51 +261,49 @@ class TestDecisions:
             buy_scores(aggregate_daily([(0, "A", D0, np.array([0.2, 0.3, 0.5]))]), binary=True)
 
 
-def _bars_for(returns_by_day):
-    """Price bars with chosen open->close returns; decision day d trades on d+1."""
-    bars = []
-    for (asset, day_offset), ret in returns_by_day.items():
-        bars.append(PriceBar(asset, _day(day_offset), 100.0, 100.0 * (1.0 + ret)))
-    return bars
+def _prices_for(returns_by_day):
+    """The index of price bars with chosen open->close returns; decision day d trades on d+1."""
+    return PriceIndex(PriceBar(asset, _day(day_offset), 100.0, 100.0 * (1.0 + ret))
+                      for (asset, day_offset), ret in returns_by_day.items())
 
 
 class TestSimulate:
     def test_two_sequential_days_compound(self):
-        bars = _bars_for({("A", 1): 0.01, ("A", 2): 0.02})
+        prices = _prices_for({("A", 1): 0.01, ("A", 2): 0.02})
         decisions = [("A", _day(0), BUY), ("A", _day(1), BUY)]
-        report = simulate(decisions, bars)
+        report = simulate(decisions, prices)
         assert report.total_return_pct == pytest.approx(3.02, abs=1e-10)
         assert report.n_trades == 2
         assert report.pp_pct == 100.0
         assert report.atp_pct == pytest.approx(1.5, abs=1e-10)
 
     def test_same_day_trades_split_equally(self):
-        bars = _bars_for({("A", 1): 0.02, ("B", 1): 0.0})
+        prices = _prices_for({("A", 1): 0.02, ("B", 1): 0.0})
         decisions = [("A", _day(0), BUY), ("B", _day(0), BUY)]
-        report = simulate(decisions, bars)
+        report = simulate(decisions, prices)
         assert report.total_return_pct == pytest.approx(1.0, abs=1e-10)
         assert report.pp_pct == 50.0
 
     def test_no_buys_zero_report(self):
-        report = simulate([("A", D0, NO_ACTION)], _bars_for({("A", 1): 0.01}))
+        report = simulate([("A", D0, NO_ACTION)], _prices_for({("A", 1): 0.01}))
         assert report.n_trades == 0
         assert report.total_return_pct == 0.0
         assert report.pp_pct == 0.0
         assert report.atp_pct == 0.0
 
     def test_empty_decisions_never_error(self):
-        report = simulate([], [])
+        report = simulate([], PriceIndex([]))
         assert report.n_trades == 0
 
     def test_missing_bar_lists_asset_and_date(self):
         with pytest.raises(ValueError) as err:
-            simulate([("A", _day(5), BUY)], _bars_for({("A", 1): 0.01}))
+            simulate([("A", _day(5), BUY)], _prices_for({("A", 1): 0.01}))
         assert "A" in str(err.value) and "2016-06-06" in str(err.value)
 
     def test_loss_extremes_and_winner_average(self):
-        bars = _bars_for({("A", 1): 0.03, ("A", 2): -0.05, ("A", 3): 0.01})
+        prices = _prices_for({("A", 1): 0.03, ("A", 2): -0.05, ("A", 3): 0.01})
         decisions = [("A", _day(0), BUY), ("A", _day(1), BUY), ("A", _day(2), BUY)]
-        report = simulate(decisions, bars)
+        report = simulate(decisions, prices)
         assert report.max_single_day_loss_pct == pytest.approx(5.0, abs=1e-9)
         assert report.avg_correct_buy_return_pct == pytest.approx(2.0, abs=1e-9)
         assert report.pp_pct == pytest.approx(100.0 * 2 / 3)
@@ -325,17 +312,17 @@ class TestSimulate:
     def test_misspelt_action_rejected(self, action):
         """An action that is neither BUY nor NO_ACTION is an error, not a day
         without a trade; the message names it and its (asset, date)."""
-        bars = _bars_for({("A", 1): 0.01, ("B", 1): 0.02})
+        prices = _prices_for({("A", 1): 0.01, ("B", 1): 0.02})
         decisions = [("A", _day(0), BUY), ("B", _day(0), action)]
         with pytest.raises(ValueError) as err:
-            simulate(decisions, bars)
+            simulate(decisions, prices)
         assert str(err.value) == (
             f"unknown action {action!r} for (B, 2016-06-01): expected 'buy' or 'no_action'")
 
     def test_report_recomputable_from_trades(self):
-        bars = _bars_for({("A", 1): 0.01, ("B", 1): -0.02, ("A", 2): 0.015})
+        prices = _prices_for({("A", 1): 0.01, ("B", 1): -0.02, ("A", 2): 0.015})
         decisions = [("A", _day(0), BUY), ("B", _day(0), BUY), ("A", _day(1), BUY)]
-        report = simulate(decisions, bars)
+        report = simulate(decisions, prices)
         returns = [t.return_frac for t in report.trades]
         assert report.atp_pct == pytest.approx(100.0 * np.mean(returns), abs=1e-12)
         assert report.pp_pct == pytest.approx(100.0 * np.mean([r > 0 for r in returns]), abs=1e-12)
@@ -343,8 +330,8 @@ class TestSimulate:
     def test_reports_compare_and_hash_by_their_metrics(self):
         """Two reports with equal metrics are equal and hash alike whatever
         their trades; the trades are read from each report's own book."""
-        bars = _bars_for({("A", 1): 0.01, ("B", 1): 0.01})
-        on_a, on_b = (simulate([(asset, _day(0), BUY)], bars) for asset in ("A", "B"))
+        prices = _prices_for({("A", 1): 0.01, ("B", 1): 0.01})
+        on_a, on_b = (simulate([(asset, _day(0), BUY)], prices) for asset in ("A", "B"))
         assert on_a == on_b and hash(on_a) == hash(on_b)
         assert [t.asset for t in on_a.trades] == ["A"] and [t.asset for t in on_b.trades] == ["B"]
         assert on_a.to_dict() != on_b.to_dict()
@@ -377,36 +364,30 @@ def _enumerate_backtest_binary(day_preds, returns_by_day, t):
 def crafted_fixture():
     """20 decision days with known means and returns for exact enumeration."""
     rng = np.random.default_rng(20)
-    day_preds = []
+    rows = []
     returns_by_day = {}
     for day in range(20):
         for asset in ("A", "B"):
-            day_preds.append(
-                DayPrediction(
-                    asset=asset, date=_day(day), n_headlines=1,
-                    sigma_mean=float(rng.uniform(0.3, 0.95)),
-                )
-            )
+            rows.append((len(rows), asset, _day(day), float(rng.uniform(0.3, 0.95))))
             returns_by_day[(asset, day + 1)] = float(rng.uniform(-0.04, 0.05))
-    bars = _bars_for(returns_by_day)
-    return day_preds, returns_by_day, bars
+    return aggregate_daily(rows), returns_by_day, _prices_for(returns_by_day)
 
 
 class TestThresholdSweep:
     def test_baseline_threshold_equals_direct_simulate(self, crafted_fixture):
-        day_preds, _, bars = crafted_fixture
-        rows = threshold_sweep(day_preds, bars, [0.5])
+        day_preds, _, prices = crafted_fixture
+        rows = threshold_sweep(day_preds, prices, [0.5])
         decisions = [(dp.asset, dp.date, decide_binary(dp, 0.5)) for dp in day_preds]
-        report = simulate(decisions, bars)
+        report = simulate(decisions, prices)
         assert rows[0].pp_pct == report.pp_pct
         assert rows[0].atp_pct == report.atp_pct
         assert rows[0].total_return_pct == report.total_return_pct
         assert rows[0].n_trades == report.n_trades
 
     def test_matches_enumeration_at_every_threshold(self, crafted_fixture):
-        day_preds, returns_by_day, bars = crafted_fixture
+        day_preds, returns_by_day, prices = crafted_fixture
         grid = default_threshold_grid(head_binary=True)
-        rows = threshold_sweep(day_preds, bars, grid)
+        rows = threshold_sweep(day_preds, prices, grid)
         for row in rows:
             expected = _enumerate_backtest_binary(day_preds, returns_by_day, row.t)
             assert row.n_trades == expected["n"]
@@ -415,61 +396,59 @@ class TestThresholdSweep:
             assert row.total_return_pct == pytest.approx(expected["total"], abs=1e-10)
 
     def test_trade_count_monotone_in_threshold(self, crafted_fixture):
-        day_preds, _, bars = crafted_fixture
-        rows = threshold_sweep(day_preds, bars, default_threshold_grid(head_binary=True))
+        day_preds, _, prices = crafted_fixture
+        rows = threshold_sweep(day_preds, prices, default_threshold_grid(head_binary=True))
         counts = [r.n_trades for r in rows]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_multiclass_monotone(self):
         rng = np.random.default_rng(4)
-        day_preds = []
+        outputs = []
         returns_by_day = {}
         for day in range(12):
-            probs = rng.dirichlet(np.ones(3))
-            day_preds.append(
-                DayPrediction(asset="A", date=_day(day), n_headlines=1,
-                              class_means=tuple(float(x) for x in probs))
-            )
+            outputs.append((day, "A", _day(day), rng.dirichlet(np.ones(3))))
             returns_by_day[("A", day + 1)] = float(rng.uniform(-0.03, 0.03))
-        bars = _bars_for(returns_by_day)
-        rows = threshold_sweep(day_preds, bars, default_threshold_grid(head_binary=False))
+        prices = _prices_for(returns_by_day)
+        rows = threshold_sweep(aggregate_daily(outputs), prices,
+                               default_threshold_grid(head_binary=False))
         counts = [r.n_trades for r in rows]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_numpy_prices_give_the_same_csv(self, crafted_fixture):
         """``np.float64`` prices (as ``generate_synthetic`` makes) once left
         ``np.float64(...)`` reprs in the total-return column."""
-        day_preds, _, bars = crafted_fixture
-        numpy_bars = [PriceBar(b.asset, b.date, np.float64(b.open), np.float64(b.close))
-                      for b in bars]
+        day_preds, _, prices = crafted_fixture
+        numpy_prices = PriceIndex(PriceBar(b.asset, b.date, np.float64(b.open), np.float64(b.close))
+                                  for b in prices.bars)
         grid = default_threshold_grid(head_binary=True)
-        text = sweep_csv(threshold_sweep(day_preds, numpy_bars, grid))
-        assert text == sweep_csv(threshold_sweep(day_preds, bars, grid))
+        text = sweep_csv(threshold_sweep(day_preds, numpy_prices, grid))
+        assert text == sweep_csv(threshold_sweep(day_preds, prices, grid))
         assert "np." not in text
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
     def test_non_finite_threshold_rejected(self, crafted_fixture, bad):
         """A NaN first threshold would resolve the book at NaN, so every later
         threshold would report no trades without an error."""
-        day_preds, _, bars = crafted_fixture
-        assert threshold_sweep(day_preds, bars, [0.5])[0].n_trades > 0
+        day_preds, _, prices = crafted_fixture
+        assert threshold_sweep(day_preds, prices, [0.5])[0].n_trades > 0
         for grid in ([bad, 0.5], [0.5, bad], [bad]):
             with pytest.raises(ValueError) as err:
-                threshold_sweep(day_preds, bars, grid)
+                threshold_sweep(day_preds, prices, grid)
             assert str(err.value) == f"thresholds must be finite, got {float(bad)!r}"
 
     def test_numpy_grid_sweeps_like_the_equal_list(self, crafted_fixture):
-        day_preds, _, bars = crafted_fixture
+        day_preds, _, prices = crafted_fixture
         grid = default_threshold_grid(head_binary=True)
-        assert threshold_sweep(day_preds, bars, np.array(grid)) == threshold_sweep(day_preds, bars, grid)
+        assert (threshold_sweep(day_preds, prices, np.array(grid))
+                == threshold_sweep(day_preds, prices, grid))
         for empty in ([], np.array([])):
             with pytest.raises(ValueError, match="^t_grid must be non-empty$"):
-                threshold_sweep(day_preds, bars, empty)
+                threshold_sweep(day_preds, prices, empty)
 
     def test_unsorted_grid_rejected(self, crafted_fixture):
-        day_preds, _, bars = crafted_fixture
+        day_preds, _, prices = crafted_fixture
         with pytest.raises(ValueError):
-            threshold_sweep(day_preds, bars, [0.9, 0.5])
+            threshold_sweep(day_preds, prices, [0.9, 0.5])
 
     # below 1e-4 a grid would simulate up to 400,001 thresholds (1e-6) or more
     @pytest.mark.parametrize("step", [0.0, -0.01, 1e-6, 9.99e-5, float("nan")])
@@ -495,13 +474,10 @@ class TestThresholdSweep:
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_monotonicity_property(self, sigmas):
-        day_preds = [
-            DayPrediction(asset="A", date=_day(i), n_headlines=1, sigma_mean=s)
-            for i, s in enumerate(sigmas)
-        ]
+        day_preds = aggregate_daily([(i, "A", _day(i), s) for i, s in enumerate(sigmas)])
         returns_by_day = {("A", i + 1): 0.01 for i in range(len(sigmas))}
-        bars = _bars_for(returns_by_day)
-        rows = threshold_sweep(day_preds, bars, [0.2, 0.4, 0.6, 0.8])
+        prices = _prices_for(returns_by_day)
+        rows = threshold_sweep(day_preds, prices, [0.2, 0.4, 0.6, 0.8])
         counts = [r.n_trades for r in rows]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -613,12 +589,14 @@ def _row_bits(row):
 DESK_ASSETS = tuple(f"S{i:02d}" for i in range(12))
 
 
-def _desk(seed, binary):
+def _desk(seed, binary, late=()):
     """Weekday bars for 12 assets over 8 weeks and day predictions on every
     calendar day, weekends included, so Friday to Sunday trade on Monday.
 
     About 1 in 8 scores equals a grid threshold exactly; the 3-way head also
-    gets argmax ties. Trading days hold from 1 to well over 8 trades.
+    gets argmax ties. Trading days hold from 1 to well over 8 trades. The
+    predictions come from ``aggregate_daily`` over one output per (asset,
+    day), and the (asset, date, output) rows of ``late`` add theirs.
     """
     rng = np.random.default_rng(seed)
     grid = default_threshold_grid(binary)
@@ -630,7 +608,7 @@ def _desk(seed, binary):
                 open_ = float(rng.uniform(20.0, 200.0))
                 # returns this wide keep a one-ulp change of a day mean in 1 + mean
                 bars.append(PriceBar(asset, d, open_, open_ * float(rng.uniform(0.3, 2.5))))
-    day_preds = []
+    outputs = []
     for d in calendar[:-3]:  # the last decision day still has a next bar
         for asset in DESK_ASSETS:
             if rng.random() < 0.35:
@@ -638,7 +616,7 @@ def _desk(seed, binary):
             exact = float(grid[rng.integers(len(grid))])
             if binary:
                 sigma = exact if rng.random() < 0.125 else float(rng.uniform(0.45, 0.95))
-                day_preds.append(DayPrediction(asset=asset, date=d, n_headlines=1, sigma_mean=sigma))
+                outputs.append((asset, d, sigma))
                 continue
             kind = rng.integers(8)
             if kind == 0:  # buy mean exactly on a threshold, strictly the largest
@@ -650,28 +628,26 @@ def _desk(seed, binary):
                 x = float(rng.uniform(0.34, 0.5))
                 means = (1.0 - 2 * x, x, x)
             else:
-                means = tuple(float(v) for v in rng.dirichlet((1.0, 1.0, 3.0)))
-            day_preds.append(DayPrediction(asset=asset, date=d, n_headlines=1, class_means=means))
-    return day_preds, bars
+                means = rng.dirichlet((1.0, 1.0, 3.0))
+            outputs.append((asset, d, np.array(means)))
+    return aggregate_daily([(i, *row) for i, row in enumerate([*outputs, *late])]), bars
 
 
 class TestSweepExactness:
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_every_threshold_matches_the_reference(self, binary):
         day_preds, bars = _desk(11, binary)
+        index = PriceIndex(bars)
         grid = default_threshold_grid(binary)
-        rows = threshold_sweep(day_preds, bars, grid)
+        rows = threshold_sweep(day_preds, index, grid)
         assert [_row_bits(r) for r in rows] == [_ref_row_bits(day_preds, bars, t) for t in grid]
 
         decide = decide_binary if binary else decide_multiclass
-        index = PriceIndex(bars)
         sizes, ties_on_t = set(), 0
         for t in grid:
             reference = _ref_simulate(_ref_decisions(day_preds, t), bars)
-            direct = simulate([(dp.asset, dp.date, decide(dp, t)) for dp in day_preds], bars)
-            shared = simulate([(dp.asset, dp.date, decide(dp, t)) for dp in day_preds], index)
+            direct = simulate([(dp.asset, dp.date, decide(dp, t)) for dp in day_preds], index)
             assert _report_bits(direct) == _report_bits(reference)
-            assert _report_bits(shared) == _report_bits(reference)
             assert [decide(dp, t) for dp in day_preds] == [a for _, _, a in _ref_decisions(day_preds, t)]
             days = [tr.trade_date for tr in reference["trades"]]
             sizes.update(days.count(d) for d in set(days))
@@ -685,23 +661,20 @@ class TestSweepExactness:
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_missing_next_bar_raises_the_same_error(self, binary):
-        day_preds, bars = _desk(12, binary)
-        last = max(b.date for b in bars)
-        strong = (dict(sigma_mean=0.97) if binary else dict(class_means=(0.01, 0.02, 0.97)))
-        weak = (dict(sigma_mean=0.2) if binary else dict(class_means=(0.5, 0.3, 0.2)))
-        late = [DayPrediction(asset="S03", date=last, n_headlines=2, **strong),
-                DayPrediction(asset="S01", date=last, n_headlines=1, **strong),
-                DayPrediction(asset="S05", date=last, n_headlines=1, **weak)]
-        day_preds = day_preds + late
+        last = max(b.date for b in _desk(12, binary)[1])
+        strong = 0.97 if binary else np.array([0.01, 0.02, 0.97])
+        weak = 0.2 if binary else np.array([0.5, 0.3, 0.2])
+        day_preds, bars = _desk(12, binary, late=[("S03", last, strong), ("S01", last, strong),
+                                                  ("S05", last, weak)])
         grid = default_threshold_grid(binary)
         with pytest.raises(ValueError) as ref_err:
             _ref_simulate(_ref_decisions(day_preds, grid[0]), bars)
+        index = PriceIndex(bars)
         with pytest.raises(ValueError) as err:
-            threshold_sweep(day_preds, bars, grid)
+            threshold_sweep(day_preds, index, grid)
         assert str(err.value) == str(ref_err.value)
         assert str(err.value) == (f"no next-day price bar for: (S01, {last.isoformat()}), "
                                   f"(S03, {last.isoformat()})")
-        index = PriceIndex(bars)
         for _ in range(2):  # the index does not remember a failed lookup
             with pytest.raises(ValueError) as again:
                 threshold_sweep(day_preds, index, grid[-1:])
@@ -709,23 +682,21 @@ class TestSweepExactness:
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_a_buy_of_an_asset_without_bars_is_listed_as_missing(self, binary):
-        day_preds, bars = _desk(18, binary)
-        last = max(b.date for b in bars)
-        strong = (dict(sigma_mean=0.97) if binary else dict(class_means=(0.01, 0.02, 0.97)))
-        day_preds = day_preds + [DayPrediction(asset="ZZZ", date=D0, n_headlines=1, **strong),
-                                 DayPrediction(asset="S07", date=last, n_headlines=1, **strong)]
+        last = max(b.date for b in _desk(18, binary)[1])
+        strong = 0.97 if binary else np.array([0.01, 0.02, 0.97])
+        day_preds, bars = _desk(18, binary, late=[("ZZZ", D0, strong), ("S07", last, strong)])
         expected = f"no next-day price bar for: (S07, {last.isoformat()}), (ZZZ, {D0.isoformat()})"
         decisions = _ref_decisions(day_preds, 0.9)
         with pytest.raises(ValueError) as ref_err:
             _ref_simulate(decisions, bars)
         assert str(ref_err.value) == expected
-        for prices in (bars, PriceIndex(bars)):
-            with pytest.raises(ValueError) as err:
-                simulate(decisions, prices)
-            assert str(err.value) == expected
-            with pytest.raises(ValueError) as err:
-                threshold_sweep(day_preds, prices, default_threshold_grid(binary))
-            assert str(err.value) == expected
+        prices = PriceIndex(bars)
+        with pytest.raises(ValueError) as err:
+            simulate(decisions, prices)
+        assert str(err.value) == expected
+        with pytest.raises(ValueError) as err:
+            threshold_sweep(day_preds, prices, default_threshold_grid(binary))
+        assert str(err.value) == expected
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_shuffled_decisions_and_bars_give_the_reference_report(self, binary):
@@ -740,35 +711,32 @@ class TestSweepExactness:
             shuffled = [decisions[i] for i in rng.permutation(len(decisions)).tolist()]
             reference = _ref_simulate(shuffled, bars)
             assert _report_bits(simulate(shuffled, index)) == _report_bits(reference)
-            assert _report_bits(simulate(shuffled, bars)) == _report_bits(reference)
+            assert _report_bits(simulate(shuffled, PriceIndex(bars))) == _report_bits(reference)
             n_trades.append(reference["n_trades"])
         assert min(n_trades[:4]) > 50
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_grid_slices_give_the_rows_of_one_sweep(self, binary):
-        rows, bars = _desk(14, binary)
+        day_preds, bars = _desk(14, binary)
+        index = PriceIndex(bars)
         grid = default_threshold_grid(binary)
-        whole = [_row_bits(r) for r in threshold_sweep(rows, bars, grid)]
-        for day_preds in (rows, DayPredictions.of(rows)):
-            for prices in (bars, PriceIndex(bars)):
-                for size in (1, 10, len(grid)):
-                    got = [r for start in range(0, len(grid), size)
-                           for r in threshold_sweep(day_preds, prices, grid[start:start + size])]
-                    assert [_row_bits(r) for r in got] == whole, size
+        whole = [_row_bits(r) for r in threshold_sweep(day_preds, index, grid)]
+        assert whole == [_ref_row_bits(day_preds, bars, t) for t in grid]
+        for size in (1, 10):
+            got = [r for start in range(0, len(grid), size)
+                   for r in threshold_sweep(day_preds, index, grid[start:start + size])]
+            assert [_row_bits(r) for r in got] == whole, size
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_a_missing_bar_fails_the_slices_whose_first_threshold_buys_it(self, binary):
         """A slice raises iff its first threshold buys the day with no next bar,
         whichever of its later thresholds would not; the other slices give the
         reference rows."""
-        day_preds, bars = _desk(15, binary)
-        last = max(b.date for b in bars)
+        last = max(b.date for b in _desk(15, binary)[1])
         grid = default_threshold_grid(binary)
         score = grid[len(grid) // 2] + 0.005
-        late = DayPrediction(asset="S02", date=last, n_headlines=1,
-                             **(dict(sigma_mean=score) if binary
-                                else dict(class_means=((1 - score) / 2, (1 - score) / 2, score))))
-        day_preds = day_preds + [late]
+        late = score if binary else np.array([(1 - score) / 2, (1 - score) / 2, score])
+        day_preds, bars = _desk(15, binary, late=[("S02", last, late)])
         index = PriceIndex(bars)
         raised = set()
         for size in (1, 10, len(grid)):
@@ -795,13 +763,13 @@ class TestSweepExactness:
                             or real(decisions, prices))
         for binary in (True, False):
             day_preds, bars = _desk(16, binary)
+            prices = PriceIndex(bars)
             grid = default_threshold_grid(binary)
-            for prices in (bars, PriceIndex(bars)):
-                for size in (1, 10, len(grid)):
-                    calls.clear()
-                    for start in range(0, len(grid), size):
-                        threshold_sweep(day_preds, prices, grid[start:start + size])
-                    assert calls == [len(bars)] * len(grid)
+            for size in (1, 10, len(grid)):
+                calls.clear()
+                for start in range(0, len(grid), size):
+                    threshold_sweep(day_preds, prices, grid[start:start + size])
+                assert calls == [len(bars)] * len(grid)
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
     def test_a_sweep_builds_no_trade(self, binary, monkeypatch):
@@ -837,13 +805,6 @@ class TestSweepExactness:
             text = repr(report)
             assert text.startswith("BacktestReport(n_trades=")
             assert "array" not in text and "Trade" not in text and "Index" not in text
-
-    def test_wrong_head_in_a_sweep_is_rejected(self):
-        day_preds, bars = _desk(13, True)
-        mixed = day_preds + [DayPrediction(asset="S00", date=D0, n_headlines=1,
-                                           class_means=(0.2, 0.3, 0.5))]
-        with pytest.raises(ValueError, match="^day predictions mix the binary and 3-way heads$"):
-            threshold_sweep(mixed, bars, [0.5])
 
     def test_trade_repr_equality_and_return(self):
         trade = Trade("A", D0, 100.0, 103.0)
@@ -881,7 +842,7 @@ class TestLoadedPriceIndex:
     def _backtest(self, headlines, prices):
         """Labels, then per head one ``simulate`` at t=0.5 and the sweep in
         10-threshold slices, as the benchmark round calls them."""
-        prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"})
+        prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"}, max_len=None)
         results = [corpus.label_all(headlines, prices)]
         for binary in (True, False):
             day_preds = self._day_predictions(prepared, binary)
@@ -910,7 +871,8 @@ class TestLoadedPriceIndex:
         headlines = corpus.load_headlines(out / "headlines.csv")
         index = corpus.load_prices(out / "prices.csv")
         assert sorted(index.bars) == sorted(written)
-        assert self._backtest(headlines, index) == self._backtest(headlines, written[::-1])
+        assert self._backtest(headlines, index) == self._backtest(headlines,
+                                                                  PriceIndex(written[::-1]))
 
 
 class TestDayMean:

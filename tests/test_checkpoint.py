@@ -25,7 +25,7 @@ def model_bits():
         p=4, m=5, filter_widths=(2, 3), filters_per_width=2,
         hidden_sizes=(4, 2), dropout_rate=0.1, head="binary",
     )
-    table = init_self_learnt(vocab, 4, seed=1)
+    table = init_self_learnt(vocab, 4, mean=0.0, std=0.1, seed=1)
     params = init_parameters(config, np.random.default_rng(2))
     return vocab, config, table, params
 
@@ -71,7 +71,7 @@ class TestRoundtrip:
         vocab = Vocabulary(tokens, max_len=4)
         config = ModelConfig(p=2, m=4, filter_widths=(2,), filters_per_width=2,
                              hidden_sizes=(3, 1), dropout_rate=0.0, head="binary")
-        table = init_self_learnt(vocab, 2, seed=3)
+        table = init_self_learnt(vocab, 2, mean=0.0, std=0.1, seed=3)
         params = init_parameters(config, np.random.default_rng(3))
         save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
         ckpt = load_checkpoint(tmp_path / "ckpt.json", expected_config=config)
@@ -317,7 +317,7 @@ def _model_configs(draw):
 @given(config=_model_configs(), seed=st.integers(0, 2**16))
 def test_roundtrip_bit_exact_for_random_layouts(config, seed):
     vocab = Vocabulary(("alpha", "beta"), max_len=config.m)
-    table = init_self_learnt(vocab, config.p, seed=seed)
+    table = init_self_learnt(vocab, config.p, mean=0.0, std=0.1, seed=seed)
     params = init_parameters(config, np.random.default_rng(seed))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"

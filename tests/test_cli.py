@@ -2,6 +2,7 @@
 
 import argparse
 import codecs
+import dataclasses
 import json
 import os
 import re
@@ -153,7 +154,7 @@ class TestTrain:
         root, _, data, _, config = workspace
         headlines = load_headlines(data / "headlines.csv")
         prices = load_prices(data / "prices.csv")
-        prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"})
+        prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"}, max_len=None)
         rng = np.random.default_rng(0)
         vecs = tmp_path / "vecs.txt"
         tokens = prepared.vocab.tokens
@@ -243,7 +244,7 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
 
         prepared = prepare_dataset(load_headlines(data / "headlines.csv"),
-                                   load_prices(data / "prices.csv"), {"SYN0", "SYN1"})
+                                   load_prices(data / "prices.csv"), {"SYN0", "SYN1"}, max_len=None)
         [(fit, selection)] = seen
         ids = lambda samples: [s.headline_id for s in samples]
         if select_on_test:
@@ -652,7 +653,7 @@ class TestByteOrderMark:
             "checkpoint": (out / "checkpoint.json", lambda path: (
                 (ck := load_checkpoint(path)).config, ck.vocab, ck.table.matrix.tobytes())),
             "vectors": (tmp_path / "vecs.txt", lambda path: load_pretrained(
-                checkpoint.vocab, path, "static").matrix.tobytes()),
+                checkpoint.vocab, path, "static", seed=0, expected_p=2).matrix.tobytes()),
         }[kind]
         bom = tmp_path / "bom" / plain.name
         bom.parent.mkdir()
@@ -789,6 +790,40 @@ class TestUsageErrors:
         # grid axes absent from the file default to the single-run values
         assert cfg.grid.epochs == (1, 2) and cfg.grid.modes == ("static",)
         assert cfg.grid.dropout == (0.5,) and cfg.grid.width_sets == ((2,),)
+
+    def test_spelled_out_defaults_give_the_outputs_of_omitted_ones(self, workspace, tmp_path,
+                                                                   monkeypatch):
+        """``cli.RunConfig`` is the one table of run defaults: a config that
+        spells out every default key runs as one that leaves them out."""
+        _, _, data, _, _ = workspace
+        # the default model needs m >= 8 for its pooled features to exceed hidden_sizes[0]
+        omitted = {"paths": {"headlines": str(data / "headlines.csv"),
+                             "prices": str(data / "prices.csv")},
+                   "portfolio": ["SYN0", "SYN1"], "model": {"max_len": 8},
+                   "training": {"seed": 11}}
+        defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)
+                    if f.default is not dataclasses.MISSING}
+        spelled = {name: {key: defaults[field] for key, field in keys.items() if field in defaults}
+                   for name, keys in cli._SECTIONS.items() if name}
+        spelled.update({key: defaults[field] for key, field in cli._SECTIONS[""].items()
+                        if field in defaults})
+        for name, section in omitted.items():
+            spelled[name] = {**spelled[name], **section} if isinstance(section, dict) else section
+        spelled_keys = {f"{name}.{key}" if isinstance(value, dict) else name
+                        for name, value in spelled.items()
+                        for key in (value if isinstance(value, dict) else [None])}
+        assert spelled_keys == set(cli._KEY_OF.values())
+        outputs = {}
+        for kind, config in (("omitted", omitted), ("spelled", spelled)):
+            run = tmp_path / kind
+            run.mkdir()
+            (run / "run.json").write_text(json.dumps(config, default=str))
+            monkeypatch.chdir(run)  # the default out_dir, "out", is relative
+            for command in ("train", "sweep", "backtest"):
+                assert cli.main([command, "--config", "run.json"]) == 0
+            outputs[kind] = {name: (run / "out" / name).read_bytes() for name in (
+                "checkpoint.json", "checkpoint.npy", "trace.csv", "sweep.csv", "report.json")}
+        assert outputs["spelled"] == outputs["omitted"]
 
     @pytest.mark.parametrize("section, key", [
         ("training", "learnig_rate"),

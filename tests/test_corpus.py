@@ -252,7 +252,6 @@ class TestNextTradingDay:
         assert self._next(index, "AAA", dt.date(2016, 1, 8)) == self.BARS[1]
         for asset, after in (("AAA", dt.date(2016, 1, 12)), ("ZZZ", dt.date(2016, 1, 1))):
             assert self._next(index, asset, after) is None
-        assert PriceIndex.of(index) is index
         assert self._next(index, "BBB", dt.date(2016, 1, 1)).date == dt.date(2016, 1, 9)
         assert (index.has_asset("BBB"), index.has_asset("ZZZ")) == (True, False)
 
@@ -307,7 +306,7 @@ class TestNextTradingDay:
         index = PriceIndex(prices)
         first = label_all(headlines, index)
         assert label_all(headlines, index) == first  # the same index again
-        assert label_all(headlines, prices) == first  # a fresh index
+        assert label_all(headlines, PriceIndex(prices)) == first  # a fresh index
         assert first[1] == [10_000]
         for h in headlines[:-1]:  # the next bar by a plain scan
             bar = min((b for b in prices if b.asset == h.asset and b.date > h.date),
@@ -342,17 +341,17 @@ class TestNextTradingDay:
 
 
 class TestLabeling:
-    def _bars(self, open_, close):
-        return [
+    def _prices(self, open_, close):
+        return PriceIndex([
             PriceBar("AAA", dt.date(2016, 1, 8), 100.0, 100.0),
             PriceBar("AAA", dt.date(2016, 1, 11), open_, close),
-        ]
+        ])
 
     def _headline(self):
         return _headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5))
 
     def _label(self, open_, close):
-        labels, skipped = label_all([self._headline()], self._bars(open_, close))
+        labels, skipped = label_all([self._headline()], self._prices(open_, close))
         assert skipped == []
         return labels[0]
 
@@ -398,7 +397,7 @@ class TestLabeling:
             _headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5)),
             _headline(1, "AAA", dt.date(2016, 1, 11), dt.time(9, 5)),  # beyond history
         ]
-        labels, skipped = label_all(heads, PriceIndex(self._bars(100.0, 101.0)))
+        labels, skipped = label_all(heads, self._prices(100.0, 101.0))
         assert skipped == [1]
         assert list(labels) == [0]
         assert (labels[0].asset, labels[0].trade_date, labels[0].binary_label) == (
@@ -446,7 +445,7 @@ class TestLabelAllOracle:
             for i, (asset, day, hour, minute) in enumerate(heads)
         ]
         order.shuffle(headlines)  # ids out of order too
-        labels, skipped = label_all(headlines, prices)
+        labels, skipped = label_all(headlines, PriceIndex(prices))
         expected, expected_skipped = _reference_label_all(headlines, prices)
         assert labels == expected
         assert list(labels) == list(expected)
@@ -456,18 +455,18 @@ class TestLabelAllOracle:
         bars = [PriceBar("AAA", dt.date(2016, 1, 8), 100.0, 101.0),
                 PriceBar("AAA", dt.date(2016, 1, 11), 100.0, 99.0)]
         heads = [_headline(i, "AAA", dt.date(2016, 1, 8 + i), dt.time(9, 5)) for i in range(3)]
-        labels, skipped = label_all(heads, bars)
+        labels, skipped = label_all(heads, PriceIndex(bars))
         assert labels[0] is labels[1] is labels[2]
         assert labels[0] == ("AAA", dt.date(2016, 1, 11), -0.01, 0, "avoid")
         assert skipped == []
 
     def test_duplicate_ids_rejected(self):
-        bars = [PriceBar("AAA", dt.date(2016, 1, 11), 100.0, 101.0)]
+        prices = PriceIndex([PriceBar("AAA", dt.date(2016, 1, 11), 100.0, 101.0)])
         for second_day in (8, 11):  # a labeled and a skipped duplicate
             heads = [_headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5)),
                      _headline(0, "AAA", dt.date(2016, 1, second_day), dt.time(9, 5))]
             with pytest.raises(ValueError, match="headline ids must be unique"):
-                label_all(heads, bars)
+                label_all(heads, prices)
 
 
 class TestSplit:
@@ -616,7 +615,7 @@ class TestSyntheticGenerator:
 
     @staticmethod
     def _agreement(headlines, prices):
-        labels, skipped = label_all(headlines, prices)
+        labels, skipped = label_all(headlines, PriceIndex(prices))
         assert not skipped
         bullish = set(corpus._BULLISH_PHRASES)
         hits = sum(

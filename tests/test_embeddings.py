@@ -36,10 +36,10 @@ def _write_w2v(path, vectors):
 class TestSelfLearnt:
     def test_deterministic(self):
         vocab = _vocab("a", "b", "c")
-        t1 = init_self_learnt(vocab, p=8, seed=11)
-        t2 = init_self_learnt(vocab, p=8, seed=11)
+        t1 = init_self_learnt(vocab, p=8, mean=0.0, std=0.1, seed=11)
+        t2 = init_self_learnt(vocab, p=8, mean=0.0, std=0.1, seed=11)
         assert np.array_equal(t1.matrix, t2.matrix)
-        t3 = init_self_learnt(vocab, p=8, seed=12)
+        t3 = init_self_learnt(vocab, p=8, mean=0.0, std=0.1, seed=12)
         assert not np.array_equal(t1.matrix, t3.matrix)
 
     def test_sample_statistics(self):
@@ -52,14 +52,14 @@ class TestSelfLearnt:
         assert 0.95 <= body.std() <= 1.05
 
     def test_padding_row_zero(self):
-        table = init_self_learnt(_vocab("a", "b"), p=5, seed=3)
+        table = init_self_learnt(_vocab("a", "b"), p=5, mean=0.0, std=0.1, seed=3)
         assert not table.matrix[0].any()
         assert table.mode == "self_learnt"
         assert table.trainable
 
     def test_bad_std(self):
         with pytest.raises(ValueError):
-            init_self_learnt(_vocab("a"), p=4, std=0.0)
+            init_self_learnt(_vocab("a"), p=4, std=0.0, mean=0.0, seed=0)
 
 
 class TestLoadPretrained:
@@ -67,7 +67,7 @@ class TestLoadPretrained:
         path = tmp_path / "vecs.txt"
         _write_w2v(path, {"a": [1.0, 2.0], "x": [3.0, 4.0]})
         vocab = _vocab("a", "b")
-        table = load_pretrained(vocab, path, mode="non_static", seed=0)
+        table = load_pretrained(vocab, path, mode="non_static", seed=0, expected_p=2)
         assert table.pretrained_hit_count == 1
         assert table.matrix[1].tolist() == [1.0, 2.0]
         assert table.matrix[2].any()  # random fallback row
@@ -79,7 +79,7 @@ class TestLoadPretrained:
         vectors = {f"w{i}": (rng.normal([5.0, -3.0], [0.5, 2.0])).tolist() for i in range(400)}
         _write_w2v(path, vectors)
         vocab = _vocab(*[f"miss{i}" for i in range(400)])
-        table = load_pretrained(vocab, path, mode="static", seed=1)
+        table = load_pretrained(vocab, path, mode="static", seed=1, expected_p=2)
         body = table.matrix[1:]
         assert abs(body[:, 0].mean() - 5.0) < 0.2
         assert abs(body[:, 1].mean() + 3.0) < 0.6
@@ -90,7 +90,8 @@ class TestLoadPretrained:
         order the file lists the tokens in."""
         path = tmp_path / "vecs.txt"
         _write_w2v(path, {"c": [3.0, 3.5], "a": [1.0, 1.5], "b": [2.0, 2.5]})
-        table = load_pretrained(_vocab("b", "zzz", "a", "c"), path, mode="static", seed=0)
+        table = load_pretrained(_vocab("b", "zzz", "a", "c"), path, mode="static", seed=0,
+                                expected_p=2)
         assert table.matrix[[1, 3, 4]].tolist() == [[2.0, 2.5], [1.0, 1.5], [3.0, 3.5]]
         assert table.pretrained_hit_count == 3
 
@@ -121,25 +122,25 @@ class TestLoadPretrained:
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1.0 2.0 3.0\nb 1.0 2.0\n")
         with pytest.raises(ValueError, match="line 3"):
-            load_pretrained(_vocab("a", "b"), path, mode="static", seed=0)
+            load_pretrained(_vocab("a", "b"), path, mode="static", seed=0, expected_p=3)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("not a header\n")
         with pytest.raises(ValueError, match="line 1"):
-            load_pretrained(_vocab("a"), path, mode="static", seed=0)
+            load_pretrained(_vocab("a"), path, mode="static", seed=0, expected_p=1)
 
     def test_extra_whitespace_tolerated(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("1  2\na   1.0\t 2.0\n")
-        table = load_pretrained(_vocab("a"), path, mode="non_static", seed=0)
+        table = load_pretrained(_vocab("a"), path, mode="non_static", seed=0, expected_p=2)
         assert table.matrix[1].tolist() == [1.0, 2.0]
 
     def test_self_learnt_mode_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         _write_w2v(path, {"a": [1.0]})
         with pytest.raises(ValueError):
-            load_pretrained(_vocab("a"), path, mode="self_learnt", seed=0)
+            load_pretrained(_vocab("a"), path, mode="self_learnt", seed=0, expected_p=1)
 
 
 def _float_per_token(text):
@@ -172,7 +173,7 @@ class TestVectorParser:
         def line_by_line(*args):
             raise AssertionError("a well-formed file must not need the line-by-line parse")
         monkeypatch.setattr(embeddings, "_parse_vector_lines", line_by_line)
-        dim, tokens, parsed = _parse_vector_file(path)
+        dim, tokens, parsed = _parse_vector_file(path, 6)
         expected_tokens, expected = _float_per_token(text)
         assert dim == 6
         assert parsed.dtype == np.float64 and parsed.flags.c_contiguous
@@ -188,11 +189,11 @@ class TestVectorParser:
     def test_float_only_inputs_load_as_float_reads_them(self, tmp_path, body):
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\n" + body, encoding="utf-8")
-        _, tokens, parsed = _parse_vector_file(path)
+        _, tokens, parsed = _parse_vector_file(path, 2)
         expected_tokens, expected = _float_per_token("2 2\n" + body)
         assert parsed.tolist() == expected
         assert tokens == expected_tokens
-        table = load_pretrained(_vocab("a"), path, mode="static", seed=0)
+        table = load_pretrained(_vocab("a"), path, mode="static", seed=0, expected_p=2)
         assert table.matrix[1].tolist() == expected[0]
 
     @pytest.mark.parametrize("body, message", [
@@ -212,12 +213,12 @@ class TestVectorParser:
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\n" + body)
         with pytest.raises(ValueError, match=f"^{path}: {message}$"):
-            _parse_vector_file(path)
+            _parse_vector_file(path, 2)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\n\n a 1 2 \n\t\n\nb 3 4\n\n")
-        dim, tokens, parsed = _parse_vector_file(path)
+        dim, tokens, parsed = _parse_vector_file(path, 2)
         assert parsed.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert tokens == ["a", "b"]
 
@@ -227,13 +228,13 @@ class TestVectorParser:
         path.write_text(f"{count} 2\na 1 2\n\nb 3 4\n")
         message = f"^{path}: line 1: header count {count} != 2 vectors in file$"
         with pytest.raises(ValueError, match=message):
-            _parse_vector_file(path)
+            _parse_vector_file(path, 2)
 
     def test_non_finite_vector_never_reaches_the_table(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("3 2\na 1 2\nb nan 1\nc inf 2\n")
         with pytest.raises(ValueError, match="line 3: non-finite"):
-            load_pretrained(_vocab("a", "zzz"), path, mode="static", seed=0)
+            load_pretrained(_vocab("a", "zzz"), path, mode="static", seed=0, expected_p=2)
 
 
 def _per_token_load_pretrained(vocab, text, mode, seed):
@@ -284,7 +285,7 @@ def test_load_pretrained_matches_the_per_token_oracle(file, mode, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vecs.txt"
         path.write_text(text)
-        table = load_pretrained(vocab, path, mode, seed=seed)
+        table = load_pretrained(vocab, path, mode, seed=seed, expected_p=int(text.split()[1]))
     expected = _per_token_load_pretrained(vocab, text, mode, seed)
     assert table.matrix.tobytes() == expected.matrix.tobytes()
     assert (table.pretrained_hit_count, table.mode, table.p) == (
@@ -303,7 +304,7 @@ def test_each_token_gets_its_own_vector_in_any_order(file_tokens, vocab_tokens, 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vecs.txt"
         _write_w2v(path, vectors)
-        tables = [load_pretrained(_vocab(*tokens), path, "non_static", seed=5)
+        tables = [load_pretrained(_vocab(*tokens), path, "non_static", seed=5, expected_p=2)
                   for tokens in (vocab_tokens, shuffled)]
     for tokens, table in zip((vocab_tokens, shuffled), tables):
         assert table.pretrained_hit_count == len(set(tokens) & set(file_tokens))

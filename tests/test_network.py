@@ -19,7 +19,6 @@ from newsvane.network import (
     forward,
     init_parameters,
     param_layout,
-    relu,
     sample_loss,
     sigmoid,
     softmax3,
@@ -29,21 +28,11 @@ from newsvane.training import _batch_sum
 from test_checkpoint import _model_configs
 
 
-class TestRelu:
-    def test_values(self):
-        assert relu(-2.0) == 0.0
-        assert relu(0.0) == 0.0
-        assert relu(3.5) == 3.5
-
-    def test_vectorized(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-
 def _conv1(x, filt, bias, h):
     """One filter's relu feature map, through forward's filter-bank conv."""
     windows, pre = conv_forward(x, filt[None, :], np.array([bias]), p=filt.size // h)
     assert windows.shape == (pre.shape[0], filt.size)
-    return relu(pre[:, 0])
+    return np.maximum(0.0, pre[:, 0])
 
 
 class TestConvForward:
@@ -99,7 +88,7 @@ def forward_pools(words, w):
     """
     m = len(words)
     config = ModelConfig(p=1, m=m, filter_widths=(2, 3, 4), filters_per_width=1,
-                         hidden_sizes=(2, 1), pool_w=w)
+                         hidden_sizes=(2, 1), pool_w=w, head="binary")
     table = EmbeddingTable(matrix=np.array([0.0, *words])[:, None], mode="static", p=1)
     layout = param_layout(config)
     params = ModelParameters.from_flat(np.zeros(layout.size), layout)
@@ -488,7 +477,7 @@ def test_forward_feature_maps_match_naive_conv_and_pool(config, seed):
                 x, params.filters[h][f], params.filter_biases[h][f], h, config.p, config.pool_w)
             np.testing.assert_allclose(np.maximum(pre[:, f], 0.0), post, rtol=1e-12, atol=1e-12)
             # pooling picks exactly, so it is checked on forward's own map
-            assert _naive_pool(relu(pre[:, f]).tolist(), config.pool_w) == (
+            assert _naive_pool(np.maximum(0.0, pre[:, f]).tolist(), config.pool_w) == (
                 cache.z[len(z):len(z) + n_pooled].tolist(), positions[:n_pooled, f].tolist())
             z.extend(pooled)
     np.testing.assert_allclose(cache.z, z, rtol=1e-12, atol=1e-12)
@@ -498,7 +487,7 @@ class TestShapes:
     def test_map_and_z_lengths(self):
         config = ModelConfig(
             p=3, m=11, filter_widths=(2, 4, 5), filters_per_width=3,
-            hidden_sizes=(8, 4), dropout_rate=0.0, pool_w=2,
+            hidden_sizes=(8, 4), dropout_rate=0.0, pool_w=2, head="binary",
         )
         table = EmbeddingTable(
             matrix=np.random.default_rng(0).normal(size=(6, 3)), mode="self_learnt", p=3
@@ -518,7 +507,7 @@ class TestShapes:
     def test_encoding_of_another_length_rejected(self):
         # under m=12: one index short, one too many, and twelve in a column
         config = ModelConfig(p=2, m=12, filter_widths=(3, 4), filters_per_width=2,
-                             hidden_sizes=(6, 3))
+                             hidden_sizes=(6, 3), head="binary")
         table = EmbeddingTable(matrix=np.random.default_rng(2).normal(size=(5, 2)),
                                mode="non_static", p=2)
         params = init_parameters(config, np.random.default_rng(3))
@@ -530,13 +519,17 @@ class TestShapes:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ModelConfig(p=2, m=3, filter_widths=(4,), filters_per_width=1, hidden_sizes=(2, 1))
+            ModelConfig(p=2, m=3, filter_widths=(4,), filters_per_width=1, hidden_sizes=(2, 1),
+                        head="binary")
         with pytest.raises(ValueError):
-            ModelConfig(p=2, m=6, filter_widths=(2,), filters_per_width=1, hidden_sizes=(9, 1))
+            ModelConfig(p=2, m=6, filter_widths=(2,), filters_per_width=1, hidden_sizes=(9, 1),
+                        head="binary")
         with pytest.raises(ValueError):
-            ModelConfig(p=2, m=6, filter_widths=(2, 2), filters_per_width=1, hidden_sizes=(2, 1))
+            ModelConfig(p=2, m=6, filter_widths=(2, 2), filters_per_width=1, hidden_sizes=(2, 1),
+                        head="binary")
         with pytest.raises(ValueError):
-            ModelConfig(p=2, m=6, filter_widths=(2,), filters_per_width=2, hidden_sizes=(2, 2))
+            ModelConfig(p=2, m=6, filter_widths=(2,), filters_per_width=2, hidden_sizes=(2, 2),
+                        head="binary")
 
 
 def _backward(cache, y, params, config, table):
@@ -616,7 +609,7 @@ class TestBackwardContracts:
         # table pre-filled with the known value leaves untouched rows at it.
         rng = np.random.default_rng(6)
         config = ModelConfig(p=3, m=7, filter_widths=(2, 4), filters_per_width=2,
-                             hidden_sizes=(4, 2), dropout_rate=0.3)
+                             hidden_sizes=(4, 2), dropout_rate=0.3, head="binary")
         matrix = rng.normal(size=(8, 3))
         matrix[0] = 0.0
         table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=3)
@@ -684,7 +677,7 @@ def _former_forward(enc, table, params, config, mode, rng):
     for h in config.filter_widths:
         fields["windows"][h], pre = conv_forward(x, params.filters[h], params.filter_biases[h],
                                                  config.p)
-        post = relu(pre)
+        post = np.maximum(0.0, pre)
         pooled, positions = _former_maxpool(post, config.pool_w)
         fields["conv_pre"][h] = pre
         fields["conv_post"][h] = post
@@ -859,19 +852,19 @@ def test_forward_and_backward_match_former_code_bit_for_bit(case):
 @pytest.mark.parametrize("config", [
     # pooled lengths 5, 4 and 4 at m = 11, widths unsorted
     ModelConfig(p=3, m=11, filter_widths=(5, 2, 4), filters_per_width=3, hidden_sizes=(8, 4),
-                dropout_rate=0.3, pool_w=2),
+                dropout_rate=0.3, pool_w=2, head="binary"),
     # map lengths 10, 8, 7 against pool_w 3: none divides
     ModelConfig(p=2, m=11, filter_widths=(2, 4, 5), filters_per_width=2, hidden_sizes=(6, 3),
                 pool_w=3, head="multiclass3"),
     # one width as long as the sentence: a one-row map
     ModelConfig(p=2, m=6, filter_widths=(6, 3), filters_per_width=2, hidden_sizes=(5, 2),
-                pool_w=1),
+                pool_w=1, head="binary"),
     # a single filter per width
     ModelConfig(p=2, m=11, filter_widths=(4, 2), filters_per_width=1, hidden_sizes=(6, 2),
                 dropout_rate=0.3, pool_w=1, head="multiclass3"),
     # the same with every map cell an argmax: numpy sums a lone column pairwise
     ModelConfig(p=1, m=9, filter_widths=(2, 4), filters_per_width=1, hidden_sizes=(3, 1),
-                pool_w=1),
+                pool_w=1, head="binary"),
 ])
 @pytest.mark.parametrize("mode", ["static", "non_static"])
 def test_named_shapes_match_former_code_bit_for_bit(config, mode):

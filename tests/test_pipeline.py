@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from newsvane.corpus import HeadlineRecord, generate_synthetic, label_all, split_half_hourly_unique
+from newsvane.corpus import (
+    HeadlineRecord,
+    PriceIndex,
+    generate_synthetic,
+    label_all,
+    split_half_hourly_unique,
+)
 from newsvane.pipeline import prepare_dataset, to_pairs, validation_slice
 from newsvane.text import Vocabulary, build_vocabulary, encode_and_pad, tokenize
 
@@ -16,7 +22,7 @@ def prepared():
     headlines, prices = generate_synthetic(
         seed=21, n_assets=2, n_days=40, headlines_per_day=4, signal_strength=0.9
     )
-    return prepare_dataset(headlines, prices, {"SYN0", "SYN1"})
+    return prepare_dataset(headlines, PriceIndex(prices), {"SYN0", "SYN1"}, max_len=None)
 
 
 class TestPrepareDataset:
@@ -43,7 +49,7 @@ class TestPrepareDataset:
         headlines, prices = generate_synthetic(
             seed=21, n_assets=1, n_days=20, headlines_per_day=4, signal_strength=0.9
         )
-        prepared = prepare_dataset(headlines, prices, {"SYN0"}, max_len=12)
+        prepared = prepare_dataset(headlines, PriceIndex(prices), {"SYN0"}, max_len=12)
         assert prepared.vocab.max_len == 12
         assert all(s.enc.indices.shape == (12,) for s in prepared.train)
 
@@ -54,8 +60,15 @@ class TestPrepareDataset:
         assert {y for _, y in tri} <= {0, 1, 2}
         assert len(binary) == len(tri) == len(prepared.train)
 
+    @pytest.mark.parametrize("head", ["binry", "Binary", "multiclass", ""])
+    def test_to_pairs_rejects_an_unknown_head(self, prepared, head):
+        """A misspelt head once fell through to the 3-way labels."""
+        with pytest.raises(ValueError) as err:
+            to_pairs(prepared.train, head)
+        assert str(err.value) == f"unknown head {head!r}, expected one of binary, multiclass3"
 
-def _reference_rows(headlines, prices, portfolio, max_len=None):
+
+def _reference_rows(headlines, prices, portfolio, max_len):
     """prepare_dataset's rows as it built them before: a by-id map of the
     labeled headlines, read in sorted id order per role."""
     labels, skipped = label_all(headlines, prices)
@@ -63,7 +76,7 @@ def _reference_rows(headlines, prices, portfolio, max_len=None):
     split = split_half_hourly_unique(labeled, portfolio)
     by_id = {h.id: h for h in labeled}
     train_tokens = {hid: tokenize(by_id[hid].text) for hid in sorted(split.train_ids)}
-    vocab = build_vocabulary(list(train_tokens.values()))
+    vocab = build_vocabulary(list(train_tokens.values()), None)
     if max_len is not None:
         vocab = Vocabulary(vocab.tokens, max_len)
 
@@ -89,8 +102,9 @@ class TestPrepareOracle:
                                      "late syn1 news", 1.0) for i in range(3)]
         random.Random(2).shuffle(headlines)
         portfolio = {"SYN0", "SYN1"}  # SYN2 is outside it
-        prepared = prepare_dataset(headlines, prices, portfolio, max_len=max_len)
-        vocab, train, test, n_unlabeled = _reference_rows(headlines, prices, portfolio, max_len)
+        index = PriceIndex(prices)
+        prepared = prepare_dataset(headlines, index, portfolio, max_len=max_len)
+        vocab, train, test, n_unlabeled = _reference_rows(headlines, index, portfolio, max_len)
 
         def rows(samples):
             for s in samples:

@@ -79,13 +79,13 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_first_occurrence_order(self):
-        vocab = build_vocabulary([["a", "b"], ["b", "c"]])
+        vocab = build_vocabulary([["a", "b"], ["b", "c"]], max_len=None)
         assert vocab.tokens == ("a", "b", "c")
         assert vocab.word_to_index == {"a": 1, "b": 2, "c": 3}
         assert vocab.max_len == 2
 
     def test_single_token(self):
-        vocab = build_vocabulary([["x"]])
+        vocab = build_vocabulary([["x"]], max_len=None)
         assert vocab.word_to_index == {"x": 1}
         assert vocab.max_len == 1
 
@@ -97,7 +97,7 @@ class TestVocabulary:
 
     def test_all_empty_errors(self):
         with pytest.raises(ValueError):
-            build_vocabulary([[], []])
+            build_vocabulary([[], []], max_len=None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=6), min_size=1, max_size=10))
@@ -112,15 +112,15 @@ class TestVocabulary:
                     word_to_index[tok] = len(word_to_index) + 1
         if not word_to_index:
             with pytest.raises(ValueError, match="every token list is empty"):
-                build_vocabulary(texts)
+                build_vocabulary(texts, max_len=None)
             return
-        vocab = build_vocabulary(texts)
+        vocab = build_vocabulary(texts, max_len=None)
         assert list(vocab.word_to_index.items()) == list(word_to_index.items())
         assert vocab.tokens == tuple(word_to_index)
         assert vocab.max_len == max_len
 
     def test_serialization_format(self, tmp_path):
-        vocab = build_vocabulary([["alpha", "beta"], ["beta", "gamma", "alpha"]])
+        vocab = build_vocabulary([["alpha", "beta"], ["beta", "gamma", "alpha"]], max_len=None)
         path = tmp_path / "vocab.tsv"
         save_vocabulary(vocab, path)
         assert path.read_text() == "max_len=3\nalpha\t1\nbeta\t2\ngamma\t3\n"

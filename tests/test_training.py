@@ -10,7 +10,7 @@ import pytest
 
 from newsvane import training
 from newsvane.embeddings import EmbeddingTable, init_self_learnt, load_pretrained
-from newsvane.corpus import generate_synthetic
+from newsvane.corpus import PriceIndex, generate_synthetic
 from newsvane.network import (
     ModelConfig,
     ModelParameters,
@@ -41,7 +41,7 @@ from newsvane.training import _cell_seeds  # noqa: F401  (used to mirror grid ce
 def _self_learnt_factory(vocab, mode, seed):
     """Module-level so ProcessPoolExecutor can pickle it."""
     assert mode == "self_learnt"
-    return init_self_learnt(vocab, 8, seed=seed)
+    return init_self_learnt(vocab, 8, mean=0.0, std=0.1, seed=seed)
 
 
 def _scalar_adam(grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8, theta0=0.0):
@@ -117,7 +117,7 @@ class TestAdam:
         g[3, 1] = np.inf
         grad = g if rows is None else RowGradient(rows, g[rows])
         with pytest.raises(NumericError, match="non-finite gradient for tensor 'embeddings'"):
-            adam_step(tensors, {"embeddings": grad}, AdamState.initialize())
+            adam_step(tensors, {"embeddings": grad}, AdamState.initialize(lr=1e-3))
 
     def test_nonfinite_gradient_changes_nothing(self):
         # The embedding gradient is read after the finite params gradient,
@@ -148,21 +148,26 @@ class TestAdam:
     ])
     def test_malformed_row_gradient_rejected(self, rows, values):
         tensors = {"embeddings": np.ones((10, 2))}
-        state = AdamState.initialize()
+        state = AdamState.initialize(lr=1e-3)
         with pytest.raises(ValueError, match="distinct ascending rows below 10"):
             adam_step(tensors, {"embeddings": RowGradient(rows, values)}, state)
         assert state.t == 0 and not state.m
 
-    @pytest.mark.parametrize("hyper", [{"lr": -1e-3}, {"lr": math.inf}, {"beta1": 1.0},
-                                       {"beta2": -0.5}, {"eps": 0.0}, {"eps": math.nan}])
+    @pytest.mark.parametrize("hyper", [{"lr": -1e-3}, {"lr": math.inf}])
     def test_hyperparameters_outside_exact_range_rejected(self, hyper):
         # outside these ranges an untouched row's step need not be +0.0
         with pytest.raises(ValueError, match="Adam needs"):
             AdamState.initialize(**hyper)
 
+    def test_adam_constants_meet_the_exact_skip_condition(self):
+        """Betas in [0, 1) and a finite eps > 0 keep an untouched row's step +0.0."""
+        assert 0.0 <= training.ADAM_BETA1 < 1.0 and 0.0 <= training.ADAM_BETA2 < 1.0
+        assert math.isfinite(training.ADAM_EPS) and training.ADAM_EPS > 0.0
+        assert (training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS) == (0.9, 0.999, 1e-8)
+
     def test_zero_gradient_keeps_parameters(self):
         tensors = {"w": np.array([1.0, -2.0])}
-        state = AdamState.initialize()
+        state = AdamState.initialize(lr=1e-3)
         adam_step(tensors, {"w": np.zeros(2)}, state)
         assert tensors["w"].tolist() == [1.0, -2.0]
         assert state.t == 1
@@ -185,14 +190,14 @@ class TestAdam:
 
     def test_frozen_tensor_skipped(self):
         tensors = {"w": np.array([1.0]), "frozen": np.array([2.0])}
-        state = AdamState.initialize(frozen=["frozen"])
+        state = AdamState.initialize(lr=1e-3, frozen=["frozen"])
         adam_step(tensors, {"w": np.array([1.0]), "frozen": np.array([1.0])}, state)
         assert tensors["frozen"][0] == 2.0
         assert tensors["w"][0] != 1.0
 
     def test_nonfinite_gradient_names_tensor(self):
         tensors = {"w1": np.array([1.0])}
-        state = AdamState.initialize()
+        state = AdamState.initialize(lr=1e-3)
         with pytest.raises(ValueError, match="w1"):
             adam_step(tensors, {"w1": np.array([np.nan])}, state)
 
@@ -213,7 +218,7 @@ def tiny_corpus():
     headlines, prices = generate_synthetic(
         seed=11, n_assets=2, n_days=50, headlines_per_day=4, signal_strength=1.0
     )
-    return prepare_dataset(headlines, prices, {"SYN0", "SYN1"})
+    return prepare_dataset(headlines, PriceIndex(prices), {"SYN0", "SYN1"}, max_len=None)
 
 
 def _tiny_config(prepared, head="binary", dropout=0.0):
@@ -226,20 +231,20 @@ def _tiny_config(prepared, head="binary", dropout=0.0):
 class TestTrain:
     def test_epochs_zero_leaves_parameters_untouched(self, tiny_corpus):
         config = _tiny_config(tiny_corpus)
-        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
         params = init_parameters(config, np.random.default_rng(2))
         before = params.w1.copy()
         result = train(to_pairs(tiny_corpus.train, "binary"), table, params, config,
-                       epochs=0, batch_size=8, seed=3)
+                       epochs=0, batch_size=8, seed=3, lr=1e-3)
         assert result.trace == []
         assert np.array_equal(params.w1, before)
 
     def test_empty_dataset_rejected(self, tiny_corpus):
         config = _tiny_config(tiny_corpus)
-        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
         params = init_parameters(config, np.random.default_rng(2))
         with pytest.raises(ValueError):
-            train([], table, params, config, epochs=1, batch_size=8, seed=3)
+            train([], table, params, config, epochs=1, batch_size=8, seed=3, lr=1e-3)
 
     @pytest.mark.parametrize("head, bad", [("binary", 2), ("binary", -1), ("binary", 1.5),
                                            ("binary", True), ("multiclass3", -1),
@@ -247,23 +252,23 @@ class TestTrain:
     def test_label_outside_the_head_rejected_before_any_step(self, tiny_corpus, head, bad):
         # the former loop trained a binary 2, -1 or 1.5 and a 3-way -1 (as class 2)
         config = _tiny_config(tiny_corpus, head)
-        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
         params = init_parameters(config, np.random.default_rng(2))
         before = params.flat.tobytes() + table.matrix.tobytes()
         pairs = to_pairs(tiny_corpus.train, head)[:6]
         pairs[4] = (pairs[4][0], bad)
         with pytest.raises(ValueError, match=rf"sample 4 has label {bad!r}, .* {head} head"):
-            train(pairs, table, params, config, epochs=1, batch_size=2, seed=3)
+            train(pairs, table, params, config, epochs=1, batch_size=2, seed=3, lr=1e-3)
         assert params.flat.tobytes() + table.matrix.tobytes() == before
 
     def test_numpy_integer_labels_train_like_ints(self, tiny_corpus):
         config = _tiny_config(tiny_corpus, "multiclass3")
         runs = []
         for cast in (int, np.int64):
-            table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+            table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
             params = init_parameters(config, np.random.default_rng(2))
             pairs = [(enc, cast(y)) for enc, y in to_pairs(tiny_corpus.train, "multiclass3")[:12]]
-            train(pairs, table, params, config, epochs=1, batch_size=5, seed=3)
+            train(pairs, table, params, config, epochs=1, batch_size=5, seed=3, lr=1e-3)
             runs.append(params.flat.tobytes() + table.matrix.tobytes())
         assert runs[0] == runs[1]
 
@@ -271,49 +276,49 @@ class TestTrain:
         # an infinite second-layer bias makes only the head weights' gradient
         # non-finite; the error names that tensor, not the flat vector
         config = _tiny_config(tiny_corpus)
-        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
         params = init_parameters(config, np.random.default_rng(2))
         params.b2[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
             ValueError, match="non-finite gradient for tensor 'w_out'"
         ):
             train(to_pairs(tiny_corpus.train, "binary")[:8], table, params, config,
-                  epochs=1, batch_size=8, seed=3)
+                  epochs=1, batch_size=8, seed=3, lr=1e-3)
 
     def test_loss_decreases_on_learnable_data(self, tiny_corpus):
         config = _tiny_config(tiny_corpus)
-        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
         params = init_parameters(config, np.random.default_rng(2))
         result = train(to_pairs(tiny_corpus.train, "binary"), table, params, config,
-                       epochs=5, batch_size=16, seed=3)
+                       epochs=5, batch_size=16, seed=3, lr=1e-3)
         assert result.trace[-1].mean_loss < result.trace[0].mean_loss
         assert result.trace[-1].accuracy > 0.9
 
     def test_deterministic_end_state(self, tiny_corpus):
         def run():
             config = _tiny_config(tiny_corpus, dropout=0.3)
-            table = init_self_learnt(tiny_corpus.vocab, config.p, seed=5)
+            table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=5)
             params = init_parameters(config, np.random.default_rng(6))
             train(to_pairs(tiny_corpus.train, "binary"), table, params, config,
-                  epochs=2, batch_size=16, seed=7)
+                  epochs=2, batch_size=16, seed=7, lr=1e-3)
             return params.w1.tobytes() + table.matrix.tobytes()
 
         assert run() == run()
 
     def test_multiclass_head_trains(self, tiny_corpus):
         config = _tiny_config(tiny_corpus, head="multiclass3")
-        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
         params = init_parameters(config, np.random.default_rng(2))
         result = train(to_pairs(tiny_corpus.train, "multiclass3"), table, params, config,
-                       epochs=3, batch_size=16, seed=3)
+                       epochs=3, batch_size=16, seed=3, lr=1e-3)
         assert result.trace[-1].mean_loss < result.trace[0].mean_loss
 
     def test_padding_row_stays_zero_after_training(self, tiny_corpus):
         config = _tiny_config(tiny_corpus)
-        table = init_self_learnt(tiny_corpus.vocab, config.p, seed=1)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
         params = init_parameters(config, np.random.default_rng(2))
         train(to_pairs(tiny_corpus.train, "binary"), table, params, config,
-              epochs=2, batch_size=16, seed=3)
+              epochs=2, batch_size=16, seed=3, lr=1e-3)
         assert not table.matrix[0].any()
 
 
@@ -336,7 +341,7 @@ class TestEmbeddingModeContracts:
         initial = table.matrix.copy()
         params = init_parameters(config, np.random.default_rng(3))
         train(to_pairs(tiny_corpus.train, "binary"), table, params, config,
-              epochs=2, batch_size=16, seed=4)
+              epochs=2, batch_size=16, seed=4, lr=1e-3)
         assert table.matrix.tobytes() == initial.tobytes()
 
     def test_non_static_rows_move(self, tiny_corpus, pretrained_file):
@@ -345,7 +350,7 @@ class TestEmbeddingModeContracts:
         initial = table.matrix.copy()
         params = init_parameters(config, np.random.default_rng(3))
         train(to_pairs(tiny_corpus.train, "binary"), table, params, config,
-              epochs=1, batch_size=16, seed=4)
+              epochs=1, batch_size=16, seed=4, lr=1e-3)
         changed = np.any(table.matrix != initial, axis=1)
         assert changed[1:].any()
         assert not table.matrix[0].any()
@@ -449,7 +454,7 @@ class TestSparseEmbeddingEquivalence:
         monkeypatch.setattr(training, "_CHUNK_ELEMENTS", 8)
         rng = np.random.default_rng(21)
         config = ModelConfig(p=4, m=5, filter_widths=(2, 3), filters_per_width=2,
-                             hidden_sizes=(5, 3), dropout_rate=0.3)
+                             hidden_sizes=(5, 3), dropout_rate=0.3, head="binary")
         by_batch = ([1, 2, 3, 4], [4, 5, 6], [4, 5], [4, 7, 8])
         seed, batch_size = 13, 4
         order = np.random.default_rng(derive_seed(seed, "shuffle")).permutation(16)
@@ -551,7 +556,7 @@ def _former_train(dataset, table, params, config, epochs, batch_size, seed, lr):
 
 @pytest.mark.parametrize("config", [
     ModelConfig(p=3, m=7, filter_widths=(2, 4), filters_per_width=2, hidden_sizes=(6, 3),
-                dropout_rate=0.25),
+                dropout_rate=0.25, head="binary"),
     ModelConfig(p=2, m=9, filter_widths=(3, 2), filters_per_width=3, hidden_sizes=(5, 2),
                 dropout_rate=0.25, pool_w=3, head="multiclass3"),
 ])
@@ -638,14 +643,15 @@ class TestBatchSum:
 
     def test_all_padding_batch_trains(self):
         # the former sum failed on such a batch with a trainable table
-        config = ModelConfig(p=2, m=4, filter_widths=(2,), filters_per_width=2, hidden_sizes=(3, 1))
+        config = ModelConfig(p=2, m=4, filter_widths=(2,), filters_per_width=2, hidden_sizes=(3, 1),
+                             head="binary")
         matrix = np.random.default_rng(6).normal(size=(5, 2))
         matrix[0] = 0.0
         table = EmbeddingTable(matrix=matrix.copy(), mode="non_static", p=2)
         params = init_parameters(config, np.random.default_rng(7))
         before = params.flat.copy()
         dataset = [(EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0), 1)] * 3
-        train(dataset, table, params, config, epochs=1, batch_size=2, seed=0)
+        train(dataset, table, params, config, epochs=1, batch_size=2, seed=0, lr=1e-3)
         assert table.matrix.tobytes() == matrix.tobytes()
         assert not np.array_equal(params.flat, before)
 
@@ -656,7 +662,7 @@ def test_train_allocates_nothing_the_size_of_the_table():
     # state follow the rows the batches look up.
     rng = np.random.default_rng(17)
     config = ModelConfig(p=64, m=6, filter_widths=(2, 3), filters_per_width=2,
-                         hidden_sizes=(5, 3), dropout_rate=0.25)
+                         hidden_sizes=(5, 3), dropout_rate=0.25, head="binary")
     matrix = rng.normal(0.0, 0.1, size=(50_000, 64))
     matrix[0] = 0.0
     table = EmbeddingTable(matrix=matrix, mode="non_static", p=64)
@@ -670,7 +676,7 @@ def test_train_allocates_nothing_the_size_of_the_table():
     before = matrix[looked_up]
     tracemalloc.start()
     try:
-        train(dataset, table, params, config, epochs=2, batch_size=16, seed=1)
+        train(dataset, table, params, config, epochs=2, batch_size=16, seed=1, lr=1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -792,7 +798,7 @@ class TestGridSearch:
     def _factory(self, prepared):
         def factory(mode, seed):
             assert mode == "self_learnt"
-            return init_self_learnt(prepared.vocab, 8, seed=seed)
+            return init_self_learnt(prepared.vocab, 8, mean=0.0, std=0.1, seed=seed)
 
         return factory
 
@@ -802,15 +808,16 @@ class TestGridSearch:
         train_pairs = to_pairs(tiny_corpus.train, "binary")
         test_pairs = to_pairs(tiny_corpus.test, "binary")
         results = grid_search(train_pairs, test_pairs, base, axes,
-                              self._factory(tiny_corpus), seed=5, batch_size=16)
+                              self._factory(tiny_corpus), seed=5, batch_size=16, lr=1e-3,
+                              parallel=False)
         assert len(results) == 1
 
         table_seed, params_seed, train_seed = _cell_seeds(5, 0)
-        table = init_self_learnt(tiny_corpus.vocab, 8, seed=table_seed)
+        table = init_self_learnt(tiny_corpus.vocab, 8, mean=0.0, std=0.1, seed=table_seed)
         params = init_parameters(
             base, np.random.default_rng(derive_seed(params_seed, "params-init"))
         )
-        train(train_pairs, table, params, base, epochs=2, batch_size=16, seed=train_seed)
+        train(train_pairs, table, params, base, epochs=2, batch_size=16, seed=train_seed, lr=1e-3)
         direct = evaluate(test_pairs, table, params, base)
         assert results[0].accuracy == direct.accuracy
         assert results[0].f1 == direct.f1
@@ -819,7 +826,7 @@ class TestGridSearch:
         headlines, prices = generate_synthetic(
             seed=11, n_assets=2, n_days=50, headlines_per_day=4, signal_strength=1.0
         )
-        prepared = prepare_dataset(headlines, prices, {"SYN0", "SYN1"}, max_len=14)
+        prepared = prepare_dataset(headlines, PriceIndex(prices), {"SYN0", "SYN1"}, max_len=14)
         widths = tuple((h,) for h in range(2, 10))
         base = ModelConfig(
             p=8, m=14, filter_widths=(2,), filters_per_width=2,
@@ -829,7 +836,7 @@ class TestGridSearch:
         results = grid_search(
             to_pairs(prepared.train, "binary")[:120],
             to_pairs(prepared.test, "binary")[:60],
-            base, axes, self._factory(prepared), seed=5, batch_size=16,
+            base, axes, self._factory(prepared), seed=5, batch_size=16, lr=1e-3, parallel=False,
         )
         assert len(results) == 8
         assert sorted(r.widths for r in results) == sorted(widths)
@@ -845,7 +852,8 @@ class TestGridSearch:
             results = grid_search(
                 to_pairs(tiny_corpus.train, "binary")[:60],
                 to_pairs(tiny_corpus.test, "binary")[:30],
-                base, axes, self._factory(tiny_corpus), seed=5, batch_size=16,
+                base, axes, self._factory(tiny_corpus), seed=5, batch_size=16, lr=1e-3,
+                parallel=False,
             )
         assert len(results) == 1
         assert any("duplicate" in str(w.message) for w in caught)
@@ -857,7 +865,7 @@ class TestGridSearch:
         results = grid_search(
             to_pairs(tiny_corpus.train, "binary")[:60],
             to_pairs(tiny_corpus.test, "binary")[:30],
-            base, axes, self._factory(tiny_corpus), seed=5, batch_size=16,
+            base, axes, self._factory(tiny_corpus), seed=5, batch_size=16, lr=1e-3, parallel=False,
         )
         assert len(results) == 2
         assert cell_config(base, (2,), 0.0).filters_per_width == 6
@@ -870,7 +878,8 @@ class TestGridSearch:
             grid_search(
                 to_pairs(tiny_corpus.train, "binary")[:40],
                 to_pairs(tiny_corpus.test, "binary")[:20],
-                base, axes, self._factory(tiny_corpus), seed=5,
+                base, axes, self._factory(tiny_corpus), seed=5, batch_size=32, lr=1e-3,
+                parallel=False,
             )
 
     def test_a_bad_last_width_set_is_rejected_before_any_cell_trains(self, tiny_corpus):
@@ -884,6 +893,7 @@ class TestGridSearch:
                 to_pairs(tiny_corpus.train, "binary")[:40],
                 to_pairs(tiny_corpus.test, "binary")[:20],
                 base, axes, lambda mode, seed: made.append(seed) or factory(mode, seed), seed=5,
+                batch_size=32, lr=1e-3, parallel=False,
             )
         assert made == []
 
@@ -898,7 +908,7 @@ class TestGridSearch:
             selection_set=to_pairs(tiny_corpus.test, "binary")[:40],
             base_config=base, axes=axes,
             table_factory=functools.partial(_self_learnt_factory, tiny_corpus.vocab),
-            seed=5, batch_size=16,
+            seed=5, batch_size=16, lr=1e-3,
         )
         sequential = grid_search(parallel=False, **kwargs)
         parallel = grid_search(parallel=True, **kwargs)
