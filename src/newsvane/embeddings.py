@@ -94,11 +94,11 @@ def _parse_vector_lines(lines: Iterable[str], path: Path, dim: int) -> tuple[lis
     return tokens, np.array(rows).reshape(len(rows), dim)
 
 
-def _parse_vector_file(path: Path, expected_p: int) -> tuple[int, list[str], np.ndarray]:
+def _parse_vector_file(path: Path, expected_p: int) -> tuple[list[str], np.ndarray]:
     """Parse a word2vec-style text file: header '<count> <dim>', then one
     '<token> <v1> ... <v_dim>' line per vector; blank lines are skipped.
-    Returns (dim, tokens, rows): the tokens in file order, repeats included,
-    and their vectors as one contiguous (count, dim) array.
+    Returns (tokens, rows): the tokens in file order, repeats included, and
+    their vectors as one contiguous (count, expected_p) array.
 
     The body is read by one ``np.loadtxt`` call, which splits fields as
     ``str.split`` does and parses floats exactly as ``float()`` does. When it
@@ -139,7 +139,7 @@ def _parse_vector_file(path: Path, expected_p: int) -> tuple[int, list[str], np.
         raise ValueError(f"{path}: no vectors in file")
     if len(tokens) != count:
         raise ValueError(f"{path}: line 1: header count {count} != {len(tokens)} vectors in file")
-    return dim, tokens, rows
+    return tokens, rows
 
 
 def load_pretrained(
@@ -160,20 +160,22 @@ def load_pretrained(
     """
     if mode not in (MODE_STATIC, MODE_NON_STATIC):
         raise ValueError(f"pretrained tables must be static or non_static, got {mode!r}")
-    dim, tokens, rows = _parse_vector_file(Path(path), expected_p)
+    tokens, rows = _parse_vector_file(Path(path), expected_p)
     first_row: dict[str, int] = {}
     for row, token in enumerate(tokens):
         first_row.setdefault(token, row)
     # table row i + 1 is the file row of vocab.tokens[i], or -1 where the file lacks it
     source = np.array([first_row.get(token, -1) for token in vocab.tokens], dtype=np.intp)
-    matrix = np.zeros((vocab.size + 1, dim), dtype=np.float64)
+    matrix = np.zeros((vocab.size + 1, expected_p), dtype=np.float64)
     np.take(rows, source, axis=0, out=matrix[1:], mode="clip")
     missing = source < 0
     n_missing = int(missing.sum())
     if n_missing:
         rng = np.random.default_rng(derive_seed(seed, "embedding-fallback"))
-        matrix[1:][missing] = rng.normal(rows.mean(axis=0), rows.std(axis=0), size=(n_missing, dim))
-    return EmbeddingTable(matrix=matrix, mode=mode, p=dim, pretrained_hit_count=vocab.size - n_missing)
+        matrix[1:][missing] = rng.normal(rows.mean(axis=0), rows.std(axis=0),
+                                         size=(n_missing, expected_p))
+    return EmbeddingTable(matrix=matrix, mode=mode, p=expected_p,
+                          pretrained_hit_count=vocab.size - n_missing)
 
 
 def lookup_concat(enc: EncodedHeadline, table: EmbeddingTable) -> np.ndarray:

@@ -173,10 +173,10 @@ class TestVectorParser:
         def line_by_line(*args):
             raise AssertionError("a well-formed file must not need the line-by-line parse")
         monkeypatch.setattr(embeddings, "_parse_vector_lines", line_by_line)
-        dim, tokens, parsed = _parse_vector_file(path, 6)
+        tokens, parsed = _parse_vector_file(path, 6)
         expected_tokens, expected = _float_per_token(text)
-        assert dim == 6
         assert parsed.dtype == np.float64 and parsed.flags.c_contiguous
+        assert parsed.shape == (len(rows), 6)
         assert parsed.tobytes() == np.array(expected).tobytes()
         assert tokens == expected_tokens
 
@@ -189,7 +189,7 @@ class TestVectorParser:
     def test_float_only_inputs_load_as_float_reads_them(self, tmp_path, body):
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\n" + body, encoding="utf-8")
-        _, tokens, parsed = _parse_vector_file(path, 2)
+        tokens, parsed = _parse_vector_file(path, 2)
         expected_tokens, expected = _float_per_token("2 2\n" + body)
         assert parsed.tolist() == expected
         assert tokens == expected_tokens
@@ -218,7 +218,7 @@ class TestVectorParser:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 2\n\n a 1 2 \n\t\n\nb 3 4\n\n")
-        dim, tokens, parsed = _parse_vector_file(path, 2)
+        tokens, parsed = _parse_vector_file(path, 2)
         assert parsed.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert tokens == ["a", "b"]
 
