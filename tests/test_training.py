@@ -153,7 +153,9 @@ class TestAdam:
             adam_step(tensors, {"embeddings": RowGradient(rows, values)}, state)
         assert state.t == 0 and not state.m
 
-    @pytest.mark.parametrize("hyper", [{"lr": -1e-3}, {"lr": math.inf}])
+    @pytest.mark.parametrize("hyper", [{"lr": -1e-3}, {"lr": math.inf}, {"lr": math.nan},
+                                       {"lr": -math.inf}, {"lr": -5e-324},
+                                       {"lr": np.float64(math.nan)}])
     def test_hyperparameters_outside_exact_range_rejected(self, hyper):
         # outside these ranges an untouched row's step need not be +0.0
         with pytest.raises(ValueError, match="Adam needs"):
