@@ -23,7 +23,8 @@ from newsvane.pipeline import validation_slice
 from newsvane.training import grid_search, write_grid_results
 
 SEED = 7
-OUT = Path(__file__).parent / "output"
+ROOT = Path(__file__).resolve().parent.parent  # paths are printed relative to it
+OUT = ROOT / "demos" / "output"
 
 
 def make_table(vocab, mode, seed):
@@ -62,7 +63,8 @@ for r in results:
 
 OUT.mkdir(exist_ok=True)
 write_grid_results(results, OUT / "width_sweep.csv", OUT / "width_sweep_best.json")
-print(f"\nwrote {OUT / 'width_sweep.csv'} (one row per width, plot accuracy/F1 vs h)")
+print(f"\nwrote {(OUT / 'width_sweep.csv').relative_to(ROOT)} "
+      "(one row per width, plot accuracy/F1 vs h)")
 print(
     "note: synthetic sentiment lives in short phrases, so every width >= 2 can\n"
     "recover it and the curve is flat at the corpus signal ceiling; on real\n"

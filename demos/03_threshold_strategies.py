@@ -30,7 +30,8 @@ from newsvane.backtest import default_threshold_grid, threshold_sweep, write_swe
 from newsvane.seeding import derive_seed
 
 SEED = 13
-OUT = Path(__file__).parent / "output"
+ROOT = Path(__file__).resolve().parent.parent  # paths are printed relative to it
+OUT = ROOT / "demos" / "output"
 OUT.mkdir(exist_ok=True)
 
 headlines, bars = generate_synthetic(
@@ -81,4 +82,4 @@ for head, name in (("binary", "binary buy threshold"), ("multiclass3", "3-class 
 
 write_sweep_csv(sweeps["binary"], OUT / "binary_threshold_sweep.csv")
 write_sweep_csv(sweeps["multiclass3"], OUT / "multiclass_threshold_sweep.csv")
-print(f"\nwrote sweep CSVs to {OUT}/ (plot PP and ATP against t)")
+print(f"\nwrote sweep CSVs to {OUT.relative_to(ROOT)}/ (plot PP and ATP against t)")

@@ -7,9 +7,9 @@ day's open and sells at its close. Capital is fully deployed every trading
 day and split equally across that day's buys, and day returns compound
 multiplicatively across the simulation.
 
-``aggregate_daily`` returns a ``DayPredictions``, rows that keep their
-columns as arrays; ``buy_scores`` and ``threshold_sweep`` read the columns,
-so a sweep call builds no per-day tuple or list.
+``aggregate_daily`` returns a ``DayPredictions``, columns that build each
+``DayPrediction`` row when it is read; ``buy_scores`` and ``threshold_sweep``
+read the columns, so a sweep call builds no per-day tuple or list.
 
 Reported metrics: PP (percent profitable, the share of trades with positive
 return), ATP (average trade profit, the mean percentage return per trade),
@@ -76,16 +76,16 @@ class DayPrediction(_DayFields):
 
 @dataclass(frozen=True, eq=False)
 class DayPredictions(Sequence[DayPrediction]):
-    """An immutable sequence of ``DayPrediction`` rows that keeps their columns.
+    """An immutable sequence of ``DayPrediction`` rows, held as columns.
 
     ``asset_names`` holds the rows' assets, sorted. Per row, ``assets`` holds
     the code of its asset in ``asset_names``, ``days`` its date ordinal and
     ``n_headlines`` its headline count (int64), and ``means`` its sigma mean,
     ``(n,)``, or its class means, ``(n, 3)`` (float64). The arrays are
-    read-only. ``aggregate_daily`` builds one.
+    read-only. ``aggregate_daily`` builds one. Indexing and iteration build
+    the rows from the columns on each read; a slice gives a tuple of rows.
     """
 
-    rows: tuple[DayPrediction, ...]
     asset_names: tuple[str, ...]
     assets: np.ndarray
     days: np.ndarray
@@ -97,8 +97,7 @@ class DayPredictions(Sequence[DayPrediction]):
             column.flags.writeable = False
 
     def __reduce__(self):  # so that a copy's arrays are read-only too
-        return type(self), (self.rows, self.asset_names, self.assets, self.days, self.n_headlines,
-                            self.means)
+        return type(self), (self.asset_names, self.assets, self.days, self.n_headlines, self.means)
 
     @property
     def binary(self) -> bool:
@@ -106,13 +105,24 @@ class DayPredictions(Sequence[DayPrediction]):
         return self.means.ndim == 1
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.means)
 
-    def __getitem__(self, i):
-        return self.rows[i]
+    def __getitem__(self, i):  # an IndexError past either end
+        rows = self._rows(i if isinstance(i, slice) else [range(len(self))[i]])
+        return tuple(rows) if isinstance(i, slice) else rows[0]
 
     def __iter__(self):
-        return iter(self.rows)
+        return iter(self._rows(slice(None)))
+
+    def _rows(self, at) -> list[DayPrediction]:
+        """The rows at ``at``, positions or a slice that indexes the columns."""
+        means = self.means[at].tolist()
+        sigma_means, class_means = (
+            (means, repeat(None)) if self.binary else (repeat(None), map(tuple, means)))
+        return list(map(DayPrediction._make, zip(
+            map(self.asset_names.__getitem__, self.assets[at].tolist()),
+            map(dt.date.fromordinal, self.days[at].tolist()), self.n_headlines[at].tolist(),
+            sigma_means, class_means)))
 
 
 class Trade(NamedTuple):
@@ -153,16 +163,8 @@ class BacktestReport:
             "atp_pct": self.atp_pct,
             "max_single_day_loss_pct": self.max_single_day_loss_pct,
             "avg_correct_buy_return_pct": self.avg_correct_buy_return_pct,
-            "trades": [
-                {
-                    "asset": t.asset,
-                    "trade_date": t.trade_date.isoformat(),
-                    "entry": t.entry,
-                    "exit": t.exit,
-                    "return_frac": t.return_frac,
-                }
-                for t in self.trades
-            ],
+            "trades": [{**t._asdict(), "trade_date": t.trade_date.isoformat(),
+                        "return_frac": t.return_frac} for t in self.trades],
         }
 
 
@@ -173,29 +175,24 @@ def aggregate_daily(
     """Average per-headline outputs into one prediction per (asset, date).
 
     Input rows are (headline_id, asset, date, output) where the output is a
-    scalar sigmoid probability or a length-3 probability vector; mixing the
-    two kinds is an error. Results are sorted by (date, asset), and their
-    columns are the codes and means computed here. The rows are
-    grouped by one stable sort, so each day keeps its outputs in input order,
-    and ``_day_means`` averages them with the bits of ``np.mean`` over the day
-    (``mean(axis=0)`` for class vectors).
+    finite scalar sigmoid probability or a length-3 vector of finite class
+    probabilities; mixing the two kinds, or any other output, is an error.
+    Results are sorted by (date, asset), and their columns are the codes and
+    means computed here. The rows are grouped by one stable sort, so each day
+    keeps its outputs in input order, and ``_day_means`` averages them with
+    the bits of ``np.mean`` over the day (``mean(axis=0)`` for class vectors).
     """
     if not predictions:
         raise ValueError("no predictions to aggregate")
     _, assets, dates, outputs = zip(*predictions)
-    kinds = set(map(_is_scalar_output, outputs))
-    if len(kinds) > 1:
-        raise ValueError("cannot mix scalar and 3-class outputs in one aggregation")
-    scalar = kinds.pop()
-    if scalar:
-        values = np.fromiter(map(float, outputs), np.float64, len(outputs))
-    else:
-        try:
-            values = np.array(outputs, dtype=np.float64)
-        except ValueError:  # outputs of different lengths
-            values = None
-        if values is None or values.ndim != 2 or values.shape[1] != 3:
-            raise ValueError("3-class outputs must have length 3")
+    try:
+        values = np.array(outputs, dtype=np.float64)
+    except ValueError:  # a mix of kinds, or vectors of different lengths
+        values = None
+    if (values is None or values.shape not in ((len(outputs),), (len(outputs), 3))
+            or not np.isfinite(values).all()):
+        raise ValueError("each output must be a finite scalar or a finite vector of length 3, "
+                         "and the two kinds cannot mix")
 
     day_names, asset_names = sorted(set(dates)), sorted(set(assets))
     day_code = {d: i for i, d in enumerate(day_names)}
@@ -207,24 +204,8 @@ def aggregate_daily(
     sizes = _run_sizes(key)
     means = _day_means(values[order], sizes)
     day_of, asset_of = np.divmod(key[np.cumsum(sizes) - 1], len(asset_names))
-    per_day = means.tolist()
-    sigma_means, class_means = (per_day, repeat(None)) if scalar else (repeat(None), map(tuple, per_day))
-    rows = [
-        DayPrediction._make((asset_names[a], day_names[d], k, sigma, classes))
-        for d, a, k, sigma, classes in zip(day_of.tolist(), asset_of.tolist(), sizes.tolist(),
-                                           sigma_means, class_means)
-    ]
     ordinals = np.fromiter(map(dt.date.toordinal, day_names), np.int64, len(day_names))
-    return DayPredictions(tuple(rows), tuple(asset_names), asset_of, ordinals[day_of], sizes, means)
-
-
-def _is_scalar_output(output) -> bool:
-    """True for one sigmoid probability, False for a class vector."""
-    if isinstance(output, float):  # np.float64 too
-        return True
-    if isinstance(output, np.ndarray):
-        return output.ndim == 0
-    return np.isscalar(output) or getattr(output, "shape", None) == ()
+    return DayPredictions(tuple(asset_names), asset_of, ordinals[day_of], sizes, means)
 
 
 def _run_sizes(keys: np.ndarray) -> np.ndarray:
@@ -435,15 +416,10 @@ def threshold_sweep(
     book, order = _TradeBook.resolve(prices, day_predictions.asset_names,
                                      day_predictions.assets[first], day_predictions.days[first])
     score = score[first][order]  # in book order
-    rows: list[SweepRow] = []
+    rows = []
     for t in t_grid:
-        report = simulate(book.where(score > t), prices)
-        rows.append(
-            SweepRow(
-                t=float(t), pp_pct=report.pp_pct, atp_pct=report.atp_pct,
-                total_return_pct=report.total_return_pct, n_trades=report.n_trades,
-            )
-        )
+        r = simulate(book.where(score > t), prices)
+        rows.append(SweepRow(float(t), r.pp_pct, r.atp_pct, r.total_return_pct, r.n_trades))
     return rows
 
 

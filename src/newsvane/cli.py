@@ -17,7 +17,6 @@ import functools
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -417,7 +416,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
     day_preds, prices, head = _day_predictions(cfg, args)
     score = bt.buy_scores(day_preds, binary=head == HEAD_BINARY)
-    buys = compress(day_preds, (score > cfg.threshold).tolist())
+    buys = map(day_preds.__getitem__, np.flatnonzero(score > cfg.threshold).tolist())
     report = bt.simulate([(dp.asset, dp.date, bt.BUY) for dp in buys], prices)
     write_json_atomic(cfg.out_dir / "report.json", report.to_dict())
     print(

@@ -189,6 +189,7 @@ class PriceIndex:
     """Price bars sorted by asset name and then date, for next-trading-day lookups.
 
     Build it once per price list and share it; ``load_prices`` returns one.
+    Two bars of one asset on one date are a ValueError.
     ``bars`` holds every bar in that order, ``days`` their day ordinals
     (int64) and ``returns`` their open-to-close returns ``(close - open) /
     open`` (float64, the bits of that Python expression). One key per bar packs
@@ -216,6 +217,10 @@ class PriceIndex:
         self._ends = np.array([*accumulate(sizes), 0], dtype=np.int64)
         ranks = np.repeat(np.arange(len(assets), dtype=np.int64), sizes)
         self._keys = ranks << _DAY_BITS | self.days
+        same = np.flatnonzero(self._keys[1:] == self._keys[:-1])
+        if same.size:
+            bar = bars[same[0]]
+            raise ValueError(f"duplicate bar for {bar.asset} {bar.date}")
 
     def __len__(self) -> int:
         return len(self.bars)

@@ -127,7 +127,7 @@ class TestCollectorPaused:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
-        for module, name in ((pipeline, "tokenize"), (backtest, "_is_scalar_output"),
+        for module, name in ((pipeline, "tokenize"), (backtest, "_day_means"),
                              (backtest, "simulate")):
             spy(module, name)
         gc.enable()
@@ -136,9 +136,11 @@ class TestCollectorPaused:
         prices = PriceIndex(bars)
         data = pipeline.prepare_dataset(headlines, prices, {"SYN0"}, max_len=None)
         days = backtest.aggregate_daily([(s.headline_id, s.asset, s.date, 0.7) for s in data.test])
+        assert seen == {"tokenize": {False}, "_day_means": {False}}
+        seen.clear()
         backtest.threshold_sweep(days, prices, [0.5])
         # a sweep reads the day predictions' columns and builds no per-day rows, so it runs as found
-        assert seen == {"tokenize": {False}, "_is_scalar_output": {False}, "simulate": {True}}
+        assert seen == {"_day_means": {True}, "simulate": {True}}
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])

@@ -109,6 +109,31 @@ class TestDayPredictions:
         # days reach both paths of ``_day_means``
         assert min(dps.n_headlines) < 8 <= max(dps.n_headlines)
 
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_rows_are_built_from_the_columns_on_each_read(self, binary):
+        rng = np.random.default_rng(29)
+        preds = [(i, f"S{rng.integers(3)}", _day(int(rng.integers(4))),
+                  float(rng.random()) if binary else rng.dirichlet((1.0, 1.0, 1.0)))
+                 for i in range(60)]
+        dps = aggregate_daily(preds)
+        rows = list(dps)
+        n = len(rows)
+        assert _day_bits(rows) == _day_bits(_former_aggregate_daily(preds))
+        assert dps[-1] == rows[-1] and dps[-n] == rows[0] and dps[np.int64(2)] == rows[2]
+        assert dps[1:5] == tuple(rows[1:5]) and dps[::-3] == tuple(rows[::-3])
+        assert dps[n:] == () and dps[:] == tuple(rows)
+        assert list(reversed(dps)) == rows[::-1]
+        assert dps[0] is not dps[0]  # a new row on each read
+        for past in (n, -n - 1):
+            with pytest.raises(IndexError):
+                dps[past]
+        for copied in (copy.deepcopy(dps), pickle.loads(pickle.dumps(dps))):
+            assert list(copied) == rows and _day_bits(copied) == _day_bits(rows)
+        row = dps[0]
+        assert type(row) is DayPrediction and type(row.date) is dt.date
+        assert type(row.n_headlines) is int
+        assert type(row.sigma_mean if binary else row.class_means[0]) is float
+
     def test_neither_the_sequence_nor_its_columns_can_be_changed(self):
         for made in (aggregate_daily([(0, "A", D0, 0.25), (1, "B", D0, 0.75)]),
                      aggregate_daily([(0, "A", D0, np.array([0.2, 0.3, 0.5])),
@@ -187,6 +212,9 @@ class TestAggregateDailyExactness:
         [np.float64(0.5), [0.2, 0.3, 0.5]],
         [np.array([0.2, 0.3, 0.5]), np.array(0.5)],
         [np.array([0.2, 0.3, 0.5]), np.float32(0.5)],
+        [0.5, None],
+        [float("nan"), np.array([0.2, 0.3, 0.5])],
+        [np.array([0.2, 0.3, 0.5]), np.inf],
     ])
     def test_mixed_kinds_rejected_like_former_code(self, outputs):
         rows = [(i, "A", D0, o) for i, o in enumerate(outputs)]
@@ -198,6 +226,9 @@ class TestAggregateDailyExactness:
         [np.array([0.5, 0.5])],
         [np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.2, 0.3, 0.4])],
         [[0.25, 0.25, 0.25, 0.25]],
+        [[0.2, None, 0.5, 0.3]],
+        [np.array([0.5, np.nan])],
+        [np.array([0.2, 0.3, 0.5]), np.array([0.1, np.inf])],
     ])
     def test_wrong_length_rejected_like_former_code(self, outputs):
         rows = [(i, "A", D0, o) for i, o in enumerate(outputs)]
@@ -205,6 +236,25 @@ class TestAggregateDailyExactness:
             aggregate_daily(rows)
         with pytest.raises(ValueError):
             _former_aggregate_daily(rows)
+
+    @pytest.mark.parametrize("outputs", [
+        [None],
+        [None, None, None],
+        [float("nan")],
+        [0.25, np.float64("nan")],
+        [np.inf],
+        [0.5, -np.inf],
+        [np.array([0.2, np.nan, 0.5])],
+        [[0.2, 0.3, None]],
+        [np.array([0.2, 0.3, 0.5]), (np.inf, 0.3, 0.5)],
+    ])
+    def test_missing_and_non_finite_outputs_rejected(self, outputs):
+        """The former code averaged NaN and inf into the day means; a missing
+        or non-finite output is now the one output error."""
+        rows = [(i, "A", D0, o) for i, o in enumerate(outputs)]
+        with pytest.raises(ValueError, match="mix") as raised:
+            aggregate_daily(rows)
+        assert "length 3" in str(raised.value)
 
     def test_class_mean_is_the_sequential_row_sum_over_k(self):
         """``mean(axis=0)`` of a (k, 3) array adds the rows one after another

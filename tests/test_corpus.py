@@ -255,6 +255,19 @@ class TestNextTradingDay:
         assert self._next(index, "BBB", dt.date(2016, 1, 1)).date == dt.date(2016, 1, 9)
         assert (index.has_asset("BBB"), index.has_asset("ZZZ")) == (True, False)
 
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0], [1, 0, 3, 2]], ids=str)
+    def test_duplicate_bar_rejected_by_the_index(self, order):
+        """Two bars of one asset on one date would leave ``label_all`` and the
+        backtest to trade on whichever sorted first; the index refuses them."""
+        bars = [PriceBar("A", dt.date(2016, 1, 4), 10.0, 10.0),
+                PriceBar("A", dt.date(2016, 1, 5), 10.0, 9.0),    # -10%
+                PriceBar("A", dt.date(2016, 1, 5), 10.0, 12.0),   # +20%, the same day
+                PriceBar("B", dt.date(2016, 1, 5), 10.0, 11.0)]
+        with pytest.raises(ValueError, match="^duplicate bar for A 2016-01-05$"):
+            PriceIndex(bars[i] for i in order)
+        # one bar per (asset, date), with equal dates across assets, is fine
+        assert len(PriceIndex([bars[0], bars[1], bars[3]])) == 3
+
     def test_membership_test_is_a_type_error(self):
         """``len()`` and ``.bars`` count bars, so ``in`` on the index would
         read as bar membership; it raises rather than answer for asset names."""
