@@ -29,7 +29,6 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import (
     DatasetSplit,
     HeadlineRecord,
-    LabeledSample,
     PriceBar,
     PriceIndex,
     generate_synthetic,

@@ -9,7 +9,8 @@ multiplicatively across the simulation.
 
 ``aggregate_daily`` returns a ``DayPredictions``, columns that build each
 ``DayPrediction`` row when it is read; ``buy_scores`` and ``threshold_sweep``
-read the columns, so a sweep call builds no per-day tuple or list.
+read the columns, so a sweep call builds no per-day tuple or list. Both
+score by the predictions' own head, ``DayPredictions.binary``.
 
 Reported metrics: PP (percent profitable, the share of trades with positive
 return), ATP (average trade profit, the mean percentage return per trade),
@@ -232,18 +233,14 @@ def _day_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return means
 
 
-def buy_scores(day_predictions: DayPredictions, binary: bool) -> np.ndarray:
+def buy_scores(day_predictions: DayPredictions) -> np.ndarray:
     """The values a buy threshold is compared with: a day buys iff its score exceeds t.
 
-    For the binary head a score is the day-mean sigmoid output. For the 3-way
-    head it is the buy-class mean when 'buy' is the strict argmax of the class
-    means, else -inf, so no threshold buys it. The scores are read from the
-    columns of the ``DayPredictions`` that ``aggregate_daily`` returns.
-    ``binary`` names the head the strategy expects; predictions of the other
-    head are a ValueError.
+    Scores follow the predictions' head, ``DayPredictions.binary``, read from
+    the columns that ``aggregate_daily`` returns. For the binary head a score
+    is the day-mean sigmoid output; for the 3-way head it is the buy-class mean
+    when 'buy' is the strict argmax of the class means, else -inf.
     """
-    if len(day_predictions) and day_predictions.binary != binary:
-        raise _wrong_head(f"buy_scores(binary={binary})", binary)
     return _scores(day_predictions.means)
 
 
@@ -411,7 +408,7 @@ def threshold_sweep(
         raise ValueError("t_grid must be sorted ascending")
     if not day_predictions:
         raise ValueError("no day predictions to sweep")
-    score = buy_scores(day_predictions, binary=day_predictions.binary)
+    score = buy_scores(day_predictions)
     first = np.flatnonzero(score > t_grid[0])
     book, order = _TradeBook.resolve(prices, day_predictions.asset_names,
                                      day_predictions.assets[first], day_predictions.days[first])

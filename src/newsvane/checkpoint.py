@@ -111,11 +111,13 @@ def _read_sidecar(path: Path, sha256: str, size: int) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint. Its stored vocabulary hash is checked on load, not
+    kept: a run pairs a checkpoint with its data by comparing ``vocab``."""
+
     config: ModelConfig
     vocab: Vocabulary
     table: EmbeddingTable
     params: ModelParameters
-    vocab_hash: str
     training_meta: dict
 
 
@@ -205,10 +207,10 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
         vec = _read_sidecar(path.parent / sidecar["name"], sidecar["sha256"], n_table + layout.size)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    table = EmbeddingTable(matrix=vec[:n_table].reshape(vocab.size + 1, p), mode=emb["mode"], p=p,
+    table = EmbeddingTable(matrix=vec[:n_table].reshape(vocab.size + 1, p), mode=emb["mode"],
                            pretrained_hit_count=emb["pretrained_hit_count"])
     return Checkpoint(
         config=config, vocab=vocab, table=table,
         params=ModelParameters.from_flat(vec[n_table:], layout),
-        vocab_hash=payload["vocab_hash"], training_meta=payload["training_meta"],
+        training_meta=payload["training_meta"],
     )

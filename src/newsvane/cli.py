@@ -41,7 +41,7 @@ from .fileio import (
 )
 from .network import HEAD_BINARY, HEAD_MULTICLASS3, HEADS, ModelConfig, forward, init_parameters
 from .seeding import derive_seed
-from .text import PAD_TOKEN, save_vocabulary, vocabulary_hash
+from .text import PAD_TOKEN, save_vocabulary
 
 
 class ConfigError(ValueError):
@@ -346,7 +346,7 @@ def _checkpoint_run(
             f"with the config (p={cfg.p}, head={cfg.head!r})"
         )
     prepared, prices = _prepare(cfg)
-    if vocabulary_hash(prepared.vocab) != ckpt.vocab_hash:
+    if prepared.vocab != ckpt.vocab:
         raise ConfigError(
             "vocabulary hash mismatch: the data/config no longer reproduce the "
             "vocabulary this checkpoint was trained with"
@@ -369,9 +369,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> tuple[list, str]:
-    """The (line, asset, date, output) rows of a predictions CSV and the head
-    its header names: p0 alone for the binary head, p0,p1,p2 for the 3-way head.
+def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> list:
+    """The (line, asset, date, output) rows of a predictions CSV, whose header
+    names the head: p0 alone for the binary head, p0,p1,p2 for the 3-way head.
     Every row needs a price bar of its asset after its date, to trade on."""
     rows: list[tuple[int, str, dt.date, float | np.ndarray]] = []
 
@@ -381,7 +381,7 @@ def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> tuple[list, 
         if not all(0.0 <= v <= 1.0 for v in values):
             raise ValueError(f"probabilities must lie in [0, 1], got {values}")
         rows.append((line, asset, date, values[0] if len(values) == 1 else np.array(values)))
-    header = read_csv(path, (["asset", "date", "p0"], ["asset", "date", "p0", "p1", "p2"]), parse)
+    read_csv(path, (["asset", "date", "p0"], ["asset", "date", "p0", "p1", "p2"]), parse)
     if not rows:
         raise ConfigError(f"{path}: no prediction rows")
     positions = prices.next_positions([row[1] for row in rows], [row[2] for row in rows])
@@ -390,32 +390,33 @@ def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> tuple[list, 
         line, asset, date, _ = rows[late[0]]
         missing = f"no price bar after {date}" if prices.has_asset(asset) else "no price bars"
         raise ConfigError(f"{path}: line {line}: asset {asset!r} has {missing}")
-    return rows, HEAD_BINARY if len(header) == 3 else HEAD_MULTICLASS3
+    return rows
 
 
 def _day_predictions(
     cfg: RunConfig, args: argparse.Namespace
-) -> tuple[bt.DayPredictions, corpus.PriceIndex, str]:
+) -> tuple[bt.DayPredictions, corpus.PriceIndex]:
     """Day predictions from either a predictions CSV or a checkpoint run,
-    with the head they were made by, checked against the strategy head."""
+    their head checked against the strategy head."""
     if args.predictions:
         prices = corpus.load_prices(cfg.prices_path)
-        rows, head = _read_predictions_csv(Path(args.predictions), prices)
+        rows = _read_predictions_csv(Path(args.predictions), prices)
     else:
         ckpt, prepared, prices = _checkpoint_run(cfg, args)
         rows = [(s.headline_id, s.asset, s.date,
                  forward(s.enc, ckpt.table, ckpt.params, ckpt.config, mode="test")[0])
                 for s in prepared.test]
-        head = ckpt.config.head
+    day_preds = bt.aggregate_daily(rows)
+    head = HEAD_BINARY if day_preds.binary else HEAD_MULTICLASS3
     _require(cfg.strategy_head in (None, head),
              f"strategy head {cfg.strategy_head!r} does not match the model head {head!r}")
-    return bt.aggregate_daily(rows), prices, head
+    return day_preds, prices
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    day_preds, prices, head = _day_predictions(cfg, args)
-    score = bt.buy_scores(day_preds, binary=head == HEAD_BINARY)
+    day_preds, prices = _day_predictions(cfg, args)
+    score = bt.buy_scores(day_preds)
     buys = map(day_preds.__getitem__, np.flatnonzero(score > cfg.threshold).tolist())
     report = bt.simulate([(dp.asset, dp.date, bt.BUY) for dp in buys], prices)
     write_json_atomic(cfg.out_dir / "report.json", report.to_dict())
@@ -428,8 +429,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args)
-    day_preds, prices, head = _day_predictions(cfg, args)
-    grid = bt.default_threshold_grid(head == HEAD_BINARY, step=cfg.sweep_step)
+    day_preds, prices = _day_predictions(cfg, args)
+    grid = bt.default_threshold_grid(day_preds.binary, step=cfg.sweep_step)
     rows = bt.threshold_sweep(day_preds, prices, grid)
     bt.write_sweep_csv(rows, cfg.out_dir / "sweep.csv")
     best = max(rows, key=lambda r: r.atp_pct)

@@ -80,17 +80,6 @@ class PriceBar(_PriceFields):
         return _PriceFields.__new__(cls, asset, date, open, close)
 
 
-class LabeledSample(NamedTuple):
-    """The label of one price bar, which ``label_all`` shares among the headlines
-    whose next trading day it is: the bar's return and its binary and 3-way labels."""
-
-    asset: str
-    trade_date: dt.date
-    next_day_return: float
-    binary_label: int
-    tri_label: str
-
-
 @dataclass(frozen=True)
 class DatasetSplit:
     """Disjoint train/test headline id sets plus the retained test dates."""
@@ -246,38 +235,28 @@ class PriceIndex:
         return self.positions_after(self.ranks(assets), days)
 
 
-def _bar_label(bar: PriceBar, ret: float) -> LabeledSample:
-    """The label of ``bar``, whose open-to-close return is ``ret``."""
-    if ret > SIGNIFICANT_RETURN:
-        tri = TRI_BUY
-    elif ret < -SIGNIFICANT_RETURN:
-        tri = TRI_AVOID
-    else:
-        tri = TRI_INCONSEQUENTIAL
-    return LabeledSample(bar.asset, bar.date, ret, 1 if ret > 0 else 0, tri)
+def tri_label_of(ret: float) -> str:
+    """The three-class label of a next-day return (see ``SIGNIFICANT_RETURN``)."""
+    return TRI_BUY if ret > SIGNIFICANT_RETURN else (
+        TRI_AVOID if ret < -SIGNIFICANT_RETURN else TRI_INCONSEQUENTIAL)
 
 
 def label_all(
     headlines: list[HeadlineRecord], prices: PriceIndex
-) -> tuple[dict[int, LabeledSample], list[int]]:
-    """Label every headline with the next trading day's open-to-close return.
+) -> tuple[dict[int, int], list[int]]:
+    """Find the bar of every headline's next trading day, whose open-to-close
+    return ``prices.returns[pos]`` determines its labels (see ``pipeline.Sample``).
 
-    Binary label 1 means the close exceeded the open (a positive one-day
-    return); unchanged or falling prices are class 0. The three-class label
-    is 'buy' above +0.5%, 'avoid' below -0.5%, else 'inconsequential'.
-    Returns (labels by id, ids skipped at the end of their asset's history),
-    both in headline order. ``prices`` is the ``PriceIndex`` that
-    ``load_prices`` or ``PriceIndex(bars)`` builds; one ``next_positions``
-    call on it finds every headline's next bar, and headlines with one next
-    bar share its label. Raises ``ValueError`` if two headlines share an id.
+    Returns (each labelled headline's bar position in ``prices.bars``, by id;
+    the ids skipped at the end of their asset's history), both in headline
+    order. ``prices`` is the ``PriceIndex`` that ``load_prices`` or
+    ``PriceIndex(bars)`` builds; one ``next_positions`` call on it finds every
+    headline's next bar. Raises ``ValueError`` if two headlines share an id.
     """
     positions = prices.next_positions([h.asset for h in headlines], [h.date for h in headlines])
-    positions, returns = positions.tolist(), prices.returns.tolist()
-    bar_labels = {pos: _bar_label(prices.bars[pos], returns[pos])
-                  for pos in set(positions) if pos >= 0}
-    label_of_row = list(map(bar_labels.get, positions))  # None past the asset's history
-    labels = {h.id: label for h, label in zip(headlines, label_of_row) if label is not None}
-    skipped = [h.id for h, label in zip(headlines, label_of_row) if label is None]
+    positions = positions.tolist()
+    labels = {h.id: pos for h, pos in zip(headlines, positions) if pos >= 0}
+    skipped = [h.id for h, pos in zip(headlines, positions) if pos < 0]
     if len(labels.keys() | skipped) != len(headlines):
         raise ValueError("headline ids must be unique")
     return labels, skipped

@@ -9,6 +9,7 @@ and are fine-tuned during training.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +27,10 @@ MODE_NON_STATIC = "non_static"
 MODES = (MODE_SELF_LEARNT, MODE_STATIC, MODE_NON_STATIC)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class EmbeddingTable:
-    """(vocab_size + 1) x p matrix of token feature vectors.
+    """(vocab_size + 1) x p matrix of token feature vectors; its fields are
+    keyword-only, and ``p`` is read from the matrix, ``matrix.shape[1]``.
 
     Row 0 is the padding vector: initialized to zero and kept at zero by the
     training loop in every mode. In ``static`` mode the whole matrix is
@@ -38,12 +40,15 @@ class EmbeddingTable:
 
     matrix: np.ndarray
     mode: str
-    p: int
     pretrained_hit_count: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown embedding mode {self.mode!r}")
+
+    @property
+    def p(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def trainable(self) -> bool:
@@ -62,12 +67,14 @@ def init_self_learnt(
     """
     if p < 1:
         raise ValueError("embedding dimension p must be >= 1")
-    if std <= 0:
-        raise ValueError("std must be > 0")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean!r}")
+    if not 0 < std < math.inf:
+        raise ValueError(f"std must be finite and > 0, got {std!r}")
     rng = np.random.default_rng(derive_seed(seed, "embedding-init"))
     matrix = np.zeros((vocab.size + 1, p), dtype=np.float64)
     matrix[1:] = rng.normal(mean, std, size=(vocab.size, p))
-    return EmbeddingTable(matrix=matrix, mode=MODE_SELF_LEARNT, p=p)
+    return EmbeddingTable(matrix=matrix, mode=MODE_SELF_LEARNT)
 
 
 def _parse_vector_lines(lines: Iterable[str], path: Path, dim: int) -> tuple[list[str], np.ndarray]:
@@ -174,8 +181,7 @@ def load_pretrained(
         rng = np.random.default_rng(derive_seed(seed, "embedding-fallback"))
         matrix[1:][missing] = rng.normal(rows.mean(axis=0), rows.std(axis=0),
                                          size=(n_missing, expected_p))
-    return EmbeddingTable(matrix=matrix, mode=mode, p=expected_p,
-                          pretrained_hit_count=vocab.size - n_missing)
+    return EmbeddingTable(matrix=matrix, mode=mode, pretrained_hit_count=vocab.size - n_missing)
 
 
 def lookup_concat(enc: EncodedHeadline, table: EmbeddingTable) -> np.ndarray:

@@ -127,7 +127,7 @@ def _random_instance(rng: np.random.Generator, index: int):
 
         matrix = rng.normal(0.0, 1.0, size=(vocab_size + 1, p))
         matrix[0] = 0.0
-        table = EmbeddingTable(matrix=matrix, mode=mode, p=p)
+        table = EmbeddingTable(matrix=matrix, mode=mode)
         params = init_parameters(config, rng)
         # break the symmetry of zero biases so bias kinks are rare
         for h in config.filter_widths:

@@ -23,6 +23,7 @@ from .corpus import (
     PriceIndex,
     label_all,
     split_half_hourly_unique,
+    tri_label_of,
 )
 from .network import HEAD_BINARY, HEADS
 from .seeding import derive_seed
@@ -33,17 +34,26 @@ _ID = attrgetter("id")
 
 
 class Sample(NamedTuple):
-    """One model-ready headline: encoding plus labels and trade metadata, as a
-    named tuple (``==`` reaches the encoding's array, see ``EncodedHeadline``)."""
+    """One model-ready headline: its encoding and trade metadata, as a named
+    tuple (``==`` reaches the encoding's array, see ``EncodedHeadline``). The
+    return of the bar on ``trade_date``, its next trading day, determines both
+    labels: ``binary_label`` is 1 iff it is positive, ``tri_label`` is its
+    ``corpus.tri_label_of``."""
 
     headline_id: int
     asset: str
     date: dt.date
     trade_date: dt.date
     next_day_return: float
-    binary_label: int
-    tri_label: str
     enc: EncodedHeadline
+
+    @property
+    def binary_label(self) -> int:
+        return 1 if self.next_day_return > 0 else 0
+
+    @property
+    def tri_label(self) -> str:
+        return tri_label_of(self.next_day_return)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +89,11 @@ def prepare_dataset(
     train_tokens = [tokenize(h.text) for h in train_rows]
     vocab = build_vocabulary(train_tokens, max_len)
 
+    bars, returns = prices.bars, prices.returns.tolist()
+
     def to_sample(h: HeadlineRecord, tokens: list[str]) -> Sample:
-        _, trade_date, ret, binary, tri = labels[h.id]
-        return Sample(h.id, h.asset, h.date, trade_date, ret, binary, tri,
+        pos = labels[h.id]
+        return Sample(h.id, h.asset, h.date, bars[pos].date, returns[pos],
                       encode_and_pad(tokens, vocab))
 
     train = tuple(map(to_sample, train_rows, train_tokens))

@@ -199,7 +199,6 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    params: ModelParameters
     trace: list[EpochStats]
 
 
@@ -222,7 +221,8 @@ def train(
     not depend on batch size; the final partial batch is processed. The
     embedding matrix is updated through the same optimizer unless the table
     is static, and its padding row is pinned back to zero after every step.
-    Returns the (mutated) parameters plus a per-epoch loss/accuracy trace.
+    ``params`` and a trainable table are trained in place; the result holds
+    the per-epoch loss/accuracy trace.
     """
     _checked_classes(dataset, config.head, "training")
     if batch_size < 1:
@@ -230,7 +230,7 @@ def train(
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if epochs == 0:
-        return TrainResult(params=params, trace=[])
+        return TrainResult(trace=[])
 
     shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
@@ -270,7 +270,7 @@ def train(
             table.matrix[0] = 0.0  # padding row stays frozen in every mode
             acc.flat[:] = 0.0
         trace.append(EpochStats(epoch=epoch, mean_loss=loss_sum / n, accuracy=correct / n))
-    return TrainResult(params=params, trace=trace)
+    return TrainResult(trace=trace)
 
 
 def _batch_sum(grads: list[tuple[np.ndarray, np.ndarray]], p: int, scale: float) -> RowGradient:
@@ -378,8 +378,10 @@ def evaluate(
     config: ModelConfig,
     class_threshold: float = 0.5,
 ) -> MetricsReport:
-    """Test-mode evaluation: binary predicts 1 iff sigma >= threshold,
-    multiclass predicts the argmax class."""
+    """Test-mode evaluation: binary predicts 1 iff sigma >= ``class_threshold``,
+    a number in [0, 1], multiclass predicts the argmax class."""
+    if not 0.0 <= class_threshold <= 1.0:
+        raise ValueError(f"class_threshold must be a number in [0, 1], got {class_threshold!r}")
     n_classes = _checked_classes(dataset, config.head, "evaluation")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for enc, y in dataset:

@@ -189,7 +189,7 @@ def test_criterion_4_oracle_equivalence():
         tokens = tuple(f"t{i}" for i in range(size))
         matrix = rng.normal(size=(size + 1, int(rng.integers(2, 6))))
         matrix[0] = 0.0
-        table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=matrix.shape[1])
+        table = EmbeddingTable(matrix=matrix, mode="self_learnt")
         vv = Vocabulary(tokens, max_len=4)
         token = f"t{int(rng.integers(size))}"
         k = int(rng.integers(1, size + 3))
@@ -207,7 +207,7 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_metric_exactness():
     vocab = Vocabulary(("pos", "neg"), max_len=2)
-    table = EmbeddingTable(matrix=np.array([[0.0], [1.0], [-1.0]]), mode="self_learnt", p=1)
+    table = EmbeddingTable(matrix=np.array([[0.0], [1.0], [-1.0]]), mode="self_learnt")
     config = ModelConfig(
         p=1, m=2, filter_widths=(2,), filters_per_width=4,
         hidden_sizes=(2, 1), dropout_rate=0.0, head="binary",

@@ -301,14 +301,35 @@ class TestDecisions:
         with pytest.raises(ValueError, match=r"^decide_multiclass needs 3-way-head day "
                                              r"predictions \(class_means\), not binary ones$"):
             decide_multiclass(dp, 0.5)
-        with pytest.raises(ValueError, match=r"^buy_scores\(binary=False\) needs 3-way-head"):
-            buy_scores(aggregate_daily([(0, "A", D0, 0.7)]), binary=False)
+        # buy_scores takes the head of the predictions, so it has no head to mismatch
+        assert buy_scores(aggregate_daily([(0, "A", D0, 0.7)])).tolist() == [0.7]
         dp = DayPrediction(asset="A", date=D0, n_headlines=1, class_means=(0.2, 0.3, 0.5))
         with pytest.raises(ValueError, match=r"^decide_binary needs binary-head day "
                                              r"predictions \(sigma_mean\), not 3-way ones$"):
             decide_binary(dp, 0.5)
-        with pytest.raises(ValueError, match=r"^buy_scores\(binary=True\) needs binary-head"):
-            buy_scores(aggregate_daily([(0, "A", D0, np.array([0.2, 0.3, 0.5]))]), binary=True)
+        assert buy_scores(aggregate_daily([(0, "A", D0, np.array([0.2, 0.3, 0.5]))])).tolist() == [0.5]
+        with pytest.raises(TypeError):
+            buy_scores(aggregate_daily([(0, "A", D0, 0.7)]), binary=True)
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "multiclass3"])
+    def test_buy_scores_follow_the_head_of_the_predictions(self, binary):
+        """A day's score exceeds t exactly when the ``decide_*`` rule of the
+        predictions' own head buys it at t."""
+        rng = np.random.default_rng(31)
+        preds = [(i, f"S{rng.integers(4)}", _day(int(rng.integers(6))),
+                  float(rng.random()) if binary else rng.dirichlet((1.0, 1.0, 1.0)))
+                 for i in range(120)]
+        preds.append((120, "S9", _day(9), 0.5 if binary else np.array([0.4, 0.2, 0.4])))  # a tie
+        dps = aggregate_daily(preds)
+        score = buy_scores(dps)
+        assert score.shape == (len(dps),) and score.dtype == np.float64
+        decide = decide_binary if binary else decide_multiclass
+        for t in (0.0, 0.2, 0.33, 0.4, 0.5, 0.7, 0.9):
+            assert (score > t).tolist() == [decide(dp, t) == BUY for dp in dps]
+        if binary:
+            assert score.tolist() == dps.means.tolist()
+        else:
+            assert score[-1] == -np.inf  # no threshold buys an argmax tie
 
 
 def _prices_for(returns_by_day):

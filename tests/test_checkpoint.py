@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from newsvane.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from newsvane.embeddings import init_self_learnt
 from newsvane.network import ModelConfig, init_parameters, param_layout
-from newsvane.text import Vocabulary
+from newsvane.text import Vocabulary, vocabulary_hash
 
 
 @pytest.fixture()
@@ -241,7 +241,9 @@ class TestValidation:
         pinned = "cb93c831ce286caed9e862c96cc7ad266c2cfb0fa5c8c016b5164dc054117c7a"
         assert json.loads(path.read_text())["vocab_hash"] == pinned
         assert pinned == hashlib.sha256(b"max_len=5\nalpha\t1\nbeta\t2\ngamma\t3\n").hexdigest()
-        assert load_checkpoint(path).vocab_hash == pinned
+        ckpt = load_checkpoint(path)  # the stored hash is checked here, then not kept
+        assert not hasattr(ckpt, "vocab_hash")
+        assert ckpt.vocab == vocab and vocabulary_hash(ckpt.vocab) == pinned
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

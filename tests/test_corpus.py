@@ -4,6 +4,7 @@ import datetime as dt
 import math
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,10 +24,35 @@ from newsvane.corpus import (
     write_headlines_csv,
     write_prices_csv,
 )
+from newsvane.pipeline import Sample
 
 
 def _headline(hid, asset, date, time, text="syn0 shares rally", relevance=1.0):
     return HeadlineRecord(id=hid, asset=asset, date=date, time=time, text=text, relevance=relevance)
+
+
+class _Label(NamedTuple):
+    """A headline's label in the fields the former per-bar label held: its
+    next bar's asset, date and return, and the two labels that
+    ``pipeline.Sample`` derives from that return."""
+
+    asset: str
+    trade_date: dt.date
+    next_day_return: float
+    binary_label: int
+    tri_label: str
+
+
+def _labels(headlines, prices):
+    """``label_all`` with each headline's bar position read as a ``_Label``."""
+    positions, skipped = label_all(headlines, prices)
+    labels = {}
+    for hid, pos in positions.items():
+        bar = prices.bars[pos]
+        sample = Sample(hid, bar.asset, None, bar.date, float(prices.returns[pos]), None)
+        labels[hid] = _Label(bar.asset, bar.date, sample.next_day_return, sample.binary_label,
+                             sample.tri_label)
+    return labels, skipped
 
 
 HEADLINE_CSV = """id,asset,date,time,relevance,text
@@ -324,8 +350,8 @@ class TestNextTradingDay:
         for h in headlines[:-1]:  # the next bar by a plain scan
             bar = min((b for b in prices if b.asset == h.asset and b.date > h.date),
                       key=lambda b: b.date)
-            assert first[0][h.id].trade_date == bar.date
-            assert first[0][h.id].next_day_return == (bar.close - bar.open) / bar.open
+            assert index.bars[first[0][h.id]].date == bar.date
+            assert index.returns[first[0][h.id]] == (bar.close - bar.open) / bar.open
 
     def test_returns_have_the_bits_of_the_python_expression(self):
         _, prices = generate_synthetic(
@@ -364,7 +390,7 @@ class TestLabeling:
         return _headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5))
 
     def _label(self, open_, close):
-        labels, skipped = label_all([self._headline()], self._prices(open_, close))
+        labels, skipped = _labels([self._headline()], self._prices(open_, close))
         assert skipped == []
         return labels[0]
 
@@ -410,7 +436,7 @@ class TestLabeling:
             _headline(0, "AAA", dt.date(2016, 1, 8), dt.time(9, 5)),
             _headline(1, "AAA", dt.date(2016, 1, 11), dt.time(9, 5)),  # beyond history
         ]
-        labels, skipped = label_all(heads, self._prices(100.0, 101.0))
+        labels, skipped = _labels(heads, self._prices(100.0, 101.0))
         assert skipped == [1]
         assert list(labels) == [0]
         assert (labels[0].asset, labels[0].trade_date, labels[0].binary_label) == (
@@ -458,7 +484,7 @@ class TestLabelAllOracle:
             for i, (asset, day, hour, minute) in enumerate(heads)
         ]
         order.shuffle(headlines)  # ids out of order too
-        labels, skipped = label_all(headlines, PriceIndex(prices))
+        labels, skipped = _labels(headlines, PriceIndex(prices))
         expected, expected_skipped = _reference_label_all(headlines, prices)
         assert labels == expected
         assert list(labels) == list(expected)
@@ -468,9 +494,10 @@ class TestLabelAllOracle:
         bars = [PriceBar("AAA", dt.date(2016, 1, 8), 100.0, 101.0),
                 PriceBar("AAA", dt.date(2016, 1, 11), 100.0, 99.0)]
         heads = [_headline(i, "AAA", dt.date(2016, 1, 8 + i), dt.time(9, 5)) for i in range(3)]
-        labels, skipped = label_all(heads, PriceIndex(bars))
-        assert labels[0] is labels[1] is labels[2]
-        assert labels[0] == ("AAA", dt.date(2016, 1, 11), -0.01, 0, "avoid")
+        index = PriceIndex(bars)
+        positions, skipped = label_all(heads, index)
+        assert positions == {0: 1, 1: 1, 2: 1}
+        assert _labels(heads, index)[0][0] == ("AAA", dt.date(2016, 1, 11), -0.01, 0, "avoid")
         assert skipped == []
 
     def test_duplicate_ids_rejected(self):
@@ -628,7 +655,7 @@ class TestSyntheticGenerator:
 
     @staticmethod
     def _agreement(headlines, prices):
-        labels, skipped = label_all(headlines, PriceIndex(prices))
+        labels, skipped = _labels(headlines, PriceIndex(prices))
         assert not skipped
         bullish = set(corpus._BULLISH_PHRASES)
         hits = sum(

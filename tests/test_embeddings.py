@@ -60,6 +60,33 @@ class TestSelfLearnt:
     def test_bad_std(self):
         with pytest.raises(ValueError):
             init_self_learnt(_vocab("a"), p=4, std=0.0, mean=0.0, seed=0)
+        # a non-finite mean or std would fill every row but the padding row with NaN or inf
+        for mean, std, message in ((0.0, float("inf"), "std"), (0.0, float("nan"), "std"),
+                                   (float("nan"), 0.1, "mean"), (float("inf"), 0.1, "mean"),
+                                   (float("-inf"), 0.1, "mean"), (0.0, -1.0, "std")):
+            with pytest.raises(ValueError, match=f"^{message} must be finite"):
+                init_self_learnt(_vocab("a"), p=4, std=std, mean=mean, seed=0)
+
+
+class TestEmbeddingTable:
+    def test_p_is_the_width_of_the_matrix(self):
+        table = EmbeddingTable(matrix=np.zeros((4, 8)), mode="self_learnt")
+        assert table.p == 8 and type(table.p) is int
+        table.matrix = np.zeros((4, 3))
+        assert table.p == 3
+        with pytest.raises(AttributeError):
+            table.p = 16
+        assert init_self_learnt(_vocab("a", "b"), p=5, mean=0.0, std=0.1, seed=3).p == 5
+
+    def test_p_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            EmbeddingTable(matrix=np.zeros((4, 8)), mode="self_learnt", p=16)
+        with pytest.raises(TypeError):  # once p, now it would land in pretrained_hit_count
+            EmbeddingTable(np.zeros((4, 8)), "self_learnt", 16)
+        with pytest.raises(TypeError):
+            EmbeddingTable(np.zeros((4, 8)), mode="self_learnt")
+        table = EmbeddingTable(matrix=np.zeros((4, 8)), mode="static", pretrained_hit_count=2)
+        assert (table.p, table.pretrained_hit_count, table.trainable) == (8, 2, False)
 
 
 class TestLoadPretrained:
@@ -256,7 +283,7 @@ def _per_token_load_pretrained(vocab, text, mode, seed):
             hits += 1
         else:
             matrix[index] = rng.normal(mu, sigma)
-    return EmbeddingTable(matrix=matrix, mode=mode, p=all_rows.shape[1], pretrained_hit_count=hits)
+    return EmbeddingTable(matrix=matrix, mode=mode, pretrained_hit_count=hits)
 
 
 _NAMES = st.sampled_from(["a", "b", "c", "d", "e", "f", "g"])
@@ -325,14 +352,12 @@ def test_one_normal_call_draws_as_successive_row_calls():
 
 class TestLookupConcat:
     def test_concatenation(self):
-        table = EmbeddingTable(
-            matrix=np.array([[0.0, 0.0], [3.0, 4.0]]), mode="self_learnt", p=2
-        )
+        table = EmbeddingTable(matrix=np.array([[0.0, 0.0], [3.0, 4.0]]), mode="self_learnt")
         enc = EncodedHeadline(indices=np.array([1, 0]), true_len=1)
         assert lookup_concat(enc, table).tolist() == [3.0, 4.0, 0.0, 0.0]
 
     def test_all_padding_gives_zero_vector(self):
-        table = EmbeddingTable(matrix=np.ones((3, 2)), mode="self_learnt", p=2)
+        table = EmbeddingTable(matrix=np.ones((3, 2)), mode="self_learnt")
         table.matrix[0] = 0.0
         enc = EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0)
         x = lookup_concat(enc, table)
@@ -340,14 +365,12 @@ class TestLookupConcat:
         assert not x.any()
 
     def test_repeated_token(self):
-        table = EmbeddingTable(
-            matrix=np.array([[0.0], [5.0], [7.0]]), mode="self_learnt", p=1
-        )
+        table = EmbeddingTable(matrix=np.array([[0.0], [5.0], [7.0]]), mode="self_learnt")
         enc = EncodedHeadline(indices=np.array([2, 2, 0]), true_len=2)
         assert lookup_concat(enc, table).tolist() == [7.0, 7.0, 0.0]
 
     def test_out_of_range_index(self):
-        table = EmbeddingTable(matrix=np.zeros((2, 1)), mode="self_learnt", p=1)
+        table = EmbeddingTable(matrix=np.zeros((2, 1)), mode="self_learnt")
         enc = EncodedHeadline(indices=np.array([5]), true_len=1)
         with pytest.raises(ValueError, match="corrupt"):
             lookup_concat(enc, table)
@@ -355,7 +378,7 @@ class TestLookupConcat:
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     def test_negative_index(self, dtype):
         # numpy would read index -1 as the last row
-        table = EmbeddingTable(matrix=np.arange(3.0)[:, None], mode="self_learnt", p=1)
+        table = EmbeddingTable(matrix=np.arange(3.0)[:, None], mode="self_learnt")
         enc = EncodedHeadline(indices=np.array([1, -1, 0], dtype=dtype), true_len=2)
         with pytest.raises(ValueError, match="corrupt"):
             lookup_concat(enc, table)
@@ -363,7 +386,7 @@ class TestLookupConcat:
 
 def _similarity(u, v):
     """The cosine similarity nearest_neighbors reports between two tokens."""
-    table = EmbeddingTable(matrix=np.vstack([np.zeros(len(u)), u, v]), mode="self_learnt", p=len(u))
+    table = EmbeddingTable(matrix=np.vstack([np.zeros(len(u)), u, v]), mode="self_learnt")
     [(token, sim)] = nearest_neighbors("u", 1, table, _vocab("u", "v"))
     assert token == "v"
     return sim
@@ -381,7 +404,7 @@ class TestCosineSimilarity:
 
     def test_zero_norm_rejected(self):
         table = EmbeddingTable(matrix=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
-                               mode="self_learnt", p=2)
+                               mode="self_learnt")
         with pytest.raises(ValueError, match="zero embedding vector"):
             nearest_neighbors("u", 1, table, _vocab("u", "v"))
         assert nearest_neighbors("v", 1, table, _vocab("u", "v")) == []  # zero row skipped
@@ -424,7 +447,7 @@ class TestNearestNeighbors:
         vocab = _vocab("a", "b", "c")
         table = EmbeddingTable(
             matrix=np.array([[0.0, 0.0], [1.0, 0.0], [0.9, 0.1], [0.0, 1.0]]),
-            mode="self_learnt", p=2,
+            mode="self_learnt",
         )
         result = nearest_neighbors("a", 1, table, vocab)
         assert_neighbors_match(result, _brute_force_neighbors("a", 1, table, vocab))
@@ -435,19 +458,19 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(5, 3))
         matrix[0] = 0.0
-        table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=3)
+        table = EmbeddingTable(matrix=matrix, mode="self_learnt")
         result = nearest_neighbors("b", 99, table, vocab)
         assert len(result) == 3
         assert_neighbors_match(result, _brute_force_neighbors("b", 99, table, vocab))
 
     def test_singleton_vocab_gives_empty(self):
         vocab = _vocab("only")
-        table = EmbeddingTable(matrix=np.array([[0.0], [1.0]]), mode="self_learnt", p=1)
+        table = EmbeddingTable(matrix=np.array([[0.0], [1.0]]), mode="self_learnt")
         assert nearest_neighbors("only", 3, table, vocab) == []
 
     def test_unknown_token(self):
         vocab = _vocab("a")
-        table = EmbeddingTable(matrix=np.ones((2, 2)), mode="self_learnt", p=2)
+        table = EmbeddingTable(matrix=np.ones((2, 2)), mode="self_learnt")
         with pytest.raises(KeyError):
             nearest_neighbors("zzz", 1, table, vocab)
 
@@ -457,7 +480,7 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(size)
         matrix = rng.normal(size=(size + 1, 8))
         matrix[0] = 0.0
-        table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=8)
+        table = EmbeddingTable(matrix=matrix, mode="self_learnt")
         for token in ("t0", f"t{size // 2}", f"t{size - 1}"):
             k = int(rng.integers(1, size))
             assert_neighbors_match(

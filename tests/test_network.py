@@ -89,7 +89,7 @@ def forward_pools(words, w):
     m = len(words)
     config = ModelConfig(p=1, m=m, filter_widths=(2, 3, 4), filters_per_width=1,
                          hidden_sizes=(2, 1), pool_w=w, head="binary")
-    table = EmbeddingTable(matrix=np.array([0.0, *words])[:, None], mode="static", p=1)
+    table = EmbeddingTable(matrix=np.array([0.0, *words])[:, None], mode="static")
     layout = param_layout(config)
     params = ModelParameters.from_flat(np.zeros(layout.size), layout)
     for h in config.filter_widths:
@@ -303,9 +303,7 @@ def _toy_setup():
         p=1, m=3, filter_widths=(2,), filters_per_width=4,
         hidden_sizes=(3, 2), dropout_rate=0.0, pool_w=2, head="binary",
     )
-    table = EmbeddingTable(
-        matrix=np.array([[0.0], [2.0], [-1.0]]), mode="non_static", p=1
-    )
+    table = EmbeddingTable(matrix=np.array([[0.0], [2.0], [-1.0]]), mode="non_static")
     enc = EncodedHeadline(indices=np.array([1, 2, 1]), true_len=3)
     layout = param_layout(config)
     params = ModelParameters.from_flat(np.zeros(layout.size), layout)
@@ -365,7 +363,7 @@ class TestForward:
             p=2, m=4, filter_widths=(2,), filters_per_width=4,
             hidden_sizes=(3, 2), dropout_rate=0.0, head="binary",
         )
-        table = EmbeddingTable(matrix=np.zeros((3, 2)), mode="self_learnt", p=2)
+        table = EmbeddingTable(matrix=np.zeros((3, 2)), mode="self_learnt")
         enc = EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0)
         params = init_parameters(config, np.random.default_rng(0))
         for name, arr in params.tensors():
@@ -400,7 +398,7 @@ class TestForward:
         config = ModelConfig(p=3, m=7, filter_widths=(4, 2), filters_per_width=2,
                              hidden_sizes=(6, 3), dropout_rate=0.3, pool_w=2, head=head)
         rng = np.random.default_rng(4)
-        table = EmbeddingTable(matrix=rng.normal(size=(5, 3)), mode="non_static", p=3)
+        table = EmbeddingTable(matrix=rng.normal(size=(5, 3)), mode="non_static")
         table.matrix[0] = 0.0
         params = init_parameters(config, rng)
         params.flat[:] += rng.normal(0.0, 0.3, size=params.flat.size)
@@ -456,7 +454,7 @@ def test_forward_feature_maps_match_naive_conv_and_pool(config, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(6, config.p))
     matrix[0] = 0.0
-    table = EmbeddingTable(matrix=matrix, mode="non_static", p=config.p)
+    table = EmbeddingTable(matrix=matrix, mode="non_static")
     true_len = int(rng.integers(0, config.m + 1))
     indices = np.zeros(config.m, dtype=np.int64)
     indices[:true_len] = rng.integers(1, 6, size=true_len)
@@ -489,9 +487,8 @@ class TestShapes:
             p=3, m=11, filter_widths=(2, 4, 5), filters_per_width=3,
             hidden_sizes=(8, 4), dropout_rate=0.0, pool_w=2, head="binary",
         )
-        table = EmbeddingTable(
-            matrix=np.random.default_rng(0).normal(size=(6, 3)), mode="self_learnt", p=3
-        )
+        table = EmbeddingTable(matrix=np.random.default_rng(0).normal(size=(6, 3)),
+                               mode="self_learnt")
         enc = EncodedHeadline(indices=np.array([1, 2, 3, 4, 5, 1, 2, 0, 0, 0, 0]), true_len=7)
         params = init_parameters(config, np.random.default_rng(1))
         _, cache = forward(enc, table, params, config, mode="train")
@@ -509,7 +506,7 @@ class TestShapes:
         config = ModelConfig(p=2, m=12, filter_widths=(3, 4), filters_per_width=2,
                              hidden_sizes=(6, 3), head="binary")
         table = EmbeddingTable(matrix=np.random.default_rng(2).normal(size=(5, 2)),
-                               mode="non_static", p=2)
+                               mode="non_static")
         params = init_parameters(config, np.random.default_rng(3))
         for shape in ((11,), (13,), (12, 1)):
             enc = EncodedHeadline(indices=np.ones(shape, dtype=np.int64), true_len=shape[0])
@@ -548,7 +545,7 @@ def _backward(cache, y, params, config, table):
 class TestBackwardContracts:
     def test_static_mode_embedding_block_zero(self):
         config, table, enc, params = _toy_setup()
-        static_table = EmbeddingTable(matrix=table.matrix.copy(), mode="static", p=1)
+        static_table = EmbeddingTable(matrix=table.matrix.copy(), mode="static")
         _, cache = forward(enc, static_table, params, config, mode="train")
         acc, acc_emb, rows = _backward(cache, 1, params, config, static_table)
         assert acc_emb is None and rows is None
@@ -580,7 +577,7 @@ class TestBackwardContracts:
         grads = {}
         for name, idx, mat in (("repeated", indices, matrix),
                                ("distinct", np.array([1, 2, 3, 4, 5, 6, 7, 0, 0]), distinct)):
-            table = EmbeddingTable(matrix=mat, mode="self_learnt", p=6)
+            table = EmbeddingTable(matrix=mat, mode="self_learnt")
             _, cache = forward(EncodedHeadline(indices=idx, true_len=7), table, params, config,
                                mode="train")
             grads[name] = _backward(cache, 2, params, config, table)
@@ -612,7 +609,7 @@ class TestBackwardContracts:
                              hidden_sizes=(4, 2), dropout_rate=0.3, head="binary")
         matrix = rng.normal(size=(8, 3))
         matrix[0] = 0.0
-        table = EmbeddingTable(matrix=matrix, mode="self_learnt", p=3)
+        table = EmbeddingTable(matrix=matrix, mode="self_learnt")
         params = init_parameters(config, rng)
         for y, indices in ((1, [1, 2, 3, 4, 5, 0, 0]), (0, [5, 5, 4, 0, 0, 0, 0])):
             enc = EncodedHeadline(indices=np.array(indices), true_len=int(np.count_nonzero(indices)))
@@ -786,7 +783,7 @@ def _assert_exact_pass(config, mode, true_len, with_rng, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(4, config.p))  # few rows, so tokens repeat
     matrix[0] = 0.0
-    table = EmbeddingTable(matrix=matrix, mode=mode, p=config.p)
+    table = EmbeddingTable(matrix=matrix, mode=mode)
     indices = np.zeros(config.m, dtype=np.int64)
     indices[:true_len] = rng.integers(1, 4, size=true_len)
     enc = EncodedHeadline(indices=indices, true_len=true_len)

@@ -12,8 +12,9 @@ from newsvane.corpus import (
     generate_synthetic,
     label_all,
     split_half_hourly_unique,
+    tri_label_of,
 )
-from newsvane.pipeline import prepare_dataset, to_pairs, validation_slice
+from newsvane.pipeline import Sample, prepare_dataset, to_pairs, validation_slice
 from newsvane.text import Vocabulary, build_vocabulary, encode_and_pad, tokenize
 
 
@@ -68,6 +69,39 @@ class TestPrepareDataset:
         assert str(err.value) == f"unknown head {head!r}, expected one of binary, multiclass3"
 
 
+def _former_bar_labels(ret):
+    """The binary and 3-way labels the former per-bar rule gave a bar of return ``ret``."""
+    if ret > 0.005:
+        tri = "buy"
+    elif ret < -0.005:
+        tri = "avoid"
+    else:
+        tri = "inconsequential"
+    return 1 if ret > 0 else 0, tri
+
+
+class TestSampleLabels:
+    @pytest.mark.parametrize("ret", [0.005, -0.005, 0.0, -0.0, 1e-12, -1e-12,
+                                     0.005000000000000001, -0.005000000000000001, 0.25, -0.25])
+    def test_labels_are_the_former_per_bar_rule_of_the_return(self, ret):
+        day = dt.date(2016, 1, 8)
+        sample = Sample(0, "A", day, day + dt.timedelta(days=3), ret, None)
+        assert (sample.binary_label, sample.tri_label) == _former_bar_labels(ret)
+        assert type(sample.binary_label) is int
+        assert sample.tri_label == tri_label_of(ret)
+
+    def test_labels_cannot_be_set_apart_from_the_return(self):
+        day = dt.date(2016, 1, 8)
+        with pytest.raises(TypeError):
+            Sample(0, "A", day, day, 0.01, None, 0, "avoid")
+        sample = Sample(0, "A", day, day, 0.01, None)
+        with pytest.raises(ValueError):
+            sample._replace(binary_label=0)
+        with pytest.raises(AttributeError):
+            sample.tri_label = "avoid"
+        assert sample._replace(next_day_return=-0.01).tri_label == "avoid"
+
+
 def _reference_rows(headlines, prices, portfolio, max_len):
     """prepare_dataset's rows as it built them before: a by-id map of the
     labeled headlines, read in sorted id order per role."""
@@ -81,10 +115,12 @@ def _reference_rows(headlines, prices, portfolio, max_len):
         vocab = Vocabulary(vocab.tokens, max_len)
 
     def row(hid, tokens):
-        h, lab = by_id[hid], labels[hid]
+        h, bar = by_id[hid], prices.bars[labels[hid]]
+        ret = (bar.close - bar.open) / bar.open
+        tri = "buy" if ret > 0.005 else "avoid" if ret < -0.005 else "inconsequential"
         enc = encode_and_pad(tokens, vocab)
-        return (hid, h.asset, h.date, lab.trade_date, lab.next_day_return, lab.binary_label,
-                lab.tri_label, enc.true_len, enc.indices.tolist())
+        return (hid, h.asset, h.date, bar.date, ret, 1 if ret > 0 else 0, tri,
+                enc.true_len, enc.indices.tolist())
 
     train = [row(hid, toks) for hid, toks in train_tokens.items()]
     test = [row(hid, tokenize(by_id[hid].text)) for hid in sorted(split.test_ids)]
@@ -109,7 +145,8 @@ class TestPrepareOracle:
         def rows(samples):
             for s in samples:
                 assert s.enc.indices.dtype == np.int64
-            return [(*s[:7], s.enc.true_len, s.enc.indices.tolist()) for s in samples]
+            return [(*s[:5], s.binary_label, s.tri_label, s.enc.true_len, s.enc.indices.tolist())
+                    for s in samples]
 
         assert prepared.vocab == vocab
         assert rows(prepared.train) == train

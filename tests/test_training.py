@@ -433,7 +433,7 @@ class TestSparseEmbeddingEquivalence:
             params = init_parameters(config, rng)
             runs = []
             for trainer in (train, _dense_reference_train):
-                table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=4)
+                table = EmbeddingTable(matrix=matrix.copy(), mode=mode)
                 run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
                 trainer(dataset, table, run_params, config, epochs=2, batch_size=8, seed=3, lr=0.01)
                 runs.append(run_params.flat.tobytes() + table.matrix.tobytes())
@@ -473,7 +473,7 @@ class TestSparseEmbeddingEquivalence:
         params = init_parameters(config, rng)
         runs, history = [], None
         for trainer in (train, _dense_reference_train):
-            table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=4)
+            table = EmbeddingTable(matrix=matrix.copy(), mode=mode)
             run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
             history = trainer(dataset, table, run_params, config, epochs=1,
                               batch_size=batch_size, seed=seed, lr=0.01)
@@ -598,7 +598,7 @@ def test_train_matches_former_row_sums_bit_for_bit(config, mode, monkeypatch):
     runs = []
     for trainer in (train, _former_train):
         steps.append([])
-        table = EmbeddingTable(matrix=matrix.copy(), mode=mode, p=config.p)
+        table = EmbeddingTable(matrix=matrix.copy(), mode=mode)
         run_params = ModelParameters.from_flat(params.flat.copy(), params.layout)
         trainer(dataset, table, run_params, config, epochs=2, batch_size=batch_size, seed=seed,
                 lr=0.01)
@@ -649,7 +649,7 @@ class TestBatchSum:
                              head="binary")
         matrix = np.random.default_rng(6).normal(size=(5, 2))
         matrix[0] = 0.0
-        table = EmbeddingTable(matrix=matrix.copy(), mode="non_static", p=2)
+        table = EmbeddingTable(matrix=matrix.copy(), mode="non_static")
         params = init_parameters(config, np.random.default_rng(7))
         before = params.flat.copy()
         dataset = [(EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0), 1)] * 3
@@ -667,7 +667,7 @@ def test_train_allocates_nothing_the_size_of_the_table():
                          hidden_sizes=(5, 3), dropout_rate=0.25, head="binary")
     matrix = rng.normal(0.0, 0.1, size=(50_000, 64))
     matrix[0] = 0.0
-    table = EmbeddingTable(matrix=matrix, mode="non_static", p=64)
+    table = EmbeddingTable(matrix=matrix, mode="non_static")
     params = init_parameters(config, rng)
     dataset = []
     for _ in range(48):
@@ -689,7 +689,7 @@ def test_train_allocates_nothing_the_size_of_the_table():
 def _fixture_model():
     """Hand-built model that predicts 1 exactly when the first token is 'pos'."""
     vocab = Vocabulary(("pos", "neg"), max_len=2)
-    table = EmbeddingTable(matrix=np.array([[0.0], [1.0], [-1.0]]), mode="self_learnt", p=1)
+    table = EmbeddingTable(matrix=np.array([[0.0], [1.0], [-1.0]]), mode="self_learnt")
     config = ModelConfig(
         p=1, m=2, filter_widths=(2,), filters_per_width=4,
         hidden_sizes=(2, 1), dropout_rate=0.0, head="binary",
@@ -738,6 +738,20 @@ class TestEvaluate:
         sigma = 1.0 / (1.0 + math.exp(-2.0))
         report = evaluate([(pos, 1)], table, params, config, class_threshold=sigma)
         assert report.tp == 1  # predict 1 iff sigma >= threshold
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.01, 1.01])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        """NaN and thresholds above 1 once scored every sample as class 0, and
+        thresholds below 0 every sample as class 1."""
+        _, table, config, params, pos, neg = _fixture_model()
+        with pytest.raises(ValueError, match=r"^class_threshold must be a number in \[0, 1\]"):
+            evaluate([(pos, 1), (neg, 0)], table, params, config, class_threshold=threshold)
+
+    def test_threshold_bounds_accepted(self):
+        _, table, config, params, pos, neg = _fixture_model()
+        dataset = [(pos, 1), (neg, 0)]
+        assert evaluate(dataset, table, params, config, class_threshold=0.0).tp == 1
+        assert evaluate(dataset, table, params, config, class_threshold=1.0).tp == 0
 
     def test_metrics_recomputable_from_counts(self):
         report = confusion_metrics(np.array([[4, 1], [2, 3]]))
