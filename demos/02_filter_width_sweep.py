@@ -8,6 +8,7 @@ plot-ready CSV next to this script.
 """
 
 import functools
+from dataclasses import asdict
 from pathlib import Path
 
 from newsvane import (
@@ -19,8 +20,9 @@ from newsvane import (
     prepare_dataset,
     to_pairs,
 )
+from newsvane.fileio import json_text, write_text_atomic
 from newsvane.pipeline import validation_slice
-from newsvane.training import grid_search, write_grid_results
+from newsvane.training import grid_csv, grid_search
 
 SEED = 7
 ROOT = Path(__file__).resolve().parent.parent  # paths are printed relative to it
@@ -62,7 +64,9 @@ for r in results:
     print(f"  h={r.widths[0]}   {r.accuracy:.4f}   {r.f1:.4f}")
 
 OUT.mkdir(exist_ok=True)
-write_grid_results(results, OUT / "width_sweep.csv", OUT / "width_sweep_best.json")
+write_text_atomic(OUT / "width_sweep.csv", grid_csv(results))
+write_text_atomic(OUT / "width_sweep_best.json",
+                  json_text({"best": asdict(results[0]), "n_cells": len(results)}))
 print(f"\nwrote {(OUT / 'width_sweep.csv').relative_to(ROOT)} "
       "(one row per width, plot accuracy/F1 vs h)")
 print(

@@ -26,7 +26,8 @@ from newsvane import (
     to_pairs,
     train,
 )
-from newsvane.backtest import default_threshold_grid, threshold_sweep, write_sweep_csv
+from newsvane.backtest import default_threshold_grid, sweep_csv, threshold_sweep
+from newsvane.fileio import write_text_atomic
 from newsvane.seeding import derive_seed
 
 SEED = 13
@@ -80,6 +81,6 @@ for head, name in (("binary", "binary buy threshold"), ("multiclass3", "3-class 
     print(f"  best PP  {best_pp.pp_pct:.1f}% at t={best_pp.t:.2f} ({best_pp.n_trades} trades)")
     print(f"  best ATP {best_atp.atp_pct:.4f}% at t={best_atp.t:.2f} ({best_atp.n_trades} trades)")
 
-write_sweep_csv(sweeps["binary"], OUT / "binary_threshold_sweep.csv")
-write_sweep_csv(sweeps["multiclass3"], OUT / "multiclass_threshold_sweep.csv")
+write_text_atomic(OUT / "binary_threshold_sweep.csv", sweep_csv(sweeps["binary"]))
+write_text_atomic(OUT / "multiclass_threshold_sweep.csv", sweep_csv(sweeps["multiclass3"]))
 print(f"\nwrote sweep CSVs to {OUT.relative_to(ROOT)}/ (plot PP and ATP against t)")

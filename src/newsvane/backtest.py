@@ -30,14 +30,13 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .allocation import collector_paused
 from .corpus import TRI_BUY, TRI_CLASSES, PriceIndex
-from .fileio import csv_text, write_text_atomic
+from .fileio import csv_text
 
 BUY = "buy"
 NO_ACTION = "no_action"
@@ -436,7 +435,3 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
         [repr(r.t), repr(r.pp_pct), repr(r.atp_pct), repr(r.total_return_pct), r.n_trades]
         for r in rows
     ))
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    write_text_atomic(path, sweep_csv(rows))

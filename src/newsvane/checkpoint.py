@@ -26,13 +26,14 @@ from numpy.lib import format as npy_format
 from .embeddings import MODES, EmbeddingTable
 from .fileio import (
     CONVERTERS,
+    json_text,
     open_atomic,
     read_json,
     read_object,
     strict_int,
     strict_object,
     strict_str,
-    write_json_atomic,
+    write_text_atomic,
 )
 from .network import ModelConfig, ModelParameters, param_layout
 from .text import Vocabulary, vocabulary_hash
@@ -155,7 +156,7 @@ def save_checkpoint(
         "sidecar": {"name": sidecar.name, "sha256": _write_sidecar(sidecar, arrays)},
         "training_meta": training_meta or {},
     }
-    write_json_atomic(path, payload)
+    write_text_atomic(path, json_text(payload))
 
 
 def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None) -> Checkpoint:

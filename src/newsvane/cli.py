@@ -16,7 +16,7 @@ import datetime as dt
 import functools
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -28,6 +28,7 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .fileio import (
     CONVERTERS,
     csv_text,
+    json_text,
     list_of,
     optional,
     read_csv,
@@ -36,12 +37,11 @@ from .fileio import (
     strict_int,
     strict_number,
     strict_str,
-    write_json_atomic,
     write_text_atomic,
 )
 from .network import HEAD_BINARY, HEAD_MULTICLASS3, HEADS, ModelConfig, forward, init_parameters
 from .seeding import derive_seed
-from .text import PAD_TOKEN, save_vocabulary
+from .text import PAD_TOKEN, vocabulary_to_text
 
 
 class ConfigError(ValueError):
@@ -215,6 +215,11 @@ def _model_config(cfg: RunConfig, m: int, config_path: str | Path) -> ModelConfi
 
 # --- subcommands ------------------------------------------------------------
 
+# A config-driven command takes the run config ``main`` read and returns its
+# outputs, {file name under out_dir: text}, and its report lines; ``main``
+# writes the outputs, then prints the report: a run that fails before then writes nothing.
+Outputs = tuple[dict[str, str], list[str]]
+
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if min(args.n_assets, args.n_days, args.headlines_per_day) < 1:
@@ -233,41 +238,36 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_prepare(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_prepare(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
     prepared, _ = _prepare(cfg)
     _model_config(cfg, prepared.vocab.max_len, args.config)
-    out = cfg.out_dir
-    save_vocabulary(prepared.vocab, out / "vocab.tsv")
-    write_json_atomic(
-        out / "split.json",
-        {
-            "train_ids": sorted(prepared.split.train_ids),
-            "test_ids": sorted(prepared.split.test_ids),
-            "test_dates": [d.isoformat() for d in prepared.split.test_dates],
-            "n_unlabeled": prepared.n_unlabeled,
-        },
-    )
-    write_text_atomic(out / "samples.csv", csv_text(
+    files = {"vocab.tsv": vocabulary_to_text(prepared.vocab)}
+    files["split.json"] = json_text({
+        "train_ids": sorted(prepared.split.train_ids),
+        "test_ids": sorted(prepared.split.test_ids),
+        "test_dates": [d.isoformat() for d in prepared.split.test_dates],
+        "n_unlabeled": prepared.n_unlabeled,
+    })
+    files["samples.csv"] = csv_text(
         ["headline_id", "asset", "date", "trade_date", "next_day_return",
          "binary_label", "tri_label", "role", "true_len"],
         ([s.headline_id, s.asset, s.date.isoformat(), s.trade_date.isoformat(),
           repr(s.next_day_return), s.binary_label, s.tri_label, role, s.enc.true_len]
          for role, samples in (("train", prepared.train), ("test", prepared.test)) for s in samples),
-    ))
-    print(
+    )
+    return files, [
         f"vocab size {prepared.vocab.size}, max_len {prepared.vocab.max_len}; "
         f"{len(prepared.train)} train / {len(prepared.test)} test samples "
-        f"on {len(prepared.split.test_dates)} test dates; wrote {out}/"
-    )
-    return 0
+        f"on {len(prepared.split.test_dates)} test dates; wrote {cfg.out_dir}/"
+    ]
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
+    """Also saves the checkpoint, once every other output has been computed."""
     prepared, _ = _prepare(cfg)
     vocab = prepared.vocab
     model_config = _model_config(cfg, vocab.max_len, args.config)
+    files, report = {}, []
 
     if cfg.grid is not None:
         if cfg.select_on_test:
@@ -287,11 +287,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             lr=cfg.learning_rate,
             parallel=args.parallel,
         )
-        training.write_grid_results(
-            results, cfg.out_dir / "grid.csv", cfg.out_dir / "grid_summary.json"
-        )
         best = results[0]
-        print(
+        files["grid.csv"] = training.grid_csv(results)
+        files["grid_summary.json"] = json_text({"best": asdict(best), "n_cells": len(results)})
+        report.append(
             f"grid search: {len(results)} cells; best widths={best.widths} mode={best.mode} "
             f"dropout={best.dropout} epochs={best.epochs} f1={best.f1:.4f}"
         )
@@ -310,26 +309,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     metrics = training.evaluate(
         pipeline.to_pairs(prepared.test, cfg.head), table, params, model_config
     )
+    files["metrics.json"] = json_text(metrics.to_dict())
+    files["trace.csv"] = csv_text(
+        ["epoch", "mean_loss", "accuracy"],
+        ([row.epoch, repr(row.mean_loss), repr(row.accuracy)] for row in result.trace),
+    )
 
-    out = cfg.out_dir
     save_checkpoint(
-        out / "checkpoint.json", model_config, vocab, table, params,
+        cfg.out_dir / "checkpoint.json", model_config, vocab, table, params,
         training_meta={
             "epochs": cfg.epochs, "batch_size": cfg.batch_size,
             "learning_rate": cfg.learning_rate, "seed": cfg.seed,
             "embedding_mode": cfg.embedding_mode,
         },
     )
-    write_json_atomic(out / "metrics.json", metrics.to_dict())
-    write_text_atomic(out / "trace.csv", csv_text(
-        ["epoch", "mean_loss", "accuracy"],
-        ([row.epoch, repr(row.mean_loss), repr(row.accuracy)] for row in result.trace),
-    ))
-    print(
+    report.append(
         f"trained {cfg.epochs} epochs on {len(prepared.train)} samples; "
-        f"test accuracy {metrics.accuracy:.4f}, f1 {metrics.f1:.4f}; wrote {out}/"
+        f"test accuracy {metrics.accuracy:.4f}, f1 {metrics.f1:.4f}; wrote {cfg.out_dir}/"
     )
-    return 0
+    return files, report
 
 
 def _checkpoint_run(
@@ -354,19 +352,19 @@ def _checkpoint_run(
     return ckpt, prepared, prices
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
     ckpt, prepared, _ = _checkpoint_run(cfg, args)
+    _require(args.class_threshold == 0.5 or ckpt.config.head == HEAD_BINARY,
+             f"--class-threshold applies to the binary head only; the checkpoint's head "
+             f"{ckpt.config.head!r} predicts the argmax class")
     metrics = training.evaluate(
         pipeline.to_pairs(prepared.test, ckpt.config.head), ckpt.table, ckpt.params,
         ckpt.config, class_threshold=args.class_threshold,
     )
-    write_json_atomic(cfg.out_dir / "metrics.json", metrics.to_dict())
-    print(
+    return {"metrics.json": json_text(metrics.to_dict())}, [
         f"test accuracy {metrics.accuracy:.4f}, precision {metrics.precision:.4f}, "
         f"recall {metrics.recall:.4f}, f1 {metrics.f1:.4f} over {metrics.n_samples} samples"
-    )
-    return 0
+    ]
 
 
 def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> list:
@@ -413,32 +411,26 @@ def _day_predictions(
     return day_preds, prices
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
     day_preds, prices = _day_predictions(cfg, args)
     score = bt.buy_scores(day_preds)
     buys = map(day_preds.__getitem__, np.flatnonzero(score > cfg.threshold).tolist())
     report = bt.simulate([(dp.asset, dp.date, bt.BUY) for dp in buys], prices)
-    write_json_atomic(cfg.out_dir / "report.json", report.to_dict())
-    print(
+    return {"report.json": json_text(report.to_dict())}, [
         f"{report.n_trades} trades; total return {report.total_return_pct:.2f}%, "
         f"PP {report.pp_pct:.2f}%, ATP {report.atp_pct:.4f}%"
-    )
-    return 0
+    ]
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, args)
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
     day_preds, prices = _day_predictions(cfg, args)
     grid = bt.default_threshold_grid(day_preds.binary, step=cfg.sweep_step)
     rows = bt.threshold_sweep(day_preds, prices, grid)
-    bt.write_sweep_csv(rows, cfg.out_dir / "sweep.csv")
     best = max(rows, key=lambda r: r.atp_pct)
-    print(
+    return {"sweep.csv": bt.sweep_csv(rows)}, [
         f"{len(rows)} thresholds; best ATP {best.atp_pct:.4f}% at t={best.t:.2f} "
         f"({best.n_trades} trades); wrote {cfg.out_dir / 'sweep.csv'}"
-    )
-    return 0
+    ]
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
@@ -516,16 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-threshold", type=_probability, default=0.5)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("backtest", parents=run, help="simulate the trading strategy")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--predictions", default=None,
-                   help="standalone predictions CSV (asset,date,p0[,p1,p2]) instead of a checkpoint")
-    p.set_defaults(func=cmd_backtest)
-
-    p = sub.add_parser("sweep", parents=run, help="threshold sweep over the strategy grid")
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--predictions", default=None)
-    p.set_defaults(func=cmd_sweep)
+    for name, func, about in (("backtest", cmd_backtest, "simulate the trading strategy"),
+                              ("sweep", cmd_sweep, "threshold sweep over the strategy grid")):
+        p = sub.add_parser(name, parents=run, help=about)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--checkpoint", default=None)
+        source.add_argument("--predictions", default=None, help="standalone predictions CSV "
+                            "(asset,date,p0[,p1,p2]) instead of a checkpoint")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck", parents=[seed],
                        help="verify analytic gradients against finite differences")
@@ -543,7 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "config" not in args:
+            return args.func(args)
+        cfg = load_run_config(args.config, args)
+        files, report = args.func(cfg, args)
+        for name, text in files.items():
+            write_text_atomic(cfg.out_dir / name, text)
+        print("\n".join(report))
+        return 0
     except training.NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,9 +1,11 @@
-"""Atomic file writers and the readers every input file enters through.
+"""Atomic file writers, the text of CSV and JSON outputs, and the readers
+every input file enters through.
 
-All machine outputs (CSV, JSON, checkpoints and their sidecars) go through
-these helpers: the content is written to a temporary file in the target
-directory and renamed into place, so a crashed run never leaves a truncated
-report behind. Every text input is opened as UTF-8 by ``open_text``; CSV
+All machine outputs (CSV, JSON, checkpoints and their sidecars) are written
+through ``open_atomic``: the content is written to a temporary file in the
+target directory and renamed into place, so a crashed run never leaves a
+truncated report behind. ``csv_text`` and ``json_text`` build the text of
+CSV and JSON outputs. Every text input is opened as UTF-8 by ``open_text``; CSV
 inputs are read by ``read_csv``, and JSON inputs by ``read_json`` and then
 ``read_object`` with the strict converters below.
 """
@@ -66,9 +68,9 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def write_json_atomic(path: str | Path, payload: Any) -> None:
-    """Write JSON with sorted keys so identical payloads are byte-identical."""
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def json_text(payload: Any) -> str:
+    """JSON text with sorted keys, so identical payloads give identical bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @contextmanager

@@ -13,12 +13,9 @@ import hashlib
 import itertools
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-from .fileio import write_text_atomic
 
 PAD_TOKEN = "<pad>"
 
@@ -148,10 +145,6 @@ def vocabulary_to_text(vocab: Vocabulary) -> str:
     """Serialize as a header line ``max_len=<m>`` plus ``token<TAB>index`` rows."""
     return f"max_len={vocab.max_len}\n" + "".join(
         [f"{tok}\t{i}\n" for i, tok in enumerate(vocab.tokens, 1)])
-
-
-def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    write_text_atomic(path, vocabulary_to_text(vocab))
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:

@@ -11,15 +11,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .embeddings import MODE_STATIC, EmbeddingTable
-from .fileio import csv_text, write_json_atomic, write_text_atomic
+from .fileio import csv_text
 from .network import (
     HEAD_BINARY,
     HEAD_MULTICLASS3,
@@ -379,9 +378,13 @@ def evaluate(
     class_threshold: float = 0.5,
 ) -> MetricsReport:
     """Test-mode evaluation: binary predicts 1 iff sigma >= ``class_threshold``,
-    a number in [0, 1], multiclass predicts the argmax class."""
+    a number in [0, 1], multiclass predicts the argmax class and takes no
+    threshold but the default."""
     if not 0.0 <= class_threshold <= 1.0:
         raise ValueError(f"class_threshold must be a number in [0, 1], got {class_threshold!r}")
+    if class_threshold != 0.5 and config.head != HEAD_BINARY:
+        raise ValueError(f"class_threshold applies to the binary head only; the {config.head!r} "
+                         f"head predicts the argmax class, got {class_threshold!r}")
     n_classes = _checked_classes(dataset, config.head, "evaluation")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for enc, y in dataset:
@@ -517,10 +520,9 @@ def grid_search(
     return results
 
 
-def write_grid_results(results: list[GridResult], csv_path: str | Path, summary_path: str | Path) -> None:
-    write_text_atomic(csv_path, csv_text(
+def grid_csv(results: list[GridResult]) -> str:
+    return csv_text(
         ["config_id", "widths", "mode", "dropout", "epochs", "accuracy", "f1"],
         ([r.config_id, "|".join(str(h) for h in r.widths), r.mode, repr(r.dropout),
           r.epochs, repr(r.accuracy), repr(r.f1)] for r in results),
-    ))
-    write_json_atomic(summary_path, {"best": asdict(results[0]), "n_cells": len(results)})
+    )

@@ -255,6 +255,33 @@ class TestTrain:
         assert not {s.date for s in fit} & {s.date for s in selection}
         assert not set(ids(fit) + ids(selection)) & prepared.split.test_ids
 
+    def test_failed_fit_after_the_grid_writes_and_prints_nothing(self, workspace, tmp_path,
+                                                                 capsys, monkeypatch):
+        """A numeric failure in the fit after a 4-cell grid exits 3 before any
+        output, the grid's included, is written and before the grid line prints."""
+        _, _, _, _, config = workspace
+        real_train, calls = training.train, []
+
+        def train(*args, **kwargs):
+            calls.append(kwargs["epochs"])
+            if len(calls) > 4:  # the grid's cells train first
+                raise training.NumericError("non-finite gradient for tensor 'w_out'")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", train)
+        cfg = json.loads(json.dumps(config))
+        cfg["paths"]["out_dir"] = str(tmp_path / "out")
+        cfg["training"].update(epochs=1, grid={"width_sets": [[2], [2, 3]],
+                                               "dropout": [0.0, 0.25]})
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert len(calls) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite gradient for tensor 'w_out'\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvaluate:
     def test_metrics_written(self, workspace, tmp_path):
@@ -265,6 +292,32 @@ class TestEvaluate:
         ]) == 0
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert set(metrics) >= {"accuracy", "precision", "recall", "f1"}
+
+    def test_class_threshold_is_refused_for_the_3_way_head(self, workspace, tmp_path, capsys):
+        """The 3-way head predicts the argmax class and would ignore the
+        threshold; the binary head takes it."""
+        _, config_path, _, out, config = workspace
+        binary = ["evaluate", "--config", str(config_path), "--checkpoint",
+                  str(out / "checkpoint.json"), "--out-dir", str(tmp_path / "binary")]
+        assert cli.main([*binary, "--class-threshold", "0.99"]) == 0
+        assert (tmp_path / "binary" / "metrics.json").exists()
+
+        cfg = json.loads(json.dumps(config))
+        cfg["model"]["head"] = "multiclass3"
+        cfg["paths"]["out_dir"] = str(tmp_path / "tri")
+        cfg["training"]["epochs"] = 1
+        cfg_path = tmp_path / "tri.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        tri = ["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "eval"),
+               "--checkpoint", str(tmp_path / "tri" / "checkpoint.json")]
+        assert cli.main([*tri, "--class-threshold", "0.99"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --class-threshold applies to the binary head only; "
+            "the checkpoint's head 'multiclass3' predicts the argmax class\n")
+        assert not (tmp_path / "eval").exists()
+        assert cli.main(tri) == 0
 
 
 class TestBacktest:
@@ -633,6 +686,33 @@ class TestUnreadableFiles:
         assert capsys.readouterr().err == f"error: {target}: Permission denied\n"
 
 
+class TestMainWritesTheOutputs:
+    def test_each_command_reads_its_config_once(self, workspace, tmp_path, monkeypatch):
+        _, _, _, _, config = workspace
+        cfg = json.loads(json.dumps(config))
+        cfg["paths"]["out_dir"] = str(tmp_path / "out")
+        cfg["training"]["epochs"] = 1
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        real, calls = cli.load_run_config, []
+        monkeypatch.setattr(cli, "load_run_config",
+                            lambda path, args: calls.append(path) or real(path, args))
+        for command in ("prepare", "train", "evaluate", "backtest", "sweep"):
+            calls.clear()
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
+            assert calls == [str(cfg_path)], command
+
+    def test_output_that_is_a_directory_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        _, config_path, _, out, _ = workspace
+        (tmp_path / "metrics.json").mkdir()
+        assert cli.main(["evaluate", "--config", str(config_path), "--checkpoint",
+                         str(out / "checkpoint.json"), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / 'metrics.json'}: Is a directory\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]  # no temporary left
+
+
 class TestByteOrderMark:
     @pytest.mark.parametrize("kind", ["headlines", "prices", "predictions", "config", "checkpoint",
                                       "vectors"])
@@ -760,6 +840,20 @@ class TestUsageErrors:
             cli.main([*argv, flag, value])
         assert exc.value.code == 2
         assert not (tmp_path / "zz").exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    def test_checkpoint_and_predictions_are_exclusive(self, workspace, tmp_path, capsys,
+                                                      command):
+        _, config_path, _, _, _ = workspace
+        (tmp_path / "preds.csv").write_text("asset,date,p0\nSYN0,2015-01-05,0.9\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(config_path), "--out-dir", str(tmp_path / "out"),
+                      "--predictions", str(tmp_path / "preds.csv"),
+                      "--checkpoint", str(tmp_path / "nonexistent" / "ckpt.json")])
+        assert exc.value.code == 2
+        assert "argument --checkpoint: not allowed with argument --predictions" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

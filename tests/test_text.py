@@ -16,7 +16,6 @@ from newsvane.text import (
     Vocabulary,
     build_vocabulary,
     encode_and_pad,
-    save_vocabulary,
     tokenize,
     vocabulary_hash,
     vocabulary_to_text,
@@ -119,12 +118,11 @@ class TestVocabulary:
         assert vocab.tokens == tuple(word_to_index)
         assert vocab.max_len == max_len
 
-    def test_serialization_format(self, tmp_path):
+    def test_serialization_format(self):
         vocab = build_vocabulary([["alpha", "beta"], ["beta", "gamma", "alpha"]], max_len=None)
-        path = tmp_path / "vocab.tsv"
-        save_vocabulary(vocab, path)
-        assert path.read_text() == "max_len=3\nalpha\t1\nbeta\t2\ngamma\t3\n"
-        assert vocabulary_hash(vocab) == hashlib.sha256(path.read_bytes()).hexdigest()
+        text = vocabulary_to_text(vocab)
+        assert text == "max_len=3\nalpha\t1\nbeta\t2\ngamma\t3\n"
+        assert vocabulary_hash(vocab) == hashlib.sha256(text.encode()).hexdigest()
         assert vocabulary_hash(Vocabulary(vocab.tokens, 4)) != vocabulary_hash(vocab)
 
     def test_hash_from_the_token_list_is_pinned(self):

@@ -753,6 +753,18 @@ class TestEvaluate:
         assert evaluate(dataset, table, params, config, class_threshold=0.0).tp == 1
         assert evaluate(dataset, table, params, config, class_threshold=1.0).tp == 0
 
+    def test_threshold_refused_for_the_3_way_head(self):
+        """The 3-way head predicts the argmax class, so a threshold other than
+        the default would be ignored; it is refused instead."""
+        _, table, config, _, pos, neg = _fixture_model()
+        config = replace(config, head="multiclass3")
+        params = init_parameters(config, np.random.default_rng(0))
+        dataset = [(pos, 2), (neg, 0)]
+        with pytest.raises(ValueError, match=r"^class_threshold applies to the binary head only; "
+                                             r"the 'multiclass3' head predicts the argmax class"):
+            evaluate(dataset, table, params, config, class_threshold=0.7)
+        assert evaluate(dataset, table, params, config, class_threshold=0.5).n_samples == 2
+
     def test_metrics_recomputable_from_counts(self):
         report = confusion_metrics(np.array([[4, 1], [2, 3]]))
         assert (report.tp, report.fp, report.fn, report.tn) == (3, 1, 2, 4)
