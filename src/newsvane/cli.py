@@ -39,7 +39,7 @@ from .fileio import (
     strict_str,
     write_text_atomic,
 )
-from .network import HEAD_BINARY, HEAD_MULTICLASS3, HEADS, ModelConfig, forward, init_parameters
+from .network import HEAD_BINARY, ModelConfig, forward, init_parameters
 from .seeding import derive_seed
 from .text import PAD_TOKEN, vocabulary_to_text
 
@@ -78,7 +78,6 @@ class RunConfig:
     grid: training.GridAxes | None = None
     # strategy
     threshold: float = 0.5
-    strategy_head: str | None = None
     sweep_step: float = 0.01
 
 
@@ -95,7 +94,7 @@ _SECTIONS: dict[str, dict[str, str]] = {
                              "embedding_mode", "embedding_init_mean", "embedding_init_std")},
     "training": {k: k for k in ("seed", "epochs", "batch_size", "learning_rate",
                                 "validation_fraction", "select_on_test", "grid")},
-    "strategy": {"threshold": "threshold", "head": "strategy_head", "sweep_step": "sweep_step"},
+    "strategy": {"threshold": "threshold", "sweep_step": "sweep_step"},
 }
 _GRID_AXES: dict[str, Callable] = {
     "epochs": list_of(strict_int), "dropout": list_of(strict_number),
@@ -166,9 +165,6 @@ def load_run_config(path: str | Path, args: argparse.Namespace) -> RunConfig:
                                                f"expected one of {', '.join(embeddings.MODES)}")
             _require(mode == embeddings.MODE_SELF_LEARNT or cfg.pretrained_path is not None,
                      f"paths.pretrained: embedding mode {mode!r} ({key}) requires a vector file")
-        if cfg.strategy_head is not None:
-            _require(cfg.strategy_head in HEADS,
-                     f"strategy.head: unknown strategy head {cfg.strategy_head!r}")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
@@ -187,6 +183,8 @@ def _build_table(cfg: RunConfig, vocab, mode: str, seed: int) -> embeddings.Embe
 def _prepare(cfg: RunConfig) -> tuple[pipeline.PreparedData, corpus.PriceIndex]:
     """The prepared data and the price index it was labeled with, for the backtests."""
     prices = corpus.load_prices(cfg.prices_path)
+    missing = ", ".join(repr(ticker) for ticker in cfg.portfolio if not prices.has_asset(ticker))
+    _require(not missing, f"portfolio: no price bars for {missing} in {cfg.prices_path}")
     headlines = corpus.load_headlines(cfg.headlines_path, cfg.min_relevance)
     return pipeline.prepare_dataset(headlines, prices, set(cfg.portfolio), max_len=cfg.max_len), prices
 
@@ -320,7 +318,6 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
         training_meta={
             "epochs": cfg.epochs, "batch_size": cfg.batch_size,
             "learning_rate": cfg.learning_rate, "seed": cfg.seed,
-            "embedding_mode": cfg.embedding_mode,
         },
     )
     report.append(
@@ -333,8 +330,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
 def _checkpoint_run(
     cfg: RunConfig, args: argparse.Namespace
 ) -> tuple[Checkpoint, pipeline.PreparedData, corpus.PriceIndex]:
-    """The checkpoint to run, the prepared data and the price index it runs
-    on, each read once, checked against each other."""
+    """The checkpoint to run (``--checkpoint``, else ``checkpoint.json`` in the
+    output directory, which ``--out-dir`` moves too), the prepared data and the
+    price index it runs on, each read once, checked against each other."""
     ckpt = load_checkpoint(args.checkpoint or cfg.out_dir / "checkpoint.json")
     # widths/dropout/epochs may come from a grid search, but the embedding
     # dimension and the head must agree with the config driving this run
@@ -367,10 +365,10 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
     ]
 
 
-def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> list:
+def _read_predictions_csv(path: Path, head: str, prices: corpus.PriceIndex) -> list:
     """The (line, asset, date, output) rows of a predictions CSV, whose header
-    names the head: p0 alone for the binary head, p0,p1,p2 for the 3-way head.
-    Every row needs a price bar of its asset after its date, to trade on."""
+    must be ``head``'s: p0 alone for the binary head, p0,p1,p2 for the 3-way
+    head. Every row needs a price bar of its asset after its date, to trade on."""
     rows: list[tuple[int, str, dt.date, float | np.ndarray]] = []
 
     def parse(line: int, row: list[str]) -> None:
@@ -379,7 +377,9 @@ def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> list:
         if not all(0.0 <= v <= 1.0 for v in values):
             raise ValueError(f"probabilities must lie in [0, 1], got {values}")
         rows.append((line, asset, date, values[0] if len(values) == 1 else np.array(values)))
-    read_csv(path, (["asset", "date", "p0"], ["asset", "date", "p0", "p1", "p2"]), parse)
+    header = read_csv(path, (["asset", "date", "p0"], ["asset", "date", "p0", "p1", "p2"]), parse)
+    if (header[-1] == "p0") != (head == HEAD_BINARY):  # p0 alone is the binary head's
+        raise ConfigError(f"{path}: header {','.join(header)} does not match model.head {head!r}")
     if not rows:
         raise ConfigError(f"{path}: no prediction rows")
     positions = prices.next_positions([row[1] for row in rows], [row[2] for row in rows])
@@ -394,21 +394,17 @@ def _read_predictions_csv(path: Path, prices: corpus.PriceIndex) -> list:
 def _day_predictions(
     cfg: RunConfig, args: argparse.Namespace
 ) -> tuple[bt.DayPredictions, corpus.PriceIndex]:
-    """Day predictions from either a predictions CSV or a checkpoint run,
-    their head checked against the strategy head."""
+    """Day predictions of the head ``model.head`` names, from either a
+    predictions CSV or a checkpoint run."""
     if args.predictions:
         prices = corpus.load_prices(cfg.prices_path)
-        rows = _read_predictions_csv(Path(args.predictions), prices)
+        rows = _read_predictions_csv(Path(args.predictions), cfg.head, prices)
     else:
         ckpt, prepared, prices = _checkpoint_run(cfg, args)
         rows = [(s.headline_id, s.asset, s.date,
                  forward(s.enc, ckpt.table, ckpt.params, ckpt.config, mode="test")[0])
                 for s in prepared.test]
-    day_preds = bt.aggregate_daily(rows)
-    head = HEAD_BINARY if day_preds.binary else HEAD_MULTICLASS3
-    _require(cfg.strategy_head in (None, head),
-             f"strategy head {cfg.strategy_head!r} does not match the model head {head!r}")
-    return day_preds, prices
+    return bt.aggregate_daily(rows), prices
 
 
 def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
@@ -514,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group()
         source.add_argument("--checkpoint", default=None)
         source.add_argument("--predictions", default=None, help="standalone predictions CSV "
-                            "(asset,date,p0[,p1,p2]) instead of a checkpoint")
+                            "(asset,date,p0[,p1,p2], as model.head) instead of a checkpoint")
         p.set_defaults(func=func)
 
     p = sub.add_parser("gradcheck", parents=[seed],

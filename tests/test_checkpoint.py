@@ -1,9 +1,11 @@
 """Checkpoint serialization tests."""
 
+import builtins
 import dataclasses
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,18 @@ from newsvane.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from newsvane.embeddings import init_self_learnt
 from newsvane.network import ModelConfig, init_parameters, param_layout
 from newsvane.text import Vocabulary, vocabulary_hash
+
+
+def format_3_layout(payload: dict, sidecar_name: str) -> dict:
+    """The format-4 ``payload`` laid out as format 3 wrote it: p, m and the
+    sidecar's name stored beside the config, and the mode in ``training_meta`` too."""
+    old = {key: value for key, value in payload.items() if key != "sidecar_sha256"}
+    config, mode = payload["config"], payload["embedding"]["mode"]
+    return dict(old, format_version=3,
+                vocab={"tokens": payload["vocab"], "max_len": config["m"]},
+                embedding=dict(payload["embedding"], p=config["p"]),
+                sidecar={"name": sidecar_name, "sha256": payload["sidecar_sha256"]},
+                training_meta=dict(payload["training_meta"], embedding_mode=mode))
 
 
 @pytest.fixture()
@@ -54,7 +68,7 @@ class TestRoundtrip:
 
     def test_sidecar_is_one_npy_vector(self, tmp_path, model_bits):
         """The sidecar is what np.save writes for the table rows followed by
-        the parameter vector, and the JSON names it and its sha256."""
+        the parameter vector, and the JSON holds its sha256."""
         vocab, config, table, params = model_bits
         save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
         buf = io.BytesIO()
@@ -62,8 +76,42 @@ class TestRoundtrip:
         raw = (tmp_path / "ckpt.npy").read_bytes()
         assert raw == buf.getvalue()
         payload = json.loads((tmp_path / "ckpt.json").read_text())
-        assert payload["sidecar"] == {"name": "ckpt.npy", "sha256": hashlib.sha256(raw).hexdigest()}
-        assert payload["vocab"]["tokens"] == "alpha\nbeta\ngamma"
+        assert payload["sidecar_sha256"] == hashlib.sha256(raw).hexdigest()
+        assert payload["vocab"] == "alpha\nbeta\ngamma"
+
+    def test_format_4_stores_nothing_the_config_fixes(self, tmp_path, model_bits):
+        """p, m and the sidecar's name come from the config and the path, so
+        the file holds exactly these keys."""
+        vocab, config, table, params = model_bits
+        save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        payload = json.loads((tmp_path / "ckpt.json").read_text())
+        assert payload.keys() == {"format_version", "config", "vocab", "vocab_hash", "embedding",
+                                  "sidecar_sha256", "training_meta"}
+        assert payload["format_version"] == 4
+        assert payload["embedding"].keys() == {"mode", "pretrained_hit_count"}
+
+    def test_renamed_pair_loads(self, tmp_path, model_bits):
+        """The sidecar is the file beside the JSON with its suffix, whatever the name."""
+        vocab, config, table, params = model_bits
+        save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        for suffix in (".json", ".npy"):
+            (tmp_path / f"ckpt{suffix}").rename(tmp_path / f"renamed{suffix}")
+        ckpt = load_checkpoint(tmp_path / "renamed.json", expected_config=config)
+        assert ckpt.vocab == vocab
+        assert ckpt.table.matrix.tobytes() == table.matrix.tobytes()
+        assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+
+    @pytest.mark.parametrize("p, max_len", [(3, 5), (4, 6)], ids=["table-p", "vocab-max-len"])
+    def test_state_disagreeing_with_config_refused(self, tmp_path, model_bits, p, max_len):
+        """The file stores only the config's p and m, so a table or vocabulary
+        that disagrees with them is refused before anything is written."""
+        vocab, config, _, params = model_bits
+        vocab = Vocabulary(vocab.tokens, max_len=max_len)
+        table = init_self_learnt(vocab, p, mean=0.0, std=0.1, seed=1)
+        with pytest.raises(CheckpointError, match=f"^table p={p} and max_len={max_len} are not "
+                                                  "the config's$"):
+            save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tokens", [(), ("solo",), ("a b", "tab\there", "ünï", "cr\r")],
                              ids=["empty", "one-token", "odd-tokens"])
@@ -111,12 +159,21 @@ class TestRoundtrip:
             with pytest.raises(CheckpointError, match=f"format {version}"):
                 load_checkpoint(path)
 
+    def test_format_3_rejected(self, tmp_path, model_bits):
+        vocab, config, table, params = model_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params, training_meta={"seed": 9})
+        path.write_text(json.dumps(format_3_layout(json.loads(path.read_text()), "ckpt.npy")))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: unsupported checkpoint format 3 (this version reads format 4)")):
+            load_checkpoint(path)
+
     def test_tampered_vocab_detected(self, tmp_path, model_bits):
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
         payload = json.loads(path.read_text())
-        payload["vocab"]["tokens"] = payload["vocab"]["tokens"].replace("alpha", "tampered")
+        payload["vocab"] = payload["vocab"].replace("alpha", "tampered")
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="hash"):
             load_checkpoint(path)
@@ -142,7 +199,7 @@ def _sidecar(edit):
         raw = sidecar.read_bytes()
         new = edit(np.load(io.BytesIO(raw), allow_pickle=False), raw)
         sidecar.write_bytes(new)
-        payload["sidecar"]["sha256"] = hashlib.sha256(new).hexdigest()
+        payload["sidecar_sha256"] = hashlib.sha256(new).hexdigest()
     return tamper
 
 
@@ -155,8 +212,8 @@ class TestValidation:
         (": sidecar: ", _sidecar(lambda vec, _: _npy(vec.astype(np.float32)))),
         (": sidecar: ", _sidecar(lambda vec, _: _npy(vec[2 * 4:]))),  # two table rows short
         (": sidecar: ", _sidecar(lambda _, raw: raw[:-8])),
-        ("embedding.p", lambda pl, _: pl["embedding"].update(p=7)),
-        ("vocab.max_len", lambda pl, _: pl["config"].update(m=4)),
+        (": sidecar: ", lambda pl, _: pl["config"].update(p=7)),  # the table is p wide
+        ("vocabulary hash mismatch", lambda pl, _: pl["config"].update(m=4)),  # it hashes m
     ], ids=["params-length", "params-dtype", "table-rows", "table-bytes", "embedding-p", "max-len"])
     def test_contradicting_array_rejected(self, tmp_path, model_bits, field, tamper):
         vocab, config, table, params = model_bits
@@ -167,9 +224,9 @@ class TestValidation:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, tamper", [
-        ("sidecar", lambda pl: pl.update(sidecar="AAAA")),
-        ("sidecar.sha256", lambda pl: pl["sidecar"].pop("sha256")),
-        ("sidecar.name", lambda pl: pl["sidecar"].update(name=7)),
+        ("sidecar_sha256", lambda pl: pl.update(sidecar_sha256={"sha256": "AAAA"})),
+        ("sidecar_sha256", lambda pl: pl.pop("sidecar_sha256")),
+        ("sidecar_sha256", lambda pl: pl.update(sidecar_sha256=7)),
         ("config", lambda pl: pl.update(config=[4, 5])),
         ("config.p", lambda pl: pl["config"].pop("p")),
         ("config.pool_w", lambda pl: pl["config"].pop("pool_w")),  # no second defaults table
@@ -177,15 +234,16 @@ class TestValidation:
         ("config.filter_widths", lambda pl: pl["config"].update(filter_widths="34")),
         ("config.dropout_rate", lambda pl: pl["config"].update(dropout_rate="0.0")),
         ("config.pool", lambda pl: pl["config"].update(pool=2)),
-        ("vocab.max_len", lambda pl: pl["vocab"].update(max_len=8.7)),
-        ("vocab.max_len", lambda pl: pl["vocab"].update(max_len=0)),
+        ("config.m", lambda pl: pl["config"].update(m=8.7)),
+        ("config", lambda pl: pl["config"].update(m=0)),
         ("embedding.pretrained_hit_count",
          lambda pl: pl["embedding"].update(pretrained_hit_count="7")),
         ("vocab", lambda pl: pl.pop("vocab")),
-        ("vocab.tokens", lambda pl: pl["vocab"].update(tokens="alpha\n\ngamma")),
-        ("vocab.tokens", lambda pl: pl["vocab"].update(tokens=["alpha", "beta", "gamma"])),
+        ("vocab", lambda pl: pl.update(vocab="alpha\n\ngamma")),
+        ("vocab", lambda pl: pl.update(vocab=["alpha", "beta", "gamma"])),
         ("embedding", lambda pl: pl.update(embedding="matrix")),
-        ("sidecar", lambda pl: pl.pop("sidecar")),
+        # format 3's sidecar section in place of the hash
+        ("sidecar_sha256", lambda pl: pl.update(sidecar={"sha256": pl.pop("sidecar_sha256")})),
         ("embedding.mode", lambda pl: pl["embedding"].update(mode="frozen")),
         ("training_meta", lambda pl: pl.update(training_meta=3)),
     ], ids=["sidecar-str", "sidecar-no-sha256", "sidecar-name-int", "config-list", "config-no-p",
@@ -206,9 +264,13 @@ class TestValidation:
     @pytest.mark.parametrize("field, tamper", [
         ("params", lambda pl: pl.update(params={"W1": [[0.0]]})),  # a stale format-2 key
         ("embedding.matrix", lambda pl: pl["embedding"].update(matrix=[[0.0] * 4] * 4)),
-        ("sidecar.sha265", lambda pl: pl["sidecar"].update(sha265=pl["sidecar"]["sha256"])),
-        ("vocab.size", lambda pl: pl["vocab"].update(size=3)),
-    ], ids=["format-2-params", "embedding-matrix", "misspelt-sidecar-key", "vocab-size"])
+        ("sidecar_sha265", lambda pl: pl.update(sidecar_sha265=pl["sidecar_sha256"])),
+        ("vocab_size", lambda pl: pl.update(vocab_size=3)),
+        # format 3's copies of what the config fixes
+        ("embedding.p", lambda pl: pl["embedding"].update(p=pl["config"]["p"])),
+        ("sidecar", lambda pl: pl.update(sidecar={"name": "ckpt.npy"})),
+    ], ids=["format-2-params", "embedding-matrix", "misspelt-sidecar-key", "vocab-size",
+            "format-3-embedding-p", "format-3-sidecar-name"])
     def test_unknown_key_rejected(self, tmp_path, model_bits, field, tamper):
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
@@ -228,13 +290,13 @@ class TestValidation:
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
-        _rewrite(path, lambda pl, _: pl["vocab"].update(tokens="alpha\nbeta\nalpha"))
-        with pytest.raises(CheckpointError, match=": vocab.tokens: repeated token"):
+        _rewrite(path, lambda pl, _: pl.update(vocab="alpha\nbeta\nalpha"))
+        with pytest.raises(CheckpointError, match=": vocab: tokens: repeated token"):
             load_checkpoint(path)
 
     def test_vocab_hash_is_pinned(self, tmp_path, model_bits):
-        """The stored hash is the sha256 of the vocabulary text; checkpoints
-        written before the hash was computed from the token list still load."""
+        """The stored hash is the sha256 of the vocabulary text, ``max_len=<m>``
+        line included, so an edited ``config.m`` reads as corruption."""
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
@@ -254,34 +316,44 @@ class TestValidation:
 
 class TestSidecar:
     """Each way the sidecar can disagree with its JSON file is rejected on
-    load with a CheckpointError naming the field."""
+    load with a CheckpointError naming the field. The sidecar is always the
+    file beside the JSON: a ``sidecar`` section naming another file, as
+    format 3 stored one, is an unknown key, and that file is never opened."""
 
-    @pytest.mark.parametrize("field, tamper", [
-        ("sidecar.name", lambda pl, sidecar: sidecar.unlink()),
-        ("sidecar.sha256", lambda pl, sidecar: sidecar.write_bytes(sidecar.read_bytes()[:-1] + b"?")),
-        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="sub/ckpt.npy")),
-        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="../ckpt.npy")),
-        ("sidecar.name", lambda pl, sidecar: pl["sidecar"].update(name=str(sidecar))),
-        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="sub\\ckpt.npy")),
-        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="..")),
-        ("sidecar.name", lambda pl, _: pl["sidecar"].update(name="")),
-        ("sidecar", _sidecar(lambda _, raw: raw + bytes(8))),
-        ("sidecar", _sidecar(lambda _, raw: b"not an npy file")),
-        ("sidecar", _sidecar(lambda vec, _: _npy(vec.astype(">f8")))),
-        ("sidecar", _sidecar(lambda vec, _: _npy(vec.reshape(-1, 1)))),
-        ("sidecar", _sidecar(lambda vec, _: _npy(vec.astype(object)))),
+    @pytest.mark.parametrize("match, tamper", [
+        ("sidecar: cannot read ckpt.npy", lambda pl, sidecar: sidecar.unlink()),
+        ("sidecar_sha256: does not match",
+         lambda pl, sidecar: sidecar.write_bytes(sidecar.read_bytes()[:-1] + b"?")),
+        ("sidecar: unknown key", lambda pl, _: pl.update(sidecar={"name": "sub/ckpt.npy"})),
+        ("sidecar: unknown key", lambda pl, _: pl.update(sidecar={"name": "../ckpt.npy"})),
+        ("sidecar: unknown key", lambda pl, sidecar: pl.update(sidecar={"name": str(sidecar)})),
+        ("sidecar: unknown key", lambda pl, _: pl.update(sidecar={"name": "sub\\ckpt.npy"})),
+        ("sidecar: unknown key", lambda pl, _: pl.update(sidecar={"name": ".."})),
+        ("sidecar: unknown key", lambda pl, _: pl.update(sidecar={"name": ""})),
+        ("sidecar: ", _sidecar(lambda _, raw: raw + bytes(8))),
+        ("sidecar: ", _sidecar(lambda _, raw: b"not an npy file")),
+        ("sidecar: ", _sidecar(lambda vec, _: _npy(vec.astype(">f8")))),
+        ("sidecar: ", _sidecar(lambda vec, _: _npy(vec.reshape(-1, 1)))),
+        ("sidecar: ", _sidecar(lambda vec, _: _npy(vec.astype(object)))),
     ], ids=["missing-file", "wrong-hash", "subdirectory", "parent-directory", "absolute",
             "backslash", "dotdot", "empty-name", "trailing-bytes", "not-npy", "big-endian",
             "two-dimensional", "object-dtype"])
-    def test_rejected(self, tmp_path, model_bits, field, tamper):
+    def test_rejected(self, tmp_path, model_bits, monkeypatch, match, tamper):
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
         (tmp_path / "sub").mkdir()
         save_checkpoint(tmp_path / "sub" / "ckpt.json", config, vocab, table, params)
         _rewrite(path, tamper)
-        with pytest.raises(CheckpointError, match=f": {field}: "):
+        opened, real_open = [], builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k))
+        with pytest.raises(CheckpointError, match=f": {match}"):
             load_checkpoint(path)
+        monkeypatch.undo()
+        # a file holding a sidecar section is refused before any sidecar is opened
+        sidecars = [] if match.endswith("unknown key") else [path.with_suffix(".npy")]
+        assert opened == [path, *sidecars]
 
     def test_npy_format_2_rejected(self, tmp_path, model_bits):
         vocab, config, table, params = model_bits

@@ -20,12 +20,22 @@ from newsvane.embeddings import load_pretrained, nearest_neighbors
 from newsvane.network import ModelConfig
 from newsvane.pipeline import prepare_dataset
 from newsvane.training import cell_config
+from test_checkpoint import format_3_layout
 from test_gradients import perturb_backward
 
 
 def _where(section: str, key: str) -> str:
     """How a config error names a key: ``<section>.<key>``, or the bare key at the top level."""
     return key if section == "top level" else f"{section}.{key}"
+
+
+def _config_with_head(tmp_path, config, head) -> Path:
+    """A copy of the run config ``config`` with ``model.head`` set to ``head``, in ``tmp_path``."""
+    cfg = json.loads(json.dumps(config))
+    cfg["model"]["head"] = head
+    path = tmp_path / f"{head}.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def _prepare_args(config_path) -> argparse.Namespace:
@@ -107,6 +117,25 @@ class TestPrepare:
         assert (tmp_path / "samples.csv").read_text().count("\n") == (
             len(split["train_ids"]) + len(split["test_ids"]) + 1
         )
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "evaluate"])
+    @pytest.mark.parametrize("portfolio, named", [
+        (["syn0"], "'syn0'"), (["SYN0 "], "'SYN0 '"), (["SYN0", "SYN1", "SYN2"], "'SYN2'"),
+        (["SYN9", "SYN0", "SYN8"], "'SYN9', 'SYN8'"),
+    ], ids=["lower-case", "trailing-blank", "one-unknown", "two-unknown"])
+    def test_portfolio_ticker_without_price_bars_rejected(self, workspace, tmp_path, capsys,
+                                                          command, portfolio, named):
+        """Once the generic 'no test dates' error, naming no key and no ticker."""
+        _, _, data, out, config = workspace
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(config, portfolio=portfolio)))
+        run = ["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+        if command == "evaluate":
+            run += ["--checkpoint", str(out / "checkpoint.json")]
+        assert cli.main([command, *run]) == 2
+        assert capsys.readouterr().err == (
+            f"error: portfolio: no price bars for {named} in {data / 'prices.csv'}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -209,7 +238,7 @@ class TestTrain:
             head=model["head"],
         )
         assert ckpt.config == cell_config(base, tuple(best["widths"]), best["dropout"])
-        assert ckpt.training_meta["embedding_mode"] == best["mode"]
+        assert ckpt.table.mode == best["mode"]
         assert ckpt.training_meta["epochs"] == best["epochs"] == 2
 
     @pytest.mark.parametrize("select_on_test", [False, True])
@@ -334,16 +363,44 @@ class TestBacktest:
         assert sweep[0] == "t,pp,atp,total_return,n_trades"
         assert len(sweep) == 42  # 0.50..0.90 step 0.01 plus header
 
-    def test_head_mismatch_rejected(self, workspace, tmp_path):
+    def test_head_mismatch_rejected(self, workspace, tmp_path, capsys):
+        """``model.head`` is the run's only head; a checkpoint of another head is refused."""
         root, _, data, out, config = workspace
-        bad = dict(config)
-        bad["strategy"] = {"threshold": 0.5, "head": "multiclass3"}
-        bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(bad))
+        bad_path = _config_with_head(tmp_path, config, "multiclass3")
         assert cli.main([
             "backtest", "--config", str(bad_path),
-            "--checkpoint", str(out / "checkpoint.json"),
+            "--checkpoint", str(out / "checkpoint.json"), "--out-dir", str(tmp_path / "out"),
         ]) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint (p=8, head='binary') is incompatible with the config "
+            "(p=8, head='multiclass3')\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_strategy_head_is_an_unknown_key(self, workspace, tmp_path, capsys):
+        _, _, _, out, config = workspace
+        bad = dict(config, strategy={"threshold": 0.5, "head": "binary"})
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        assert cli.main(["backtest", "--config", str(bad_path),
+                         "--checkpoint", str(out / "checkpoint.json")]) == 2
+        assert capsys.readouterr().err == f"error: {bad_path}: strategy.head: unknown key\n"
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep"])
+    @pytest.mark.parametrize("head, header, row", [
+        ("binary", "p0,p1,p2", "0.1,0.2,0.7"), ("multiclass3", "p0", "0.9"),
+    ], ids=["3-way-csv-binary-head", "binary-csv-3-way-head"])
+    def test_predictions_header_must_match_the_model_head(self, workspace, tmp_path, capsys,
+                                                          command, head, header, row):
+        _, _, _, _, config = workspace
+        cfg_path = _config_with_head(tmp_path, config, head)
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"asset,date,{header}\nSYN0,2015-01-05,{row}\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg_path), "--predictions", str(preds),
+                         "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: header asset,date,{header} does not match model.head {head!r}\n")
+        assert not out.exists()
 
     def test_predictions_csv_input_matches_module_oracle(self, workspace, tmp_path):
         import datetime as dt
@@ -380,8 +437,9 @@ class TestBacktest:
         ("p0,p1,p2", "0.2,nan,0.3"), ("p0,p1,p2", "0.2,1.5,0.3"),
     ])
     def test_predictions_must_be_probabilities(self, workspace, tmp_path, capsys, header, bad):
-        _, config_path, _, _, _ = workspace
-        good = "0.9" if header == "p0" else "0.1,0.2,0.7"
+        _, _, _, _, config = workspace
+        head, good = ("binary", "0.9") if header == "p0" else ("multiclass3", "0.1,0.2,0.7")
+        config_path = _config_with_head(tmp_path, config, head)
         preds = tmp_path / "preds.csv"
         preds.write_text(f"asset,date,{header}\nSYN0,2015-01-05,{good}\nSYN0,2015-01-06,{bad}\n")
         assert cli.main([
@@ -397,8 +455,9 @@ class TestBacktest:
     ])
     def test_prediction_rows_must_match_the_header(self, workspace, tmp_path, capsys,
                                                    header, row, fields):
-        _, config_path, _, _, _ = workspace
-        good = "0.9" if header == "p0" else "0.1,0.2,0.7"
+        _, _, _, _, config = workspace
+        head, good = ("binary", "0.9") if header == "p0" else ("multiclass3", "0.1,0.2,0.7")
+        config_path = _config_with_head(tmp_path, config, head)
         preds = tmp_path / "preds.csv"
         preds.write_text(f"asset,date,{header}\nSYN0,2015-01-05,{good}\nSYN0,2015-01-06,{row}\n")
         assert cli.main([
@@ -727,7 +786,7 @@ class TestByteOrderMark:
             "headlines": (data / "headlines.csv", load_headlines),
             "prices": (data / "prices.csv", lambda path: load_prices(path).bars),
             "predictions": (tmp_path / "preds.csv", lambda path: cli._read_predictions_csv(
-                path, load_prices(data / "prices.csv"))),
+                path, "binary", load_prices(data / "prices.csv"))),
             "config": (config_path, lambda path: cli.load_run_config(
                 path, _prepare_args(path))),
             "checkpoint": (out / "checkpoint.json", lambda path: (
@@ -802,11 +861,27 @@ class TestNeighborsCommand:
     def test_malformed_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         _, _, _, out, _ = workspace
         payload = json.loads((out / "checkpoint.json").read_text())
-        payload["sidecar"] = "not an object"
+        payload["sidecar_sha256"] = ["not a string"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert cli.main(["neighbors", "--checkpoint", str(bad), "surge"]) == 2
-        assert "sidecar" in capsys.readouterr().err
+        assert "sidecar_sha256: expected a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["neighbors", "evaluate"])
+    def test_format_3_checkpoint_exits_2(self, workspace, tmp_path, capsys, command):
+        """A checkpoint laid out as format 3 wrote it is refused, naming the file."""
+        _, config_path, _, out, _ = workspace
+        old = tmp_path / "old.json"
+        payload = json.loads((out / "checkpoint.json").read_text())
+        old.write_text(json.dumps(format_3_layout(payload, "old.npy")))
+        (tmp_path / "old.npy").write_bytes((out / "checkpoint.npy").read_bytes())
+        argv = {"neighbors": ["neighbors", "--checkpoint", str(old), "surge"],
+                "evaluate": ["evaluate", "--config", str(config_path), "--checkpoint", str(old),
+                             "--out-dir", str(tmp_path / "out")]}[command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {old}: unsupported checkpoint format 3 (this version reads format 4)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_token_rejected(self, workspace):
         _, _, _, out, _ = workspace
@@ -828,7 +903,7 @@ class TestUsageErrors:
     def test_flag_the_subcommand_does_not_read_is_refused(self, workspace, tmp_path, command,
                                                           flag):
         _, _, _, out, _ = workspace
-        token = json.loads((out / "checkpoint.json").read_text())["vocab"]["tokens"].split()[0]
+        token = json.loads((out / "checkpoint.json").read_text())["vocab"].split()[0]
         argv = {
             "synth": ["synth", "--n-days", "2", "--out-dir", str(tmp_path / "data")],
             "gradcheck": ["gradcheck", "--configs", "1"],
@@ -872,14 +947,14 @@ class TestUsageErrors:
             "training": {"epochs": 3, "batch_size": 4, "learning_rate": 0.01, "seed": 5,
                          "validation_fraction": 0.3, "select_on_test": True,
                          "grid": {"epochs": [1, 2], "modes": ["static"]}},
-            "strategy": {"threshold": 0.6, "head": "multiclass3", "sweep_step": 0.05},
+            "strategy": {"threshold": 0.6, "sweep_step": 0.05},
         }
         path = tmp_path / "full.json"
         path.write_text(json.dumps(full))
         cfg = cli.load_run_config(path, _prepare_args(path))
         assert (cfg.portfolio, cfg.min_relevance, cfg.pool_w, cfg.hidden_sizes) == (("SYN0",), 0.5, 1, (5, 2))
         assert (cfg.max_len, cfg.embedding_init_std, cfg.select_on_test) == (7, 0.2, True)
-        assert (cfg.strategy_head, cfg.sweep_step, cfg.seed) == ("multiclass3", 0.05, 5)
+        assert (cfg.head, cfg.threshold, cfg.sweep_step, cfg.seed) == ("multiclass3", 0.6, 0.05, 5)
         assert cfg.pretrained_path == data / "headlines.csv"
         # grid axes absent from the file default to the single-run values
         assert cfg.grid.epochs == (1, 2) and cfg.grid.modes == ("static",)
