@@ -9,16 +9,23 @@ hash, the table's mode and pretrained hit count, and the sidecar's sha256.
 What the configuration fixes is derived, not stored: the parameter layout,
 the table width ``config.p`` and the vocabulary's padded length ``config.m``.
 Each file is written atomically, and saving the same state twice produces
-byte-identical files. Loading checks every field and the sidecar's hash,
-dtype and length against the configuration and vocabulary.
+byte-identical files. Loading checks every field, then reads the sidecar once
+and checks its hash, dtype and length against the configuration and
+vocabulary before any of it is returned. A sidecar of 1 MiB or more is hashed
+on one worker thread beside the file I/O and the vocabulary work; a smaller
+one, inline. The bytes written and the errors raised are the same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -39,6 +46,7 @@ from .network import ModelConfig, ModelParameters, param_layout
 from .text import Vocabulary, vocabulary_hash
 
 FORMAT_VERSION = 4
+_THREADED_HASH_BYTES = 1 << 20  # below this, a hash worker thread costs more than it saves
 
 
 class CheckpointError(ValueError):
@@ -59,47 +67,62 @@ _FORMAT = {
 }
 
 
-def _write_sidecar(path: Path, arrays: tuple[np.ndarray, ...]) -> str:
-    """Write ``arrays`` end to end as one float64 .npy vector, atomically;
-    returns the file's sha256."""
+@contextmanager
+def _hashing(digest, nbytes: int) -> Iterator[Callable]:
+    """A function feeding byte chunks to ``digest`` in order: inline below ``_THREADED_HASH_BYTES``,
+    else on one worker thread (hashlib releases the GIL), joined when the block exits."""
+    if nbytes < _THREADED_HASH_BYTES:
+        yield digest.update
+        return
+    hashed = []
+    with ThreadPoolExecutor(1, thread_name_prefix="sidecar-sha256") as worker:
+        yield lambda chunk: hashed.append(worker.submit(digest.update, chunk))
+    for future in hashed:
+        future.result()
+
+
+def _npy_header(size: int) -> bytes:
+    """The .npy 1.0 header ``np.save`` writes for a float64 vector of ``size``."""
     header = io.BytesIO()
     npy_format.write_array_header_1_0(
-        header, {"descr": "<f8", "fortran_order": False, "shape": (sum(a.size for a in arrays),)})
-    digest = hashlib.sha256()
-    with open_atomic(path) as fh:
-        for chunk in (header.getvalue(), *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)):
-            digest.update(chunk)
-            fh.write(chunk)
-    return digest.hexdigest()
+        header, {"descr": "<f8", "fortran_order": False, "shape": (size,)})
+    return header.getvalue()
 
 
-def _read_sidecar(path: Path, sha256: str, size: int) -> np.ndarray:
-    """The float64 vector of ``size`` in the sidecar ``path``, checked against
-    ``sha256`` and its own header before its data is read."""
+def _read_sidecar(path: Path, sha256: str, size: int,
+                  meanwhile: Callable[[], Vocabulary]) -> tuple[np.ndarray, Vocabulary]:
+    """The float64 vector of ``size`` in the sidecar ``path``, read once and checked
+    against ``sha256``, then its own header, before any of it is returned; and
+    ``meanwhile()``, called once the file is read, while its hash may still run."""
+    header, digest = _npy_header(size), hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            digest = hashlib.sha256()
-            # chunks stay below the pinned mmap threshold (see ``allocation``),
-            # so each one reuses heap memory instead of mapping a fresh block
-            while chunk := fh.read(1 << 18):
-                digest.update(chunk)
-            if digest.hexdigest() != sha256:
-                raise ValueError(f"sidecar_sha256: does not match the file {path.name}")
-            fh.seek(0)
-            try:
-                if npy_format.read_magic(fh) != (1, 0):
-                    raise ValueError("not an .npy file of format 1.0")
-                shape, _, dtype = npy_format.read_array_header_1_0(fh)
-            except ValueError as exc:
-                raise ValueError(f"sidecar: invalid ({exc})") from None
-            if dtype != np.dtype("<f8") or shape != (size,):
-                raise ValueError(f"sidecar: {dtype} {list(shape)}, expected float64 [{size}]")
-            vec = np.fromfile(fh, dtype="<f8", count=size)
-            if vec.size != size or fh.read(1):
-                raise ValueError(f"sidecar: data is not {size} float64 values")
+            nbytes = os.fstat(fh.fileno()).st_size
+            # read into the vector at the length it implies, else whole, to say what is wrong
+            fits = nbytes == len(header) + 8 * size
+            raw, vec = fh.read(len(header) if fits else nbytes), np.empty(size * fits, "<f8")
+            with _hashing(digest, nbytes) as feed:
+                feed(raw)
+                data = memoryview(vec).cast("B")
+                n = fh.readinto(data)
+                feed(data[:n])
+                result = meanwhile()
     except OSError as exc:
         raise ValueError(f"sidecar: cannot read {path.name}: {exc.strerror or exc}") from None
-    return vec
+    if digest.hexdigest() != sha256:
+        raise ValueError(f"sidecar_sha256: does not match the file {path.name}")
+    stream = io.BytesIO(raw)
+    try:
+        if npy_format.read_magic(stream) != (1, 0):
+            raise ValueError("not an .npy file of format 1.0")
+        shape, _, dtype = npy_format.read_array_header_1_0(stream)
+    except ValueError as exc:
+        raise ValueError(f"sidecar: invalid ({exc})") from None
+    if dtype != np.dtype("<f8") or shape != (size,):
+        raise ValueError(f"sidecar: {dtype} {list(shape)}, expected float64 [{size}]")
+    if len(raw) + n - stream.tell() != 8 * size:
+        raise ValueError(f"sidecar: data is not {size} float64 values")
+    return (vec if fits else np.frombuffer(raw, "<f8", size, stream.tell()).copy()), result
 
 
 @dataclass
@@ -138,15 +161,21 @@ def save_checkpoint(
     for arr in arrays:
         if arr.dtype != np.float64:
             raise CheckpointError(f"unsupported dtype {arr.dtype}")
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "config": config.to_dict(),
-        "vocab": "\n".join(vocab.tokens),
-        "vocab_hash": vocabulary_hash(vocab),
-        "embedding": {"mode": table.mode, "pretrained_hit_count": table.pretrained_hit_count},
-        "sidecar_sha256": _write_sidecar(sidecar, arrays),
-        "training_meta": training_meta or {},
-    }
+    header, digest = _npy_header(sum(a.size for a in arrays)), hashlib.sha256()
+    with _hashing(digest, len(header) + sum(a.nbytes for a in arrays)) as feed:
+        with open_atomic(sidecar) as fh:
+            for chunk in (header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)):
+                feed(chunk)
+                fh.write(chunk)
+        payload = {  # built while the worker hashes
+            "format_version": FORMAT_VERSION,
+            "config": config.to_dict(),
+            "vocab": "\n".join(vocab.tokens),
+            "vocab_hash": vocabulary_hash(vocab),
+            "embedding": {"mode": table.mode, "pretrained_hit_count": table.pretrained_hit_count},
+            "training_meta": training_meta or {},
+        }
+    payload["sidecar_sha256"] = digest.hexdigest()
     write_text_atomic(path, json_text(payload))
 
 
@@ -178,20 +207,21 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
         if expected_config is not None and config != expected_config:
             raise ValueError("checkpoint config does not match the expected config")
 
-        joined = payload["vocab"]
-        try:
-            vocab = Vocabulary(joined.split("\n") if joined else (), config.m)
-        except ValueError as exc:  # config.m >= 1, so it names the tokens
-            raise ValueError(f"vocab: {exc}") from None
-        if vocabulary_hash(vocab) != payload["vocab_hash"]:
-            raise ValueError("vocabulary hash mismatch (corrupt checkpoint)")
-
         emb = payload["embedding"]
         if emb["mode"] not in MODES:
             raise ValueError(f"embedding.mode: unknown mode {emb['mode']!r}")
-        layout, n_table = param_layout(config), (vocab.size + 1) * config.p
-        vec = _read_sidecar(path.with_suffix(".npy"), payload["sidecar_sha256"],
-                            n_table + layout.size)
+        tokens = payload["vocab"].split("\n") if payload["vocab"] else []
+        def vocabulary() -> Vocabulary:  # built while the sidecar's hash finishes
+            try:
+                vocab = Vocabulary(tokens, config.m)
+            except ValueError as exc:  # config.m >= 1, so it names the tokens
+                raise ValueError(f"vocab: {exc}") from None
+            if vocabulary_hash(vocab) != payload["vocab_hash"]:
+                raise ValueError("vocabulary hash mismatch (corrupt checkpoint)")
+            return vocab
+        layout, n_table = param_layout(config), (len(tokens) + 1) * config.p
+        vec, vocab = _read_sidecar(path.with_suffix(".npy"), payload["sidecar_sha256"],
+                                   n_table + layout.size, vocabulary)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     table = EmbeddingTable(matrix=vec[:n_table].reshape(-1, config.p), mode=emb["mode"],

@@ -2,11 +2,17 @@
 
 import builtins
 import dataclasses
+import errno
 import hashlib
 import io
 import json
+import math
+import os
 import re
 import tempfile
+import threading
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from newsvane import checkpoint
 from newsvane.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from newsvane.embeddings import init_self_learnt
 from newsvane.network import ModelConfig, init_parameters, param_layout
@@ -32,24 +39,60 @@ def format_3_layout(payload: dict, sidecar_name: str) -> dict:
                 training_meta=dict(payload["training_meta"], embedding_mode=mode))
 
 
-@pytest.fixture()
-def model_bits():
-    vocab = Vocabulary(("alpha", "beta", "gamma"), max_len=5)
+def _model_bits(p: int = 4, extra_tokens: int = 0):
+    vocab = Vocabulary(("alpha", "beta", "gamma", *(f"w{i}" for i in range(extra_tokens))),
+                       max_len=5)
     config = ModelConfig(
-        p=4, m=5, filter_widths=(2, 3), filters_per_width=2,
+        p=p, m=5, filter_widths=(2, 3), filters_per_width=2,
         hidden_sizes=(4, 2), dropout_rate=0.1, head="binary",
     )
-    table = init_self_learnt(vocab, 4, mean=0.0, std=0.1, seed=1)
+    table = init_self_learnt(vocab, p, mean=0.0, std=0.1, seed=1)
     params = init_parameters(config, np.random.default_rng(2))
     return vocab, config, table, params
 
 
+@pytest.fixture()
+def model_bits():
+    return _model_bits()
+
+
+# A sidecar far below the 1 MiB from which its sha256 runs on a worker thread, and one
+# above it: 1,400 tokens at p=100, about 1.1 MB.
+SIDECAR_SIZES = {"inline": {}, "threaded": {"p": 100, "extra_tokens": 1397}}
+# The threshold that sends every sidecar's hash to the worker, or keeps every one inline.
+HASH_PATHS = {"worker": 0, "inline": math.inf}
+
+
+@pytest.fixture(params=SIDECAR_SIZES)
+def sized_bits(request):
+    bits = _model_bits(**SIDECAR_SIZES[request.param])
+    nbytes = 8 * (bits[2].matrix.size + bits[3].flat.size)
+    assert (nbytes >= checkpoint._THREADED_HASH_BYTES) == (request.param == "threaded")
+    return bits
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """The hash worker pools the checkpoint code starts, in order."""
+    started = []
+
+    class Recorded(checkpoint.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+    monkeypatch.setattr(checkpoint, "ThreadPoolExecutor", Recorded)
+    return started
+
+
 class TestRoundtrip:
-    def test_bit_exact(self, tmp_path, model_bits):
-        vocab, config, table, params = model_bits
+    def test_bit_exact(self, tmp_path, sized_bits, workers):
+        vocab, config, table, params = sized_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params, training_meta={"seed": 9})
         ckpt = load_checkpoint(path)
+        # a sidecar of 1 MiB or more is hashed on a worker thread, on save and on load
+        threaded = path.with_suffix(".npy").stat().st_size >= checkpoint._THREADED_HASH_BYTES
+        assert len(workers) == 2 * threaded
         assert ckpt.config == config
         assert ckpt.vocab == vocab
         assert ckpt.table.matrix.tobytes() == table.matrix.tobytes()
@@ -59,17 +102,22 @@ class TestRoundtrip:
             assert a.tobytes() == b.tobytes()
         assert ckpt.training_meta == {"seed": 9}
 
-    def test_byte_identical_saves(self, tmp_path, model_bits):
-        vocab, config, table, params = model_bits
+    def test_byte_identical_saves(self, tmp_path, sized_bits, monkeypatch):
+        """Twice over, and with the hash on the worker thread or inline."""
+        vocab, config, table, params = sized_bits
         for run in ("a", "b"):
             save_checkpoint(tmp_path / run / "ckpt.json", config, vocab, table, params)
+        for run, threshold in HASH_PATHS.items():
+            monkeypatch.setattr(checkpoint, "_THREADED_HASH_BYTES", threshold)
+            save_checkpoint(tmp_path / run / "ckpt.json", config, vocab, table, params)
         for name in ("ckpt.json", "ckpt.npy"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            for run in ("b", *HASH_PATHS):
+                assert (tmp_path / "a" / name).read_bytes() == (tmp_path / run / name).read_bytes()
 
-    def test_sidecar_is_one_npy_vector(self, tmp_path, model_bits):
+    def test_sidecar_is_one_npy_vector(self, tmp_path, sized_bits):
         """The sidecar is what np.save writes for the table rows followed by
         the parameter vector, and the JSON holds its sha256."""
-        vocab, config, table, params = model_bits
+        vocab, config, table, params = sized_bits
         save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
         buf = io.BytesIO()
         np.save(buf, np.concatenate([table.matrix.ravel(), params.flat]), allow_pickle=False)
@@ -77,7 +125,8 @@ class TestRoundtrip:
         assert raw == buf.getvalue()
         payload = json.loads((tmp_path / "ckpt.json").read_text())
         assert payload["sidecar_sha256"] == hashlib.sha256(raw).hexdigest()
-        assert payload["vocab"] == "alpha\nbeta\ngamma"
+        assert payload["vocab"] == "\n".join(vocab.tokens)
+        assert payload["vocab"].startswith("alpha\nbeta\ngamma")
 
     def test_format_4_stores_nothing_the_config_fixes(self, tmp_path, model_bits):
         """p, m and the sidecar's name come from the config and the path, so
@@ -338,25 +387,48 @@ class TestSidecar:
     ], ids=["missing-file", "wrong-hash", "subdirectory", "parent-directory", "absolute",
             "backslash", "dotdot", "empty-name", "trailing-bytes", "not-npy", "big-endian",
             "two-dimensional", "object-dtype"])
-    def test_rejected(self, tmp_path, model_bits, monkeypatch, match, tamper):
-        vocab, config, table, params = model_bits
+    def test_rejected(self, tmp_path, sized_bits, monkeypatch, match, tamper):
+        """With the same message whether the hash runs on the worker thread or inline."""
+        vocab, config, table, params = sized_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
         (tmp_path / "sub").mkdir()
         save_checkpoint(tmp_path / "sub" / "ckpt.json", config, vocab, table, params)
         _rewrite(path, tamper)
-        opened, real_open = [], builtins.open
-        monkeypatch.setattr(builtins, "open",
-                            lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k))
-        with pytest.raises(CheckpointError, match=f": {match}"):
-            load_checkpoint(path)
-        monkeypatch.undo()
-        # a file holding a sidecar section is refused before any sidecar is opened
-        sidecars = [] if match.endswith("unknown key") else [path.with_suffix(".npy")]
-        assert opened == [path, *sidecars]
+        messages, real_open = [], builtins.open
+        for threshold in HASH_PATHS.values():
+            opened = []
+            monkeypatch.setattr(checkpoint, "_THREADED_HASH_BYTES", threshold)
+            monkeypatch.setattr(builtins, "open", lambda file, *a, **k: opened.append(file)
+                                or real_open(file, *a, **k))
+            with pytest.raises(CheckpointError, match=f": {match}") as err:
+                load_checkpoint(path)
+            monkeypatch.setattr(builtins, "open", real_open)
+            messages.append(str(err.value))
+            # a file holding a sidecar section is refused before any sidecar is opened
+            sidecars = [] if match.endswith("unknown key") else [path.with_suffix(".npy")]
+            assert opened == [path, *sidecars]
+        assert messages[0] == messages[1]
 
-    def test_npy_format_2_rejected(self, tmp_path, model_bits):
-        vocab, config, table, params = model_bits
+    def test_longer_header_loads(self, tmp_path, sized_bits):
+        """A valid header padded further than ``np.save`` pads it still loads, though
+        the file is then not the length the config implies and is read whole."""
+        vocab, config, table, params = sized_bits
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+
+        def repadded(_, raw):
+            end = 10 + int.from_bytes(raw[8:10], "little")
+            longer = raw[10:end - 1] + b" " * 64 + b"\n"
+            return raw[:8] + len(longer).to_bytes(2, "little") + longer + raw[end:]
+        _rewrite(path, _sidecar(repadded))
+        ckpt = load_checkpoint(path)
+        assert ckpt.table.matrix.tobytes() == table.matrix.tobytes()
+        assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+        assert ckpt.params.flat.flags.writeable
+
+    def test_npy_format_2_rejected(self, tmp_path, sized_bits):
+        vocab, config, table, params = sized_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
 
@@ -367,6 +439,92 @@ class TestSidecar:
         _rewrite(path, _sidecar(version_2))
         with pytest.raises(CheckpointError, match=": sidecar: invalid"):
             load_checkpoint(path)
+
+
+class _FullDisk:
+    """A file whose writes after the first raise ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
+class _FailingReads:
+    """An open file whose header reads and whose data does not: ``readinto`` raises EIO."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def read(self, size):
+        return self.fh.read(size)
+
+    def readinto(self, buf):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+class TestHashWorker:
+    """A sidecar of 1 MiB or more is hashed on one worker thread. A failure on
+    either side joins it, leaves no file behind and reads as it would inline,
+    and a sidecar shorter than its JSON claims is never given a buffer that long."""
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, workers):
+        vocab, config, table, params = _model_bits(**SIDECAR_SIZES["threaded"])
+        baseline, real_open_atomic = threading.active_count(), checkpoint.open_atomic
+
+        @contextmanager
+        def full_disk(path):  # the header is written, the table is not
+            with real_open_atomic(path) as fh:
+                yield _FullDisk(fh)
+        monkeypatch.setattr(checkpoint, "open_atomic", full_disk)
+        with pytest.raises(OSError) as err:
+            save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        assert (err.value.errno, err.value.filename) == (errno.ENOSPC, str(tmp_path / "ckpt.npy"))
+        assert list(tmp_path.iterdir()) == []
+        assert len(workers) == 1 and threading.active_count() == baseline
+
+    def test_failed_read_cannot_be_read(self, tmp_path, monkeypatch, workers):
+        vocab, config, table, params = _model_bits(**SIDECAR_SIZES["threaded"])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        baseline, real_open = threading.active_count(), builtins.open
+        monkeypatch.setattr(builtins, "open", lambda file, *a, **k: (
+            _FailingReads(real_open(file, *a, **k)) if file == path.with_suffix(".npy")
+            else real_open(file, *a, **k)))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: sidecar: cannot read ckpt.npy: {os.strerror(errno.EIO)}")):
+            load_checkpoint(path)
+        assert len(workers) == 2 and threading.active_count() == baseline
+
+    def test_claimed_length_is_not_allocated(self, tmp_path):
+        """A config claiming a table 1,000 times the file's size is refused as
+        a sidecar of the wrong length, having allocated less than twice the file."""
+        vocab, config, table, params = _model_bits(**SIDECAR_SIZES["threaded"])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, config, vocab, table, params)
+        _rewrite(path, lambda pl, _: pl["config"].update(p=100_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=r": sidecar: float64 \[\d+\], "
+                                                      r"expected float64 \[\d+\]$"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.with_suffix(".npy").stat().st_size
 
 
 @st.composite
