@@ -9,11 +9,11 @@ hash, the table's mode and pretrained hit count, and the sidecar's sha256.
 What the configuration fixes is derived, not stored: the parameter layout,
 the table width ``config.p`` and the vocabulary's padded length ``config.m``.
 Each file is written atomically, and saving the same state twice produces
-byte-identical files. Loading checks every field, then reads the sidecar once
-and checks its hash, dtype and length against the configuration and
-vocabulary before any of it is returned. A sidecar of 1 MiB or more is hashed
-on one worker thread beside the file I/O and the vocabulary work; a smaller
-one, inline. The bytes written and the errors raised are the same either way.
+byte-identical files. Saving hashes a sidecar of 1 MiB or more on one worker
+thread beside the writes, and a smaller one inline; the bytes written are the
+same either way. Loading checks every field, then reads the sidecar once and
+checks its hash, dtype and length against the configuration and vocabulary
+before any of it is returned.
 """
 
 from __future__ import annotations
@@ -81,37 +81,19 @@ def _hashing(digest, nbytes: int) -> Iterator[Callable]:
         future.result()
 
 
-def _npy_header(size: int) -> bytes:
-    """The .npy 1.0 header ``np.save`` writes for a float64 vector of ``size``."""
-    header = io.BytesIO()
-    npy_format.write_array_header_1_0(
-        header, {"descr": "<f8", "fortran_order": False, "shape": (size,)})
-    return header.getvalue()
-
-
-def _read_sidecar(path: Path, sha256: str, size: int,
-                  meanwhile: Callable[[], Vocabulary]) -> tuple[np.ndarray, Vocabulary]:
-    """The float64 vector of ``size`` in the sidecar ``path``, read once and checked
-    against ``sha256``, then its own header, before any of it is returned; and
-    ``meanwhile()``, called once the file is read, while its hash may still run."""
-    header, digest = _npy_header(size), hashlib.sha256()
+def _read_sidecar(path: Path, sha256: str, size: int) -> np.ndarray:
+    """The float64 vector of ``size`` in the sidecar ``path``. The file is read once,
+    into one buffer of its length, and checked against ``sha256``, then against its
+    own header, before any of it is returned; the vector is a view of that buffer."""
     try:
         with open(path, "rb") as fh:
-            nbytes = os.fstat(fh.fileno()).st_size
-            # read into the vector at the length it implies, else whole, to say what is wrong
-            fits = nbytes == len(header) + 8 * size
-            raw, vec = fh.read(len(header) if fits else nbytes), np.empty(size * fits, "<f8")
-            with _hashing(digest, nbytes) as feed:
-                feed(raw)
-                data = memoryview(vec).cast("B")
-                n = fh.readinto(data)
-                feed(data[:n])
-                result = meanwhile()
+            buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+            buf = buf[:fh.readinto(buf)]
     except OSError as exc:
         raise ValueError(f"sidecar: cannot read {path.name}: {exc.strerror or exc}") from None
-    if digest.hexdigest() != sha256:
+    if hashlib.sha256(buf).hexdigest() != sha256:
         raise ValueError(f"sidecar_sha256: does not match the file {path.name}")
-    stream = io.BytesIO(raw)
+    stream = io.BytesIO(buf[:10 + 0xFFFF])  # the longest header format 1.0 can hold
     try:
         if npy_format.read_magic(stream) != (1, 0):
             raise ValueError("not an .npy file of format 1.0")
@@ -120,9 +102,9 @@ def _read_sidecar(path: Path, sha256: str, size: int,
         raise ValueError(f"sidecar: invalid ({exc})") from None
     if dtype != np.dtype("<f8") or shape != (size,):
         raise ValueError(f"sidecar: {dtype} {list(shape)}, expected float64 [{size}]")
-    if len(raw) + n - stream.tell() != 8 * size:
+    if buf.size - stream.tell() != 8 * size:
         raise ValueError(f"sidecar: data is not {size} float64 values")
-    return (vec if fits else np.frombuffer(raw, "<f8", size, stream.tell()).copy()), result
+    return buf[stream.tell():].view("<f8")
 
 
 @dataclass
@@ -161,7 +143,10 @@ def save_checkpoint(
     for arr in arrays:
         if arr.dtype != np.float64:
             raise CheckpointError(f"unsupported dtype {arr.dtype}")
-    header, digest = _npy_header(sum(a.size for a in arrays)), hashlib.sha256()
+    header, digest = io.BytesIO(), hashlib.sha256()
+    npy_format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (sum(a.size for a in arrays),)})
+    header = header.getvalue()
     with _hashing(digest, len(header) + sum(a.nbytes for a in arrays)) as feed:
         with open_atomic(sidecar) as fh:
             for chunk in (header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)):
@@ -207,21 +192,20 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
         if expected_config is not None and config != expected_config:
             raise ValueError("checkpoint config does not match the expected config")
 
+        joined = payload["vocab"]
+        try:
+            vocab = Vocabulary(joined.split("\n") if joined else (), config.m)
+        except ValueError as exc:  # config.m >= 1, so it names the tokens
+            raise ValueError(f"vocab: {exc}") from None
+        if vocabulary_hash(vocab) != payload["vocab_hash"]:
+            raise ValueError("vocabulary hash mismatch (corrupt checkpoint)")
+
         emb = payload["embedding"]
         if emb["mode"] not in MODES:
             raise ValueError(f"embedding.mode: unknown mode {emb['mode']!r}")
-        tokens = payload["vocab"].split("\n") if payload["vocab"] else []
-        def vocabulary() -> Vocabulary:  # built while the sidecar's hash finishes
-            try:
-                vocab = Vocabulary(tokens, config.m)
-            except ValueError as exc:  # config.m >= 1, so it names the tokens
-                raise ValueError(f"vocab: {exc}") from None
-            if vocabulary_hash(vocab) != payload["vocab_hash"]:
-                raise ValueError("vocabulary hash mismatch (corrupt checkpoint)")
-            return vocab
-        layout, n_table = param_layout(config), (len(tokens) + 1) * config.p
-        vec, vocab = _read_sidecar(path.with_suffix(".npy"), payload["sidecar_sha256"],
-                                   n_table + layout.size, vocabulary)
+        layout, n_table = param_layout(config), (vocab.size + 1) * config.p
+        vec = _read_sidecar(path.with_suffix(".npy"), payload["sidecar_sha256"],
+                            n_table + layout.size)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     table = EmbeddingTable(matrix=vec[:n_table].reshape(-1, config.p), mode=emb["mode"],

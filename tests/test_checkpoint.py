@@ -12,6 +12,7 @@ import re
 import tempfile
 import threading
 import tracemalloc
+import types
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -90,9 +91,9 @@ class TestRoundtrip:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params, training_meta={"seed": 9})
         ckpt = load_checkpoint(path)
-        # a sidecar of 1 MiB or more is hashed on a worker thread, on save and on load
+        # a sidecar of 1 MiB or more is hashed on a worker thread as it is saved
         threaded = path.with_suffix(".npy").stat().st_size >= checkpoint._THREADED_HASH_BYTES
-        assert len(workers) == 2 * threaded
+        assert len(workers) == threaded
         assert ckpt.config == config
         assert ckpt.vocab == vocab
         assert ckpt.table.matrix.tobytes() == table.matrix.tobytes()
@@ -252,6 +253,13 @@ def _sidecar(edit):
     return tamper
 
 
+def _repadded(raw: bytes) -> bytes:
+    """The .npy file ``raw`` with its header padded 64 bytes further than ``np.save`` pads it."""
+    end = 10 + int.from_bytes(raw[8:10], "little")
+    longer = raw[10:end - 1] + b" " * 64 + b"\n"
+    return raw[:8] + len(longer).to_bytes(2, "little") + longer + raw[end:]
+
+
 class TestValidation:
     """A checkpoint whose arrays contradict its config or vocabulary is
     rejected on load, naming the field, instead of failing later."""
@@ -384,44 +392,33 @@ class TestSidecar:
         ("sidecar: ", _sidecar(lambda vec, _: _npy(vec.astype(">f8")))),
         ("sidecar: ", _sidecar(lambda vec, _: _npy(vec.reshape(-1, 1)))),
         ("sidecar: ", _sidecar(lambda vec, _: _npy(vec.astype(object)))),
+        ("sidecar: data is not", _sidecar(lambda _, raw: _repadded(raw)[:-64])),
     ], ids=["missing-file", "wrong-hash", "subdirectory", "parent-directory", "absolute",
             "backslash", "dotdot", "empty-name", "trailing-bytes", "not-npy", "big-endian",
-            "two-dimensional", "object-dtype"])
+            "two-dimensional", "object-dtype", "longer-header-short-data"])
     def test_rejected(self, tmp_path, sized_bits, monkeypatch, match, tamper):
-        """With the same message whether the hash runs on the worker thread or inline."""
         vocab, config, table, params = sized_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
         (tmp_path / "sub").mkdir()
         save_checkpoint(tmp_path / "sub" / "ckpt.json", config, vocab, table, params)
         _rewrite(path, tamper)
-        messages, real_open = [], builtins.open
-        for threshold in HASH_PATHS.values():
-            opened = []
-            monkeypatch.setattr(checkpoint, "_THREADED_HASH_BYTES", threshold)
-            monkeypatch.setattr(builtins, "open", lambda file, *a, **k: opened.append(file)
-                                or real_open(file, *a, **k))
-            with pytest.raises(CheckpointError, match=f": {match}") as err:
-                load_checkpoint(path)
-            monkeypatch.setattr(builtins, "open", real_open)
-            messages.append(str(err.value))
-            # a file holding a sidecar section is refused before any sidecar is opened
-            sidecars = [] if match.endswith("unknown key") else [path.with_suffix(".npy")]
-            assert opened == [path, *sidecars]
-        assert messages[0] == messages[1]
+        opened, real_open = [], builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k))
+        with pytest.raises(CheckpointError, match=f": {match}"):
+            load_checkpoint(path)
+        monkeypatch.undo()
+        # a file holding a sidecar section is refused before any sidecar is opened
+        sidecars = [] if match.endswith("unknown key") else [path.with_suffix(".npy")]
+        assert opened == [path, *sidecars]
 
     def test_longer_header_loads(self, tmp_path, sized_bits):
-        """A valid header padded further than ``np.save`` pads it still loads, though
-        the file is then not the length the config implies and is read whole."""
+        """A valid header padded further than ``np.save`` pads it still loads."""
         vocab, config, table, params = sized_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
-
-        def repadded(_, raw):
-            end = 10 + int.from_bytes(raw[8:10], "little")
-            longer = raw[10:end - 1] + b" " * 64 + b"\n"
-            return raw[:8] + len(longer).to_bytes(2, "little") + longer + raw[end:]
-        _rewrite(path, _sidecar(repadded))
+        _rewrite(path, _sidecar(lambda _, raw: _repadded(raw)))
         ckpt = load_checkpoint(path)
         assert ckpt.table.matrix.tobytes() == table.matrix.tobytes()
         assert ckpt.params.flat.tobytes() == params.flat.tobytes()
@@ -455,7 +452,7 @@ class _FullDisk:
 
 
 class _FailingReads:
-    """An open file whose header reads and whose data does not: ``readinto`` raises EIO."""
+    """An open file whose ``readinto`` raises EIO."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -469,17 +466,15 @@ class _FailingReads:
     def fileno(self):
         return self.fh.fileno()
 
-    def read(self, size):
-        return self.fh.read(size)
-
     def readinto(self, buf):
         raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
 class TestHashWorker:
-    """A sidecar of 1 MiB or more is hashed on one worker thread. A failure on
-    either side joins it, leaves no file behind and reads as it would inline,
-    and a sidecar shorter than its JSON claims is never given a buffer that long."""
+    """A sidecar of 1 MiB or more is hashed on one worker thread as it is saved. A
+    failed write joins it and leaves no file behind, an error on the worker fails the
+    save before its JSON is written, a failed read is reported as one, and a sidecar
+    shorter than its JSON claims is never given a buffer that long."""
 
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, workers):
         vocab, config, table, params = _model_bits(**SIDECAR_SIZES["threaded"])
@@ -496,6 +491,20 @@ class TestHashWorker:
         assert list(tmp_path.iterdir()) == []
         assert len(workers) == 1 and threading.active_count() == baseline
 
+    def test_failed_hash_fails_the_save(self, tmp_path, monkeypatch, workers):
+        """An error raised on the worker is raised by the save, which writes no JSON."""
+        vocab, config, table, params = _model_bits(**SIDECAR_SIZES["threaded"])
+        baseline = threading.active_count()
+
+        class FailingDigest:
+            def update(self, chunk):
+                raise RuntimeError("digest failed")
+        monkeypatch.setattr(checkpoint, "hashlib", types.SimpleNamespace(sha256=FailingDigest))
+        with pytest.raises(RuntimeError, match="digest failed"):
+            save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npy"]
+        assert len(workers) == 1 and threading.active_count() == baseline
+
     def test_failed_read_cannot_be_read(self, tmp_path, monkeypatch, workers):
         vocab, config, table, params = _model_bits(**SIDECAR_SIZES["threaded"])
         path = tmp_path / "ckpt.json"
@@ -507,7 +516,7 @@ class TestHashWorker:
         with pytest.raises(CheckpointError, match=re.escape(
                 f"{path}: sidecar: cannot read ckpt.npy: {os.strerror(errno.EIO)}")):
             load_checkpoint(path)
-        assert len(workers) == 2 and threading.active_count() == baseline
+        assert len(workers) == 1 and threading.active_count() == baseline
 
     def test_claimed_length_is_not_allocated(self, tmp_path):
         """A config claiming a table 1,000 times the file's size is refused as
