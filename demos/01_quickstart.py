@@ -9,15 +9,16 @@ baseline trading strategy on the held-out test days.
 import numpy as np
 
 from newsvane import (
+    BUY,
     ModelConfig,
     PriceIndex,
     aggregate_daily,
-    decide_binary,
+    buy_scores,
     evaluate,
-    forward,
     generate_synthetic,
     init_parameters,
     init_self_learnt,
+    predict,
     prepare_dataset,
     simulate,
     to_pairs,
@@ -69,13 +70,11 @@ print(
 )
 
 print("\n== 5. baseline trading strategy (buy iff day-mean sigma > 0.5) ==")
-outputs = [
-    (s.headline_id, s.asset, s.date, forward(s.enc, table, params, config, mode="test")[0])
-    for s in prepared.test
-]
-day_predictions = aggregate_daily(outputs)
-decisions = [(dp.asset, dp.date, decide_binary(dp, 0.5)) for dp in day_predictions]
-report = simulate(decisions, prices)
+sigmas = predict([s.enc for s in prepared.test], table, params, config)
+day_predictions = aggregate_daily(
+    [(s.headline_id, s.asset, s.date, sigma) for s, sigma in zip(prepared.test, sigmas)])
+buys = map(day_predictions.__getitem__, np.flatnonzero(buy_scores(day_predictions) > 0.5).tolist())
+report = simulate([(dp.asset, dp.date, BUY) for dp in buys], prices)
 print(
     f"{report.n_trades} trades  total return {report.total_return_pct:+.2f}%  "
     f"PP {report.pp_pct:.1f}%  ATP {report.atp_pct:.4f}%\n"

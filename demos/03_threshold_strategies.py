@@ -18,10 +18,10 @@ from newsvane import (
     PriceIndex,
     aggregate_daily,
     evaluate,
-    forward,
     generate_synthetic,
     init_parameters,
     init_self_learnt,
+    predict,
     prepare_dataset,
     to_pairs,
     train,
@@ -58,11 +58,9 @@ for head in ("binary", "multiclass3"):
     metrics = evaluate(to_pairs(prepared.test, head), table, params, config)
     print(f"[{head}] test accuracy {metrics.accuracy:.3f}, F1 {metrics.f1:.3f}")
 
-    outputs = [
-        (s.headline_id, s.asset, s.date, forward(s.enc, table, params, config, mode="test")[0])
-        for s in prepared.test
-    ]
-    day_preds = aggregate_daily(outputs)
+    outputs = predict([s.enc for s in prepared.test], table, params, config)
+    day_preds = aggregate_daily(
+        [(s.headline_id, s.asset, s.date, out) for s, out in zip(prepared.test, outputs)])
     grid = default_threshold_grid(head_binary=(head == "binary"), step=0.01)
     sweeps[head] = threshold_sweep(day_preds, prices, grid)
 

@@ -36,26 +36,16 @@ from .corpus import (
     load_prices,
     split_half_hourly_unique,
 )
-from .embeddings import (
-    EmbeddingTable,
-    init_self_learnt,
-    load_pretrained,
-    lookup_concat,
-    nearest_neighbors,
-)
+from .embeddings import EmbeddingTable, init_self_learnt, load_pretrained, nearest_neighbors
 from .gradcheck import run_suite
 from .network import (
-    ForwardCache,
     ModelConfig,
     ModelParameters,
     RowGradient,
-    apply_dropout,
     backward,
-    dense_forward,
     forward,
     init_parameters,
-    sigmoid,
-    softmax3,
+    predict,
 )
 from .pipeline import PreparedData, Sample, prepare_dataset, to_pairs
 from .text import (

@@ -39,7 +39,7 @@ from .fileio import (
     strict_str,
     write_text_atomic,
 )
-from .network import HEAD_BINARY, ModelConfig, forward, init_parameters
+from .network import HEAD_BINARY, ModelConfig, init_parameters, predict
 from .seeding import derive_seed
 from .text import PAD_TOKEN, vocabulary_to_text
 
@@ -401,9 +401,9 @@ def _day_predictions(
         rows = _read_predictions_csv(Path(args.predictions), cfg.head, prices)
     else:
         ckpt, prepared, prices = _checkpoint_run(cfg, args)
-        rows = [(s.headline_id, s.asset, s.date,
-                 forward(s.enc, ckpt.table, ckpt.params, ckpt.config, mode="test")[0])
-                for s in prepared.test]
+        outputs = predict([s.enc for s in prepared.test], ckpt.table, ckpt.params, ckpt.config)
+        rows = [(s.headline_id, s.asset, s.date, output)
+                for s, output in zip(prepared.test, outputs)]
     return bt.aggregate_daily(rows), prices
 
 

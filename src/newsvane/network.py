@@ -9,7 +9,8 @@ the pooled maps are concatenated into z; two fully connected relu layers with
 dropout follow; the output head is a single sigmoid unit (binary) or a
 3-way softmax (multiclass), trained with the matching cross-entropy loss.
 
-Everything is float64 and single-sample. ``backward`` adds a sample's
+Everything is float64 and single-sample; ``predict``, the one test-mode
+entry point, runs ``forward`` once per headline. ``backward`` adds a sample's
 parameter gradient into accumulators its caller owns, so the training loop
 sums a batch by calling it once per sample in a fixed order, which keeps
 runs bit-reproducible; it returns the embedding gradient by position, which
@@ -62,7 +63,7 @@ class ModelConfig:
     filters_per_width: int
     hidden_sizes: tuple[int, int]
     head: str
-    dropout_rate: float = 0.0
+    dropout_rate: float
     pool_w: int = 2
 
     def __post_init__(self) -> None:
@@ -415,6 +416,17 @@ def forward(
         logits=logits, output=np.array([output]) if config.head == HEAD_BINARY else output,
     )
     return output, cache
+
+
+def predict(encodings: Sequence[EncodedHeadline], table: EmbeddingTable, params: ModelParameters,
+            config: ModelConfig) -> np.ndarray:
+    """Each encoding's test-mode ``forward`` output, in order and with its bits: sigmoid
+    probabilities ``(N,)`` of the binary head, or class probabilities ``(N, 3)``."""
+    n = len(encodings)
+    outputs = np.empty((n,) if config.head == HEAD_BINARY else (n, 3))
+    for i, enc in enumerate(encodings):
+        outputs[i] = forward(enc, table, params, config, mode="test")[0]
+    return outputs
 
 
 def sample_loss(output: float | np.ndarray, y: int, head: str) -> float:

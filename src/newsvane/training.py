@@ -28,6 +28,7 @@ from .network import (
     backward,
     forward,
     init_parameters,
+    predict,
     sample_loss,
 )
 from .seeding import derive_seed
@@ -223,7 +224,7 @@ def train(
     ``params`` and a trainable table are trained in place; the result holds
     the per-epoch loss/accuracy trace.
     """
-    _checked_classes(dataset, config.head, "training")
+    labels = _labels(dataset, config.head, "training")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if epochs < 0:
@@ -240,11 +241,11 @@ def train(
     acc = ModelParameters.from_flat(np.zeros(params.layout.size), params.layout)
 
     n = len(dataset)
+    outputs = np.empty((n,) if config.head == HEAD_BINARY else (n, 3))  # by sample index
     trace: list[EpochStats] = []
     for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        correct = 0
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             emb_grads = []  # None for a static table
@@ -252,7 +253,7 @@ def train(
                 enc, y = dataset[idx]
                 output, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
                 loss_sum += sample_loss(output, y, config.head)
-                correct += int(_predicted_class(output, config.head, 0.5) == y)
+                outputs[idx] = output
                 emb_grads.append(backward(cache, y, params, config, table, acc))
             scale = 1.0 / len(batch)
             grads: dict[str, np.ndarray | RowGradient] = {"params": acc.flat * scale}
@@ -268,6 +269,7 @@ def train(
                 raise NumericError(f"non-finite gradient for tensor {name!r}") from None
             table.matrix[0] = 0.0  # padding row stays frozen in every mode
             acc.flat[:] = 0.0
+        correct = int(np.count_nonzero(_classes(outputs, config.head, 0.5) == labels))
         trace.append(EpochStats(epoch=epoch, mean_loss=loss_sum / n, accuracy=correct / n))
     return TrainResult(trace=trace)
 
@@ -292,21 +294,22 @@ def _batch_sum(grads: list[tuple[np.ndarray, np.ndarray]], p: int, scale: float)
     return RowGradient(rows, sums.reshape(rows.size, p) * scale)
 
 
-def _checked_classes(dataset: Dataset, head: str, role: str) -> int:
-    """The class count of ``head``, for a non-empty ``dataset`` of its class indices."""
+def _labels(dataset: Dataset, head: str, role: str) -> np.ndarray:
+    """The labels of a non-empty ``dataset`` as int64, each a class index of ``head``."""
     if not dataset:
         raise ValueError(f"{role} dataset is empty")
     n_classes = 2 if head == HEAD_BINARY else 3
     for i, (_, y) in enumerate(dataset):
         if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < n_classes:
             raise ValueError(f"sample {i} has label {y!r}, not a class index of the {head} head")
-    return n_classes
+    return np.fromiter((y for _, y in dataset), np.int64, len(dataset))
 
 
-def _predicted_class(output: float | np.ndarray, head: str, threshold: float) -> int:
+def _classes(outputs: np.ndarray, head: str, threshold: float) -> np.ndarray:
+    """The class of each of ``predict``'s outputs: 1 iff sigma >= ``threshold``, or the argmax."""
     if head == HEAD_BINARY:
-        return 1 if float(output) >= threshold else 0
-    return int(np.argmax(np.asarray(output)))
+        return (outputs >= threshold).astype(np.int64)
+    return outputs.argmax(axis=1)
 
 
 # --- metrics ----------------------------------------------------------------
@@ -335,14 +338,8 @@ class MetricsReport:
     confusion: tuple[tuple[int, ...], ...]
 
     def to_dict(self) -> dict:
-        d = {
-            "head": self.head,
-            "n_samples": self.n_samples,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        names = ("head", "n_samples", "accuracy", "precision", "recall", "f1")
+        d = {name: getattr(self, name) for name in names}
         if self.head == HEAD_BINARY:
             d.update(tp=self.tp, fp=self.fp, fn=self.fn, tn=self.tn)
         else:
@@ -377,20 +374,19 @@ def evaluate(
     config: ModelConfig,
     class_threshold: float = 0.5,
 ) -> MetricsReport:
-    """Test-mode evaluation: binary predicts 1 iff sigma >= ``class_threshold``,
-    a number in [0, 1], multiclass predicts the argmax class and takes no
-    threshold but the default."""
+    """Metrics of ``predict``'s outputs against the labels, checked first: binary
+    predicts 1 iff sigma >= ``class_threshold``, a number in [0, 1], and the
+    3-way head predicts the argmax class and takes no threshold but the default."""
     if not 0.0 <= class_threshold <= 1.0:
         raise ValueError(f"class_threshold must be a number in [0, 1], got {class_threshold!r}")
     if class_threshold != 0.5 and config.head != HEAD_BINARY:
         raise ValueError(f"class_threshold applies to the binary head only; the {config.head!r} "
                          f"head predicts the argmax class, got {class_threshold!r}")
-    n_classes = _checked_classes(dataset, config.head, "evaluation")
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for enc, y in dataset:
-        output, _ = forward(enc, table, params, config, mode="test")
-        confusion[y, _predicted_class(output, config.head, class_threshold)] += 1
-    return confusion_metrics(confusion)
+    labels = _labels(dataset, config.head, "evaluation")
+    predicted = _classes(predict([enc for enc, _ in dataset], table, params, config),
+                         config.head, class_threshold)
+    k = 2 if config.head == HEAD_BINARY else 3
+    return confusion_metrics(np.bincount(labels * k + predicted, minlength=k * k).reshape(k, k))
 
 
 # --- grid search ------------------------------------------------------------

@@ -146,6 +146,15 @@ class TestTrain:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["accuracy"] > 0.9  # full-signal corpus is easy
 
+    def test_trace_holds_plain_numbers(self, workspace):
+        """Each row is the repr of an epoch's numbers: a numpy scalar would read np.float64(...)."""
+        _, _, _, out, _ = workspace
+        trace = (out / "trace.csv").read_text()
+        assert "np." not in trace and trace.count("\n") == 11
+        for row in trace.splitlines()[1:]:
+            epoch, loss, accuracy = row.split(",")
+            assert int(epoch) >= 0 and float(loss) > 0.0 and 0.0 <= float(accuracy) <= 1.0
+
     def test_missing_pretrained_path_rejected(self, workspace, tmp_path):
         root, _, data, _, config = workspace
         bad = dict(config)

@@ -120,7 +120,8 @@ def test_well_conditioned_decides_like_the_per_width_loop():
         if sum(n_f * -(-(m - h + 1) // pool_w) for h in widths) < 3:
             continue
         config = network.ModelConfig(p=1, m=m, filter_widths=widths, filters_per_width=n_f,
-                                     hidden_sizes=(2, 1), pool_w=pool_w, head="binary")
+                                     hidden_sizes=(2, 1), pool_w=pool_w, dropout_rate=0.0,
+                                     head="binary")
         plan = config._plan
         lowest = 0 if rng.random() < 0.3 else int(rng.integers(3, 6))  # |pre| >= 0.012 unless 0
         pre = rng.choice([-1, 1], size=plan.pad.shape) * rng.integers(lowest, lowest + 8,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from newsvane import network
 from newsvane.embeddings import EmbeddingTable, lookup_concat
 from newsvane.network import (
     LOG_EPS,
@@ -19,6 +20,7 @@ from newsvane.network import (
     forward,
     init_parameters,
     param_layout,
+    predict,
     sample_loss,
     sigmoid,
     softmax3,
@@ -88,7 +90,7 @@ def forward_pools(words, w):
     """
     m = len(words)
     config = ModelConfig(p=1, m=m, filter_widths=(2, 3, 4), filters_per_width=1,
-                         hidden_sizes=(2, 1), pool_w=w, head="binary")
+                         hidden_sizes=(2, 1), pool_w=w, dropout_rate=0.0, head="binary")
     table = EmbeddingTable(matrix=np.array([0.0, *words])[:, None], mode="static")
     layout = param_layout(config)
     params = ModelParameters.from_flat(np.zeros(layout.size), layout)
@@ -436,6 +438,56 @@ class TestForward:
         assert output.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _random_encodings(config, n, rng, vocab_size=5):
+    """``n`` encodings of ``config.m`` indices below ``vocab_size``, of random true lengths."""
+    encodings = []
+    for _ in range(n):
+        true_len = int(rng.integers(0, config.m + 1))
+        indices = np.zeros(config.m, dtype=np.int64)
+        indices[:true_len] = rng.integers(1, vocab_size, size=true_len)
+        encodings.append(EncodedHeadline(indices=indices, true_len=true_len))
+    return encodings
+
+
+class TestPredict:
+    @settings(max_examples=30, deadline=None)
+    @given(config=_model_configs(), n=st.integers(0, 6), seed=st.integers(0, 2**16))
+    def test_matches_per_headline_forward_bit_for_bit(self, config, n, seed):
+        rng = np.random.default_rng(seed)
+        table = EmbeddingTable(matrix=rng.normal(size=(5, config.p)), mode="non_static")
+        table.matrix[0] = 0.0
+        params = init_parameters(config, rng)
+        encodings = _random_encodings(config, n, rng)
+        outputs = predict(encodings, table, params, config)
+        shape = (n,) if config.head == "binary" else (n, 3)
+        expected = [forward(enc, table, params, config, mode="test")[0] for enc in encodings]
+        assert outputs.dtype == np.float64 and outputs.shape == shape
+        assert outputs.tobytes() == np.array(expected, dtype=np.float64).reshape(shape).tobytes()
+
+    @pytest.mark.parametrize("head, shape", [("binary", (0,)), ("multiclass3", (0, 3))])
+    def test_no_encodings_give_an_empty_array_of_the_head(self, head, shape):
+        config = ModelConfig(p=2, m=5, filter_widths=(2, 3), filters_per_width=2,
+                             hidden_sizes=(4, 2), dropout_rate=0.25, head=head)
+        table = EmbeddingTable(matrix=np.zeros((3, 2)), mode="static")
+        outputs = predict([], table, init_parameters(config, np.random.default_rng(0)), config)
+        assert outputs.shape == shape and outputs.dtype == np.float64
+
+    def test_scores_each_headline_through_the_module_forward(self, monkeypatch):
+        """One test-mode ``network.forward`` call per headline, in order: the
+        name a profiler that wraps that global counts."""
+        config, table, enc, params = _toy_setup()
+        calls = []
+
+        def counting(enc, *args, mode, **kwargs):
+            calls.append((enc, mode))
+            return forward(enc, *args, mode=mode, **kwargs)
+
+        monkeypatch.setattr(network, "forward", counting)
+        other = EncodedHeadline(indices=np.array([2, 2, 0]), true_len=2)
+        predict([enc, other, enc], table, params, config)
+        assert calls == [(enc, "test"), (other, "test"), (enc, "test")]
+
+
 def _naive_feature_maps(x, filt, bias, h, p, w):
     """Per-window relu conv of one filter, then its pool: plain loops."""
     post = []
@@ -504,7 +556,7 @@ class TestShapes:
     def test_encoding_of_another_length_rejected(self):
         # under m=12: one index short, one too many, and twelve in a column
         config = ModelConfig(p=2, m=12, filter_widths=(3, 4), filters_per_width=2,
-                             hidden_sizes=(6, 3), head="binary")
+                             hidden_sizes=(6, 3), dropout_rate=0.0, head="binary")
         table = EmbeddingTable(matrix=np.random.default_rng(2).normal(size=(5, 2)),
                                mode="non_static")
         params = init_parameters(config, np.random.default_rng(3))
@@ -517,16 +569,16 @@ class TestShapes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(p=2, m=3, filter_widths=(4,), filters_per_width=1, hidden_sizes=(2, 1),
-                        head="binary")
+                        dropout_rate=0.0, head="binary")
         with pytest.raises(ValueError):
             ModelConfig(p=2, m=6, filter_widths=(2,), filters_per_width=1, hidden_sizes=(9, 1),
-                        head="binary")
+                        dropout_rate=0.0, head="binary")
         with pytest.raises(ValueError):
             ModelConfig(p=2, m=6, filter_widths=(2, 2), filters_per_width=1, hidden_sizes=(2, 1),
-                        head="binary")
+                        dropout_rate=0.0, head="binary")
         with pytest.raises(ValueError):
             ModelConfig(p=2, m=6, filter_widths=(2,), filters_per_width=2, hidden_sizes=(2, 2),
-                        head="binary")
+                        dropout_rate=0.0, head="binary")
 
 
 def _backward(cache, y, params, config, table):
@@ -567,7 +619,7 @@ class TestBackwardContracts:
         # np.add.at into a zeroed table must give the first one's rows.
         rng = np.random.default_rng(5)
         config = ModelConfig(p=6, m=9, filter_widths=(2, 3), filters_per_width=2,
-                             hidden_sizes=(5, 3), head="multiclass3")
+                             hidden_sizes=(5, 3), dropout_rate=0.0, head="multiclass3")
         indices = np.array([3, 1, 3, 3, 2, 1, 3, 0, 0])
         matrix = rng.normal(size=(4, 6))
         matrix[0] = 0.0
@@ -852,16 +904,16 @@ def test_forward_and_backward_match_former_code_bit_for_bit(case):
                 dropout_rate=0.3, pool_w=2, head="binary"),
     # map lengths 10, 8, 7 against pool_w 3: none divides
     ModelConfig(p=2, m=11, filter_widths=(2, 4, 5), filters_per_width=2, hidden_sizes=(6, 3),
-                pool_w=3, head="multiclass3"),
+                pool_w=3, dropout_rate=0.0, head="multiclass3"),
     # one width as long as the sentence: a one-row map
     ModelConfig(p=2, m=6, filter_widths=(6, 3), filters_per_width=2, hidden_sizes=(5, 2),
-                pool_w=1, head="binary"),
+                pool_w=1, dropout_rate=0.0, head="binary"),
     # a single filter per width
     ModelConfig(p=2, m=11, filter_widths=(4, 2), filters_per_width=1, hidden_sizes=(6, 2),
                 dropout_rate=0.3, pool_w=1, head="multiclass3"),
     # the same with every map cell an argmax: numpy sums a lone column pairwise
     ModelConfig(p=1, m=9, filter_widths=(2, 4), filters_per_width=1, hidden_sizes=(3, 1),
-                pool_w=1, head="binary"),
+                pool_w=1, dropout_rate=0.0, head="binary"),
 ])
 @pytest.mark.parametrize("mode", ["static", "non_static"])
 def test_named_shapes_match_former_code_bit_for_bit(config, mode):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from newsvane import training
+from newsvane import network, training
 from newsvane.embeddings import EmbeddingTable, init_self_learnt, load_pretrained
 from newsvane.corpus import PriceIndex, generate_synthetic
 from newsvane.network import (
@@ -19,6 +19,7 @@ from newsvane.network import (
     forward,
     init_parameters,
     param_layout,
+    predict,
 )
 from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
@@ -230,6 +231,38 @@ def _tiny_config(prepared, head="binary", dropout=0.0):
     )
 
 
+# outputs on a class boundary: sigmas at the 0.5 threshold and one step to either
+# side of it, and 3-way vectors whose largest probability ties
+_BOUNDARY_OUTPUTS = {
+    "binary": [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.0, 1.0],
+    "multiclass3": [np.array(v) for v in ([0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.4, 0.2, 0.4],
+                                          [1 / 3] * 3, [0.1, 0.3, 0.6])],
+}
+
+
+def _former_class(output, head, threshold):
+    """The class that ``train`` and ``evaluate`` once worked out per sample."""
+    if head == "binary":
+        return 1 if float(output) >= threshold else 0
+    return int(np.argmax(np.asarray(output)))
+
+
+def _with_boundary_outputs(real_forward, head):
+    """``real_forward``, with every third call's output replaced by the head's
+    next boundary output, and each call's (encoding, output) recorded."""
+    calls = []
+
+    def patched(enc, *args, **kwargs):
+        output, cache = real_forward(enc, *args, **kwargs)
+        if len(calls) % 3 == 0:
+            boundary = _BOUNDARY_OUTPUTS[head]
+            output = boundary[len(calls) // 3 % len(boundary)]
+        calls.append((enc, output))
+        return output, cache
+
+    return patched, calls
+
+
 class TestTrain:
     def test_epochs_zero_leaves_parameters_untouched(self, tiny_corpus):
         config = _tiny_config(tiny_corpus)
@@ -314,6 +347,45 @@ class TestTrain:
         result = train(to_pairs(tiny_corpus.train, "multiclass3"), table, params, config,
                        epochs=3, batch_size=16, seed=3, lr=1e-3)
         assert result.trace[-1].mean_loss < result.trace[0].mean_loss
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass3"])
+    def test_epoch_accuracy_matches_the_former_per_sample_tally(self, tiny_corpus, head,
+                                                                 monkeypatch):
+        config = _tiny_config(tiny_corpus, head, dropout=0.25)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
+        params = init_parameters(config, np.random.default_rng(2))
+        pairs = to_pairs(tiny_corpus.train, head)
+        patched, calls = _with_boundary_outputs(forward, head)
+        monkeypatch.setattr(training, "forward", patched)
+        result = train(pairs, table, params, config, epochs=3, batch_size=16, seed=3, lr=1e-3)
+        label = {id(enc): y for enc, y in pairs}
+        n = len(pairs)
+        assert len(label) == n and len(calls) == 3 * n
+        expected = []
+        for epoch in range(3):
+            correct = 0
+            for enc, output in calls[epoch * n : (epoch + 1) * n]:
+                correct += int(_former_class(output, head, 0.5) == label[id(enc)])
+            expected.append(correct / n)
+        assert [stats.accuracy for stats in result.trace] == expected
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass3"])
+    def test_trace_and_metrics_hold_plain_python_numbers(self, tiny_corpus, head):
+        """trace.csv holds the repr of each trace number and metrics.json the
+        report's numbers, so a numpy scalar there reads ``np.float64(...)``."""
+        config = _tiny_config(tiny_corpus, head)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
+        params = init_parameters(config, np.random.default_rng(2))
+        result = train(to_pairs(tiny_corpus.train, head)[:40], table, params, config,
+                       epochs=2, batch_size=16, seed=3, lr=1e-3)
+        assert [(type(s.epoch), type(s.mean_loss), type(s.accuracy)) for s in result.trace] == [
+            (int, float, float)] * 2
+        report = evaluate(to_pairs(tiny_corpus.test, head), table, params, config)
+        for name in ("accuracy", "precision", "recall", "f1"):
+            assert type(getattr(report, name)) is float, name
+        for name in ("n_samples", "tp", "fp", "fn", "tn"):
+            assert type(getattr(report, name)) is int, name
+        assert {type(count) for row in report.confusion for count in row} == {int}
 
     def test_padding_row_stays_zero_after_training(self, tiny_corpus):
         config = _tiny_config(tiny_corpus)
@@ -646,7 +718,7 @@ class TestBatchSum:
     def test_all_padding_batch_trains(self):
         # the former sum failed on such a batch with a trainable table
         config = ModelConfig(p=2, m=4, filter_widths=(2,), filters_per_width=2, hidden_sizes=(3, 1),
-                             head="binary")
+                             dropout_rate=0.0, head="binary")
         matrix = np.random.default_rng(6).normal(size=(5, 2))
         matrix[0] = 0.0
         table = EmbeddingTable(matrix=matrix.copy(), mode="non_static")
@@ -731,6 +803,32 @@ class TestEvaluate:
         assert report.recall == 0.0
         assert report.f1 == 0.0
         assert report.accuracy == 1.0
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass3"])
+    def test_confusion_matches_the_former_per_sample_tally(self, tiny_corpus, head, monkeypatch):
+        """Thresholds at 0, 1 and at some of the model's own sigmas, so those
+        samples sit exactly on it; every third output is a boundary one."""
+        config = _tiny_config(tiny_corpus, head, dropout=0.25)
+        table = init_self_learnt(tiny_corpus.vocab, config.p, mean=0.0, std=0.1, seed=1)
+        params = init_parameters(config, np.random.default_rng(2))
+        pairs = to_pairs(tiny_corpus.test, head)
+        thresholds = [0.5]
+        if head == "binary":
+            sigmas = predict([enc for enc, _ in pairs], table, params, config)
+            thresholds += [0.0, 1.0, *np.sort(sigmas)[:: len(sigmas) // 4].tolist()]
+        patched, calls = _with_boundary_outputs(network.forward, head)
+        monkeypatch.setattr(network, "forward", patched)
+        k = 2 if head == "binary" else 3
+        for t in thresholds:
+            start = len(calls)
+            report = evaluate(pairs, table, params, config, class_threshold=t)
+            seen = calls[start:]
+            assert len(seen) == len(pairs) and all(a is b for (a, _), (b, _) in zip(seen, pairs))
+            confusion = np.zeros((k, k), dtype=np.int64)
+            for (_, output), (_, y) in zip(seen, pairs):
+                confusion[y, _former_class(output, head, t)] += 1
+            assert report == confusion_metrics(confusion)
+            assert report.confusion == tuple(map(tuple, confusion.tolist()))
 
     def test_threshold_is_inclusive(self):
         _, table, config, params, pos, neg = _fixture_model()
