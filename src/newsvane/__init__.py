@@ -41,26 +41,20 @@ from .gradcheck import run_suite
 from .network import (
     ModelConfig,
     ModelParameters,
-    RowGradient,
     backward,
     forward,
     init_parameters,
     predict,
 )
 from .pipeline import PreparedData, Sample, prepare_dataset, to_pairs
-from .text import (
-    EncodedHeadline,
-    Vocabulary,
-    build_vocabulary,
-    encode_and_pad,
-    tokenize,
-)
+from .text import Vocabulary, build_vocabulary, encode_and_pad, tokenize
 from .training import (
     AdamState,
     GridAxes,
     GridResult,
     MetricsReport,
     NumericError,
+    RowGradient,
     adam_step,
     evaluate,
     grid_search,

@@ -250,7 +250,7 @@ def cmd_prepare(cfg: RunConfig, args: argparse.Namespace) -> Outputs:
         ["headline_id", "asset", "date", "trade_date", "next_day_return",
          "binary_label", "tri_label", "role", "true_len"],
         ([s.headline_id, s.asset, s.date.isoformat(), s.trade_date.isoformat(),
-          repr(s.next_day_return), s.binary_label, s.tri_label, role, s.enc.true_len]
+          repr(s.next_day_return), s.binary_label, s.tri_label, role, np.count_nonzero(s.enc)]
          for role, samples in (("train", prepared.train), ("test", prepared.test)) for s in samples),
     )
     return files, [

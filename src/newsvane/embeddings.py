@@ -19,7 +19,7 @@ import numpy as np
 
 from .fileio import open_text
 from .seeding import derive_seed
-from .text import EncodedHeadline, Vocabulary
+from .text import Vocabulary
 
 MODE_SELF_LEARNT = "self_learnt"
 MODE_STATIC = "static"
@@ -184,15 +184,15 @@ def load_pretrained(
     return EmbeddingTable(matrix=matrix, mode=mode, pretrained_hit_count=vocab.size - n_missing)
 
 
-def lookup_concat(enc: EncodedHeadline, table: EmbeddingTable) -> np.ndarray:
-    """Concatenate the embedding rows of an encoded headline into one vector.
+def lookup_concat(enc: np.ndarray, table: EmbeddingTable) -> np.ndarray:
+    """Concatenate the embedding rows of an encoded headline, its integer
+    array of table row indices, into one vector.
 
     Output length is max_len * p; padding positions contribute zero blocks.
     """
-    idx = enc.indices
-    if idx[idx.argmin()] >= 0:  # take would read index -k as the k-th row from the end
+    if enc[enc.argmin()] >= 0:  # take would read index -k as the k-th row from the end
         try:
-            return table.matrix.take(idx, axis=0).reshape(-1)
+            return table.matrix.take(enc, axis=0).reshape(-1)
         except (IndexError, TypeError):  # an index past the last row, or not an integer
             pass
     raise ValueError("encoded index out of range for embedding table (corrupt input)")

@@ -34,7 +34,6 @@ from .network import (
     sample_loss,
 )
 from .seeding import derive_seed
-from .text import EncodedHeadline
 from .training import _batch_sum
 
 # the central difference's step, and the largest relative error a passing suite may show
@@ -120,10 +119,9 @@ def _random_instance(rng: np.random.Generator, index: int):
         config = ModelConfig(hidden_sizes=(l1, l2), **config_try)
 
         vocab_size = int(rng.integers(3, 8))
-        true_len = int(rng.integers(1, m + 1))
-        indices = np.zeros(m, dtype=np.int64)
-        indices[:true_len] = rng.integers(1, vocab_size + 1, size=true_len)
-        enc = EncodedHeadline(indices=indices, true_len=true_len)
+        n_words = int(rng.integers(1, m + 1))
+        enc = np.zeros(m, dtype=np.int64)
+        enc[:n_words] = rng.integers(1, vocab_size + 1, size=n_words)
 
         matrix = rng.normal(0.0, 1.0, size=(vocab_size + 1, p))
         matrix[0] = 0.0
@@ -170,7 +168,7 @@ def _rel_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 def check_instance(
     config: ModelConfig,
-    enc: EncodedHeadline,
+    enc: np.ndarray,
     table: EmbeddingTable,
     params: ModelParameters,
     y: int,

@@ -43,7 +43,6 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable, lookup_concat
-from .text import EncodedHeadline
 
 HEAD_BINARY = "binary"
 HEAD_MULTICLASS3 = "multiclass3"
@@ -364,14 +363,14 @@ class ForwardCache:
 
 
 def forward(
-    enc: EncodedHeadline,
+    enc: np.ndarray,
     table: EmbeddingTable,
     params: ModelParameters,
     config: ModelConfig,
     mode: Literal["train", "test"] = "test",
     rng: np.random.Generator | None = None,
 ) -> tuple[float | np.ndarray, ForwardCache | None]:
-    """Run the network on one encoded headline.
+    """Run the network on one encoded headline, its int64 ``(m,)`` index array.
 
     Returns (output, cache): the output is the sigmoid probability (binary
     head) or the 3-class probability vector; the cache is populated only in
@@ -380,8 +379,8 @@ def forward(
     """
     if mode not in ("train", "test"):
         raise ValueError(f"unknown mode {mode!r}")
-    if enc.indices.shape != (config.m,):
-        raise ValueError(f"an encoding of shape {enc.indices.shape} is not m={config.m} indices")
+    if enc.shape != (config.m,):
+        raise ValueError(f"an encoding of shape {enc.shape} is not m={config.m} indices")
     x = lookup_concat(enc, table)
 
     plan = config._plan
@@ -411,17 +410,18 @@ def forward(
         return output, None
     blocks = post.reshape(plan.blocks, config.pool_w, -1)
     cache = ForwardCache(
-        indices=enc.indices, windows=windows, pre=pre,
+        indices=enc, windows=windows, pre=pre,
         positions=blocks.argmax(axis=1) + plan.starts, plan=plan, z=z, drop1=drop1, drop2=drop2,
         logits=logits, output=np.array([output]) if config.head == HEAD_BINARY else output,
     )
     return output, cache
 
 
-def predict(encodings: Sequence[EncodedHeadline], table: EmbeddingTable, params: ModelParameters,
+def predict(encodings: Sequence[np.ndarray], table: EmbeddingTable, params: ModelParameters,
             config: ModelConfig) -> np.ndarray:
     """Each encoding's test-mode ``forward`` output, in order and with its bits: sigmoid
-    probabilities ``(N,)`` of the binary head, or class probabilities ``(N, 3)``."""
+    probabilities ``(N,)`` of the binary head, or class probabilities ``(N, 3)``. The
+    encodings are any sequence of int64 ``(m,)`` index arrays, an ``(N, m)`` matrix included."""
     n = len(encodings)
     outputs = np.empty((n,) if config.head == HEAD_BINARY else (n, 3))
     for i, enc in enumerate(encodings):
@@ -440,14 +440,6 @@ def sample_loss(output: float | np.ndarray, y: int, head: str) -> float:
 
 _ONE_HOT3 = np.eye(3)
 _ONE_HOT3.flags.writeable = False
-
-
-class RowGradient(NamedTuple):
-    """A gradient that is zero outside ``rows``: the sorted distinct row
-    indices (first axis of the tensor) and, row for row, their gradients."""
-
-    rows: np.ndarray    # int64, ascending, no repeats
-    values: np.ndarray  # (len(rows), ...) in the tensor's row shape
 
 
 def backward(

@@ -27,25 +27,26 @@ from .corpus import (
 )
 from .network import HEAD_BINARY, HEADS
 from .seeding import derive_seed
-from .text import EncodedHeadline, Vocabulary, build_vocabulary, encode_and_pad, tokenize
+from .text import Vocabulary, build_vocabulary, encode_and_pad, tokenize
 
 TRI_INDEX = {name: i for i, name in enumerate(TRI_CLASSES)}
 _ID = attrgetter("id")
 
 
 class Sample(NamedTuple):
-    """One model-ready headline: its encoding and trade metadata, as a named
-    tuple (``==`` reaches the encoding's array, see ``EncodedHeadline``). The
-    return of the bar on ``trade_date``, its next trading day, determines both
-    labels: ``binary_label`` is 1 iff it is positive, ``tri_label`` is its
-    ``corpus.tri_label_of``."""
+    """One model-ready headline: its encoding (``encode_and_pad``'s int64
+    ``(max_len,)`` index array) and trade metadata, as a named tuple (``==``
+    reaches the array and raises for more than one index; compare encodings
+    with ``np.array_equal``). The return of the bar on ``trade_date``, its
+    next trading day, determines both labels: ``binary_label`` is 1 iff it is
+    positive, ``tri_label`` is its ``corpus.tri_label_of``."""
 
     headline_id: int
     asset: str
     date: dt.date
     trade_date: dt.date
     next_day_return: float
-    enc: EncodedHeadline
+    enc: np.ndarray
 
     @property
     def binary_label(self) -> int:
@@ -101,7 +102,7 @@ def prepare_dataset(
     return PreparedData(vocab=vocab, train=train, test=test, split=split, n_unlabeled=len(skipped))
 
 
-def to_pairs(samples: tuple[Sample, ...], head: str) -> list[tuple[EncodedHeadline, int]]:
+def to_pairs(samples: tuple[Sample, ...], head: str) -> list[tuple[np.ndarray, int]]:
     """Project samples onto (encoding, class index) pairs for the given head,
     one of ``network.HEADS``; any other head is a ValueError."""
     if head not in HEADS:

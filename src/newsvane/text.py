@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import unicodedata
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,30 +114,19 @@ def build_vocabulary(training_texts: list[list[str]], max_len: int | None) -> Vo
     return Vocabulary(tokens, max(map(len, training_texts)) if max_len is None else max_len)
 
 
-class EncodedHeadline(NamedTuple):
-    """A headline as a length-``max_len`` index vector plus its true length.
-
-    Positions >= true_len hold the padding index 0; positions before it hold
-    real token indices >= 1. It is a named tuple: ``==`` between two
-    encodings compares their index arrays and raises for arrays longer than
-    one, and it is unhashable; compare ``indices`` with ``np.array_equal``.
-    """
-
-    indices: np.ndarray  # int64, shape (max_len,)
-    true_len: int
-
-
-def encode_and_pad(tokens: list[str], vocab: Vocabulary) -> EncodedHeadline:
-    """Encode kept tokens and post-pad with zeros to ``vocab.max_len``.
+def encode_and_pad(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
+    """Encode kept tokens and post-pad with zeros to ``vocab.max_len``: an
+    int64 ``(max_len,)`` array of vocabulary indices.
 
     Tokens absent from the vocabulary are dropped (no trained representation
     exists for them); sentences longer than ``max_len`` keep their first
-    ``max_len`` tokens.
+    ``max_len`` tokens. Every kept token's index is at least 1, so the
+    array's count of non-zero entries is the count of kept tokens.
     """
     m = vocab.max_len
     word_to_index = vocab.word_to_index
     kept = [word_to_index[t] for t in tokens if t in word_to_index][:m]
-    return EncodedHeadline(np.array(kept + [0] * (m - len(kept)), dtype=np.int64), len(kept))
+    return np.array(kept + [0] * (m - len(kept)), dtype=np.int64)
 
 
 def vocabulary_to_text(vocab: Vocabulary) -> str:

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .network import (
     HEAD_MULTICLASS3,
     ModelConfig,
     ModelParameters,
-    RowGradient,
     backward,
     forward,
     init_parameters,
@@ -32,13 +31,20 @@ from .network import (
     sample_loss,
 )
 from .seeding import derive_seed
-from .text import EncodedHeadline
 
-Dataset = Sequence[tuple[EncodedHeadline, int]]
+Dataset = Sequence[tuple[np.ndarray, int]]  # (int64 (m,) encoding, class index) pairs
 
 
 class NumericError(ValueError):
     """A run produced a non-finite number (for example a diverging step)."""
+
+
+class RowGradient(NamedTuple):
+    """A gradient that is zero outside ``rows``: the sorted distinct row
+    indices (first axis of the tensor) and, row for row, their gradients."""
+
+    rows: np.ndarray    # int64, ascending, no repeats
+    values: np.ndarray  # (len(rows), ...) in the tensor's row shape
 
 
 # Adam's moment decay rates and denominator guard (Kingma and Ba, arXiv:1412.6980).

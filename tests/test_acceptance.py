@@ -37,7 +37,7 @@ from newsvane.network import (
 )
 from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
-from newsvane.text import EncodedHeadline, Vocabulary
+from newsvane.text import Vocabulary
 from newsvane.training import evaluate, train
 from test_network import forward_pools
 
@@ -219,8 +219,8 @@ def test_criterion_5_metric_exactness():
     params.w2[:] = [[1.0, -1.0]]
     params.w_out[:] = [[4.0]]
     params.b_out[:] = [-2.0]
-    pos = EncodedHeadline(indices=np.array([1, 0]), true_len=1)
-    neg = EncodedHeadline(indices=np.array([2, 0]), true_len=1)
+    pos = np.array([1, 0])
+    neg = np.array([2, 0])
     dataset = [(pos, 1)] * 3 + [(pos, 0)] * 1 + [(neg, 1)] * 2 + [(neg, 0)] * 4
     report = evaluate(dataset, table, params, config)
     assert (report.tp, report.fp, report.fn, report.tn) == (3, 1, 2, 4)
@@ -375,9 +375,8 @@ def test_criterion_9_reference_shape_conformance(tmp_path):
     )
     assert config.total_filters == 36
     params = init_parameters(config, np.random.default_rng(2))
-    indices = np.zeros(m, dtype=np.int64)
-    indices[:9] = rng.integers(1, 11, size=9)
-    enc = EncodedHeadline(indices=indices, true_len=9)
+    enc = np.zeros(m, dtype=np.int64)
+    enc[:9] = rng.integers(1, 11, size=9)
     _, cache = forward(enc, table, params, config, mode="train")
     expected_z = 0
     for width in cache.plan.widths:

@@ -2,6 +2,7 @@
 
 import argparse
 import codecs
+import csv
 import dataclasses
 import json
 import os
@@ -19,6 +20,7 @@ from newsvane.corpus import load_headlines, load_prices
 from newsvane.embeddings import load_pretrained, nearest_neighbors
 from newsvane.network import ModelConfig
 from newsvane.pipeline import prepare_dataset
+from newsvane.text import tokenize
 from newsvane.training import cell_config
 from test_checkpoint import format_3_layout
 from test_gradients import perturb_backward
@@ -117,6 +119,38 @@ class TestPrepare:
         assert (tmp_path / "samples.csv").read_text().count("\n") == (
             len(split["train_ids"]) + len(split["test_ids"]) + 1
         )
+
+    def test_true_len_is_the_count_of_kept_tokens(self, workspace, tmp_path):
+        """samples.csv's true_len, counted from the encoding, is the count of a headline's
+        tokens in the vocabulary, capped at max_len: 0 for an all-OOV headline."""
+        _, _, _, _, config = workspace
+        texts = ["alpha beta gamma delta epsilon zeta", "alpha beta", "zulu yankee xray",
+                 "Beta unknown gamma!"]
+        # the first two share a half-hour, so their date trains and the other two test
+        when = ["2016-01-04,10:05", "2016-01-04,10:20", "2016-01-05,10:05", "2016-01-06,10:05"]
+        (tmp_path / "headlines.csv").write_text("id,asset,date,time,relevance,text\n" + "".join(
+            f"{i},AAA,{w},1.0,{t}\n" for i, (w, t) in enumerate(zip(when, texts))))
+        (tmp_path / "prices.csv").write_text("asset,date,open,close\n" + "".join(
+            f"AAA,2016-01-0{d},100.0,{100.0 + d - 5.5}\n" for d in range(4, 8)))
+        cfg = json.loads(json.dumps(config))
+        cfg["paths"] = {"headlines": str(tmp_path / "headlines.csv"),
+                        "prices": str(tmp_path / "prices.csv"), "out_dir": str(tmp_path / "out")}
+        cfg["portfolio"] = ["AAA"]
+        cfg["model"].update(max_len=4, hidden_sizes=[4, 2])
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        assert cli.main(["prepare", "--config", str(tmp_path / "run.json")]) == 0
+
+        vocab = {line.split("\t")[0]
+                 for line in (tmp_path / "out" / "vocab.tsv").read_text().splitlines()[1:]}
+
+        def former_true_len(text):
+            return len([t for t in tokenize(text) if t in vocab][:4])
+
+        with open(tmp_path / "out" / "samples.csv", newline="") as fh:
+            rows = [(int(r["headline_id"]), r["role"], r["true_len"]) for r in csv.DictReader(fh)]
+        assert rows == [(i, role, str(former_true_len(texts[i])))
+                        for i, role in enumerate(["train", "train", "test", "test"])]
+        assert [n for _, _, n in rows] == ["4", "2", "0", "2"]
 
     @pytest.mark.parametrize("command", ["prepare", "train", "evaluate"])
     @pytest.mark.parametrize("portfolio, named", [

@@ -18,7 +18,7 @@ from newsvane.embeddings import (
     nearest_neighbors,
 )
 from newsvane.seeding import derive_seed
-from newsvane.text import EncodedHeadline, Vocabulary
+from newsvane.text import Vocabulary
 
 
 def _vocab(*tokens, max_len=4):
@@ -353,25 +353,25 @@ def test_one_normal_call_draws_as_successive_row_calls():
 class TestLookupConcat:
     def test_concatenation(self):
         table = EmbeddingTable(matrix=np.array([[0.0, 0.0], [3.0, 4.0]]), mode="self_learnt")
-        enc = EncodedHeadline(indices=np.array([1, 0]), true_len=1)
+        enc = np.array([1, 0])
         assert lookup_concat(enc, table).tolist() == [3.0, 4.0, 0.0, 0.0]
 
     def test_all_padding_gives_zero_vector(self):
         table = EmbeddingTable(matrix=np.ones((3, 2)), mode="self_learnt")
         table.matrix[0] = 0.0
-        enc = EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0)
+        enc = np.zeros(4, dtype=np.int64)
         x = lookup_concat(enc, table)
         assert x.shape == (8,)
         assert not x.any()
 
     def test_repeated_token(self):
         table = EmbeddingTable(matrix=np.array([[0.0], [5.0], [7.0]]), mode="self_learnt")
-        enc = EncodedHeadline(indices=np.array([2, 2, 0]), true_len=2)
+        enc = np.array([2, 2, 0])
         assert lookup_concat(enc, table).tolist() == [7.0, 7.0, 0.0]
 
     def test_out_of_range_index(self):
         table = EmbeddingTable(matrix=np.zeros((2, 1)), mode="self_learnt")
-        enc = EncodedHeadline(indices=np.array([5]), true_len=1)
+        enc = np.array([5])
         with pytest.raises(ValueError, match="corrupt"):
             lookup_concat(enc, table)
 
@@ -379,7 +379,7 @@ class TestLookupConcat:
     def test_negative_index(self, dtype):
         # numpy would read index -1 as the last row
         table = EmbeddingTable(matrix=np.arange(3.0)[:, None], mode="self_learnt")
-        enc = EncodedHeadline(indices=np.array([1, -1, 0], dtype=dtype), true_len=2)
+        enc = np.array([1, -1, 0], dtype=dtype)
         with pytest.raises(ValueError, match="corrupt"):
             lookup_concat(enc, table)
 

@@ -25,7 +25,6 @@ from newsvane.network import (
     sigmoid,
     softmax3,
 )
-from newsvane.text import EncodedHeadline
 from newsvane.training import _batch_sum
 from test_checkpoint import _model_configs
 
@@ -96,8 +95,7 @@ def forward_pools(words, w):
     params = ModelParameters.from_flat(np.zeros(layout.size), layout)
     for h in config.filter_widths:
         params.filters[h][0, 0] = 1.0
-    _, cache = forward(EncodedHeadline(indices=np.arange(1, m + 1), true_len=m), table, params,
-                       config, mode="train")
+    _, cache = forward(np.arange(1, m + 1), table, params, config, mode="train")
     pools, start = [], 0
     for width in cache.plan.widths:
         n = config.pooled_len(width.h)
@@ -306,7 +304,7 @@ def _toy_setup():
         hidden_sizes=(3, 2), dropout_rate=0.0, pool_w=2, head="binary",
     )
     table = EmbeddingTable(matrix=np.array([[0.0], [2.0], [-1.0]]), mode="non_static")
-    enc = EncodedHeadline(indices=np.array([1, 2, 1]), true_len=3)
+    enc = np.array([1, 2, 1])
     layout = param_layout(config)
     params = ModelParameters.from_flat(np.zeros(layout.size), layout)
     params.filters[2][:] = [[1.0, 0.5], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]]
@@ -366,7 +364,7 @@ class TestForward:
             hidden_sizes=(3, 2), dropout_rate=0.0, head="binary",
         )
         table = EmbeddingTable(matrix=np.zeros((3, 2)), mode="self_learnt")
-        enc = EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0)
+        enc = np.zeros(4, dtype=np.int64)
         params = init_parameters(config, np.random.default_rng(0))
         for name, arr in params.tensors():
             arr[:] = 0.0
@@ -406,8 +404,7 @@ class TestForward:
         params.flat[:] += rng.normal(0.0, 0.3, size=params.flat.size)
         before = table.matrix.tobytes(), params.flat.tobytes()
         for indices in ([1, 2, 3, 4, 1, 0, 0], [4, 4, 4, 4, 4, 4, 4], [0] * 7):
-            forward(EncodedHeadline(indices=np.array(indices), true_len=7 - indices.count(0)),
-                    table, params, config, mode="test")
+            forward(np.array(indices), table, params, config, mode="test")
             assert (table.matrix.tobytes(), params.flat.tobytes()) == before
 
     def test_dropout_scaling_applies_in_test_mode(self):
@@ -439,13 +436,14 @@ class TestForward:
 
 
 def _random_encodings(config, n, rng, vocab_size=5):
-    """``n`` encodings of ``config.m`` indices below ``vocab_size``, of random true lengths."""
+    """``n`` encodings of ``config.m`` indices below ``vocab_size``, each a random
+    number of word indices followed by padding."""
     encodings = []
     for _ in range(n):
-        true_len = int(rng.integers(0, config.m + 1))
-        indices = np.zeros(config.m, dtype=np.int64)
-        indices[:true_len] = rng.integers(1, vocab_size, size=true_len)
-        encodings.append(EncodedHeadline(indices=indices, true_len=true_len))
+        n_words = int(rng.integers(0, config.m + 1))
+        enc = np.zeros(config.m, dtype=np.int64)
+        enc[:n_words] = rng.integers(1, vocab_size, size=n_words)
+        encodings.append(enc)
     return encodings
 
 
@@ -463,6 +461,9 @@ class TestPredict:
         expected = [forward(enc, table, params, config, mode="test")[0] for enc in encodings]
         assert outputs.dtype == np.float64 and outputs.shape == shape
         assert outputs.tobytes() == np.array(expected, dtype=np.float64).reshape(shape).tobytes()
+        # the rows of an (N, m) matrix are encodings too
+        matrix = np.array(encodings, dtype=np.int64).reshape(n, config.m)
+        assert predict(matrix, table, params, config).tobytes() == outputs.tobytes()
 
     @pytest.mark.parametrize("head, shape", [("binary", (0,)), ("multiclass3", (0, 3))])
     def test_no_encodings_give_an_empty_array_of_the_head(self, head, shape):
@@ -483,9 +484,10 @@ class TestPredict:
             return forward(enc, *args, mode=mode, **kwargs)
 
         monkeypatch.setattr(network, "forward", counting)
-        other = EncodedHeadline(indices=np.array([2, 2, 0]), true_len=2)
+        other = np.array([2, 2, 0])
         predict([enc, other, enc], table, params, config)
-        assert calls == [(enc, "test"), (other, "test"), (enc, "test")]
+        assert [mode for _, mode in calls] == ["test"] * 3
+        assert all(got is want for (got, _), want in zip(calls, [enc, other, enc], strict=True))
 
 
 def _naive_feature_maps(x, filt, bias, h, p, w):
@@ -507,10 +509,9 @@ def test_forward_feature_maps_match_naive_conv_and_pool(config, seed):
     matrix = rng.normal(size=(6, config.p))
     matrix[0] = 0.0
     table = EmbeddingTable(matrix=matrix, mode="non_static")
-    true_len = int(rng.integers(0, config.m + 1))
-    indices = np.zeros(config.m, dtype=np.int64)
-    indices[:true_len] = rng.integers(1, 6, size=true_len)
-    enc = EncodedHeadline(indices=indices, true_len=true_len)
+    n_words = int(rng.integers(0, config.m + 1))
+    enc = np.zeros(config.m, dtype=np.int64)
+    enc[:n_words] = rng.integers(1, 6, size=n_words)
     params = init_parameters(config, rng)
     params.flat[:] += rng.normal(0.0, 0.3, size=params.flat.size)  # non-zero biases too
 
@@ -541,7 +542,7 @@ class TestShapes:
         )
         table = EmbeddingTable(matrix=np.random.default_rng(0).normal(size=(6, 3)),
                                mode="self_learnt")
-        enc = EncodedHeadline(indices=np.array([1, 2, 3, 4, 5, 1, 2, 0, 0, 0, 0]), true_len=7)
+        enc = np.array([1, 2, 3, 4, 5, 1, 2, 0, 0, 0, 0])
         params = init_parameters(config, np.random.default_rng(1))
         _, cache = forward(enc, table, params, config, mode="train")
         # the longest map, 10 rows, as 5 pool windows; the wider maps end in padding
@@ -561,7 +562,7 @@ class TestShapes:
                                mode="non_static")
         params = init_parameters(config, np.random.default_rng(3))
         for shape in ((11,), (13,), (12, 1)):
-            enc = EncodedHeadline(indices=np.ones(shape, dtype=np.int64), true_len=shape[0])
+            enc = np.ones(shape, dtype=np.int64)
             for mode in ("train", "test"):
                 with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*m=12"):
                     forward(enc, table, params, config, mode=mode)
@@ -605,7 +606,7 @@ class TestBackwardContracts:
 
     def test_padding_row_gradient_always_zero(self):
         config, table, _, params = _toy_setup()
-        enc = EncodedHeadline(indices=np.array([2, 1, 0]), true_len=2)
+        enc = np.array([2, 1, 0])
         _, cache = forward(enc, table, params, config, mode="train")
         _, acc_emb, rows = _backward(cache, 0, params, config, table)
         assert rows.tolist() == [1, 2] and rows.dtype == np.int64  # sorted, padding row 0 left out
@@ -630,8 +631,7 @@ class TestBackwardContracts:
         for name, idx, mat in (("repeated", indices, matrix),
                                ("distinct", np.array([1, 2, 3, 4, 5, 6, 7, 0, 0]), distinct)):
             table = EmbeddingTable(matrix=mat, mode="self_learnt")
-            _, cache = forward(EncodedHeadline(indices=idx, true_len=7), table, params, config,
-                               mode="train")
+            _, cache = forward(idx, table, params, config, mode="train")
             grads[name] = _backward(cache, 2, params, config, table)
         assert grads["distinct"][2].tolist() == [1, 2, 3, 4, 5, 6, 7]
         dense = np.zeros_like(matrix)
@@ -664,7 +664,7 @@ class TestBackwardContracts:
         table = EmbeddingTable(matrix=matrix, mode="self_learnt")
         params = init_parameters(config, rng)
         for y, indices in ((1, [1, 2, 3, 4, 5, 0, 0]), (0, [5, 5, 4, 0, 0, 0, 0])):
-            enc = EncodedHeadline(indices=np.array(indices), true_len=int(np.count_nonzero(indices)))
+            enc = np.array(indices)
             _, cache = forward(enc, table, params, config, mode="train",
                                rng=np.random.default_rng(y))
             once, once_emb, rows = _backward(cache, y, params, config, table)
@@ -720,7 +720,7 @@ def _former_apply_dropout(v, rate, mode, rng):
 
 def _former_forward(enc, table, params, config, mode, rng):
     x = lookup_concat(enc, table)
-    fields = {"indices": enc.indices, "x": x, "windows": {}, "conv_pre": {}, "conv_post": {},
+    fields = {"indices": enc, "x": x, "windows": {}, "conv_pre": {}, "conv_post": {},
               "pool_argmax": {}}
     pooled_parts = []
     for h in config.filter_widths:
@@ -831,14 +831,13 @@ def _exactness_cases(draw):
             draw(st.integers(0, m)), draw(st.booleans()), draw(st.integers(0, 2**16)))
 
 
-def _assert_exact_pass(config, mode, true_len, with_rng, seed):
+def _assert_exact_pass(config, mode, n_words, with_rng, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(4, config.p))  # few rows, so tokens repeat
     matrix[0] = 0.0
     table = EmbeddingTable(matrix=matrix, mode=mode)
-    indices = np.zeros(config.m, dtype=np.int64)
-    indices[:true_len] = rng.integers(1, 4, size=true_len)
-    enc = EncodedHeadline(indices=indices, true_len=true_len)
+    enc = np.zeros(config.m, dtype=np.int64)
+    enc[:n_words] = rng.integers(1, 4, size=n_words)
     params = init_parameters(config, rng)
     params.flat[:] += rng.normal(0.0, 0.3, size=params.flat.size)  # non-zero biases too
     y = int(rng.integers(0, config.out_dim + (config.out_dim == 1)))
@@ -919,8 +918,8 @@ def test_forward_and_backward_match_former_code_bit_for_bit(case):
 def test_named_shapes_match_former_code_bit_for_bit(config, mode):
     for seed in range(8):
         # all padding, partly padded and full encodings, with and without a generator
-        for true_len in (0, config.m // 2, config.m):
-            _assert_exact_pass(config, mode, true_len, seed % 2 == 0, seed)
+        for n_words in (0, config.m // 2, config.m):
+            _assert_exact_pass(config, mode, n_words, seed % 2 == 0, seed)
 
 
 class TestNumpyAssumptions:

@@ -36,7 +36,7 @@ class TestPrepareDataset:
         assert train_ids == set(prepared.split.train_ids)
         m = prepared.vocab.max_len
         for s in list(prepared.train) + list(prepared.test):
-            assert s.enc.indices.shape == (m,)
+            assert s.enc.shape == (m,)
             assert s.trade_date > s.date
             assert (s.binary_label == 1) == (s.next_day_return > 0)
 
@@ -44,7 +44,7 @@ class TestPrepareDataset:
         # test-side tokens unseen in training are dropped; indices stay valid
         size = prepared.vocab.size
         for s in prepared.test:
-            assert s.enc.indices.max() <= size
+            assert s.enc.max() <= size
 
     def test_max_len_override(self):
         headlines, prices = generate_synthetic(
@@ -52,7 +52,7 @@ class TestPrepareDataset:
         )
         prepared = prepare_dataset(headlines, PriceIndex(prices), {"SYN0"}, max_len=12)
         assert prepared.vocab.max_len == 12
-        assert all(s.enc.indices.shape == (12,) for s in prepared.train)
+        assert all(s.enc.shape == (12,) for s in prepared.train)
 
     def test_to_pairs_heads(self, prepared):
         binary = to_pairs(prepared.train, "binary")
@@ -104,7 +104,8 @@ class TestSampleLabels:
 
 def _reference_rows(headlines, prices, portfolio, max_len):
     """prepare_dataset's rows as it built them before: a by-id map of the
-    labeled headlines, read in sorted id order per role."""
+    labeled headlines, read in sorted id order per role. A row is its sample's
+    fields with its count of kept tokens, and its encoding."""
     labels, skipped = label_all(headlines, prices)
     labeled = [h for h in headlines if h.id in labels]
     split = split_half_hourly_unique(labeled, portfolio)
@@ -118,9 +119,9 @@ def _reference_rows(headlines, prices, portfolio, max_len):
         h, bar = by_id[hid], prices.bars[labels[hid]]
         ret = (bar.close - bar.open) / bar.open
         tri = "buy" if ret > 0.005 else "avoid" if ret < -0.005 else "inconsequential"
-        enc = encode_and_pad(tokens, vocab)
-        return (hid, h.asset, h.date, bar.date, ret, 1 if ret > 0 else 0, tri,
-                enc.true_len, enc.indices.tolist())
+        n_kept = len([t for t in tokens if t in vocab.word_to_index][: vocab.max_len])
+        return ((hid, h.asset, h.date, bar.date, ret, 1 if ret > 0 else 0, tri, n_kept),
+                encode_and_pad(tokens, vocab))
 
     train = [row(hid, toks) for hid, toks in train_tokens.items()]
     test = [row(hid, tokenize(by_id[hid].text)) for hid in sorted(split.test_ids)]
@@ -142,15 +143,15 @@ class TestPrepareOracle:
         prepared = prepare_dataset(headlines, index, portfolio, max_len=max_len)
         vocab, train, test, n_unlabeled = _reference_rows(headlines, index, portfolio, max_len)
 
-        def rows(samples):
-            for s in samples:
-                assert s.enc.indices.dtype == np.int64
-            return [(*s[:5], s.binary_label, s.tri_label, s.enc.true_len, s.enc.indices.tolist())
-                    for s in samples]
+        def assert_rows(samples, reference):
+            assert [(*s[:5], s.binary_label, s.tri_label, np.count_nonzero(s.enc))
+                    for s in samples] == [row for row, _ in reference]
+            for s, (_, enc) in zip(samples, reference, strict=True):
+                assert s.enc.dtype == np.int64 and np.array_equal(s.enc, enc)
 
         assert prepared.vocab == vocab
-        assert rows(prepared.train) == train
-        assert rows(prepared.test) == test
+        assert_rows(prepared.train, train)
+        assert_rows(prepared.test, test)
         assert prepared.n_unlabeled == n_unlabeled == 3
 
 

@@ -161,25 +161,25 @@ class TestEncodeAndPad:
 
     def test_padding(self):
         enc = encode_and_pad(["a", "c"], self.VOCAB)
-        assert enc.indices.tolist() == [1, 3, 0, 0]
-        assert enc.true_len == 2
+        assert enc.tolist() == [1, 3, 0, 0]
+        assert np.count_nonzero(enc) == 2
 
     def test_unknown_tokens_dropped(self):
         vocab = Vocabulary(self.VOCAB.tokens, 3)
         enc = encode_and_pad(["z"], vocab)
-        assert enc.indices.tolist() == [0, 0, 0]
-        assert enc.true_len == 0
+        assert enc.tolist() == [0, 0, 0]
+        assert np.count_nonzero(enc) == 0
 
     def test_truncation(self):
         vocab = Vocabulary(self.VOCAB.tokens, 3)
         enc = encode_and_pad(["a", "b", "c", "a", "b"], vocab)
-        assert enc.indices.tolist() == [1, 2, 3]
-        assert enc.true_len == 3
+        assert enc.tolist() == [1, 2, 3]
+        assert np.count_nonzero(enc) == 3
 
     def test_roundtrip_decode(self):
         enc = encode_and_pad(["b", "z", "a"], self.VOCAB)
-        assert enc.indices.tolist() == [2, 1, 0, 0]
-        assert [self.VOCAB.tokens[i - 1] for i in enc.indices[: enc.true_len]] == ["b", "a"]
+        assert enc.tolist() == [2, 1, 0, 0]
+        assert [self.VOCAB.tokens[i - 1] for i in enc[enc > 0]] == ["b", "a"]
 
     @given(
         st.lists(st.sampled_from(["a", "b", "c", "zz", "qq"]), max_size=12),
@@ -189,11 +189,11 @@ class TestEncodeAndPad:
     def test_shape_and_order_properties(self, tokens, max_len):
         vocab = Vocabulary(self.VOCAB.tokens, max_len)
         enc = encode_and_pad(tokens, vocab)
-        assert enc.indices.shape == (max_len,)
-        assert enc.indices.dtype == np.int64
+        assert type(enc) is np.ndarray and enc.shape == (max_len,) and enc.dtype == np.int64
         kept = [vocab.word_to_index[t] for t in tokens if t in vocab.word_to_index][:max_len]
-        # word order of kept tokens preserved, zeros after true_len
-        assert enc.indices[: enc.true_len].tolist() == kept
-        assert not enc.indices[enc.true_len :].any()
+        # word order of kept tokens preserved, zeros after them, and only there
+        assert enc[: len(kept)].tolist() == kept
+        assert not enc[len(kept) :].any()
+        assert np.count_nonzero(enc) == len(kept)
         again = encode_and_pad(tokens, vocab)
-        assert np.array_equal(enc.indices, again.indices)
+        assert np.array_equal(enc, again)

@@ -14,7 +14,6 @@ from newsvane.corpus import PriceIndex, generate_synthetic
 from newsvane.network import (
     ModelConfig,
     ModelParameters,
-    RowGradient,
     backward,
     forward,
     init_parameters,
@@ -23,11 +22,12 @@ from newsvane.network import (
 )
 from newsvane.pipeline import prepare_dataset, to_pairs
 from newsvane.seeding import derive_seed
-from newsvane.text import EncodedHeadline, Vocabulary
+from newsvane.text import Vocabulary
 from newsvane.training import (
     AdamState,
     GridAxes,
     NumericError,
+    RowGradient,
     adam_step,
     cell_config,
     confusion_metrics,
@@ -451,7 +451,7 @@ def _dense_reference_train(dataset, table, params, config, epochs, batch_size, s
             looked_up = np.zeros(len(table.matrix), dtype=bool)
             for i in batch:
                 enc, y = dataset[i]
-                looked_up[enc.indices] = True
+                looked_up[enc] = True
                 _, cache = forward(enc, table, params, config, mode="train", rng=dropout_rng)
                 g = ModelParameters.from_flat(np.zeros_like(params.flat), params.layout)
                 emb_grad = backward(cache, y, params, config, table, g)
@@ -494,12 +494,11 @@ class TestSparseEmbeddingEquivalence:
                                                        (100, 2, lambda i: 1 + 2 * i)):
             dataset = []
             for i in range(21):
-                true_len = int(rng.integers(2, 7))
-                indices = np.zeros(6, dtype=np.int64)
-                indices[:true_len] = first_token(i) + rng.integers(tokens_per_sample, size=true_len)
-                dataset.append((EncodedHeadline(indices=indices, true_len=true_len),
-                                int(rng.integers(3))))
-            assert any(len(set(e.indices[:e.true_len].tolist())) < e.true_len for e, _ in dataset)
+                n_words = int(rng.integers(2, 7))
+                enc = np.zeros(6, dtype=np.int64)
+                enc[:n_words] = first_token(i) + rng.integers(tokens_per_sample, size=n_words)
+                dataset.append((enc, int(rng.integers(3))))
+            assert any(len(set(e[e > 0].tolist())) < np.count_nonzero(e) for e, _ in dataset)
             matrix = rng.normal(size=(n_rows, 4))
             matrix[0] = 0.0
             params = init_parameters(config, rng)
@@ -511,7 +510,7 @@ class TestSparseEmbeddingEquivalence:
                 runs.append(run_params.flat.tobytes() + table.matrix.tobytes())
             assert runs[0] == runs[1]
             touched = np.zeros(n_rows, dtype=bool)
-            touched[np.concatenate([e.indices for e, _ in dataset])] = True
+            touched[np.concatenate([e for e, _ in dataset])] = True
             touched[0] = False
             assert table.matrix[~touched].tobytes() == matrix[~touched].tobytes()
             if mode != "static":
@@ -535,11 +534,11 @@ class TestSparseEmbeddingEquivalence:
         dataset = [None] * 16
         for position, i in enumerate(order):
             tokens = by_batch[position // batch_size]
-            true_len = int(rng.integers(2, 6))
-            indices = np.zeros(5, dtype=np.int64)
-            indices[:true_len] = rng.choice(tokens, size=true_len)
-            indices[0] = tokens[position % batch_size % len(tokens)]
-            dataset[i] = (EncodedHeadline(indices=indices, true_len=true_len), int(rng.integers(2)))
+            n_words = int(rng.integers(2, 6))
+            enc = np.zeros(5, dtype=np.int64)
+            enc[:n_words] = rng.choice(tokens, size=n_words)
+            enc[0] = tokens[position % batch_size % len(tokens)]
+            dataset[i] = (enc, int(rng.integers(2)))
         matrix = rng.normal(size=(12, 4))
         matrix[0] = 0.0
         params = init_parameters(config, rng)
@@ -657,13 +656,12 @@ def test_train_matches_former_row_sums_bit_for_bit(config, mode, monkeypatch):
     order = np.random.default_rng(derive_seed(seed, "shuffle")).permutation(n)
     dataset = [None] * n
     for position, i in enumerate(order):
-        true_len = 0 if position < batch_size or position % 5 == 0 else int(
+        n_words = 0 if position < batch_size or position % 5 == 0 else int(
             rng.integers(1, config.m + 1))
-        indices = np.zeros(config.m, dtype=np.int64)
-        indices[:true_len] = rng.integers(1, 3, size=true_len)
-        dataset[i] = (EncodedHeadline(indices=indices, true_len=true_len),
-                      int(rng.integers(config.out_dim + (config.out_dim == 1))))
-    assert any(len(set(e.indices[: e.true_len].tolist())) < e.true_len for e, _ in dataset)
+        enc = np.zeros(config.m, dtype=np.int64)
+        enc[:n_words] = rng.integers(1, 3, size=n_words)
+        dataset[i] = (enc, int(rng.integers(config.out_dim + (config.out_dim == 1))))
+    assert any(len(set(e[e > 0].tolist())) < np.count_nonzero(e) for e, _ in dataset)
     matrix = rng.normal(size=(6, config.p))
     matrix[0] = 0.0
     params = init_parameters(config, rng)
@@ -724,7 +722,7 @@ class TestBatchSum:
         table = EmbeddingTable(matrix=matrix.copy(), mode="non_static")
         params = init_parameters(config, np.random.default_rng(7))
         before = params.flat.copy()
-        dataset = [(EncodedHeadline(indices=np.zeros(4, dtype=np.int64), true_len=0), 1)] * 3
+        dataset = [(np.zeros(4, dtype=np.int64), 1)] * 3
         train(dataset, table, params, config, epochs=1, batch_size=2, seed=0, lr=1e-3)
         assert table.matrix.tobytes() == matrix.tobytes()
         assert not np.array_equal(params.flat, before)
@@ -743,10 +741,10 @@ def test_train_allocates_nothing_the_size_of_the_table():
     params = init_parameters(config, rng)
     dataset = []
     for _ in range(48):
-        indices = np.zeros(6, dtype=np.int64)
-        indices[:5] = rng.integers(1, 50_000, size=5)
-        dataset.append((EncodedHeadline(indices=indices, true_len=5), int(rng.integers(2))))
-    looked_up = np.unique([e.indices for e, _ in dataset])[1:]
+        enc = np.zeros(6, dtype=np.int64)
+        enc[:5] = rng.integers(1, 50_000, size=5)
+        dataset.append((enc, int(rng.integers(2))))
+    looked_up = np.unique([e for e, _ in dataset])[1:]
     before = matrix[looked_up]
     tracemalloc.start()
     try:
@@ -773,8 +771,8 @@ def _fixture_model():
     params.w2[:] = [[1.0, -1.0]]
     params.w_out[:] = [[4.0]]
     params.b_out[:] = [-2.0]
-    pos = EncodedHeadline(indices=np.array([1, 0]), true_len=1)
-    neg = EncodedHeadline(indices=np.array([2, 0]), true_len=1)
+    pos = np.array([1, 0])
+    neg = np.array([2, 0])
     return vocab, table, config, params, pos, neg
 
 
