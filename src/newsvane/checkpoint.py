@@ -3,9 +3,11 @@
 ``save_checkpoint(path, ...)`` writes the sidecar ``path.with_suffix(".npy")``,
 one NumPy ``.npy`` file (format 1.0) holding a single little-endian float64
 vector: the embedding table's rows, then the network parameters as one flat
-vector. Then it writes the JSON file ``path`` (format 4): the model
-configuration, the vocabulary as one newline-joined string with its content
-hash, the table's mode and pretrained hit count, and the sidecar's sha256.
+vector. Then it writes the JSON file ``path`` (format 5): the model
+configuration, the vocabulary as one newline-joined string, its digest
+``vocab_hash`` (the sha256 of ``max_len=<config.m>``, a newline and that
+string, so it covers the tokens, their order and the padded length), the
+table's mode and pretrained hit count, and the sidecar's sha256.
 What the configuration fixes is derived, not stored: the parameter layout,
 the table width ``config.p`` and the vocabulary's padded length ``config.m``.
 Each file is written atomically, and saving the same state twice produces
@@ -43,9 +45,9 @@ from .fileio import (
     write_text_atomic,
 )
 from .network import ModelConfig, ModelParameters, param_layout
-from .text import Vocabulary, vocabulary_hash
+from .text import Vocabulary
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _THREADED_HASH_BYTES = 1 << 20  # below this, a hash worker thread costs more than it saves
 
 
@@ -53,7 +55,7 @@ class CheckpointError(ValueError):
     pass
 
 
-# The converter of every key of format 4, one mapping per section. Every key is
+# The converter of every key of format 5, one mapping per section. Every key is
 # required and any other is rejected on load, so a stale or misspelt field is an
 # error, not silently ignored. ``training_meta`` is free-form.
 _FORMAT = {
@@ -65,6 +67,13 @@ _FORMAT = {
     "sidecar_sha256": strict_str,
     "training_meta": strict_object,
 }
+
+
+def _vocab_hash(m: int, joined: str) -> str:
+    """The ``vocab_hash`` of the newline-joined tokens ``joined`` padded to ``m``: the
+    sha256 of ``max_len=<m>``, a newline and ``joined``, in UTF-8. A token holds no
+    newline, so an edited, reordered, added or removed token or an edited ``m`` changes it."""
+    return hashlib.sha256(f"max_len={m}\n{joined}".encode()).hexdigest()
 
 
 @contextmanager
@@ -152,11 +161,12 @@ def save_checkpoint(
             for chunk in (header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)):
                 feed(chunk)
                 fh.write(chunk)
-        payload = {  # built while the worker hashes
+        joined = "\n".join(vocab.tokens)  # built while the worker hashes
+        payload = {
             "format_version": FORMAT_VERSION,
             "config": config.to_dict(),
-            "vocab": "\n".join(vocab.tokens),
-            "vocab_hash": vocabulary_hash(vocab),
+            "vocab": joined,
+            "vocab_hash": _vocab_hash(config.m, joined),
             "embedding": {"mode": table.mode, "pretrained_hit_count": table.pretrained_hit_count},
             "training_meta": training_meta or {},
         }
@@ -169,9 +179,9 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
 
     ``read_object`` checks the JSON file against ``_FORMAT``, and every error
     is a CheckpointError naming the file and the field (``<path>:
-    config.pool_w: ...``). It rejects other format versions (format 3 and
-    older included), a section or value that is missing or of the wrong JSON
-    type, a key that format 4 does not hold, an empty or repeated token, a
+    config.pool_w: ...``). It rejects other format versions (formats 4, 3
+    and older included), a section or value that is missing or of the wrong JSON
+    type, a key that format 5 does not hold, an empty or repeated token, a
     vocabulary hash that disagrees with the tokens and ``config.m``
     (corruption), a missing sidecar or one whose sha256, dtype or length
     disagrees, and, when ``expected_config`` is given, any configuration
@@ -197,7 +207,7 @@ def load_checkpoint(path: str | Path, expected_config: ModelConfig | None = None
             vocab = Vocabulary(joined.split("\n") if joined else (), config.m)
         except ValueError as exc:  # config.m >= 1, so it names the tokens
             raise ValueError(f"vocab: {exc}") from None
-        if vocabulary_hash(vocab) != payload["vocab_hash"]:
+        if _vocab_hash(config.m, joined) != payload["vocab_hash"]:
             raise ValueError("vocabulary hash mismatch (corrupt checkpoint)")
 
         emb = payload["embedding"]

@@ -421,7 +421,10 @@ def predict(encodings: Sequence[np.ndarray], table: EmbeddingTable, params: Mode
             config: ModelConfig) -> np.ndarray:
     """Each encoding's test-mode ``forward`` output, in order and with its bits: sigmoid
     probabilities ``(N,)`` of the binary head, or class probabilities ``(N, 3)``. The
-    encodings are any sequence of int64 ``(m,)`` index arrays, an ``(N, m)`` matrix included."""
+    encodings are an ``(N, m)`` index matrix or any sequence of ``m`` indices each (int64
+    arrays or lists); they pass through ``np.asarray`` once, so a ragged sequence or a row
+    whose length is not ``m`` is a ValueError."""
+    encodings = np.asarray(encodings)
     n = len(encodings)
     outputs = np.empty((n,) if config.head == HEAD_BINARY else (n, 3))
     for i, enc in enumerate(encodings):

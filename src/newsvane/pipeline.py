@@ -9,7 +9,7 @@ tokens.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -64,6 +64,7 @@ class PreparedData:
     test: tuple[Sample, ...]
     split: DatasetSplit
     n_unlabeled: int  # headlines dropped because the price history ended
+    n_purged: int  # training headlines dropped because a test headline shares their label bar
 
 
 @collector_paused
@@ -77,13 +78,21 @@ def prepare_dataset(
     ``load_prices`` or ``PriceIndex(bars)`` builds.
 
     Headlines whose next trading day is beyond the price history are dropped
-    before splitting (their count is reported). ``max_len`` optionally
+    before splitting (their count is reported). After the split, a training
+    headline whose label bar (its asset's next trading day) is also a test
+    headline's is purged, so no test outcome is a training label: a weekend or
+    holiday headline shares the next bar with the trading day before it. Its
+    id leaves ``split.train_ids``, its tokens stay out of the vocabulary, and
+    the purged count is reported. ``max_len`` optionally
     overrides the encoded length; otherwise the longest tokenized training
     sentence defines it. Each role's samples are in headline id order.
     """
     labels, skipped = label_all(headlines, prices)
     labeled = [h for h in headlines if h.id in labels] if skipped else headlines
     split = split_half_hourly_unique(labeled, portfolio)
+    test_bars = {labels[i] for i in split.test_ids}
+    purged = {i for i in split.train_ids if labels[i] in test_bars}
+    split = replace(split, train_ids=split.train_ids - purged)
 
     in_id_order = sorted(labeled, key=_ID)
     train_rows = [h for h in in_id_order if h.id in split.train_ids]
@@ -99,7 +108,8 @@ def prepare_dataset(
 
     train = tuple(map(to_sample, train_rows, train_tokens))
     test = tuple(to_sample(h, tokenize(h.text)) for h in in_id_order if h.id in split.test_ids)
-    return PreparedData(vocab=vocab, train=train, test=test, split=split, n_unlabeled=len(skipped))
+    return PreparedData(vocab=vocab, train=train, test=test, split=split,
+                        n_unlabeled=len(skipped), n_purged=len(purged))
 
 
 def to_pairs(samples: tuple[Sample, ...], head: str) -> list[tuple[np.ndarray, int]]:
@@ -118,7 +128,9 @@ def validation_slice(
     """Split training samples into (fit, selection) parts by whole dates.
 
     Slicing by date rather than by headline keeps same-day rewrites of one
-    event on the same side of the split.
+    event on the same side of the split. A fit sample whose (asset, trade
+    date), its label bar, is also a selection sample's is dropped, as
+    ``prepare_dataset`` purges training headlines against the test set.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
@@ -128,6 +140,8 @@ def validation_slice(
     rng = np.random.default_rng(derive_seed(seed, "validation-slice"))
     n_val = min(max(1, int(round(fraction * len(dates)))), len(dates) - 1)
     val_dates = {dates[i] for i in rng.permutation(len(dates))[:n_val].tolist()}
-    fit = tuple(s for s in samples if s.date not in val_dates)
     val = tuple(s for s in samples if s.date in val_dates)
+    val_bars = {(s.asset, s.trade_date) for s in val}
+    # each selection sample's own bar is in val_bars, so this also keeps it out of fit
+    fit = tuple(s for s in samples if (s.asset, s.trade_date) not in val_bars)
     return fit, val

@@ -9,7 +9,6 @@ dummy whose embedding stays a frozen zero vector.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import unicodedata
 from dataclasses import dataclass
@@ -133,9 +132,3 @@ def vocabulary_to_text(vocab: Vocabulary) -> str:
     """Serialize as a header line ``max_len=<m>`` plus ``token<TAB>index`` rows."""
     return f"max_len={vocab.max_len}\n" + "".join(
         [f"{tok}\t{i}\n" for i, tok in enumerate(vocab.tokens, 1)])
-
-
-def vocabulary_hash(vocab: Vocabulary) -> str:
-    """Stable content hash used to pair checkpoints with their vocabulary:
-    the sha256 of its ``vocabulary_to_text``."""
-    return hashlib.sha256(vocabulary_to_text(vocab).encode()).hexdigest()

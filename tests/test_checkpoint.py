@@ -25,11 +25,19 @@ from newsvane import checkpoint
 from newsvane.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from newsvane.embeddings import init_self_learnt
 from newsvane.network import ModelConfig, init_parameters, param_layout
-from newsvane.text import Vocabulary, vocabulary_hash
+from newsvane.text import Vocabulary, vocabulary_to_text
+
+
+def format_4_layout(payload: dict) -> dict:
+    """The format-5 ``payload`` as format 4 wrote it: the same keys, with
+    ``vocab_hash`` the sha256 of the vocabulary's ``token<TAB>index`` text."""
+    m, joined = payload["config"]["m"], payload["vocab"]
+    text = vocabulary_to_text(Vocabulary(joined.split("\n") if joined else (), m))
+    return dict(payload, format_version=4, vocab_hash=hashlib.sha256(text.encode()).hexdigest())
 
 
 def format_3_layout(payload: dict, sidecar_name: str) -> dict:
-    """The format-4 ``payload`` laid out as format 3 wrote it: p, m and the
+    """The format-5 ``payload`` laid out as format 3 wrote it: p, m and the
     sidecar's name stored beside the config, and the mode in ``training_meta`` too."""
     old = {key: value for key, value in payload.items() if key != "sidecar_sha256"}
     config, mode = payload["config"], payload["embedding"]["mode"]
@@ -129,7 +137,7 @@ class TestRoundtrip:
         assert payload["vocab"] == "\n".join(vocab.tokens)
         assert payload["vocab"].startswith("alpha\nbeta\ngamma")
 
-    def test_format_4_stores_nothing_the_config_fixes(self, tmp_path, model_bits):
+    def test_format_5_stores_nothing_the_config_fixes(self, tmp_path, model_bits):
         """p, m and the sidecar's name come from the config and the path, so
         the file holds exactly these keys."""
         vocab, config, table, params = model_bits
@@ -137,7 +145,7 @@ class TestRoundtrip:
         payload = json.loads((tmp_path / "ckpt.json").read_text())
         assert payload.keys() == {"format_version", "config", "vocab", "vocab_hash", "embedding",
                                   "sidecar_sha256", "training_meta"}
-        assert payload["format_version"] == 4
+        assert payload["format_version"] == 5
         assert payload["embedding"].keys() == {"mode", "pretrained_hit_count"}
 
     def test_renamed_pair_loads(self, tmp_path, model_bits):
@@ -209,23 +217,34 @@ class TestRoundtrip:
             with pytest.raises(CheckpointError, match=f"format {version}"):
                 load_checkpoint(path)
 
-    def test_format_3_rejected(self, tmp_path, model_bits):
+    @pytest.mark.parametrize("version, layout", [
+        (3, lambda pl: format_3_layout(pl, "ckpt.npy")), (4, format_4_layout)],
+        ids=["format-3", "format-4"])
+    def test_older_format_rejected(self, tmp_path, model_bits, version, layout):
+        """A file laid out as format 3 or 4 wrote it, with the hash that format stored."""
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params, training_meta={"seed": 9})
-        path.write_text(json.dumps(format_3_layout(json.loads(path.read_text()), "ckpt.npy")))
+        path.write_text(json.dumps(layout(json.loads(path.read_text()))))
         with pytest.raises(CheckpointError, match=re.escape(
-                f"{path}: unsupported checkpoint format 3 (this version reads format 4)")):
+                f"{path}: unsupported checkpoint format {version} (this version reads format 5)")):
             load_checkpoint(path)
 
-    def test_tampered_vocab_detected(self, tmp_path, model_bits):
+    @pytest.mark.parametrize("tamper", [
+        lambda pl: pl.update(vocab="beta\nalpha\ngamma"),
+        lambda pl: pl.update(vocab=pl["vocab"].replace("alpha", "tampered")),
+        lambda pl: pl.update(vocab="alpha\nbeta\ngamma\ndelta"),
+        lambda pl: pl.update(vocab="alpha\ngamma"),
+    ], ids=["swapped", "edited", "appended", "removed"])
+    def test_tampered_vocab_detected(self, tmp_path, model_bits, tamper):
+        """Each edit leaves a valid vocabulary, which the stored digest refuses (an edited
+        ``config.m`` is ``TestValidation``'s ``max-len`` case)."""
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
-        payload = json.loads(path.read_text())
-        payload["vocab"] = payload["vocab"].replace("alpha", "tampered")
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="hash"):
+        _rewrite(path, lambda pl, _: tamper(pl))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: vocabulary hash mismatch (corrupt checkpoint)")):
             load_checkpoint(path)
 
 
@@ -352,17 +371,30 @@ class TestValidation:
             load_checkpoint(path)
 
     def test_vocab_hash_is_pinned(self, tmp_path, model_bits):
-        """The stored hash is the sha256 of the vocabulary text, ``max_len=<m>``
-        line included, so an edited ``config.m`` reads as corruption."""
+        """The stored hash is the sha256 of a ``max_len=<m>`` line and the stored
+        ``vocab`` string, so an edited ``config.m`` reads as corruption."""
         vocab, config, table, params = model_bits
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, config, vocab, table, params)
-        pinned = "cb93c831ce286caed9e862c96cc7ad266c2cfb0fa5c8c016b5164dc054117c7a"
+        pinned = "7d717bf4f1cbc90fe4b6606598c5f7e39ac6ae380258d98ab5fd6a84b4bdcf51"
         assert json.loads(path.read_text())["vocab_hash"] == pinned
-        assert pinned == hashlib.sha256(b"max_len=5\nalpha\t1\nbeta\t2\ngamma\t3\n").hexdigest()
+        assert pinned == hashlib.sha256(b"max_len=5\nalpha\nbeta\ngamma").hexdigest()
         ckpt = load_checkpoint(path)  # the stored hash is checked here, then not kept
         assert not hasattr(ckpt, "vocab_hash")
-        assert ckpt.vocab == vocab and vocabulary_hash(ckpt.vocab) == pinned
+        assert ckpt.vocab == vocab
+
+    def test_vocab_hash_of_non_ascii_tokens_is_pinned(self, tmp_path):
+        """The digest reads the tokens as UTF-8, in index order."""
+        vocab = Vocabulary(("surge", "slump", "café", "q4"), max_len=12)
+        config = ModelConfig(p=2, m=12, filter_widths=(2,), filters_per_width=2,
+                             hidden_sizes=(3, 1), dropout_rate=0.0, head="binary")
+        table = init_self_learnt(vocab, 2, mean=0.0, std=0.1, seed=3)
+        params = init_parameters(config, np.random.default_rng(3))
+        save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
+        pinned = "8f7a546637039ef85ee552a14ce7f7619cf6bca12606a07ce816e10177ba9cd1"
+        assert json.loads((tmp_path / "ckpt.json").read_text())["vocab_hash"] == pinned
+        assert pinned == hashlib.sha256("max_len=12\nsurge\nslump\ncafé\nq4".encode()).hexdigest()
+        assert load_checkpoint(tmp_path / "ckpt.json").vocab == vocab
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -496,11 +528,21 @@ class TestHashWorker:
         vocab, config, table, params = _model_bits(**SIDECAR_SIZES["threaded"])
         baseline = threading.active_count()
 
-        class FailingDigest:
+        class FailingOnWorkers:
+            """sha256 that fails on any thread but the main one, where the vocabulary is hashed."""
+
+            def __init__(self, data=b""):
+                self.digest = hashlib.sha256(data)
+
             def update(self, chunk):
-                raise RuntimeError("digest failed")
-        monkeypatch.setattr(checkpoint, "hashlib", types.SimpleNamespace(sha256=FailingDigest))
-        with pytest.raises(RuntimeError, match="digest failed"):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError(f"digest failed on {threading.current_thread().name}")
+                self.digest.update(chunk)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+        monkeypatch.setattr(checkpoint, "hashlib", types.SimpleNamespace(sha256=FailingOnWorkers))
+        with pytest.raises(RuntimeError, match="^digest failed on sidecar-sha256"):
             save_checkpoint(tmp_path / "ckpt.json", config, vocab, table, params)
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npy"]
         assert len(workers) == 1 and threading.active_count() == baseline

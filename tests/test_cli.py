@@ -22,7 +22,7 @@ from newsvane.network import ModelConfig
 from newsvane.pipeline import prepare_dataset
 from newsvane.text import tokenize
 from newsvane.training import cell_config
-from test_checkpoint import format_3_layout
+from test_checkpoint import format_3_layout, format_4_layout
 from test_gradients import perturb_backward
 
 
@@ -911,19 +911,23 @@ class TestNeighborsCommand:
         assert "sidecar_sha256: expected a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["neighbors", "evaluate"])
-    def test_format_3_checkpoint_exits_2(self, workspace, tmp_path, capsys, command):
-        """A checkpoint laid out as format 3 wrote it is refused, naming the file."""
+    @pytest.mark.parametrize("version, layout", [
+        (3, lambda pl: format_3_layout(pl, "old.npy")), (4, format_4_layout)],
+        ids=["format-3", "format-4"])
+    def test_older_format_checkpoint_exits_2(self, workspace, tmp_path, capsys, command,
+                                             version, layout):
+        """A checkpoint laid out as format 3 or 4 wrote it is refused, naming the file."""
         _, config_path, _, out, _ = workspace
         old = tmp_path / "old.json"
         payload = json.loads((out / "checkpoint.json").read_text())
-        old.write_text(json.dumps(format_3_layout(payload, "old.npy")))
+        old.write_text(json.dumps(layout(payload)))
         (tmp_path / "old.npy").write_bytes((out / "checkpoint.npy").read_bytes())
         argv = {"neighbors": ["neighbors", "--checkpoint", str(old), "surge"],
                 "evaluate": ["evaluate", "--config", str(config_path), "--checkpoint", str(old),
                              "--out-dir", str(tmp_path / "out")]}[command]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: {old}: unsupported checkpoint format 3 (this version reads format 4)\n")
+            f"error: {old}: unsupported checkpoint format {version} (this version reads format 5)\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_token_rejected(self, workspace):

@@ -461,9 +461,11 @@ class TestPredict:
         expected = [forward(enc, table, params, config, mode="test")[0] for enc in encodings]
         assert outputs.dtype == np.float64 and outputs.shape == shape
         assert outputs.tobytes() == np.array(expected, dtype=np.float64).reshape(shape).tobytes()
-        # the rows of an (N, m) matrix are encodings too
+        # the rows of an (N, m) matrix are encodings too, and so are lists of indices
         matrix = np.array(encodings, dtype=np.int64).reshape(n, config.m)
         assert predict(matrix, table, params, config).tobytes() == outputs.tobytes()
+        lists = [enc.tolist() for enc in encodings]
+        assert predict(lists, table, params, config).tobytes() == outputs.tobytes()
 
     @pytest.mark.parametrize("head, shape", [("binary", (0,)), ("multiclass3", (0, 3))])
     def test_no_encodings_give_an_empty_array_of_the_head(self, head, shape):
@@ -487,7 +489,16 @@ class TestPredict:
         other = np.array([2, 2, 0])
         predict([enc, other, enc], table, params, config)
         assert [mode for _, mode in calls] == ["test"] * 3
-        assert all(got is want for (got, _), want in zip(calls, [enc, other, enc], strict=True))
+        assert all(np.array_equal(got, want)
+                   for (got, _), want in zip(calls, [enc, other, enc], strict=True))
+
+    @pytest.mark.parametrize("encodings", [[[1, 2, 0], [1, 2]], [[1, 2]], [[1, 2, 0, 0]], [1, 2, 0]],
+                             ids=["ragged", "short-row", "long-row", "one-flat-row"])
+    def test_rows_that_are_not_m_indices_raise(self, encodings):
+        config, table, _, params = _toy_setup()
+        assert config.m == 3
+        with pytest.raises(ValueError):
+            predict(encodings, table, params, config)
 
 
 def _naive_feature_maps(x, filt, bias, h, p, w):

@@ -821,7 +821,8 @@ class TestEvaluate:
             start = len(calls)
             report = evaluate(pairs, table, params, config, class_threshold=t)
             seen = calls[start:]
-            assert len(seen) == len(pairs) and all(a is b for (a, _), (b, _) in zip(seen, pairs))
+            assert len(seen) == len(pairs)
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(seen, pairs))
             confusion = np.zeros((k, k), dtype=np.int64)
             for (_, output), (_, y) in zip(seen, pairs):
                 confusion[y, _former_class(output, head, t)] += 1
